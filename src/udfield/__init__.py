@@ -16,8 +16,7 @@ from .gstower import (GSReport, TowerSpec, class_number_bound,
                       find_split_primes, frattini_rank, gs_check,
                       multiquadratic_generators, splits_completely)
 from .ideals import (FracIdeal, PrimeIdeal, PrincipalityResult,
-                     class_number_imag_quadratic, conj_ideal, ideal_inv,
-                     ideal_mul, ideal_norm, is_principal, split_prime)
+                     class_number_imag_quadratic, is_principal, split_prime)
 from .intervals import (ComplexInterval, RealInterval, exact_ceil,
                         ln_interval, pi_interval)
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,

@@ -62,20 +62,33 @@ def build_field(name: str):
     raise ParseError(f"unknown field name {name!r}")
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_field_json(path: str):
+    return _field_from_dict(_read_json(path))
+
+
+def _field_from_dict(data):
+    """Field from a description {"min_poly": [...], "integral_basis": [[...]],
+    "label": "..."}; only min_poly is required."""
     from .numberfield import nf_new
     from .polynomials import make_poly
     from .serialize import parse_frac
 
-    with open(path) as fh:
-        data = json.load(fh)
     try:
         poly = make_poly([int(c) for c in data["min_poly"]])
+        basis = None
+        if data.get("integral_basis") is not None:
+            basis = [[parse_frac(str(c)) for c in row] for row in data["integral_basis"]]
     except (KeyError, TypeError, ValueError):
-        raise ParseError(f"{path}: min_poly must be an integer list") from None
-    basis = None
-    if data.get("integral_basis") is not None:
-        basis = [[parse_frac(str(c)) for c in row] for row in data["integral_basis"]]
+        raise ParseError("field description: min_poly must be an integer list "
+                         "and integral_basis a list of rational rows") from None
     return nf_new(poly, integral_basis=basis, label=data.get("label", ""))
 
 
@@ -85,7 +98,6 @@ def load_field_json(path: str):
 
 def cmd_generate(args) -> int:
     from .construct import WindowConfig, build_pointset, pigeonhole_units
-    from .counting import unit_pair_indices
     from .ideals import split_prime
     from .numberfield import detect_cm
     from .serialize import (dump_json, pointset_sidecar, report_dict,
@@ -147,8 +159,7 @@ def cmd_generate(args) -> int:
     }
     dump_json(report, os.path.join(args.out, "report.json"))
     if args.plot and len(ps.exact_points) <= 2000:
-        pairs = unit_pair_indices(ps.exact_points, ps.cm)
-        write_svg(ps, pairs, os.path.join(args.out, "scatter.svg"))
+        write_svg(ps, ps.unit_pairs, os.path.join(args.out, "scatter.svg"))
     sys.stdout.write(dump_json(report["construction"]))
     if not rep.all_asserted_hold():
         raise BoundViolation("an asserted bound failed; see report checks")
@@ -223,8 +234,10 @@ def _count_exact_csv(args):
         if not os.path.exists(sidecar):
             raise ParseError("--method exact needs --field or a pointset.json "
                              "sidecar next to the CSV")
-        with open(sidecar) as fh:
-            K = _field_from_dict(json.load(fh)["field"])
+        data = _read_json(sidecar)
+        if not isinstance(data, dict) or "field" not in data:
+            raise ParseError(f"{sidecar}: no \"field\" entry")
+        K = _field_from_dict(data["field"])
     cm = detect_cm(K)
     if cm is None:
         raise PreconditionError("exact counting needs a CM field")
@@ -241,18 +254,6 @@ def _count_exact_csv(args):
             except (IndexError, ValueError):
                 raise ParseError(f"line {lineno}: bad exact coordinates") from None
     return count_exact(elems, cm)
-
-
-def _field_from_dict(data: dict):
-    from .numberfield import nf_new
-    from .polynomials import make_poly
-    from .serialize import parse_frac
-
-    basis = None
-    if data.get("integral_basis") is not None:
-        basis = [[parse_frac(str(c)) for c in row] for row in data["integral_basis"]]
-    return nf_new(make_poly([int(c) for c in data["min_poly"]]),
-                  integral_basis=basis, label=data.get("label", ""))
 
 
 def cmd_exponent(args) -> int:

@@ -27,7 +27,7 @@ from .intervals import (ComplexInterval, RealInterval, exact_ceil,
                         ln_interval, pi_interval)
 from .numberfield import (CMStructure, FieldElement, NumberField,
                           detect_cm, is_unit_modulus)
-from .numthy import is_prime, squarefree_kernel
+from .numthy import iroot_ceil, is_prime, squarefree_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,7 @@ class PointSet:
     projection_coordinate: int
     precision_bits: int
     provenance: dict
-    unit_pairs_exact: Optional[int] = None
+    unit_pairs: Tuple[Tuple[int, int], ...]   # (i, j), i < j, at exact unit distance
 
 
 @dataclass
@@ -321,21 +321,6 @@ class ConstructionReport:
         return all(self.checks.values())
 
 
-def _nth_root_upper_frac(value: Fraction, k: int, bits: int = 24) -> Fraction:
-    """Dyadic upper bound for value^(1/k), value >= 0."""
-    if value == 0:
-        return Fraction(0)
-    scaled = value * (1 << (k * bits))
-    num = -((-scaled.numerator) // scaled.denominator)  # ceil to int
-    r = round(num ** (1.0 / k))
-    r = int(r)
-    while r ** k >= num:
-        r -= 1
-    while r ** k < num:
-        r += 1
-    return Fraction(r, 1 << bits)
-
-
 def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction) -> float:
     """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound)."""
     import math as _math
@@ -352,8 +337,10 @@ def covolume_upper(K: NumberField, scale: Fraction) -> Fraction:
     = (2^-f sqrt|disc|)^(1/f), the lattice-skewness quantity."""
     cm = detect_cm(K)
     f = cm.f
-    # (2^-f sqrt(|disc|))^(1/f) = |disc|^(1/2f) / 2
-    return _nth_root_upper_frac(Fraction(abs(K.disc)), 2 * f) / 2
+    # (2^-f sqrt(|disc|))^(1/f) = |disc|^(1/2f) / 2, rounded up to 2^-24
+    bits = 24
+    root = iroot_ceil(abs(K.disc) << (2 * f * bits), 2 * f)
+    return Fraction(root, 1 << bits) / 2
 
 
 def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]],
@@ -366,7 +353,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     lower bound is reported, and asserted only for R >= 2 in window
     mode with the best translate.
     """
-    from .counting import count_exact
+    from .counting import unit_pair_indices
 
     cm = detect_cm(K)
     if cm is None:
@@ -431,8 +418,8 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if len({tuple(z.coords) for z in pts}) != len(pts):
         raise InjectivityFailure("window enumeration produced duplicates")
 
-    census = count_exact(pts, cm)
-    nu = census.unit_pairs
+    pairs = tuple(unit_pair_indices(pts, cm))
+    nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)
     checks["translation_bound"] = 2 * nu >= translation_bound
@@ -485,7 +472,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     ps = PointSet(field=K, cm=cm, exact_points=tuple(pts), planar=planar,
                   projection_coordinate=cfg.projection_coordinate,
                   precision_bits=bits, provenance=provenance,
-                  unit_pairs_exact=nu)
+                  unit_pairs=pairs)
     report = ConstructionReport(
         f=f, delta=delta, R=cfg.R, v_upper=v_upper,
         units_emitted=len(emitted), units_usable=len(usable),

@@ -353,7 +353,8 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     smaller boxes are rejected (BoxTooSmall) rather than risking an
     undercount.
     """
-    from .enumeration import real_lattice_points_in_box
+    from .enumeration import lattice_points_in_polydisc
+    from .linalg import identity
 
     if not F.is_totally_real():
         raise ValueError("r2_count needs a totally real field")
@@ -370,17 +371,21 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     # completeness precondition: sigma(alpha) <= box^2 in every embedding
     gap = box * box * F.one() - alpha
     for i in range(F.n):
-        if _real_sign(gap, i) < 0:
+        if gap.sign_at(i) < 0:
             raise BoxTooSmall(
                 f"box = {box} is below sqrt(sigma(alpha)) in embedding {i}")
     # negative alpha in any embedding means no solutions
     for i in range(F.n):
-        if _real_sign(alpha, i) < 0:
+        if alpha.sign_at(i) < 0:
             return 0
 
     basis = [F.element([Fraction(1 if k == j else 0) for k in range(F.n)])
              for j in range(F.n)]
-    pts = real_lattice_points_in_box(basis, box)
+    # the box |sigma_i(x)| <= box is the polydisc sigma_i(x)^2 <= box^2 under
+    # the identity conjugation, one coordinate per real root
+    real = CMStructure(field=F, conj_mat=identity(F.n), fixed_basis=tuple(basis),
+                       f=F.n, pair_reps=tuple(range(F.n)))
+    pts = lattice_points_in_polydisc(basis, real, [box * box] * F.n)
     squares = {}
     for y in pts:
         sq = y * y
@@ -390,17 +395,3 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
         need = alpha - x * x
         count += len(squares.get(tuple(need.coords), ()))
     return count
-
-
-def _real_sign(z: FieldElement, root_index: int) -> int:
-    """Sign of the real embedding sigma_i(z), decided exactly."""
-    if z.is_zero():
-        return 0
-    bits = 64
-    while True:
-        box = z.embed(root_index, bits)
-        if box.re.lo > 0:
-            return 1
-        if box.re.hi < 0:
-            return -1
-        bits *= 2

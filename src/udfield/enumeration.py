@@ -1,5 +1,9 @@
 """Exact enumeration of lattice points in polydiscs of the Minkowski space.
 
+There is one coordinate per conjugate pair of roots.  A CM field gives a
+complex polydisc; a totally real field, with the identity as conjugation,
+gives the real box |sigma_i(z)| <= r_i.
+
 A candidate box from the inverse basis matrix bounds the integer
 coordinates; each candidate is then accepted or rejected exactly: a coarse
 dyadic-interval pass decides almost all points, and boundary cases fall
@@ -13,30 +17,32 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import WindowTooLarge
+from .errors import PrecisionExhausted, WindowTooLarge
 from .intervals import ComplexInterval, RealInterval, sqrt_upper
 from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 _PREFILTER_BITS = 48
 
 
-def _basis_embeddings(basis: Sequence[FieldElement], cm: CMStructure, bits: int):
+def _basis_embeddings(basis: Sequence[FieldElement], reps: Sequence[int], bits: int):
     """sigma_i(v_j) as coarse boxes, one row per basis vector."""
     keep = max(_PREFILTER_BITS, bits - 16)
     rows = []
     for v in basis:
-        rows.append([v.embed(idx, bits).round_outward(keep)
-                     for idx in cm.pair_reps])
+        rows.append([v.embed(idx, bits).round_outward(keep) for idx in reps])
     return rows
 
 
-def _coord_bounds(basis_emb, radii_sq: Sequence[Fraction], center_emb) -> Optional[List[int]]:
+def _coord_bounds(basis_emb, real: Sequence[bool], radii_sq: Sequence[Fraction],
+                  center_emb) -> Optional[List[int]]:
     """Certified per-coordinate bounds M_j with |c_j| <= M_j for every solution.
 
-    Writes the real 2f x 2f basis matrix as an interval matrix B, takes the
+    Writes the real n x n basis matrix as an interval matrix B, takes the
     exact inverse V of its midpoint, and certifies eta = ||I - B V||_1 < 1;
     then c = y (I - E)^{-1} with y = (x - a) V gives
         |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
+    A complex root gives two columns of B (re, im) and a real root one (re):
+    its im is exactly 0 and would make the midpoint singular.
     """
     from . import linalg
 
@@ -45,12 +51,11 @@ def _coord_bounds(basis_emb, radii_sq: Sequence[Fraction], center_emb) -> Option
     mid_rows = []
     iv_rows = []
     for j in range(n):
-        mid, ivs = [], []
+        ivs = []
         for i in range(f):
             b = basis_emb[j][i]
-            mid.extend([b.re.midpoint(), b.im.midpoint()])
-            ivs.extend([b.re, b.im])
-        mid_rows.append(mid)
+            ivs.extend([b.re] if real[i] else [b.re, b.im])
+        mid_rows.append([iv.midpoint() for iv in ivs])
         iv_rows.append(ivs)
     try:
         V = linalg.mat_inv(linalg.mat(mid_rows))
@@ -74,27 +79,11 @@ def _coord_bounds(basis_emb, radii_sq: Sequence[Fraction], center_emb) -> Option
         extra = Fraction(0)
         if center_emb is not None:
             extra = max(center_emb[i].re.magnitude(), center_emb[i].im.magnitude())
-        bnd.extend([r + extra, r + extra])
+        bnd.extend([r + extra] * (1 if real[i] else 2))
     y = [sum(bnd[t] * abs(V[t][j]) for t in range(n)) for j in range(n)]
     y_max = max(y)
     slop = y_max * eta / (1 - eta)
     return [int(yj + slop) + 1 for yj in y]
-
-
-def _modulus_cmp_exact(z: FieldElement, cm: CMStructure, coord: int,
-                       bound: Fraction) -> int:
-    """Sign of |sigma_coord(z)|^2 - bound, decided exactly."""
-    t = abs_sq(z, cm) - bound * z.field.one()
-    if t.is_zero():
-        return 0
-    bits = 64
-    while True:
-        box = t.embed(cm.pair_reps[coord], bits)
-        if box.re.lo > 0:
-            return 1
-        if box.re.hi < 0:
-            return -1
-        bits *= 2
 
 
 def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
@@ -103,30 +92,34 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
                                limit: Optional[int] = None) -> List[FieldElement]:
     """All z = center + sum c_j v_j with |sigma_i(z)|^2 <= radii_sq[i] for all i.
 
-    The polydisc is closed; boundary points are included.  Deterministic
-    order (lexicographic in the integer coordinates).
+    sigma_i is the embedding at root cm.pair_reps[i] and |.|^2 is decided
+    through abs_sq(z, cm).  The polydisc is closed; boundary points are
+    included.  Deterministic order (lexicographic in the integer
+    coordinates).
     """
     field = basis[0].field
     f = cm.f
-    n = len(basis)
+    reps = cm.pair_reps
+    real = [field.roots()[idx].is_real for idx in reps]
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
         return []
-    basis = _lll_reduce_basis(basis, cm)
-    emb = _basis_embeddings(basis, cm, 64)
+    basis = _lll_reduce_basis(basis, cm.conj)
+    emb = _basis_embeddings(basis, reps, 64)
     center_emb = None
     if center is not None and not center.is_zero():
         center_emb = [center.embed(idx, 64).round_outward(_PREFILTER_BITS)
-                      for idx in cm.pair_reps]
+                      for idx in reps]
     bounds = None
     bits = 64
     while bounds is None:
-        bounds = _coord_bounds(emb, radii_sq, center_emb)
+        bounds = _coord_bounds(emb, real, radii_sq, center_emb)
         if bounds is None:
             bits *= 2
             if bits > 4096:
-                raise ValueError("basis embeddings too coarse to bound the search box")
-            emb = _basis_embeddings(basis, cm, bits)
+                raise PrecisionExhausted(
+                    "basis embeddings too coarse to bound the search box")
+            emb = _basis_embeddings(basis, reps, bits)
     total = 1
     for m in bounds:
         total *= 2 * m + 1
@@ -134,6 +127,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
         raise WindowTooLarge(
             f"candidate box has {total} points (limit {limit})")
 
+    one = field.one()
     out: List[FieldElement] = []
     for cvec in itertools.product(*[range(-m, m + 1) for m in bounds]):
         ok = True
@@ -156,13 +150,14 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
             if c:
                 z = z + basis[j] * c
         if needs_exact:
-            if any(_modulus_cmp_exact(z, cm, i, radii_sq[i]) > 0 for i in range(f)):
+            z2 = abs_sq(z, cm)
+            if any((z2 - radii_sq[i] * one).sign_at(reps[i]) > 0 for i in range(f)):
                 continue
         out.append(z)
     return out
 
 
-def _lll_reduce_basis(basis: Sequence[FieldElement], cm: CMStructure):
+def _lll_reduce_basis(basis: Sequence[FieldElement], conj):
     """Reduce with exact LLL on the T2 Gram matrix Tr(x * conj(y))."""
     from . import linalg
 
@@ -174,7 +169,7 @@ def _lll_reduce_basis(basis: Sequence[FieldElement], cm: CMStructure):
     for i in range(n):
         row = []
         for j in range(n):
-            row.append(field._trace_coords((basis[i] * cm.conj(basis[j])).coords))
+            row.append(field._trace_coords((basis[i] * conj(basis[j])).coords))
         gram.append(tuple(row))
     U = linalg.lll_transform(linalg.mat(gram))
     out = []
@@ -185,113 +180,6 @@ def _lll_reduce_basis(basis: Sequence[FieldElement], cm: CMStructure):
                 z = z + v * int(c)
         out.append(z)
     return out
-
-
-def real_lattice_points_in_box(basis: Sequence[FieldElement], bound: Fraction,
-                               limit: Optional[int] = None) -> List[FieldElement]:
-    """All integer combinations z of `basis` (in a totally real field) with
-    |sigma_i(z)| <= bound for every real embedding.  Same certification
-    scheme as the polydisc enumerator, with real intervals."""
-    from . import linalg
-
-    field = basis[0].field
-    n = field.n
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
-    # exact LLL on the trace form Tr(x y)
-    gram = [[field._trace_coords((basis[i] * basis[j]).coords)
-             for j in range(len(basis))] for i in range(len(basis))]
-    U = linalg.lll_transform(linalg.mat(gram))
-    red = []
-    for row in U:
-        z = field.zero()
-        for c, v in zip(row, basis):
-            if c:
-                z = z + v * int(c)
-        red.append(z)
-    basis = red
-
-    bits = 64
-    while True:
-        emb = [[v.embed(i, bits).re.round_outward(bits - 16) for i in range(n)]
-               for v in basis]
-        mid = [[e.midpoint() for e in row] for row in emb]
-        try:
-            V = linalg.mat_inv(linalg.mat(mid))
-        except ZeroDivisionError:
-            V = None
-        if V is not None:
-            col_sums = [Fraction(0)] * len(basis)
-            for r in range(len(basis)):
-                for c in range(len(basis)):
-                    acc = RealInterval.point(-1 if r == c else 0)
-                    for t in range(n):
-                        acc = acc + emb[r][t] * RealInterval.point(V[t][c])
-                    col_sums[c] += acc.magnitude()
-            eta = max(col_sums)
-            if eta < 1:
-                break
-        bits *= 2
-        if bits > 4096:
-            raise ValueError("real basis embeddings too coarse")
-    y = [sum(bound * abs(V[t][j]) for t in range(n)) for j in range(len(basis))]
-    slop = max(y) * eta / (1 - eta)
-    bounds = [int(yj + slop) + 1 for yj in y]
-    total = 1
-    for m in bounds:
-        total *= 2 * m + 1
-    if limit is not None and total > limit:
-        raise WindowTooLarge(f"candidate box has {total} points (limit {limit})")
-
-    out: List[FieldElement] = []
-    b_iv = RealInterval.point(bound)
-    for cvec in itertools.product(*[range(-m, m + 1) for m in bounds]):
-        ok = True
-        needs_exact = False
-        for i in range(n):
-            acc = RealInterval.point(0)
-            for j, c in enumerate(cvec):
-                if c:
-                    acc = acc + emb[j][i].scale(c)
-            if acc.lo > bound or acc.hi < -bound:
-                ok = False
-                break
-            if acc.hi > bound or acc.lo < -bound:
-                needs_exact = True
-        if not ok:
-            continue
-        z = field.zero()
-        for j, c in enumerate(cvec):
-            if c:
-                z = z + basis[j] * c
-        if needs_exact and not _real_box_member(z, bound):
-            continue
-        out.append(z)
-    return out
-
-
-def _real_box_member(z: FieldElement, bound: Fraction) -> bool:
-    field = z.field
-    upper = bound * field.one() - z
-    lower = z + bound * field.one()
-    for i in range(field.n):
-        if _real_sign_at(upper, i) < 0 or _real_sign_at(lower, i) < 0:
-            return False
-    return True
-
-
-def _real_sign_at(z: FieldElement, root_index: int) -> int:
-    if z.is_zero():
-        return 0
-    bits = 64
-    while True:
-        box = z.embed(root_index, bits)
-        if box.re.lo > 0:
-            return 1
-        if box.re.hi < 0:
-            return -1
-        bits *= 2
 
 
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:

@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .enumeration import lattice_points_in_polydisc
-from .errors import IndexDivisor, NotPrime, ZeroIdeal
+from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
 from .linalg import (hnf_det, hnf_rows, lattice_intersect, mat, mat_inv,
                      rational_hnf, vec_mat)
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
-from .numthy import check_squarefree_int, is_prime
+from .numthy import check_squarefree_int, iroot_ceil, is_prime
 from .polynomials import IntPoly, discriminant, factor_mod_p, make_poly
 
 
@@ -162,22 +162,6 @@ class FracIdeal:
         return f"FracIdeal({self.field.label}, norm={self.norm()})"
 
 
-def ideal_mul(a: FracIdeal, b: FracIdeal) -> FracIdeal:
-    return a * b
-
-
-def ideal_inv(a: FracIdeal) -> FracIdeal:
-    return a.inverse()
-
-
-def conj_ideal(a: FracIdeal, cm: CMStructure) -> FracIdeal:
-    return a.conjugate(cm)
-
-
-def ideal_norm(a: FracIdeal) -> Fraction:
-    return a.norm()
-
-
 @dataclass(frozen=True)
 class PrimeIdeal:
     """Prime above p from a factor of min_poly mod p (p prime to the index)."""
@@ -262,18 +246,6 @@ class PrincipalityResult:
         return self.status == FOUND
 
 
-def _nth_root_upper(value: int, k: int) -> int:
-    """Smallest integer r with r^k >= value (value >= 0)."""
-    if value <= 0:
-        return 0
-    r = int(round(value ** (1.0 / k)))
-    while r ** k >= value:
-        r -= 1
-    while r ** k < value:
-        r += 1
-    return r
-
-
 def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
                  unit_search_depth: int = 3) -> PrincipalityResult:
     """Certified generator search.
@@ -304,7 +276,7 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
                 return PrincipalityResult(FOUND, x / I.den)
         return PrincipalityResult(NOT_FOUND)
 
-    disc_root = _nth_root_upper(N * N * abs(K.disc), 2 * f)
+    disc_root = iroot_ceil(N * N * abs(K.disc), 2 * f)
     rad2 = slack * disc_root
     stretches = _unit_stretches(K, cm, unit_search_depth)
     seen = set()
@@ -313,7 +285,7 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
         try:
             candidates = lattice_points_in_polydisc(basis, cm, radii,
                                                     limit=2_000_000)
-        except Exception:
+        except WindowTooLarge:
             continue
         for x in sorted(candidates, key=lambda z: tuple(z.coords)):
             if x.is_zero() or x.coords in seen:

@@ -81,10 +81,6 @@ class RealInterval:
             bits = q.denominator.bit_length() + 64
         return cls(round_down(q, bits), round_up(q, bits))
 
-    @classmethod
-    def from_endpoints(cls, lo: Rat, hi: Rat, bits: int = 128) -> "RealInterval":
-        return cls(round_down(lo, bits), round_up(hi, bits))
-
     def __add__(self, other: "RealInterval") -> "RealInterval":
         return RealInterval(self.lo + other.lo, self.hi + other.hi)
 
@@ -160,9 +156,6 @@ class RealInterval:
     def strictly_less(self, other: "RealInterval") -> bool:
         return self.hi < other.lo
 
-    def strictly_greater(self, other: "RealInterval") -> bool:
-        return self.lo > other.hi
-
     def intersects(self, other: "RealInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -171,10 +164,6 @@ class RealInterval:
 
     def __repr__(self):
         return f"RealInterval({float(self.lo)!r}, {float(self.hi)!r})"
-
-
-ZERO = RealInterval(Fraction(0), Fraction(0))
-ONE = RealInterval(Fraction(1), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -210,12 +199,6 @@ class ComplexInterval:
     def abs_sq(self) -> RealInterval:
         return self.re.square() + self.im.square()
 
-    def abs_upper(self, bits: int = 64) -> Fraction:
-        return sqrt_upper(self.abs_sq().hi, bits)
-
-    def abs_lower(self, bits: int = 64) -> Fraction:
-        return sqrt_lower(self.abs_sq().lo, bits)
-
     def recip(self, bits: int) -> "ComplexInterval":
         m = self.abs_sq()
         if m.contains_zero():
@@ -246,10 +229,6 @@ class ComplexInterval:
 
     def __repr__(self):
         return f"ComplexInterval({complex(self)!r} ± {float(self.width())/2:.3g})"
-
-
-CONE = ComplexInterval(ONE, ZERO)
-CZERO = ComplexInterval(ZERO, ZERO)
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:

@@ -27,10 +27,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def vec_mat(v: Sequence[Fraction], a: Matrix) -> Tuple[Fraction, ...]:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
 
@@ -77,10 +73,6 @@ def mat_inv(a: Matrix) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
-
-
-def solve(a: Matrix, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return mat_vec(mat_inv(a), tuple(Fraction(c) for c in v))
 
 
 def kernel(a: Matrix) -> List[Tuple[Fraction, ...]]:
@@ -181,10 +173,6 @@ def hnf_det(hnf: Sequence[Sequence[int]]) -> int:
     for row in hnf:
         det *= row[_pivot_col(row)]
     return det
-
-
-def lattice_sum(a, b):
-    return hnf_rows(list(a) + list(b))
 
 
 def rational_hnf(rows: Sequence[Sequence[Fraction]]):

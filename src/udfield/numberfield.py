@@ -331,6 +331,23 @@ class FieldElement:
     def embed(self, root_index: int, bits: int = 64) -> ComplexInterval:
         return self.field.embed(self, root_index, bits)
 
+    def sign_at(self, root_index: int) -> int:
+        """Exact sign (-1, 0 or 1) of sigma_i(z), for z real at that root.
+
+        Doubles the precision until the box leaves zero; a nonzero element
+        embeds to a nonzero value, so this ends (or embed raises
+        PrecisionExhausted at its cap)."""
+        if self.is_zero():
+            return 0
+        bits = 64
+        while True:
+            box = self.embed(root_index, bits)
+            if box.re.lo > 0:
+                return 1
+            if box.re.hi < 0:
+                return -1
+            bits *= 2
+
     def __repr__(self):
         return f"<{self.field.label}: [{', '.join(str(c) for c in self.coords)}]>"
 
@@ -426,12 +443,9 @@ def _f2_independent(ds: Sequence[int]) -> bool:
             if e % 2:
                 vec.add(q)
         vec = frozenset(vec)
-        # reduce against current basis (F_2 elimination over prime support)
+        # reduce against current basis (F_2 elimination over prime support):
+        # repeatedly xor with any basis elt whose max lies in cur
         cur = vec
-        for b in basis:
-            if cur and max(cur) in b or (b and cur and b <= cur | b and False):
-                pass
-        # simple elimination: repeatedly xor with any basis elt sharing max
         changed = True
         while changed and cur:
             changed = False

@@ -112,6 +112,21 @@ def _pollard_rho(n: int, c: int) -> int:
     return d
 
 
+def iroot_ceil(n: int, k: int) -> int:
+    """Smallest integer r >= 0 with r^k >= n, by integer Newton iteration
+    (exact for any size of n; no float seed)."""
+    if n <= 0:
+        return 0
+    # Newton from above converges down to floor(n^(1/k))
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r ** k == n else r + 1
+
+
 def is_squarefree_int(n: int) -> bool:
     if n == 0:
         return False

@@ -166,7 +166,7 @@ def pointset_sidecar(ps: PointSet) -> dict:
         "field": ps.field.to_dict(),
         "projection_coordinate": ps.projection_coordinate,
         "provenance": ps.provenance,
-        "unit_pairs_exact": ps.unit_pairs_exact,
+        "unit_pairs_exact": len(ps.unit_pairs),
     }
 
 

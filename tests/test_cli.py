@@ -161,3 +161,45 @@ def test_precision_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UDF_PRECISION_BITS", "128")
     rc, data = run_cli(capsys, "exponent", "--T", "3", "--p", "13")
     assert rc == 0
+
+
+def _run_module(tmp_path, *args):
+    """Run `python -m udfield` in a child, so a traceback would reach stderr."""
+    import subprocess
+    import sys
+
+    import udfield
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "udfield", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+
+
+def test_bad_field_json_exits_3(tmp_path):
+    bad = tmp_path / "field.json"
+    bad.write_text('{"min_poly": [1, 0,')
+    proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    for text in ('{"label": "no polynomial"}',
+                 '{"min_poly": [1, 0, 1], "integral_basis": 5}'):
+        bad.write_text(text)
+        proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
+        assert proc.returncode == 3, (text, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_bad_sidecar_exits_3(tmp_path):
+    (tmp_path / "pointset.csv").write_text("index,re,im,c0,c1\n0,0,0,0,0\n")
+    sidecar = tmp_path / "pointset.json"
+    for text in ('{"field": {"label": "Q(i)"}}',   # no min_poly
+                 '{"n_points": 1}',                # no field
+                 '{"field": '):                    # not JSON
+        sidecar.write_text(text)
+        proc = _run_module(tmp_path, "count", "--csv", "pointset.csv",
+                           "--method", "exact")
+        assert proc.returncode == 3, (text, proc.stderr)
+        assert "Traceback" not in proc.stderr

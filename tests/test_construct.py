@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from udfield.construct import (SymbolicPower, WindowConfig,
-                               build_pointset, denominator_bound,
+                               build_pointset, covolume_upper, denominator_bound,
                                enumerate_window, exponent, halton_translates,
                                pigeonhole_units, select_translate,
                                exponent_ledger)
@@ -131,6 +131,32 @@ def test_build_pointset_toy(gaussian, gaussian_cm):
     assert 2 * rep.measured_unit_pairs >= rep.translation_bound
     assert rep.all_asserted_hold()
     assert len(ps.planar) == 13
+
+
+def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
+    from udfield.counting import unit_pair_indices
+    from udfield.serialize import pointset_sidecar
+
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
+    assert ps.unit_pairs == tuple(unit_pair_indices(ps.exact_points, gaussian_cm))
+    assert len(ps.unit_pairs) == rep.measured_unit_pairs > 0
+    assert pointset_sidecar(ps)["unit_pairs_exact"] == rep.measured_unit_pairs
+    for i, j in ps.unit_pairs:
+        assert i < j
+        assert is_unit_modulus(ps.exact_points[i] - ps.exact_points[j], gaussian_cm)
+
+
+def test_covolume_upper_values(gaussian, qsqrt_m5, deg4):
+    # dyadic upper bounds for |disc|^(1/2f) / 2 at 2^-24, as the float-seeded
+    # root computed them
+    from udfield.numberfield import compositum_multiquadratic
+
+    assert covolume_upper(gaussian, Fraction(1)) == 1
+    assert covolume_upper(qsqrt_m5, Fraction(1)) == Fraction(75029991, 33554432)
+    assert covolume_upper(deg4, Fraction(1)) == Fraction(75029991, 33554432)
+    K8 = compositum_multiquadratic([2, 3, -1])
+    assert covolume_upper(K8, Fraction(1)) == Fraction(328764949, 33554432)
 
 
 def test_build_pointset_small_R_warns(gaussian, gaussian_cm):

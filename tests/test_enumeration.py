@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from udfield.enumeration import (lattice_points_in_polydisc,
-                                 real_lattice_points_in_box, roots_of_unity)
+from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
+from udfield.enumeration import lattice_points_in_polydisc, roots_of_unity
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
@@ -57,8 +57,6 @@ def test_polydisc_completeness_degree4(deg4, deg4_cm):
     got = {z.coords for z in
            lattice_points_in_polydisc(basis, cm, [Fraction(4)] * 2)}
     # brute force over integral coordinates with the exact modulus test
-    from udfield.enumeration import _modulus_cmp_exact
-
     brute = set()
     for c0 in range(-6, 7):
         for c1 in range(-6, 7):
@@ -78,14 +76,13 @@ def test_polydisc_completeness_degree4(deg4, deg4_cm):
 def test_real_box_completeness():
     F = compositum_multiquadratic([5])
     basis = [F.element([1, 0]), F.element([0, 1])]
-    got = {z.coords for z in real_lattice_points_in_box(basis, Fraction(3))}
+    got = {z.coords for z in
+           lattice_points_in_polydisc(basis, real_structure(F), [Fraction(9)] * 2)}
     # x = a + b(5+sqrt5)/2: embeddings a + b(5 +- sqrt5)/2
     brute = set()
     for a in range(-15, 16):
         for b in range(-15, 16):
             z = F.element([a, b])
-            from udfield.enumeration import _real_sign_at
-
             ok = True
             for i in range(2):
                 up = Fraction(3) * F.one() - z

@@ -247,3 +247,15 @@ def test_power_basis_fallback_warning():
     K = nf_new(make_poly([2, 0, 0, 1]))  # x^3 + 2, no basis supplied
     assert K.index_conditional
     assert any("index-conditional" in w for w in K.warnings)
+
+
+def test_sign_at_real_embeddings(sqrt5_field):
+    F = sqrt5_field
+    theta = F.theta()                      # +-sqrt(5) at the two real roots
+    z = theta - F.from_rational(2)         # sqrt5 - 2 and -sqrt5 - 2
+    assert sorted(z.sign_at(i) for i in range(2)) == [-1, 1]
+    assert [(theta * theta - F.from_rational(5)).sign_at(i) for i in range(2)] == [0, 0]
+    # (sqrt5 - 2)^40 ~ 1e-25 at one root: below a 64-bit box, so precision doubles
+    tiny = (z * z) ** 20
+    assert [tiny.sign_at(i) for i in range(2)] == [1, 1]
+    assert [(-tiny).sign_at(i) for i in range(2)] == [-1, -1]

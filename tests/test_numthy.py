@@ -1,7 +1,7 @@
 import pytest
 
 from udfield.errors import NotOddPrime
-from udfield.numthy import (factorize, is_prime, is_squarefree_int,
+from udfield.numthy import (factorize, iroot_ceil, is_prime, is_squarefree_int,
                             legendre_symbol, primes_from, squarefree_kernel)
 
 
@@ -67,3 +67,20 @@ def test_squarefree():
     assert squarefree_kernel(12) == 3
     assert squarefree_kernel(-20) == -5
     assert squarefree_kernel(49) == 1
+
+
+def test_iroot_ceil_brute_force():
+    for k in range(1, 7):
+        for n in range(-3, 3000):
+            want = next(r for r in range(n + 2) if r ** k >= n) if n > 0 else 0
+            assert iroot_ceil(n, k) == want, (n, k)
+
+
+def test_iroot_ceil_beyond_float_range():
+    # a float seed would overflow here (10**400 > 1.8e308)
+    n = 10 ** 400
+    for k in (1, 2, 3, 4, 7, 400, 1329):
+        r = iroot_ceil(n, k)
+        assert r ** k >= n and (r - 1) ** k < n
+    assert iroot_ceil(n, 2) == 10 ** 200
+    assert iroot_ceil(n + 1, 2) == 10 ** 200 + 1
