@@ -89,6 +89,9 @@ def _field_from_dict(data):
     except (KeyError, TypeError, ValueError):
         raise ParseError("field description: min_poly must be an integer list "
                          "and integral_basis a list of rational rows") from None
+    n = len(poly) - 1
+    if basis is not None and (len(basis) != n or any(len(r) != n for r in basis)):
+        raise ParseError(f"field description: integral_basis must be {n} x {n}")
     return nf_new(poly, integral_basis=basis, label=data.get("label", ""))
 
 
@@ -100,15 +103,16 @@ def cmd_generate(args) -> int:
     from .construct import WindowConfig, build_pointset, pigeonhole_units
     from .ideals import split_prime
     from .numberfield import detect_cm
-    from .serialize import (dump_json, pointset_sidecar, report_dict,
-                            unitset_dict, write_pointset_csv, write_svg)
+    from .serialize import (dump_json, parse_frac, pointset_sidecar,
+                            report_dict, unitset_dict, write_pointset_csv,
+                            write_svg)
 
     bits = _precision(args)
     K = build_field(args.field)
     cm = detect_cm(K)
     if cm is None:
         raise PreconditionError(f"{K.label} is not a CM field")
-    R = Fraction(args.R)
+    R = parse_frac(args.R)
     if R < 2 and not args.allow_small_R:
         raise PreconditionError(
             "R < 2 voids the volumetric bounds; pass --allow-small-R to proceed")
@@ -131,7 +135,7 @@ def cmd_generate(args) -> int:
 
     warnings = []
     if args.scale is not None:
-        scale = Fraction(args.scale)
+        scale = parse_frac(args.scale)
         mode = args.mode if args.mode != "auto" else "window"
         cfg = WindowConfig(R=R, scale=scale, mode=mode,
                            translate_candidates=args.translate_candidates,
@@ -172,7 +176,7 @@ def _auto_window(K, units, R, args, bits):
 
     warnings = []
     natural = Fraction(1, units.D)
-    budget = min(args.max_points, 4000)  # exact pair counting is O(n^2)
+    budget = min(args.max_points, 4000)  # per-point enumeration and embedding
     for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
         est = estimate_window_points(K, scale, R)
         if est > budget:
@@ -244,6 +248,8 @@ def _count_exact_csv(args):
     elems = []
     with open(args.csv) as fh:
         cols = [c.strip() for c in fh.readline().split(",")]
+        if any(f"c{i}" not in cols for i in range(K.n)):
+            raise ParseError(f"{args.csv}: needs exact coordinate columns c0..c{K.n - 1}")
         idxs = [cols.index(f"c{i}") for i in range(K.n)]
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -330,7 +336,7 @@ def cmd_r2(args) -> int:
     if len(coords) == 1:
         coords = coords + [Fraction(0)] * (F.n - 1)
     alpha = F.element(coords)
-    box = Fraction(args.box) if args.box else _auto_box(F, alpha)
+    box = parse_frac(args.box) if args.box else _auto_box(F, alpha)
     count = r2_count(F, alpha, box)
     sys.stdout.write(dump_json({
         "alpha": [str(c) for c in coords], "field": F.label,

@@ -418,7 +418,9 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if len({tuple(z.coords) for z in pts}) != len(pts):
         raise InjectivityFailure("window enumeration produced duplicates")
 
-    pairs = tuple(unit_pair_indices(pts, cm))
+    planar = tuple(z.embed(cm.pair_reps[cfg.projection_coordinate],
+                           cfg.precision_bits) for z in pts)
+    pairs = tuple(unit_pair_indices(pts, planar, cm))
     nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)
@@ -458,9 +460,6 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if not a.is_zero():
         inner_zero = len(enumerate_window(K, cfg.scale, cfg.R - 1, None,
                                           limit=cfg.max_points))
-    bits = cfg.precision_bits
-    planar = tuple(z.embed(cm.pair_reps[cfg.projection_coordinate], bits)
-                   for z in pts)
 
     provenance = {
         "mode": cfg.mode,
@@ -471,7 +470,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     }
     ps = PointSet(field=K, cm=cm, exact_points=tuple(pts), planar=planar,
                   projection_coordinate=cfg.projection_coordinate,
-                  precision_bits=bits, provenance=provenance,
+                  precision_bits=cfg.precision_bits, provenance=provenance,
                   unit_pairs=pairs)
     report = ConstructionReport(
         f=f, delta=delta, R=cfg.R, v_upper=v_upper,

@@ -12,9 +12,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BoxTooSmall, ParseError, TooLargeEps
+from .intervals import ComplexInterval
 from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 # neighbor-cell offsets for cell size 1: 21 cells cover the unit annulus
@@ -67,56 +68,58 @@ class DistanceCensus:
         return out
 
 
-def unit_pair_indices(points, cm: CMStructure) -> List[Tuple[int, int]]:
-    """Index pairs (i < j) with |x_i - x_j| = 1, decided symbolically.
+def unit_pair_indices(pts: Sequence[FieldElement], boxes: Sequence[ComplexInterval],
+                      cm: CMStructure) -> List[Tuple[int, int]]:
+    """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided symbolically.
 
-    A low-precision coordinate key prunes pairs: the squared float distance
-    carries a rigorous error bound, so pruning cannot drop a true pair, and
-    every surviving pair is decided by abs_sq(x - y) == 1 exactly.
+    `boxes` enclose the points in any one embedding: |x - y| = 1 means
+    abs_sq(x - y) = 1 in the field.  The cell hash of `count_float` finds
+    nearby box midpoints, their squared float distance prunes with a
+    rigorous error bound, and every surviving pair is decided exactly.
     """
     import numpy as np
 
-    pts = list(getattr(points, "exact_points", points))
-    field = cm.field
-    one = field.one()
-    rep = cm.pair_reps[0]
-    boxes = [z.embed(rep, 40) for z in pts]
     n = len(pts)
     if n < 2:
         return []
-    xs = np.array([float(b.re.midpoint()) for b in boxes])
-    ys = np.array([float(b.im.midpoint()) for b in boxes])
-    # |fl(d^2) - d^2| <= ~8u M^2 per IEEE754 plus the 2^-40 box widths;
-    # inflate generously, the margin only affects pruning efficiency
-    m = float(max(np.max(np.abs(xs)), np.max(np.abs(ys)), 1.0))
-    margin = 1e-6 + 64.0 * m * m * 2.0 ** -40
+    # 64 bits are plenty to prune with; rounding outward keeps every box an
+    # enclosure and spares the interval check long denominators
+    boxes = [b.round_outward(64) for b in boxes]
+    xy = np.array([[float(b.re.midpoint()), float(b.im.midpoint())] for b in boxes])
+    # a float coordinate difference is off by at most err (box width plus the
+    # rounding of two midpoints), so for |d| = 1 the float d^2 is within
+    # 4 err + 2 err^2 (and a few ulps) of 1; the margin is generous
+    m = float(max(np.max(np.abs(xy)), 1.0))
+    err = float(max(b.width() for b in boxes)) + m * 2.0 ** -50
+    margin = 1e-6 + 8 * err + 4 * err * err
+    if margin > 0.5:
+        raise ValueError("boxes too wide to prune unit pairs")
+    one = cm.field.one()
+    order, blocks = _cell_blocks(xy)
+    x, y = xy[order, 0], xy[order, 1]
     out = []
-    block = 4096
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            dx = xs[i0:i1, None] - xs[None, j0:j1]
-            dy = ys[i0:i1, None] - ys[None, j0:j1]
-            close = np.abs(dx * dx + dy * dy - 1.0) <= margin
-            if i0 == j0:
-                close = np.triu(close, k=1)
-            for ii, jj in zip(*np.nonzero(close)):
-                i, j = i0 + int(ii), j0 + int(jj)
-                d = boxes[i] - boxes[j]
-                m2 = d.abs_sq()
-                if m2.hi < 1 or m2.lo > 1:
-                    continue
-                if abs_sq(pts[i] - pts[j], cm) == one:
-                    out.append((i, j))
+    for left, right in blocks:
+        dx = x[left] - x[right]
+        dy = y[left] - y[right]
+        close = np.abs(dx * dx + dy * dy - 1.0) <= margin
+        a, b = order[left[close]], order[right[close]]
+        for i, j in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
+            m2 = (boxes[i] - boxes[j]).abs_sq()
+            if m2.hi < 1 or m2.lo > 1:
+                continue
+            if abs_sq(pts[i] - pts[j], cm) == one:
+                out.append((i, j))
+    out.sort()
     return out
 
 
-def count_exact(points, cm: CMStructure) -> DistanceCensus:
-    """Unordered pairs with |x - y| = 1 (symbolic; see unit_pair_indices)."""
+def count_exact(points: Sequence[FieldElement], cm: CMStructure) -> DistanceCensus:
+    """Unordered pairs with |x - y| = 1 (symbolic; see unit_pair_indices),
+    pruned with 40-bit boxes in the first embedding."""
     t0 = time.perf_counter()
-    pts = list(getattr(points, "exact_points", points))
-    pairs = unit_pair_indices(pts, cm)
+    pts = list(points)
+    boxes = [z.embed(cm.pair_reps[0], 40) for z in pts]
+    pairs = unit_pair_indices(pts, boxes, cm)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
                           n_points=len(pts), runtime_ms=ms)
@@ -135,12 +138,11 @@ def count_float(ps: PlanarFloatSet, method: str = "hashed") -> DistanceCensus:
     """Pairs with | |x-y| - 1 | <= eps among float points.
 
     "hashed" buckets points into unit cells so each point only meets the
-    <= 21 cells its annulus can intersect; "brute" is the blockwise O(n^2)
-    reference.  Both evaluate the identical float expression, so they
-    agree exactly.
+    <= 21 cells its annulus can intersect (the search unit_pair_indices
+    prunes with too); "brute" is the blockwise O(n^2) reference behind
+    `count --method brute` and `--oracle`.  Both evaluate the identical
+    float expression, _pair_distances_ok, so they agree exactly.
     """
-    import numpy as np
-
     if ps.eps >= 0.1:
         raise TooLargeEps(f"eps = {ps.eps} >= 0.1")
     t0 = time.perf_counter()
@@ -207,12 +209,18 @@ def _cross_indices(starts_a, sizes_a, starts_b, sizes_b):
     return left, right
 
 
-def _count_hashed(pts, eps) -> int:
+def _cell_blocks(pts):
+    """The neighbour search of both counters: (n, 2) points in unit cells.
+
+    Returns (order, blocks): `order` sorts the points by cell, and `blocks`
+    yields (left, right) positions into that order, same-cell pairs (left <
+    right) first, then one block per _HALF_OFFSETS neighbour.  Every pair
+    closer than sqrt(2) appears exactly once."""
     import numpy as np
 
     n = len(pts)
-    if n < 2:
-        return 0
+    if n == 0:
+        return np.empty(0, np.int64), iter(())
     cells = np.floor(pts).astype(np.int64)
     # pack cell coords into one int64 key (coordinates fit in 31 bits)
     shift = np.int64(1) << np.int64(31)
@@ -220,42 +228,34 @@ def _count_hashed(pts, eps) -> int:
     key = (cells[:, 0] + base) * shift + (cells[:, 1] + base)
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    x = pts[order, 0]
-    y = pts[order, 1]
     starts = np.flatnonzero(np.concatenate(([True], skey[1:] != skey[:-1])))
     sizes = np.diff(np.concatenate((starts, [n])))
     ukeys = skey[starts]
-    total = 0
 
-    def tally(left, right, triangular=False):
-        if len(left) == 0:
-            return 0
-        if triangular:
-            keep = left < right
-            left, right = left[keep], right[keep]
-        dx = x[left] - x[right]
-        dy = y[left] - y[right]
-        d = np.sqrt(dx * dx + dy * dy)
-        return int((np.abs(d - 1.0) <= eps).sum())
+    def blocks():
+        multi = sizes > 1
+        left, right = _cross_indices(starts[multi], sizes[multi],
+                                     starts[multi], sizes[multi])
+        keep = left < right
+        yield left[keep], right[keep]
+        for dx_c, dy_c in _HALF_OFFSETS:
+            nkey = ukeys + np.int64(dx_c) * shift + np.int64(dy_c)
+            pos = np.clip(np.searchsorted(ukeys, nkey), 0, len(ukeys) - 1)
+            match = np.flatnonzero(ukeys[pos] == nkey)
+            tgt = pos[match]
+            yield _cross_indices(starts[match], sizes[match],
+                                 starts[tgt], sizes[tgt])
 
-    # same-cell pairs (i < j inside each cell)
-    multi = sizes > 1
-    total += tally(*_cross_indices(starts[multi], sizes[multi],
-                                   starts[multi], sizes[multi]),
-                   triangular=True)
+    return order, blocks()
 
-    # directed neighbor offsets
-    for dx_c, dy_c in _HALF_OFFSETS:
-        nkey = ukeys + np.int64(dx_c) * shift + np.int64(dy_c)
-        pos = np.searchsorted(ukeys, nkey)
-        pos_c = np.clip(pos, 0, len(ukeys) - 1)
-        match = np.flatnonzero(ukeys[pos_c] == nkey)
-        if len(match) == 0:
-            continue
-        tgt = pos_c[match]
-        total += tally(*_cross_indices(starts[match], sizes[match],
-                                       starts[tgt], sizes[tgt]))
-    return total
+
+def _count_hashed(pts, eps) -> int:
+    order, blocks = _cell_blocks(pts)
+    x = pts[order, 0]
+    y = pts[order, 1]
+    return sum(int(_pair_distances_ok(x[left], y[left], x[right], y[right],
+                                      eps).sum())
+               for left, right in blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -352,29 +352,26 @@ def _mq_subset_sqrt(K: NumberField, mask: int) -> FieldElement:
 
 
 def _pell_fundamental(d: int) -> Tuple[int, int, bool]:
-    """Smallest unit > 1 of Q(sqrt(d)) as (x, y, half_integer_flag)."""
-    if d % 4 == 1:
-        # x^2 - d y^2 = +-4 with x = y mod 2; smaller x first at each y
-        y = 1
-        while y < 10_000_000:
-            for target in (-4, 4):
-                x2 = d * y * y + target
-                if x2 > 0:
-                    x = math.isqrt(x2)
-                    if x * x == x2 and (x - y) % 2 == 0:
-                        return x, y, True
-            y += 1
-    else:
-        y = 1
-        while y < 10_000_000:
-            for target in (-1, 1):
-                x2 = d * y * y + target
-                if x2 > 0:
-                    x = math.isqrt(x2)
-                    if x * x == x2:
-                        return x, y, False
-            y += 1
-    raise ValueError(f"no fundamental unit found for d={d} within bounds")
+    """Smallest unit > 1 of Q(sqrt(d)) as (x, y, half_integer_flag).
+
+    Expands omega = (P0 + sqrt(d)) / Q0, where O_K = Z[omega]: (1 + sqrt(d)) / 2
+    for d = 1 mod 4, else sqrt(d).  Its convergents p/q satisfy
+    (Q0 p - P0 q)^2 - d q^2 = +-Q0 Q_k, so the first complete quotient
+    (P_k + sqrt(d)) / Q_k with Q_k = Q0 gives the fundamental unit.
+    """
+    half = d % 4 == 1
+    P0, Q0 = (1, 2) if half else (0, 1)
+    P, Q = P0, Q0
+    s = math.isqrt(d)
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if Q == Q0:
+            return Q0 * p - P0 * q, q, half
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 from typing import Sequence, Union
 
 from .errors import NonMonic, NonSquarefree, NotPrime
@@ -47,11 +46,6 @@ def poly_add(p: Sequence, q: Sequence):
 
 def poly_neg(p: Sequence):
     return tuple(-c for c in p)
-
-def poly_scale(p: Sequence, s):
-    if s == 0:
-        return ()
-    return tuple(c * s for c in p)
 
 
 def poly_mul(p: Sequence, q: Sequence):
@@ -91,13 +85,6 @@ def poly_divmod(p: Sequence, q: Sequence):
 
 def derivative(p: Sequence):
     return make_poly([i * c for i, c in enumerate(p)][1:])
-
-
-def content(p: IntPoly) -> int:
-    g = 0
-    for c in p:
-        g = gcd(g, abs(int(c)))
-    return g
 
 
 def poly_gcd_q(p: Sequence, q: Sequence):

@@ -203,3 +203,36 @@ def test_bad_sidecar_exits_3(tmp_path):
                            "--method", "exact")
         assert proc.returncode == 3, (text, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_exact_count_without_coordinate_columns_exits_3(tmp_path):
+    (tmp_path / "plain.csv").write_text("re,im\n0,0\n1,0\n")
+    proc = _run_module(tmp_path, "count", "--csv", "plain.csv",
+                       "--method", "exact", "--field", "gaussian")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "c0" in proc.stderr
+
+
+def test_bad_generate_numbers_exit_3(tmp_path):
+    for flag in ("--R", "--scale"):
+        proc = _run_module(tmp_path, "generate", "--field", "gaussian",
+                           flag, "abc", "--out", "run")
+        assert proc.returncode == 3, (flag, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_non_square_integral_basis_exits_3(tmp_path):
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps({"min_poly": [1, 0, 1],
+                               "integral_basis": [["1", "0", "0"], ["0", "1"]]}))
+    proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_bad_r2_box_exits_3(tmp_path):
+    proc = _run_module(tmp_path, "r2", "--alpha", "5", "--field", "qsqrt5",
+                       "--box", "abc")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -211,3 +211,31 @@ def test_principality_certificates(gaussian, qsqrt_m5):
             res = is_principal(I)
             if res.status == FOUND:
                 assert FracIdeal.principal(res.generator) == I
+
+
+def test_pell_matches_brute_force_oracle():
+    import oracle_pell
+
+    from udfield.ideals import _pell_fundamental
+    from udfield.numthy import squarefree_kernel
+
+    # the oracle's y < 10^7 search does not finish on these three
+    beyond_oracle = {151, 166, 199}
+    compared = 0
+    for d in range(2, 200):
+        if squarefree_kernel(d) != d:
+            continue
+        x, y, half = _pell_fundamental(d)
+        assert x * x - d * y * y in ((-4, 4) if half else (-1, 1))
+        if d in beyond_oracle:
+            assert y >= 10 ** 7
+            continue
+        assert (x, y, half) == oracle_pell._pell_fundamental(d), d
+        compared += 1
+    assert compared == 118
+
+
+def test_pell_beyond_brute_force_bound():
+    from udfield.ideals import _pell_fundamental
+
+    assert _pell_fundamental(151) == (1728148040, 140634693, False)
