@@ -324,7 +324,10 @@ def cmd_r2(args) -> int:
     if args.field is None:
         from .counting import r2_count_rational
 
-        alpha = int(args.alpha)
+        try:
+            alpha = int(args.alpha)
+        except ValueError:
+            raise ParseError(f"bad integer --alpha {args.alpha!r}") from None
         count = r2_count_rational(alpha)
         sys.stdout.write(dump_json({"alpha": alpha, "field": "Q", "count": count}))
         return 0

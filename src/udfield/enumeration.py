@@ -4,36 +4,65 @@ There is one coordinate per conjugate pair of roots.  A CM field gives a
 complex polydisc; a totally real field, with the identity as conjugation,
 gives the real box |sigma_i(z)| <= r_i.
 
-A candidate box from the inverse basis matrix bounds the integer
-coordinates; each candidate is then accepted or rejected exactly: a coarse
-dyadic-interval pass decides almost all points, and boundary cases fall
-back to symbolic comparison of abs_sq against the rational radius (the
-embedding of a nonzero element is nonzero, so refinement terminates).
+The basis is LLL-reduced, and a certified box |c_j| <= M_j from the inverse
+basis matrix bounds the integer coordinates.  The box is walked depth
+first, c_0 outermost and each coordinate ascending, so points come out in
+lexicographic order.  Every real column t (re, and im for a complex root)
+of every basis vector is held as a float64 midpoint with a rigorous error,
+and each level keeps float partial sums P_t with a margin D_t that bounds
+|x_t - P_t| over every completion: the unfixed coordinates'
+sum M_j |m_jt| plus the centre's error, the sum of M_j e_jt and the
+rounding of the sums.  Floats only prune or accept:
+
+    prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
+    accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
+
+The slack 2^-40 covers the rounding of these bounds and of r_i^2 itself.
+A point in neither case is decided exactly, by the sign of
+abs_sq(z) - r_i^2 at the embedding (the embedding of a nonzero element is
+nonzero, so refinement terminates).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import ComplexInterval, RealInterval, sqrt_upper
+from .intervals import RealInterval, sqrt_upper
 from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 _PREFILTER_BITS = 48
+_SLACK = 2.0 ** -40
 
 
-def _basis_embeddings(basis: Sequence[FieldElement], reps: Sequence[int], bits: int):
-    """sigma_i(v_j) as coarse boxes, one row per basis vector."""
+def _columns(boxes, real: Sequence[bool]) -> List[RealInterval]:
+    """Real columns of one box per embedding: re and im for a complex root,
+    re alone for a real root (its im is exactly 0 and would make the basis
+    matrix singular)."""
+    return [iv for box, r in zip(boxes, real)
+            for iv in ((box.re,) if r else (box.re, box.im))]
+
+
+def _embedding_columns(real: Sequence[bool]) -> List[range]:
+    """The column indices of each embedding in the rows of _columns."""
+    cols, t = [], 0
+    for r in real:
+        cols.append(range(t, t + (1 if r else 2)))
+        t += len(cols[-1])
+    return cols
+
+
+def _basis_embeddings(basis: Sequence[FieldElement], reps: Sequence[int],
+                      real: Sequence[bool], bits: int):
+    """Columns of sigma_i(v_j) as coarse intervals, one row per basis vector."""
     keep = max(_PREFILTER_BITS, bits - 16)
-    rows = []
-    for v in basis:
-        rows.append([v.embed(idx, bits).round_outward(keep) for idx in reps])
-    return rows
+    return [_columns([v.embed(idx, bits).round_outward(keep) for idx in reps], real)
+            for v in basis]
 
 
-def _coord_bounds(basis_emb, real: Sequence[bool], radii_sq: Sequence[Fraction],
+def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
                   center_emb) -> Optional[List[int]]:
     """Certified per-coordinate bounds M_j with |c_j| <= M_j for every solution.
 
@@ -41,24 +70,12 @@ def _coord_bounds(basis_emb, real: Sequence[bool], radii_sq: Sequence[Fraction],
     exact inverse V of its midpoint, and certifies eta = ||I - B V||_1 < 1;
     then c = y (I - E)^{-1} with y = (x - a) V gives
         |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
-    A complex root gives two columns of B (re, im) and a real root one (re):
-    its im is exactly 0 and would make the midpoint singular.
     """
     from . import linalg
 
-    f = len(radii_sq)
-    n = len(basis_emb)
-    mid_rows = []
-    iv_rows = []
-    for j in range(n):
-        ivs = []
-        for i in range(f):
-            b = basis_emb[j][i]
-            ivs.extend([b.re] if real[i] else [b.re, b.im])
-        mid_rows.append([iv.midpoint() for iv in ivs])
-        iv_rows.append(ivs)
+    n = len(rows)
     try:
-        V = linalg.mat_inv(linalg.mat(mid_rows))
+        V = linalg.mat_inv(linalg.mat([[iv.midpoint() for iv in row] for row in rows]))
     except ZeroDivisionError:
         return None
     # E = I - B V in interval arithmetic (V exact rational)
@@ -67,19 +84,20 @@ def _coord_bounds(basis_emb, real: Sequence[bool], radii_sq: Sequence[Fraction],
         for c in range(n):
             acc = RealInterval.point(-1 if r == c else 0)
             for t in range(n):
-                acc = acc + iv_rows[r][t] * RealInterval.point(V[t][c])
+                acc = acc + rows[r][t] * RealInterval.point(V[t][c])
             col_sums[c] += acc.magnitude()
     eta = max(col_sums)
     if eta >= 1:
         return None
     # per-real-coordinate bound on |x_t - a_t|
-    bnd = []
-    for i in range(f):
+    bnd = [Fraction(0)] * n
+    for i, ts in enumerate(cols):
         r = sqrt_upper(radii_sq[i], 16)
         extra = Fraction(0)
         if center_emb is not None:
             extra = max(center_emb[i].re.magnitude(), center_emb[i].im.magnitude())
-        bnd.extend([r + extra] * (1 if real[i] else 2))
+        for t in ts:
+            bnd[t] = r + extra
     y = [sum(bnd[t] * abs(V[t][j]) for t in range(n)) for j in range(n)]
     y_max = max(y)
     slop = y_max * eta / (1 - eta)
@@ -98,14 +116,14 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     coordinates).
     """
     field = basis[0].field
-    f = cm.f
     reps = cm.pair_reps
     real = [field.roots()[idx].is_real for idx in reps]
+    cols = _embedding_columns(real)
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
         return []
     basis = _lll_reduce_basis(basis, cm.conj)
-    emb = _basis_embeddings(basis, reps, 64)
+    emb = _basis_embeddings(basis, reps, real, 64)
     center_emb = None
     if center is not None and not center.is_zero():
         center_emb = [center.embed(idx, 64).round_outward(_PREFILTER_BITS)
@@ -113,13 +131,13 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     bounds = None
     bits = 64
     while bounds is None:
-        bounds = _coord_bounds(emb, real, radii_sq, center_emb)
+        bounds = _coord_bounds(emb, cols, radii_sq, center_emb)
         if bounds is None:
             bits *= 2
             if bits > 4096:
                 raise PrecisionExhausted(
                     "basis embeddings too coarse to bound the search box")
-            emb = _basis_embeddings(basis, reps, bits)
+            emb = _basis_embeddings(basis, reps, real, bits)
     total = 1
     for m in bounds:
         total *= 2 * m + 1
@@ -127,34 +145,99 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
         raise WindowTooLarge(
             f"candidate box has {total} points (limit {limit})")
 
+    n = len(basis)
+    mids, errs = zip(*map(_float_columns, emb))
+    if center_emb is None:
+        base, base_err = [0.0] * n, [Fraction(0)] * n
+    else:
+        base, base_err = _float_columns(_columns(center_emb, real))
+    margins = _margins(bounds, mids, errs, base, base_err)
+    # the slack absorbs the rounding of float(r^2) and of the bound sums,
+    # so a float comparison can prune or accept but never decide the band
+    hi = [float(r) * (1 + _SLACK) for r in radii_sq]
+    lo = [float(r) * (1 - _SLACK) for r in radii_sq]
+
+    def outside(P, D):
+        """Some |sigma_i|^2 exceeds r_i^2 for every x within D of P."""
+        for i, ts in enumerate(cols):
+            s = 0.0
+            for t in ts:
+                d = abs(P[t]) - D[t]
+                if d > 0:
+                    s += d * d
+            if s > hi[i]:
+                return True
+        return False
+
+    last = margins[-1]
     one = field.one()
     out: List[FieldElement] = []
-    for cvec in itertools.product(*[range(-m, m + 1) for m in bounds]):
-        ok = True
-        needs_exact = False
-        for i in range(f):
-            acc = center_emb[i] if center_emb is not None else ComplexInterval.point(0)
-            for j, c in enumerate(cvec):
-                if c:
-                    acc = acc + emb[j][i].scale(c)
-            m2 = acc.abs_sq()
-            if m2.lo > radii_sq[i]:
-                ok = False
-                break
-            if m2.hi > radii_sq[i]:
-                needs_exact = True
-        if not ok:
-            continue
+
+    def leaf(cvec, P):
+        if outside(P, last):
+            return
+        undecided = []
+        for i, ts in enumerate(cols):
+            s = 0.0
+            for t in ts:
+                d = abs(P[t]) + last[t]
+                s += d * d
+            if s >= lo[i]:
+                undecided.append(i)
         z = field.zero() if center is None else center
         for j, c in enumerate(cvec):
             if c:
                 z = z + basis[j] * c
-        if needs_exact:
+        if undecided:
             z2 = abs_sq(z, cm)
-            if any((z2 - radii_sq[i] * one).sign_at(reps[i]) > 0 for i in range(f)):
-                continue
+            if any((z2 - radii_sq[i] * one).sign_at(reps[i]) > 0 for i in undecided):
+                return
         out.append(z)
+
+    def walk(k, cvec, P):
+        m, D = mids[k], margins[k]
+        for c in range(-bounds[k], bounds[k] + 1):
+            Q = [p + c * x for p, x in zip(P, m)]
+            if k + 1 == n:
+                leaf(cvec + (c,), Q)
+            elif not outside(Q, D):
+                walk(k + 1, cvec + (c,), Q)
+
+    walk(0, (), base)
     return out
+
+
+def _float_columns(ivs):
+    """Float midpoints of the intervals, with exact bounds on their error."""
+    exact = [iv.midpoint() for iv in ivs]
+    mids = [float(q) for q in exact]
+    errs = [iv.width() / 2 + abs(Fraction(x) - q) for x, q, iv in zip(mids, exact, ivs)]
+    return mids, errs
+
+
+def _round_up(q: Fraction) -> float:
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
+    """margins[k][t] >= |x_t - P_t| over every completion of c_0..c_k.
+
+    x_t is the exact column t of center + sum c_j v_j and P_t the float
+    partial sum base_t + c_0 m_0t + ... + c_k m_kt.  The bound is
+    tail + E: tail = sum_{j>k} M_j |m_jt| covers the coordinates not yet
+    fixed, and E covers the centre's error, sum_j M_j e_jt and the
+    rounding of the n products and n additions, which is below
+    2 (n + 2) 2^-53 (|base_t| + sum_j M_j |m_jt|).
+    """
+    n = len(bounds)
+    out = []
+    for t in range(len(base)):
+        terms = [M * abs(Fraction(m[t])) for M, m in zip(bounds, mids)]
+        E = (base_err[t] + sum(M * e[t] for M, e in zip(bounds, errs))
+             + Fraction(n + 2, 1 << 52) * (abs(Fraction(base[t])) + sum(terms)))
+        out.append([_round_up(E + sum(terms[k + 1:])) for k in range(n)])
+    return [list(row) for row in zip(*out)]
 
 
 def _lll_reduce_basis(basis: Sequence[FieldElement], conj):

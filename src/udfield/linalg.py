@@ -201,23 +201,27 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
     """LLL over an exact PSD Gram matrix; returns the unimodular row transform.
 
     The reduced basis is U @ (old basis).  Exact rational arithmetic
-    throughout; dimensions here are tiny so the GSO is recomputed per sweep.
+    throughout; dimensions here are tiny, so each sweep recomputes the GSO
+    from the current Gram matrix U G U^T.  Size reduction of b_k by b_j
+    leaves b*_k alone and changes row k of mu by -r * (row j of mu, with
+    mu_jj = 1), so that row is updated in place.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def cur(i, j):
-        return sum(U[i][k] * gram[k][l] * U[j][l] for k in range(n) for l in range(n))
-
     def gso():
+        UG = [[sum(u * g[l] for u, g in zip(row, gram) if u) for l in range(n)]
+              for row in U]
+        cur = [[sum(a * b for a, b in zip(UG[i], U[j])) for j in range(n)]
+               for i in range(n)]
         mu = [[Fraction(0)] * n for _ in range(n)]
         bstar = [Fraction(0)] * n
         for i in range(n):
-            bstar[i] = cur(i, i)
+            bstar[i] = cur[i][i]
             for j in range(i):
                 if bstar[j] == 0:
                     continue
-                mu[i][j] = (cur(i, j) - sum(mu[i][t] * mu[j][t] * bstar[t]
+                mu[i][j] = (cur[i][j] - sum(mu[i][t] * mu[j][t] * bstar[t]
                                             for t in range(j))) / bstar[j]
                 bstar[i] -= mu[i][j] ** 2 * bstar[j]
         return mu, bstar
@@ -234,7 +238,9 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
             r = (q.numerator * 2 + q.denominator) // (2 * q.denominator)  # round
             if r:
                 U[k] = [a - r * b for a, b in zip(U[k], U[j])]
-                mu, bstar = gso()
+                mu[k][j] -= r
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
         if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
             k += 1
         else:

@@ -236,3 +236,9 @@ def test_bad_r2_box_exits_3(tmp_path):
                        "--box", "abc")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bad_r2_alpha_exits_3(tmp_path):
+    proc = _run_module(tmp_path, "r2", "--alpha", "abc")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr

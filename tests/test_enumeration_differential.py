@@ -3,8 +3,8 @@ against the enumerators it replaced, kept in `oracle_enumeration`.
 
 Both sides must return the same points in the same order.  Radii are drawn
 at random, and also set exactly to the squared modulus of a lattice point,
-or 2^-60 off it, so that the coarse interval pass cannot decide that point
-and the exact boundary decision runs.
+or 2^-60 off it, so that the float bounds cannot decide that point and the
+exact boundary decision runs.
 """
 
 from fractions import Fraction
@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import oracle_enumeration as oracle
 from oracle_enumeration import real_structure
 from udfield.enumeration import lattice_points_in_polydisc
-from udfield.numberfield import abs_sq, compositum_multiquadratic
+from udfield.errors import WindowTooLarge
+from udfield.ideals import _unit_stretches
+from udfield.numberfield import FieldElement, abs_sq, compositum_multiquadratic
 
 small = st.integers(-3, 3)
 # 0 puts a lattice point on the boundary; +-2^-60 just inside or outside
@@ -104,3 +106,78 @@ def test_real_box_matches_oracle_biquadratic():
         want = oracle.real_lattice_points_in_box(basis, bound)
         assert _coords(got) == _coords(want)
         assert len(got) > 1
+
+
+@st.composite
+def sublattice4(draw):
+    """L T with L unit lower triangular and T upper triangular with
+    diagonal entries in {+-1, 2, 3}: a full-rank sublattice of O_K of index
+    at most 81, in a random basis."""
+    n = 4
+    T = [[draw(st.sampled_from([1, -1, 2, 3])) if i == j else
+          draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    L = [[1 if i == j else draw(st.integers(-1, 1)) if j < i else 0
+          for j in range(n)] for i in range(n)]
+    return [[sum(L[i][k] * T[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _enumerate_or_too_large(fn, *args, **kwargs):
+    try:
+        return _coords(fn(*args, **kwargs))
+    except WindowTooLarge:
+        return "too large"
+
+
+non_dyadic = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([3, 5, 7, 9]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=sublattice4(), data=st.data(),
+       center=st.one_of(st.none(), st.lists(non_dyadic, min_size=4, max_size=4)),
+       on=st.one_of(st.tuples(non_dyadic, non_dyadic, st.integers(0, 3),
+                              st.integers(-1, 1), nudge), st.none()),
+       base=st.fractions(0, 3, max_denominator=7))
+def test_polydisc_matches_oracle_degree4_random(rows, data, center, on, base,
+                                                deg4, deg4_cm):
+    K, cm = deg4, deg4_cm
+    basis = [K.element(r) for r in rows]
+    stretch = data.draw(st.sampled_from(_unit_stretches(K, cm, 3)))
+    if center is not None:
+        center = K.element(center)
+    if on is not None:
+        # t = q0 + q1 i lies in Q(i), so |sigma(t)|^2 is rational; the centre
+        # is moved so that t is a point of the translate
+        q0, q1, k, a, off = on
+        t = K.element([q0, q1, 0, 0])
+        center = t - basis[k] * a
+        base = abs(abs_sq(t, cm).coords[0] + off)
+    # one radius is the base, the other stretched as is_principal does, by
+    # the row's larger factor (>= 1), so that t stays inside it
+    pin = stretch.index(min(stretch))
+    radii = [base if i == pin else base * stretch[i] for i in range(cm.f)]
+    limit = 10000
+    got = _enumerate_or_too_large(lattice_points_in_polydisc, basis, cm, radii,
+                                  center=center, limit=limit)
+    want = _enumerate_or_too_large(oracle.lattice_points_in_polydisc, basis, cm,
+                                   radii, center=center, limit=limit)
+    assert got == want
+
+
+def test_boundary_band_uses_exact_sign(monkeypatch, deg4, deg4_cm):
+    K, cm = deg4, deg4_cm
+    basis = [K.element([1 if k == j else 0 for k in range(4)]) for j in range(4)]
+    radii = [Fraction(4)] * 2    # +-2 and +-2i lie on both boundaries
+    calls = []
+    sign_at = FieldElement.sign_at
+
+    def counted(self, root_index):
+        calls.append(root_index)
+        return sign_at(self, root_index)
+
+    monkeypatch.setattr(FieldElement, "sign_at", counted)
+    got = lattice_points_in_polydisc(basis, cm, radii)
+    assert calls
+    want = oracle.lattice_points_in_polydisc(basis, cm, radii)
+    assert _coords(got) == _coords(want)

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_linalg
 from udfield.linalg import (hnf_det, hnf_rows, identity, lattice_intersect,
                             lll_transform, mat, mat_det, mat_inv, mat_mul,
                             rational_hnf)
@@ -89,3 +93,32 @@ def test_lll_preserves_lattice_and_shortens():
     new_gram = [[sum(U[i][k] * g[k][l] * U[j][l] for k in range(4)
                      for l in range(4)) for j in range(4)] for i in range(4)]
     assert max(new_gram[i][i] for i in range(4)) <= 10
+
+
+def _gram(rows):
+    return mat([[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows])
+
+
+@st.composite
+def integer_rows(draw):
+    """n integer vectors of width m; m < n makes the Gram matrix singular."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n + 1))
+    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_rows())
+def test_lll_matches_oracle(rows):
+    g = _gram(rows)
+    assert lll_transform(g) == oracle_linalg.lll_transform(g)
+
+
+def test_lll_matches_oracle_degenerate():
+    # b2 = b0 + b1 and b3 = 0: the Gram-Schmidt pass meets b*_j = 0
+    rows = [(3, 1, 4), (1, -5, 9), (4, -4, 13), (0, 0, 0), (2, 7, 1)]
+    g = _gram(rows)
+    U = lll_transform(g)
+    assert U == oracle_linalg.lll_transform(g)
+    assert abs(mat_det(mat(U))) == 1
