@@ -21,7 +21,7 @@ from .intervals import (ComplexInterval, RealInterval, exact_ceil,
                         ln_interval, pi_interval)
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           adjoin_i, compositum_multiquadratic, detect_cm,
-                          is_unit_modulus, minkowski_embed, nf_new)
+                          is_unit_modulus, nf_new)
 from .numthy import is_prime, legendre_symbol
 from .polynomials import make_poly
 from .roots import RootBox, isolate_complex_roots

@@ -3,7 +3,8 @@ find-split-primes, r2, grid.
 
 All machine output is JSON (exact rationals as strings); exit codes group
 error families, and a generate run exits 0 only if every asserted bound
-held.  UDF_PRECISION_BITS overrides the default working precision.
+held.  The exponent ledger's working precision comes from
+`exponent --precision` or UDF_PRECISION_BITS (default 256 bits).
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from .errors import (BoundViolation, ConjugateCollision, ParseError,
                      PreconditionError, UdfieldError, WindowTooLarge)
 
 PRECISION_MIN, PRECISION_MAX = 32, 4096
-
-
-def _precision(args) -> int:
-    bits = getattr(args, "precision", None)
-    if bits is None:
-        bits = int(os.environ.get("UDF_PRECISION_BITS", "256"))
-    if not PRECISION_MIN <= bits <= PRECISION_MAX:
-        raise ParseError(f"precision {bits} outside [{PRECISION_MIN}, {PRECISION_MAX}]")
-    return bits
 
 
 def _parse_T(text: str):
@@ -107,7 +99,6 @@ def cmd_generate(args) -> int:
                             report_dict, unitset_dict, write_pointset_csv,
                             write_svg)
 
-    bits = _precision(args)
     K = build_field(args.field)
     cm = detect_cm(K)
     if cm is None:
@@ -140,10 +131,10 @@ def cmd_generate(args) -> int:
         cfg = WindowConfig(R=R, scale=scale, mode=mode,
                            translate_candidates=args.translate_candidates,
                            projection_coordinate=args.projection_coordinate,
-                           max_points=args.max_points, precision_bits=bits)
+                           max_points=args.max_points)
         ps, rep = build_pointset(K, units, cfg)
     else:
-        ps, rep, warnings = _auto_window(K, units, R, args, bits)
+        ps, rep, warnings = _auto_window(K, units, R, args)
 
     rep.warnings.extend(warnings)
     if units.distinct_ideal_count <= 1:
@@ -170,7 +161,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _auto_window(K, units, R, args, bits):
+def _auto_window(K, units, R, args):
     """Try the natural 1/D lattice; fall back to O_K with usable units."""
     from .construct import WindowConfig, build_pointset, estimate_window_points
 
@@ -191,7 +182,7 @@ def _auto_window(K, units, R, args, bits):
         cfg = WindowConfig(R=R, scale=scale, mode="window",
                            translate_candidates=args.translate_candidates,
                            projection_coordinate=args.projection_coordinate,
-                           max_points=args.max_points, precision_bits=bits)
+                           max_points=args.max_points)
         try:
             ps, rep = build_pointset(K, units, cfg)
             return ps, rep, warnings
@@ -266,7 +257,9 @@ def cmd_exponent(args) -> int:
     from .construct import exponent_ledger
     from .serialize import certified_digits, dump_json, frac_str, jsonify
 
-    bits = _precision(args)
+    bits = args.precision
+    if not PRECISION_MIN <= bits <= PRECISION_MAX:
+        raise ParseError(f"precision {bits} outside [{PRECISION_MIN}, {PRECISION_MAX}]")
     ledger = exponent_ledger(_parse_T(args.T), args.p, precision_bits=bits)
     out = {
         "T": ledger["T"], "p": ledger["p"], "r": ledger["r"], "k": ledger["k"],
@@ -398,7 +391,6 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--translate-candidates", type=int, default=0)
     g.add_argument("--projection-coordinate", type=int, default=0)
     g.add_argument("--max-points", type=int, default=200_000)
-    g.add_argument("--precision", type=int, default=None)
     g.add_argument("--allow-small-R", action="store_true")
     g.add_argument("--plot", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", default=".")
@@ -418,7 +410,9 @@ def make_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("exponent", help="the explicit exponent ledger")
     e.add_argument("--T", required=True, help="comma-separated odd primes")
     e.add_argument("--p", type=int, required=True)
-    e.add_argument("--precision", type=int, default=None)
+    # argparse converts (and rejects) a bad UDF_PRECISION_BITS like a bad flag
+    e.add_argument("--precision", type=int,
+                   default=os.environ.get("UDF_PRECISION_BITS", "256"))
     e.set_defaults(func=cmd_exponent)
 
     gs = sub.add_parser("gs-check", help="Golod-Shafarevich ledger")

@@ -23,8 +23,7 @@ from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
                      NotOddPrime, NotPrime, PrecisionExhausted)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal)
-from .intervals import (ComplexInterval, RealInterval, exact_ceil,
-                        ln_interval, pi_interval)
+from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
 from .numberfield import (CMStructure, FieldElement, NumberField,
                           detect_cm, is_unit_modulus)
 from .numthy import iroot_ceil, is_prime, squarefree_kernel
@@ -271,7 +270,6 @@ class WindowConfig:
     projection_coordinate: int = 0
     mode: str = "window"              # "window" | "closure"
     max_points: int = 200_000
-    precision_bits: int = 64
 
     def __post_init__(self):
         self.R = Fraction(self.R)
@@ -287,9 +285,8 @@ class PointSet:
     field: NumberField
     cm: CMStructure
     exact_points: Tuple[FieldElement, ...]
-    planar: Tuple[ComplexInterval, ...]
+    planar: "object"                  # (n, 2) float ndarray, see planar_image
     projection_coordinate: int
-    precision_bits: int
     provenance: dict
     unit_pairs: Tuple[Tuple[int, int], ...]   # (i, j), i < j, at exact unit distance
 
@@ -323,12 +320,10 @@ class ConstructionReport:
 
 def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction) -> float:
     """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound)."""
-    import math as _math
-
     cm = detect_cm(K)
     f = cm.f
     covol_dim = float(scale) ** 2 * abs(K.disc) ** (1 / (2 * f)) / 2
-    per_dim = _math.pi * float(R) ** 2 / covol_dim
+    per_dim = math.pi * float(R) ** 2 / covol_dim
     return max(per_dim, 1.0) ** f
 
 
@@ -353,7 +348,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     lower bound is reported, and asserted only for R >= 2 in window
     mode with the best translate.
     """
-    from .counting import unit_pair_indices
+    from .counting import planar_image, unit_pair_indices
 
     cm = detect_cm(K)
     if cm is None:
@@ -418,9 +413,8 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if len({tuple(z.coords) for z in pts}) != len(pts):
         raise InjectivityFailure("window enumeration produced duplicates")
 
-    planar = tuple(z.embed(cm.pair_reps[cfg.projection_coordinate],
-                           cfg.precision_bits) for z in pts)
-    pairs = tuple(unit_pair_indices(pts, planar, cm))
+    planar, err = planar_image(pts, cm, cfg.projection_coordinate)
+    pairs = tuple(unit_pair_indices(pts, planar, err, cm))
     nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)
@@ -470,8 +464,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     }
     ps = PointSet(field=K, cm=cm, exact_points=tuple(pts), planar=planar,
                   projection_coordinate=cfg.projection_coordinate,
-                  precision_bits=cfg.precision_bits, provenance=provenance,
-                  unit_pairs=pairs)
+                  provenance=provenance, unit_pairs=pairs)
     report = ConstructionReport(
         f=f, delta=delta, R=cfg.R, v_upper=v_upper,
         units_emitted=len(emitted), units_usable=len(usable),

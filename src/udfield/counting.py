@@ -1,9 +1,9 @@
 """Unit-distance counting: exact algebraic, fast grid-hashed float, the
 square-grid baseline, and two-squares representation counts.
 
-The exact counter never makes a floating-point decision: coarse interval
-boxes may only rule a pair out, and surviving pairs are decided by the
-symbolic identity |difference|^2 = 1 in the field.
+The exact counter never makes a floating-point decision: float positions
+with a certified error bound may only rule a pair out, and surviving pairs
+are decided by the symbolic identity |difference|^2 = 1 in the field.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import BoxTooSmall, ParseError, TooLargeEps
-from .intervals import ComplexInterval
+from .errors import BoxTooSmall, ParseError, PrecisionExhausted, TooLargeEps
 from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 # neighbor-cell offsets for cell size 1: 21 cells cover the unit annulus
@@ -68,32 +67,73 @@ class DistanceCensus:
         return out
 
 
-def unit_pair_indices(pts: Sequence[FieldElement], boxes: Sequence[ComplexInterval],
+def planar_image(pts: Sequence[FieldElement], cm: CMStructure,
+                 coordinate: int = 0):
+    """(xy, err): the (re, im) of sigma(z) at root cm.pair_reps[coordinate]
+    as an (n, 2) float array, every entry within err of the exact value.
+
+    sigma(z) = sum_k c_k sigma(b_k) over the integral basis: the basis images
+    are embedded once, as float midpoints m_k with exact errors e_k, and
+    fl(c_k) m_k is summed in a fixed k order.  err bounds sum_k C_k (e_k +
+    2 (n + 2) 2^-53 |m_k|) with C_k >= max |c_k|, as enumeration._margins
+    does, plus 2^-1074 (1 + |m_k|) for underflow.  A column that is exactly
+    0 (b_k + conj(b_k) = 0 for re, b_k = conj(b_k) for im) stays exactly 0.
+    """
+    import numpy as np
+
+    from .enumeration import _float_columns, _round_up
+
+    K = cm.field
+    n = K.n
+    rep = cm.pair_reps[coordinate]
+    basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
+    boxes = [b.embed(rep, 128) for b in basis]
+    zero = ([(b + cm.conj(b)).is_zero() for b in basis],
+            [b == cm.conj(b) for b in basis])
+    xy = np.zeros((len(pts), 2))
+    try:
+        c = np.array([[float(q) for q in z.coords] for z in pts]).reshape(len(pts), n)
+        C = [max((abs(z.coords[k]) for z in pts), default=0) for k in range(n)]
+        err = 0.0
+        for axis, part in enumerate(("re", "im")):
+            mids, errs = _float_columns([getattr(box, part) for box in boxes])
+            bound = Fraction(0)
+            for k in range(n):
+                if zero[axis][k]:
+                    continue
+                xy[:, axis] += c[:, k] * mids[k]
+                m = abs(Fraction(mids[k]))
+                bound += (C[k] * (errs[k] + Fraction(n + 2, 1 << 52) * m)
+                          + (1 + m) / (1 << 1074))
+            err = max(err, _round_up(bound))
+    except OverflowError:
+        raise PrecisionExhausted("point coordinates beyond float range") from None
+    return xy, err
+
+
+def unit_pair_indices(pts: Sequence[FieldElement], xy, err: float,
                       cm: CMStructure) -> List[Tuple[int, int]]:
     """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided symbolically.
 
-    `boxes` enclose the points in any one embedding: |x - y| = 1 means
-    abs_sq(x - y) = 1 in the field.  The cell hash of `count_float` finds
-    nearby box midpoints, their squared float distance prunes with a
-    rigorous error bound, and every surviving pair is decided exactly.
+    `xy` and `err` are the points in any one embedding (planar_image):
+    |x - y| = 1 means abs_sq(x - y) = 1 in the field.  The cell hash of
+    `count_float` finds nearby positions, their squared float distance
+    prunes with a rigorous margin, and every survivor is decided exactly.
     """
     import numpy as np
 
     n = len(pts)
     if n < 2:
         return []
-    # 64 bits are plenty to prune with; rounding outward keeps every box an
-    # enclosure and spares the interval check long denominators
-    boxes = [b.round_outward(64) for b in boxes]
-    xy = np.array([[float(b.re.midpoint()), float(b.im.midpoint())] for b in boxes])
-    # a float coordinate difference is off by at most err (box width plus the
-    # rounding of two midpoints), so for |d| = 1 the float d^2 is within
-    # 4 err + 2 err^2 (and a few ulps) of 1; the margin is generous
+    # a float coordinate difference is off by at most e (the error of two
+    # positions plus the rounding of the difference, e >= 2^-50), so for
+    # |d| = 1 the float d^2 is within 4 e + 2 e^2 plus a few ulps of 1
     m = float(max(np.max(np.abs(xy)), 1.0))
-    err = float(max(b.width() for b in boxes)) + m * 2.0 ** -50
-    margin = 1e-6 + 8 * err + 4 * err * err
-    if margin > 0.5:
-        raise ValueError("boxes too wide to prune unit pairs")
+    e = 2 * err + m * 2.0 ** -50
+    margin = 8 * e + 4 * e * e
+    if not margin <= 0.5:
+        raise PrecisionExhausted(
+            f"positions too coarse to prune unit pairs (error {err:.3g})")
     one = cm.field.one()
     order, blocks = _cell_blocks(xy)
     x, y = xy[order, 0], xy[order, 1]
@@ -104,9 +144,6 @@ def unit_pair_indices(pts: Sequence[FieldElement], boxes: Sequence[ComplexInterv
         close = np.abs(dx * dx + dy * dy - 1.0) <= margin
         a, b = order[left[close]], order[right[close]]
         for i, j in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
-            m2 = (boxes[i] - boxes[j]).abs_sq()
-            if m2.hi < 1 or m2.lo > 1:
-                continue
             if abs_sq(pts[i] - pts[j], cm) == one:
                 out.append((i, j))
     out.sort()
@@ -114,12 +151,11 @@ def unit_pair_indices(pts: Sequence[FieldElement], boxes: Sequence[ComplexInterv
 
 
 def count_exact(points: Sequence[FieldElement], cm: CMStructure) -> DistanceCensus:
-    """Unordered pairs with |x - y| = 1 (symbolic; see unit_pair_indices),
-    pruned with 40-bit boxes in the first embedding."""
+    """Unordered pairs with |x - y| = 1 (see unit_pair_indices)."""
     t0 = time.perf_counter()
     pts = list(points)
-    boxes = [z.embed(cm.pair_reps[0], 40) for z in pts]
-    pairs = unit_pair_indices(pts, boxes, cm)
+    xy, err = planar_image(pts, cm)
+    pairs = unit_pair_indices(pts, xy, err, cm)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
                           n_points=len(pts), runtime_ms=ms)

@@ -144,17 +144,8 @@ class RealInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def mignitude(self) -> Fraction:
-        """Lower bound on |x| for x in the interval."""
-        if self.contains_zero():
-            return Fraction(0)
-        return min(abs(self.lo), abs(self.hi))
-
     def magnitude(self) -> Fraction:
         return max(abs(self.lo), abs(self.hi))
-
-    def strictly_less(self, other: "RealInterval") -> bool:
-        return self.hi < other.lo
 
     def intersects(self, other: "RealInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -209,17 +200,11 @@ class ComplexInterval:
     def div(self, other: "ComplexInterval", bits: int) -> "ComplexInterval":
         return self * other.recip(bits)
 
-    def contains(self, re: Rat, im: Rat) -> bool:
-        return self.re.contains(re) and self.im.contains(im)
-
     def intersects(self, other: "ComplexInterval") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
 
     def width(self) -> Fraction:
         return max(self.re.width(), self.im.width())
-
-    def midpoint(self) -> tuple:
-        return (self.re.midpoint(), self.im.midpoint())
 
     def round_outward(self, bits: int) -> "ComplexInterval":
         return ComplexInterval(self.re.round_outward(bits), self.im.round_outward(bits))

@@ -319,12 +319,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         return self.field._norm_coords(self.coords)
 
-    def denominator(self) -> int:
-        d = 1
-        for c in self.coords:
-            d = d * c.denominator // __import__("math").gcd(d, c.denominator)
-        return d
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
@@ -376,11 +370,6 @@ def abs_sq(z: FieldElement, cm: CMStructure) -> FieldElement:
 def is_unit_modulus(z: FieldElement, cm: CMStructure) -> bool:
     """Exact test: |sigma(z)| = 1 in every embedding."""
     return abs_sq(z, cm) == z.field.one()
-
-
-def minkowski_embed(z: FieldElement, cm: CMStructure, bits: int = 64) -> List[ComplexInterval]:
-    """One certified coordinate per conjugate pair, in canonical pair order."""
-    return [z.embed(idx, bits) for idx in cm.pair_reps]
 
 
 # ---------------------------------------------------------------------------

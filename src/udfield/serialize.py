@@ -83,8 +83,6 @@ def jsonify(obj):
         return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, float):
-        return obj
     return obj
 
 
@@ -147,14 +145,14 @@ def report_dict(rep: ConstructionReport) -> dict:
 
 
 def write_pointset_csv(ps: PointSet, path: str):
-    """Columns: index, re/im float approximations, exact coordinates."""
+    """Columns: index, re/im float positions (within the certified bound of
+    counting.planar_image; exact zeros print as 0), exact coordinates."""
     n = ps.field.n
     header = "index,re,im," + ",".join(f"c{i}" for i in range(n))
     lines = [header]
-    for idx, (z, box) in enumerate(zip(ps.exact_points, ps.planar)):
-        re_mid, im_mid = box.re.midpoint(), box.im.midpoint()
+    for idx, (z, (x, y)) in enumerate(zip(ps.exact_points, ps.planar.tolist())):
         coords = ",".join(frac_str(c) for c in z.coords)
-        lines.append(f"{idx},{float17(float(re_mid))},{float17(float(im_mid))},{coords}")
+        lines.append(f"{idx},{float17(x)},{float17(y)},{coords}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -162,7 +160,6 @@ def write_pointset_csv(ps: PointSet, path: str):
 def pointset_sidecar(ps: PointSet) -> dict:
     return {
         "n_points": len(ps.exact_points),
-        "precision_bits": ps.precision_bits,
         "field": ps.field.to_dict(),
         "projection_coordinate": ps.projection_coordinate,
         "provenance": ps.provenance,
@@ -200,8 +197,8 @@ def read_points_csv(path: str):
 def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str,
               size: int = 800):
     """Static scatter plot with unit-distance edges; deterministic bytes."""
-    xs = [float(b.re.midpoint()) for b in ps.planar]
-    ys = [float(b.im.midpoint()) for b in ps.planar]
+    xs = ps.planar[:, 0].tolist()
+    ys = ps.planar[:, 1].tolist()
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-9)

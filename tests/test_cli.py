@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from udfield.cli import main
 
 
@@ -161,10 +163,16 @@ def test_precision_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UDF_PRECISION_BITS", "128")
     rc, data = run_cli(capsys, "exponent", "--T", "3", "--p", "13")
     assert rc == 0
+    # a malformed value is rejected like a malformed flag, not by a traceback
+    monkeypatch.setenv("UDF_PRECISION_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["exponent", "--T", "3", "--p", "13"])
+    assert exc.value.code == 2
 
 
-def _run_module(tmp_path, *args):
-    """Run `python -m udfield` in a child, so a traceback would reach stderr."""
+def _run_python(tmp_path, *args):
+    """Run python in a child that imports this udfield, so a traceback
+    would reach stderr."""
     import subprocess
     import sys
 
@@ -173,8 +181,13 @@ def _run_module(tmp_path, *args):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "udfield", *args], cwd=tmp_path,
+    return subprocess.run([sys.executable, *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True)
+
+
+def _run_module(tmp_path, *args):
+    """Run `python -m udfield` in a child."""
+    return _run_python(tmp_path, "-m", "udfield", *args)
 
 
 def test_bad_field_json_exits_3(tmp_path):
@@ -242,3 +255,26 @@ def test_bad_r2_alpha_exits_3(tmp_path):
     proc = _run_module(tmp_path, "r2", "--alpha", "abc")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_exact_count_beyond_float_precision_exits_5(tmp_path):
+    # positions near 10^17 are only good to about 100, too coarse to prune
+    (tmp_path / "big.csv").write_text("index,re,im,c0,c1\n"
+                                      "0,0,0,100000000000000000,0\n"
+                                      "1,0,0,100000000000000001,0\n")
+    proc = _run_module(tmp_path, "count", "--csv", "big.csv",
+                       "--method", "exact", "--field", "gaussian")
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_field_setup_does_not_import_numpy(tmp_path):
+    # import, field build and CM detection (the benchmark's setup) stay off
+    # the float paths, which import numpy inside their functions
+    code = ("import sys, udfield\n"
+            "from udfield.cli import build_field\n"
+            "from udfield.numberfield import detect_cm\n"
+            "assert detect_cm(build_field('adjoin-i:5')) is not None\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = _run_python(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr

@@ -136,12 +136,14 @@ def test_build_pointset_toy(gaussian, gaussian_cm):
 def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
     import oracle_counting
 
-    from udfield.counting import unit_pair_indices
+    from udfield.counting import planar_image, unit_pair_indices
     from udfield.serialize import pointset_sidecar
 
     us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
     ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
-    assert ps.unit_pairs == tuple(unit_pair_indices(ps.exact_points, ps.planar,
+    xy, err = planar_image(ps.exact_points, gaussian_cm)
+    assert (xy == ps.planar).all()
+    assert ps.unit_pairs == tuple(unit_pair_indices(ps.exact_points, xy, err,
                                                     gaussian_cm))
     assert list(ps.unit_pairs) == oracle_counting.unit_pair_indices(
         ps.exact_points, gaussian_cm)
@@ -150,20 +152,6 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
     for i, j in ps.unit_pairs:
         assert i < j
         assert is_unit_modulus(ps.exact_points[i] - ps.exact_points[j], gaussian_cm)
-
-
-def test_build_pointset_pairs_independent_of_precision(deg4, deg4_cm):
-    # the planar boxes prune the pair search; the symbolic decision makes the
-    # pairs the same at any box width, and precision_bits is reported as set
-    units = [deg4.one(), -deg4.one()]
-    runs = {}
-    for bits in (32, 256):
-        cfg = WindowConfig(R=Fraction(2), scale=Fraction(1), precision_bits=bits)
-        ps, rep = build_pointset(deg4, units, cfg)
-        assert ps.precision_bits == bits
-        runs[bits] = ps.unit_pairs
-    assert runs[32] == runs[256]
-    assert len(runs[32]) > 0
 
 
 def test_covolume_upper_values(gaussian, qsqrt_m5, deg4):
@@ -206,8 +194,7 @@ def test_projection_distinctness(gaussian, gaussian_cm):
     us = pigeonhole_units(gaussian, [])
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
     ps, _ = build_pointset(gaussian, us, cfg)
-    mids = {(b.re.midpoint(), b.im.midpoint()) for b in ps.planar}
-    assert len(mids) == len(ps.planar)
+    assert len({tuple(p) for p in ps.planar.tolist()}) == len(ps.planar)
 
 
 def test_exponent_closed_form():

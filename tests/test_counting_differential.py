@@ -1,6 +1,8 @@
 """Differential tests: the exact pair search `unit_pair_indices`, which
-prunes with the cell hash of the float counter, against the dense-block
-search it replaced, kept in `oracle_counting`.
+prunes with the cell hash of the float counter over the positions of
+`planar_image`, against the dense-block search it replaced, kept in
+`oracle_counting`; and the certified error bound of `planar_image`
+against 256-bit embeddings.
 
 Both sides must return the same pairs in the same order.  Point sets are
 salted with exact unit-distance partners z + u (u = a / conj(a) has modulus
@@ -10,8 +12,10 @@ apart, so the symbolic decision runs on both.  Base coordinates sit on, or
 boundaries.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from hypothesis import strategies as st
 import oracle_counting as oracle
 from udfield.construct import enumerate_window
 from udfield.counting import (PlanarFloatSet, count_exact, count_float,
-                              unit_pair_indices)
+                              planar_image, unit_pair_indices)
+from udfield.errors import PrecisionExhausted
 from udfield.intervals import ComplexInterval, RealInterval
+from udfield.numberfield import NumberField
 
 # 0 keeps a coordinate exact; +-2^-60 moves it just off
 nudge = st.sampled_from([0, 1, -1]).map(lambda s: Fraction(s, 1 << 60))
@@ -55,26 +61,70 @@ def _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm, deg4, deg4_cm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]),
-       bits=st.sampled_from([32, 40, 256]))
-def test_unit_pairs_match_oracle(data, which, bits, gaussian, gaussian_cm,
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]))
+def test_unit_pairs_match_oracle(data, which, gaussian, gaussian_cm,
                                  qsqrt_m5, qsqrt_m5_cm, deg4, deg4_cm):
     K, cm = _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
                     deg4, deg4_cm)[which]
     pts = data.draw(salted_points(K, cm))
-    rep = cm.pair_reps[data.draw(st.integers(0, cm.f - 1))]
-    boxes = [z.embed(rep, bits) for z in pts]
+    xy, err = planar_image(pts, cm, data.draw(st.integers(0, cm.f - 1)))
     want = oracle.unit_pair_indices(pts, cm)
-    assert unit_pair_indices(pts, boxes, cm) == want
+    assert unit_pair_indices(pts, xy, err, cm) == want
     assert count_exact(pts, cm).unit_pairs == len(want)
+
+
+# non-dyadic, 2^-60-nudged and large (~2^40) coordinates, and exact zeros
+image_coord = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda a, d, e: Fraction(a, d) + e, st.integers(-50, 50),
+              st.sampled_from([1, 3, 7, 841]), nudge),
+    st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.sampled_from([1, 3, 5])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]),
+       coarse=st.booleans())
+def test_planar_image_within_err(data, which, coarse, gaussian, gaussian_cm,
+                                 qsqrt_m5, qsqrt_m5_cm, deg4, deg4_cm):
+    # the bound must hold for any enclosure of the basis images: coarse ones,
+    # widened lopsidedly by about 2^-20, make their error dominate the
+    # rounding, and move the midpoints of the exactly-zero columns off 0
+    K, cm = _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
+                    deg4, deg4_cm)[which]
+    n = K.n
+    basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
+    pts = basis + [K.element(c) for c in data.draw(st.lists(
+        st.lists(image_coord, min_size=n, max_size=n), max_size=8))]
+    coordinate = data.draw(st.integers(0, cm.f - 1))
+    embed = NumberField.embed
+    w = Fraction(1, 1 << 20)
+
+    def coarse_embed(F, z, i, bits=64):
+        box = embed(F, z, i, bits)
+        return ComplexInterval(RealInterval(box.re.lo - w, box.re.hi + w / 2),
+                               RealInterval(box.im.lo - w / 2, box.im.hi + w))
+
+    with mock.patch.object(NumberField, "embed", coarse_embed if coarse else embed):
+        xy, err = planar_image(pts, cm, coordinate)
+    assert xy.shape == (len(pts), 2)
+    err = Fraction(err)
+    zero = ([(b + cm.conj(b)).is_zero() for b in basis],
+            [b == cm.conj(b) for b in basis])
+    for z, pos in zip(pts, xy.tolist()):
+        box = z.embed(cm.pair_reps[coordinate], 256)
+        for axis, iv in enumerate((box.re, box.im)):
+            v = pos[axis]
+            assert iv.lo - err <= Fraction(v) <= iv.hi + err, (z, axis, v, err)
+            if all(zero[axis][k] for k, c in enumerate(z.coords) if c):
+                assert v == 0.0 and math.copysign(1, v) == 1, (z, axis, v)
 
 
 def test_unit_pairs_tiny_sets(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
     for pts in ([], [K.one()], [K.zero(), K.one()], [K.zero(), K.zero()]):
-        boxes = [z.embed(0, 40) for z in pts]
+        xy, err = planar_image(pts, cm)
         want = oracle.unit_pair_indices(pts, cm)
-        assert unit_pair_indices(pts, boxes, cm) == want
+        assert unit_pair_indices(pts, xy, err, cm) == want
         assert count_exact(pts, cm).unit_pairs == len(want)
     assert oracle.unit_pair_indices([K.zero(), K.one()], cm) == [(0, 1)]
     for pts in (np.empty((0, 2)), [(0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]):
@@ -98,8 +148,13 @@ def test_count_exact_memory_stays_linear(gaussian, gaussian_cm):
 
 
 def test_unit_pairs_reject_boxes_too_wide(gaussian, gaussian_cm):
-    # boxes this wide could hide a unit pair outside the 21 hashed cells
+    # an error this large could hide a unit pair outside the 21 hashed cells
     pts = [gaussian.zero(), gaussian.one()]
-    side = RealInterval(Fraction(-1, 8), Fraction(1, 8))
-    with pytest.raises(ValueError):
-        unit_pair_indices(pts, [ComplexInterval(side, side)] * 2, gaussian_cm)
+    xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(PrecisionExhausted):
+        unit_pair_indices(pts, xy, 1 / 8, gaussian_cm)
+    # positions near 10^17 are only good to about 100, and 10^400 has none
+    for big in (10 ** 17, 10 ** 400):
+        far = [gaussian.element([big + k, 0]) for k in range(2)]
+        with pytest.raises(PrecisionExhausted):
+            count_exact(far, gaussian_cm)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from udfield.enumeration import lattice_points_in_polydisc, roots_of_unity
+from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
@@ -56,16 +57,26 @@ def test_polydisc_completeness_degree4(deg4, deg4_cm):
              for j in range(4)]
     got = {z.coords for z in
            lattice_points_in_polydisc(basis, cm, [Fraction(4)] * 2)}
-    # brute force over integral coordinates with the exact modulus test
+    # brute force over integral coordinates with the exact modulus test; the
+    # boxes sum_k c_k sigma(b_k) of 40-bit basis boxes (exact integer scales)
+    # only rule candidates out
+    emb = [[b.embed(rep, 40) for rep in cm.pair_reps] for b in basis]
+
+    def add(acc, k, c):
+        return [a + e.scale(c) for a, e in zip(acc, emb[k])]
+
     brute = set()
-    for c0 in range(-6, 7):
-        for c1 in range(-6, 7):
-            for c2 in range(-6, 7):
-                for c3 in range(-6, 7):
-                    z = K.element([c0, c1, c2, c3])
-                    boxes = [z.embed(rep, 40) for rep in cm.pair_reps]
-                    if any(b.abs_sq().lo > 4 for b in boxes):
+    cs = range(-6, 7)
+    for c0 in cs:
+        acc0 = add([ComplexInterval.point(0)] * 2, 0, c0)
+        for c1 in cs:
+            acc1 = add(acc0, 1, c1)
+            for c2 in cs:
+                acc2 = add(acc1, 2, c2)
+                for c3 in cs:
+                    if any(b.abs_sq().lo > 4 for b in add(acc2, 3, c3)):
                         continue
+                    z = K.element([c0, c1, c2, c3])
                     if all(_modulus_cmp_exact(z, cm, i, Fraction(4)) <= 0
                            for i in range(2)):
                         brute.add(z.coords)

@@ -6,8 +6,7 @@ import pytest
 from udfield.errors import AlreadyImaginary, DependentGenerators, DivisionByZero
 from udfield.intervals import RealInterval, sqrt_lower, sqrt_upper
 from udfield.numberfield import (abs_sq, adjoin_i, compositum_multiquadratic,
-                                 detect_cm, is_unit_modulus, minkowski_embed,
-                                 nf_new)
+                                 detect_cm, is_unit_modulus, nf_new)
 from udfield.polynomials import make_poly, resultant
 
 
@@ -119,7 +118,7 @@ def test_adjoin_i(gaussian, sqrt5_field):
 
 def test_minkowski_embed_examples(deg4, deg4_cm):
     K = deg4
-    ones = minkowski_embed(K.one(), deg4_cm, 40)
+    ones = [K.one().embed(i, 40) for i in deg4_cm.pair_reps]
     assert len(ones) == deg4_cm.f == 2
     for box in ones:
         assert box.re.contains(1) and box.im.contains(0)
@@ -130,7 +129,7 @@ def test_minkowski_embed_examples(deg4, deg4_cm):
     sqrt5 = _mq_subset_sqrt(K, 1)
     lo = sqrt_lower(Fraction(5), 50)
     hi = sqrt_upper(Fraction(5), 50)
-    for box in minkowski_embed(sqrt5, deg4_cm, 60):
+    for box in [sqrt5.embed(i, 60) for i in deg4_cm.pair_reps]:
         m2 = box.abs_sq()
         assert m2.lo <= 5 <= m2.hi or (lo * lo <= m2.hi and m2.lo <= hi * hi)
         assert box.im.contains(0)
@@ -173,7 +172,7 @@ def test_cm_modulus_consistency(deg4, deg4_cm):
 def test_unit_modulus_interval_property(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
     z = K.element([Fraction(3, 5), Fraction(4, 5)])
-    for box in minkowski_embed(z, cm, 256):
+    for box in [z.embed(i, 256) for i in cm.pair_reps]:
         m2 = box.abs_sq()
         assert m2.lo <= 1 <= m2.hi
         assert abs(m2.hi - 1) < Fraction(1, 1 << 200)
