@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -153,7 +154,7 @@ def cmd_generate(args) -> int:
         "pointset": pointset_sidecar(ps),
     }
     dump_json(report, os.path.join(args.out, "report.json"))
-    if args.plot and len(ps.exact_points) <= 2000:
+    if args.plot and len(ps.rows) <= 2000:
         write_svg(ps, ps.unit_pairs, os.path.join(args.out, "scatter.svg"))
     sys.stdout.write(dump_json(report["construction"]))
     if not rep.all_asserted_hold():
@@ -167,7 +168,9 @@ def _auto_window(K, units, R, args):
 
     warnings = []
     natural = Fraction(1, units.D)
-    budget = min(args.max_points, 4000)  # per-point enumeration and embedding
+    # a planning cap from when enumeration and counting were per point; both
+    # now work on integer rows, so the cap no longer reflects a cost
+    budget = min(args.max_points, 4000)
     for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
         est = estimate_window_points(K, scale, R)
         if est > budget:
@@ -213,11 +216,12 @@ def cmd_count(args) -> int:
 
 
 def _count_exact_csv(args):
-    """Symbolic counting from the exact coordinate columns of a CSV.
+    """Exact counting from the exact coordinate columns of a CSV.
 
     The field comes from --field or from the pointset.json sidecar written
     next to the CSV by `generate`."""
     from .counting import count_exact
+    from .enumeration import _int_rows
     from .numberfield import detect_cm
     from .serialize import parse_frac
 
@@ -236,21 +240,35 @@ def _count_exact_csv(args):
     cm = detect_cm(K)
     if cm is None:
         raise PreconditionError("exact counting needs a CM field")
-    elems = []
+
+    def entry(text):
+        # int() reads a subset of what Fraction() reads, with the same value
+        try:
+            return int(text)
+        except ValueError:
+            return parse_frac(text)
+
+    entries = []
     with open(args.csv) as fh:
         cols = [c.strip() for c in fh.readline().split(",")]
         if any(f"c{i}" not in cols for i in range(K.n)):
             raise ParseError(f"{args.csv}: needs exact coordinate columns c0..c{K.n - 1}")
         idxs = [cols.index(f"c{i}") for i in range(K.n)]
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             parts = line.split(",")
+            if len(parts) != len(cols):
+                if not line.strip():
+                    continue
+                raise ParseError(f"line {lineno}: {len(parts)} fields, "
+                                 f"header has {len(cols)}")
             try:
-                elems.append(K.element([parse_frac(parts[t]) for t in idxs]))
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: bad exact coordinates") from None
-    return count_exact(elems, cm)
+                entries.extend([entry(parts[t]) for t in idxs])
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+    denom = math.lcm(1, *(q.denominator for q in entries))
+    if denom > 1:
+        entries = [q.numerator * (denom // q.denominator) for q in entries]
+    return count_exact(_int_rows(entries, K.n), denom, cm)
 
 
 def cmd_exponent(args) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .enumeration import lattice_points_in_polydisc, roots_of_unity
+from .enumeration import (_int_rows, coordinate_rows, lattice_points_in_polydisc,
+                          point_rows, roots_of_unity)
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
                      NotOddPrime, NotPrime, PrecisionExhausted)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
@@ -202,20 +203,22 @@ def _certify_unit(u: FieldElement, cm: CMStructure, Q2: FracIdeal, D: int):
 
 def enumerate_window(K: NumberField, scale: Fraction, R: Fraction,
                      a: Optional[FieldElement] = None,
-                     limit: Optional[int] = None) -> List[FieldElement]:
-    """All z in scale*O_K + a with every Minkowski coordinate modulus <= R."""
+                     limit: Optional[int] = None):
+    """(rows, denom): all z in scale*O_K + a with every Minkowski coordinate
+    modulus <= R, as integer coordinate rows over one denominator."""
     cm = detect_cm(K)
     if cm is None:
         raise ValueError("window enumeration requires a CM field")
     scale = Fraction(scale)
     R = Fraction(R)
-    if R < 0:
-        return []
     n = K.n
     basis = [K.element([Fraction(scale if k == j else 0) for k in range(n)])
              for j in range(n)]
-    return lattice_points_in_polydisc(basis, cm, [R * R] * cm.f,
+    if R < 0:
+        return coordinate_rows(basis, _int_rows([], n), a)
+    rows = lattice_points_in_polydisc(basis, cm, [R * R] * cm.f,
                                       center=a, limit=limit)
+    return coordinate_rows(basis, rows, a)
 
 
 def halton_translates(K: NumberField, scale: Fraction, count: int) -> List[FieldElement]:
@@ -249,9 +252,9 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
     """Maximize |(a + scale O_K) cap B_R| over a = 0 and a deterministic
     low-discrepancy sequence of fractional offsets; ties keep the earliest."""
     best_a = K.zero()
-    best_count = len(enumerate_window(K, scale, R, None, limit))
+    best_count = len(enumerate_window(K, scale, R, None, limit)[0])
     for a in halton_translates(K, scale, candidates):
-        cnt = len(enumerate_window(K, scale, R, a, limit))
+        cnt = len(enumerate_window(K, scale, R, a, limit)[0])
         if cnt > best_count:
             best_a, best_count = a, cnt
     return best_a, best_count
@@ -284,7 +287,8 @@ class WindowConfig:
 class PointSet:
     field: NumberField
     cm: CMStructure
-    exact_points: Tuple[FieldElement, ...]
+    rows: "object"                    # (n, deg) integer ndarray: coordinates * denom
+    denom: int
     planar: "object"                  # (n, 2) float ndarray, see planar_image
     projection_coordinate: int
     provenance: dict
@@ -392,29 +396,25 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     else:
         a = K.zero()
 
-    inner = enumerate_window(K, cfg.scale, cfg.R - 1, a, limit=cfg.max_points)
+    inner, inner_denom = enumerate_window(K, cfg.scale, cfg.R - 1, a,
+                                          limit=cfg.max_points)
     if cfg.mode == "window":
-        pts = enumerate_window(K, cfg.scale, cfg.R, a, limit=cfg.max_points)
+        rows, denom = enumerate_window(K, cfg.scale, cfg.R, a, limit=cfg.max_points)
     else:
-        seen = {}
-        for w in inner:
-            for u in [None] + usable:
-                z = w if u is None else w + u
-                seen.setdefault(tuple(z.coords), z)
-        pts = sorted(seen.values(), key=lambda z: tuple(z.coords))
+        rows, denom = _closure_rows(inner, inner_denom, usable, K.n)
         warnings.append(
             "closure mode: point set is the inner window plus its unit "
             "translates (a subset of the full B_R window)")
-    if len(pts) > cfg.max_points:
+    if len(rows) > cfg.max_points:
         raise InjectivityFailure("window exceeded max_points")  # defensive
 
     # projection injectivity: exact points are pairwise distinct, and a
     # nonzero element cannot embed to zero, so projections are distinct
-    if len({tuple(z.coords) for z in pts}) != len(pts):
+    if len(_unique_rows(rows)) != len(rows):
         raise InjectivityFailure("window enumeration produced duplicates")
 
-    planar, err = planar_image(pts, cm, cfg.projection_coordinate)
-    pairs = tuple(unit_pair_indices(pts, planar, err, cm))
+    planar, err = planar_image(rows, denom, cm, cfg.projection_coordinate)
+    pairs = tuple(unit_pair_indices(rows, denom, planar, err, cm))
     nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)
@@ -422,7 +422,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
 
     packing = (Fraction(9) * cfg.R ** 2 / delta ** 2) ** f
     if delta <= cfg.R:
-        checks["packing_bound"] = Fraction(len(pts)) <= packing
+        checks["packing_bound"] = Fraction(len(rows)) <= packing
     else:
         warnings.append("delta > R: packing bound not asserted")
 
@@ -453,7 +453,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     inner_zero = None
     if not a.is_zero():
         inner_zero = len(enumerate_window(K, cfg.scale, cfg.R - 1, None,
-                                          limit=cfg.max_points))
+                                          limit=cfg.max_points)[0])
 
     provenance = {
         "mode": cfg.mode,
@@ -462,7 +462,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         "translate_zero": a.is_zero(),
         "projection_coordinate": cfg.projection_coordinate,
     }
-    ps = PointSet(field=K, cm=cm, exact_points=tuple(pts), planar=planar,
+    ps = PointSet(field=K, cm=cm, rows=rows, denom=denom, planar=planar,
                   projection_coordinate=cfg.projection_coordinate,
                   provenance=provenance, unit_pairs=pairs)
     report = ConstructionReport(
@@ -471,7 +471,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         distinct_unit_ideals=distinct_ideals, guaranteed_min=guaranteed,
         inner_count=len(inner), translation_bound=translation_bound,
         packing_bound=packing, volumetric_lower_2nu=volumetric_interval,
-        measured_points=len(pts), measured_unit_pairs=nu,
+        measured_points=len(rows), measured_unit_pairs=nu,
         mode=cfg.mode, translate_is_zero=a.is_zero(),
         inner_count_zero_translate=inner_zero, exponent_bound=exponent_bound,
         checks=checks, warnings=warnings)
@@ -479,6 +479,27 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         report.warnings.append("no nontrivial units usable in the window "
                                "lattice; translation bound is vacuous")
     return ps, report
+
+
+def _closure_rows(inner, inner_denom: int, units: Sequence[FieldElement], n: int):
+    """(rows, denom): the inner window and its translates by the units,
+    without repeats, in lexicographic order of the rows."""
+    urows, udenom = point_rows(units, n)
+    denom = math.lcm(inner_denom, udenom)
+    shifts = [[0] * n] + [[c * (denom // udenom) for c in u] for u in urows.tolist()]
+    scale = denom // inner_denom
+    return _unique_rows(_int_rows([c * scale + s for w in inner.tolist()
+                                   for u in shifts for c, s in zip(w, u)], n)), denom
+
+
+def _unique_rows(rows):
+    """The distinct rows in lexicographic order."""
+    import numpy as np
+
+    if rows.dtype != object:
+        return np.unique(rows, axis=0)
+    return np.array(sorted(set(map(tuple, rows.tolist()))),
+                    dtype=object).reshape(-1, rows.shape[1])
 
 
 # ---------------------------------------------------------------------------

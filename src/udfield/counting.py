@@ -1,9 +1,13 @@
 """Unit-distance counting: exact algebraic, fast grid-hashed float, the
 square-grid baseline, and two-squares representation counts.
 
-The exact counter never makes a floating-point decision: float positions
-with a certified error bound may only rule a pair out, and surviving pairs
-are decided by the symbolic identity |difference|^2 = 1 in the field.
+The exact counter takes a point set as integer coordinate rows over the
+integral basis with one common denominator D.  It never makes a
+floating-point decision: float positions with a certified error bound may
+only rule a pair out, and every surviving pair is decided by exact integer
+equality of the Hermitian form, |x - y|^2 = 1 as
+sum_{j,l} d_j d_l T[j,l,:] = L D^2 coords(1) for the difference row d
+(see hermitian_form).
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import BoxTooSmall, ParseError, PrecisionExhausted, TooLargeEps
-from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
+from .numberfield import CMStructure, FieldElement, NumberField
 
 # neighbor-cell offsets for cell size 1: 21 cells cover the unit annulus
 _HALF_OFFSETS = ((0, 1), (0, 2), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2),
@@ -67,33 +71,64 @@ class DistanceCensus:
         return out
 
 
-def planar_image(pts: Sequence[FieldElement], cm: CMStructure,
-                 coordinate: int = 0):
+def hermitian_form(cm: CMStructure):
+    """(T, e): T[j][l][k] = L coords(b_j conj(b_l))_k and e = L coords(1)
+    over the integral basis b, with L the least common denominator, so that
+    z = sum_j (d_j / D) b_j has |z|^2 = 1 exactly when
+    sum_{j,l} d_j d_l T[j][l][k] = D^2 e_k for every k.
+
+    Built on first use and kept on the CM structure."""
+    if cm.hermitian is None:
+        K = cm.field
+        n = K.n
+        basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
+        table = [[(b * cm.conj(c)).coords for c in basis] for b in basis]
+        one = K.one().coords
+        L = math.lcm(*(q.denominator for q in one),
+                     *(q.denominator for row in table for v in row for q in v))
+
+        def integral(v):
+            scaled = [q * L for q in v]
+            assert all(q.denominator == 1 for q in scaled)
+            return [q.numerator for q in scaled]
+
+        cm.hermitian = ([[integral(v) for v in row] for row in table], integral(one))
+    return cm.hermitian
+
+
+def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     """(xy, err): the (re, im) of sigma(z) at root cm.pair_reps[coordinate]
-    as an (n, 2) float array, every entry within err of the exact value.
+    as an (n, 2) float array, every entry within err of the exact value,
+    for the points z = sum_k (rows[:, k] / denom) b_k.
 
     sigma(z) = sum_k c_k sigma(b_k) over the integral basis: the basis images
     are embedded once, as float midpoints m_k with exact errors e_k, and
-    fl(c_k) m_k is summed in a fixed k order.  err bounds sum_k C_k (e_k +
+    fl(c_k) m_k is summed in a fixed k order.  fl(c_k) is the correctly
+    rounded quotient rows / denom.  err bounds sum_k C_k (e_k +
     2 (n + 2) 2^-53 |m_k|) with C_k >= max |c_k|, as enumeration._margins
     does, plus 2^-1074 (1 + |m_k|) for underflow.  A column that is exactly
-    0 (b_k + conj(b_k) = 0 for re, b_k = conj(b_k) for im) stays exactly 0.
+    0 (conj(b_k) = -b_k for re, conj(b_k) = b_k for im) stays exactly 0.
     """
     import numpy as np
 
-    from .enumeration import _float_columns, _round_up
+    from .enumeration import _float_columns, _max_abs, _round_up
 
     K = cm.field
     n = K.n
     rep = cm.pair_reps[coordinate]
-    basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
-    boxes = [b.embed(rep, 128) for b in basis]
-    zero = ([(b + cm.conj(b)).is_zero() for b in basis],
-            [b == cm.conj(b) for b in basis])
-    xy = np.zeros((len(pts), 2))
+    unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    boxes = [K.element(u).embed(rep, 128) for u in unit]
+    zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
+            [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
+    xy = np.zeros((len(rows), 2))
+    C = [Fraction(_max_abs(rows[:, k]), denom) for k in range(n)]
     try:
-        c = np.array([[float(q) for q in z.coords] for z in pts]).reshape(len(pts), n)
-        C = [max((abs(z.coords[k]) for z in pts), default=0) for k in range(n)]
+        if _max_abs(rows) < 1 << 53 and denom < 1 << 53:
+            # both exact in float64, so the IEEE quotient is correctly rounded
+            c = rows.astype(float) / denom
+        else:
+            c = np.array([[float(Fraction(r, denom)) for r in row]
+                          for row in rows.tolist()]).reshape(len(rows), n)
         err = 0.0
         for axis, part in enumerate(("re", "im")):
             mids, errs = _float_columns([getattr(box, part) for box in boxes])
@@ -111,19 +146,19 @@ def planar_image(pts: Sequence[FieldElement], cm: CMStructure,
     return xy, err
 
 
-def unit_pair_indices(pts: Sequence[FieldElement], xy, err: float,
+def unit_pair_indices(rows, denom: int, xy, err: float,
                       cm: CMStructure) -> List[Tuple[int, int]]:
-    """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided symbolically.
+    """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided exactly.
 
-    `xy` and `err` are the points in any one embedding (planar_image):
-    |x - y| = 1 means abs_sq(x - y) = 1 in the field.  The cell hash of
-    `count_float` finds nearby positions, their squared float distance
-    prunes with a rigorous margin, and every survivor is decided exactly.
+    `rows` / `denom` are the points' integral-basis coordinates and `xy`,
+    `err` their positions in any one embedding (planar_image).  The cell
+    hash of `count_float` finds nearby positions, their squared float
+    distance prunes with a rigorous margin, and all survivors are decided
+    at once by the integer identity of hermitian_form.
     """
     import numpy as np
 
-    n = len(pts)
-    if n < 2:
+    if len(rows) < 2:
         return []
     # a float coordinate difference is off by at most e (the error of two
     # positions plus the rounding of the difference, e >= 2^-50), so for
@@ -134,31 +169,63 @@ def unit_pair_indices(pts: Sequence[FieldElement], xy, err: float,
     if not margin <= 0.5:
         raise PrecisionExhausted(
             f"positions too coarse to prune unit pairs (error {err:.3g})")
-    one = cm.field.one()
     order, blocks = _cell_blocks(xy)
     x, y = xy[order, 0], xy[order, 1]
-    out = []
+    a, b = [], []
     for left, right in blocks:
         dx = x[left] - x[right]
         dy = y[left] - y[right]
         close = np.abs(dx * dx + dy * dy - 1.0) <= margin
-        a, b = order[left[close]], order[right[close]]
-        for i, j in zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()):
-            if abs_sq(pts[i] - pts[j], cm) == one:
-                out.append((i, j))
-    out.sort()
-    return out
+        a.append(order[left[close]])
+        b.append(order[right[close]])
+    a, b = np.concatenate(a), np.concatenate(b)
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    unit = _unit_distance(rows, denom, i, j, cm)
+    i, j = i[unit], j[unit]
+    order = np.lexsort((j, i))
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def count_exact(points: Sequence[FieldElement], cm: CMStructure) -> DistanceCensus:
-    """Unordered pairs with |x - y| = 1 (see unit_pair_indices)."""
+def _unit_distance(rows, denom: int, i, j, cm: CMStructure):
+    """Boolean mask: |z_i - z_j|^2 = 1 for each index pair, by the integer
+    identity sum_{j,l} d_j d_l T[j,l,k] = D^2 e_k over d = rows[i] - rows[j].
+
+    Each partial sum is at most max|d|^2 max_k sum_{j,l} |T[j,l,k]| in
+    modulus, so int64 is used only when that bound is below 2^63, and Python
+    ints (object dtype) otherwise."""
+    import numpy as np
+
+    from .enumeration import _max_abs
+
+    T, e = hermitian_form(cm)
+    n = len(e)
+    target = [denom * denom * x for x in e]
+    span = max(sum(abs(T[p][q][k]) for p in range(n) for q in range(n))
+               for k in range(n))
+    dmax = 2 * _max_abs(rows)
+    fits = dmax * dmax * span < 1 << 63 and max(map(abs, target)) < 1 << 63
+    dtype = np.int64 if fits else object
+    d = rows[i].astype(dtype) - rows[j].astype(dtype)
+    unit = np.ones(len(d), dtype=bool)
+    for k in range(n):
+        acc = np.zeros(len(d), dtype=dtype)
+        for p in range(n):
+            for q in range(n):
+                if T[p][q][k]:
+                    acc += d[:, p] * d[:, q] * T[p][q][k]
+        unit &= acc == target[k]
+    return unit
+
+
+def count_exact(rows, denom: int, cm: CMStructure) -> DistanceCensus:
+    """Unordered pairs with |x - y| = 1 among the points rows / denom (see
+    unit_pair_indices)."""
     t0 = time.perf_counter()
-    pts = list(points)
-    xy, err = planar_image(pts, cm)
-    pairs = unit_pair_indices(pts, xy, err, cm)
+    xy, err = planar_image(rows, denom, cm)
+    pairs = unit_pair_indices(rows, denom, xy, err, cm)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
-                          n_points=len(pts), runtime_ms=ms)
+                          n_points=len(rows), runtime_ms=ms)
 
 
 def _pair_distances_ok(xl, yl, xr, yr, eps):
@@ -389,7 +456,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     smaller boxes are rejected (BoxTooSmall) rather than risking an
     undercount.
     """
-    from .enumeration import lattice_points_in_polydisc
+    from .enumeration import elements, lattice_points_in_polydisc
     from .linalg import identity
 
     if not F.is_totally_real():
@@ -421,7 +488,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     # the identity conjugation, one coordinate per real root
     real = CMStructure(field=F, conj_mat=identity(F.n), fixed_basis=tuple(basis),
                        f=F.n, pair_reps=tuple(range(F.n)))
-    pts = lattice_points_in_polydisc(basis, real, [box * box] * F.n)
+    pts = elements(basis, lattice_points_in_polydisc(basis, real, [box * box] * F.n))
     squares = {}
     for y in pts:
         sq = y * y

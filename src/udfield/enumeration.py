@@ -7,7 +7,9 @@ gives the real box |sigma_i(z)| <= r_i.
 The basis is LLL-reduced, and a certified box |c_j| <= M_j from the inverse
 basis matrix bounds the integer coordinates.  The box is walked depth
 first, c_0 outermost and each coordinate ascending, so points come out in
-lexicographic order.  Every real column t (re, and im for a complex root)
+lexicographic order; the last coordinate is tested for all its values at
+once, elementwise in numpy.  Points are returned as integer coefficient
+rows; only the margin band below builds field elements.  Every real column t (re, and im for a complex root)
 of every basis vector is held as a float64 midpoint with a rigorous error,
 and each level keeps float partial sums P_t with a margin D_t that bounds
 |x_t - P_t| over every completion: the unfixed coordinates'
@@ -107,13 +109,15 @@ def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
 def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
                                radii_sq: Sequence[Fraction],
                                center: Optional[FieldElement] = None,
-                               limit: Optional[int] = None) -> List[FieldElement]:
-    """All z = center + sum c_j v_j with |sigma_i(z)|^2 <= radii_sq[i] for all i.
+                               limit: Optional[int] = None):
+    """All z = center + sum c_j v_j with |sigma_i(z)|^2 <= radii_sq[i] for all i,
+    as an (m, len(basis)) integer array of the coefficient rows c (see
+    coordinate_rows and elements).
 
     sigma_i is the embedding at root cm.pair_reps[i] and |.|^2 is decided
     through abs_sq(z, cm).  The polydisc is closed; boundary points are
     included.  Deterministic order (lexicographic in the integer
-    coordinates).
+    coordinates of the LLL-reduced basis).
     """
     field = basis[0].field
     reps = cm.pair_reps
@@ -121,8 +125,8 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     cols = _embedding_columns(real)
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
-        return []
-    basis = _lll_reduce_basis(basis, cm.conj)
+        return _int_rows([], len(basis))
+    U, basis = _lll_reduce_basis(basis, cm.conj)
     emb = _basis_embeddings(basis, reps, real, 64)
     center_emb = None
     if center is not None and not center.is_zero():
@@ -144,6 +148,8 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     if limit is not None and total > limit:
         raise WindowTooLarge(
             f"candidate box has {total} points (limit {limit})")
+
+    import numpy as np
 
     n = len(basis)
     mids, errs = zip(*map(_float_columns, emb))
@@ -171,40 +177,58 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
 
     last = margins[-1]
     one = field.one()
-    out: List[FieldElement] = []
 
-    def leaf(cvec, P):
-        if outside(P, last):
-            return
-        undecided = []
-        for i, ts in enumerate(cols):
-            s = 0.0
-            for t in ts:
-                d = abs(P[t]) + last[t]
-                s += d * d
-            if s >= lo[i]:
-                undecided.append(i)
+    def exact_inside(cvec, undecided):
         z = field.zero() if center is None else center
         for j, c in enumerate(cvec):
             if c:
                 z = z + basis[j] * c
-        if undecided:
-            z2 = abs_sq(z, cm)
-            if any((z2 - radii_sq[i] * one).sign_at(reps[i]) > 0 for i in undecided):
-                return
-        out.append(z)
+        z2 = abs_sq(z, cm)
+        return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
+
+    prefixes, partial = [], []
 
     def walk(k, cvec, P):
+        if k + 1 == n:
+            prefixes.append(cvec)
+            partial.append(P)
+            return
         m, D = mids[k], margins[k]
         for c in range(-bounds[k], bounds[k] + 1):
             Q = [p + c * x for p, x in zip(P, m)]
-            if k + 1 == n:
-                leaf(cvec + (c,), Q)
-            elif not outside(Q, D):
+            if not outside(Q, D):
                 walk(k + 1, cvec + (c,), Q)
 
     walk(0, (), base)
-    return out
+    # the last coordinate takes every value for a chunk of prefixes at once:
+    # the test of outside() and the accept test, elementwise in the same order
+    cs = np.arange(-bounds[-1], bounds[-1] + 1)
+    step = max(1, (1 << 16) // len(cs))
+    blocks = [np.empty((0, n), dtype=np.int64)]
+    for start in range(0, len(prefixes), step):
+        P = np.array(partial[start:start + step]).reshape(-1, len(base))
+        A = [np.abs(P[:, t, None] + cs * x) for t, x in enumerate(mids[-1])]
+        keep = np.ones(A[0].shape, dtype=bool)
+        band = []
+        for i, ts in enumerate(cols):
+            s_out = s_in = 0.0
+            for t in ts:
+                d = np.maximum(A[t] - last[t], 0.0)
+                s_out = s_out + d * d
+                d = A[t] + last[t]
+                s_in = s_in + d * d
+            keep &= ~(s_out > hi[i])
+            band.append(s_in >= lo[i])
+        for r, c in zip(*np.nonzero(keep & np.logical_or.reduce(band))):
+            undecided = [i for i in range(len(cols)) if band[i][r, c]]
+            keep[r, c] = exact_inside(prefixes[start + r] + (int(cs[c]),), undecided)
+        r, c = np.nonzero(keep)
+        block = np.empty((len(r), n), dtype=np.int64)
+        block[:, :-1] = np.array(prefixes[start:start + step],
+                                 dtype=np.int64).reshape(-1, n - 1)[r]
+        block[:, -1] = cs[c]
+        blocks.append(block)
+    return _combine(np.concatenate(blocks), U, [0] * n)
 
 
 def _float_columns(ivs):
@@ -241,12 +265,13 @@ def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
 
 
 def _lll_reduce_basis(basis: Sequence[FieldElement], conj):
-    """Reduce with exact LLL on the T2 Gram matrix Tr(x * conj(y))."""
+    """(U, reduced): exact LLL on the T2 Gram matrix Tr(x * conj(y)); the
+    reduced basis is U @ basis, U an integer matrix."""
     from . import linalg
 
     n = len(basis)
     if n <= 1:
-        return list(basis)
+        return [[1] * n for _ in range(n)], list(basis)
     field = basis[0].field
     gram = []
     for i in range(n):
@@ -254,15 +279,73 @@ def _lll_reduce_basis(basis: Sequence[FieldElement], conj):
         for j in range(n):
             row.append(field._trace_coords((basis[i] * conj(basis[j])).coords))
         gram.append(tuple(row))
-    U = linalg.lll_transform(linalg.mat(gram))
+    U = [list(row) for row in linalg.lll_transform(linalg.mat(gram))]
     out = []
     for row in U:
         z = field.zero()
         for c, v in zip(row, basis):
             if c:
-                z = z + v * int(c)
+                z = z + v * c
         out.append(z)
-    return out
+    return U, out
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinate rows
+# ---------------------------------------------------------------------------
+
+def _max_abs(rows) -> int:
+    import numpy as np
+
+    return int(np.abs(rows).max(initial=0))
+
+
+def _int_rows(flat, n: int):
+    """The integers `flat` as an (m, n) array, row by row: int64 when every
+    |entry| is below 2^63, Python ints (object dtype) otherwise."""
+    import numpy as np
+
+    dtype = np.int64 if max(map(abs, flat), default=0) < 1 << 63 else object
+    return np.array(flat, dtype=dtype).reshape(-1, n)
+
+
+def _combine(rows, B, c):
+    """c + rows @ B exactly (integer matmul, no BLAS): int64 when the bound
+    max|rows| * max_k sum_j |B_jk| + max|c| on every partial sum is below
+    2^63, Python ints otherwise."""
+    import numpy as np
+
+    col_sums = [sum(abs(row[k]) for row in B) for k in range(len(c))]
+    bound = _max_abs(rows) * max(col_sums, default=0) + max(map(abs, c), default=0)
+    dtype = np.int64 if bound < 1 << 63 else object
+    return rows.astype(dtype) @ np.array(B, dtype=dtype) + np.array(c, dtype=dtype)
+
+
+def point_rows(points: Sequence[FieldElement], n: int):
+    """(rows, denom): the integral-basis coordinates of the points as one
+    (m, n) integer array over one common denominator."""
+    denom = math.lcm(1, *(q.denominator for z in points for q in z.coords))
+    return _int_rows([q.numerator * (denom // q.denominator)
+                      for z in points for q in z.coords], n), denom
+
+
+def coordinate_rows(basis: Sequence[FieldElement], rows,
+                    center: Optional[FieldElement] = None):
+    """(coords, denom): the points center + sum_j c_j basis_j of the
+    coefficient rows c, as integer coordinate rows over one denominator."""
+    field = basis[0].field
+    B, denom = point_rows(list(basis) + [center or field.zero()], field.n)
+    *B, c = B.tolist()
+    return _combine(rows, B, c), denom
+
+
+def elements(basis: Sequence[FieldElement], rows,
+             center: Optional[FieldElement] = None) -> List[FieldElement]:
+    """The points of coefficient rows (see coordinate_rows) as field elements."""
+    field = basis[0].field
+    coords, denom = coordinate_rows(basis, rows, center)
+    return [FieldElement(field, tuple(Fraction(c, denom) for c in row))
+            for row in coords.tolist()]
 
 
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
@@ -272,5 +355,6 @@ def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
     n = field.n
     basis = [FieldElement(field, tuple(Fraction(1 if k == j else 0) for k in range(n)))
              for j in range(n)]
-    candidates = lattice_points_in_polydisc(basis, cm, [Fraction(1)] * cm.f)
+    candidates = elements(basis, lattice_points_in_polydisc(basis, cm,
+                                                            [Fraction(1)] * cm.f))
     return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]

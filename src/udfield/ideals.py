@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .enumeration import lattice_points_in_polydisc
+from .enumeration import elements, lattice_points_in_polydisc
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
 from .linalg import (hnf_det, hnf_rows, lattice_intersect, mat, mat_inv,
                      rational_hnf, vec_mat)
@@ -268,7 +268,8 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
 
     if K.n == 2 and K.disc < 0:
         # |sigma(x)|^2 = N(x): the polydisc of radius^2 = N is exhaustive
-        candidates = lattice_points_in_polydisc(basis, cm, [Fraction(N)])
+        candidates = elements(basis, lattice_points_in_polydisc(
+            basis, cm, [Fraction(N)]))
         for x in sorted(candidates, key=lambda z: tuple(z.coords)):
             if x.is_zero():
                 continue
@@ -283,8 +284,8 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     for stretch in stretches:
         radii = [rad2 * s for s in stretch]
         try:
-            candidates = lattice_points_in_polydisc(basis, cm, radii,
-                                                    limit=2_000_000)
+            candidates = elements(basis, lattice_points_in_polydisc(
+                basis, cm, radii, limit=2_000_000))
         except WindowTooLarge:
             continue
         for x in sorted(candidates, key=lambda z: tuple(z.coords)):

@@ -11,9 +11,9 @@ surfaces later as NotAField when a zero divisor is inverted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import (AlreadyImaginary, DependentGenerators, DivisionByZero,
@@ -48,7 +48,7 @@ class NumberField:
         self._theta_powers = self._power_table()
         self.mult_table = self._structure_constants()
         self.disc = self._discriminant()
-        self._roots_cache: Tuple[int, List[RootBox]] = (0, [])
+        self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
         self._cm_checked = False
         self._mq_ds: Optional[Tuple[int, ...]] = None  # set by multiquadratic builder
@@ -191,17 +191,17 @@ class NumberField:
     # -- embeddings -----------------------------------------------------------
 
     def roots(self, bits: int = 64) -> List[RootBox]:
-        """Certified root boxes of min_poly in a fixed canonical order."""
-        have_bits, cached = self._roots_cache
-        if have_bits == 0:
-            cached = isolate_complex_roots(self.min_poly, 64)
-            self._roots_cache = (64, cached)
-            have_bits = 64
-        if bits <= have_bits:
-            return cached
-        refined = refine_roots(self.min_poly, cached, bits)
-        self._roots_cache = (bits, refined)
-        return refined
+        """Certified root boxes of min_poly in a fixed canonical order.
+
+        The boxes are isolated at max(bits, 64) bits and cached per
+        precision, so they depend on bits alone, not on earlier calls."""
+        bits = max(bits, 64)
+        cache = self._roots_cache
+        if 64 not in cache:
+            cache[64] = isolate_complex_roots(self.min_poly, 64)
+        if bits not in cache:
+            cache[bits] = refine_roots(self.min_poly, cache[64], bits)
+        return cache[bits]
 
     def n_real_embeddings(self) -> int:
         return sum(1 for r in self.roots() if r.is_real)
@@ -355,6 +355,7 @@ class CMStructure:
     fixed_basis: Tuple[FieldElement, ...]
     f: int
     pair_reps: Tuple[int, ...]       # canonical root index per conjugate pair
+    hermitian: Optional[tuple] = dc_field(default=None, repr=False, compare=False)
 
     def conj(self, z: FieldElement) -> FieldElement:
         if z.field is not self.field:

@@ -5,6 +5,7 @@ significant digits."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -144,14 +145,21 @@ def report_dict(rep: ConstructionReport) -> dict:
     return out
 
 
+def _reduced_str(num: int, den: int) -> str:
+    """frac_str(Fraction(num, den)) for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def write_pointset_csv(ps: PointSet, path: str):
     """Columns: index, re/im float positions (within the certified bound of
-    counting.planar_image; exact zeros print as 0), exact coordinates."""
+    counting.planar_image; exact zeros print as 0), exact coordinates, each
+    in lowest terms."""
     n = ps.field.n
     header = "index,re,im," + ",".join(f"c{i}" for i in range(n))
     lines = [header]
-    for idx, (z, (x, y)) in enumerate(zip(ps.exact_points, ps.planar.tolist())):
-        coords = ",".join(frac_str(c) for c in z.coords)
+    for idx, (row, (x, y)) in enumerate(zip(ps.rows.tolist(), ps.planar.tolist())):
+        coords = ",".join(_reduced_str(c, ps.denom) for c in row)
         lines.append(f"{idx},{float17(x)},{float17(y)},{coords}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -159,7 +167,7 @@ def write_pointset_csv(ps: PointSet, path: str):
 
 def pointset_sidecar(ps: PointSet) -> dict:
     return {
-        "n_points": len(ps.exact_points),
+        "n_points": len(ps.rows),
         "field": ps.field.to_dict(),
         "projection_coordinate": ps.projection_coordinate,
         "provenance": ps.provenance,

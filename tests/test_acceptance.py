@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from pointrows import elements_of, rows_of
 
 from udfield.cli import main
 from udfield.construct import (WindowConfig, build_pointset,
@@ -161,8 +162,9 @@ def test_criterion_6_window_bounds_gaussian():
     assert 2 * rep.measured_unit_pairs == 32 >= 20
     # exact counter agrees with the O(n^2) brute oracle
     one = K.one()
+    pts = elements_of(K, ps.rows, ps.denom)
     brute = sum(1 for i in range(13) for j in range(i + 1, 13)
-                if abs_sq(ps.exact_points[i] - ps.exact_points[j], cm) == one)
+                if abs_sq(pts[i] - pts[j], cm) == one)
     assert brute == rep.measured_unit_pairs == 16
     assert rep.all_asserted_hold()
     print("ACCEPTANCE 6 PASS: |P|=13<=36, 2nu=32>=20, brute oracle agrees")
@@ -243,7 +245,7 @@ def test_criterion_8_counting_performance():
                       rnd.choice([1, 2])))
         pts_exact = [K.element([Fraction(a, d), Fraction(b, d)])
                      for a, b, d in seen]
-        ours = count_exact(pts_exact, cm).unit_pairs
+        ours = count_exact(*rows_of(K, pts_exact), cm).unit_pairs
         one = K.one()
         brute = sum(1 for i in range(n) for j in range(i + 1, n)
                     if abs_sq(pts_exact[i] - pts_exact[j], cm) == one)

@@ -2,6 +2,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from udfield.cli import main
 
@@ -278,3 +280,65 @@ def test_field_setup_does_not_import_numpy(tmp_path):
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     proc = _run_python(tmp_path, "-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_count_denominator_past_int64(tmp_path, capsys):
+    # coprime denominators 2^61 - 1 and 2^31 - 1 make the common one about
+    # 2^92: the rows and the Hermitian form fall back to Python ints, and
+    # positions to correctly rounded Fraction quotients
+    from fractions import Fraction
+
+    from udfield.cli import build_field
+    from udfield.numberfield import abs_sq, detect_cm
+
+    p, q = (1 << 61) - 1, (1 << 31) - 1
+    base = [(Fraction(k, p), Fraction(-k, q)) for k in range(-3, 4)]
+    pts = base + [(x + 1, y) for x, y in base] + [
+        (x + Fraction(3, 5), y + Fraction(4, 5)) for x, y in base[:3]] + [
+        (x + 1 + Fraction(1, p), y) for x, y in base[:2]]
+    lines = ["index,re,im,c0,c1"] + [f"{i},0,0,{x},{y}" for i, (x, y) in enumerate(pts)]
+    (tmp_path / "big.csv").write_text("\n".join(lines) + "\n")
+    rc, census = run_cli(capsys, "count", "--csv", str(tmp_path / "big.csv"),
+                         "--method", "exact", "--field", "gaussian")
+    K = build_field("gaussian")
+    cm = detect_cm(K)
+    elems = [K.element(c) for c in pts]
+    want = sum(abs_sq(elems[i] - elems[j], cm) == K.one()
+               for i in range(len(elems)) for j in range(i + 1, len(elems)))
+    assert rc == 0 and census["n_points"] == len(pts)
+    assert census["unit_pairs"] == want >= len(base) + 3
+
+
+_BAD_ENTRIES = ("1/0", "nan", "inf", "1/-2", "", "-", "1/", "1e", "1" + "0" * 400)
+
+
+@st.composite
+def malformed_csv(draw):
+    """A Gaussian point CSV with one malformed row among good ones."""
+    good = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                         min_size=0, max_size=4))
+    rows = [["0", "0", str(a), str(b)] for a, b in good]
+    kind = draw(st.sampled_from(["missing", "extra", "entry"]))
+    bad = ["0", "0", "1", "2"]
+    if kind == "missing":
+        del bad[draw(st.integers(0, 3))]
+    elif kind == "extra":
+        bad.insert(draw(st.integers(0, 4)), draw(st.sampled_from(["0", "", "7"])))
+    else:
+        bad[draw(st.integers(2, 3))] = draw(st.sampled_from(_BAD_ENTRIES))
+    rows.insert(draw(st.integers(0, len(rows))), bad)
+    lines = ["index,re,im,c0,c1"] + [",".join([str(i)] + r) for i, r in enumerate(rows)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=12, deadline=None)
+@given(text=malformed_csv())
+def test_exact_count_malformed_rows_exit_typed(tmp_path_factory, text):
+    # 10^400 parses but has no float position (5); everything else is a
+    # parse error (3); neither may surface as a traceback
+    tmp_path = tmp_path_factory.mktemp("csv")
+    (tmp_path / "bad.csv").write_text(text)
+    proc = _run_module(tmp_path, "count", "--csv", "bad.csv",
+                       "--method", "exact", "--field", "gaussian")
+    assert proc.returncode in (3, 5), (text, proc.stderr)
+    assert "Traceback" not in proc.stderr

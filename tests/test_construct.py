@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from pointrows import elements_of
 
 from udfield.construct import (SymbolicPower, WindowConfig,
                                build_pointset, covolume_upper, denominator_bound,
@@ -85,9 +86,9 @@ def test_pigeonhole_conjugate_collision(gaussian, gaussian_cm):
 
 
 def test_enumerate_window_examples(gaussian):
-    w2 = enumerate_window(gaussian, Fraction(1), Fraction(2))
-    assert len(w2) == 13
-    w1 = enumerate_window(gaussian, Fraction(1), Fraction(1))
+    w2, denom = enumerate_window(gaussian, Fraction(1), Fraction(2))
+    assert len(w2) == 13 and denom == 1
+    w1, _ = enumerate_window(gaussian, Fraction(1), Fraction(1))
     assert len(w1) == 5
     # brute-force oracle over the integer square
     brute = 0
@@ -96,13 +97,14 @@ def test_enumerate_window_examples(gaussian):
             if a * a + b * b <= 4:
                 brute += 1
     assert brute == 13
-    huge = enumerate_window(gaussian, Fraction(10 ** 6), Fraction(2))
+    huge = elements_of(gaussian, *enumerate_window(gaussian, Fraction(10 ** 6),
+                                                   Fraction(2)))
     assert len(huge) == 1 and huge[0].is_zero()
 
 
 def test_window_includes_boundary(gaussian):
     # |2| = 2 lies on the closed boundary of B_2 and must be included
-    w = enumerate_window(gaussian, Fraction(1), Fraction(2))
+    w = elements_of(gaussian, *enumerate_window(gaussian, Fraction(1), Fraction(2)))
     assert gaussian.from_rational(2) in w
 
 
@@ -141,17 +143,17 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
 
     us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
     ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
-    xy, err = planar_image(ps.exact_points, gaussian_cm)
+    xy, err = planar_image(ps.rows, ps.denom, gaussian_cm)
     assert (xy == ps.planar).all()
-    assert ps.unit_pairs == tuple(unit_pair_indices(ps.exact_points, xy, err,
+    assert ps.unit_pairs == tuple(unit_pair_indices(ps.rows, ps.denom, xy, err,
                                                     gaussian_cm))
-    assert list(ps.unit_pairs) == oracle_counting.unit_pair_indices(
-        ps.exact_points, gaussian_cm)
+    pts = elements_of(gaussian, ps.rows, ps.denom)
+    assert list(ps.unit_pairs) == oracle_counting.unit_pair_indices(pts, gaussian_cm)
     assert len(ps.unit_pairs) == rep.measured_unit_pairs > 0
     assert pointset_sidecar(ps)["unit_pairs_exact"] == rep.measured_unit_pairs
     for i, j in ps.unit_pairs:
         assert i < j
-        assert is_unit_modulus(ps.exact_points[i] - ps.exact_points[j], gaussian_cm)
+        assert is_unit_modulus(pts[i] - pts[j], gaussian_cm)
 
 
 def test_covolume_upper_values(gaussian, qsqrt_m5, deg4):
@@ -288,7 +290,7 @@ def test_delta_separation_invariant(gaussian, gaussian_cm, deg4, deg4_cm):
 def test_window_scale_delta_witness(gaussian, gaussian_cm):
     # enumerate a scaled window and verify the norm certificate on members
     scale = Fraction(1, 3)
-    pts = enumerate_window(gaussian, scale, Fraction(1))
+    pts = elements_of(gaussian, *enumerate_window(gaussian, scale, Fraction(1)))
     assert len(pts) > 1
     for z in pts:
         if not z.is_zero():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from pointrows import elements_of, rows_of
 
 from udfield.construct import enumerate_window
 from udfield.counting import (PlanarFloatSet, count_exact, count_float,
@@ -26,12 +27,13 @@ def brute_exact(points, cm):
 
 def test_count_exact_gaussian_discs(gaussian, gaussian_cm):
     w13 = enumerate_window(gaussian, Fraction(1), Fraction(2))
-    c = count_exact(w13, gaussian_cm)
+    c = count_exact(*w13, gaussian_cm)
     assert c.unit_pairs == 16
-    assert c.unit_pairs == brute_exact(w13, gaussian_cm)
+    assert c.unit_pairs == brute_exact(elements_of(gaussian, *w13), gaussian_cm)
     w5 = enumerate_window(gaussian, Fraction(1), Fraction(1))
-    assert count_exact(w5, gaussian_cm).unit_pairs == 4
-    assert count_exact([gaussian.one()], gaussian_cm).unit_pairs == 0
+    assert count_exact(*w5, gaussian_cm).unit_pairs == 4
+    assert count_exact(*rows_of(gaussian, [gaussian.one()]),
+                       gaussian_cm).unit_pairs == 0
 
 
 def test_count_exact_matches_brute_on_random_sets(gaussian, gaussian_cm):
@@ -44,13 +46,13 @@ def test_count_exact_matches_brute_on_random_sets(gaussian, gaussian_cm):
             pts.add((rng.randrange(-8, 9), rng.randrange(-8, 9),
                      rng.choice([1, 1, 1, 2])))
         elems = [K.element([Fraction(a, d), Fraction(b, d)]) for a, b, d in pts]
-        assert count_exact(elems, cm).unit_pairs == brute_exact(elems, cm)
+        assert count_exact(*rows_of(K, elems), cm).unit_pairs == brute_exact(elems, cm)
 
 
 def test_count_exact_degree4(deg4, deg4_cm):
-    pts = enumerate_window(deg4, Fraction(1), Fraction(2))
-    c = count_exact(pts, deg4_cm)
-    assert c.unit_pairs == brute_exact(pts, deg4_cm)
+    rows, denom = enumerate_window(deg4, Fraction(1), Fraction(2))
+    c = count_exact(rows, denom, deg4_cm)
+    assert c.unit_pairs == brute_exact(elements_of(deg4, rows, denom), deg4_cm)
     assert c.unit_pairs > 0
 
 
@@ -58,8 +60,8 @@ def test_scaling_covariance(gaussian, gaussian_cm):
     # multiplying by a unit-modulus element is an isometry in every embedding
     K, cm = gaussian, gaussian_cm
     rng = random.Random(5)
-    pts = enumerate_window(K, Fraction(1), Fraction(2))
-    base = count_exact(pts, cm).unit_pairs
+    pts = elements_of(K, *enumerate_window(K, Fraction(1), Fraction(2)))
+    base = count_exact(*rows_of(K, pts), cm).unit_pairs
     # 20 unit-modulus multipliers (Pythagorean ratios and torsion)
     mults = []
     for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
@@ -71,7 +73,7 @@ def test_scaling_covariance(gaussian, gaussian_cm):
     for u in mults:
         assert abs_sq(u, cm) == K.one()
         scaled = [p * u for p in pts]
-        assert count_exact(scaled, cm).unit_pairs == base
+        assert count_exact(*rows_of(K, scaled), cm).unit_pairs == base
 
 
 def test_count_float_square_and_triangle():

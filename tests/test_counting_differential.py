@@ -1,13 +1,14 @@
 """Differential tests: the exact pair search `unit_pair_indices`, which
 prunes with the cell hash of the float counter over the positions of
-`planar_image`, against the dense-block search it replaced, kept in
-`oracle_counting`; and the certified error bound of `planar_image`
+`planar_image` and decides survivors by the integer Hermitian form, against
+the dense-block search it replaced, kept in `oracle_counting`; the integer
+decision against abs_sq; and the certified error bound of `planar_image`
 against 256-bit embeddings.
 
 Both sides must return the same pairs in the same order.  Point sets are
 salted with exact unit-distance partners z + u (u = a / conj(a) has modulus
 1) and with partners 2^-60 off, which no float or 40-bit box can tell
-apart, so the symbolic decision runs on both.  Base coordinates sit on, or
+apart, so the exact decision runs on both.  Base coordinates sit on, or
 2^-60 either side of, integers and go negative, so pairs straddle cell
 boundaries.
 """
@@ -15,7 +16,6 @@ boundaries.
 import math
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,12 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_counting as oracle
+from pointrows import rows_of
 from udfield.construct import enumerate_window
-from udfield.counting import (PlanarFloatSet, count_exact, count_float,
-                              planar_image, unit_pair_indices)
+from udfield.counting import (PlanarFloatSet, _unit_distance, count_exact,
+                              count_float, hermitian_form, planar_image,
+                              unit_pair_indices)
 from udfield.errors import PrecisionExhausted
-from udfield.intervals import ComplexInterval, RealInterval
-from udfield.numberfield import NumberField
+from udfield.numberfield import abs_sq
 
 # 0 keeps a coordinate exact; +-2^-60 moves it just off
 nudge = st.sampled_from([0, 1, -1]).map(lambda s: Fraction(s, 1 << 60))
@@ -67,10 +68,88 @@ def test_unit_pairs_match_oracle(data, which, gaussian, gaussian_cm,
     K, cm = _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
                     deg4, deg4_cm)[which]
     pts = data.draw(salted_points(K, cm))
-    xy, err = planar_image(pts, cm, data.draw(st.integers(0, cm.f - 1)))
+    rows, denom = rows_of(K, pts)
+    xy, err = planar_image(rows, denom, cm, data.draw(st.integers(0, cm.f - 1)))
     want = oracle.unit_pair_indices(pts, cm)
-    assert unit_pair_indices(pts, xy, err, cm) == want
-    assert count_exact(pts, cm).unit_pairs == len(want)
+    assert unit_pair_indices(rows, denom, xy, err, cm) == want
+    assert count_exact(rows, denom, cm).unit_pairs == len(want)
+
+
+def _int64_decides(rows, cm) -> bool:
+    """Whether _unit_distance may use int64 on these rows (its own bound)."""
+    T, e = hermitian_form(cm)
+    n = len(e)
+    span = max(sum(abs(T[p][q][k]) for p in range(n) for q in range(n))
+               for k in range(n))
+    dmax = 2 * max((abs(c) for row in rows.tolist() for c in row), default=0)
+    return dmax * dmax * span < 1 << 63
+
+
+# shifts by an integral element: 0 keeps int64, 2^31 (about the square root
+# of the int64 bound) and 2^61 leave int64 rows but force Python-int products,
+# and 2^70 makes the rows themselves Python ints
+shift_exp = st.sampled_from([None, 31, 61, 70])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]),
+       shift=shift_exp)
+def test_integer_decision_matches_abs_sq(data, which, shift, gaussian, gaussian_cm,
+                                         qsqrt_m5, qsqrt_m5_cm, deg4, deg4_cm):
+    # every pair, not only float survivors, so near misses (2^-60 off) and
+    # far pairs alike reach the integer identity
+    K, cm = _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
+                    deg4, deg4_cm)[which]
+    pts = data.draw(salted_points(K, cm))
+    if shift is not None:
+        t = K.element([1 << shift] + [(1 << shift) - 1] * (K.n - 1))
+        pts = [z + t for z in pts]
+    one = K.one()
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    want = [abs_sq(pts[i] - pts[j], cm) == one for i, j in pairs]
+    rows, denom = rows_of(K, pts)
+    if shift is not None and len(pts) > 1:
+        assert not _int64_decides(rows, cm)
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert _unit_distance(rows, denom, i, j, cm).tolist() == want
+
+
+def test_integer_decision_at_the_int64_bound(gaussian, gaussian_cm, deg4, deg4_cm):
+    # the same unit pairs and near misses, shifted so that the bound on the
+    # products sits just below or just above 2^63: both paths must agree
+    for K, cm in ((gaussian, gaussian_cm), (deg4, deg4_cm)):
+        n = K.n
+        u = K.element([Fraction(3, 5), Fraction(4, 5)] + [0] * (n - 2))
+        assert abs_sq(u, cm) == K.one()
+        base = [K.zero(), u, K.one(), u + K.element([Fraction(1, 5)] + [0] * (n - 1))]
+        paths = set()
+        for shift in range(20, 37):
+            t = K.element([1 << shift] + [0] * (n - 1))
+            pts = [z + t for z in base] + [z - t for z in base]
+            rows, denom = rows_of(K, pts)
+            assert rows.dtype == np.int64
+            paths.add(_int64_decides(rows, cm))
+            pairs = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+            i = np.array([p[0] for p in pairs], dtype=np.int64)
+            j = np.array([p[1] for p in pairs], dtype=np.int64)
+            want = [abs_sq(pts[a] - pts[b], cm) == K.one() for a, b in pairs]
+            assert _unit_distance(rows, denom, i, j, cm).tolist() == want
+            assert sum(want) == 4
+        assert paths == {True, False}
+
+
+def test_hermitian_form_is_the_multiplication_table(gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    for cm in (gaussian_cm, qsqrt_m5_cm, deg4_cm):
+        K = cm.field
+        T, e = hermitian_form(cm)
+        assert hermitian_form(cm) is hermitian_form(cm)
+        assert [Fraction(c) for c in e] == list(K.one().coords)
+        for j in range(K.n):
+            for m in range(K.n):
+                b = K.element([1 if k == j else 0 for k in range(K.n)])
+                c = K.element([1 if k == m else 0 for k in range(K.n)])
+                assert list((b * cm.conj(c)).coords) == T[j][m]
 
 
 # non-dyadic, 2^-60-nudged and large (~2^40) coordinates, and exact zeros
@@ -82,13 +161,9 @@ image_coord = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]),
-       coarse=st.booleans())
-def test_planar_image_within_err(data, which, coarse, gaussian, gaussian_cm,
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "deg4"]))
+def test_planar_image_within_err(data, which, gaussian, gaussian_cm,
                                  qsqrt_m5, qsqrt_m5_cm, deg4, deg4_cm):
-    # the bound must hold for any enclosure of the basis images: coarse ones,
-    # widened lopsidedly by about 2^-20, make their error dominate the
-    # rounding, and move the midpoints of the exactly-zero columns off 0
     K, cm = _fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
                     deg4, deg4_cm)[which]
     n = K.n
@@ -96,16 +171,7 @@ def test_planar_image_within_err(data, which, coarse, gaussian, gaussian_cm,
     pts = basis + [K.element(c) for c in data.draw(st.lists(
         st.lists(image_coord, min_size=n, max_size=n), max_size=8))]
     coordinate = data.draw(st.integers(0, cm.f - 1))
-    embed = NumberField.embed
-    w = Fraction(1, 1 << 20)
-
-    def coarse_embed(F, z, i, bits=64):
-        box = embed(F, z, i, bits)
-        return ComplexInterval(RealInterval(box.re.lo - w, box.re.hi + w / 2),
-                               RealInterval(box.im.lo - w / 2, box.im.hi + w))
-
-    with mock.patch.object(NumberField, "embed", coarse_embed if coarse else embed):
-        xy, err = planar_image(pts, cm, coordinate)
+    xy, err = planar_image(*rows_of(K, pts), cm, coordinate)
     assert xy.shape == (len(pts), 2)
     err = Fraction(err)
     zero = ([(b + cm.conj(b)).is_zero() for b in basis],
@@ -122,10 +188,11 @@ def test_planar_image_within_err(data, which, coarse, gaussian, gaussian_cm,
 def test_unit_pairs_tiny_sets(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
     for pts in ([], [K.one()], [K.zero(), K.one()], [K.zero(), K.zero()]):
-        xy, err = planar_image(pts, cm)
+        rows, denom = rows_of(K, pts)
+        xy, err = planar_image(rows, denom, cm)
         want = oracle.unit_pair_indices(pts, cm)
-        assert unit_pair_indices(pts, xy, err, cm) == want
-        assert count_exact(pts, cm).unit_pairs == len(want)
+        assert unit_pair_indices(rows, denom, xy, err, cm) == want
+        assert count_exact(rows, denom, cm).unit_pairs == len(want)
     assert oracle.unit_pair_indices([K.zero(), K.one()], cm) == [(0, 1)]
     for pts in (np.empty((0, 2)), [(0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)]):
         for method in ("hashed", "brute"):
@@ -135,26 +202,26 @@ def test_unit_pairs_tiny_sets(gaussian, gaussian_cm):
 
 def test_count_exact_memory_stays_linear(gaussian, gaussian_cm):
     # one dense 2000 x 2000 float64 block alone would be 32 MB
-    pts = enumerate_window(gaussian, Fraction(1), Fraction(252, 10))
-    assert 1900 <= len(pts) <= 2100
+    rows, denom = enumerate_window(gaussian, Fraction(1), Fraction(252, 10))
+    assert 1900 <= len(rows) <= 2100
     tracemalloc.start()
     try:
-        census = count_exact(pts, gaussian_cm)
+        census = count_exact(rows, denom, gaussian_cm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert census.unit_pairs > len(pts)
+    assert census.unit_pairs > len(rows)
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_unit_pairs_reject_boxes_too_wide(gaussian, gaussian_cm):
     # an error this large could hide a unit pair outside the 21 hashed cells
-    pts = [gaussian.zero(), gaussian.one()]
+    rows, denom = rows_of(gaussian, [gaussian.zero(), gaussian.one()])
     xy = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(PrecisionExhausted):
-        unit_pair_indices(pts, xy, 1 / 8, gaussian_cm)
+        unit_pair_indices(rows, denom, xy, 1 / 8, gaussian_cm)
     # positions near 10^17 are only good to about 100, and 10^400 has none
     for big in (10 ** 17, 10 ** 400):
         far = [gaussian.element([big + k, 0]) for k in range(2)]
         with pytest.raises(PrecisionExhausted):
-            count_exact(far, gaussian_cm)
+            count_exact(*rows_of(gaussian, far), gaussian_cm)

@@ -2,9 +2,16 @@ import random
 from fractions import Fraction
 
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
-from udfield.enumeration import lattice_points_in_polydisc, roots_of_unity
+from udfield.enumeration import elements, lattice_points_in_polydisc, roots_of_unity
 from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
+
+
+def _points(basis, cm, radii, center=None, limit=None):
+    """The enumerator's coefficient rows, as field elements."""
+    rows = lattice_points_in_polydisc(basis, cm, radii, center=center, limit=limit)
+    assert rows.shape == (len(rows), len(basis)) and rows.dtype.kind in "iO"
+    return elements(basis, rows, center)
 
 
 def test_polydisc_completeness_random_sublattices(gaussian, gaussian_cm):
@@ -20,7 +27,7 @@ def test_polydisc_completeness_random_sublattices(gaussian, gaussian_cm):
                 break
         basis = [K.element([Fraction(c) for c in r]) for r in rows]
         r2 = Fraction(rng.randrange(1, 30))
-        got = {z.coords for z in lattice_points_in_polydisc(basis, cm, [r2])}
+        got = {z.coords for z in _points(basis, cm, [r2])}
         brute = set()
         for a in range(-20, 21):
             for b in range(-20, 21):
@@ -40,7 +47,7 @@ def test_polydisc_completeness_with_translate(gaussian, gaussian_cm):
                        Fraction(rng.randrange(-4, 5), 4)])
         r2 = Fraction(rng.randrange(1, 20))
         got = {z.coords for z in
-               lattice_points_in_polydisc(basis, cm, [r2], center=a)}
+               _points(basis, cm, [r2], center=a)}
         brute = set()
         for p in range(-15, 16):
             for q in range(-15, 16):
@@ -56,7 +63,7 @@ def test_polydisc_completeness_degree4(deg4, deg4_cm):
     basis = [K.element([Fraction(1 if i == j else 0) for i in range(4)])
              for j in range(4)]
     got = {z.coords for z in
-           lattice_points_in_polydisc(basis, cm, [Fraction(4)] * 2)}
+           _points(basis, cm, [Fraction(4)] * 2)}
     # brute force over integral coordinates with the exact modulus test; the
     # boxes sum_k c_k sigma(b_k) of 40-bit basis boxes (exact integer scales)
     # only rule candidates out
@@ -88,7 +95,7 @@ def test_real_box_completeness():
     F = compositum_multiquadratic([5])
     basis = [F.element([1, 0]), F.element([0, 1])]
     got = {z.coords for z in
-           lattice_points_in_polydisc(basis, real_structure(F), [Fraction(9)] * 2)}
+           _points(basis, real_structure(F), [Fraction(9)] * 2)}
     # x = a + b(5+sqrt5)/2: embeddings a + b(5 +- sqrt5)/2
     brute = set()
     for a in range(-15, 16):

@@ -14,10 +14,18 @@ from hypothesis import strategies as st
 
 import oracle_enumeration as oracle
 from oracle_enumeration import real_structure
-from udfield.enumeration import lattice_points_in_polydisc
+from udfield.enumeration import elements, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import _unit_stretches
 from udfield.numberfield import FieldElement, abs_sq, compositum_multiquadratic
+
+
+def _points(basis, cm, radii, center=None, limit=None):
+    """The enumerator's coefficient rows, as field elements."""
+    rows = lattice_points_in_polydisc(basis, cm, radii, center=center, limit=limit)
+    assert rows.shape == (len(rows), len(basis)) and rows.dtype.kind in "iO"
+    return elements(basis, rows, center)
+
 
 small = st.integers(-3, 3)
 # 0 puts a lattice point on the boundary; +-2^-60 just inside or outside
@@ -60,7 +68,7 @@ def test_polydisc_matches_oracle_imag_quadratic(which, rows, shift, radius,
         a, b, off = radius
         z = _lattice_point(K, basis, center, a, b)
         radius = abs_sq(z, cm).power_coords()[0] + off
-    got = lattice_points_in_polydisc(basis, cm, [radius], center=center)
+    got = _points(basis, cm, [radius], center=center)
     want = oracle.lattice_points_in_polydisc(basis, cm, [radius], center=center)
     assert _coords(got) == _coords(want)
 
@@ -79,7 +87,7 @@ def test_real_box_matches_oracle_qsqrt5(rows, bound, sqrt5_field):
         k, off = bound
         det = abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
         bound = abs(k * det + off)
-    got = lattice_points_in_polydisc(basis, real_structure(F), [bound * bound] * 2)
+    got = _points(basis, real_structure(F), [bound * bound] * 2)
     want = oracle.real_lattice_points_in_box(basis, bound)
     assert _coords(got) == _coords(want)
 
@@ -92,7 +100,7 @@ def test_polydisc_matches_oracle_degree4(deg4, deg4_cm):
     center = K.element([Fraction(1, 2), 0, Fraction(-1, 3), 0])
     # radii 4 put +-2 exactly on both boundaries
     for radii, c in (([Fraction(4)] * 2, None), ([Fraction(5), Fraction(3)], center)):
-        got = lattice_points_in_polydisc(basis, cm, radii, center=c)
+        got = _points(basis, cm, radii, center=c)
         want = oracle.lattice_points_in_polydisc(basis, cm, radii, center=c)
         assert _coords(got) == _coords(want)
         assert len(got) > 1
@@ -102,7 +110,7 @@ def test_real_box_matches_oracle_biquadratic():
     F = compositum_multiquadratic([2, 5])
     basis = [F.element([1 if k == j else 0 for k in range(4)]) for j in range(4)]
     for bound in (Fraction(2), Fraction(5, 2)):
-        got = lattice_points_in_polydisc(basis, real_structure(F), [bound * bound] * 4)
+        got = _points(basis, real_structure(F), [bound * bound] * 4)
         want = oracle.real_lattice_points_in_box(basis, bound)
         assert _coords(got) == _coords(want)
         assert len(got) > 1
@@ -158,7 +166,7 @@ def test_polydisc_matches_oracle_degree4_random(rows, data, center, on, base,
     pin = stretch.index(min(stretch))
     radii = [base if i == pin else base * stretch[i] for i in range(cm.f)]
     limit = 10000
-    got = _enumerate_or_too_large(lattice_points_in_polydisc, basis, cm, radii,
+    got = _enumerate_or_too_large(_points, basis, cm, radii,
                                   center=center, limit=limit)
     want = _enumerate_or_too_large(oracle.lattice_points_in_polydisc, basis, cm,
                                    radii, center=center, limit=limit)
@@ -177,7 +185,7 @@ def test_boundary_band_uses_exact_sign(monkeypatch, deg4, deg4_cm):
         return sign_at(self, root_index)
 
     monkeypatch.setattr(FieldElement, "sign_at", counted)
-    got = lattice_points_in_polydisc(basis, cm, radii)
+    got = _points(basis, cm, radii)
     assert calls
     want = oracle.lattice_points_in_polydisc(basis, cm, radii)
     assert _coords(got) == _coords(want)

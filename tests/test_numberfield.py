@@ -258,3 +258,37 @@ def test_sign_at_real_embeddings(sqrt5_field):
     tiny = (z * z) ** 20
     assert [tiny.sign_at(i) for i in range(2)] == [1, 1]
     assert [(-tiny).sign_at(i) for i in range(2)] == [-1, -1]
+
+
+_EMBED_CODE = """\
+import sys
+from udfield.cli import build_field
+from udfield.numberfield import detect_cm
+K = build_field("adjoin-i:5")
+cm = detect_cm(K)
+if sys.argv[1] == "warm":
+    K.element([0, 1, 0, 0]).embed(cm.pair_reps[0], 512)
+for j in range(K.n):
+    b = K.element([1 if k == j else 0 for k in range(K.n)])
+    for rep in cm.pair_reps:
+        box = b.embed(rep, 128)
+        print(box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+"""
+
+
+def test_embed_box_independent_of_history(tmp_path):
+    # a box is a function of (z, root, bits): a fresh process and one that
+    # has already refined the roots to 512 bits must agree exactly
+    import os
+    import subprocess
+    import sys
+
+    import udfield
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = [subprocess.run([sys.executable, "-c", _EMBED_CODE, mode], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True).stdout
+           for mode in ("fresh", "warm")]
+    assert out[0] == out[1] and len(out[0].splitlines()) == 8
