@@ -188,9 +188,9 @@ def unit_pair_indices(rows, denom: int, xy, err: float,
 
 def _unit_distance(rows, denom: int, i, j, cm: CMStructure):
     """Boolean mask: |z_i - z_j|^2 = 1 for each index pair, by the integer
-    identity sum_{j,l} d_j d_l T[j,l,k] = D^2 e_k over d = rows[i] - rows[j].
+    identity sum_{p,q} d_p d_q T[p][q][k] = D^2 e_k over d = rows[i] - rows[j].
 
-    Each partial sum is at most max|d|^2 max_k sum_{j,l} |T[j,l,k]| in
+    Each partial sum is at most max|d|^2 max_k sum_{p,q} |T[p][q][k]| in
     modulus, so int64 is used only when that bound is below 2^63, and Python
     ints (object dtype) otherwise."""
     import numpy as np
