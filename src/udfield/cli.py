@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (BoundViolation, ConjugateCollision, ParseError,
+from .errors import (BoundViolation, ConjugateCollision, InputError, ParseError,
                      PreconditionError, UdfieldError, WindowTooLarge)
 
 PRECISION_MIN, PRECISION_MAX = 32, 4096
@@ -56,7 +56,9 @@ def build_field(name: str):
 
 
 def _read_json(path: str):
-    with open(path) as fh:
+    from .serialize import open_file
+
+    with open_file(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -79,13 +81,17 @@ def _field_from_dict(data):
         basis = None
         if data.get("integral_basis") is not None:
             basis = [[parse_frac(str(c)) for c in row] for row in data["integral_basis"]]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError("field description: min_poly must be an integer list "
                          "and integral_basis a list of rational rows") from None
     n = len(poly) - 1
     if basis is not None and (len(basis) != n or any(len(r) != n for r in basis)):
         raise ParseError(f"field description: integral_basis must be {n} x {n}")
-    return nf_new(poly, integral_basis=basis, label=data.get("label", ""))
+    try:
+        return nf_new(poly, integral_basis=basis, label=data.get("label", ""))
+    except (ValueError, ZeroDivisionError) as exc:
+        # a singular integral basis, or one not closed under multiplication
+        raise ParseError(f"field description: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,10 @@ def cmd_generate(args) -> int:
         rep.warnings.append("no nontrivial units: the unit-ideal class "
                             "pigeonhole produced only u = 1 (and torsion)")
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        raise InputError(f"--out {args.out!r}: {exc}") from None
     csv_path = os.path.join(args.out, "pointset.csv")
     write_pointset_csv(ps, csv_path)
     dump_json(pointset_sidecar(ps), os.path.join(args.out, "pointset.json"))
@@ -223,7 +232,7 @@ def _count_exact_csv(args):
     from .counting import count_exact
     from .enumeration import _int_rows
     from .numberfield import detect_cm
-    from .serialize import parse_frac
+    from .serialize import open_file, parse_frac
 
     if args.field is not None:
         K = build_field(args.field)
@@ -249,7 +258,7 @@ def _count_exact_csv(args):
             return parse_frac(text)
 
     entries = []
-    with open(args.csv) as fh:
+    with open_file(args.csv) as fh:
         cols = [c.strip() for c in fh.readline().split(",")]
         if any(f"c{i}" not in cols for i in range(K.n)):
             raise ParseError(f"{args.csv}: needs exact coordinate columns c0..c{K.n - 1}")
@@ -349,6 +358,8 @@ def cmd_r2(args) -> int:
     coords = [parse_frac(c) for c in args.alpha.split(",")]
     if len(coords) == 1:
         coords = coords + [Fraction(0)] * (F.n - 1)
+    if len(coords) != F.n:
+        raise ParseError(f"--alpha has {len(coords)} coordinates; {F.label} needs {F.n}")
     alpha = F.element(coords)
     box = parse_frac(args.box) if args.box else _auto_box(F, alpha)
     count = r2_count(F, alpha, box)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .enumeration import (_int_rows, coordinate_rows, lattice_points_in_polydisc,
                           point_rows, roots_of_unity)
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
-                     NotOddPrime, NotPrime, PrecisionExhausted)
+                     InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal)
 from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
@@ -278,7 +278,7 @@ class WindowConfig:
         self.R = Fraction(self.R)
         self.scale = Fraction(self.scale)
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise InvalidArgument(f"scale must be positive, not {self.scale}")
         if self.mode not in ("window", "closure"):
             raise ValueError(f"unknown window mode {self.mode!r}")
 
@@ -326,8 +326,15 @@ def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction) -> floa
     """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound)."""
     cm = detect_cm(K)
     f = cm.f
-    covol_dim = float(scale) ** 2 * abs(K.disc) ** (1 / (2 * f)) / 2
-    per_dim = math.pi * float(R) ** 2 / covol_dim
+    try:
+        covol_dim = float(scale) ** 2 * abs(K.disc) ** (1 / (2 * f)) / 2
+        per_dim = math.pi * float(R) ** 2 / covol_dim
+    except (OverflowError, ZeroDivisionError):
+        # R or scale beyond float range: the same estimate through R / scale
+        try:
+            per_dim = 2 * math.pi * float((R / scale) ** 2) / abs(K.disc) ** (1 / (2 * f))
+        except OverflowError:
+            return math.inf
     return max(per_dim, 1.0) ** f
 
 
@@ -358,6 +365,9 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if cm is None:
         raise ValueError("build_pointset requires a CM field")
     f = cm.f
+    if not 0 <= cfg.projection_coordinate < f:
+        raise InvalidArgument(f"projection coordinate {cfg.projection_coordinate} "
+                              f"outside 0..{f - 1}")
     delta = cfg.scale
     warnings: List[str] = []
     checks: Dict[str, bool] = {}
@@ -580,7 +590,7 @@ def exponent_ledger(T: Sequence[int], p: int,
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p in T:
-        raise ValueError("p must not lie in T")
+        raise InvalidArgument(f"p = {p} must not lie in T")
     r = 2 * math.prod(T)
     target = 18 * r ** 3
 

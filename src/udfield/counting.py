@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import BoxTooSmall, ParseError, PrecisionExhausted, TooLargeEps
+from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
+                     PreconditionError, TooLargeEps, WindowTooLarge)
 from .numberfield import CMStructure, FieldElement, NumberField
 
 # neighbor-cell offsets for cell size 1: 21 cells cover the unit annulus
@@ -42,8 +43,8 @@ class PlanarFloatSet:
         if not np.isfinite(pts).all():
             raise ParseError("points contain NaN or infinity")
         self.points = pts
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not self.eps >= 0:
+            raise InvalidArgument(f"eps must be a nonnegative number, not {self.eps}")
 
 
 @dataclass
@@ -117,7 +118,7 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     n = K.n
     rep = cm.pair_reps[coordinate]
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    boxes = [K.element(u).embed(rep, 128) for u in unit]
+    boxes = K.basis_images(rep, 128)
     zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
             [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
     xy = np.zeros((len(rows), 2))
@@ -385,9 +386,9 @@ def erdos_grid(n: int) -> GridResult:
     squared distance m becomes 1 (ties toward smaller m)."""
     import numpy as np
 
-    s = math.isqrt(n)
+    s = math.isqrt(max(n, 0))
     if s * s != n or s < 2:
-        raise ValueError("n must be a perfect square >= 4")
+        raise InvalidArgument(f"n must be a perfect square >= 4, not {n}")
     cap = 2 * (s - 1) * (s - 1)
     best_m, best_r2 = None, -1
     for m in range(1, cap + 1):
@@ -432,13 +433,19 @@ def _predicted_grid_pairs(m: int, s: int) -> int:
 # Two-squares representation counting
 # ---------------------------------------------------------------------------
 
+R2_SEARCH_LIMIT = 2_000_000   # candidates of one representation search
+
+
 def r2_count_rational(alpha: int) -> int:
-    """Ordered pairs (x, y) in Z^2 with x^2 + y^2 = alpha."""
+    """Ordered pairs (x, y) in Z^2 with x^2 + y^2 = alpha, by a search over
+    x with |x| <= sqrt(alpha) (WindowTooLarge past R2_SEARCH_LIMIT values)."""
     if alpha < 0:
         return 0
     if alpha == 0:
         return 1
     s = math.isqrt(alpha)
+    if 2 * s + 1 > R2_SEARCH_LIMIT:
+        raise WindowTooLarge(f"{2 * s + 1} candidates for x (limit {R2_SEARCH_LIMIT})")
     count = 0
     for xv in range(-s, s + 1):
         rest = alpha - xv * xv
@@ -460,7 +467,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     from .linalg import identity
 
     if not F.is_totally_real():
-        raise ValueError("r2_count needs a totally real field")
+        raise PreconditionError(f"r2_count needs a totally real field, not {F.label}")
     box = Fraction(box)
     if F.n == 1:
         a = (alpha.power_coords()[0] if isinstance(alpha, FieldElement)
@@ -488,7 +495,8 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     # the identity conjugation, one coordinate per real root
     real = CMStructure(field=F, conj_mat=identity(F.n), fixed_basis=tuple(basis),
                        f=F.n, pair_reps=tuple(range(F.n)))
-    pts = elements(basis, lattice_points_in_polydisc(basis, real, [box * box] * F.n))
+    pts = elements(basis, lattice_points_in_polydisc(basis, real, [box * box] * F.n,
+                                                     limit=R2_SEARCH_LIMIT))
     squares = {}
     for y in pts:
         sq = y * y

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import RealInterval, sqrt_upper
+from .intervals import (ComplexInterval, RealInterval, round_down, round_up,
+                        sqrt_upper)
 from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 _PREFILTER_BITS = 48
@@ -56,12 +57,38 @@ def _embedding_columns(real: Sequence[bool]) -> List[range]:
     return cols
 
 
+def _image_box(v: FieldElement, idx: int, bits: int) -> ComplexInterval:
+    """sigma_idx(v), of width <= 2^-bits, as the exact combination
+    sum_k c_k sigma(b_k) of the field's cached integral-basis images.
+
+    With L the common denominator of the c_k, the integer combination
+    sum_k (L c_k) sigma(b_k) is exact and its quotient by L is rounded
+    outward to 2^-g, so the width is at most (sum |c_k| + 2) 2^-g for
+    images of width 2^-g; g exceeds bits by a multiple of 64 that covers
+    the bit length of sum |c_k| + 2."""
+    L = math.lcm(*(c.denominator for c in v.coords))
+    N = [c.numerator * (L // c.denominator) for c in v.coords]
+    S = -(-sum(map(abs, N)) // L) + 2          # ceil(sum |c_k|) + 2
+    g = bits + 64 * (1 + S.bit_length() // 64)
+    parts = []
+    for axis in ("re", "im"):
+        lo = hi = Fraction(0)
+        for c, box in zip(N, v.field.basis_images(idx, g)):
+            iv = getattr(box, axis)
+            if c > 0:
+                lo, hi = lo + c * iv.lo, hi + c * iv.hi
+            elif c < 0:
+                lo, hi = lo + c * iv.hi, hi + c * iv.lo
+        parts.append(RealInterval(round_down(lo / L, g), round_up(hi / L, g)))
+    return ComplexInterval(*parts)
+
+
 def _basis_embeddings(basis: Sequence[FieldElement], reps: Sequence[int],
                       real: Sequence[bool], bits: int):
     """Columns of sigma_i(v_j) as coarse intervals, one row per basis vector."""
     keep = max(_PREFILTER_BITS, bits - 16)
-    return [_columns([v.embed(idx, bits).round_outward(keep) for idx in reps], real)
-            for v in basis]
+    return [_columns([_image_box(v, idx, bits).round_outward(keep) for idx in reps],
+                     real) for v in basis]
 
 
 def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
@@ -130,7 +157,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     emb = _basis_embeddings(basis, reps, real, 64)
     center_emb = None
     if center is not None and not center.is_zero():
-        center_emb = [center.embed(idx, 64).round_outward(_PREFILTER_BITS)
+        center_emb = [_image_box(center, idx, 64).round_outward(_PREFILTER_BITS)
                       for idx in reps]
     bounds = None
     bits = 64
@@ -152,16 +179,19 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     import numpy as np
 
     n = len(basis)
-    mids, errs = zip(*map(_float_columns, emb))
-    if center_emb is None:
-        base, base_err = [0.0] * n, [Fraction(0)] * n
-    else:
-        base, base_err = _float_columns(_columns(center_emb, real))
-    margins = _margins(bounds, mids, errs, base, base_err)
-    # the slack absorbs the rounding of float(r^2) and of the bound sums,
-    # so a float comparison can prune or accept but never decide the band
-    hi = [float(r) * (1 + _SLACK) for r in radii_sq]
-    lo = [float(r) * (1 - _SLACK) for r in radii_sq]
+    try:
+        mids, errs = zip(*map(_float_columns, emb))
+        if center_emb is None:
+            base, base_err = [0.0] * n, [Fraction(0)] * n
+        else:
+            base, base_err = _float_columns(_columns(center_emb, real))
+        margins = _margins(bounds, mids, errs, base, base_err)
+        # the slack absorbs the rounding of float(r^2) and of the bound sums,
+        # so a float comparison can prune or accept but never decide the band
+        hi = [float(r) * (1 + _SLACK) for r in radii_sq]
+        lo = [float(r) * (1 - _SLACK) for r in radii_sq]
+    except OverflowError:
+        raise PrecisionExhausted("basis, centre or radii beyond float range") from None
 
     def outside(P, D):
         """Some |sigma_i|^2 exceeds r_i^2 for every x within D of P."""

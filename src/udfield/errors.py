@@ -17,6 +17,11 @@ class ParseError(InputError):
     pass
 
 
+class InvalidArgument(InputError, ValueError):
+    """A value outside its parameter's domain; also a ValueError for
+    library callers."""
+
+
 class PreconditionError(UdfieldError):
     """An operation's documented precondition was violated."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import (DegreeTooSmall, NotOddPrime, RamifiedPrime,
+from .errors import (DegreeTooSmall, InvalidArgument, NotOddPrime, RamifiedPrime,
                      SearchExhausted, SplitConditionFailed)
 from .numthy import is_prime, legendre_symbol, primes_from
 
@@ -23,7 +23,7 @@ def _check_odd_primes(T: Sequence[int]) -> Tuple[int, ...]:
         if q == 2 or not is_prime(q):
             raise NotOddPrime(f"{q} in T is not an odd prime")
     if len(T) > MAX_T:
-        raise ValueError(f"|T| > {MAX_T} not supported")
+        raise InvalidArgument(f"|T| > {MAX_T} not supported")
     return T
 
 
@@ -85,6 +85,8 @@ def find_split_primes(T: Sequence[int], count: int,
                       cap: int = 1_000_000) -> List[int]:
     """First `count` odd primes not in T that split completely in the
     multiquadratic field of T (with i adjoined when required)."""
+    if count < 1:
+        raise InvalidArgument(f"count must be >= 1, not {count}")
     T = _check_odd_primes(T)
     gens = multiquadratic_generators(T)
     out: List[int] = []
@@ -123,7 +125,7 @@ class TowerSpec:
             if not is_prime(q):
                 raise NotOddPrime(f"{q} in S is not prime")
         if set(sf) & set(self.T):
-            raise ValueError("T and S must be disjoint")
+            raise InvalidArgument("T and S must be disjoint")
         object.__setattr__(self, "S_finite", sf)
 
     @property

@@ -18,7 +18,8 @@ from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
 from .linalg import (hnf_det, hnf_rows, lattice_intersect, mat, mat_inv,
                      rational_hnf, vec_mat)
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
-from .numthy import check_squarefree_int, iroot_ceil, is_prime
+from .numthy import (check_squarefree_int, iroot_ceil, is_prime,
+                     squarefree_kernel)
 from .polynomials import IntPoly, discriminant, factor_mod_p, make_poly
 
 
@@ -103,22 +104,21 @@ class FracIdeal:
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
+        """Products of the two HNF bases through the integer structure
+        constants, over the denominator den_a * den_b."""
         if self.field is not other.field:
             raise ValueError("ideals from different fields")
-        a = self.basis_elements()
-        b = other.basis_elements()
+        n = self.field.n
+        table = self.field.mult_table
         rows = []
-        den = 1
-        prods = []
-        for x in a:
-            for y in b:
-                prods.append((x * y).coords)
-        for coords in prods:
-            for c in coords:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        for coords in prods:
-            rows.append([int(c * den) for c in coords])
-        return self._normalize(self.field, rows, den)
+        for a in self.hnf:
+            # matrix of multiplication by a: row l holds the coords of a * b_l
+            ma = [[sum(a[i] * table[i][l][m] for i in range(n) if a[i])
+                   for m in range(n)] for l in range(n)]
+            for b in other.hnf:
+                rows.append([sum(b[l] * ma[l][m] for l in range(n) if b[l])
+                             for m in range(n)])
+        return self._normalize(self.field, rows, self.den * other.den)
 
     def inverse(self) -> "FracIdeal":
         field = self.field
@@ -299,19 +299,23 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
 
 def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):
     """Per-coordinate radius stretches from fundamental units of real
-    quadratic subfields, up to the given power depth."""
-    stretches = [[Fraction(1)] * cm.f]
-    units = fundamental_units(K, cm)
-    for u in units:
-        for j in range(1, depth + 1):
-            for sgn in (1, -1):
-                w = u ** (sgn * j)
-                row = []
-                for idx in cm.pair_reps:
-                    m2 = w.embed(idx, 32).abs_sq()
-                    row.append(Fraction(int(m2.hi * 4096) + 1, 4096))
-                stretches.append(row)
-    return stretches
+    quadratic subfields, up to the given power depth.
+
+    Built once per depth and kept on the field."""
+    cache = K._unit_stretches
+    if depth not in cache:
+        stretches = [(Fraction(1),) * cm.f]
+        for u in fundamental_units(K, cm):
+            for j in range(1, depth + 1):
+                for sgn in (1, -1):
+                    w = u ** (sgn * j)
+                    row = []
+                    for idx in cm.pair_reps:
+                        m2 = w.embed(idx, 32).abs_sq()
+                        row.append(Fraction(int(m2.hi * 4096) + 1, 4096))
+                    stretches.append(tuple(row))
+        cache[depth] = tuple(stretches)
+    return cache[depth]
 
 
 def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
@@ -327,8 +331,6 @@ def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
         for i in range(m):
             if mask >> i & 1:
                 prod *= ds[i]
-        from .numthy import squarefree_kernel
-
         d = squarefree_kernel(prod)
         if d <= 1:
             continue

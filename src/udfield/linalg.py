@@ -201,10 +201,14 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
     """LLL over an exact PSD Gram matrix; returns the unimodular row transform.
 
     The reduced basis is U @ (old basis).  Exact rational arithmetic
-    throughout; dimensions here are tiny, so each sweep recomputes the GSO
-    from the current Gram matrix U G U^T.  Size reduction of b_k by b_j
-    leaves b*_k alone and changes row k of mu by -r * (row j of mu, with
-    mu_jj = 1), so that row is updated in place.
+    throughout.  The Gram-Schmidt data (mu, B_j = |b*_j|^2) is computed
+    once.  Size reduction of b_k by b_j leaves every b* alone and changes
+    row k of mu by -r * (row j of mu, with mu_jj = 1), so that row is
+    updated in place.  Row k is fully size-reduced before the Lovasz test.
+    A swap of b_{k-1} and b_k updates mu and B by the SWAP step of Cohen,
+    GTM 138, Alg. 2.6.3; when B_{k-1}, B_k or the new B_{k-1} is 0 (a
+    singular Gram matrix) those formulas would divide by zero, so the
+    data is recomputed from U G U^T instead, with mu_ij = 0 for B_j = 0.
     """
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -226,13 +230,13 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
                 bstar[i] -= mu[i][j] ** 2 * bstar[j]
         return mu, bstar
 
+    mu, bstar = gso()
     k = 1
     guard = 0
     while k < n:
         guard += 1
         if guard > 10000:
             break
-        mu, bstar = gso()
         for j in range(k - 1, -1, -1):
             q = mu[k][j]
             r = (q.numerator * 2 + q.denominator) // (2 * q.denominator)  # round
@@ -245,6 +249,19 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
             k += 1
         else:
             U[k], U[k - 1] = U[k - 1], U[k]
+            m = mu[k][k - 1]
+            B = bstar[k] + m * m * bstar[k - 1]
+            if bstar[k - 1] == 0 or bstar[k] == 0 or B == 0:
+                mu, bstar = gso()
+            else:
+                mu[k][k - 1] = m * bstar[k - 1] / B
+                bstar[k] = bstar[k - 1] * bstar[k] / B
+                bstar[k - 1] = B
+                mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+                for i in range(k + 1, n):
+                    t = mu[i][k]
+                    mu[i][k] = mu[i][k - 1] - m * t
+                    mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return tuple(tuple(r) for r in U)
 

@@ -53,6 +53,8 @@ class NumberField:
         self._cm_checked = False
         self._mq_ds: Optional[Tuple[int, ...]] = None  # set by multiquadratic builder
         self._mq_subset_to_power: Optional[Matrix] = None
+        self._basis_images: Dict[Tuple[int, int], List[ComplexInterval]] = {}
+        self._unit_stretches: Dict[int, tuple] = {}   # see ideals._unit_stretches
 
     # -- construction helpers ------------------------------------------------
 
@@ -225,6 +227,17 @@ class NumberField:
                 raise PrecisionExhausted(
                     f"embedding of element did not reach 2^-{bits}")
             work *= 2
+
+    def basis_images(self, root_index: int, bits: int) -> List[ComplexInterval]:
+        """sigma_i(b_k) for the integral basis b_0..b_{n-1}, each box of
+        width <= 2^-bits, embedded once per (root_index, bits)."""
+        key = (root_index, bits)
+        if key not in self._basis_images:
+            n = self.n
+            self._basis_images[key] = [
+                self.embed(self.element([1 if k == j else 0 for k in range(n)]),
+                           root_index, bits) for j in range(n)]
+        return self._basis_images[key]
 
     def __repr__(self):
         return f"NumberField({self.label}, deg={self.n}, disc={self.disc})"

@@ -59,6 +59,9 @@ def _seed_roots(p: Sequence, bits: int):
         mpmath.mp.prec = bits + 32
         coeffs = [int(c) for c in reversed(p)]
         return mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits // 2 + 64)
+    except mpmath.libmp.NoConvergence:
+        raise PrecisionExhausted(
+            f"root seeding did not converge at {bits} bits") from None
     finally:
         mpmath.mp.prec = old
 

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .construct import ConstructionReport, PointSet, SymbolicPower, UnitSet
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .intervals import RealInterval
 
 
@@ -87,10 +88,25 @@ def jsonify(obj):
     return obj
 
 
+@contextmanager
+def open_file(path: str, mode: str = "r"):
+    """open(path, mode) for a file the user named: a path that cannot be
+    opened, or text that does not decode, is an InputError."""
+    try:
+        fh = open(path, mode)
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        raise InputError(f"cannot open {path!r}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not text ({exc.reason})") from None
+
+
 def dump_json(obj, path=None) -> str:
     text = json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n"
     if path is not None:
-        with open(path, "w") as fh:
+        with open_file(path, "w") as fh:
             fh.write(text)
     return text
 
@@ -161,7 +177,7 @@ def write_pointset_csv(ps: PointSet, path: str):
     for idx, (row, (x, y)) in enumerate(zip(ps.rows.tolist(), ps.planar.tolist())):
         coords = ",".join(_reduced_str(c, ps.denom) for c in row)
         lines.append(f"{idx},{float17(x)},{float17(y)},{coords}")
-    with open(path, "w") as fh:
+    with open_file(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -180,9 +196,7 @@ def read_points_csv(path: str):
     import numpy as np
 
     pts: List[Tuple[float, float]] = []
-    if not __import__("os").path.exists(path):
-        raise ParseError(f"no such file: {path}")
-    with open(path) as fh:
+    with open_file(path) as fh:
         header = fh.readline().strip()
         cols = [c.strip().lower() for c in header.split(",")]
         if "re" not in cols or "im" not in cols:
@@ -229,5 +243,5 @@ def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str,
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
                      'fill="#202020"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open_file(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
-from udfield.enumeration import elements, lattice_points_in_polydisc, roots_of_unity
+from udfield.enumeration import (_PREFILTER_BITS, _image_box, elements,
+                                 lattice_points_in_polydisc, roots_of_unity)
 from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
@@ -149,3 +153,22 @@ def test_split_shapes_vs_sympy_oracle(gaussian, qsqrt_m5, deg4):
             assert ours == theirs, (K.label, p)
             checked += 1
     assert checked >= 14
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["deg4", "qsqrt_m5"]), bits=st.sampled_from([64, 128]),
+       data=st.data())
+def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
+    # sigma(v) from the cached integral-basis images against the direct
+    # Horner embedding, with coordinates large enough to need extra guard bits
+    K = {"deg4": deg4, "qsqrt_m5": qsqrt_m5}[which]
+    coords = data.draw(st.lists(
+        st.builds(Fraction, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 20)),
+        min_size=K.n, max_size=K.n))
+    v = K.element(coords)
+    keep = max(_PREFILTER_BITS, bits - 16)
+    for idx in range(K.n):
+        box = _image_box(v, idx, bits)
+        assert box.width() <= Fraction(1, 1 << bits)
+        assert box.intersects(v.embed(idx, bits))
+        assert box.round_outward(keep).width() <= Fraction(2, 1 << keep)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from udfield import ideals
 from udfield.errors import IndexDivisor, NotPrime
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
                             class_number_imag_quadratic, is_principal,
                             split_prime)
-from udfield.numberfield import compositum_multiquadratic, detect_cm, nf_new
+from udfield.numberfield import (NumberField, compositum_multiquadratic, detect_cm,
+                                 nf_new)
 from udfield.polynomials import make_poly
 
 
@@ -157,6 +159,41 @@ def test_is_principal_degree4_nontrivial_class():
         assert res.status in (FOUND, INCONCLUSIVE)
         if res.status == FOUND:
             assert FracIdeal.principal(res.generator) == pr.lattice
+
+
+def test_unit_stretches_cached_per_field(monkeypatch):
+    # the second search on a field embeds no unit; another field gets its own
+    inside, calls = [False], []
+    embed, stretches = NumberField.embed, ideals._unit_stretches
+
+    def counting_embed(self, *args):
+        if inside[0]:
+            calls.append(self)
+        return embed(self, *args)
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return stretches(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(NumberField, "embed", counting_embed)
+    monkeypatch.setattr(ideals, "_unit_stretches", flagged)
+    K, L = (compositum_multiquadratic([5, -1]) for _ in range(2))
+    I = FracIdeal.principal(K.element([2, 1, 0, 1]))
+    assert is_principal(I).status == FOUND
+    first = len(calls)
+    assert first > 0 and set(calls) == {K}
+    assert is_principal(I).status == FOUND
+    assert len(calls) == first
+    J = FracIdeal.principal(L.element([2, 1, 0, 1]))
+    assert is_principal(J).status == FOUND
+    assert len(calls) == 2 * first and set(calls[first:]) == {L}
+    cm = detect_cm(K)
+    assert ideals._unit_stretches(K, cm, 3) is ideals._unit_stretches(K, cm, 3)
+    assert ideals._unit_stretches(K, cm, 3) is not ideals._unit_stretches(L, detect_cm(L), 3)
+    assert ideals._unit_stretches(K, cm, 3) == ideals._unit_stretches(L, detect_cm(L), 3)
 
 
 def test_class_numbers():

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_linalg
+from udfield import linalg
+from udfield.construct import pigeonhole_units
+from udfield.ideals import split_prime
 from udfield.linalg import (hnf_det, hnf_rows, identity, lattice_intersect,
                             lll_transform, mat, mat_det, mat_inv, mat_mul,
                             rational_hnf)
+from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
 def test_hnf_canonical_under_unimodular_changes():
@@ -100,17 +105,26 @@ def _gram(rows):
 
 
 @st.composite
-def integer_rows(draw):
+def integer_rows(draw, sizes=st.integers(1, 5), entries=st.integers(-9, 9)):
     """n integer vectors of width m; m < n makes the Gram matrix singular."""
-    n = draw(st.integers(1, 5))
+    n = draw(sizes)
     m = draw(st.integers(1, n + 1))
-    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+    return draw(st.lists(st.lists(entries, min_size=m, max_size=m),
                          min_size=n, max_size=n))
 
 
 @settings(max_examples=80, deadline=None)
 @given(integer_rows())
 def test_lll_matches_oracle(rows):
+    g = _gram(rows)
+    assert lll_transform(g) == oracle_linalg.lll_transform(g)
+
+
+# n = 6..8, few examples: the oracle redoes Gram-Schmidt after every size
+# reduction, which costs it about 1 s an example at n = 8
+@settings(max_examples=5, deadline=None)
+@given(integer_rows(sizes=st.integers(6, 8), entries=st.integers(-4, 4)))
+def test_lll_matches_oracle_up_to_8(rows):
     g = _gram(rows)
     assert lll_transform(g) == oracle_linalg.lll_transform(g)
 
@@ -122,3 +136,27 @@ def test_lll_matches_oracle_degenerate():
     U = lll_transform(g)
     assert U == oracle_linalg.lll_transform(g)
     assert abs(mat_det(mat(U))) == 1
+
+
+@pytest.mark.parametrize("p", [29, 89])
+def test_lll_matches_oracle_pigeonhole_grams(monkeypatch, p):
+    # the T2 Gram matrices that _lll_reduce_basis meets in the principality
+    # searches of the degree-4 closure demo
+    K = compositum_multiquadratic([5, -1])
+    cm = detect_cm(K)
+    pairs, seen = [], set()
+    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
+        if pr.lattice not in seen:
+            seen.add(pr.lattice.conjugate(cm))
+            pairs.append((pr, 1))
+    grams = []
+
+    def recording(gram, *args):
+        grams.append(gram)
+        return lll_transform(gram, *args)
+
+    monkeypatch.setattr(linalg, "lll_transform", recording)
+    pigeonhole_units(K, pairs)
+    assert len(grams) >= 7
+    for g in grams:
+        assert lll_transform(g) == oracle_linalg.lll_transform(g)
