@@ -77,7 +77,11 @@ def _field_from_dict(data):
     from .serialize import parse_frac
 
     try:
-        poly = make_poly([int(c) for c in data["min_poly"]])
+        coeffs = data["min_poly"]
+        # JSON integers only: int() would truncate 1.5 and read "1"
+        if any(type(c) is not int for c in coeffs):
+            raise TypeError
+        poly = make_poly(coeffs)
         basis = None
         if data.get("integral_basis") is not None:
             basis = [[parse_frac(str(c)) for c in row] for row in data["integral_basis"]]
@@ -177,12 +181,9 @@ def _auto_window(K, units, R, args):
 
     warnings = []
     natural = Fraction(1, units.D)
-    # a planning cap from when enumeration and counting were per point; both
-    # now work on integer rows, so the cap no longer reflects a cost
-    budget = min(args.max_points, 4000)
     for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
         est = estimate_window_points(K, scale, R)
-        if est > budget:
+        if est > args.max_points:
             if scale == natural:
                 warnings.append(
                     f"window over (1/{units.D})*O_K holds ~{est:.2g} points, "

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .enumeration import (_int_rows, coordinate_rows, lattice_points_in_polydisc,
-                          point_rows, roots_of_unity)
+from .enumeration import _int_rows, lattice_points_in_polydisc, point_rows, roots_of_unity
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
-                     InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted)
+                     InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted,
+                     WindowTooLarge)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal)
 from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
@@ -33,6 +33,10 @@ from .numthy import iroot_ceil, is_prime, squarefree_kernel
 # ---------------------------------------------------------------------------
 # Pigeonhole units (class-group pigeonhole on products of split primes)
 # ---------------------------------------------------------------------------
+
+PIGEONHOLE_LIMIT = 64        # exponent vectors of one pigeonhole
+TRANSLATE_LIMIT = 1000       # translate candidates of one select_translate
+
 
 @dataclass
 class UnitSet:
@@ -92,13 +96,17 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     (alpha) = I / I_0; each u = alpha / conj(alpha) is verified to be
     unit-modulus, to lie in Q^{-2}, and to have D u integral.  The emitted
     list is closed under conjugation and (optionally) torsion multiples;
-    ideal_witnesses counts the pairwise-distinct ideals (u).
+    ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
+    WindowTooLarge past PIGEONHOLE_LIMIT exponent vectors prod (k_j + 1).
     """
     cm = detect_cm(K)
     if cm is None:
         raise ValueError("pigeonhole_units requires a CM field")
     primes = list(primes)
     _check_prime_pairs(cm, primes)
+    count = math.prod(k + 1 for _, k in primes)
+    if count > PIGEONHOLE_LIMIT:
+        raise WindowTooLarge(f"{count} exponent vectors (limit {PIGEONHOLE_LIMIT})")
 
     Q = FracIdeal.unit_ideal(K)
     for pr, k in primes:
@@ -212,13 +220,16 @@ def enumerate_window(K: NumberField, scale: Fraction, R: Fraction,
     scale = Fraction(scale)
     R = Fraction(R)
     n = K.n
-    basis = [K.element([Fraction(scale if k == j else 0) for k in range(n)])
-             for j in range(n)]
-    if R < 0:
-        return coordinate_rows(basis, _int_rows([], n), a)
-    rows = lattice_points_in_polydisc(basis, cm, [R * R] * cm.f,
-                                      center=a, limit=limit)
-    return coordinate_rows(basis, rows, a)
+    denom, center = scale.denominator, None
+    if a is not None:
+        rows, adenom = point_rows([a], n)
+        denom = math.lcm(denom, adenom)
+        center = [c * (denom // adenom) for c in rows.tolist()[0]]
+    s = scale.numerator * (denom // scale.denominator)
+    basis = [[s if k == j else 0 for k in range(n)] for j in range(n)]
+    # R |R| < 0 for R < 0: a negative radius, which no point meets
+    return lattice_points_in_polydisc(basis, denom, cm, [R * abs(R)] * cm.f,
+                                      center=center, limit=limit), denom
 
 
 def halton_translates(K: NumberField, scale: Fraction, count: int) -> List[FieldElement]:
@@ -250,7 +261,11 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
                      candidates: int, limit: Optional[int] = None
                      ) -> Tuple[FieldElement, int]:
     """Maximize |(a + scale O_K) cap B_R| over a = 0 and a deterministic
-    low-discrepancy sequence of fractional offsets; ties keep the earliest."""
+    low-discrepancy sequence of fractional offsets; ties keep the earliest
+    (WindowTooLarge past TRANSLATE_LIMIT candidates)."""
+    if candidates > TRANSLATE_LIMIT:
+        raise WindowTooLarge(
+            f"{candidates} translate candidates (limit {TRANSLATE_LIMIT})")
     best_a = K.zero()
     best_count = len(enumerate_window(K, scale, R, None, limit)[0])
     for a in halton_translates(K, scale, candidates):

@@ -20,11 +20,7 @@ from typing import List, Optional, Tuple
 
 from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
                      PreconditionError, TooLargeEps, WindowTooLarge)
-from .numberfield import CMStructure, FieldElement, NumberField
-
-# neighbor-cell offsets for cell size 1: 21 cells cover the unit annulus
-_HALF_OFFSETS = ((0, 1), (0, 2), (1, -2), (1, -1), (1, 0), (1, 1), (1, 2),
-                 (2, -1), (2, 0), (2, 1))
+from .numberfield import CMStructure, FieldElement, NumberField, hermitian_form
 
 
 @dataclass
@@ -70,31 +66,6 @@ class DistanceCensus:
         if self.warnings:
             out["warnings"] = list(self.warnings)
         return out
-
-
-def hermitian_form(cm: CMStructure):
-    """(T, e): T[j][l][k] = L coords(b_j conj(b_l))_k and e = L coords(1)
-    over the integral basis b, with L the least common denominator, so that
-    z = sum_j (d_j / D) b_j has |z|^2 = 1 exactly when
-    sum_{j,l} d_j d_l T[j][l][k] = D^2 e_k for every k.
-
-    Built on first use and kept on the CM structure."""
-    if cm.hermitian is None:
-        K = cm.field
-        n = K.n
-        basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
-        table = [[(b * cm.conj(c)).coords for c in basis] for b in basis]
-        one = K.one().coords
-        L = math.lcm(*(q.denominator for q in one),
-                     *(q.denominator for row in table for v in row for q in v))
-
-        def integral(v):
-            scaled = [q * L for q in v]
-            assert all(q.denominator == 1 for q in scaled)
-            return [q.numerator for q in scaled]
-
-        cm.hermitian = ([[integral(v) for v in row] for row in table], integral(one))
-    return cm.hermitian
 
 
 def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
@@ -170,7 +141,7 @@ def unit_pair_indices(rows, denom: int, xy, err: float,
     if not margin <= 0.5:
         raise PrecisionExhausted(
             f"positions too coarse to prune unit pairs (error {err:.3g})")
-    order, blocks = _cell_blocks(xy)
+    order, blocks = _cell_blocks(xy, math.sqrt(1 - margin), math.sqrt(1 + margin))
     x, y = xy[order, 0], xy[order, 1]
     a, b = [], []
     for left, right in blocks:
@@ -241,11 +212,12 @@ def _pair_distances_ok(xl, yl, xr, yr, eps):
 def count_float(ps: PlanarFloatSet, method: str = "hashed") -> DistanceCensus:
     """Pairs with | |x-y| - 1 | <= eps among float points.
 
-    "hashed" buckets points into unit cells so each point only meets the
-    <= 21 cells its annulus can intersect (the search unit_pair_indices
-    prunes with too); "brute" is the blockwise O(n^2) reference behind
-    `count --method brute` and `--oracle`.  Both evaluate the identical
-    float expression, _pair_distances_ok, so they agree exactly.
+    "hashed" buckets points into cells (of side 1, finer for dense sets)
+    so each point only meets the cells its annulus can intersect (the
+    search unit_pair_indices prunes with too, _cell_blocks); "brute" is
+    the blockwise O(n^2) reference behind `count --method brute` and
+    `--oracle`.  Both evaluate the identical float expression,
+    _pair_distances_ok, so they agree exactly.
     """
     if ps.eps >= 0.1:
         raise TooLargeEps(f"eps = {ps.eps} >= 0.1")
@@ -313,19 +285,39 @@ def _cross_indices(starts_a, sizes_a, starts_b, sizes_b):
     return left, right
 
 
-def _cell_blocks(pts):
-    """The neighbour search of both counters: (n, 2) points in unit cells.
+def _cell_offsets(k: int, lo: float, hi: float):
+    """The offsets (dx, dy) of one half plane (dx > 0, or dx = 0 < dy), in
+    lexicographic order, between cells of side 1/k that hold two points at
+    a distance in [lo, hi].  The range is widened by 2^-20, which covers the
+    rounding of the cell indices floor(k x) for |k x| < 2^30 and of the
+    distances the counters test."""
+    lo, hi = (lo - 2.0 ** -20) * k, (hi + 2.0 ** -20) * k
+    r = math.ceil(hi) + 1
+    return [(dx, dy) for dx in range(r + 1) for dy in range(-r, r + 1)
+            if (dx > 0 or dy > 0)
+            and math.hypot(max(dx - 1, 0), max(abs(dy) - 1, 0)) <= hi
+            and math.hypot(dx + 1, abs(dy) + 1) >= lo]
 
-    Returns (order, blocks): `order` sorts the points by cell, and `blocks`
-    yields (left, right) positions into that order, same-cell pairs (left <
-    right) first, then one block per _HALF_OFFSETS neighbour.  Every pair
-    closer than sqrt(2) appears exactly once."""
+
+def _cell_blocks(pts, lo: float, hi: float):
+    """The neighbour search of both counters: every pair of the (n, 2)
+    points whose distance may lie in [lo, hi], exactly once.
+
+    Cells have side 1/k, with k the integer square root of the points per
+    unit area of the bounding box (at least 1), so a dense set does not
+    crowd into a few unit cells.  Returns (order, blocks): `order` sorts the
+    points by cell, and `blocks` yields (left, right) positions into that
+    order: same-cell pairs (left < right) first, then one block per
+    _cell_offsets neighbour."""
     import numpy as np
 
     n = len(pts)
     if n == 0:
         return np.empty(0, np.int64), iter(())
-    cells = np.floor(pts).astype(np.int64)
+    w, h = np.ptp(pts, axis=0)
+    k = max(1, math.isqrt(int(n / ((w + 1) * (h + 1)))))
+    offsets = _cell_offsets(k, lo, hi)
+    cells = np.floor(pts * k).astype(np.int64)
     # pack cell coords into one int64 key (coordinates fit in 31 bits)
     shift = np.int64(1) << np.int64(31)
     base = np.int64(1) << np.int64(30)
@@ -342,7 +334,7 @@ def _cell_blocks(pts):
                                      starts[multi], sizes[multi])
         keep = left < right
         yield left[keep], right[keep]
-        for dx_c, dy_c in _HALF_OFFSETS:
+        for dx_c, dy_c in offsets:
             nkey = ukeys + np.int64(dx_c) * shift + np.int64(dy_c)
             pos = np.clip(np.searchsorted(ukeys, nkey), 0, len(ukeys) - 1)
             match = np.flatnonzero(ukeys[pos] == nkey)
@@ -354,7 +346,7 @@ def _cell_blocks(pts):
 
 
 def _count_hashed(pts, eps) -> int:
-    order, blocks = _cell_blocks(pts)
+    order, blocks = _cell_blocks(pts, 1 - eps, 1 + eps)
     x = pts[order, 0]
     y = pts[order, 1]
     return sum(int(_pair_distances_ok(x[left], y[left], x[right], y[right],
@@ -381,11 +373,17 @@ class GridResult:
                 "predicted_pairs": self.predicted_pairs}
 
 
+GRID_LIMIT = 10_000   # points of one grid; the search for m is O(n^1.5)
+
+
 def erdos_grid(n: int) -> GridResult:
     """sqrt(n) x sqrt(n) grid scaled so that a most-represented realizable
-    squared distance m becomes 1 (ties toward smaller m)."""
+    squared distance m becomes 1 (ties toward smaller m); WindowTooLarge
+    past GRID_LIMIT points."""
     import numpy as np
 
+    if n > GRID_LIMIT:
+        raise WindowTooLarge(f"{n} grid points (limit {GRID_LIMIT})")
     s = math.isqrt(max(n, 0))
     if s * s != n or s < 2:
         raise InvalidArgument(f"n must be a perfect square >= 4, not {n}")
@@ -489,14 +487,14 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
         if alpha.sign_at(i) < 0:
             return 0
 
-    basis = [F.element([Fraction(1 if k == j else 0) for k in range(F.n)])
-             for j in range(F.n)]
+    eye = [[1 if k == j else 0 for k in range(F.n)] for j in range(F.n)]
     # the box |sigma_i(x)| <= box is the polydisc sigma_i(x)^2 <= box^2 under
     # the identity conjugation, one coordinate per real root
-    real = CMStructure(field=F, conj_mat=identity(F.n), fixed_basis=tuple(basis),
+    real = CMStructure(field=F, conj_mat=identity(F.n),
+                       fixed_basis=tuple(F.element(r) for r in eye),
                        f=F.n, pair_reps=tuple(range(F.n)))
-    pts = elements(basis, lattice_points_in_polydisc(basis, real, [box * box] * F.n,
-                                                     limit=R2_SEARCH_LIMIT))
+    pts = elements(F, lattice_points_in_polydisc(eye, 1, real, [box * box] * F.n,
+                                                 limit=R2_SEARCH_LIMIT), 1)
     squares = {}
     for y in pts:
         sq = y * y

@@ -4,17 +4,22 @@ There is one coordinate per conjugate pair of roots.  A CM field gives a
 complex polydisc; a totally real field, with the identity as conjugation,
 gives the real box |sigma_i(z)| <= r_i.
 
-The basis is LLL-reduced, and a certified box |c_j| <= M_j from the inverse
-basis matrix bounds the integer coordinates.  The box is walked depth
-first, c_0 outermost and each coordinate ascending, so points come out in
-lexicographic order; the last coordinate is tested for all its values at
-once, elementwise in numpy.  Points are returned as integer coefficient
-rows; only the margin band below builds field elements.  Every real column t (re, and im for a complex root)
-of every basis vector is held as a float64 midpoint with a rigorous error,
-and each level keeps float partial sums P_t with a margin D_t that bounds
-|x_t - P_t| over every completion: the unfixed coordinates'
-sum M_j |m_jt| plus the centre's error, the sum of M_j e_jt and the
-rounding of the sums.  Floats only prune or accept:
+A lattice is given as integer basis rows over the integral basis, with an
+optional integer centre row, all over one common denominator D, and its
+points come back as integer coordinate rows over D: the representation
+point sets use.  The basis is LLL-reduced on the integer T2 Gram matrix
+B G B^T (G the trace form of the integral basis, numberfield.trace_form),
+and a certified box |c_j| <= M_j from the inverse basis matrix bounds the
+integer coefficients.  The box is walked depth first, c_0 outermost and
+each coefficient ascending, so points come out in lexicographic order of
+their coefficients on the reduced basis; the last coefficient is tested
+for all its values at once, elementwise in numpy.  Only the margin band
+below builds field elements.  Every real column t (re, and im for a
+complex root) of every basis vector is held as a float64 midpoint with a
+rigorous error, and each level keeps float partial sums P_t with a margin
+D_t that bounds |x_t - P_t| over every completion: the unfixed
+coefficients' sum M_j |m_jt| plus the centre's error, the sum of M_j e_jt
+and the rounding of the sums.  Floats only prune or accept:
 
     prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
     accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
@@ -34,7 +39,8 @@ from typing import List, Optional, Sequence
 from .errors import PrecisionExhausted, WindowTooLarge
 from .intervals import (ComplexInterval, RealInterval, round_down, round_up,
                         sqrt_upper)
-from .numberfield import CMStructure, FieldElement, NumberField, abs_sq
+from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
+                          trace_form)
 
 _PREFILTER_BITS = 48
 _SLACK = 2.0 ** -40
@@ -57,38 +63,36 @@ def _embedding_columns(real: Sequence[bool]) -> List[range]:
     return cols
 
 
-def _image_box(v: FieldElement, idx: int, bits: int) -> ComplexInterval:
-    """sigma_idx(v), of width <= 2^-bits, as the exact combination
-    sum_k c_k sigma(b_k) of the field's cached integral-basis images.
+def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
+               bits: int) -> ComplexInterval:
+    """sigma_idx(z) for z = sum_k (row_k / denom) b_k, of width <= 2^-bits,
+    as the exact combination of the field's cached integral-basis images.
 
-    With L the common denominator of the c_k, the integer combination
-    sum_k (L c_k) sigma(b_k) is exact and its quotient by L is rounded
-    outward to 2^-g, so the width is at most (sum |c_k| + 2) 2^-g for
-    images of width 2^-g; g exceeds bits by a multiple of 64 that covers
-    the bit length of sum |c_k| + 2."""
-    L = math.lcm(*(c.denominator for c in v.coords))
-    N = [c.numerator * (L // c.denominator) for c in v.coords]
-    S = -(-sum(map(abs, N)) // L) + 2          # ceil(sum |c_k|) + 2
+    The integer combination sum_k row_k sigma(b_k) is exact and its
+    quotient by denom is rounded outward to 2^-g, so the width is at most
+    (sum |row_k| / denom + 2) 2^-g for images of width 2^-g; g exceeds bits
+    by a multiple of 64 that covers the bit length of that factor."""
+    S = -(-sum(map(abs, row)) // denom) + 2    # ceil(sum |row_k| / denom) + 2
     g = bits + 64 * (1 + S.bit_length() // 64)
     parts = []
     for axis in ("re", "im"):
         lo = hi = Fraction(0)
-        for c, box in zip(N, v.field.basis_images(idx, g)):
+        for c, box in zip(row, field.basis_images(idx, g)):
             iv = getattr(box, axis)
             if c > 0:
                 lo, hi = lo + c * iv.lo, hi + c * iv.hi
             elif c < 0:
                 lo, hi = lo + c * iv.hi, hi + c * iv.lo
-        parts.append(RealInterval(round_down(lo / L, g), round_up(hi / L, g)))
+        parts.append(RealInterval(round_down(lo / denom, g), round_up(hi / denom, g)))
     return ComplexInterval(*parts)
 
 
-def _basis_embeddings(basis: Sequence[FieldElement], reps: Sequence[int],
+def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int],
                       real: Sequence[bool], bits: int):
-    """Columns of sigma_i(v_j) as coarse intervals, one row per basis vector."""
+    """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
     keep = max(_PREFILTER_BITS, bits - 16)
-    return [_columns([_image_box(v, idx, bits).round_outward(keep) for idx in reps],
-                     real) for v in basis]
+    return [_columns([_image_box(field, v, denom, idx, bits).round_outward(keep)
+                      for idx in reps], real) for v in basis]
 
 
 def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
@@ -133,32 +137,37 @@ def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
     return [int(yj + slop) + 1 for yj in y]
 
 
-def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
-                               radii_sq: Sequence[Fraction],
-                               center: Optional[FieldElement] = None,
+def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
+                               cm: CMStructure, radii_sq: Sequence[Fraction],
+                               center: Optional[Sequence[int]] = None,
                                limit: Optional[int] = None):
-    """All z = center + sum c_j v_j with |sigma_i(z)|^2 <= radii_sq[i] for all i,
-    as an (m, len(basis)) integer array of the coefficient rows c (see
-    coordinate_rows and elements).
+    """The points z = (center + sum_j c_j basis_j) / denom, c integer, with
+    |sigma_i(z)|^2 <= radii_sq[i] for all i, as an (m, n) integer array of
+    their coordinate rows over the integral basis, all over denom.
 
-    sigma_i is the embedding at root cm.pair_reps[i] and |.|^2 is decided
-    through abs_sq(z, cm).  The polydisc is closed; boundary points are
-    included.  Deterministic order (lexicographic in the integer
-    coordinates of the LLL-reduced basis).
+    basis is n rows of n Python ints, the lattice's basis over the integral
+    basis times denom, and center (optional) one such row.  sigma_i is the
+    embedding at root cm.pair_reps[i] and |.|^2 is decided through
+    abs_sq(z, cm).  The polydisc is closed; boundary points are included;
+    a negative radius gives no points.  Deterministic order (lexicographic
+    in the integer coefficients c on the LLL-reduced basis).  Raises
+    WindowTooLarge when the certified coefficient box has more than limit
+    points.
     """
-    field = basis[0].field
+    field = cm.field
+    n = field.n
     reps = cm.pair_reps
     real = [field.roots()[idx].is_real for idx in reps]
     cols = _embedding_columns(real)
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
-        return _int_rows([], len(basis))
-    U, basis = _lll_reduce_basis(basis, cm.conj)
-    emb = _basis_embeddings(basis, reps, real, 64)
+        return _int_rows([], n)
+    basis = _lll_reduce_basis(basis, cm)
+    emb = _basis_embeddings(field, basis, denom, reps, real, 64)
     center_emb = None
-    if center is not None and not center.is_zero():
-        center_emb = [_image_box(center, idx, 64).round_outward(_PREFILTER_BITS)
-                      for idx in reps]
+    if center is not None and any(center):
+        center_emb = [_image_box(field, center, denom, idx, 64)
+                      .round_outward(_PREFILTER_BITS) for idx in reps]
     bounds = None
     bits = 64
     while bounds is None:
@@ -168,7 +177,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
             if bits > 4096:
                 raise PrecisionExhausted(
                     "basis embeddings too coarse to bound the search box")
-            emb = _basis_embeddings(basis, reps, real, bits)
+            emb = _basis_embeddings(field, basis, denom, reps, real, bits)
     total = 1
     for m in bounds:
         total *= 2 * m + 1
@@ -178,7 +187,6 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
 
     import numpy as np
 
-    n = len(basis)
     try:
         mids, errs = zip(*map(_float_columns, emb))
         if center_emb is None:
@@ -207,12 +215,14 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
 
     last = margins[-1]
     one = field.one()
+    origin = [0] * n if center is None else list(center)
 
     def exact_inside(cvec, undecided):
-        z = field.zero() if center is None else center
-        for j, c in enumerate(cvec):
+        row = origin
+        for c, v in zip(cvec, basis):
             if c:
-                z = z + basis[j] * c
+                row = [x + c * y for x, y in zip(row, v)]
+        z = FieldElement(field, tuple(Fraction(x, denom) for x in row))
         z2 = abs_sq(z, cm)
         return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
 
@@ -258,7 +268,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
                                  dtype=np.int64).reshape(-1, n - 1)[r]
         block[:, -1] = cs[c]
         blocks.append(block)
-    return _combine(np.concatenate(blocks), U, [0] * n)
+    return _combine(np.concatenate(blocks), basis, origin)
 
 
 def _float_columns(ivs):
@@ -294,30 +304,20 @@ def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
     return [list(row) for row in zip(*out)]
 
 
-def _lll_reduce_basis(basis: Sequence[FieldElement], conj):
-    """(U, reduced): exact LLL on the T2 Gram matrix Tr(x * conj(y)); the
-    reduced basis is U @ basis, U an integer matrix."""
+def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
+    """The rows U @ basis, U the integer transform of exact LLL on the T2
+    Gram matrix B G B^T of the integer basis rows B (G = trace_form(cm));
+    a common denominator of the rows scales the Gram matrix, which LLL
+    ignores."""
     from . import linalg
 
-    n = len(basis)
-    if n <= 1:
-        return [[1] * n for _ in range(n)], list(basis)
-    field = basis[0].field
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(field._trace_coords((basis[i] * conj(basis[j])).coords))
-        gram.append(tuple(row))
-    U = [list(row) for row in linalg.lll_transform(linalg.mat(gram))]
-    out = []
-    for row in U:
-        z = field.zero()
-        for c, v in zip(row, basis):
-            if c:
-                z = z + v * c
-        out.append(z)
-    return U, out
+    G = trace_form(cm)
+    BG = [[sum(b * g[l] for b, g in zip(row, G)) for l in range(len(G))]
+          for row in basis]
+    gram = [[sum(x * y for x, y in zip(r, b)) for b in basis] for r in BG]
+    U = linalg.lll_transform(linalg.mat(gram))
+    return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(G))]
+            for row in U]
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +359,10 @@ def point_rows(points: Sequence[FieldElement], n: int):
                       for z in points for q in z.coords], n), denom
 
 
-def coordinate_rows(basis: Sequence[FieldElement], rows,
-                    center: Optional[FieldElement] = None):
-    """(coords, denom): the points center + sum_j c_j basis_j of the
-    coefficient rows c, as integer coordinate rows over one denominator."""
-    field = basis[0].field
-    B, denom = point_rows(list(basis) + [center or field.zero()], field.n)
-    *B, c = B.tolist()
-    return _combine(rows, B, c), denom
-
-
-def elements(basis: Sequence[FieldElement], rows,
-             center: Optional[FieldElement] = None) -> List[FieldElement]:
-    """The points of coefficient rows (see coordinate_rows) as field elements."""
-    field = basis[0].field
-    coords, denom = coordinate_rows(basis, rows, center)
+def elements(field: NumberField, rows, denom: int) -> List[FieldElement]:
+    """The points rows / denom (see point_rows) as field elements."""
     return [FieldElement(field, tuple(Fraction(c, denom) for c in row))
-            for row in coords.tolist()]
+            for row in rows.tolist()]
 
 
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
@@ -383,8 +370,7 @@ def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
     from .numberfield import is_unit_modulus
 
     n = field.n
-    basis = [FieldElement(field, tuple(Fraction(1 if k == j else 0) for k in range(n)))
-             for j in range(n)]
-    candidates = elements(basis, lattice_points_in_polydisc(basis, cm,
-                                                            [Fraction(1)] * cm.f))
+    eye = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    candidates = elements(field, lattice_points_in_polydisc(
+        eye, 1, cm, [Fraction(1)] * cm.f), 1)
     return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]

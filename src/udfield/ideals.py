@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .enumeration import elements, lattice_points_in_polydisc
+from .enumeration import elements, lattice_points_in_polydisc, point_rows
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
 from .linalg import (hnf_det, hnf_rows, lattice_intersect, mat, mat_inv,
                      rational_hnf, vec_mat)
@@ -56,19 +56,11 @@ class FracIdeal:
 
     @classmethod
     def from_elements(cls, field: NumberField, gens: Sequence[FieldElement]) -> "FracIdeal":
-        """The O_K-module generated by gens."""
-        rows: List[List[Fraction]] = []
-        n = field.n
-        for g in gens:
-            for i in range(n):
-                unit = tuple(Fraction(1 if k == i else 0) for k in range(n))
-                rows.append(list(field._mul_coords(unit, g.coords)))
-        den = 1
-        for r in rows:
-            for c in r:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        int_rows = [[int(c * den) for c in r] for r in rows]
-        return cls._normalize(field, int_rows, den)
+        """The O_K-module generated by gens: the rows b_i g of their
+        multiplication matrices, over one denominator."""
+        rows, den = point_rows([FieldElement(field, r) for g in gens
+                                for r in field._mult_matrix(g.coords)], field.n)
+        return cls._normalize(field, rows.tolist(), den)
 
     @classmethod
     def principal(cls, z: FieldElement) -> "FracIdeal":
@@ -122,14 +114,12 @@ class FracIdeal:
 
     def inverse(self) -> "FracIdeal":
         field = self.field
-        scaled = FracIdeal(field, self.hnf, 1)  # den-free integral version
         inter = None
-        for m in scaled.basis_elements():
-            rmat = field._mult_matrix(m.coords)
-            rows = mat_inv(rmat)
+        for row in self.hnf:   # the basis of the integral ideal J = den * self
+            rows = mat_inv(field._mult_matrix(row))
             inter = rows if inter is None else lattice_intersect(inter, rows)
         h, d = rational_hnf(inter)
-        # self = scaled / den, so self^{-1} = scaled^{-1} * den
+        # self = J / den, so self^{-1} = J^{-1} * den
         inv = self._normalize(field, [[c * self.den for c in row] for row in h], d)
         check = inv * self
         if check != FracIdeal.unit_ideal(field):
@@ -149,14 +139,9 @@ class FracIdeal:
         return result
 
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
-        rows = [vec_mat([Fraction(c) for c in row], cm.conj_mat) for row in self.hnf]
-        den = self.den
-        extra = 1
-        for r in rows:
-            for c in r:
-                extra = extra * c.denominator // math.gcd(extra, c.denominator)
-        int_rows = [[int(c * extra) for c in r] for r in rows]
-        return self._normalize(self.field, int_rows, den * extra)
+        rows, extra = point_rows([cm.conj(self.field.element(row)) for row in self.hnf],
+                                 self.field.n)
+        return self._normalize(self.field, rows.tolist(), self.den * extra)
 
     def __repr__(self):
         return f"FracIdeal({self.field.label}, norm={self.norm()})"
@@ -263,38 +248,29 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     norm = scaled.norm()
     assert norm.denominator == 1
     N = int(norm)
-    basis = scaled.basis_elements()
-    f = cm.f
-
-    if K.n == 2 and K.disc < 0:
-        # |sigma(x)|^2 = N(x): the polydisc of radius^2 = N is exhaustive
-        candidates = elements(basis, lattice_points_in_polydisc(
-            basis, cm, [Fraction(N)]))
-        for x in sorted(candidates, key=lambda z: tuple(z.coords)):
-            if x.is_zero():
-                continue
-            if abs(x.norm()) == N and FracIdeal.principal(x) == scaled:
-                return PrincipalityResult(FOUND, x / I.den)
-        return PrincipalityResult(NOT_FOUND)
-
-    disc_root = iroot_ceil(N * N * abs(K.disc), 2 * f)
-    rad2 = slack * disc_root
-    stretches = _unit_stretches(K, cm, unit_search_depth)
+    # imaginary quadratic: |sigma(x)|^2 = N(x), so the polydisc of
+    # radius^2 = N is exhaustive and searched with no limit
+    exhaustive = K.n == 2 and K.disc < 0
+    if exhaustive:
+        searches = [[Fraction(N)]]
+    else:
+        rad2 = slack * iroot_ceil(N * N * abs(K.disc), 2 * cm.f)
+        searches = [[rad2 * s for s in stretch]
+                    for stretch in _unit_stretches(K, cm, unit_search_depth)]
     seen = set()
-    for stretch in stretches:
-        radii = [rad2 * s for s in stretch]
+    for radii in searches:
         try:
-            candidates = elements(basis, lattice_points_in_polydisc(
-                basis, cm, radii, limit=2_000_000))
+            candidates = elements(K, lattice_points_in_polydisc(
+                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000), 1)
         except WindowTooLarge:
             continue
-        for x in sorted(candidates, key=lambda z: tuple(z.coords)):
+        for x in sorted(candidates, key=lambda z: z.coords):
             if x.is_zero() or x.coords in seen:
                 continue
             seen.add(x.coords)
             if abs(x.norm()) == N and FracIdeal.principal(x) == scaled:
                 return PrincipalityResult(FOUND, x / I.den)
-    return PrincipalityResult(INCONCLUSIVE)
+    return PrincipalityResult(NOT_FOUND if exhaustive else INCONCLUSIVE)
 
 
 def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):

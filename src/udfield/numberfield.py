@@ -11,6 +11,7 @@ surfaces later as NotAField when a zero divisor is inverted.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,7 +48,12 @@ class NumberField:
         self.warnings = list(warnings)
         self._theta_powers = self._power_table()
         self.mult_table = self._structure_constants()
-        self.disc = self._discriminant()
+        # Tr(b_k) is the trace of multiplication by b_k, whose row i holds
+        # the coordinates of b_i b_k
+        self.basis_traces = tuple(sum(self.mult_table[i][k][i] for i in range(self.n))
+                                  for k in range(self.n))
+        self.disc = int(linalg.mat_det(mat([[self._trace_coords(v) for v in row]
+                                            for row in self.mult_table])))
         self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
         self._cm_checked = False
@@ -104,22 +110,6 @@ class NumberField:
             table.append(tuple(row_i))
         return tuple(table)
 
-    def _discriminant(self) -> int:
-        n = self.n
-        gram = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                prod_coords = self._mul_coords(
-                    tuple(Fraction(1 if k == i else 0) for k in range(n)),
-                    tuple(Fraction(1 if k == j else 0) for k in range(n)))
-                row.append(self._trace_coords(prod_coords))
-            gram.append(tuple(row))
-        d = linalg.mat_det(mat(gram))
-        if d.denominator != 1:
-            raise ValueError("trace form of integral basis is not integral")
-        return int(d)
-
     # -- coordinate arithmetic ------------------------------------------------
 
     def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -151,8 +141,8 @@ class NumberField:
         return tuple(rows)
 
     def _trace_coords(self, coords: Sequence[Fraction]) -> Fraction:
-        m = self._mult_matrix(coords)
-        return sum(m[i][i] for i in range(self.n))
+        """Tr(z) = sum_k c_k Tr(b_k): the trace is linear."""
+        return sum(c * t for c, t in zip(coords, self.basis_traces))
 
     def _norm_coords(self, coords: Sequence[Fraction]) -> Fraction:
         return linalg.mat_det(self._mult_matrix(coords))
@@ -381,6 +371,37 @@ def abs_sq(z: FieldElement, cm: CMStructure) -> FieldElement:
     return z * cm.conj(z)
 
 
+def hermitian_form(cm: CMStructure):
+    """(T, e): T[j][l][k] = L coords(b_j conj(b_l))_k and e = L coords(1)
+    over the integral basis b, with L the least common denominator, so that
+    z = sum_j (d_j / D) b_j has |z|^2 = 1 exactly when
+    sum_{j,l} d_j d_l T[j][l][k] = D^2 e_k for every k.
+
+    Built on first use and kept on the CM structure."""
+    if cm.hermitian is None:
+        K = cm.field
+        n = K.n
+        basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
+        table = [[(b * cm.conj(c)).coords for c in basis] for b in basis]
+        one = K.one().coords
+        L = math.lcm(*(q.denominator for q in one),
+                     *(q.denominator for row in table for v in row for q in v))
+        cm.hermitian = ([[[int(q * L) for q in v] for v in row] for row in table],
+                        [int(q * L) for q in one])
+    return cm.hermitian
+
+
+def trace_form(cm: CMStructure) -> List[List[int]]:
+    """G[j][l] = Tr(b_j conj(b_l)), the T2 form on the integral basis b,
+    read off hermitian_form: the trace is linear, so L G[j][l] is the trace
+    of the coordinates T[j][l], and Tr(1) = n gives L n = Tr(e).  Every
+    entry is the trace of an algebraic integer, so the divisions are exact."""
+    T, e = hermitian_form(cm)
+    K = cm.field
+    L = K._trace_coords(e) // K.n
+    return [[K._trace_coords(v) // L for v in row] for row in T]
+
+
 def is_unit_modulus(z: FieldElement, cm: CMStructure) -> bool:
     """Exact test: |sigma(z)| = 1 in every embedding."""
     return abs_sq(z, cm) == z.field.one()
@@ -426,7 +447,7 @@ def _quadratic_integral_basis(p: IntPoly) -> Matrix:
         raise NonMonic("not a quadratic field (square discriminant)")
     d = squarefree_kernel(disc_poly)
     s2 = disc_poly // d
-    s = __import__("math").isqrt(abs(s2))
+    s = math.isqrt(abs(s2))
     # sqrt(d) = (2*theta + b)/s
     if d % 4 == 1:
         row2 = (Fraction(d * s + b, 2 * s), Fraction(1, s))  # (d + sqrt(d))/2

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,9 @@ def test_bad_field_json_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
     for text in ('{"label": "no polynomial"}',
-                 '{"min_poly": [1, 0, 1], "integral_basis": 5}'):
+                 '{"min_poly": [1, 0, 1], "integral_basis": 5}',
+                 '{"min_poly": [1, 0, 1.5]}',       # not truncated to x^2 + 1
+                 '{"min_poly": ["1", "0", "1"]}'):
         bad.write_text(text)
         proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
         assert proc.returncode == 3, (text, proc.stderr)
@@ -227,6 +230,26 @@ def test_exact_count_without_coordinate_columns_exits_3(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "c0" in proc.stderr
+
+
+def test_uncapped_searches_exit_7(tmp_path):
+    for args in (("generate", "--field", "gaussian", "--k", "1000", "--out", "run"),
+                 ("generate", "--field", "gaussian", "--R", "3", "--scale", "1",
+                  "--translate-candidates", "1000000000", "--out", "run"),
+                 ("grid", "--n", "1000000")):
+        t0 = time.perf_counter()
+        proc = _run_module(tmp_path, *args)
+        assert time.perf_counter() - t0 < 10, args
+        assert proc.returncode == 7, (args, proc.stderr)
+        assert "limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_generate_auto_window_beyond_4000_points(tmp_path, capsys):
+    # about 5000 points in O_K: auto mode once refused windows past 4000
+    rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",
+                       "--k", "2", "--R", "40", "--no-plot", "--out", str(tmp_path))
+    assert rc == 0
+    assert data["delta"] == "1" and data["measured_points"] > 4000
 
 
 def test_bad_generate_numbers_exit_3(tmp_path):

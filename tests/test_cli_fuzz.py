@@ -3,9 +3,10 @@ numbers and paths and truncated, NaN or huge CSV/JSON inputs.
 
 Every invocation must end in exit code 0 or a typed family code (2 from
 argparse, 3..8 from UdfieldError), never in an uncaught exception.
-Parameters that size the work (k, R, scale, grid n, translate
-candidates) are drawn small or malformed, never huge, so that each call
-stays at desk scale; huge values go into parsed-only options and the files.
+R and scale are drawn small or malformed so that each call stays at desk
+scale.  The searches sized by k, grid n and translate candidates are
+capped, so those are also drawn past their caps, where a run with
+otherwise good arguments must exit 7 (WindowTooLarge).
 """
 
 import contextlib
@@ -21,6 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from udfield.cli import main
+from udfield.construct import PIGEONHOLE_LIMIT, TRANSLATE_LIMIT
+from udfield.counting import GRID_LIMIT
 
 ALLOWED = {0, 2, 3, 4, 5, 6, 7, 8}
 HUGE = str(10 ** 400)
@@ -46,11 +49,15 @@ def workdir(tmp_path_factory):
     return root
 
 
-def numbers(*good, huge=True):
-    """A good value four times in five, else a malformed (or huge) one."""
+def numbers(*good):
+    """A good value four times in five, else a malformed or huge one."""
     good = st.sampled_from([str(g) for g in good])
-    return st.one_of(good, good, good, good,
-                     st.sampled_from(MALFORMED + [HUGE] * huge))
+    return st.one_of(good, good, good, good, st.sampled_from(MALFORMED + [HUGE]))
+
+
+def past(limit):
+    """A value past a search cap: just past it, far past it, or huge."""
+    return st.one_of(st.integers(limit + 1, 10 ** 12), st.just(10 ** 400)).map(str)
 
 
 def flags(**options):
@@ -133,11 +140,13 @@ def _argv(data, d):
     if command == "generate":
         return (["generate", "--field", data.draw(field), "--out", str(d / "out")]
                 + data.draw(flags(**{
-                    "--prime": numbers(2, 3, 5, 13), "--k": numbers(0, 1, 2, huge=False),
+                    "--prime": numbers(2, 3, 5, 13),
+                    "--k": st.one_of(numbers(0, 1, 2), past(PIGEONHOLE_LIMIT)),
                     "--R": numbers(2, 3, "5/2", "1/2"), "--scale": numbers(1, "1/2"),
                     "--mode": st.sampled_from(["auto", "window", "closure", "x"]),
                     "--projection-coordinate": numbers(0, 1),
-                    "--translate-candidates": numbers(0, 2, huge=False),
+                    "--translate-candidates": st.one_of(numbers(0, 2),
+                                                        past(TRANSLATE_LIMIT)),
                     "--max-points": numbers(10, 1000)}))
                 + data.draw(st.sampled_from([[], ["--allow-small-R"], ["--no-plot"]])))
     if command == "count":
@@ -166,18 +175,13 @@ def _argv(data, d):
                                                  str(d / "field.json")]),
                      "--box": numbers(3, 10)}))
     if command == "grid":
-        return (["grid", "--n", data.draw(numbers(4, 25, 5, huge=False))]
+        return (["grid", "--n", data.draw(st.one_of(numbers(4, 25, 5), past(GRID_LIMIT)))]
                 + data.draw(flags(**{"--eps": numbers("1e-9")})))
     return [command]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_cli_fuzz_exits_typed(workdir, data):
-    d = _files(workdir, data)
-    argv = _argv(data, d)
-    if argv[0] == "generate" and data.draw(st.booleans()):   # a malformed --out
-        argv[argv.index("--out") + 1] = data.draw(st.sampled_from(PATHS))
+def _run(argv, d):
+    """(exit code, stderr) of the CLI run in-process from directory d."""
     err = io.StringIO()
     home = os.getcwd()
     os.chdir(d)
@@ -189,5 +193,32 @@ def test_cli_fuzz_exits_typed(workdir, data):
                 rc = exc.code
     finally:
         os.chdir(home)
-    assert rc in ALLOWED, (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_exits_typed(workdir, data):
+    d = _files(workdir, data)
+    argv = _argv(data, d)
+    if argv[0] == "generate" and data.draw(st.booleans()):   # a malformed --out
+        argv[argv.index("--out") + 1] = data.draw(st.sampled_from(PATHS))
+    rc, err = _run(argv, d)
+    assert rc in ALLOWED, (argv, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_past_caps_exit_7(workdir, data):
+    field, prime = data.draw(st.sampled_from(
+        [("gaussian", "5"), ("gaussian", "13"), ("qsqrt-5", "3"), ("adjoin-i:5", "29")]))
+    generate = ["generate", "--field", field, "--prime", prime, "--R", "3",
+                "--scale", "1", "--out", "out"]
+    argv = data.draw(st.one_of(
+        past(PIGEONHOLE_LIMIT).map(lambda k: generate + ["--k", k]),
+        past(TRANSLATE_LIMIT).map(lambda c: generate + ["--translate-candidates", c]),
+        past(GRID_LIMIT).map(lambda n: ["grid", "--n", n])))
+    rc, err = _run(argv, workdir)
+    assert rc == 7, (argv, err)
+    assert "limit" in err and "Traceback" not in err

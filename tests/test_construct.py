@@ -90,6 +90,8 @@ def test_enumerate_window_examples(gaussian):
     assert len(w2) == 13 and denom == 1
     w1, _ = enumerate_window(gaussian, Fraction(1), Fraction(1))
     assert len(w1) == 5
+    # a negative R holds no point (R^2 = 1 would give w1's five)
+    assert len(enumerate_window(gaussian, Fraction(1), Fraction(-1))[0]) == 0
     # brute-force oracle over the integer square
     brute = 0
     for a in range(-3, 4):

@@ -23,13 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_counting as oracle
-from pointrows import rows_of
+from pointrows import elements_of, rows_of
 from udfield.construct import enumerate_window
 from udfield.counting import (PlanarFloatSet, _unit_distance, count_exact,
-                              count_float, hermitian_form, planar_image,
-                              unit_pair_indices)
+                              count_float, planar_image, unit_pair_indices)
 from udfield.errors import PrecisionExhausted
-from udfield.numberfield import abs_sq
+from udfield.numberfield import abs_sq, hermitian_form
 
 # 0 keeps a coordinate exact; +-2^-60 moves it just off
 nudge = st.sampled_from([0, 1, -1]).map(lambda s: Fraction(s, 1 << 60))
@@ -198,6 +197,21 @@ def test_unit_pairs_tiny_sets(gaussian, gaussian_cm):
         for method in ("hashed", "brute"):
             census = count_float(PlanarFloatSet(points=pts, eps=1e-9), method)
             assert census.unit_pairs == (1 if len(pts) == 2 else 0)
+
+
+def test_unit_pairs_dense_windows_match_oracle(gaussian, gaussian_cm, qsqrt_m5,
+                                              qsqrt_m5_cm, deg4, deg4_cm):
+    # many points per unit area, so the cell hash uses cells finer than 1
+    for K, cm, scale, R in ((gaussian, gaussian_cm, Fraction(1, 5), 2),
+                            (qsqrt_m5, qsqrt_m5_cm, Fraction(1, 9), 2),
+                            (deg4, deg4_cm, Fraction(1, 3), 1)):
+        rows, denom = enumerate_window(K, scale, R)
+        xy, err = planar_image(rows, denom, cm)
+        w, h = np.ptp(xy, axis=0)
+        assert len(rows) >= 4 * (w + 1) * (h + 1)
+        want = oracle.unit_pair_indices(elements_of(K, rows, denom), cm)
+        assert len(want) > len(rows)
+        assert unit_pair_indices(rows, denom, xy, err, cm) == want
 
 
 def test_count_exact_memory_stays_linear(gaussian, gaussian_cm):

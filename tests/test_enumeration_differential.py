@@ -14,17 +14,25 @@ from hypothesis import strategies as st
 
 import oracle_enumeration as oracle
 from oracle_enumeration import real_structure
-from udfield.enumeration import elements, lattice_points_in_polydisc
+import udfield.construct as construct
+from udfield.enumeration import (_lll_reduce_basis, elements,
+                                 lattice_points_in_polydisc, point_rows)
 from udfield.errors import WindowTooLarge
-from udfield.ideals import _unit_stretches
-from udfield.numberfield import FieldElement, abs_sq, compositum_multiquadratic
+from udfield.ideals import _unit_stretches, split_prime
+from udfield.numberfield import (FieldElement, abs_sq, compositum_multiquadratic,
+                                 trace_form)
 
 
 def _points(basis, cm, radii, center=None, limit=None):
-    """The enumerator's coefficient rows, as field elements."""
-    rows = lattice_points_in_polydisc(basis, cm, radii, center=center, limit=limit)
-    assert rows.shape == (len(rows), len(basis)) and rows.dtype.kind in "iO"
-    return elements(basis, rows, center)
+    """The enumerator's points for a basis and centre of field elements,
+    passed as integer rows over one denominator, as field elements."""
+    K = cm.field
+    rows, denom = point_rows(list(basis) + [center or K.zero()], K.n)
+    *B, c = rows.tolist()
+    got = lattice_points_in_polydisc(B, denom, cm, radii,
+                                     center=None if center is None else c, limit=limit)
+    assert got.shape == (len(got), K.n) and got.dtype.kind in "iO"
+    return elements(K, got, denom)
 
 
 small = st.integers(-3, 3)
@@ -189,3 +197,57 @@ def test_boundary_band_uses_exact_sign(monkeypatch, deg4, deg4_cm):
     assert calls
     want = oracle.lattice_points_in_polydisc(basis, cm, radii)
     assert _coords(got) == _coords(want)
+
+
+def _pigeonhole_lattices(monkeypatch, cm, p, k):
+    """The HNF rows of every ideal that pigeonhole_units asks is_principal
+    about, for one prime pair of exponent k above p."""
+    K = cm.field
+    asked = []
+    is_principal = construct.is_principal
+
+    def spy(I, **kwargs):
+        asked.append(I.hnf)
+        return is_principal(I, **kwargs)
+
+    monkeypatch.setattr(construct, "is_principal", spy)
+    pairs, seen = [], set()
+    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
+        if pr.lattice not in seen:
+            seen.add(pr.lattice.conjugate(cm))
+            pairs.append((pr, k))
+    construct.pigeonhole_units(K, pairs)
+    return asked
+
+
+def test_lll_rows_match_oracle(monkeypatch, gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    # the window lattices scale * O_K (scale numerator times the identity over
+    # the scale denominator; 1/p^2 is the closure demo's) and the ideals of
+    # the pigeonhole's principality searches (HNF over 1)
+    for cm, p, k, scales in ((gaussian_cm, 5, 2, [Fraction(1), Fraction(1, 625)]),
+                             (qsqrt_m5_cm, 3, 2, [Fraction(1), Fraction(1, 81)]),
+                             (deg4_cm, 29, 1, [Fraction(1), Fraction(1, 29 ** 2)])):
+        K = cm.field
+        n = K.n
+        lattices = [([[s.numerator if i == j else 0 for j in range(n)] for i in range(n)],
+                     s.denominator) for s in scales]
+        lattices += [(hnf, 1) for hnf in _pigeonhole_lattices(monkeypatch, cm, p, k)]
+        assert len(lattices) > len(scales)
+        for B, D in lattices:
+            basis = [K.element([Fraction(c, D) for c in row]) for row in B]
+            rows, denom = point_rows(oracle._lll_reduce_basis(basis, cm), n)
+            assert (_lll_reduce_basis(B, cm), D) == (rows.tolist(), denom)
+
+
+def test_trace_form_is_the_trace_gram(gaussian_cm, qsqrt_m5_cm, deg4_cm, sqrt5_field):
+    # against _trace_coords and, independently of the basis traces it
+    # reads, the diagonal of the multiplication matrix
+    for cm in (gaussian_cm, qsqrt_m5_cm, deg4_cm, real_structure(sqrt5_field)):
+        K = cm.field
+        basis = [K.element([1 if k == j else 0 for k in range(K.n)]) for j in range(K.n)]
+        G = trace_form(cm)
+        assert all(type(g) is int for row in G for g in row)
+        products = [[(b * cm.conj(c)).coords for c in basis] for b in basis]
+        assert G == [[K._trace_coords(v) for v in row] for row in products]
+        assert G == [[sum(K._mult_matrix(v)[i][i] for i in range(K.n)) for v in row]
+                     for row in products]
