@@ -16,8 +16,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (BoundViolation, ConjugateCollision, InputError, ParseError,
-                     PreconditionError, UdfieldError, WindowTooLarge)
+from .errors import (BoundViolation, ConjugateCollision, InputError,
+                     InvalidArgument, ParseError, PreconditionError,
+                     UdfieldError, WindowTooLarge)
 
 PRECISION_MIN, PRECISION_MAX = 32, 4096
 
@@ -119,6 +120,8 @@ def cmd_generate(args) -> int:
         raise PreconditionError(
             "R < 2 voids the volumetric bounds; pass --allow-small-R to proceed")
 
+    if args.k < 0:
+        raise InvalidArgument(f"--k must be >= 0, not {args.k}")
     prime_pairs = []
     if args.k > 0:
         primes = split_prime(K, args.prime)

@@ -1,13 +1,13 @@
 """Pigeonhole unit generation, window point-set construction, and the
 exponent ledger.
 
-The pigeonhole routine groups products of split-prime powers by certified
-principality of their ratios (union-find), turns same-class ratios into
-unit-modulus elements u = alpha / conj(alpha), and certifies every emitted
-unit symbolically.  The window builder enumerates a polydisc slice of a
-scaled copy of O_K (or a unit-translate closure of an inner window when a
-full window is not desk-feasible) and reports exact translation and
-packing bounds next to the measured counts.
+The pigeonhole routine groups products of split-prime powers, in one pass,
+by certified principality of their ratio to each class's first member,
+turns same-class ratios into unit-modulus elements u = alpha / conj(alpha),
+and certifies every emitted unit symbolically.  The window builder
+enumerates a polydisc slice of a scaled copy of O_K (or a unit-translate
+closure of an inner window when a full window is not desk-feasible) and
+reports exact translation and packing bounds next to the measured counts.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ def denominator_bound(primes: Sequence[Tuple[PrimeIdeal, int]]) -> int:
     return D
 
 
-def _check_prime_pairs(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]]):
-    lattices = [pr.lattice for pr, _ in primes]
-    for i, (pr, k) in enumerate(primes):
+def _check_prime_pairs(primes: Sequence[Tuple[PrimeIdeal, int]],
+                       conjugates: Sequence[FracIdeal]):
+    for i, ((pr, k), conj_i) in enumerate(zip(primes, conjugates)):
         if k < 1:
             raise ValueError("all exponents k_j must be >= 1")
-        conj_i = pr.lattice.conjugate(cm)
         for j, (qr, _) in enumerate(primes):
             if i != j and pr.lattice == qr.lattice:
                 raise ConjugateCollision("prime ideals must be pairwise distinct")
@@ -92,8 +91,12 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
                      unit_search_depth: int = 3) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
-    Ratios inside the largest principality class give alpha with
-    (alpha) = I / I_0; each u = alpha / conj(alpha) is verified to be
+    One pass in lexicographic order of the exponent vectors tests each ideal
+    I against the base B (first member) of each class so far, in class
+    order, and puts it in the first class with I B^-1 = (alpha) certified;
+    otherwise I opens a class (an INCONCLUSIVE test sets `inconclusive`).
+    In the largest class (ties toward the smallest base) each member gives
+    u = alpha / conj(alpha), alpha = 1 for the base; each u is verified to be
     unit-modulus, to lie in Q^{-2}, and to have D u integral.  The emitted
     list is closed under conjugation and (optionally) torsion multiples;
     ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
@@ -103,69 +106,50 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     if cm is None:
         raise ValueError("pigeonhole_units requires a CM field")
     primes = list(primes)
-    _check_prime_pairs(cm, primes)
+    conjugates = [pr.lattice.conjugate(cm) for pr, _ in primes]
+    _check_prime_pairs(primes, conjugates)
     count = math.prod(k + 1 for _, k in primes)
     if count > PIGEONHOLE_LIMIT:
         raise WindowTooLarge(f"{count} exponent vectors (limit {PIGEONHOLE_LIMIT})")
 
     Q = FracIdeal.unit_ideal(K)
-    for pr, k in primes:
-        Q = Q * (pr.lattice * pr.lattice.conjugate(cm)) ** k
+    for (pr, k), conj in zip(primes, conjugates):
+        Q = Q * (pr.lattice * conj) ** k
     D = denominator_bound(primes)
 
-    exponent_vectors = list(itertools.product(*[range(k + 1) for _, k in primes]))
-    ideals = []
-    for vec in exponent_vectors:
-        I = FracIdeal.unit_ideal(K)
-        for (pr, k), a in zip(primes, vec):
-            I = I * pr.lattice ** a * pr.lattice.conjugate(cm) ** (k - a)
-        ideals.append(I)
-
-    # union-find by certified principality of ratios
-    parent = list(range(len(ideals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    generators: Dict[Tuple[int, int], FieldElement] = {}
+    ideals: List[FracIdeal] = []
+    classes: List[List[int]] = []            # members, base first
+    alphas: Dict[int, FieldElement] = {}     # I_j = (alpha) B
+    inverses: Dict[int, FracIdeal] = {}      # B^-1, on first use
     inconclusive = False
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if find(i) == find(j):
-                continue
-            res = is_principal(ideals[j] * ideals[i].inverse(),
+    for j, vec in enumerate(itertools.product(*[range(k + 1) for _, k in primes])):
+        I = FracIdeal.unit_ideal(K)
+        for (pr, k), conj, a in zip(primes, conjugates, vec):
+            I = I * pr.lattice ** a * conj ** (k - a)
+        for members in classes:
+            b = members[0]
+            if b not in inverses:
+                inverses[b] = ideals[b].inverse()
+            res = is_principal(I * inverses[b],
                                slack=slack, unit_search_depth=unit_search_depth)
             if res.status == FOUND:
-                generators[(i, j)] = res.generator
-                parent[find(j)] = find(i)
-            elif res.status == INCONCLUSIVE:
+                members.append(j)
+                alphas[j] = res.generator
+                break
+            if res.status == INCONCLUSIVE:
                 inconclusive = True
+        else:
+            classes.append([j])
+        ideals.append(I)
 
-    classes: Dict[int, List[int]] = {}
-    for i in range(len(ideals)):
-        classes.setdefault(find(i), []).append(i)
-    # largest class; ties toward the lexicographically smallest member
-    best = max(classes.values(),
-               key=lambda mem: (len(mem), [-e for e in exponent_vectors[mem[0]]]))
-    base = min(best, key=lambda i: exponent_vectors[i])
-
+    # largest class; max keeps the first, the lexicographically smallest base
+    best = max(classes, key=len)
     witnesses: List[FieldElement] = []
     witness_ideals: List[FracIdeal] = []
     one = K.one()
     Q2 = Q ** 2
-    for i in best:
-        if i == base:
-            alpha = one
-        else:
-            res = is_principal(ideals[i] * ideals[base].inverse(),
-                               slack=slack, unit_search_depth=unit_search_depth)
-            if res.status != FOUND:
-                inconclusive = True
-                continue
-            alpha = res.generator
+    for j in best:
+        alpha = alphas.get(j, one)
         u = alpha / cm.conj(alpha)
         _certify_unit(u, cm, Q2, D)
         iu = FracIdeal.principal(u)
@@ -258,21 +242,22 @@ def halton_translates(K: NumberField, scale: Fraction, count: int) -> List[Field
 
 
 def select_translate(K: NumberField, scale: Fraction, R: Fraction,
-                     candidates: int, limit: Optional[int] = None
-                     ) -> Tuple[FieldElement, int]:
-    """Maximize |(a + scale O_K) cap B_R| over a = 0 and a deterministic
-    low-discrepancy sequence of fractional offsets; ties keep the earliest
-    (WindowTooLarge past TRANSLATE_LIMIT candidates)."""
+                     candidates: int, limit: Optional[int] = None):
+    """(a, (rows, denom), zero_count): the a maximizing |(a + scale O_K) cap
+    B_R| over a = 0 and a deterministic low-discrepancy sequence of
+    fractional offsets (ties keep the earliest), its window, and the count
+    at a = 0 (WindowTooLarge past TRANSLATE_LIMIT candidates)."""
     if candidates > TRANSLATE_LIMIT:
         raise WindowTooLarge(
             f"{candidates} translate candidates (limit {TRANSLATE_LIMIT})")
     best_a = K.zero()
-    best_count = len(enumerate_window(K, scale, R, None, limit)[0])
+    best = enumerate_window(K, scale, R, None, limit)
+    zero_count = len(best[0])
     for a in halton_translates(K, scale, candidates):
-        cnt = len(enumerate_window(K, scale, R, a, limit)[0])
-        if cnt > best_count:
-            best_a, best_count = a, cnt
-    return best_a, best_count
+        window = enumerate_window(K, scale, R, a, limit)
+        if len(window[0]) > len(best[0]):
+            best_a, best = a, window
+    return best_a, best, zero_count
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +268,6 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
 class WindowConfig:
     R: Fraction
     scale: Fraction
-    translate: Optional[FieldElement] = None
     translate_candidates: int = 0
     projection_coordinate: int = 0
     mode: str = "window"              # "window" | "closure"
@@ -294,6 +278,12 @@ class WindowConfig:
         self.scale = Fraction(self.scale)
         if self.scale <= 0:
             raise InvalidArgument(f"scale must be positive, not {self.scale}")
+        if self.translate_candidates < 0:
+            raise InvalidArgument("translate candidates must be >= 0, not "
+                                  f"{self.translate_candidates}")
+        if self.translate_candidates > TRANSLATE_LIMIT:
+            raise WindowTooLarge(f"{self.translate_candidates} translate "
+                                 f"candidates (limit {TRANSLATE_LIMIT})")
         if self.mode not in ("window", "closure"):
             raise ValueError(f"unknown window mode {self.mode!r}")
 
@@ -413,16 +403,8 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if cfg.R < 2:
         warnings.append("R < 2: volumetric bounds are not asserted")
 
-    if cfg.translate is not None:
-        a = cfg.translate
-    elif cfg.translate_candidates > 0:
-        a, _ = select_translate(K, cfg.scale, cfg.R - 1,
-                                cfg.translate_candidates, limit=cfg.max_points)
-    else:
-        a = K.zero()
-
-    inner, inner_denom = enumerate_window(K, cfg.scale, cfg.R - 1, a,
-                                          limit=cfg.max_points)
+    a, (inner, inner_denom), zero_count = select_translate(
+        K, cfg.scale, cfg.R - 1, cfg.translate_candidates, limit=cfg.max_points)
     if cfg.mode == "window":
         rows, denom = enumerate_window(K, cfg.scale, cfg.R, a, limit=cfg.max_points)
     else:
@@ -464,8 +446,9 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         powed = powed.scale(len(usable))
         volumetric_interval = (powed.lo, powed.hi)
         # the averaging argument only guarantees SOME translate achieves the
-        # volumetric bound, so it is asserted only on the default path
-        if cfg.mode == "window" and cfg.translate is None:
+        # volumetric bound; it is asserted in window mode, at a = 0 or at the
+        # best candidate translate
+        if cfg.mode == "window":
             checks["volumetric_lower"] = Fraction(2 * nu) >= powed.hi
         # the run's exponent witness log(lower 2nu bound) / log(upper |P| bound)
         if powed.lo > 1 and packing > 1:
@@ -474,11 +457,6 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
             den = ln_interval(packing, bits)
             q = num.div(den, bits)
             exponent_bound = (q.lo, q.hi)
-
-    inner_zero = None
-    if not a.is_zero():
-        inner_zero = len(enumerate_window(K, cfg.scale, cfg.R - 1, None,
-                                          limit=cfg.max_points)[0])
 
     provenance = {
         "mode": cfg.mode,
@@ -498,7 +476,8 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         packing_bound=packing, volumetric_lower_2nu=volumetric_interval,
         measured_points=len(rows), measured_unit_pairs=nu,
         mode=cfg.mode, translate_is_zero=a.is_zero(),
-        inner_count_zero_translate=inner_zero, exponent_bound=exponent_bound,
+        inner_count_zero_translate=None if a.is_zero() else zero_count,
+        exponent_bound=exponent_bound,
         checks=checks, warnings=warnings)
     if not usable:
         report.warnings.append("no nontrivial units usable in the window "

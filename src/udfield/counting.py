@@ -373,7 +373,7 @@ class GridResult:
                 "predicted_pairs": self.predicted_pairs}
 
 
-GRID_LIMIT = 10_000   # points of one grid; the search for m is O(n^1.5)
+GRID_LIMIT = 10_000   # points of one grid; caps the float pair count of `grid`
 
 
 def erdos_grid(n: int) -> GridResult:
@@ -387,31 +387,18 @@ def erdos_grid(n: int) -> GridResult:
     s = math.isqrt(max(n, 0))
     if s * s != n or s < 2:
         raise InvalidArgument(f"n must be a perfect square >= 4, not {n}")
-    cap = 2 * (s - 1) * (s - 1)
-    best_m, best_r2 = None, -1
-    for m in range(1, cap + 1):
-        r2 = _r2_in_grid(m, s - 1)
-        if r2 > best_r2:
-            best_m, best_r2 = m, r2
+    # entry m of the bincount is the number of signed representations
+    # m = a^2 + b^2 with |a|, |b| <= s - 1; argmax takes the smallest m
+    a = np.arange(-(s - 1), s) ** 2
+    r2 = np.bincount((a[:, None] + a[None, :]).ravel())
+    best_m = 1 + int(np.argmax(r2[1:]))
+    best_r2 = int(r2[best_m])
     predicted = _predicted_grid_pairs(best_m, s)
     xs, ys = np.meshgrid(np.arange(s), np.arange(s))
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
     pts /= math.sqrt(best_m)
     return GridResult(n=n, side=s, m=best_m, r2_in_grid=best_r2,
                       predicted_pairs=predicted, points=pts)
-
-
-def _r2_in_grid(m: int, amax: int) -> int:
-    """Signed representations m = a^2 + b^2 with |a|, |b| <= amax."""
-    count = 0
-    for a in range(-amax, amax + 1):
-        rest = m - a * a
-        if rest < 0:
-            continue
-        b = math.isqrt(rest)
-        if b * b == rest and b <= amax:
-            count += 2 if b > 0 else 1
-    return count
 
 
 def _predicted_grid_pairs(m: int, s: int) -> int:

@@ -1,0 +1,153 @@
+"""`construct.pigeonhole_units` as it stood before the one-pass class
+search, kept verbatim as a differential-test oracle.
+
+It joins the exponent-vector ideals into classes by union-find over every
+pair (i, j) whose ratio is certified principal, then asks `is_principal`
+again for each member of the largest class against its smallest member to
+recover the generators.  Its `_check_prime_pairs` is copied with it (the
+current one takes the conjugate lattices as an argument); everything else
+is imported from the current modules.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
+
+from udfield.construct import (PIGEONHOLE_LIMIT, UnitSet, _certify_unit,
+                               denominator_bound)
+from udfield.enumeration import roots_of_unity
+from udfield.errors import ConjugateCollision, WindowTooLarge
+from udfield.ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
+                            class_number_imag_quadratic, is_principal)
+from udfield.numberfield import CMStructure, FieldElement, NumberField, detect_cm
+from udfield.numthy import squarefree_kernel
+
+
+def _check_prime_pairs(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]]):
+    lattices = [pr.lattice for pr, _ in primes]
+    for i, (pr, k) in enumerate(primes):
+        if k < 1:
+            raise ValueError("all exponents k_j must be >= 1")
+        conj_i = pr.lattice.conjugate(cm)
+        for j, (qr, _) in enumerate(primes):
+            if i != j and pr.lattice == qr.lattice:
+                raise ConjugateCollision("prime ideals must be pairwise distinct")
+            if conj_i == qr.lattice:
+                raise ConjugateCollision(
+                    f"P_{i} is the conjugate of P_{j}; the pigeonhole needs "
+                    "P_i != conj(P_j) for all i, j")
+        if conj_i == pr.lattice:
+            raise ConjugateCollision(f"P_{i} is self-conjugate (ramified or inert)")
+
+
+def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
+                     include_torsion: bool = True,
+                     slack: Fraction = Fraction(13, 10),
+                     unit_search_depth: int = 3) -> UnitSet:
+    """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
+
+    Ratios inside the largest principality class give alpha with
+    (alpha) = I / I_0; each u = alpha / conj(alpha) is verified to be
+    unit-modulus, to lie in Q^{-2}, and to have D u integral.  The emitted
+    list is closed under conjugation and (optionally) torsion multiples;
+    ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
+    WindowTooLarge past PIGEONHOLE_LIMIT exponent vectors prod (k_j + 1).
+    """
+    cm = detect_cm(K)
+    if cm is None:
+        raise ValueError("pigeonhole_units requires a CM field")
+    primes = list(primes)
+    _check_prime_pairs(cm, primes)
+    count = math.prod(k + 1 for _, k in primes)
+    if count > PIGEONHOLE_LIMIT:
+        raise WindowTooLarge(f"{count} exponent vectors (limit {PIGEONHOLE_LIMIT})")
+
+    Q = FracIdeal.unit_ideal(K)
+    for pr, k in primes:
+        Q = Q * (pr.lattice * pr.lattice.conjugate(cm)) ** k
+    D = denominator_bound(primes)
+
+    exponent_vectors = list(itertools.product(*[range(k + 1) for _, k in primes]))
+    ideals = []
+    for vec in exponent_vectors:
+        I = FracIdeal.unit_ideal(K)
+        for (pr, k), a in zip(primes, vec):
+            I = I * pr.lattice ** a * pr.lattice.conjugate(cm) ** (k - a)
+        ideals.append(I)
+
+    # union-find by certified principality of ratios
+    parent = list(range(len(ideals)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    generators: Dict[Tuple[int, int], FieldElement] = {}
+    inconclusive = False
+    for i in range(len(ideals)):
+        for j in range(i + 1, len(ideals)):
+            if find(i) == find(j):
+                continue
+            res = is_principal(ideals[j] * ideals[i].inverse(),
+                               slack=slack, unit_search_depth=unit_search_depth)
+            if res.status == FOUND:
+                generators[(i, j)] = res.generator
+                parent[find(j)] = find(i)
+            elif res.status == INCONCLUSIVE:
+                inconclusive = True
+
+    classes: Dict[int, List[int]] = {}
+    for i in range(len(ideals)):
+        classes.setdefault(find(i), []).append(i)
+    # largest class; ties toward the lexicographically smallest member
+    best = max(classes.values(),
+               key=lambda mem: (len(mem), [-e for e in exponent_vectors[mem[0]]]))
+    base = min(best, key=lambda i: exponent_vectors[i])
+
+    witnesses: List[FieldElement] = []
+    witness_ideals: List[FracIdeal] = []
+    one = K.one()
+    Q2 = Q ** 2
+    for i in best:
+        if i == base:
+            alpha = one
+        else:
+            res = is_principal(ideals[i] * ideals[base].inverse(),
+                               slack=slack, unit_search_depth=unit_search_depth)
+            if res.status != FOUND:
+                inconclusive = True
+                continue
+            alpha = res.generator
+        u = alpha / cm.conj(alpha)
+        _certify_unit(u, cm, Q2, D)
+        iu = FracIdeal.principal(u)
+        if iu in witness_ideals:
+            raise AssertionError("pigeonhole produced a repeated ideal (u)")
+        witness_ideals.append(iu)
+        witnesses.append(u)
+
+    units: Dict[Tuple[Fraction, ...], FieldElement] = {}
+    torsion = roots_of_unity(K, cm) if include_torsion else [one, -one]
+    for w in witnesses:
+        for var in (w, cm.conj(w)):
+            for zeta in torsion:
+                u = var * zeta
+                if u.coords not in units:
+                    _certify_unit(u, cm, Q2, D)
+                    units[u.coords] = u
+
+    h = None
+    guaranteed = None
+    if K.n == 2 and K.disc < 0:
+        h = class_number_imag_quadratic(squarefree_kernel(K.disc))
+        guaranteed = Fraction(math.prod(k + 1 for _, k in primes), h)
+
+    ordered = tuple(sorted(units.values(), key=lambda z: tuple(z.coords)))
+    return UnitSet(field=K, cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
+                   Q=Q, D=D, guaranteed_min=guaranteed, h=h,
+                   inconclusive=inconclusive)

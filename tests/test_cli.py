@@ -282,6 +282,14 @@ def test_bad_r2_alpha_exits_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--translate-candidates", "-3"), ("--k", "-1")])
+def test_negative_work_size_exits_3(tmp_path, flag, value):
+    proc = _run_module(tmp_path, "generate", "--field", "gaussian", flag, value,
+                       "--out", "run")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exact_count_beyond_float_precision_exits_5(tmp_path):
     # positions near 10^17 are only good to about 100, too coarse to prune
     (tmp_path / "big.csv").write_text("index,re,im,c0,c1\n"

@@ -213,8 +213,9 @@ def test_cli_fuzz_exits_typed(workdir, data):
 def test_cli_past_caps_exit_7(workdir, data):
     field, prime = data.draw(st.sampled_from(
         [("gaussian", "5"), ("gaussian", "13"), ("qsqrt-5", "3"), ("adjoin-i:5", "29")]))
+    scale = data.draw(st.sampled_from([["--scale", "1"], []]))   # [] is auto mode
     generate = ["generate", "--field", field, "--prime", prime, "--R", "3",
-                "--scale", "1", "--out", "out"]
+                *scale, "--out", "out"]
     argv = data.draw(st.one_of(
         past(PIGEONHOLE_LIMIT).map(lambda k: generate + ["--k", k]),
         past(TRANSLATE_LIMIT).map(lambda c: generate + ["--translate-candidates", c]),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from pointrows import elements_of
 
-from udfield.construct import (SymbolicPower, WindowConfig,
+from udfield.construct import (SymbolicPower, UnitSet, WindowConfig,
                                build_pointset, covolume_upper, denominator_bound,
                                enumerate_window, exponent, halton_translates,
                                pigeonhole_units, select_translate,
@@ -68,6 +68,55 @@ def test_pigeonhole_qsqrt_m5(qsqrt_m5, qsqrt_m5_cm):
     assert any(u == target for u in us.units)
 
 
+# Q(sqrt(-23)) has h = 3: k = 2 gives three one-member classes, k = 3 a
+# best class of two members, and the primes above 3 and 13 a best class that
+# is not the first; a Z/2 class group always gives a single class
+PIGEONHOLE_CASES = [("gaussian", (5,), 1), ("gaussian", (5,), 2),
+                    ("qsqrt-5", (3,), 2), ("qsqrt-5", (7,), 3),
+                    ("qsqrt-23", (3,), 1), ("qsqrt-23", (3,), 2),
+                    ("qsqrt-23", (3,), 3), ("qsqrt-23", (3, 13), 1),
+                    ("adjoin-i:5", (29,), 1)]
+
+
+@pytest.mark.parametrize("name, ps, k", PIGEONHOLE_CASES)
+def test_pigeonhole_matches_oracle(name, ps, k):
+    import dataclasses
+
+    import oracle_pigeonhole
+
+    from udfield.cli import build_field
+    from udfield.numberfield import detect_cm
+
+    K = build_field(name)
+    pairs = [pair for p in ps for pair in prime_pairs(K, detect_cm(K), p, k)]
+    ours = pigeonhole_units(K, pairs)
+    theirs = oracle_pigeonhole.pigeonhole_units(K, pairs)
+    for f in dataclasses.fields(UnitSet):
+        assert getattr(ours, f.name) == getattr(theirs, f.name), f.name
+    if name == "qsqrt-23":        # the size of the best class
+        best = {((3,), 1): 1, ((3,), 2): 1, ((3,), 3): 2, ((3, 13), 1): 2}
+        assert ours.distinct_ideal_count == best[ps, k]
+
+
+def test_pigeonhole_asks_each_principality_once(deg4, deg4_cm, monkeypatch):
+    import udfield.construct as construct
+
+    calls = {"is_principal": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(construct, "is_principal",
+                        counted("is_principal", construct.is_principal))
+    monkeypatch.setattr(FracIdeal, "inverse", counted("inverse", FracIdeal.inverse))
+    us = pigeonhole_units(deg4, prime_pairs(deg4, deg4_cm, 29, 1))
+    assert us.distinct_ideal_count == 4
+    assert calls == {"is_principal": 3, "inverse": 1}
+
+
 def test_pigeonhole_empty(gaussian, gaussian_cm):
     us = pigeonhole_units(gaussian, [])
     assert us.distinct_ideal_count == 1
@@ -111,10 +160,32 @@ def test_window_includes_boundary(gaussian):
 
 
 def test_select_translate(gaussian):
-    a, count = select_translate(gaussian, Fraction(1), Fraction(1), 0)
-    assert a.is_zero() and count == 5
-    a16, count16 = select_translate(gaussian, Fraction(1), Fraction(1), 16)
-    assert count16 >= 5
+    a, (rows, denom), zero_count = select_translate(gaussian, Fraction(1), Fraction(1), 0)
+    assert a.is_zero() and len(rows) == 5 and denom == 1 and zero_count == 5
+    a16, (rows16, _), zero16 = select_translate(gaussian, Fraction(1), Fraction(1), 16)
+    assert len(rows16) >= 5 and zero16 == 5
+
+
+def test_build_pointset_reuses_translate_windows(gaussian, gaussian_cm, monkeypatch):
+    import udfield.construct as construct
+
+    K, R = gaussian, Fraction(73, 10)
+    us = pigeonhole_units(K, prime_pairs(K, gaussian_cm, 5, 2))
+    calls = []
+    direct = construct.enumerate_window
+    monkeypatch.setattr(construct, "enumerate_window",
+                        lambda *args, **kwargs: calls.append(args) or direct(*args, **kwargs))
+    cfg = WindowConfig(R=R, scale=Fraction(1), translate_candidates=8)
+    ps, rep = build_pointset(K, us, cfg)
+    assert len(calls) == 10     # a = 0, 8 candidates, the outer window
+    candidates = halton_translates(K, Fraction(1), 8)
+    counts = [len(direct(K, Fraction(1), R - 1, a)[0]) for a in candidates]
+    best = candidates[counts.index(max(counts))]
+    assert not rep.translate_is_zero
+    assert rep.inner_count == max(counts) == 126
+    assert rep.inner_count_zero_translate == len(direct(K, Fraction(1), R - 1)[0]) == 121
+    rows, denom = direct(K, Fraction(1), R, best)
+    assert ps.denom == denom and (ps.rows == rows).all()
 
 
 def test_halton_translates_deterministic(gaussian):

@@ -126,6 +126,17 @@ def test_erdos_grid_small():
         erdos_grid(10)
 
 
+@pytest.mark.parametrize("s", list(range(2, 41)) + [100])
+def test_erdos_grid_matches_oracle(s):
+    import oracle_grid
+
+    from udfield.counting import _predicted_grid_pairs
+
+    m, r2 = oracle_grid.choose_m(s)
+    g = erdos_grid(s * s)
+    assert (g.m, g.r2_in_grid, g.predicted_pairs) == (m, r2, _predicted_grid_pairs(m, s))
+
+
 def test_erdos_grid_predicted_matches_measured():
     for n in (25, 100, 400):
         g = erdos_grid(n)

@@ -157,6 +157,6 @@ def test_lll_matches_oracle_pigeonhole_grams(monkeypatch, p):
 
     monkeypatch.setattr(linalg, "lll_transform", recording)
     pigeonhole_units(K, pairs)
-    assert len(grams) >= 7
+    assert len(grams) >= 4      # one per principality search, none repeated
     for g in grams:
         assert lll_transform(g) == oracle_linalg.lll_transform(g)
