@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -122,6 +121,19 @@ def cmd_generate(args) -> int:
 
     if args.k < 0:
         raise InvalidArgument(f"--k must be >= 0, not {args.k}")
+    # every window argument and --out are checked before the exact work; in
+    # auto mode the scale is chosen later, so 1 stands in for it here
+    cfg = WindowConfig(R=R, scale=1 if args.scale is None else parse_frac(args.scale),
+                       mode=args.mode if args.mode != "auto" else "window",
+                       translate_candidates=args.translate_candidates,
+                       projection_coordinate=args.projection_coordinate,
+                       max_points=args.max_points)
+    cfg.check_projection(cm.f)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
+        raise InputError(f"--out {args.out!r}: {exc}") from None
+
     prime_pairs = []
     if args.k > 0:
         primes = split_prime(K, args.prime)
@@ -140,25 +152,15 @@ def cmd_generate(args) -> int:
 
     warnings = []
     if args.scale is not None:
-        scale = parse_frac(args.scale)
-        mode = args.mode if args.mode != "auto" else "window"
-        cfg = WindowConfig(R=R, scale=scale, mode=mode,
-                           translate_candidates=args.translate_candidates,
-                           projection_coordinate=args.projection_coordinate,
-                           max_points=args.max_points)
         ps, rep = build_pointset(K, units, cfg)
     else:
-        ps, rep, warnings = _auto_window(K, units, R, args)
+        ps, rep, warnings = _auto_window(K, units, cfg)
 
     rep.warnings.extend(warnings)
     if units.distinct_ideal_count <= 1:
         rep.warnings.append("no nontrivial units: the unit-ideal class "
                             "pigeonhole produced only u = 1 (and torsion)")
 
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
-        raise InputError(f"--out {args.out!r}: {exc}") from None
     csv_path = os.path.join(args.out, "pointset.csv")
     write_pointset_csv(ps, csv_path)
     dump_json(pointset_sidecar(ps), os.path.join(args.out, "pointset.json"))
@@ -178,15 +180,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _auto_window(K, units, R, args):
+def _auto_window(K, units, cfg):
     """Try the natural 1/D lattice; fall back to O_K with usable units."""
-    from .construct import WindowConfig, build_pointset, estimate_window_points
+    from dataclasses import replace
+
+    from .construct import build_pointset, estimate_window_points
 
     warnings = []
     natural = Fraction(1, units.D)
     for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
-        est = estimate_window_points(K, scale, R)
-        if est > args.max_points:
+        est = estimate_window_points(K, scale, cfg.R)
+        if est > cfg.max_points:
             if scale == natural:
                 warnings.append(
                     f"window over (1/{units.D})*O_K holds ~{est:.2g} points, "
@@ -195,12 +199,8 @@ def _auto_window(K, units, R, args):
                     "translation bound)")
                 continue
             break
-        cfg = WindowConfig(R=R, scale=scale, mode="window",
-                           translate_candidates=args.translate_candidates,
-                           projection_coordinate=args.projection_coordinate,
-                           max_points=args.max_points)
         try:
-            ps, rep = build_pointset(K, units, cfg)
+            ps, rep = build_pointset(K, units, replace(cfg, scale=scale, mode="window"))
             return ps, rep, warnings
         except WindowTooLarge:
             continue
@@ -234,7 +234,7 @@ def _count_exact_csv(args):
     The field comes from --field or from the pointset.json sidecar written
     next to the CSV by `generate`."""
     from .counting import count_exact
-    from .enumeration import _int_rows
+    from .enumeration import stack_rows
     from .numberfield import detect_cm
     from .serialize import open_file, parse_frac
 
@@ -278,10 +278,8 @@ def _count_exact_csv(args):
                 entries.extend([entry(parts[t]) for t in idxs])
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-    denom = math.lcm(1, *(q.denominator for q in entries))
-    if denom > 1:
-        entries = [q.numerator * (denom // q.denominator) for q in entries]
-    return count_exact(_int_rows(entries, K.n), denom, cm)
+    return count_exact(*stack_rows([((q.numerator,), q.denominator) for q in entries],
+                                   K.n), cm)
 
 
 def cmd_exponent(args) -> int:

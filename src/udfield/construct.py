@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .enumeration import _int_rows, lattice_points_in_polydisc, point_rows, roots_of_unity
+from .enumeration import (_int_rows, lattice_points_in_polydisc, roots_of_unity,
+                          stack_rows)
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
                      InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted,
                      WindowTooLarge)
@@ -158,15 +159,15 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         witness_ideals.append(iu)
         witnesses.append(u)
 
-    units: Dict[Tuple[Fraction, ...], FieldElement] = {}
+    units: Dict[FieldElement, None] = {}
     torsion = roots_of_unity(K, cm) if include_torsion else [one, -one]
     for w in witnesses:
         for var in (w, cm.conj(w)):
             for zeta in torsion:
                 u = var * zeta
-                if u.coords not in units:
+                if u not in units:
                     _certify_unit(u, cm, Q2, D)
-                    units[u.coords] = u
+                    units[u] = None
 
     h = None
     guaranteed = None
@@ -174,7 +175,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         h = class_number_imag_quadratic(squarefree_kernel(K.disc))
         guaranteed = Fraction(math.prod(k + 1 for _, k in primes), h)
 
-    ordered = tuple(sorted(units.values(), key=lambda z: tuple(z.coords)))
+    ordered = tuple(sorted(units, key=lambda z: z.coords))
     return UnitSet(field=K, cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
                    Q=Q, D=D, guaranteed_min=guaranteed, h=h,
                    inconclusive=inconclusive)
@@ -206,9 +207,8 @@ def enumerate_window(K: NumberField, scale: Fraction, R: Fraction,
     n = K.n
     denom, center = scale.denominator, None
     if a is not None:
-        rows, adenom = point_rows([a], n)
-        denom = math.lcm(denom, adenom)
-        center = [c * (denom // adenom) for c in rows.tolist()[0]]
+        denom = math.lcm(denom, a.den)
+        center = [c * (denom // a.den) for c in a.num]
     s = scale.numerator * (denom // scale.denominator)
     basis = [[s if k == j else 0 for k in range(n)] for j in range(n)]
     # R |R| < 0 for R < 0: a negative radius, which no point meets
@@ -286,6 +286,12 @@ class WindowConfig:
                                  f"candidates (limit {TRANSLATE_LIMIT})")
         if self.mode not in ("window", "closure"):
             raise ValueError(f"unknown window mode {self.mode!r}")
+
+    def check_projection(self, f: int):
+        """The projection coordinate is one of the f embeddings."""
+        if not 0 <= self.projection_coordinate < f:
+            raise InvalidArgument(f"projection coordinate {self.projection_coordinate} "
+                                  f"outside 0..{f - 1}")
 
 
 @dataclass
@@ -370,9 +376,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     if cm is None:
         raise ValueError("build_pointset requires a CM field")
     f = cm.f
-    if not 0 <= cfg.projection_coordinate < f:
-        raise InvalidArgument(f"projection coordinate {cfg.projection_coordinate} "
-                              f"outside 0..{f - 1}")
+    cfg.check_projection(f)
     delta = cfg.scale
     warnings: List[str] = []
     checks: Dict[str, bool] = {}
@@ -488,12 +492,11 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
 def _closure_rows(inner, inner_denom: int, units: Sequence[FieldElement], n: int):
     """(rows, denom): the inner window and its translates by the units,
     without repeats, in lexicographic order of the rows."""
-    urows, udenom = point_rows(units, n)
-    denom = math.lcm(inner_denom, udenom)
-    shifts = [[0] * n] + [[c * (denom // udenom) for c in u] for u in urows.tolist()]
+    # the zero shift, taken over the inner denominator, puts it in the lcm
+    shifts, denom = stack_rows([([0] * n, inner_denom)] + [(u.num, u.den) for u in units], n)
     scale = denom // inner_denom
     return _unique_rows(_int_rows([c * scale + s for w in inner.tolist()
-                                   for u in shifts for c, s in zip(w, u)], n)), denom
+                                   for u in shifts.tolist() for c, s in zip(w, u)], n)), denom
 
 
 def _unique_rows(rows):

@@ -448,7 +448,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     smaller boxes are rejected (BoxTooSmall) rather than risking an
     undercount.
     """
-    from .enumeration import elements, lattice_points_in_polydisc
+    from .enumeration import lattice_points_in_polydisc
     from .linalg import identity
 
     if not F.is_totally_real():
@@ -480,14 +480,12 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     real = CMStructure(field=F, conj_mat=identity(F.n),
                        fixed_basis=tuple(F.element(r) for r in eye),
                        f=F.n, pair_reps=tuple(range(F.n)))
-    pts = elements(F, lattice_points_in_polydisc(eye, 1, real, [box * box] * F.n,
-                                                 limit=R2_SEARCH_LIMIT), 1)
+    pts = [FieldElement(F, row) for row in lattice_points_in_polydisc(
+        eye, 1, real, [box * box] * F.n, limit=R2_SEARCH_LIMIT).tolist()]
     squares = {}
     for y in pts:
-        sq = y * y
-        squares.setdefault(tuple(sq.coords), []).append(y)
+        squares.setdefault(y * y, []).append(y)
     count = 0
     for x in pts:
-        need = alpha - x * x
-        count += len(squares.get(tuple(need.coords), ()))
+        count += len(squares.get(alpha - x * x, ()))
     return count

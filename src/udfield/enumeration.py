@@ -14,12 +14,13 @@ integer coefficients.  The box is walked depth first, c_0 outermost and
 each coefficient ascending, so points come out in lexicographic order of
 their coefficients on the reduced basis; the last coefficient is tested
 for all its values at once, elementwise in numpy.  Only the margin band
-below builds field elements.  Every real column t (re, and im for a
-complex root) of every basis vector is held as a float64 midpoint with a
-rigorous error, and each level keeps float partial sums P_t with a margin
-D_t that bounds |x_t - P_t| over every completion: the unfixed
-coefficients' sum M_j |m_jt| plus the centre's error, the sum of M_j e_jt
-and the rounding of the sums.  Floats only prune or accept:
+below builds field elements, each straight from its integer row.  Every
+real column t (re, and im for a complex root) of every basis vector is
+held as a float64 midpoint with a rigorous error, and each level keeps
+float partial sums P_t with a margin D_t that bounds |x_t - P_t| over
+every completion: the unfixed coefficients' sum M_j |m_jt| plus the
+centre's error, the sum of M_j e_jt and the rounding of the sums.
+Floats only prune or accept:
 
     prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
     accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
@@ -222,7 +223,7 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         for c, v in zip(cvec, basis):
             if c:
                 row = [x + c * y for x, y in zip(row, v)]
-        z = FieldElement(field, tuple(Fraction(x, denom) for x in row))
+        z = FieldElement(field, row, denom)
         z2 = abs_sq(z, cm)
         return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
 
@@ -351,18 +352,12 @@ def _combine(rows, B, c):
     return rows.astype(dtype) @ np.array(B, dtype=dtype) + np.array(c, dtype=dtype)
 
 
-def point_rows(points: Sequence[FieldElement], n: int):
-    """(rows, denom): the integral-basis coordinates of the points as one
-    (m, n) integer array over one common denominator."""
-    denom = math.lcm(1, *(q.denominator for z in points for q in z.coords))
-    return _int_rows([q.numerator * (denom // q.denominator)
-                      for z in points for q in z.coords], n), denom
-
-
-def elements(field: NumberField, rows, denom: int) -> List[FieldElement]:
-    """The points rows / denom (see point_rows) as field elements."""
-    return [FieldElement(field, tuple(Fraction(c, denom) for c in row))
-            for row in rows.tolist()]
+def stack_rows(rows, n: int):
+    """(array, denom): the rationals c / d, for every pair (num, d) of an
+    integer sequence and a positive integer and every c in num, laid out in
+    order as one (m, n) integer array over their least common denominator."""
+    denom = math.lcm(1, *(d for _, d in rows))
+    return _int_rows([c * (denom // d) for num, d in rows for c in num], n), denom
 
 
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
@@ -371,6 +366,6 @@ def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
 
     n = field.n
     eye = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    candidates = elements(field, lattice_points_in_polydisc(
-        eye, 1, cm, [Fraction(1)] * cm.f), 1)
+    candidates = [FieldElement(field, row) for row in lattice_points_in_polydisc(
+        eye, 1, cm, [Fraction(1)] * cm.f).tolist()]
     return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]

@@ -3,7 +3,10 @@ principality certification, and imaginary-quadratic class numbers.
 
 An ideal is stored as a row-HNF integer lattice over the field's integral
 basis together with a global denominator, so equality is tuple equality
-and the norm is a determinant.
+and the norm is a determinant.  Products, inverses and principality tests
+work on the integer multiplication matrices of HNF rows (field elements
+use the same integer rows over one denominator), so every step is an
+integer HNF or determinant.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .enumeration import elements, lattice_points_in_polydisc, point_rows
+from .enumeration import lattice_points_in_polydisc, stack_rows
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
-from .linalg import (hnf_det, hnf_rows, lattice_intersect, mat, mat_inv,
-                     rational_hnf, vec_mat)
+from .linalg import hnf_det, hnf_rows, mat_det, vec_mat
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
 from .numthy import (check_squarefree_int, iroot_ceil, is_prime,
                      squarefree_kernel)
@@ -36,14 +38,7 @@ class FracIdeal:
         h = hnf_rows(rows)
         if len(h) != field.n:
             raise ZeroIdeal("lattice does not have full rank")
-        g = den
-        for r in h:
-            for c in r:
-                g = math.gcd(g, abs(c))
-                if g == 1:
-                    break
-            if g == 1:
-                break
+        g = math.gcd(den, *(c for r in h for c in r))
         if g > 1:
             h = tuple(tuple(c // g for c in r) for r in h)
             den //= g
@@ -58,8 +53,8 @@ class FracIdeal:
     def from_elements(cls, field: NumberField, gens: Sequence[FieldElement]) -> "FracIdeal":
         """The O_K-module generated by gens: the rows b_i g of their
         multiplication matrices, over one denominator."""
-        rows, den = point_rows([FieldElement(field, r) for g in gens
-                                for r in field._mult_matrix(g.coords)], field.n)
+        rows, den = stack_rows([(r, g.den) for g in gens
+                                for r in field._mult_matrix(g.num)], field.n)
         return cls._normalize(field, rows.tolist(), den)
 
     @classmethod
@@ -70,28 +65,11 @@ class FracIdeal:
 
     # -- basic data -----------------------------------------------------------
 
-    def basis_elements(self) -> List[FieldElement]:
-        return [self.field.element([Fraction(c, self.den) for c in row])
-                for row in self.hnf]
-
     def norm(self) -> Fraction:
         return Fraction(hnf_det(self.hnf), self.den ** self.field.n)
 
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def contains(self, z: FieldElement) -> bool:
-        v = [c * self.den for c in z.coords]
-        if any(c.denominator != 1 for c in v):
-            return False
-        v = [int(c) for c in v]
-        for row in self.hnf:
-            pc = next(i for i, c in enumerate(row) if c)
-            if v[pc] % row[pc] != 0:
-                return False
-            q = v[pc] // row[pc]
-            v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -100,27 +78,27 @@ class FracIdeal:
         constants, over the denominator den_a * den_b."""
         if self.field is not other.field:
             raise ValueError("ideals from different fields")
-        n = self.field.n
-        table = self.field.mult_table
         rows = []
         for a in self.hnf:
-            # matrix of multiplication by a: row l holds the coords of a * b_l
-            ma = [[sum(a[i] * table[i][l][m] for i in range(n) if a[i])
-                   for m in range(n)] for l in range(n)]
-            for b in other.hnf:
-                rows.append([sum(b[l] * ma[l][m] for l in range(n) if b[l])
-                             for m in range(n)])
+            ma = self.field._mult_matrix(a)
+            rows += [vec_mat(b, ma) for b in other.hnf]
         return self._normalize(self.field, rows, self.den * other.den)
 
     def inverse(self) -> "FracIdeal":
+        """self^-1 = den J^-1 for the integral ideal J = den * self, with
+        N J^-1 = {y in Z^n : y M(h) = 0 mod N for every HNF row h of J},
+        N = [O_K : J], M(h) the multiplication matrix of h: the rows with
+        zero first n^2 columns in the HNF of [M(h_1)_k | ... | M(h_n)_k | e_k]
+        (k < n) and [N e_j | 0] (j < n^2)."""
         field = self.field
-        inter = None
-        for row in self.hnf:   # the basis of the integral ideal J = den * self
-            rows = mat_inv(field._mult_matrix(row))
-            inter = rows if inter is None else lattice_intersect(inter, rows)
-        h, d = rational_hnf(inter)
-        # self = J / den, so self^{-1} = J^{-1} * den
-        inv = self._normalize(field, [[c * self.den for c in row] for row in h], d)
+        n = field.n
+        N = hnf_det(self.hnf)
+        mats = [field._mult_matrix(h) for h in self.hnf]
+        rows = [[c for m in mats for c in m[k]] + [int(j == k) for j in range(n)]
+                for k in range(n)]
+        rows += [[N if i == j else 0 for i in range(n * n + n)] for j in range(n * n)]
+        kernel = [r[n * n:] for r in hnf_rows(rows) if not any(r[:n * n])]
+        inv = self._normalize(field, [[c * self.den for c in r] for r in kernel], N)
         check = inv * self
         if check != FracIdeal.unit_ideal(field):
             raise ZeroIdeal("ideal is not invertible over this order")
@@ -139,8 +117,8 @@ class FracIdeal:
         return result
 
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
-        rows, extra = point_rows([cm.conj(self.field.element(row)) for row in self.hnf],
-                                 self.field.n)
+        conj = [cm.conj(FieldElement(self.field, row)) for row in self.hnf]
+        rows, extra = stack_rows([(z.num, z.den) for z in conj], self.field.n)
         return self._normalize(self.field, rows.tolist(), self.den * extra)
 
     def __repr__(self):
@@ -260,16 +238,17 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     seen = set()
     for radii in searches:
         try:
-            candidates = elements(K, lattice_points_in_polydisc(
-                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000), 1)
+            rows = lattice_points_in_polydisc(
+                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
         except WindowTooLarge:
             continue
-        for x in sorted(candidates, key=lambda z: z.coords):
-            if x.is_zero() or x.coords in seen:
+        for x in sorted(map(tuple, rows.tolist())):
+            if not any(x) or x in seen:
                 continue
-            seen.add(x.coords)
-            if abs(x.norm()) == N and FracIdeal.principal(x) == scaled:
-                return PrincipalityResult(FOUND, x / I.den)
+            seen.add(x)
+            m = K._mult_matrix(x)
+            if abs(mat_det(m)) == N and FracIdeal._normalize(K, m, 1) == scaled:
+                return PrincipalityResult(FOUND, FieldElement(K, x, I.den))
     return PrincipalityResult(NOT_FOUND if exhaustive else INCONCLUSIVE)
 
 

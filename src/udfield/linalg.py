@@ -8,7 +8,8 @@ used; no effort is made to be clever about coefficient growth.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -28,33 +29,39 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_mat(v: Sequence[Fraction], a: Matrix) -> Tuple[Fraction, ...]:
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
+    return tuple(sum(map(mul, v, col)) for col in zip(*a))
 
 
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_det(a: Matrix) -> Fraction:
+def mat_det(a) -> Fraction:
+    """Determinant by fraction-free Bareiss elimination (Cohen, GTM 138,
+    Alg. 2.2.6) on the rows cleared of their denominators: every division
+    is exact, so integer entries never become fractions."""
     n = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+    scale = 1
+    m = []
+    for row in a:
+        d = lcm(1, *(c.denominator for c in row))
+        scale *= d
+        m.append([c.numerator * (d // c.denominator) for c in row])
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        p, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * row_k[j]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1] if n else 1, scale)
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -177,20 +184,10 @@ def hnf_det(hnf: Sequence[Sequence[int]]) -> int:
 
 def rational_hnf(rows: Sequence[Sequence[Fraction]]):
     """HNF of a rational-row lattice: returns (integer_hnf, denominator)."""
-    den = 1
-    for r in rows:
-        for c in r:
-            f = Fraction(c)
-            den = den * f.denominator // gcd(den, f.denominator)
-    int_rows = [[int(Fraction(c) * den) for c in r] for r in rows]
-    h = hnf_rows(int_rows)
+    den = lcm(1, *(Fraction(c).denominator for r in rows for c in r))
+    h = hnf_rows([[int(Fraction(c) * den) for c in r] for r in rows])
     # normalize gcd between entries and denominator
-    g = den
-    for r in h:
-        for c in r:
-            g = gcd(g, abs(c))
-            if g == 1:
-                break
+    g = gcd(den, *(c for r in h for c in r))
     if g > 1:
         h = tuple(tuple(c // g for c in r) for r in h)
         den //= g
@@ -264,20 +261,3 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
                     mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return tuple(tuple(r) for r in U)
-
-
-def lattice_intersect(rows_a: Sequence[Sequence[Fraction]],
-                      rows_b: Sequence[Sequence[Fraction]]):
-    """Intersection of two full-rank rational lattices (rows = bases).
-
-    Uses duality: (A cap B) = (A* + B*)* with duals w.r.t. the standard
-    inner product.
-    """
-    A = mat(rows_a)
-    B = mat(rows_b)
-    Ad = transpose(mat_inv(A))
-    Bd = transpose(mat_inv(B))
-    h, den = rational_hnf(list(Ad) + list(Bd))
-    S = mat([[Fraction(c, den) for c in row] for row in h])
-    inter = transpose(mat_inv(S))
-    return inter

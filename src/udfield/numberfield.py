@@ -1,17 +1,20 @@
 """Number fields: exact element arithmetic over an integral basis, CM
 structure, and the Minkowski embedding into C^f.
 
-Elements are coordinate vectors over the field's integral basis; products
-go through integer structure constants.  Embedding values are certified
-complex intervals refined on demand.  Irreducibility of the defining
-polynomial is not verified (squarefreeness is); a reducible polynomial
-surfaces later as NotAField when a zero divisor is inverted.
+An element is one integer row over one denominator: its coordinates on
+the field's integral basis, num / den in lowest terms.  Products, norms
+and inverses go through the integer matrix of multiplication built from
+the structure constants.  Embedding values are certified complex
+intervals refined on demand.  Irreducibility of the defining polynomial
+is not verified (squarefreeness is); a reducible polynomial surfaces
+later as NotAField when a zero divisor is inverted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,8 +55,11 @@ class NumberField:
         # the coordinates of b_i b_k
         self.basis_traces = tuple(sum(self.mult_table[i][k][i] for i in range(self.n))
                                   for k in range(self.n))
-        self.disc = int(linalg.mat_det(mat([[self._trace_coords(v) for v in row]
-                                            for row in self.mult_table])))
+        # _mult_cols[i][k][j] = coordinate k of b_i b_j, for _mult_matrix
+        self._mult_cols = tuple(tuple(zip(*ti)) for ti in self.mult_table)
+        self.disc = int(linalg.mat_det([[self._trace_coords(v) for v in row]
+                                        for row in self.mult_table]))
+        self._one = self.from_power_coords([1])
         self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
         self._cm_checked = False
@@ -112,40 +118,15 @@ class NumberField:
 
     # -- coordinate arithmetic ------------------------------------------------
 
-    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]):
-        n = self.n
-        out = [Fraction(0)] * n
-        table = self.mult_table
-        for i in range(n):
-            ai = a[i]
-            if ai == 0:
-                continue
-            ti = table[i]
-            for j in range(n):
-                bj = b[j]
-                if bj == 0:
-                    continue
-                c = ai * bj
-                for k, t in enumerate(ti[j]):
-                    if t:
-                        out[k] += c * t
-        return tuple(out)
+    def _mult_matrix(self, row: Sequence[int]) -> List[List[int]]:
+        """Rows of multiplication by z = sum_j row_j b_j on integral-basis
+        row vectors: row i holds the coordinates of b_i z."""
+        return [[sum(map(operator.mul, row, col)) for col in cols]
+                for cols in self._mult_cols]
 
-    def _mult_matrix(self, coords: Sequence[Fraction]) -> Matrix:
-        """Matrix of multiplication by z acting on row coordinate vectors."""
-        rows = []
-        n = self.n
-        for i in range(n):
-            unit = tuple(Fraction(1 if k == i else 0) for k in range(n))
-            rows.append(self._mul_coords(unit, coords))
-        return tuple(rows)
-
-    def _trace_coords(self, coords: Sequence[Fraction]) -> Fraction:
+    def _trace_coords(self, coords: Sequence[int]) -> int:
         """Tr(z) = sum_k c_k Tr(b_k): the trace is linear."""
         return sum(c * t for c, t in zip(coords, self.basis_traces))
-
-    def _norm_coords(self, coords: Sequence[Fraction]) -> Fraction:
-        return linalg.mat_det(self._mult_matrix(coords))
 
     # -- elements -------------------------------------------------------------
 
@@ -153,13 +134,14 @@ class NumberField:
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates")
-        return FieldElement(self, coords)
+        den = math.lcm(1, *(q.denominator for q in coords))
+        return FieldElement(self, [q.numerator * (den // q.denominator) for q in coords], den)
 
     def zero(self) -> "FieldElement":
-        return self.element([0] * self.n)
+        return FieldElement(self, [0] * self.n)
 
     def one(self) -> "FieldElement":
-        return self.from_power_coords([1] + [0] * (self.n - 1))
+        return self._one
 
     def theta(self) -> "FieldElement":
         coords = [0] * self.n
@@ -240,48 +222,66 @@ class NumberField:
         }
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    """Exact element: coordinates over the owning field's integral basis."""
+    """Exact element sum_k (num_k / den) b_k over the owning field's integral
+    basis, in lowest terms: den > 0 and gcd(den, *num) = 1, so zero is
+    (0, ..., 0) over 1 and equal elements have equal (num, den)."""
 
-    field: NumberField
-    coords: Tuple[Fraction, ...]
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: Sequence[int], den: int = 1):
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        self.field = field
+        self.num = tuple(c // g for c in num)
+        self.den = den // g
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _check_same(self, other: "FieldElement"):
         if self.field is not other.field:
             raise ValueError("elements belong to different fields")
 
-    def __add__(self, other):
+    def _plus(self, other: "FieldElement", sign: int) -> "FieldElement":
         self._check_same(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        return FieldElement(self.field, [a * sa + b * sb for a, b in zip(self.num, other.num)],
+                            den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return FieldElement(self.field, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return FieldElement(self.field, tuple(a * q for a in self.coords))
+            return FieldElement(self.field, [a * q.numerator for a in self.num],
+                                self.den * q.denominator)
         self._check_same(other)
-        return FieldElement(self.field, self.field._mul_coords(self.coords, other.coords))
+        return FieldElement(self.field, vec_mat(self.num, self.field._mult_matrix(other.num)),
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        m = self.field._mult_matrix(self.coords)
         try:
-            inv = mat_inv(m)
+            inv = mat_inv(self.field._mult_matrix(self.num))
         except ZeroDivisionError:
             raise NotAField(
                 "zero divisor encountered: min_poly is reducible") from None
-        one = self.field.one().coords
-        return FieldElement(self.field, vec_mat(one, inv))
+        # (num / den)^-1 = den * num^-1, and x M(num) = 1 for x = num^-1
+        return self.field.element(c * self.den for c in vec_mat(self.field.one().num, inv))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,26 +304,26 @@ class FieldElement:
         return result
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and self.field is other.field
-                and self.coords == other.coords)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((id(self.field), self.num, self.den))
 
     def power_coords(self) -> Tuple[Fraction, ...]:
-        return vec_mat(self.coords, self.field.basis_mat)
+        return tuple(c / self.den for c in vec_mat(self.num, self.field.basis_mat))
 
     def trace(self) -> Fraction:
-        return self.field._trace_coords(self.coords)
+        return Fraction(self.field._trace_coords(self.num), self.den)
 
     def norm(self) -> Fraction:
-        return self.field._norm_coords(self.coords)
+        return linalg.mat_det(self.field._mult_matrix(self.num)) / self.den ** self.field.n
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def embed(self, root_index: int, bits: int = 64) -> ComplexInterval:
         return self.field.embed(self, root_index, bits)
@@ -363,7 +363,7 @@ class CMStructure:
     def conj(self, z: FieldElement) -> FieldElement:
         if z.field is not self.field:
             raise ValueError("element from a different field")
-        return FieldElement(self.field, vec_mat(z.coords, self.conj_mat))
+        return self.field.element(c / z.den for c in vec_mat(z.num, self.conj_mat))
 
 
 def abs_sq(z: FieldElement, cm: CMStructure) -> FieldElement:
@@ -381,13 +381,12 @@ def hermitian_form(cm: CMStructure):
     if cm.hermitian is None:
         K = cm.field
         n = K.n
-        basis = [K.element([1 if k == j else 0 for k in range(n)]) for j in range(n)]
-        table = [[(b * cm.conj(c)).coords for c in basis] for b in basis]
-        one = K.one().coords
-        L = math.lcm(*(q.denominator for q in one),
-                     *(q.denominator for row in table for v in row for q in v))
-        cm.hermitian = ([[[int(q * L) for q in v] for v in row] for row in table],
-                        [int(q * L) for q in one])
+        basis = [FieldElement(K, [1 if k == j else 0 for k in range(n)]) for j in range(n)]
+        table = [[b * cm.conj(c) for c in basis] for b in basis]
+        one = K.one()
+        L = math.lcm(one.den, *(z.den for row in table for z in row))
+        cm.hermitian = ([[[c * (L // z.den) for c in z.num] for z in row] for row in table],
+                        [c * (L // one.den) for c in one.num])
     return cm.hermitian
 
 
@@ -679,15 +678,16 @@ def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
     if mat_mul(conj_int, conj_int) != linalg.identity(n):
         return None
     # field automorphism: multiplicative on basis pairs
-    basis_elems = [FieldElement(fld, tuple(Fraction(1 if k == i else 0) for k in range(n)))
+    basis_elems = [FieldElement(fld, [1 if k == i else 0 for k in range(n)])
                    for i in range(n)]
 
     def apply(z):
-        return FieldElement(fld, vec_mat(z.coords, conj_int))
+        return fld.element(c / z.den for c in vec_mat(z.num, conj_int))
 
+    images = [apply(b) for b in basis_elems]
     for i in range(n):
         for j in range(i, n):
-            if apply(basis_elems[i] * basis_elems[j]) != apply(basis_elems[i]) * apply(basis_elems[j]):
+            if apply(basis_elems[i] * basis_elems[j]) != images[i] * images[j]:
                 return None
     # acts as complex conjugation in every embedding
     if not fld.is_totally_imaginary():
@@ -716,8 +716,7 @@ def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
     if len(fixed) != n // 2:
         return None
     h, den = rational_hnf(fixed)
-    fixed_elems = tuple(FieldElement(fld, tuple(Fraction(c, den) for c in row))
-                        for row in h)
+    fixed_elems = tuple(FieldElement(fld, row, den) for row in h)
 
     reps = _conjugate_pair_reps(fld)
     return CMStructure(field=fld, conj_mat=conj_int, fixed_basis=fixed_elems,

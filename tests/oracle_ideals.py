@@ -1,22 +1,33 @@
 """FracIdeal.__mul__ as it stood before ideal products went through the
-integer structure constants, kept verbatim as a differential-test oracle.
+integer structure constants, and FracIdeal.inverse with the
+linalg.lattice_intersect it used before the inverse became one integer
+HNF, kept verbatim as differential-test oracles.
 
-It multiplies every pair of HNF basis elements as Fraction field elements
-and clears the common denominator of all the products.
+`mul` multiplies every pair of HNF basis elements as field elements and
+clears the common denominator of all the products (the basis elements
+are built inline: FracIdeal.basis_elements has no other user and went).  `inverse` intersects
+the lattices M(h)^-1 of the HNF rows h, by duality in Fraction matrices;
+its multiplication matrix is the Fraction one of oracle_fieldelement.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Sequence
 
+from oracle_fieldelement import OracleField
+from udfield.errors import ZeroIdeal
 from udfield.ideals import FracIdeal
+from udfield.linalg import mat, mat_inv, rational_hnf, transpose
+from udfield.numberfield import FieldElement
 
 
 def mul(self: FracIdeal, other: FracIdeal) -> FracIdeal:
     if self.field is not other.field:
         raise ValueError("ideals from different fields")
-    a = self.basis_elements()
-    b = other.basis_elements()
+    a = [FieldElement(self.field, row, self.den) for row in self.hnf]
+    b = [FieldElement(other.field, row, other.den) for row in other.hnf]
     rows = []
     den = 1
     prods = []
@@ -29,3 +40,35 @@ def mul(self: FracIdeal, other: FracIdeal) -> FracIdeal:
     for coords in prods:
         rows.append([int(c * den) for c in coords])
     return self._normalize(self.field, rows, den)
+
+
+def inverse(self: FracIdeal) -> FracIdeal:
+    field = self.field
+    inter = None
+    for row in self.hnf:   # the basis of the integral ideal J = den * self
+        rows = mat_inv(OracleField(field)._mult_matrix(row))
+        inter = rows if inter is None else lattice_intersect(inter, rows)
+    h, d = rational_hnf(inter)
+    # self = J / den, so self^{-1} = J^{-1} * den
+    inv = self._normalize(field, [[c * self.den for c in row] for row in h], d)
+    check = inv * self
+    if check != FracIdeal.unit_ideal(field):
+        raise ZeroIdeal("ideal is not invertible over this order")
+    return inv
+
+
+def lattice_intersect(rows_a: Sequence[Sequence[Fraction]],
+                      rows_b: Sequence[Sequence[Fraction]]):
+    """Intersection of two full-rank rational lattices (rows = bases).
+
+    Uses duality: (A cap B) = (A* + B*)* with duals w.r.t. the standard
+    inner product.
+    """
+    A = mat(rows_a)
+    B = mat(rows_b)
+    Ad = transpose(mat_inv(A))
+    Bd = transpose(mat_inv(B))
+    h, den = rational_hnf(list(Ad) + list(Bd))
+    S = mat([[Fraction(c, den) for c in row] for row in h])
+    inter = transpose(mat_inv(S))
+    return inter

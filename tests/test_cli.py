@@ -290,6 +290,44 @@ def test_negative_work_size_exits_3(tmp_path, flag, value):
     assert "Traceback" not in proc.stderr
 
 
+BAD_WINDOW_ARGS = [(("--translate-candidates", "2000"), 7),
+                   (("--translate-candidates", "-1"), 3),
+                   (("--projection-coordinate", "2"), 3),
+                   (("--scale", "0"), 3),
+                   (("--out", "taken"), 3)]
+
+
+@pytest.mark.parametrize("args, code", BAD_WINDOW_ARGS)
+@pytest.mark.parametrize("scale", [None, "1"])
+def test_generate_checks_arguments_before_work(tmp_path, monkeypatch, args, code, scale):
+    # a bad window argument or --out fails before the prime splitting and
+    # the pigeonhole, in explicit-scale and in auto mode
+    import udfield.construct
+    import udfield.ideals
+
+    def exact_work(*_, **__):
+        raise AssertionError("exact work started before the arguments were checked")
+
+    monkeypatch.setattr(udfield.ideals, "split_prime", exact_work)
+    monkeypatch.setattr(udfield.construct, "pigeonhole_units", exact_work)
+    (tmp_path / "taken").write_text("")
+    argv = ["generate", "--field", "adjoin-i:5", "--prime", "29", "--R", "3",
+            "--out", str(tmp_path / "run")]
+    if scale is not None:
+        argv += ["--scale", scale]
+    args = [str(tmp_path / a) if a == "taken" else a for a in args]
+    assert main(argv + args) == code
+
+
+@pytest.mark.parametrize("args, code", [BAD_WINDOW_ARGS[0], BAD_WINDOW_ARGS[-1]])
+def test_generate_bad_window_args_exit_typed(tmp_path, args, code):
+    (tmp_path / "taken").write_text("")
+    proc = _run_module(tmp_path, "generate", "--field", "adjoin-i:5", "--prime", "29",
+                       "--R", "3", "--out", "run", *args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exact_count_beyond_float_precision_exits_5(tmp_path):
     # positions near 10^17 are only good to about 100, too coarse to prune
     (tmp_path / "big.csv").write_text("index,re,im,c0,c1\n"

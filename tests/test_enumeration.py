@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
-from udfield.enumeration import (_PREFILTER_BITS, _image_box, elements,
-                                 lattice_points_in_polydisc, point_rows,
-                                 roots_of_unity)
+from pointrows import elements_of, rows_of
+from udfield.enumeration import (_PREFILTER_BITS, _image_box,
+                                 lattice_points_in_polydisc, roots_of_unity)
 from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
@@ -16,12 +16,12 @@ def _points(basis, cm, radii, center=None, limit=None):
     """The enumerator's points for a basis and centre of field elements,
     passed as integer rows over one denominator, as field elements."""
     K = cm.field
-    rows, denom = point_rows(list(basis) + [center or K.zero()], K.n)
+    rows, denom = rows_of(K, list(basis) + [center or K.zero()])
     *B, c = rows.tolist()
     got = lattice_points_in_polydisc(B, denom, cm, radii,
                                      center=None if center is None else c, limit=limit)
     assert got.shape == (len(got), K.n) and got.dtype.kind in "iO"
-    return elements(K, got, denom)
+    return elements_of(K, got, denom)
 
 
 def test_polydisc_completeness_random_sublattices(gaussian, gaussian_cm):
@@ -172,7 +172,7 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
         st.builds(Fraction, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 20)),
         min_size=K.n, max_size=K.n))
     v = K.element(coords)
-    rows, denom = point_rows([v], K.n)
+    rows, denom = rows_of(K, [v])
     keep = max(_PREFILTER_BITS, bits - 16)
     for idx in range(K.n):
         box = _image_box(K, rows.tolist()[0], denom, idx, bits)

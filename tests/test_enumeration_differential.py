@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import oracle_enumeration as oracle
 from oracle_enumeration import real_structure
 import udfield.construct as construct
-from udfield.enumeration import (_lll_reduce_basis, elements,
-                                 lattice_points_in_polydisc, point_rows)
+from pointrows import elements_of, rows_of
+from udfield.enumeration import _lll_reduce_basis, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import _unit_stretches, split_prime
 from udfield.numberfield import (FieldElement, abs_sq, compositum_multiquadratic,
@@ -27,12 +27,12 @@ def _points(basis, cm, radii, center=None, limit=None):
     """The enumerator's points for a basis and centre of field elements,
     passed as integer rows over one denominator, as field elements."""
     K = cm.field
-    rows, denom = point_rows(list(basis) + [center or K.zero()], K.n)
+    rows, denom = rows_of(K, list(basis) + [center or K.zero()])
     *B, c = rows.tolist()
     got = lattice_points_in_polydisc(B, denom, cm, radii,
                                      center=None if center is None else c, limit=limit)
     assert got.shape == (len(got), K.n) and got.dtype.kind in "iO"
-    return elements(K, got, denom)
+    return elements_of(K, got, denom)
 
 
 small = st.integers(-3, 3)
@@ -235,7 +235,7 @@ def test_lll_rows_match_oracle(monkeypatch, gaussian_cm, qsqrt_m5_cm, deg4_cm):
         assert len(lattices) > len(scales)
         for B, D in lattices:
             basis = [K.element([Fraction(c, D) for c in row]) for row in B]
-            rows, denom = point_rows(oracle._lll_reduce_basis(basis, cm), n)
+            rows, denom = rows_of(K, oracle._lll_reduce_basis(basis, cm))
             assert (_lll_reduce_basis(B, cm), D) == (rows.tolist(), denom)
 
 

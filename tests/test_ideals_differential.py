@@ -1,15 +1,21 @@
-"""Differential test: the integer-structure-constant ideal product against
-the Fraction field-element product of oracle_ideals."""
+"""Differential tests: the integer-structure-constant ideal product
+against the field-element product of oracle_ideals, and the integer-HNF
+ideal inverse against the old Fraction-matrix lattice intersection."""
 
+import itertools
 from functools import lru_cache
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_ideals
-from udfield.errors import IndexDivisor
+from udfield.cli import build_field
+from udfield.errors import IndexDivisor, ZeroIdeal
 from udfield.ideals import FracIdeal, split_prime
-from udfield.numberfield import detect_cm
+from udfield.numberfield import detect_cm, nf_new
+from udfield.polynomials import make_poly
 
 # split, inert and ramified primes of each field
 PRIMES = {"Q(i)": (2, 3, 5, 13), "Q(sqrt(-5))": (2, 3, 5, 7),
@@ -62,3 +68,41 @@ def test_pool_has_fractional_ideals(gaussian, qsqrt_m5, deg4):
         assert any(I.den > 1 for I in pool)
         P = pool[0]
         assert P * P.inverse() == FracIdeal.unit_ideal(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt_m5", "deg4"]))
+def test_ideal_inverse_matches_oracle(data, which, gaussian, qsqrt_m5, deg4):
+    K = {"gaussian": gaussian, "qsqrt_m5": qsqrt_m5, "deg4": deg4}[which]
+    I = data.draw(ideals(K))
+    if data.draw(st.booleans()):
+        I = I.conjugate(detect_cm(K))
+    assert I.inverse() == oracle_ideals.inverse(I)
+
+
+@pytest.mark.parametrize("field,p", [("adjoin-i:5", 29), ("adjoin-i:5", 41),
+                                     ("gaussian", 5), ("qsqrt-5", 3), ("qsqrt-23", 3)])
+def test_inverse_of_split_prime_products(field, p):
+    # products of two primes above p (repeats allowed), their conjugates,
+    # and their quotients by a third prime (den > 1)
+    K = build_field(field)
+    cm = detect_cm(K)
+    primes = [pr.lattice for pr in split_prime(K, p)]
+    checked = 0
+    for P, Q in itertools.combinations_with_replacement(primes, 2):
+        I = P * Q
+        for J in (I, I.conjugate(cm), I * primes[0].inverse()):
+            assert J.inverse() == oracle_ideals.inverse(J)
+            checked += 1
+    assert checked >= 9
+
+
+def test_inverse_fails_alike_off_the_maximal_order():
+    # (2, 1 + sqrt(-3)) is not invertible in Z[sqrt(-3)]; (3, sqrt(-3)) is
+    K = nf_new(make_poly([3, 0, 1]), integral_basis=[[1, 0], [0, 1]])
+    bad = FracIdeal.from_elements(K, [K.from_rational(2), K.one() + K.theta()])
+    for inverse in (FracIdeal.inverse, oracle_ideals.inverse):
+        with pytest.raises(ZeroIdeal):
+            inverse(bad)
+    good = FracIdeal.from_elements(K, [K.from_rational(3), K.theta()])
+    assert good.inverse() == oracle_ideals.inverse(good)

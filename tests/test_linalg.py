@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_fieldelement
 import oracle_linalg
 from udfield import linalg
 from udfield.construct import pigeonhole_units
 from udfield.ideals import split_prime
-from udfield.linalg import (hnf_det, hnf_rows, identity, lattice_intersect,
-                            lll_transform, mat, mat_det, mat_inv, mat_mul,
-                            rational_hnf)
+from udfield.linalg import (hnf_det, hnf_rows, identity, lll_transform, mat,
+                            mat_det, mat_inv, mat_mul)
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
@@ -64,29 +64,20 @@ def test_mat_inverse():
         assert mat_mul(M, mat_inv(M)) == identity(n)
 
 
-def test_lattice_intersect_simple():
-    # 2Z^2 cap 3Z^2 = 6Z^2
-    A = mat([[2, 0], [0, 2]])
-    B = mat([[3, 0], [0, 3]])
-    inter = lattice_intersect(A, B)
-    h, den = rational_hnf(inter)
-    assert den == 1 and h == ((6, 0), (0, 6))
+entries = st.one_of(st.integers(-60, 60),
+                  st.fractions(min_value=-20, max_value=20, max_denominator=15))
 
 
-def test_lattice_intersect_skew():
-    # Z(1,1) + Z(0,3)  cap  Z(1,-1) + Z(0,5): check via membership sampling
-    A = mat([[1, 1], [0, 3]])
-    B = mat([[1, -1], [0, 5]])
-    inter = lattice_intersect(A, B)
-    h, den = rational_hnf(inter)
-    assert den == 1
-    Ainv = mat_inv(A)
-    Binv = mat_inv(B)
-    for row in h:
-        for M in (Ainv, Binv):
-            coords = [sum(Fraction(row[i]) * M[i][j] for i in range(2))
-                      for j in range(2)]
-            assert all(c.denominator == 1 for c in coords)
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda n: st.lists(
+           st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+       repeat=st.booleans())
+def test_mat_det_matches_oracle(rows, repeat):
+    # fraction-free Bareiss against the old Gaussian elimination, on
+    # integer, rational and (with a repeated row) singular matrices
+    if repeat and len(rows) > 1:
+        rows[-1] = list(rows[0])
+    assert mat_det(rows) == oracle_fieldelement.mat_det(mat(rows))
 
 
 def test_lll_preserves_lattice_and_shortens():
