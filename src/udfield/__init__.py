@@ -4,26 +4,54 @@ Construction pipeline: split a completely split prime, pigeonhole
 products of its prime-ideal powers into a principality class, turn ratios
 into unit-modulus elements, and enumerate a Minkowski polydisc window
 whose projection carries provably many unit distances.
+
+The exports below, and the submodules as attributes (`udfield.construct`),
+are imported on first use (PEP 562), so a command loads only the layers
+it runs.
 """
 
-from .construct import (ConstructionReport, PointSet, SymbolicPower, UnitSet,
-                        WindowConfig, build_pointset, denominator_bound,
-                        enumerate_window, exponent, pigeonhole_units,
-                        select_translate, exponent_ledger)
-from .counting import (DistanceCensus, PlanarFloatSet, count_exact,
-                       count_float, erdos_grid, r2_count, r2_count_rational)
-from .gstower import (GSReport, TowerSpec, class_number_bound,
-                      find_split_primes, frattini_rank, gs_check,
-                      multiquadratic_generators, splits_completely)
-from .ideals import (FracIdeal, PrimeIdeal, PrincipalityResult,
-                     class_number_imag_quadratic, is_principal, split_prime)
-from .intervals import (ComplexInterval, RealInterval, exact_ceil,
-                        ln_interval, pi_interval)
-from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
-                          adjoin_i, compositum_multiquadratic, detect_cm,
-                          is_unit_modulus, nf_new)
-from .numthy import is_prime, legendre_symbol
-from .polynomials import make_poly
-from .roots import RootBox, isolate_complex_roots
+import importlib
 
+_EXPORTS = {
+    "construct": ("ConstructionReport", "PointSet", "SymbolicPower", "UnitSet",
+                  "WindowConfig", "build_pointset", "denominator_bound",
+                  "enumerate_window", "exponent", "pigeonhole_units",
+                  "select_translate", "exponent_ledger"),
+    "counting": ("DistanceCensus", "PlanarFloatSet", "count_exact", "count_float",
+                 "erdos_grid", "r2_count", "r2_count_rational"),
+    "gstower": ("GSReport", "TowerSpec", "class_number_bound", "find_split_primes",
+                "frattini_rank", "gs_check", "multiquadratic_generators",
+                "splits_completely"),
+    "ideals": ("FracIdeal", "PrimeIdeal", "PrincipalityResult",
+               "class_number_imag_quadratic", "is_principal", "split_prime"),
+    "intervals": ("ComplexInterval", "RealInterval", "exact_ceil", "ln_interval",
+                  "pi_interval"),
+    "numberfield": ("CMStructure", "FieldElement", "NumberField", "abs_sq", "adjoin_i",
+                    "compositum_multiquadratic", "detect_cm", "is_unit_modulus",
+                    "nf_new"),
+    "numthy": ("is_prime", "legendre_symbol"),
+    "polynomials": ("make_poly",),
+    "roots": ("RootBox", "isolate_complex_roots"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        try:
+            value = importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

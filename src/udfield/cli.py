@@ -234,7 +234,7 @@ def _count_exact_csv(args):
     The field comes from --field or from the pointset.json sidecar written
     next to the CSV by `generate`."""
     from .counting import count_exact
-    from .enumeration import stack_rows
+    from .linalg import stack_rows
     from .numberfield import detect_cm
     from .serialize import open_file, parse_frac
 

@@ -12,20 +12,22 @@ reports exact translation and packing bounds next to the measured counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .enumeration import (_int_rows, lattice_points_in_polydisc, roots_of_unity,
-                          stack_rows)
+from .enumeration import lattice_points_in_polydisc, roots_of_unity
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
                      InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted,
                      WindowTooLarge)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal)
 from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
+from .linalg import int_rows, stack_rows
 from .numberfield import (CMStructure, FieldElement, NumberField,
                           detect_cm, is_unit_modulus)
 from .numthy import iroot_ceil, is_prime, squarefree_kernel
@@ -113,9 +115,13 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     if count > PIGEONHOLE_LIMIT:
         raise WindowTooLarge(f"{count} exponent vectors (limit {PIGEONHOLE_LIMIT})")
 
+    # per prime, the k + 1 ideals P^a conj(P)^(k - a), from powers formed once
     Q = FracIdeal.unit_ideal(K)
+    factors = []
     for (pr, k), conj in zip(primes, conjugates):
-        Q = Q * (pr.lattice * conj) ** k
+        P, C = _powers(pr.lattice, k), _powers(conj, k)
+        factors.append([P[a] * C[k - a] for a in range(k + 1)])
+        Q = Q * P[k] * C[k]
     D = denominator_bound(primes)
 
     ideals: List[FracIdeal] = []
@@ -124,9 +130,8 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     inverses: Dict[int, FracIdeal] = {}      # B^-1, on first use
     inconclusive = False
     for j, vec in enumerate(itertools.product(*[range(k + 1) for _, k in primes])):
-        I = FracIdeal.unit_ideal(K)
-        for (pr, k), conj, a in zip(primes, conjugates, vec):
-            I = I * pr.lattice ** a * conj ** (k - a)
+        parts = [f[a] for f, a in zip(factors, vec)]
+        I = functools.reduce(operator.mul, parts) if parts else FracIdeal.unit_ideal(K)
         for members in classes:
             b = members[0]
             if b not in inverses:
@@ -148,7 +153,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     witnesses: List[FieldElement] = []
     witness_ideals: List[FracIdeal] = []
     one = K.one()
-    Q2 = Q ** 2
+    Q2 = Q * Q
     for j in best:
         alpha = alphas.get(j, one)
         u = alpha / cm.conj(alpha)
@@ -179,6 +184,14 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     return UnitSet(field=K, cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
                    Q=Q, D=D, guaranteed_min=guaranteed, h=h,
                    inconclusive=inconclusive)
+
+
+def _powers(I: FracIdeal, k: int) -> List[FracIdeal]:
+    """[I^0, I^1, ..., I^k] by successive products, k >= 1."""
+    out = [FracIdeal.unit_ideal(I.field), I]
+    while len(out) <= k:
+        out.append(out[-1] * I)
+    return out
 
 
 def _certify_unit(u: FieldElement, cm: CMStructure, Q2: FracIdeal, D: int):
@@ -495,7 +508,7 @@ def _closure_rows(inner, inner_denom: int, units: Sequence[FieldElement], n: int
     # the zero shift, taken over the inner denominator, puts it in the lcm
     shifts, denom = stack_rows([([0] * n, inner_denom)] + [(u.num, u.den) for u in units], n)
     scale = denom // inner_denom
-    return _unique_rows(_int_rows([c * scale + s for w in inner.tolist()
+    return _unique_rows(int_rows([c * scale + s for w in inner.tolist()
                                    for u in shifts.tolist() for c, s in zip(w, u)], n)), denom
 
 

@@ -83,7 +83,8 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     """
     import numpy as np
 
-    from .enumeration import _float_columns, _max_abs, _round_up
+    from .intervals import float_columns, float_up
+    from .linalg import max_abs
 
     K = cm.field
     n = K.n
@@ -93,9 +94,9 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
             [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
     xy = np.zeros((len(rows), 2))
-    C = [Fraction(_max_abs(rows[:, k]), denom) for k in range(n)]
+    C = [Fraction(max_abs(rows[:, k]), denom) for k in range(n)]
     try:
-        if _max_abs(rows) < 1 << 53 and denom < 1 << 53:
+        if max_abs(rows) < 1 << 53 and denom < 1 << 53:
             # both exact in float64, so the IEEE quotient is correctly rounded
             c = rows.astype(float) / denom
         else:
@@ -103,7 +104,7 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
                           for row in rows.tolist()]).reshape(len(rows), n)
         err = 0.0
         for axis, part in enumerate(("re", "im")):
-            mids, errs = _float_columns([getattr(box, part) for box in boxes])
+            mids, errs = float_columns([getattr(box, part) for box in boxes])
             bound = Fraction(0)
             for k in range(n):
                 if zero[axis][k]:
@@ -112,7 +113,7 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
                 m = abs(Fraction(mids[k]))
                 bound += (C[k] * (errs[k] + Fraction(n + 2, 1 << 52) * m)
                           + (1 + m) / (1 << 1074))
-            err = max(err, _round_up(bound))
+            err = max(err, float_up(bound))
     except OverflowError:
         raise PrecisionExhausted("point coordinates beyond float range") from None
     return xy, err
@@ -167,14 +168,14 @@ def _unit_distance(rows, denom: int, i, j, cm: CMStructure):
     ints (object dtype) otherwise."""
     import numpy as np
 
-    from .enumeration import _max_abs
+    from .linalg import max_abs
 
     T, e = hermitian_form(cm)
     n = len(e)
     target = [denom * denom * x for x in e]
     span = max(sum(abs(T[p][q][k]) for p in range(n) for q in range(n))
                for k in range(n))
-    dmax = 2 * _max_abs(rows)
+    dmax = 2 * max_abs(rows)
     fits = dmax * dmax * span < 1 << 63 and max(map(abs, target)) < 1 << 63
     dtype = np.int64 if fits else object
     d = rows[i].astype(dtype) - rows[j].astype(dtype)

@@ -33,13 +33,13 @@ nonzero, so refinement terminates).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import (ComplexInterval, RealInterval, round_down, round_up,
-                        sqrt_upper)
+from .intervals import (ComplexInterval, RealInterval, float_columns, float_up,
+                        round_down, round_up, sqrt_upper)
+from .linalg import int_rows, max_abs
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           trace_form)
 
@@ -162,7 +162,7 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     cols = _embedding_columns(real)
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
-        return _int_rows([], n)
+        return int_rows([], n)
     basis = _lll_reduce_basis(basis, cm)
     emb = _basis_embeddings(field, basis, denom, reps, real, 64)
     center_emb = None
@@ -189,11 +189,11 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     import numpy as np
 
     try:
-        mids, errs = zip(*map(_float_columns, emb))
+        mids, errs = zip(*map(float_columns, emb))
         if center_emb is None:
             base, base_err = [0.0] * n, [Fraction(0)] * n
         else:
-            base, base_err = _float_columns(_columns(center_emb, real))
+            base, base_err = float_columns(_columns(center_emb, real))
         margins = _margins(bounds, mids, errs, base, base_err)
         # the slack absorbs the rounding of float(r^2) and of the bound sums,
         # so a float comparison can prune or accept but never decide the band
@@ -272,19 +272,6 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     return _combine(np.concatenate(blocks), basis, origin)
 
 
-def _float_columns(ivs):
-    """Float midpoints of the intervals, with exact bounds on their error."""
-    exact = [iv.midpoint() for iv in ivs]
-    mids = [float(q) for q in exact]
-    errs = [iv.width() / 2 + abs(Fraction(x) - q) for x, q, iv in zip(mids, exact, ivs)]
-    return mids, errs
-
-
-def _round_up(q: Fraction) -> float:
-    x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
-
-
 def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
     """margins[k][t] >= |x_t - P_t| over every completion of c_0..c_k.
 
@@ -301,7 +288,7 @@ def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
         terms = [M * abs(Fraction(m[t])) for M, m in zip(bounds, mids)]
         E = (base_err[t] + sum(M * e[t] for M, e in zip(bounds, errs))
              + Fraction(n + 2, 1 << 52) * (abs(Fraction(base[t])) + sum(terms)))
-        out.append([_round_up(E + sum(terms[k + 1:])) for k in range(n)])
+        out.append([float_up(E + sum(terms[k + 1:])) for k in range(n)])
     return [list(row) for row in zip(*out)]
 
 
@@ -321,25 +308,6 @@ def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[L
             for row in U]
 
 
-# ---------------------------------------------------------------------------
-# Integer coordinate rows
-# ---------------------------------------------------------------------------
-
-def _max_abs(rows) -> int:
-    import numpy as np
-
-    return int(np.abs(rows).max(initial=0))
-
-
-def _int_rows(flat, n: int):
-    """The integers `flat` as an (m, n) array, row by row: int64 when every
-    |entry| is below 2^63, Python ints (object dtype) otherwise."""
-    import numpy as np
-
-    dtype = np.int64 if max(map(abs, flat), default=0) < 1 << 63 else object
-    return np.array(flat, dtype=dtype).reshape(-1, n)
-
-
 def _combine(rows, B, c):
     """c + rows @ B exactly (integer matmul, no BLAS): int64 when the bound
     max|rows| * max_k sum_j |B_jk| + max|c| on every partial sum is below
@@ -347,17 +315,9 @@ def _combine(rows, B, c):
     import numpy as np
 
     col_sums = [sum(abs(row[k]) for row in B) for k in range(len(c))]
-    bound = _max_abs(rows) * max(col_sums, default=0) + max(map(abs, c), default=0)
+    bound = max_abs(rows) * max(col_sums, default=0) + max(map(abs, c), default=0)
     dtype = np.int64 if bound < 1 << 63 else object
     return rows.astype(dtype) @ np.array(B, dtype=dtype) + np.array(c, dtype=dtype)
-
-
-def stack_rows(rows, n: int):
-    """(array, denom): the rationals c / d, for every pair (num, d) of an
-    integer sequence and a positive integer and every c in num, laid out in
-    order as one (m, n) integer array over their least common denominator."""
-    denom = math.lcm(1, *(d for _, d in rows))
-    return _int_rows([c * (denom // d) for num, d in rows for c in num], n), denom
 
 
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:

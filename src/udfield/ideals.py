@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .enumeration import lattice_points_in_polydisc, stack_rows
+from .enumeration import lattice_points_in_polydisc
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
-from .linalg import hnf_det, hnf_rows, mat_det, vec_mat
+from .linalg import hnf_det, hnf_rows, mat_det, stack_rows, vec_mat
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
 from .numthy import (check_squarefree_int, iroot_ceil, is_prime,
                      squarefree_kernel)

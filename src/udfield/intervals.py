@@ -39,6 +39,20 @@ def round_up(q: Rat, bits: int) -> Fraction:
     return Fraction(-((-scaled) // q.denominator), 1 << bits)
 
 
+def float_up(q: Rat) -> float:
+    """The least float >= q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def float_columns(ivs):
+    """Float midpoints of the intervals, with exact bounds on their error."""
+    exact = [iv.midpoint() for iv in ivs]
+    mids = [float(q) for q in exact]
+    errs = [iv.width() / 2 + abs(Fraction(x) - q) for x, q, iv in zip(mids, exact, ivs)]
+    return mids, errs
+
+
 def sqrt_lower(q: Rat, bits: int) -> Fraction:
     """Dyadic lower bound for sqrt(q), q >= 0, within 2^-bits."""
     q = Fraction(q)

@@ -1,4 +1,5 @@
-"""Exact linear algebra: Fraction matrices and integer Hermite normal form.
+"""Exact linear algebra: Fraction matrices, integer Hermite normal form, and
+the integer coordinate rows over one denominator that point sets use.
 
 Matrices are tuples of row tuples.  Everything here is desk scale
 (dimension <= 32), so classical fraction-free or Gaussian algorithms are
@@ -261,3 +262,30 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
                     mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return tuple(tuple(r) for r in U)
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinate rows: numpy arrays of points over one denominator
+# ---------------------------------------------------------------------------
+
+def max_abs(rows) -> int:
+    import numpy as np
+
+    return int(np.abs(rows).max(initial=0))
+
+
+def int_rows(flat, n: int):
+    """The integers `flat` as an (m, n) array, row by row: int64 when every
+    |entry| is below 2^63, Python ints (object dtype) otherwise."""
+    import numpy as np
+
+    dtype = np.int64 if max(map(abs, flat), default=0) < 1 << 63 else object
+    return np.array(flat, dtype=dtype).reshape(-1, n)
+
+
+def stack_rows(rows, n: int):
+    """(array, denom): the rationals c / d, for every pair (num, d) of an
+    integer sequence and a positive integer and every c in num, laid out in
+    order as one (m, n) integer array over their least common denominator."""
+    denom = lcm(1, *(d for _, d in rows))
+    return int_rows([c * (denom // d) for num, d in rows for c in num], n), denom

@@ -1,16 +1,19 @@
 """Certified isolation of the complex roots of squarefree integer polynomials.
 
-Strategy: take Newton-polished approximations (mpmath.polyroots) as seeds,
-then certify with the classical inclusion bound
+Strategy: take Aberth-Ehrlich approximations as seeds (complex doubles,
+then fixed-point Gaussian integers, all from deterministic starting
+points), then certify with the classical inclusion bound
     min_i |z0 - r_i|  <=  deg(p) * |p(z0) / p'(z0)|,
 evaluated in exact interval arithmetic.  With one disk per seed and all
 disks pairwise disjoint, each disk contains exactly one root.  Conjugate
 pairing and realness are decided from disk geometry, never from signs of
-floating-point noise.
+floating-point noise; the seeds only steer the certificate.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -40,30 +43,142 @@ class RootBox:
         return self.box.im
 
 
-def _mpc_to_dyadic(z, bits: int) -> Tuple[Fraction, Fraction]:
-    def conv(x):
-        sign, man, exp, _ = x._mpf_
-        if man == 0:
-            return Fraction(0)
-        v = Fraction(int(man)) * (Fraction(2) ** exp)
-        return -v if sign else v
-
-    return conv(z.real), conv(z.imag)
+_STEPS = 200     # Aberth iterations per phase
+_SEED_BITS = 32  # seeds are rounded to 2^-(bits + 32)
 
 
-def _seed_roots(p: Sequence, bits: int):
-    import mpmath
+def _start_points(p: Sequence):
+    """Deterministic Aberth starting points (Bini 1996, Numer. Algorithms 13):
+    for each edge (k, k + m) of the upper convex hull of (k, log2|a_k|),
+    m points on the circle of radius (|a_k| / |a_(k+m)|)^(1/m), spread in
+    angle.  Each point is (unit complex, log2 of its modulus)."""
+    n = degree(p)
+    pts = [(k, math.log2(abs(c))) for k, c in enumerate(p) if c]
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    circles = [(k1 - k0, (l0 - l1) / (k1 - k0))
+               for (k0, l0), (k1, l1) in zip(hull, hull[1:])]
+    if pts[0][0]:   # x divides p: its root 0 starts inside the smallest circle
+        circles.insert(0, (pts[0][0], min((e for _, e in circles), default=0.0) - 1))
+    out = []
+    for t, (m, e) in enumerate(circles):
+        for j in range(m):
+            angle = 2 * math.pi * (j / m + t / n) + 0.7
+            out.append((complex(math.cos(angle), math.sin(angle)), e))
+    return out
 
-    old = mpmath.mp.prec
+
+def _aberth_float(p: Sequence, starts):
+    """Aberth-Ehrlich iteration in complex doubles; None when the
+    coefficients or the iterates leave the float range."""
     try:
-        mpmath.mp.prec = bits + 32
-        coeffs = [int(c) for c in reversed(p)]
-        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits // 2 + 64)
-    except mpmath.libmp.NoConvergence:
-        raise PrecisionExhausted(
-            f"root seeding did not converge at {bits} bits") from None
-    finally:
-        mpmath.mp.prec = old
+        c = [float(a) for a in reversed(p)]
+        z = [u * 2.0 ** e for u, e in starts]
+    except OverflowError:
+        return None
+    done = [False] * len(z)
+    for _ in range(_STEPS):
+        if all(done):
+            break
+        for i, zi in enumerate(z):
+            if done[i]:
+                continue
+            f, df = c[0], 0j
+            for a in c[1:]:
+                df = df * zi + f
+                f = f * zi + a
+            s = sum(1 / (zi - zj) for zj in z if zj != zi)
+            try:
+                w = f / (df - f * s)
+            except (ZeroDivisionError, OverflowError):
+                return None
+            if not cmath.isfinite(w):
+                return None
+            z[i] = zi - w
+            done[i] = abs(w) <= abs(z[i]) * 2.0 ** -50
+    return z
+
+
+def _to_fixed(x: float, scale: int) -> int:
+    num, den = x.as_integer_ratio()
+    return (num << scale) // den if scale >= 0 else num // (den << -scale)
+
+
+def _seed_roots(p: Sequence, bits: int) -> List[Tuple[Fraction, Fraction]]:
+    """Dyadic (re, im) approximations of all roots of p by Aberth-Ehrlich
+    iteration (Aberth 1973, Math. Comp. 27): first in complex doubles, then
+    in fixed-point Gaussian integers at scale 2^F until every correction is
+    below 2^-(bits + 8).  F is bits + 32, plus bits // 2 + 64 so that the
+    rounding noise of a correction, 2^-F / |p'(z)|, stays below that bound
+    for clustered roots, plus deg(p) bits per binade of the largest root,
+    by which Horner's rounding grows.  The seeds are rounded to
+    2^-(bits + 32), and the seeds of a conjugate pair are made exact
+    conjugates (those of a real root real), so roots that share a real
+    part compare equal in the canonical order.  Raises PrecisionExhausted
+    when the iteration does not converge within the step cap."""
+    starts = _start_points(p)
+    F = (bits + 32 + bits // 2 + 64
+         + degree(p) * max(0, math.ceil(max(e for _, e in starts))))
+    z = _aberth_float(p, starts)
+    if z is None:   # start in fixed point: the point u 2^e at scale 2^F
+        z = [(_to_fixed(u.real * 2.0 ** (e % 1), F + math.floor(e)),
+              _to_fixed(u.imag * 2.0 ** (e % 1), F + math.floor(e))) for u, e in starts]
+    else:
+        z = [(_to_fixed(w.real, F), _to_fixed(w.imag, F)) for w in z]
+    c = [int(a) << F for a in reversed(p)]
+    tol = 1 << (F - bits - 8)
+    done = [False] * len(z)
+    for _ in range(_STEPS):
+        if all(done):
+            break
+        for i, (x, y) in enumerate(z):
+            if done[i]:
+                continue
+            fr, fi, dr, di = c[0], 0, 0, 0
+            for a in c[1:]:
+                dr, di = ((dr * x - di * y) >> F) + fr, ((dr * y + di * x) >> F) + fi
+                fr, fi = ((fr * x - fi * y) >> F) + a, (fr * y + fi * x) >> F
+            # s = sum_j 1 / (z_i - z_j); a coincident z_j counts as one unit away
+            sr = si = 0
+            for j, (u, v) in enumerate(z):
+                if j != i:
+                    dx, dy = x - u, y - v
+                    if not (dx or dy):
+                        dx = 1
+                    q = dx * dx + dy * dy
+                    sr += (dx << 2 * F) // q
+                    si -= (dy << 2 * F) // q
+            # w = p / (p' - p s)
+            er = dr - ((fr * sr - fi * si) >> F)
+            ei = di - ((fr * si + fi * sr) >> F)
+            q = er * er + ei * ei
+            if not q:
+                continue
+            wr = ((fr * er + fi * ei) << F) // q
+            wi = ((fi * er - fr * ei) << F) // q
+            z[i] = (x - wr, y - wi)
+            done[i] = abs(wr) < tol and abs(wi) < tol
+    if not all(done):
+        raise PrecisionExhausted(f"root seeding did not converge at {bits} bits")
+    shift = F - bits - _SEED_BITS
+    half = 1 << (shift - 1)
+    z = [((x + half) >> shift, (y + half) >> shift) for x, y in z]
+    # the seed nearest the conjugate of each seed: itself for a real root,
+    # the partner of a conjugate pair
+    mirror = [min(range(len(z)), key=lambda j: (z[j][0] - x) ** 2 + (z[j][1] + y) ** 2)
+              for x, y in z]
+    if all(mirror[j] == i for i, j in enumerate(mirror)):
+        for i, (j, (x, y)) in enumerate(zip(mirror, z)):
+            if i == j:
+                z[i] = (x, 0)
+            elif y > 0:
+                z[j] = (x, -y)
+    den = 1 << (bits + _SEED_BITS)
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in z]
 
 
 def _certify(p: Sequence, seeds, bits: int):
@@ -71,8 +186,7 @@ def _certify(p: Sequence, seeds, bits: int):
     n = degree(p)
     dp = derivative(p)
     disks = []
-    for z in seeds:
-        cre, cim = _mpc_to_dyadic(z, bits)
+    for cre, cim in seeds:
         pt = ComplexInterval.point(cre, cim)
         val = eval_at(p, pt)
         dval = eval_at(dp, pt)

@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .construct import ConstructionReport, PointSet, SymbolicPower, UnitSet
 from .errors import InputError, ParseError
 from .intervals import RealInterval
+
+if TYPE_CHECKING:
+    from .construct import ConstructionReport, PointSet, UnitSet
 
 
 def frac_str(q: Fraction) -> str:
@@ -77,7 +80,10 @@ def jsonify(obj):
     """Recursively convert package values to JSON-encodable structures."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    if isinstance(obj, SymbolicPower):
+    # a SymbolicPower exists only once construct is loaded, and a command
+    # that builds nothing (count) does not load it
+    construct = sys.modules.get(f"{__package__}.construct")
+    if construct is not None and isinstance(obj, construct.SymbolicPower):
         return obj.to_dict()
     if isinstance(obj, RealInterval):
         return interval_dict(obj)

@@ -1,7 +1,7 @@
 """Conversions between field elements and the integer coordinate rows
 (rows, denom) that udfield's point sets use."""
 
-from udfield.enumeration import stack_rows
+from udfield.linalg import stack_rows
 from udfield.numberfield import FieldElement
 
 

@@ -339,18 +339,6 @@ def test_exact_count_beyond_float_precision_exits_5(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_field_setup_does_not_import_numpy(tmp_path):
-    # import, field build and CM detection (the benchmark's setup) stay off
-    # the float paths, which import numpy inside their functions
-    code = ("import sys, udfield\n"
-            "from udfield.cli import build_field\n"
-            "from udfield.numberfield import detect_cm\n"
-            "assert detect_cm(build_field('adjoin-i:5')) is not None\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    proc = _run_python(tmp_path, "-c", code)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_exact_count_denominator_past_int64(tmp_path, capsys):
     # coprime denominators 2^61 - 1 and 2^31 - 1 make the common one about
     # 2^92: the rows and the Hermitian form fall back to Python ints, and
@@ -410,4 +398,23 @@ def test_exact_count_malformed_rows_exit_typed(tmp_path_factory, text):
     proc = _run_module(tmp_path, "count", "--csv", "bad.csv",
                        "--method", "exact", "--field", "gaussian")
     assert proc.returncode in (3, 5), (text, proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+# min_poly coefficients past 2^1024 (no float phase: the root seeds start in
+# fixed point), and roots that nearly coincide relative to their size
+_HUGE_FIELDS = [([2 ** 1100, 0, 1], 0),                   # +-2^550 i
+                ([3 ** 700, 0, 1], 0),                    # +-3^350 i
+                ([2 ** 120 + 1, -2 ** 61, 1], 0),         # 2^60 +- i
+                ([2 ** 2046 + 1, 2 ** 1024, 1], None),    # -2^1023 +- i
+                ([2 ** 1200, 0, 0, 0, 1], None)]
+
+
+@pytest.mark.parametrize("poly, code", _HUGE_FIELDS)
+def test_huge_or_clustered_min_poly_exits_typed(tmp_path, poly, code):
+    (tmp_path / "field.json").write_text(json.dumps({"min_poly": poly}))
+    proc = _run_module(tmp_path, "generate", "--field", "field.json", "--prime", "5",
+                       "--k", "1", "--out", "run")
+    assert proc.returncode in ((0, 3, 4, 5, 6, 7, 8) if code is None else (code,)), \
+        proc.stderr
     assert "Traceback" not in proc.stderr

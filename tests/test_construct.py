@@ -117,6 +117,25 @@ def test_pigeonhole_asks_each_principality_once(deg4, deg4_cm, monkeypatch):
     assert calls == {"is_principal": 3, "inverse": 1}
 
 
+def test_pigeonhole_forms_each_prime_power_once(deg4, deg4_cm, monkeypatch):
+    # the (k + 1)^2 exponent vectors of two primes share 2 (k + 1) powers
+    # per prime, built by successive products, never by FracIdeal.__pow__
+    calls = []
+
+    def counted(self, e):
+        calls.append(e)
+        return power(self, e)
+
+    pairs = prime_pairs(deg4, deg4_cm, 29, 2)
+    assert len(pairs) == 2
+    power = FracIdeal.__pow__
+    monkeypatch.setattr(FracIdeal, "__pow__", counted)
+    us = pigeonhole_units(deg4, pairs)
+    assert calls == []
+    assert us.Q == math.prod((pr.lattice * pr.lattice.conjugate(deg4_cm) for pr, _ in pairs),
+                             start=FracIdeal.unit_ideal(deg4)) ** 2
+
+
 def test_pigeonhole_empty(gaussian, gaussian_cm):
     us = pigeonhole_units(gaussian, [])
     assert us.distinct_ideal_count == 1
