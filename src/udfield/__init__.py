@@ -5,12 +5,15 @@ products of its prime-ideal powers into a principality class, turn ratios
 into unit-modulus elements, and enumerate a Minkowski polydisc window
 whose projection carries provably many unit distances.
 
-The exports below, and the submodules as attributes (`udfield.construct`),
-are imported on first use (PEP 562), so a command loads only the layers
-it runs.
+Every submodule but __main__ is bound here and in sys.modules when the
+package is imported, as a lazy module (importlib.util.LazyLoader) that
+runs on its first attribute access; the exports below resolve through
+their modules on first use (PEP 562).  A command therefore runs only the
+layers it uses.
 """
 
-import importlib
+import importlib.util
+import sys
 
 _EXPORTS = {
     "construct": ("ConstructionReport", "PointSet", "SymbolicPower", "UnitSet",
@@ -33,22 +36,33 @@ _EXPORTS = {
     "polynomials": ("make_poly",),
     "roots": ("RootBox", "isolate_complex_roots"),
 }
+_SUBMODULES = ("cli", "construct", "counting", "enumeration", "errors", "gstower",
+               "ideals", "intervals", "linalg", "numberfield", "numthy", "polynomials",
+               "roots", "serialize")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
+def _lazy(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _SUBMODULES:
+    globals()[_name] = _lazy(_name)
+del _name
+
+
 def __getattr__(name):
-    if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    else:
-        try:
-            value = importlib.import_module(f".{name}", __name__)
-        except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{name}":
-                raise
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value
     return value
 

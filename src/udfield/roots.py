@@ -1,8 +1,8 @@
 """Certified isolation of the complex roots of squarefree integer polynomials.
 
-Strategy: take Aberth-Ehrlich approximations as seeds (complex doubles,
-then fixed-point Gaussian integers, all from deterministic starting
-points), then certify with the classical inclusion bound
+Strategy: take Aberth-Ehrlich approximations as seeds (fixed-point
+Gaussian integers from deterministic starting points), then certify
+with the classical inclusion bound
     min_i |z0 - r_i|  <=  deg(p) * |p(z0) / p'(z0)|,
 evaluated in exact interval arithmetic.  With one disk per seed and all
 disks pairwise disjoint, each disk contains exactly one root.  Conjugate
@@ -12,7 +12,6 @@ floating-point noise; the seeds only steer the certificate.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ class RootBox:
         return self.box.im
 
 
-_STEPS = 200     # Aberth iterations per phase
+_STEPS = 200     # Aberth iteration cap
 _SEED_BITS = 32  # seeds are rounded to 2^-(bits + 32)
 
 
@@ -72,37 +71,6 @@ def _start_points(p: Sequence):
     return out
 
 
-def _aberth_float(p: Sequence, starts):
-    """Aberth-Ehrlich iteration in complex doubles; None when the
-    coefficients or the iterates leave the float range."""
-    try:
-        c = [float(a) for a in reversed(p)]
-        z = [u * 2.0 ** e for u, e in starts]
-    except OverflowError:
-        return None
-    done = [False] * len(z)
-    for _ in range(_STEPS):
-        if all(done):
-            break
-        for i, zi in enumerate(z):
-            if done[i]:
-                continue
-            f, df = c[0], 0j
-            for a in c[1:]:
-                df = df * zi + f
-                f = f * zi + a
-            s = sum(1 / (zi - zj) for zj in z if zj != zi)
-            try:
-                w = f / (df - f * s)
-            except (ZeroDivisionError, OverflowError):
-                return None
-            if not cmath.isfinite(w):
-                return None
-            z[i] = zi - w
-            done[i] = abs(w) <= abs(z[i]) * 2.0 ** -50
-    return z
-
-
 def _to_fixed(x: float, scale: int) -> int:
     num, den = x.as_integer_ratio()
     return (num << scale) // den if scale >= 0 else num // (den << -scale)
@@ -110,25 +78,22 @@ def _to_fixed(x: float, scale: int) -> int:
 
 def _seed_roots(p: Sequence, bits: int) -> List[Tuple[Fraction, Fraction]]:
     """Dyadic (re, im) approximations of all roots of p by Aberth-Ehrlich
-    iteration (Aberth 1973, Math. Comp. 27): first in complex doubles, then
-    in fixed-point Gaussian integers at scale 2^F until every correction is
-    below 2^-(bits + 8).  F is bits + 32, plus bits // 2 + 64 so that the
-    rounding noise of a correction, 2^-F / |p'(z)|, stays below that bound
-    for clustered roots, plus deg(p) bits per binade of the largest root,
-    by which Horner's rounding grows.  The seeds are rounded to
-    2^-(bits + 32), and the seeds of a conjugate pair are made exact
-    conjugates (those of a real root real), so roots that share a real
-    part compare equal in the canonical order.  Raises PrecisionExhausted
-    when the iteration does not converge within the step cap."""
+    iteration (Aberth 1973, Math. Comp. 27) in fixed-point Gaussian integers
+    at scale 2^F until every correction is below 2^-(bits + 8).  F is
+    bits + 32, plus bits // 2 + 64 so that the rounding noise of a
+    correction, 2^-F / |p'(z)|, stays below that bound for clustered
+    roots, plus deg(p) bits per binade of the largest root, by which
+    Horner's rounding grows.  The seeds are rounded to 2^-(bits + 32), and
+    the seeds of a conjugate pair are made exact conjugates (those of a
+    real root real), so roots that share a real part compare equal in the
+    canonical order.  Raises PrecisionExhausted when the iteration does not
+    converge within the step cap."""
     starts = _start_points(p)
     F = (bits + 32 + bits // 2 + 64
          + degree(p) * max(0, math.ceil(max(e for _, e in starts))))
-    z = _aberth_float(p, starts)
-    if z is None:   # start in fixed point: the point u 2^e at scale 2^F
-        z = [(_to_fixed(u.real * 2.0 ** (e % 1), F + math.floor(e)),
-              _to_fixed(u.imag * 2.0 ** (e % 1), F + math.floor(e))) for u, e in starts]
-    else:
-        z = [(_to_fixed(w.real, F), _to_fixed(w.imag, F)) for w in z]
+    # the start point u 2^e at scale 2^F
+    z = [(_to_fixed(u.real * 2.0 ** (e % 1), F + math.floor(e)),
+          _to_fixed(u.imag * 2.0 ** (e % 1), F + math.floor(e))) for u, e in starts]
     c = [int(a) << F for a in reversed(p)]
     tol = 1 << (F - bits - 8)
     done = [False] * len(z)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -80,18 +79,15 @@ def jsonify(obj):
     """Recursively convert package values to JSON-encodable structures."""
     if isinstance(obj, Fraction):
         return frac_str(obj)
-    # a SymbolicPower exists only once construct is loaded, and a command
-    # that builds nothing (count) does not load it
-    construct = sys.modules.get(f"{__package__}.construct")
-    if construct is not None and isinstance(obj, construct.SymbolicPower):
-        return obj.to_dict()
     if isinstance(obj, RealInterval):
         return interval_dict(obj)
     if isinstance(obj, dict):
         return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    return obj
+    # a value that knows its JSON form: SymbolicPower in the exponent ledger
+    to_dict = getattr(obj, "to_dict", None)
+    return obj if to_dict is None else jsonify(to_dict())
 
 
 @contextmanager

@@ -401,8 +401,8 @@ def test_exact_count_malformed_rows_exit_typed(tmp_path_factory, text):
     assert "Traceback" not in proc.stderr
 
 
-# min_poly coefficients past 2^1024 (no float phase: the root seeds start in
-# fixed point), and roots that nearly coincide relative to their size
+# min_poly coefficients past 2^1024, out of float range, and roots that
+# nearly coincide relative to their size
 _HUGE_FIELDS = [([2 ** 1100, 0, 1], 0),                   # +-2^550 i
                 ([3 ** 700, 0, 1], 0),                    # +-3^350 i
                 ([2 ** 120 + 1, -2 ** 61, 1], 0),         # 2^60 +- i

@@ -1,5 +1,6 @@
-"""Import footprint: a command loads the udfield layers it runs and no
-others.  The package resolves its exports on first use (PEP 562), and
+"""Import footprint: a command runs the udfield layers it uses and no
+others.  The package binds its submodules as lazy modules, which run on
+first attribute access, resolves its exports on first use (PEP 562), and
 only certified pi/ln intervals import mpmath."""
 
 import importlib
@@ -15,12 +16,14 @@ import udfield
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
 
 # runs argv[1:] as `python -m udfield` or as a -c snippet, then prints the
-# udfield modules loaded and whether mpmath and numpy were
+# udfield modules that ran (a lazy module not yet run is a subclass of
+# ModuleType) and whether mpmath and numpy were loaded
 PROBE = """
-import atexit, json, runpy, sys
+import atexit, json, runpy, sys, types
 def report():
     sys.stderr.write("PROBE " + json.dumps({
-        "udfield": sorted(m for m in sys.modules if m.startswith("udfield")),
+        "udfield": sorted(m for m, mod in sys.modules.items()
+                          if m.startswith("udfield") and type(mod) is types.ModuleType),
         "mpmath": "mpmath" in sys.modules, "numpy": "numpy" in sys.modules}) + "\\n")
 atexit.register(report)
 if sys.argv[1] == "-c":
@@ -79,3 +82,12 @@ def test_exports_resolve_to_their_modules():
     assert set(udfield.__all__) <= set(dir(udfield))
     assert not hasattr(udfield, "no_such_name")
     assert not hasattr(udfield, "stack_rows")
+    assert not hasattr(udfield, "__main__")
+
+
+def test_submodules_are_bound_lazily():
+    assert set(udfield._SUBMODULES) == {
+        name[:-3] for name in os.listdir(os.path.dirname(udfield.__file__))
+        if name.endswith(".py") and name not in ("__init__.py", "__main__.py")}
+    for name in udfield._SUBMODULES:
+        assert sys.modules[f"udfield.{name}"] is getattr(udfield, name)

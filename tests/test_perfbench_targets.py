@@ -5,6 +5,8 @@ a layer from the trace, so every target must still resolve."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -26,3 +28,30 @@ def test_layertrace_targets_resolve():
             owner = getattr(owner, part, None)
             assert owner is not None, f"{span}: {modname}.{attr} is gone"
         assert callable(owner), f"{span}: {modname}.{attr} is not callable"
+
+
+# a fresh process that has run only `count`: the trace installs over the
+# lazily bound modules as well as over those the command ran
+AFTER_COUNT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from layertrace import LayerTrace
+from udfield import cli
+assert cli.main(["count", "--csv", "in/pointset.csv", "--method", "exact"]) == 0
+with LayerTrace().installed() as trace:
+    assert cli.main(["count", "--csv", "in/pointset.csv", "--method", "exact"]) == 0
+assert trace.calls["counting.count_float"] == 0 and trace.calls["cli"] == 1
+"""
+
+
+def test_layertrace_installs_after_count(tmp_path):
+    from udfield.cli import main
+
+    assert main(["generate", "--field", "gaussian", "--scale", "1", "--R", "4",
+                 "--no-plot", "--out", str(tmp_path / "in")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", AFTER_COUNT,
+                           os.path.join(ROOT, "perfbench")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
