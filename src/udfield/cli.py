@@ -238,6 +238,7 @@ def _count_exact_csv(args):
     from .numberfield import detect_cm
     from .serialize import open_file, parse_frac
 
+    provenance = None
     if args.field is not None:
         K = build_field(args.field)
     else:
@@ -250,6 +251,7 @@ def _count_exact_csv(args):
         if not isinstance(data, dict) or "field" not in data:
             raise ParseError(f"{sidecar}: no \"field\" entry")
         K = _field_from_dict(data["field"])
+        provenance = data.get("provenance")
     cm = detect_cm(K)
     if cm is None:
         raise PreconditionError("exact counting needs a CM field")
@@ -278,8 +280,37 @@ def _count_exact_csv(args):
                 entries.extend([entry(parts[t]) for t in idxs])
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-    return count_exact(*stack_rows([((q.numerator,), q.denominator) for q in entries],
-                                   K.n), cm)
+    rows, denom = stack_rows([((q.numerator,), q.denominator) for q in entries], K.n)
+    return count_exact(rows, denom, cm, _window_differences(cm, provenance, rows, denom))
+
+
+def _window_differences(cm, provenance, rows, denom):
+    """counting.unit_differences of the lattice scale*O_K of a window
+    provenance, when the rows are distinct and lie in one coset of it,
+    checked exactly, and its radius-1 search box holds no more candidates
+    than the set has points; None, for the cell hash, otherwise."""
+    from .counting import unit_differences
+    from .errors import PrecisionExhausted
+
+    if not isinstance(provenance, dict) or provenance.get("mode") != "window":
+        return None
+    try:
+        num, _, den = provenance.get("scale").partition("/")
+        scale = Fraction(int(num), int(den or 1))
+    except (AttributeError, ValueError, ZeroDivisionError):
+        return None
+    if scale <= 0:
+        return None
+    # (row - row') / denom in scale * O_K: every coordinate difference times
+    # the scale's denominator is a multiple of denom times its numerator
+    step = denom * scale.numerator
+    if len(set(rows)) < len(rows) or scale.denominator % step and any(
+            len({c * scale.denominator % step for c in col}) > 1 for col in zip(*rows)):
+        return None
+    try:
+        return unit_differences(cm, scale, limit=len(rows))
+    except (PrecisionExhausted, WindowTooLarge):
+        return None
 
 
 def cmd_exponent(args) -> int:

@@ -27,7 +27,7 @@ from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal)
 from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
-from .linalg import int_rows, stack_rows
+from .linalg import stack_rows
 from .numberfield import (CMStructure, FieldElement, NumberField,
                           detect_cm, is_unit_modulus)
 from .numthy import iroot_ceil, is_prime, squarefree_kernel
@@ -311,9 +311,9 @@ class WindowConfig:
 class PointSet:
     field: NumberField
     cm: CMStructure
-    rows: "object"                    # (n, deg) integer ndarray: coordinates * denom
+    rows: Tuple[Tuple[int, ...], ...]  # integer coordinates * denom, one row per point
     denom: int
-    planar: "object"                  # (n, 2) float ndarray, see planar_image
+    planar: Tuple[Tuple[float, float], ...]   # (re, im) per point, see planar_image
     projection_coordinate: int
     provenance: dict
     unit_pairs: Tuple[Tuple[int, int], ...]   # (i, j), i < j, at exact unit distance
@@ -383,7 +383,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     lower bound is reported, and asserted only for R >= 2 in window
     mode with the best translate.
     """
-    from .counting import planar_image, unit_pair_indices
+    from .counting import planar_image, unit_differences, unit_pair_indices
 
     cm = detect_cm(K)
     if cm is None:
@@ -434,11 +434,19 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
 
     # projection injectivity: exact points are pairwise distinct, and a
     # nonzero element cannot embed to zero, so projections are distinct
-    if len(_unique_rows(rows)) != len(rows):
+    if len(set(rows)) != len(rows):
         raise InjectivityFailure("window enumeration produced duplicates")
 
+    # a window lies in one coset of scale*O_K, so its pairs are a join over
+    # the unit differences when their radius-1 search is within budget
+    diffs = None
+    if cfg.mode == "window" and estimate_window_points(K, cfg.scale, 1) <= cfg.max_points:
+        try:
+            diffs = unit_differences(cm, cfg.scale, limit=cfg.max_points)
+        except WindowTooLarge:
+            pass
     planar, err = planar_image(rows, denom, cm, cfg.projection_coordinate)
-    pairs = tuple(unit_pair_indices(rows, denom, planar, err, cm))
+    pairs = tuple(unit_pair_indices(rows, denom, planar, err, cm, diffs))
     nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)
@@ -508,18 +516,8 @@ def _closure_rows(inner, inner_denom: int, units: Sequence[FieldElement], n: int
     # the zero shift, taken over the inner denominator, puts it in the lcm
     shifts, denom = stack_rows([([0] * n, inner_denom)] + [(u.num, u.den) for u in units], n)
     scale = denom // inner_denom
-    return _unique_rows(int_rows([c * scale + s for w in inner.tolist()
-                                   for u in shifts.tolist() for c, s in zip(w, u)], n)), denom
-
-
-def _unique_rows(rows):
-    """The distinct rows in lexicographic order."""
-    import numpy as np
-
-    if rows.dtype != object:
-        return np.unique(rows, axis=0)
-    return np.array(sorted(set(map(tuple, rows.tolist()))),
-                    dtype=object).reshape(-1, rows.shape[1])
+    return tuple(sorted({tuple(c * scale + s for c, s in zip(w, u))
+                         for w in inner for u in shifts})), denom
 
 
 # ---------------------------------------------------------------------------

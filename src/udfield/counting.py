@@ -2,20 +2,30 @@
 square-grid baseline, and two-squares representation counts.
 
 The exact counter takes a point set as integer coordinate rows over the
-integral basis with one common denominator D.  It never makes a
-floating-point decision: float positions with a certified error bound may
-only rule a pair out, and every surviving pair is decided by exact integer
-equality of the Hermitian form, |x - y|^2 = 1 as
-sum_{j,l} d_j d_l T[j,l,:] = L D^2 coords(1) for the difference row d
-(see hermitian_form).
+integral basis with one common denominator D (tuples of Python ints) and
+runs on Python ints and floats alone; numpy serves only the float counting
+paths below.  It never makes a floating-point decision.  Unit distance is
+the exact identity |x - y|^2 = 1, that is
+sum_{j,l} d_j d_l T[j,l,:] = L D^2 coords(1) for the difference row d (see
+hermitian_form), and the pairs are found in one of two ways:
+
+- a join, for points in one coset of a lattice L = scale * O_K (a window):
+  the unit differences U = {d in L : d conj(d) = 1} lie in the radius-1
+  polydisc, so one exact enumeration of it gives U, and the pairs are the
+  points whose translate by some d in U (one of each +-d) is a point;
+- a cell hash otherwise: float positions with a certified error bound
+  rule pairs out, and each surviving pair is decided by the identity,
+  memoised per difference row.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from itertools import chain
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul, sub
 from typing import List, Optional, Tuple
 
 from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
@@ -70,21 +80,19 @@ class DistanceCensus:
 
 def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     """(xy, err): the (re, im) of sigma(z) at root cm.pair_reps[coordinate]
-    as an (n, 2) float array, every entry within err of the exact value,
-    for the points z = sum_k (rows[:, k] / denom) b_k.
+    as a tuple of float pairs, every entry within err of the exact value,
+    for the points z = sum_k (row_k / denom) b_k of the integer rows.
 
     sigma(z) = sum_k c_k sigma(b_k) over the integral basis: the basis images
     are embedded once, as float midpoints m_k with exact errors e_k, and
-    fl(c_k) m_k is summed in a fixed k order.  fl(c_k) is the correctly
-    rounded quotient rows / denom.  err bounds sum_k C_k (e_k +
-    2 (n + 2) 2^-53 |m_k|) with C_k >= max |c_k|, as enumeration._margins
-    does, plus 2^-1074 (1 + |m_k|) for underflow.  A column that is exactly
-    0 (conj(b_k) = -b_k for re, conj(b_k) = b_k for im) stays exactly 0.
+    fl(c_k) m_k is summed in a fixed k order.  fl(c_k) = row_k / denom, the
+    correctly rounded quotient of two Python ints.  err bounds sum_k C_k
+    (e_k + 2 (n + 2) 2^-53 |m_k|) with C_k >= max |c_k|, as
+    enumeration._margins does, plus 2^-1074 (1 + |m_k|) for underflow.  A
+    column that is exactly 0 (conj(b_k) = -b_k for re, conj(b_k) = b_k for
+    im) stays exactly 0.
     """
-    import numpy as np
-
     from .intervals import float_columns, float_up
-    from .linalg import max_abs
 
     K = cm.field
     n = K.n
@@ -93,109 +101,164 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     boxes = K.basis_images(rep, 128)
     zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
             [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
-    xy = np.zeros((len(rows), 2))
-    C = [Fraction(max_abs(rows[:, k]), denom) for k in range(n)]
+    C = [Fraction(max(map(abs, map(itemgetter(k), rows)), default=0), denom)
+         for k in range(n)]
     try:
-        if max_abs(rows) < 1 << 53 and denom < 1 << 53:
-            # both exact in float64, so the IEEE quotient is correctly rounded
-            c = rows.astype(float) / denom
-        else:
-            c = np.array([[float(Fraction(r, denom)) for r in row]
-                          for row in rows.tolist()]).reshape(len(rows), n)
         err = 0.0
+        xy = []
         for axis, part in enumerate(("re", "im")):
             mids, errs = float_columns([getattr(box, part) for box in boxes])
             bound = Fraction(0)
+            acc = [0.0] * len(rows)
             for k in range(n):
                 if zero[axis][k]:
                     continue
-                xy[:, axis] += c[:, k] * mids[k]
-                m = abs(Fraction(mids[k]))
+                m = mids[k]
+                acc = [a + r / denom * m for a, r in zip(acc, map(itemgetter(k), rows))]
+                m = abs(Fraction(m))
                 bound += (C[k] * (errs[k] + Fraction(n + 2, 1 << 52) * m)
                           + (1 + m) / (1 << 1074))
             err = max(err, float_up(bound))
+            xy.append(acc)
     except OverflowError:
         raise PrecisionExhausted("point coordinates beyond float range") from None
-    return xy, err
+    return tuple(zip(*xy)), err
 
 
-def unit_pair_indices(rows, denom: int, xy, err: float,
-                      cm: CMStructure) -> List[Tuple[int, int]]:
+def unit_pair_indices(rows, denom: int, xy, err: float, cm: CMStructure,
+                      units=None) -> List[Tuple[int, int]]:
     """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided exactly.
 
     `rows` / `denom` are the points' integral-basis coordinates and `xy`,
-    `err` their positions in any one embedding (planar_image).  The cell
+    `err` their positions in any one embedding (planar_image).  With
+    `units`, the (rows, denom) of unit_differences for a lattice L such
+    that every point lies in one coset of L, the pairs are the join of the
+    points with their translates by those differences.  Otherwise the cell
     hash of `count_float` finds nearby positions, their squared float
-    distance prunes with a rigorous margin, and all survivors are decided
-    at once by the integer identity of hermitian_form.
+    distance prunes with a rigorous margin, and each survivor is decided by
+    the integer identity of hermitian_form, once per difference row.
     """
-    import numpy as np
-
     if len(rows) < 2:
         return []
     # a float coordinate difference is off by at most e (the error of two
     # positions plus the rounding of the difference, e >= 2^-50), so for
     # |d| = 1 the float d^2 is within 4 e + 2 e^2 plus a few ulps of 1
-    m = float(max(np.max(np.abs(xy)), 1.0))
+    # (a position that is not finite makes the sum inf or nan)
+    finite = sum(map(abs, chain.from_iterable(xy))) < math.inf
+    m = max(max(map(abs, chain.from_iterable(xy))), 1.0) if finite else math.inf
     e = 2 * err + m * 2.0 ** -50
     margin = 8 * e + 4 * e * e
     if not margin <= 0.5:
         raise PrecisionExhausted(
             f"positions too coarse to prune unit pairs (error {err:.3g})")
-    order, blocks = _cell_blocks(xy, math.sqrt(1 - margin), math.sqrt(1 + margin))
-    x, y = xy[order, 0], xy[order, 1]
-    a, b = [], []
-    for left, right in blocks:
-        dx = x[left] - x[right]
-        dy = y[left] - y[right]
-        close = np.abs(dx * dx + dy * dy - 1.0) <= margin
-        a.append(order[left[close]])
-        b.append(order[right[close]])
-    a, b = np.concatenate(a), np.concatenate(b)
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    unit = _unit_distance(rows, denom, i, j, cm)
-    i, j = i[unit], j[unit]
-    order = np.lexsort((j, i))
-    return list(zip(i[order].tolist(), j[order].tolist()))
+    if units is not None:
+        return _join(rows, denom, *units)
+    return _cell_pairs(rows, denom, xy, margin, cm)
 
 
-def _unit_distance(rows, denom: int, i, j, cm: CMStructure):
-    """Boolean mask: |z_i - z_j|^2 = 1 for each index pair, by the integer
-    identity sum_{p,q} d_p d_q T[p][q][k] = D^2 e_k over d = rows[i] - rows[j].
+def _join(rows, denom: int, diffs, diff_denom: int) -> List[Tuple[int, int]]:
+    """The pairs (i < j) with row_j - row_i = +-d for a difference d, among
+    distinct rows.
 
-    Each partial sum is at most max|d|^2 max_k sum_{p,q} |T[p][q][k]| in
-    modulus, so int64 is used only when that bound is below 2^63, and Python
-    ints (object dtype) otherwise."""
-    import numpy as np
+    Rows and differences are brought over one denominator and each is keyed
+    by the integer sum_k c_k B^k.  B exceeds twice every |c_k| of a row plus
+    a difference, so the key is linear and one-to-one on those vectors, and
+    row + d is a row exactly when key(row) + key(d) is a key."""
+    L = math.lcm(denom, diff_denom)
+    a, b = L // denom, L // diff_denom
+    top = (max(map(abs, chain.from_iterable(rows))) * a
+           + max(map(abs, chain.from_iterable(diffs)), default=0) * b)
+    radix = [(2 * top + 1) ** k for k in range(len(rows[0]))]
+    keys = [0] * len(rows)
+    for k, w in enumerate(radix):
+        w *= a
+        keys = [x + c * w for x, c in zip(keys, map(itemgetter(k), rows))]
+    where = dict(zip(keys, range(len(keys))))
+    n = len(keys)
+    codes = []
+    for d in diffs:
+        step = sum(map(mul, d, radix)) * b
+        hits = map(where.get, [k + step for k in keys])
+        codes += [i * n + j if i < j else j * n + i
+                  for i, j in enumerate(hits) if j is not None]
+    codes.sort()
+    return [divmod(c, n) for c in codes]
 
-    from .linalg import max_abs
 
+def _unit_test(cm: CMStructure, denom: int):
+    """The exact test |z|^2 = 1 of a difference row d over denom: the
+    integer identity sum_{p,q} d_p d_q T[p][q][k] = denom^2 e_k of
+    hermitian_form, for every k."""
     T, e = hermitian_form(cm)
     n = len(e)
-    target = [denom * denom * x for x in e]
-    span = max(sum(abs(T[p][q][k]) for p in range(n) for q in range(n))
-               for k in range(n))
-    dmax = 2 * max_abs(rows)
-    fits = dmax * dmax * span < 1 << 63 and max(map(abs, target)) < 1 << 63
-    dtype = np.int64 if fits else object
-    d = rows[i].astype(dtype) - rows[j].astype(dtype)
-    unit = np.ones(len(d), dtype=bool)
-    for k in range(n):
-        acc = np.zeros(len(d), dtype=dtype)
-        for p in range(n):
-            for q in range(n):
-                if T[p][q][k]:
-                    acc += d[:, p] * d[:, q] * T[p][q][k]
-        unit &= acc == target[k]
-    return unit
+    checks = [([(p, q, T[p][q][k]) for p in range(n) for q in range(n) if T[p][q][k]],
+               denom * denom * e[k]) for k in range(n)]
+    return lambda d: all(sum(d[p] * d[q] * t for p, q, t in terms) == target
+                         for terms, target in checks)
 
 
-def count_exact(rows, denom: int, cm: CMStructure) -> DistanceCensus:
+def _cell_pairs(rows, denom: int, xy, margin: float,
+                cm: CMStructure) -> List[Tuple[int, int]]:
+    """The unit pairs among positions within margin of distance 1 in the
+    squared float distance: the cells and offsets of _cell_blocks, in
+    Python, and the exact test of each difference row decided once."""
+    xs, ys = zip(*xy)
+    k = _cells_per_unit(len(xy), max(xs) - min(xs), max(ys) - min(ys))
+    offsets = _cell_offsets(k, math.sqrt(1 - margin), math.sqrt(1 + margin))
+    cells = {}
+    for i, (x, y) in enumerate(xy):
+        cells.setdefault((math.floor(x * k), math.floor(y * k)), []).append((i, x, y))
+    close = []
+    for (cx, cy), here in cells.items():
+        blocks = [(here[:t], here[t]) for t in range(1, len(here))]
+        for dx, dy in offsets:
+            there = cells.get((cx + dx, cy + dy))
+            if there:
+                blocks.extend((here, p) for p in there)
+        for left, (j, xj, yj) in blocks:
+            close += [(i, j) for i, x, y in left
+                      if abs((x - xj) * (x - xj) + (y - yj) * (y - yj) - 1.0) <= margin]
+    unit = _unit_test(cm, denom)
+    decided = {}
+    pairs = []
+    for i, j in close:
+        d = tuple(map(sub, rows[i], rows[j]))
+        hit = decided.get(d)
+        if hit is None:
+            hit = decided[d] = unit(d)
+        if hit:
+            pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+def unit_differences(cm: CMStructure, scale: Fraction, limit: Optional[int] = None):
+    """(rows, denom): the d in scale*O_K with d conj(d) = 1, one of each
+    pair +-d (the one whose first nonzero coordinate is positive), as
+    integer rows over the denominator of scale.
+
+    |sigma(d)| = 1 at every embedding, so all of them lie in the closed
+    radius-1 polydisc: one enumeration of it, with the exact identity of
+    hermitian_form on each point.  Raises WindowTooLarge when the
+    enumeration's coefficient box has more than limit points."""
+    from .enumeration import lattice_points_in_polydisc
+
+    scale = Fraction(scale)
+    n = cm.field.n
+    s, t = scale.numerator, scale.denominator
+    basis = [[s if k == j else 0 for k in range(n)] for j in range(n)]
+    unit = _unit_test(cm, t)
+    return tuple(d for d in lattice_points_in_polydisc(basis, t, cm, [Fraction(1)] * cm.f,
+                                                      limit=limit)
+                 if d > tuple(-c for c in d) and unit(d)), t
+
+
+def count_exact(rows, denom: int, cm: CMStructure, units=None) -> DistanceCensus:
     """Unordered pairs with |x - y| = 1 among the points rows / denom (see
     unit_pair_indices)."""
     t0 = time.perf_counter()
     xy, err = planar_image(rows, denom, cm)
-    pairs = unit_pair_indices(rows, denom, xy, err, cm)
+    pairs = unit_pair_indices(rows, denom, xy, err, cm, units)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
                           n_points=len(rows), runtime_ms=ms)
@@ -214,8 +277,9 @@ def count_float(ps: PlanarFloatSet, method: str = "hashed") -> DistanceCensus:
     """Pairs with | |x-y| - 1 | <= eps among float points.
 
     "hashed" buckets points into cells (of side 1, finer for dense sets)
-    so each point only meets the cells its annulus can intersect (the
-    search unit_pair_indices prunes with too, _cell_blocks); "brute" is
+    so each point only meets the cells its annulus can intersect
+    (_cell_blocks, whose cells and offsets the exact cell hash shares);
+    "brute" is
     the blockwise O(n^2) reference behind `count --method brute` and
     `--oracle`.  Both evaluate the identical float expression,
     _pair_distances_ok, so they agree exactly.
@@ -300,13 +364,18 @@ def _cell_offsets(k: int, lo: float, hi: float):
             and math.hypot(dx + 1, abs(dy) + 1) >= lo]
 
 
-def _cell_blocks(pts, lo: float, hi: float):
-    """The neighbour search of both counters: every pair of the (n, 2)
-    points whose distance may lie in [lo, hi], exactly once.
+def _cells_per_unit(n: int, w: float, h: float) -> int:
+    """k, for cells of side 1/k: the integer square root of the n points
+    per unit area of their w x h bounding box, at least 1."""
+    return max(1, math.isqrt(int(n / ((w + 1) * (h + 1)))))
 
-    Cells have side 1/k, with k the integer square root of the points per
-    unit area of the bounding box (at least 1), so a dense set does not
-    crowd into a few unit cells.  Returns (order, blocks): `order` sorts the
+
+def _cell_blocks(pts, lo: float, hi: float):
+    """The neighbour search of the float counters: every pair of the
+    (n, 2) points whose distance may lie in [lo, hi], exactly once.
+
+    Cells have side 1/k (_cells_per_unit), so a dense set does not crowd
+    into a few unit cells.  Returns (order, blocks): `order` sorts the
     points by cell, and `blocks` yields (left, right) positions into that
     order: same-cell pairs (left < right) first, then one block per
     _cell_offsets neighbour."""
@@ -315,8 +384,7 @@ def _cell_blocks(pts, lo: float, hi: float):
     n = len(pts)
     if n == 0:
         return np.empty(0, np.int64), iter(())
-    w, h = np.ptp(pts, axis=0)
-    k = max(1, math.isqrt(int(n / ((w + 1) * (h + 1)))))
+    k = _cells_per_unit(n, *np.ptp(pts, axis=0))
     offsets = _cell_offsets(k, lo, hi)
     cells = np.floor(pts * k).astype(np.int64)
     # pack cell coords into one int64 key (coordinates fit in 31 bits)
@@ -482,7 +550,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
                        fixed_basis=tuple(F.element(r) for r in eye),
                        f=F.n, pair_reps=tuple(range(F.n)))
     pts = [FieldElement(F, row) for row in lattice_points_in_polydisc(
-        eye, 1, real, [box * box] * F.n, limit=R2_SEARCH_LIMIT).tolist()]
+        eye, 1, real, [box * box] * F.n, limit=R2_SEARCH_LIMIT)]
     squares = {}
     for y in pts:
         squares.setdefault(y * y, []).append(y)

@@ -6,21 +6,20 @@ gives the real box |sigma_i(z)| <= r_i.
 
 A lattice is given as integer basis rows over the integral basis, with an
 optional integer centre row, all over one common denominator D, and its
-points come back as integer coordinate rows over D: the representation
-point sets use.  The basis is LLL-reduced on the integer T2 Gram matrix
-B G B^T (G the trace form of the integral basis, numberfield.trace_form),
-and a certified box |c_j| <= M_j from the inverse basis matrix bounds the
-integer coefficients.  The box is walked depth first, c_0 outermost and
-each coefficient ascending, so points come out in lexicographic order of
-their coefficients on the reduced basis; the last coefficient is tested
-for all its values at once, elementwise in numpy.  Only the margin band
-below builds field elements, each straight from its integer row.  Every
-real column t (re, and im for a complex root) of every basis vector is
-held as a float64 midpoint with a rigorous error, and each level keeps
-float partial sums P_t with a margin D_t that bounds |x_t - P_t| over
-every completion: the unfixed coefficients' sum M_j |m_jt| plus the
-centre's error, the sum of M_j e_jt and the rounding of the sums.
-Floats only prune or accept:
+points come back as integer coordinate rows over D (tuples of Python
+ints): the representation point sets use.  The basis is LLL-reduced on
+the integer T2 Gram matrix B G B^T (G the trace form of the integral
+basis, numberfield.trace_form), and a certified box |c_j| <= M_j from the
+inverse basis matrix bounds the integer coefficients.  The box is walked
+depth first, c_0 outermost and each coefficient ascending, so points come
+out in lexicographic order of their coefficients on the reduced basis.
+Only the margin band below builds field elements, each straight from its
+integer row.  Every real column t (re, and im for a complex root) of every
+basis vector is held as a float64 midpoint with a rigorous error, and each
+level keeps float partial sums P_t with a margin D_t that bounds
+|x_t - P_t| over every completion: the unfixed coefficients' sum
+M_j |m_jt| plus the centre's error, the sum of M_j e_jt and the rounding
+of the sums.  Floats only prune or accept:
 
     prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
     accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
@@ -29,17 +28,27 @@ The slack 2^-40 covers the rounding of these bounds and of r_i^2 itself.
 A point in neither case is decided exactly, by the sign of
 abs_sq(z) - r_i^2 at the embedding (the embedding of a nonzero element is
 nonzero, so refinement terminates).
+
+The last coefficient c is not tried value by value.  Each |sigma_i(z)|^2
+is a convex function of c, so the points of one prefix inside the
+polydisc are one run of consecutive c.  Line-disc chords of the float
+partial sums give the run's likely accepted core; the accept test at its
+two ends certifies every c between them, and the tests above run only
+outward from the ends, each side stopping at its first point outside.  A
+prefix with no accepted c runs the tests on every c of a rigorous outer
+chord, which covers the rounding of the partial sums.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import List, Optional, Sequence
 
 from .errors import PrecisionExhausted, WindowTooLarge
 from .intervals import (ComplexInterval, RealInterval, float_columns, float_up,
                         round_down, round_up, sqrt_upper)
-from .linalg import int_rows, max_abs
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           trace_form)
 
@@ -143,8 +152,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                                center: Optional[Sequence[int]] = None,
                                limit: Optional[int] = None):
     """The points z = (center + sum_j c_j basis_j) / denom, c integer, with
-    |sigma_i(z)|^2 <= radii_sq[i] for all i, as an (m, n) integer array of
-    their coordinate rows over the integral basis, all over denom.
+    |sigma_i(z)|^2 <= radii_sq[i] for all i, as a tuple of their coordinate
+    rows over the integral basis (n-tuples of ints), all over denom.
 
     basis is n rows of n Python ints, the lattice's basis over the integral
     basis times denom, and center (optional) one such row.  sigma_i is the
@@ -162,7 +171,7 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     cols = _embedding_columns(real)
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
-        return int_rows([], n)
+        return ()
     basis = _lll_reduce_basis(basis, cm)
     emb = _basis_embeddings(field, basis, denom, reps, real, 64)
     center_emb = None
@@ -185,8 +194,6 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     if limit is not None and total > limit:
         raise WindowTooLarge(
             f"candidate box has {total} points (limit {limit})")
-
-    import numpy as np
 
     try:
         mids, errs = zip(*map(float_columns, emb))
@@ -214,62 +221,122 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                 return True
         return False
 
-    last = margins[-1]
     one = field.one()
-    origin = [0] * n if center is None else list(center)
+    # the last coordinate: float columns, margins, integer row and bound
+    x, last, v, M = mids[-1], margins[-1], basis[-1], bounds[-1]
 
-    def exact_inside(cvec, undecided):
-        row = origin
-        for c, v in zip(cvec, basis):
-            if c:
-                row = [x + c * y for x, y in zip(row, v)]
-        z = FieldElement(field, row, denom)
-        z2 = abs_sq(z, cm)
+    def exact_inside(row, undecided):
+        z2 = abs_sq(FieldElement(field, row, denom), cm)
         return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
 
-    prefixes, partial = [], []
-
-    def walk(k, cvec, P):
-        if k + 1 == n:
-            prefixes.append(cvec)
-            partial.append(P)
-            return
-        m, D = mids[k], margins[k]
-        for c in range(-bounds[k], bounds[k] + 1):
-            Q = [p + c * x for p, x in zip(P, m)]
-            if not outside(Q, D):
-                walk(k + 1, cvec + (c,), Q)
-
-    walk(0, (), base)
-    # the last coordinate takes every value for a chunk of prefixes at once:
-    # the test of outside() and the accept test, elementwise in the same order
-    cs = np.arange(-bounds[-1], bounds[-1] + 1)
-    step = max(1, (1 << 16) // len(cs))
-    blocks = [np.empty((0, n), dtype=np.int64)]
-    for start in range(0, len(prefixes), step):
-        P = np.array(partial[start:start + step]).reshape(-1, len(base))
-        A = [np.abs(P[:, t, None] + cs * x) for t, x in enumerate(mids[-1])]
-        keep = np.ones(A[0].shape, dtype=bool)
-        band = []
+    def leaf(P, row, c, exact=True):
+        """Whether the last coefficient c puts the point inside: the outside
+        and accept tests at P + c x, then, if exact, sign_at on the
+        embeddings in the band; without exact, whether it is accepted."""
+        undecided = []
         for i, ts in enumerate(cols):
             s_out = s_in = 0.0
             for t in ts:
-                d = np.maximum(A[t] - last[t], 0.0)
+                a = abs(P[t] + c * x[t])
+                d = max(a - last[t], 0.0)
                 s_out = s_out + d * d
-                d = A[t] + last[t]
+                d = a + last[t]
                 s_in = s_in + d * d
-            keep &= ~(s_out > hi[i])
-            band.append(s_in >= lo[i])
-        for r, c in zip(*np.nonzero(keep & np.logical_or.reduce(band))):
-            undecided = [i for i in range(len(cols)) if band[i][r, c]]
-            keep[r, c] = exact_inside(prefixes[start + r] + (int(cs[c]),), undecided)
-        r, c = np.nonzero(keep)
-        block = np.empty((len(r), n), dtype=np.int64)
-        block[:, :-1] = np.array(prefixes[start:start + step],
-                                 dtype=np.int64).reshape(-1, n - 1)[r]
-        block[:, -1] = cs[c]
-        blocks.append(block)
-    return _combine(np.concatenate(blocks), basis, origin)
+            if s_out > hi[i]:
+                return False
+            if s_in >= lo[i]:
+                undecided.append(i)
+        if not undecided:
+            return True
+        return exact and exact_inside([a + c * b for a, b in zip(row, v)], undecided)
+
+    # per disc: its columns with their last-coordinate floats, |x|^-1, and
+    # the radii of the inner and outer chords below
+    discs = []
+    for i, ts in enumerate(cols):
+        xx = sum(x[t] * x[t] for t in ts)
+        if xx > 0:
+            lsum = sum(last[t] for t in ts)
+            discs.append(([(t, x[t]) for t in ts], xx, xx ** -0.5,
+                          lo[i] ** 0.5 - lsum, hi[i] ** 0.5 * (1 + 2.0 ** -40) + lsum,
+                          M * sum(abs(x[t]) for t in ts)))
+
+    def chord(P, inner):
+        """(lo, hi), real bounds on the c with P + c x in every disc, from
+        the line-disc chords of the float values.  With inner, of discs
+        shrunk by the margins, whose integer points the accept test is
+        expected to pass.  Without, of discs grown by the margins and by the
+        rounding of P + c x, which hold every c inside the polydisc:
+        |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and c0 and
+        dist are good to far better than 2^-40 (|P| + M |x|)."""
+        left, right = -M, M
+        for tx, xx, inv, r_in, r_out, mx in discs:
+            px = dd = pad = 0.0
+            for t, y in tx:
+                px += P[t] * y
+            c0 = -px / xx
+            for t, y in tx:
+                e = P[t] + c0 * y
+                dd += e * e
+                pad += abs(P[t])
+            if inner:
+                if not r_in * r_in > dd:
+                    return 1, 0
+                half = (r_in * r_in - dd) ** 0.5 * inv
+            else:
+                slop = (pad + mx) * 2.0 ** -40
+                rho = r_out + slop
+                near = max(dd ** 0.5 - slop, 0.0)
+                if near > rho:
+                    return 1, 0
+                half = ((rho * rho - near * near) ** 0.5 * inv * (1 + 2.0 ** -30)
+                        + slop * inv + 1)
+            left, right = max(left, c0 - half), min(right, c0 + half)
+        return left, right
+
+    points = []
+
+    def fibre(P, row):
+        """Every last coefficient c of the prefix with its point inside, in
+        ascending order.  The points inside form an interval of c, since
+        |sigma_i|^2 is convex in c, so once two values a1 <= a2 pass the
+        accept test every c between them is inside, and a scan outward from
+        them ends at the first c that is not."""
+        lo_c, hi_c = chord(P, True)
+        a1, a2 = max(math.ceil(lo_c), -M), min(math.floor(hi_c), M)
+        while a1 <= a2 and not leaf(P, row, a1, False):
+            a1 += 1
+        while a2 > a1 and not leaf(P, row, a2, False):
+            a2 -= 1
+        if a1 <= a2:
+            first = a1
+            while first > -M and leaf(P, row, first - 1):
+                first -= 1
+            stop = a2 + 1
+            while stop <= M and leaf(P, row, stop):
+                stop += 1
+            cur = tuple(a + first * b for a, b in zip(row, v))
+            for _ in range(stop - first):
+                points.append(cur)
+                cur = tuple(map(add, cur, v))
+        else:
+            lo_c, hi_c = chord(P, False)
+            points.extend(tuple(a + c * b for a, b in zip(row, v))
+                          for c in range(max(math.ceil(lo_c), -M), min(math.floor(hi_c), M) + 1)
+                          if leaf(P, row, c))
+
+    def walk(k, row, P):
+        if k + 1 == n:
+            fibre(P, row)
+            return
+        m, D, w = mids[k], margins[k], basis[k]
+        for c in range(-bounds[k], bounds[k] + 1):
+            Q = [p + c * y for p, y in zip(P, m)]
+            if not outside(Q, D):
+                walk(k + 1, [a + c * b for a, b in zip(row, w)], Q)
+
+    walk(0, [0] * n if center is None else list(center), base)
+    return tuple(points)
 
 
 def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
@@ -308,18 +375,6 @@ def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[L
             for row in U]
 
 
-def _combine(rows, B, c):
-    """c + rows @ B exactly (integer matmul, no BLAS): int64 when the bound
-    max|rows| * max_k sum_j |B_jk| + max|c| on every partial sum is below
-    2^63, Python ints otherwise."""
-    import numpy as np
-
-    col_sums = [sum(abs(row[k]) for row in B) for k in range(len(c))]
-    bound = max_abs(rows) * max(col_sums, default=0) + max(map(abs, c), default=0)
-    dtype = np.int64 if bound < 1 << 63 else object
-    return rows.astype(dtype) @ np.array(B, dtype=dtype) + np.array(c, dtype=dtype)
-
-
 def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
     """Torsion units: integral elements of modulus exactly 1 in all embeddings."""
     from .numberfield import is_unit_modulus
@@ -327,5 +382,5 @@ def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
     n = field.n
     eye = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
     candidates = [FieldElement(field, row) for row in lattice_points_in_polydisc(
-        eye, 1, cm, [Fraction(1)] * cm.f).tolist()]
+        eye, 1, cm, [Fraction(1)] * cm.f)]
     return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]

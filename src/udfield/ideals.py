@@ -55,7 +55,7 @@ class FracIdeal:
         multiplication matrices, over one denominator."""
         rows, den = stack_rows([(r, g.den) for g in gens
                                 for r in field._mult_matrix(g.num)], field.n)
-        return cls._normalize(field, rows.tolist(), den)
+        return cls._normalize(field, rows, den)
 
     @classmethod
     def principal(cls, z: FieldElement) -> "FracIdeal":
@@ -119,7 +119,7 @@ class FracIdeal:
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
         conj = [cm.conj(FieldElement(self.field, row)) for row in self.hnf]
         rows, extra = stack_rows([(z.num, z.den) for z in conj], self.field.n)
-        return self._normalize(self.field, rows.tolist(), self.den * extra)
+        return self._normalize(self.field, rows, self.den * extra)
 
     def __repr__(self):
         return f"FracIdeal({self.field.label}, norm={self.norm()})"
@@ -242,7 +242,7 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
                 I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
         except WindowTooLarge:
             continue
-        for x in sorted(map(tuple, rows.tolist())):
+        for x in sorted(rows):
             if not any(x) or x in seen:
                 continue
             seen.add(x)

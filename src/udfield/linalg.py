@@ -265,27 +265,14 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
 
 
 # ---------------------------------------------------------------------------
-# Integer coordinate rows: numpy arrays of points over one denominator
+# Integer coordinate rows: points over one denominator
 # ---------------------------------------------------------------------------
 
-def max_abs(rows) -> int:
-    import numpy as np
-
-    return int(np.abs(rows).max(initial=0))
-
-
-def int_rows(flat, n: int):
-    """The integers `flat` as an (m, n) array, row by row: int64 when every
-    |entry| is below 2^63, Python ints (object dtype) otherwise."""
-    import numpy as np
-
-    dtype = np.int64 if max(map(abs, flat), default=0) < 1 << 63 else object
-    return np.array(flat, dtype=dtype).reshape(-1, n)
-
-
 def stack_rows(rows, n: int):
-    """(array, denom): the rationals c / d, for every pair (num, d) of an
+    """(rows, denom): the rationals c / d, for every pair (num, d) of an
     integer sequence and a positive integer and every c in num, laid out in
-    order as one (m, n) integer array over their least common denominator."""
-    denom = lcm(1, *(d for _, d in rows))
-    return int_rows([c * (denom // d) for num, d in rows for c in num], n), denom
+    order as a tuple of n-tuples of Python ints over their least common
+    denominator."""
+    denom = lcm(1, *{d for _, d in rows})
+    flat = [c * (denom // d) for num, d in rows for c in num]
+    return tuple(zip(*[iter(flat)] * n)), denom

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Tuple
 
-from .errors import NotOddPrime, NotSquarefree
+from .errors import NotOddPrime, NotSquarefree, SearchExhausted
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+RHO_LIMIT = 1 << 16   # Pollard rho steps of one factorization
 
 
 def is_prime(n: int) -> bool:
@@ -64,7 +66,8 @@ def legendre_symbol(a: int, q: int) -> int:
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
-    """Prime factorization by trial division with a Pollard rho fallback."""
+    """Prime factorization by trial division with a Pollard rho fallback
+    (SearchExhausted past RHO_LIMIT rho steps in all)."""
     n = abs(n)
     if n <= 1:
         return []
@@ -80,32 +83,38 @@ def factorize(n: int) -> List[Tuple[int, int]]:
             n //= d
         d += 2
     if n > 1:
-        for p in _rho_split(n):
+        for p in _rho_split(n, [RHO_LIMIT]):
             out[p] = out.get(p, 0) + 1
     return sorted(out.items())
 
 
-def _rho_split(n: int) -> List[int]:
+def _rho_split(n: int, budget: List[int]) -> List[int]:
+    """The prime factors of n, with multiplicity; budget[0] is the number
+    of rho steps left, shared by every split of one factorization."""
     if n == 1:
         return []
     if is_prime(n):
         return [n]
     r = math.isqrt(n)
     if r * r == n:
-        return _rho_split(r) * 2
+        return _rho_split(r, budget) * 2
     c = 1
     while True:
-        d = _pollard_rho(n, c)
+        d = _pollard_rho(n, c, budget)
         if d not in (1, n):
-            return sorted(_rho_split(d) + _rho_split(n // d))
+            return sorted(_rho_split(d, budget) + _rho_split(n // d, budget))
         c += 1
 
 
-def _pollard_rho(n: int, c: int) -> int:
+def _pollard_rho(n: int, c: int, budget: List[int]) -> int:
     x = y = 2
     d = 1
     f = lambda v: (v * v + c) % n
     while d == 1:
+        if budget[0] == 0:
+            raise SearchExhausted(f"no factor of a {n.bit_length()}-bit integer within "
+                                  f"{RHO_LIMIT} Pollard rho steps")
+        budget[0] -= 1
         x = f(x)
         y = f(f(y))
         d = math.gcd(abs(x - y), n)

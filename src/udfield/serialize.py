@@ -176,7 +176,7 @@ def write_pointset_csv(ps: PointSet, path: str):
     n = ps.field.n
     header = "index,re,im," + ",".join(f"c{i}" for i in range(n))
     lines = [header]
-    for idx, (row, (x, y)) in enumerate(zip(ps.rows.tolist(), ps.planar.tolist())):
+    for idx, (row, (x, y)) in enumerate(zip(ps.rows, ps.planar)):
         coords = ",".join(_reduced_str(c, ps.denom) for c in row)
         lines.append(f"{idx},{float17(x)},{float17(y)},{coords}")
     with open_file(path, "w") as fh:
@@ -221,8 +221,8 @@ def read_points_csv(path: str):
 def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str,
               size: int = 800):
     """Static scatter plot with unit-distance edges; deterministic bytes."""
-    xs = ps.planar[:, 0].tolist()
-    ys = ps.planar[:, 1].tolist()
+    xs = [x for x, _ in ps.planar]
+    ys = [y for _, y in ps.planar]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-9)

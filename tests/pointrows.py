@@ -1,5 +1,6 @@
 """Conversions between field elements and the integer coordinate rows
-(rows, denom) that udfield's point sets use."""
+(rows, denom) that udfield's point sets use: a tuple of int tuples over
+one denominator."""
 
 from udfield.linalg import stack_rows
 from udfield.numberfield import FieldElement
@@ -12,4 +13,4 @@ def rows_of(K, points):
 
 def elements_of(K, rows, denom):
     """The elements rows / denom of K, one per row."""
-    return [FieldElement(K, row, denom) for row in rows.tolist()]
+    return [FieldElement(K, row, denom) for row in rows]

@@ -418,3 +418,23 @@ def test_huge_or_clustered_min_poly_exits_typed(tmp_path, poly, code):
     assert proc.returncode in ((0, 3, 4, 5, 6, 7, 8) if code is None else (code,)), \
         proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_unfactorable_discriminant_exits_7(tmp_path):
+    # x^2 + 2^1100 + 1: the squarefree part of the discriminant needs the
+    # factors of 2^1100 + 1, and Pollard rho stops at its step cap
+    (tmp_path / "field.json").write_text(json.dumps({"min_poly": [2 ** 1100 + 1, 0, 1]}))
+    t0 = time.perf_counter()
+    proc = _run_module(tmp_path, "generate", "--field", "field.json", "--prime", "5",
+                       "--k", "1", "--out", "run")
+    assert proc.returncode == 7, proc.stderr
+    assert "Pollard rho" in proc.stderr and "Traceback" not in proc.stderr
+    assert time.perf_counter() - t0 < 15
+
+
+def test_window_past_int64_basis_exits_0(tmp_path):
+    # scale 2^63: a basis row past int64 around a window that holds only 0
+    proc = _run_module(tmp_path, "generate", "--field", "gaussian", "--k", "0",
+                       "--scale", str(1 << 63), "--R", "2", "--out", "run")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["measured_points"] == 1

@@ -204,7 +204,7 @@ def test_build_pointset_reuses_translate_windows(gaussian, gaussian_cm, monkeypa
     assert rep.inner_count == max(counts) == 126
     assert rep.inner_count_zero_translate == len(direct(K, Fraction(1), R - 1)[0]) == 121
     rows, denom = direct(K, Fraction(1), R, best)
-    assert ps.denom == denom and (ps.rows == rows).all()
+    assert ps.denom == denom and ps.rows == rows
 
 
 def test_halton_translates_deterministic(gaussian):
@@ -236,7 +236,7 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
     us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
     ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
     xy, err = planar_image(ps.rows, ps.denom, gaussian_cm)
-    assert (xy == ps.planar).all()
+    assert xy == ps.planar
     assert ps.unit_pairs == tuple(unit_pair_indices(ps.rows, ps.denom, xy, err,
                                                     gaussian_cm))
     pts = elements_of(gaussian, ps.rows, ps.denom)
@@ -288,7 +288,7 @@ def test_projection_distinctness(gaussian, gaussian_cm):
     us = pigeonhole_units(gaussian, [])
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
     ps, _ = build_pointset(gaussian, us, cfg)
-    assert len({tuple(p) for p in ps.planar.tolist()}) == len(ps.planar)
+    assert len(set(ps.planar)) == len(ps.planar)
 
 
 def test_exponent_closed_form():

@@ -2,8 +2,9 @@
 prunes with the cell hash of the float counter over the positions of
 `planar_image` and decides survivors by the integer Hermitian form, against
 the dense-block search it replaced, kept in `oracle_counting`; the integer
-decision against abs_sq; and the certified error bound of `planar_image`
-against 256-bit embeddings.
+decision against abs_sq and against its numpy form in `oracle_pairsearch`;
+and the certified error bound of `planar_image` against 256-bit
+embeddings.
 
 Both sides must return the same pairs in the same order.  Point sets are
 salted with exact unit-distance partners z + u (u = a / conj(a) has modulus
@@ -23,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_counting as oracle
+import oracle_pairsearch
 from pointrows import elements_of, rows_of
 from udfield.construct import enumerate_window
-from udfield.counting import (PlanarFloatSet, _unit_distance, count_exact,
-                              count_float, planar_image, unit_pair_indices)
+from udfield.counting import (PlanarFloatSet, _unit_test, count_exact, count_float,
+                              planar_image, unit_pair_indices)
 from udfield.errors import PrecisionExhausted
 from udfield.numberfield import abs_sq, hermitian_form
 
@@ -75,18 +77,32 @@ def test_unit_pairs_match_oracle(data, which, gaussian, gaussian_cm,
 
 
 def _int64_decides(rows, cm) -> bool:
-    """Whether _unit_distance may use int64 on these rows (its own bound)."""
+    """Whether the numpy decision (oracle_pairsearch._unit_distance) ran
+    these rows in int64: its own bound."""
     T, e = hermitian_form(cm)
     n = len(e)
     span = max(sum(abs(T[p][q][k]) for p in range(n) for q in range(n))
                for k in range(n))
-    dmax = 2 * max((abs(c) for row in rows.tolist() for c in row), default=0)
+    dmax = 2 * max((abs(c) for row in rows for c in row), default=0)
     return dmax * dmax * span < 1 << 63
 
 
-# shifts by an integral element: 0 keeps int64, 2^31 (about the square root
-# of the int64 bound) and 2^61 leave int64 rows but force Python-int products,
-# and 2^70 makes the rows themselves Python ints
+def _decide(rows, denom, pairs, cm):
+    """The integer decision of each pair's difference row, and the numpy
+    decision it replaced on the same pairs."""
+    unit = _unit_test(cm, denom)
+    got = [unit(tuple(a - b for a, b in zip(rows[i], rows[j]))) for i, j in pairs]
+    big = any(abs(c) >= 1 << 63 for row in rows for c in row)
+    array = np.array(rows, dtype=object if big else np.int64).reshape(len(rows), cm.field.n)
+    i = np.array([p[0] for p in pairs], dtype=np.int64)
+    j = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert oracle_pairsearch._unit_distance(array, denom, i, j, cm).tolist() == got
+    return got
+
+
+# shifts by an integral element: 0 keeps rows and products small, 2^31
+# (about the square root of 2^63) and 2^61 make the products large, and 2^70
+# the rows themselves
 shift_exp = st.sampled_from([None, 31, 61, 70])
 
 
@@ -109,14 +125,13 @@ def test_integer_decision_matches_abs_sq(data, which, shift, gaussian, gaussian_
     rows, denom = rows_of(K, pts)
     if shift is not None and len(pts) > 1:
         assert not _int64_decides(rows, cm)
-    i = np.array([p[0] for p in pairs], dtype=np.int64)
-    j = np.array([p[1] for p in pairs], dtype=np.int64)
-    assert _unit_distance(rows, denom, i, j, cm).tolist() == want
+    assert _decide(rows, denom, pairs, cm) == want
 
 
 def test_integer_decision_at_the_int64_bound(gaussian, gaussian_cm, deg4, deg4_cm):
     # the same unit pairs and near misses, shifted so that the bound on the
-    # products sits just below or just above 2^63: both paths must agree
+    # products sits just below or just above 2^63, where the numpy decision
+    # changed dtype: both must agree with abs_sq
     for K, cm in ((gaussian, gaussian_cm), (deg4, deg4_cm)):
         n = K.n
         u = K.element([Fraction(3, 5), Fraction(4, 5)] + [0] * (n - 2))
@@ -127,13 +142,11 @@ def test_integer_decision_at_the_int64_bound(gaussian, gaussian_cm, deg4, deg4_c
             t = K.element([1 << shift] + [0] * (n - 1))
             pts = [z + t for z in base] + [z - t for z in base]
             rows, denom = rows_of(K, pts)
-            assert rows.dtype == np.int64
+            assert max(abs(c) for row in rows for c in row) < 1 << 63
             paths.add(_int64_decides(rows, cm))
             pairs = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
-            i = np.array([p[0] for p in pairs], dtype=np.int64)
-            j = np.array([p[1] for p in pairs], dtype=np.int64)
             want = [abs_sq(pts[a] - pts[b], cm) == K.one() for a, b in pairs]
-            assert _unit_distance(rows, denom, i, j, cm).tolist() == want
+            assert _decide(rows, denom, pairs, cm) == want
             assert sum(want) == 4
         assert paths == {True, False}
 
@@ -171,11 +184,11 @@ def test_planar_image_within_err(data, which, gaussian, gaussian_cm,
         st.lists(image_coord, min_size=n, max_size=n), max_size=8))]
     coordinate = data.draw(st.integers(0, cm.f - 1))
     xy, err = planar_image(*rows_of(K, pts), cm, coordinate)
-    assert xy.shape == (len(pts), 2)
+    assert len(xy) == len(pts) and all(len(pos) == 2 for pos in xy)
     err = Fraction(err)
     zero = ([(b + cm.conj(b)).is_zero() for b in basis],
             [b == cm.conj(b) for b in basis])
-    for z, pos in zip(pts, xy.tolist()):
+    for z, pos in zip(pts, xy):
         box = z.embed(cm.pair_reps[coordinate], 256)
         for axis, iv in enumerate((box.re, box.im)):
             v = pos[axis]
@@ -207,7 +220,7 @@ def test_unit_pairs_dense_windows_match_oracle(gaussian, gaussian_cm, qsqrt_m5,
                             (deg4, deg4_cm, Fraction(1, 3), 1)):
         rows, denom = enumerate_window(K, scale, R)
         xy, err = planar_image(rows, denom, cm)
-        w, h = np.ptp(xy, axis=0)
+        w, h = (max(v) - min(v) for v in zip(*xy))
         assert len(rows) >= 4 * (w + 1) * (h + 1)
         want = oracle.unit_pair_indices(elements_of(K, rows, denom), cm)
         assert len(want) > len(rows)
@@ -231,7 +244,7 @@ def test_count_exact_memory_stays_linear(gaussian, gaussian_cm):
 def test_unit_pairs_reject_boxes_too_wide(gaussian, gaussian_cm):
     # an error this large could hide a unit pair outside the 21 hashed cells
     rows, denom = rows_of(gaussian, [gaussian.zero(), gaussian.one()])
-    xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+    xy = ((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(PrecisionExhausted):
         unit_pair_indices(rows, denom, xy, 1 / 8, gaussian_cm)
     # positions near 10^17 are only good to about 100, and 10^400 has none

@@ -1,7 +1,8 @@
 """Import footprint: a command runs the udfield layers it uses and no
 others.  The package binds its submodules as lazy modules, which run on
-first attribute access, resolves its exports on first use (PEP 562), and
-only certified pi/ln intervals import mpmath."""
+first attribute access, resolves its exports on first use (PEP 562), only
+certified pi/ln intervals import mpmath, and only the float counting
+paths (`count --method hashed|brute`, `--oracle`, `grid`) import numpy."""
 
 import importlib
 import json
@@ -60,10 +61,36 @@ def test_exact_count_loads_only_its_layers(tmp_path, capsys):
     assert main(["generate", "--field", "gaussian", "--scale", "1", "--R", "4",
                  "--no-plot", "--out", str(tmp_path / "in")]) == 0
     got = _probe(tmp_path, "count", "--csv", "in/pointset.csv", "--method", "exact")
+    # the window's pairs are a join over the unit differences, which one
+    # radius-1 enumeration finds
     assert got["udfield"] == sorted(FIELD_LAYERS + ["udfield.counting",
+                                                    "udfield.enumeration",
                                                     "udfield.serialize"])
     assert not got["mpmath"]
-    assert got["numpy"]
+    assert not got["numpy"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--field", "gaussian", "--prime", "5", "--k", "2", "--R", "3"],
+    ["--field", "adjoin-i:5", "--prime", "29", "--k", "1", "--mode", "closure",
+     "--allow-small-R", "--R", "843/841", "--scale", "1/841"]])
+def test_generate_does_not_load_numpy(tmp_path, args):
+    got = _probe(tmp_path, "generate", *args, "--out", "out")
+    assert "udfield.construct" in got["udfield"]
+    assert not got["numpy"]
+    for name in ("report.json", "pointset.csv", "pointset.json", "scatter.svg"):
+        assert (tmp_path / "out" / name).is_file()
+
+
+def test_hashed_count_loads_numpy(tmp_path):
+    from udfield.cli import main
+
+    assert main(["generate", "--field", "gaussian", "--scale", "1", "--R", "4",
+                 "--no-plot", "--out", str(tmp_path / "in")]) == 0
+    got = _probe(tmp_path, "count", "--csv", "in/pointset.csv", "--method", "hashed",
+                 "--oracle")
+    assert got["numpy"] and not got["mpmath"]
+    assert "udfield.enumeration" not in got["udfield"]
 
 
 @pytest.mark.parametrize("field", ["gaussian", "adjoin-i:5"])

@@ -1,6 +1,6 @@
 import pytest
 
-from udfield.errors import NotOddPrime
+from udfield.errors import NotOddPrime, SearchExhausted
 from udfield.numthy import (factorize, iroot_ceil, is_prime, is_squarefree_int,
                             legendre_symbol, primes_from, squarefree_kernel)
 
@@ -84,3 +84,14 @@ def test_iroot_ceil_beyond_float_range():
         assert r ** k >= n and (r - 1) ** k < n
     assert iroot_ceil(n, 2) == 10 ** 200
     assert iroot_ceil(n + 1, 2) == 10 ** 200 + 1
+
+
+def test_factorize_caps_pollard_rho(monkeypatch):
+    import udfield.numthy as numthy
+
+    # two primes just past the trial division bound need a few rho steps
+    n = 1000003 * 1000033
+    assert factorize(n) == [(1000003, 1), (1000033, 1)]
+    monkeypatch.setattr(numthy, "RHO_LIMIT", 2)
+    with pytest.raises(SearchExhausted):
+        factorize(n)

@@ -55,3 +55,23 @@ def test_layertrace_installs_after_count(tmp_path):
                            os.path.join(ROOT, "perfbench")],
                           cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_layertrace_counts_the_window_pairs(tmp_path, capsys):
+    # a window's pairs come from the join, still through unit_pair_indices,
+    # so the trace's pair counter is the report's measured count
+    import json
+
+    from udfield.cli import main
+
+    LayerTrace = _layertrace().LayerTrace
+    with LayerTrace().installed() as trace:
+        assert main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2",
+                     "--scale", "1", "--R", "5", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    pairs = report["construction"]["measured_unit_pairs"]
+    assert pairs > 0
+    assert trace.calls["counting.unit_pair_indices"] == 1
+    assert trace.counters["counting.unit_pair_indices.pairs"] == pairs
+    assert trace.calls["enumeration.polydisc"] >= 3
+    test_layertrace_targets_resolve()
