@@ -207,17 +207,21 @@ def _cell_pairs(rows, denom: int, xy, margin: float,
     offsets = _cell_offsets(k, math.sqrt(1 - margin), math.sqrt(1 + margin))
     cells = {}
     for i, (x, y) in enumerate(xy):
-        cells.setdefault((math.floor(x * k), math.floor(y * k)), []).append((i, x, y))
+        cells.setdefault((math.floor(x * k), math.floor(y * k)), []).append(i)
     close = []
     for (cx, cy), here in cells.items():
         blocks = [(here[:t], here[t]) for t in range(1, len(here))]
         for dx, dy in offsets:
             there = cells.get((cx + dx, cy + dy))
             if there:
-                blocks.extend((here, p) for p in there)
-        for left, (j, xj, yj) in blocks:
-            close += [(i, j) for i, x, y in left
-                      if abs((x - xj) * (x - xj) + (y - yj) * (y - yj) - 1.0) <= margin]
+                blocks.extend((here, j) for j in there)
+        for left, j in blocks:
+            xj, yj = xy[j]
+            for i in left:
+                dx = xs[i] - xj
+                dy = ys[i] - yj
+                if abs(dx * dx + dy * dy - 1.0) <= margin:
+                    close.append((i, j))
     unit = _unit_test(cm, denom)
     decided = {}
     pairs = []
