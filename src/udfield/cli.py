@@ -304,7 +304,7 @@ def _window_differences(cm, provenance, rows, denom):
     # (row - row') / denom in scale * O_K: every coordinate difference times
     # the scale's denominator is a multiple of denom times its numerator
     step = denom * scale.numerator
-    if len(set(rows)) < len(rows) or scale.denominator % step and any(
+    if len(set(rows)) < len(rows) or any(
             len({c * scale.denominator % step for c in col}) > 1 for col in zip(*rows)):
         return None
     try:

@@ -126,17 +126,19 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
 
 
 def unit_pair_indices(rows, denom: int, xy, err: float, cm: CMStructure,
-                      units=None) -> List[Tuple[int, int]]:
+                      diffs=None) -> List[Tuple[int, int]]:
     """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided exactly.
 
     `rows` / `denom` are the points' integral-basis coordinates and `xy`,
     `err` their positions in any one embedding (planar_image).  With
-    `units`, the (rows, denom) of unit_differences for a lattice L such
-    that every point lies in one coset of L, the pairs are the join of the
-    points with their translates by those differences.  Otherwise the cell
-    hash of `count_float` finds nearby positions, their squared float
-    distance prunes with a rigorous margin, and each survivor is decided by
-    the integer identity of hermitian_form, once per difference row.
+    `diffs`, the (rows, denom) of unit_differences for a lattice L such
+    that the points are distinct and lie in one coset of L, the pairs are
+    the join of the points with their translates by those differences.
+    Otherwise the cells of `count_float` find nearby positions, their
+    squared float distance prunes with a rigorous margin, and each survivor
+    is decided by the integer identity of hermitian_form, once per
+    difference row.  Either way, positions too coarse to prune raise
+    PrecisionExhausted.
     """
     if len(rows) < 2:
         return []
@@ -151,8 +153,8 @@ def unit_pair_indices(rows, denom: int, xy, err: float, cm: CMStructure,
     if not margin <= 0.5:
         raise PrecisionExhausted(
             f"positions too coarse to prune unit pairs (error {err:.3g})")
-    if units is not None:
-        return _join(rows, denom, *units)
+    if diffs is not None:
+        return _join(rows, denom, *diffs)
     return _cell_pairs(rows, denom, xy, margin, cm)
 
 
@@ -257,12 +259,12 @@ def unit_differences(cm: CMStructure, scale: Fraction, limit: Optional[int] = No
                  if d > tuple(-c for c in d) and unit(d)), t
 
 
-def count_exact(rows, denom: int, cm: CMStructure, units=None) -> DistanceCensus:
+def count_exact(rows, denom: int, cm: CMStructure, diffs=None) -> DistanceCensus:
     """Unordered pairs with |x - y| = 1 among the points rows / denom (see
     unit_pair_indices)."""
     t0 = time.perf_counter()
     xy, err = planar_image(rows, denom, cm)
-    pairs = unit_pair_indices(rows, denom, xy, err, cm, units)
+    pairs = unit_pair_indices(rows, denom, xy, err, cm, diffs)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
                           n_points=len(rows), runtime_ms=ms)
