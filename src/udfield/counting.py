@@ -175,16 +175,16 @@ def _join(rows, denom: int, diffs, diff_denom: int) -> List[Tuple[int, int]]:
     for k, w in enumerate(radix):
         w *= a
         keys = [x + c * w for x, c in zip(keys, map(itemgetter(k), rows))]
-    where = dict(zip(keys, range(len(keys))))
-    n = len(keys)
-    codes = []
+    index = list(range(len(keys)))
+    where = dict(zip(keys, index))
+    pairs = []
     for d in diffs:
         step = sum(map(mul, d, radix)) * b
         hits = map(where.get, [k + step for k in keys])
-        codes += [i * n + j if i < j else j * n + i
-                  for i, j in enumerate(hits) if j is not None]
-    codes.sort()
-    return [divmod(c, n) for c in codes]
+        pairs += [(i, j) if i < j else (j, i)
+                  for i, j in zip(index, hits) if j is not None]
+    pairs.sort()
+    return pairs
 
 
 def _unit_test(cm: CMStructure, denom: int):
