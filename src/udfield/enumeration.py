@@ -250,8 +250,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
             return True
         return exact and exact_inside([a + c * b for a, b in zip(row, v)], undecided)
 
-    # per disc: its columns with their last-coordinate floats, |x|^-1, and
-    # the radii of the inner and outer chords below
+    # per disc: its columns with their last-coordinate floats, |x|^2,
+    # |x|^-1, the radii of the inner and outer chords below, and M |x|_1
     discs = []
     for i, ts in enumerate(cols):
         xx = sum(x[t] * x[t] for t in ts)
@@ -261,15 +261,16 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                           lo[i] ** 0.5 - lsum, hi[i] ** 0.5 * (1 + 2.0 ** -40) + lsum,
                           M * sum(abs(x[t]) for t in ts)))
 
-    def chord(P, inner):
-        """(lo, hi), real bounds on the c with P + c x in every disc, from
-        the line-disc chords of the float values.  With inner, of discs
-        shrunk by the margins, whose integer points the accept test is
-        expected to pass.  Without, of discs grown by the margins and by the
-        rounding of P + c x, which hold every c inside the polydisc:
+    def chords(P):
+        """Two ranges (first, last) of integers c in [-M, M], from the
+        line-disc chords of the float values.  The inner one, of discs
+        shrunk by the margins, holds the c whose accept test is expected to
+        pass.  The outer one, of discs grown by the margins and by the
+        rounding of P + c x, holds every c inside the polydisc:
         |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and c0 and
         dist are good to far better than 2^-40 (|P| + M |x|)."""
-        left, right = -M, M
+        in_lo = out_lo = -M
+        in_hi = out_hi = M
         for tx, xx, inv, r_in, r_out, mx in discs:
             px = dd = pad = 0.0
             for t, y in tx:
@@ -279,20 +280,29 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                 e = P[t] + c0 * y
                 dd += e * e
                 pad += abs(P[t])
-            if inner:
-                if not r_in * r_in > dd:
-                    return 1, 0
+            slop = (pad + mx) * 2.0 ** -40
+            rho = r_out + slop
+            near = dd ** 0.5 - slop
+            if near > rho:
+                return (1, 0), (1, 0)
+            if near < 0:
+                near = 0.0
+            half = (rho * rho - near * near) ** 0.5 * inv * (1 + 2.0 ** -30) + slop * inv
+            half += (1 + abs(c0) + half) * 2.0 ** -30
+            if c0 - half > out_lo:
+                out_lo = c0 - half
+            if c0 + half < out_hi:
+                out_hi = c0 + half
+            if r_in * r_in > dd:
                 half = (r_in * r_in - dd) ** 0.5 * inv
+                if c0 - half > in_lo:
+                    in_lo = c0 - half
+                if c0 + half < in_hi:
+                    in_hi = c0 + half
             else:
-                slop = (pad + mx) * 2.0 ** -40
-                rho = r_out + slop
-                near = max(dd ** 0.5 - slop, 0.0)
-                if near > rho:
-                    return 1, 0
-                half = ((rho * rho - near * near) ** 0.5 * inv * (1 + 2.0 ** -30)
-                        + slop * inv + 1)
-            left, right = max(left, c0 - half), min(right, c0 + half)
-        return left, right
+                in_lo, in_hi = 1, 0
+        return ((math.ceil(in_lo), math.floor(in_hi)),
+                (math.ceil(out_lo), math.floor(out_hi)))
 
     points = []
 
@@ -301,29 +311,26 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         ascending order.  The points inside form an interval of c, since
         |sigma_i|^2 is convex in c, so once two values a1 <= a2 pass the
         accept test every c between them is inside, and a scan outward from
-        them ends at the first c that is not."""
-        lo_c, hi_c = chord(P, True)
-        a1, a2 = max(math.ceil(lo_c), -M), min(math.floor(hi_c), M)
+        them ends at the first c that is not, or at the outer chord."""
+        (a1, a2), (o1, o2) = chords(P)
         while a1 <= a2 and not leaf(P, row, a1, False):
             a1 += 1
         while a2 > a1 and not leaf(P, row, a2, False):
             a2 -= 1
         if a1 <= a2:
             first = a1
-            while first > -M and leaf(P, row, first - 1):
+            while first > o1 and leaf(P, row, first - 1):
                 first -= 1
             stop = a2 + 1
-            while stop <= M and leaf(P, row, stop):
+            while stop <= o2 and leaf(P, row, stop):
                 stop += 1
             cur = tuple(a + first * b for a, b in zip(row, v))
             for _ in range(stop - first):
                 points.append(cur)
                 cur = tuple(map(add, cur, v))
         else:
-            lo_c, hi_c = chord(P, False)
             points.extend(tuple(a + c * b for a, b in zip(row, v))
-                          for c in range(max(math.ceil(lo_c), -M), min(math.floor(hi_c), M) + 1)
-                          if leaf(P, row, c))
+                          for c in range(o1, o2 + 1) if leaf(P, row, c))
 
     def walk(k, row, P):
         if k + 1 == n:
