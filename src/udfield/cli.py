@@ -182,9 +182,7 @@ def cmd_generate(args) -> int:
 
 def _auto_window(K, units, cfg):
     """Try the natural 1/D lattice; fall back to O_K with usable units."""
-    from dataclasses import replace
-
-    from .construct import build_pointset, estimate_window_points
+    from .construct import WindowConfig, build_pointset, estimate_window_points
 
     warnings = []
     natural = Fraction(1, units.D)
@@ -200,7 +198,9 @@ def _auto_window(K, units, cfg):
                 continue
             break
         try:
-            ps, rep = build_pointset(K, units, replace(cfg, scale=scale, mode="window"))
+            ps, rep = build_pointset(K, units, WindowConfig(
+                cfg.R, scale, cfg.translate_candidates, cfg.projection_coordinate,
+                "window", cfg.max_points))
             return ps, rep, warnings
         except WindowTooLarge:
             continue

@@ -16,9 +16,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .enumeration import lattice_points_in_polydisc, roots_of_unity
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
@@ -41,8 +40,7 @@ PIGEONHOLE_LIMIT = 64        # exponent vectors of one pigeonhole
 TRANSLATE_LIMIT = 1000       # translate candidates of one select_translate
 
 
-@dataclass
-class UnitSet:
+class UnitSet(NamedTuple):
     """Certified unit-modulus elements of Q^{-2}, with the pigeonhole bookkeeping."""
 
     field: NumberField
@@ -277,18 +275,16 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
 # Point sets and reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class WindowConfig:
-    R: Fraction
-    scale: Fraction
-    translate_candidates: int = 0
-    projection_coordinate: int = 0
-    mode: str = "window"              # "window" | "closure"
-    max_points: int = 200_000
+    __slots__ = ("R", "scale", "translate_candidates", "projection_coordinate",
+                 "mode", "max_points")
 
-    def __post_init__(self):
-        self.R = Fraction(self.R)
-        self.scale = Fraction(self.scale)
+    def __init__(self, R: Fraction, scale: Fraction, translate_candidates: int = 0,
+                 projection_coordinate: int = 0, mode: str = "window",
+                 max_points: int = 200_000):
+        self.R, self.scale = Fraction(R), Fraction(scale)
+        self.translate_candidates, self.mode = translate_candidates, mode
+        self.projection_coordinate, self.max_points = projection_coordinate, max_points
         if self.scale <= 0:
             raise InvalidArgument(f"scale must be positive, not {self.scale}")
         if self.translate_candidates < 0:
@@ -307,8 +303,7 @@ class WindowConfig:
                                   f"outside 0..{f - 1}")
 
 
-@dataclass
-class PointSet:
+class PointSet(NamedTuple):
     field: NumberField
     cm: CMStructure
     rows: Tuple[Tuple[int, ...], ...]  # integer coordinates * denom, one row per point
@@ -319,8 +314,7 @@ class PointSet:
     unit_pairs: Tuple[Tuple[int, int], ...]   # (i, j), i < j, at exact unit distance
 
 
-@dataclass
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     f: int
     delta: Fraction                      # = scale
     R: Fraction
@@ -337,10 +331,10 @@ class ConstructionReport:
     measured_unit_pairs: int
     mode: str
     translate_is_zero: bool
-    inner_count_zero_translate: Optional[int] = None  # when a best translate is used
-    exponent_bound: Optional[Tuple[Fraction, Fraction]] = None
-    checks: Dict[str, bool] = dc_field(default_factory=dict)
-    warnings: List[str] = dc_field(default_factory=list)
+    inner_count_zero_translate: Optional[int]  # when a best translate is used
+    exponent_bound: Optional[Tuple[Fraction, Fraction]]
+    checks: Dict[str, bool]
+    warnings: List[str]
 
     def all_asserted_hold(self) -> bool:
         return all(self.checks.values())
@@ -524,8 +518,7 @@ def _closure_rows(inner, inner_denom: int, units: Sequence[FieldElement], n: int
 # Exponent ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicPower:
+class SymbolicPower(NamedTuple):
     """base^exp kept symbolic (the exponent can be astronomically large)."""
 
     base: int

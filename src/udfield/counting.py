@@ -23,38 +23,34 @@ from __future__ import annotations
 import math
 import time
 from itertools import chain
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
                      PreconditionError, TooLargeEps, WindowTooLarge)
 from .numberfield import CMStructure, FieldElement, NumberField, hermitian_form
 
 
-@dataclass
 class PlanarFloatSet:
-    """Plain float points with an annulus tolerance."""
+    """Plain float points, an (n, 2) float ndarray, with an annulus tolerance."""
 
-    points: "object"   # (n, 2) float ndarray
-    eps: float
+    __slots__ = ("points", "eps")
 
-    def __post_init__(self):
+    def __init__(self, points, eps: float):
         import numpy as np
 
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ParseError("points must be an (n, 2) array")
         if not np.isfinite(pts).all():
             raise ParseError("points contain NaN or infinity")
-        self.points = pts
-        if not self.eps >= 0:
-            raise InvalidArgument(f"eps must be a nonnegative number, not {self.eps}")
+        if not eps >= 0:
+            raise InvalidArgument(f"eps must be a nonnegative number, not {eps}")
+        self.points, self.eps = pts, eps
 
 
-@dataclass
-class DistanceCensus:
+class DistanceCensus(NamedTuple):
     unit_pairs: int
     method: str                   # "exact" | "hashed" | "brute"
     n_points: int
@@ -433,8 +429,7 @@ def _count_hashed(pts, eps) -> int:
 # Square-grid baseline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GridResult:
+class GridResult(NamedTuple):
     n: int
     side: int
     m: int                      # squared distance normalized to 1

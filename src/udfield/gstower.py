@@ -7,14 +7,14 @@ or field object is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import (DegreeTooSmall, InvalidArgument, NotOddPrime, RamifiedPrime,
-                     SearchExhausted, SplitConditionFailed)
+                     SearchExhausted, SplitConditionFailed, WindowTooLarge)
 from .numthy import is_prime, legendre_symbol, primes_from
 
 MAX_T = 20  # subset enumeration is 2^|T|
+SPLIT_SEARCH_LIMIT = 1_000_000   # the largest cap of find_split_primes
 
 
 def _check_odd_primes(T: Sequence[int]) -> Tuple[int, ...]:
@@ -87,6 +87,8 @@ def find_split_primes(T: Sequence[int], count: int,
     multiquadratic field of T (with i adjoined when required)."""
     if count < 1:
         raise InvalidArgument(f"count must be >= 1, not {count}")
+    if cap > SPLIT_SEARCH_LIMIT:
+        raise WindowTooLarge(f"cap {cap} past the limit {SPLIT_SEARCH_LIMIT}")
     T = _check_odd_primes(T)
     gens = multiquadratic_generators(T)
     out: List[int] = []
@@ -110,23 +112,20 @@ def class_number_bound(disc: int, degree: int) -> int:
     return abs(disc)
 
 
-@dataclass(frozen=True)
 class TowerSpec:
     """T (odd ramified primes) and the finite part of S (split places);
     infinity is always in S."""
 
-    T: Tuple[int, ...]
-    S_finite: Tuple[int, ...]
+    __slots__ = ("T", "S_finite")
 
-    def __post_init__(self):
-        object.__setattr__(self, "T", _check_odd_primes(self.T))
-        sf = tuple(sorted(set(int(q) for q in self.S_finite)))
-        for q in sf:
+    def __init__(self, T: Sequence[int], S_finite: Sequence[int]):
+        self.T = _check_odd_primes(T)
+        self.S_finite = tuple(sorted(set(int(q) for q in S_finite)))
+        for q in self.S_finite:
             if not is_prime(q):
                 raise NotOddPrime(f"{q} in S is not prime")
-        if set(sf) & set(self.T):
+        if set(self.S_finite) & set(self.T):
             raise InvalidArgument("T and S must be disjoint")
-        object.__setattr__(self, "S_finite", sf)
 
     @property
     def s_size(self) -> int:
@@ -139,8 +138,7 @@ class TowerSpec:
         return self.S_finite[0]
 
 
-@dataclass(frozen=True)
-class GSReport:
+class GSReport(NamedTuple):
     d: int
     r_bound: int
     gs_satisfied: bool

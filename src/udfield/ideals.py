@@ -12,9 +12,8 @@ integer HNF or determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .enumeration import lattice_points_in_polydisc
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
@@ -25,13 +24,20 @@ from .numthy import (check_squarefree_int, iroot_ceil, is_prime,
 from .polynomials import IntPoly, discriminant, factor_mod_p, make_poly
 
 
-@dataclass(frozen=True)
 class FracIdeal:
     """Nonzero fractional ideal: integer row-HNF basis over a denominator."""
 
-    field: NumberField
-    hnf: Tuple[Tuple[int, ...], ...]
-    den: int
+    __slots__ = ("field", "hnf", "den")
+
+    def __init__(self, field: NumberField, hnf: Tuple[Tuple[int, ...], ...], den: int):
+        self.field, self.hnf, self.den = field, hnf, den
+
+    def __eq__(self, other):
+        return (other.__class__ is FracIdeal and self.field == other.field
+                and self.hnf == other.hnf and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.field, self.hnf, self.den))
 
     @staticmethod
     def _normalize(field: NumberField, rows, den: int) -> "FracIdeal":
@@ -125,8 +131,7 @@ class FracIdeal:
         return f"FracIdeal({self.field.label}, norm={self.norm()})"
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """Prime above p from a factor of min_poly mod p (p prime to the index)."""
 
     p: int
@@ -200,8 +205,7 @@ NOT_FOUND = "not_found"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class PrincipalityResult:
+class PrincipalityResult(NamedTuple):
     status: str
     generator: Optional[FieldElement] = None
 

@@ -5,14 +5,19 @@ operations (add/sub/mul) are exact; only division, square roots and
 transcendental constants round, and they round outward.  Soundness
 contract: for any operation, the exact result on any points chosen inside
 the input intervals lies inside the output interval.
+
+pi and ln come from fixed-point series on Python integers with explicit
+error bounds: Machin formulas, and square-root argument reduction (Brent
+1976) before a short atanh series.  Each is rounded down and up at bits + 8
+significant bits, with more guard bits while an enclosure straddles a
+boundary; ln(a/b) rounds a, b and ln a - ln b outward, as mpmath.iv does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 from .errors import DivisionByZero, PrecisionExhausted
 
@@ -74,16 +79,21 @@ def sqrt_upper(q: Rat, bits: int) -> Fraction:
     return Fraction(r, 1 << bits)
 
 
-@dataclass(frozen=True)
 class RealInterval:
     """Closed interval [lo, hi] with dyadic endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        return other.__class__ is RealInterval and self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, q: Rat, bits: int = None) -> "RealInterval":
@@ -171,12 +181,13 @@ class RealInterval:
         return f"RealInterval({float(self.lo)!r}, {float(self.hi)!r})"
 
 
-@dataclass(frozen=True)
 class ComplexInterval:
     """Axis-aligned rectangle in the complex plane."""
 
-    re: RealInterval
-    im: RealInterval
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: RealInterval, im: RealInterval):
+        self.re, self.im = re, im
 
     @classmethod
     def point(cls, re: Rat, im: Rat = 0, bits: int = None) -> "ComplexInterval":
@@ -230,30 +241,95 @@ class ComplexInterval:
         return f"ComplexInterval({complex(self)!r} ± {float(self.width())/2:.3g})"
 
 
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _ = t
-    v = Fraction(int(man), 1)
-    v = v * (1 << exp) if exp >= 0 else Fraction(v, 1 << -exp)
-    return -v if sign else v
+def _round_sig(q: Fraction, prec: int, up: bool) -> Fraction:
+    """The dyadic q rounded up or down to prec significant bits."""
+    drop = max(0, abs(q.numerator).bit_length() - prec)
+    m = -(-q.numerator >> drop) if up else q.numerator >> drop
+    return Fraction(m << drop, q.denominator)
 
 
-def _iv_to_interval(x) -> RealInterval:
-    a, b = x._mpi_
-    return RealInterval(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
+def _floor_ceil(enclose: Callable, prec: int) -> Tuple[Fraction, Fraction]:
+    """Floor and ceiling at prec significant bits of a positive irrational x
+    from enclose(w) = (lo, hi, W): lo <= x 2^W <= hi, W >= w and
+    hi - lo < 2^(W - w).  Guard bits double while it straddles a boundary."""
+    guard = 16
+    while True:
+        lo, hi, W = enclose(prec + guard)
+        s = lo.bit_length() - prec
+        if lo >> s == hi >> s:
+            m = lo >> s
+            return Fraction(m << s, 1 << W), Fraction((m + 1) << s, 1 << W)
+        guard *= 2
+
+
+def _machin(terms, w: int) -> Tuple[int, int]:
+    """(s, e) with |2^w x - s| < e, x = sum of c atan(1/m) (sign -1) or
+    c atanh(1/m) (sign 1) over (c, m, sign), m >= 2: each term is low by
+    under 1 unit, and the tail after the first zero power is under 2."""
+    s = e = 0
+    for c, m, sign in terms:
+        j, power, m2, c_j = 0, (1 << w) // m, m * m, c
+        while power:
+            s += c_j * (power // (2 * j + 1))
+            power //= m2
+            j, c_j = j + 1, c_j * sign
+        e += abs(c) * (j + 2)
+    return s, e
+
+
+def _pi_fixed(w: int) -> Tuple[int, int, int]:
+    """_floor_ceil's enclosure of pi = 16 atan(1/5) - 4 atan(1/239)."""
+    W = w + w.bit_length() + 6
+    s, e = _machin(((16, 5, -1), (-4, 239, -1)), W)
+    return s - e, s + e, W
+
+
+def _atanh_low(p: int, q: int, w: int) -> Tuple[int, int]:
+    """(s, J) with s <= 2^w atanh(t) < s + 3J + 3 for t = p/q in [0, 1/4]:
+    the floored powers of t are low by under 2 units, each of the J terms by
+    under 3, and the tail after the first zero power is under 3."""
+    x = (p << w) // q
+    x2 = x * x >> w
+    s, j, power = 0, 0, x
+    while power:
+        s += power // (2 * j + 1)
+        power = power * x2 >> w
+        j += 1
+    return s, j
+
+
+def _ln_fixed(n: int, w: int) -> Tuple[int, int, int]:
+    """_floor_ceil's enclosure of ln n = b ln 2 + ln x, x = n / 2^b in [1, 2),
+    ln 2 = 18 atanh(1/26) - 2 atanh(1/4801) + 8 atanh(1/8749): k floored
+    square roots at 2^-W take y = x^(1/2^k) within 2^-r of 1, low by under 2
+    units (which add under 2 to 2^W ln y, ln being 1-Lipschitz on y >= 1),
+    and ln x = 2^(k+1) atanh((y - 1)/(y + 1))."""
+    b = n.bit_length() - 1
+    r = max(4, math.isqrt(w) // 2)
+    W = w + r + b.bit_length() + w.bit_length() + 8
+    one, y, k = 1 << W, (n << W) >> b, 0
+    while y - one > one >> r:
+        y = math.isqrt(y << W)
+        k += 1
+    s, J = _atanh_low(y - one, y + one, W)
+    ln2, e = _machin(((18, 26, 1), (-2, 4801, 1), (8, 8749, 1)), W)
+    return (s << (k + 1)) + b * (ln2 - e), ((s + 3 * J + 4) << (k + 1)) + b * (ln2 + e), W
 
 
 def pi_interval(bits: int) -> RealInterval:
     """Certified enclosure of pi with width <= 2^-bits."""
     if bits < 16:
         raise ValueError("precision_bits must be >= 16")
-    from mpmath import iv
+    return RealInterval(*_floor_ceil(_pi_fixed, bits + 8))
 
-    old = iv.prec
-    try:
-        iv.prec = bits + 8
-        return _iv_to_interval(iv.pi)
-    finally:
-        iv.prec = old
+
+def _ln_outward(n: int, prec: int) -> Tuple[Fraction, Fraction]:
+    """ln over n rounded outward to prec significant bits, rounded outward."""
+    lo, hi = (int(_round_sig(Fraction(n), prec, up)) for up in (False, True))
+    if hi == 1:
+        return Fraction(0), Fraction(0)
+    low, high = _floor_ceil(lambda w: _ln_fixed(lo, w), prec)
+    return low, high if hi == lo else _floor_ceil(lambda w: _ln_fixed(hi, w), prec)[1]
 
 
 def ln_interval(q: Rat, bits: int) -> RealInterval:
@@ -263,16 +339,10 @@ def ln_interval(q: Rat, bits: int) -> RealInterval:
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log of non-positive rational")
-    from mpmath import iv, mpf
-
-    old = iv.prec
-    try:
-        iv.prec = bits + 8
-        num = iv.log(iv.mpf(q.numerator))
-        den = iv.log(iv.mpf(q.denominator))
-        return _iv_to_interval(num - den)
-    finally:
-        iv.prec = old
+    prec = bits + 8
+    (a_lo, a_hi), (b_lo, b_hi) = (_ln_outward(n, prec) for n in (q.numerator, q.denominator))
+    return RealInterval(_round_sig(a_lo - b_hi, prec, False),
+                        _round_sig(a_hi - b_lo, prec, True))
 
 
 def exact_ceil(fn: Callable[[int], RealInterval], start_bits: int = 64,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -349,16 +348,17 @@ class FieldElement:
         return f"<{self.field.label}: [{', '.join(str(c) for c in self.coords)}]>"
 
 
-@dataclass
 class CMStructure:
-    """Complex conjugation as an exact automorphism, with the real subfield."""
+    """Complex conjugation as an exact automorphism (conj_mat, acting on the
+    right of integral-basis rows), the real subfield and hermitian_form's cache."""
 
-    field: NumberField
-    conj_mat: Matrix                 # right action on integral-basis row vectors
-    fixed_basis: Tuple[FieldElement, ...]
-    f: int
-    pair_reps: Tuple[int, ...]       # canonical root index per conjugate pair
-    hermitian: Optional[tuple] = dc_field(default=None, repr=False, compare=False)
+    __slots__ = ("field", "conj_mat", "fixed_basis", "f", "pair_reps", "hermitian")
+
+    def __init__(self, field: NumberField, conj_mat: Matrix,
+                 fixed_basis: Tuple[FieldElement, ...], f: int,
+                 pair_reps: Tuple[int, ...], hermitian: Optional[tuple] = None):
+        self.field, self.conj_mat, self.fixed_basis = field, conj_mat, fixed_basis
+        self.f, self.pair_reps, self.hermitian = f, pair_reps, hermitian
 
     def conj(self, z: FieldElement) -> FieldElement:
         if z.field is not self.field:

@@ -13,7 +13,6 @@ floating-point noise; the seeds only steer the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -25,13 +24,14 @@ from .polynomials import check_squarefree, degree, derivative, eval_at
 _MAX_BITS = 1 << 16
 
 
-@dataclass(frozen=True)
 class RootBox:
     """One isolated root: a rectangle certified to contain exactly it."""
 
-    box: ComplexInterval
-    conj_index: int  # index of the complex-conjugate root in the full list
-    is_real: bool
+    __slots__ = ("box", "conj_index", "is_real")
+
+    def __init__(self, box: ComplexInterval, conj_index: int, is_real: bool):
+        # conj_index: the index of the complex-conjugate root in the full list
+        self.box, self.conj_index, self.is_real = box, conj_index, is_real
 
     @property
     def re(self) -> RealInterval:

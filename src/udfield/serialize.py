@@ -83,11 +83,9 @@ def jsonify(obj):
         return interval_dict(obj)
     if isinstance(obj, dict):
         return {k: jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    # a value that knows its JSON form: SymbolicPower in the exponent ledger
-    to_dict = getattr(obj, "to_dict", None)
-    return obj if to_dict is None else jsonify(to_dict())
+    if hasattr(obj, "to_dict"):   # before tuples: SymbolicPower is a named tuple
+        return jsonify(obj.to_dict())
+    return [jsonify(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
 
 
 @contextmanager

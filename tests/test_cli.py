@@ -236,7 +236,9 @@ def test_uncapped_searches_exit_7(tmp_path):
     for args in (("generate", "--field", "gaussian", "--k", "1000", "--out", "run"),
                  ("generate", "--field", "gaussian", "--R", "3", "--scale", "1",
                   "--translate-candidates", "1000000000", "--out", "run"),
-                 ("grid", "--n", "1000000")):
+                 ("grid", "--n", "1000000"),
+                 ("find-split-primes", "--T", "5", "--count", str(10 ** 400),
+                  "--cap", str(10 ** 400))):
         t0 = time.perf_counter()
         proc = _run_module(tmp_path, *args)
         assert time.perf_counter() - t0 < 10, args

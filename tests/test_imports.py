@@ -1,8 +1,10 @@
 """Import footprint: a command runs the udfield layers it uses and no
 others.  The package binds its submodules as lazy modules, which run on
-first attribute access, resolves its exports on first use (PEP 562), only
-certified pi/ln intervals import mpmath, and only the float counting
-paths (`count --method hashed|brute`, `--oracle`, `grid`) import numpy."""
+first attribute access, and resolves its exports on first use (PEP 562).
+No command imports mpmath (certified pi and ln run on Python integers) or
+`dataclasses` and `inspect` (the records are named tuples and classes with
+__slots__), and only the float counting paths (`count --method
+hashed|brute`, `--oracle`, `grid`) import numpy."""
 
 import importlib
 import json
@@ -18,14 +20,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
 
 # runs argv[1:] as `python -m udfield` or as a -c snippet, then prints the
 # udfield modules that ran (a lazy module not yet run is a subclass of
-# ModuleType) and whether mpmath and numpy were loaded
+# ModuleType) and which of mpmath, numpy, dataclasses and inspect were loaded
 PROBE = """
 import atexit, json, runpy, sys, types
 def report():
     sys.stderr.write("PROBE " + json.dumps({
         "udfield": sorted(m for m, mod in sys.modules.items()
                           if m.startswith("udfield") and type(mod) is types.ModuleType),
-        "mpmath": "mpmath" in sys.modules, "numpy": "numpy" in sys.modules}) + "\\n")
+        **{m: m in sys.modules for m in ("mpmath", "numpy", "dataclasses", "inspect")}})
+        + "\\n")
 atexit.register(report)
 if sys.argv[1] == "-c":
     sys.argv = sys.argv[2:]
@@ -68,6 +71,7 @@ def test_exact_count_loads_only_its_layers(tmp_path, capsys):
                                                     "udfield.serialize"])
     assert not got["mpmath"]
     assert not got["numpy"]
+    assert not got["dataclasses"]
 
 
 @pytest.mark.parametrize("args", [
@@ -77,7 +81,8 @@ def test_exact_count_loads_only_its_layers(tmp_path, capsys):
 def test_generate_does_not_load_numpy(tmp_path, args):
     got = _probe(tmp_path, "generate", *args, "--out", "out")
     assert "udfield.construct" in got["udfield"]
-    assert not got["numpy"]
+    for module in ("numpy", "mpmath", "dataclasses", "inspect"):
+        assert not got[module], module
     for name in ("report.json", "pointset.csv", "pointset.json", "scatter.svg"):
         assert (tmp_path / "out" / name).is_file()
 
@@ -96,7 +101,14 @@ def test_hashed_count_loads_numpy(tmp_path):
 @pytest.mark.parametrize("field", ["gaussian", "adjoin-i:5"])
 def test_field_setup_loads_neither_mpmath_nor_numpy(tmp_path, field):
     got = _probe(tmp_path, "-c", SETUP, field)
-    assert got == {"udfield": FIELD_LAYERS, "mpmath": False, "numpy": False}
+    assert got == {"udfield": FIELD_LAYERS, "mpmath": False, "numpy": False,
+                   "dataclasses": False, "inspect": False}
+
+
+def test_exponent_does_not_load_mpmath(tmp_path):
+    got = _probe(tmp_path, "exponent", "--T", "3,5,7,11,13,17", "--p", "101")
+    assert "udfield.construct" in got["udfield"]
+    assert not got["mpmath"]
 
 
 def test_exports_resolve_to_their_modules():
