@@ -86,10 +86,8 @@ def _check_prime_pairs(primes: Sequence[Tuple[PrimeIdeal, int]],
             raise ConjugateCollision(f"P_{i} is self-conjugate (ramified or inert)")
 
 
-def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
-                     include_torsion: bool = True,
-                     slack: Fraction = Fraction(13, 10),
-                     unit_search_depth: int = 3) -> UnitSet:
+def pigeonhole_units(K: NumberField,
+                     primes: Sequence[Tuple[PrimeIdeal, int]]) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
     One pass in lexicographic order of the exponent vectors tests each ideal
@@ -99,7 +97,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     In the largest class (ties toward the smallest base) each member gives
     u = alpha / conj(alpha), alpha = 1 for the base; each u is verified to be
     unit-modulus, to lie in Q^{-2}, and to have D u integral.  The emitted
-    list is closed under conjugation and (optionally) torsion multiples;
+    list is closed under conjugation and torsion multiples;
     ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
     WindowTooLarge past PIGEONHOLE_LIMIT exponent vectors prod (k_j + 1).
     """
@@ -134,8 +132,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
             b = members[0]
             if b not in inverses:
                 inverses[b] = ideals[b].inverse()
-            res = is_principal(I * inverses[b],
-                               slack=slack, unit_search_depth=unit_search_depth)
+            res = is_principal(I * inverses[b])
             if res.status == FOUND:
                 members.append(j)
                 alphas[j] = res.generator
@@ -163,7 +160,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         witnesses.append(u)
 
     units: Dict[FieldElement, None] = {}
-    torsion = roots_of_unity(K, cm) if include_torsion else [one, -one]
+    torsion = roots_of_unity(K, cm)
     for w in witnesses:
         for var in (w, cm.conj(w)):
             for zeta in torsion:

@@ -19,8 +19,7 @@ from .enumeration import lattice_points_in_polydisc
 from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
 from .linalg import hnf_det, hnf_rows, mat_det, stack_rows, vec_mat
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
-from .numthy import (check_squarefree_int, iroot_ceil, is_prime,
-                     squarefree_kernel)
+from .numthy import check_squarefree_int, iroot_ceil, is_prime
 from .polynomials import IntPoly, discriminant, factor_mod_p, make_poly
 
 
@@ -204,6 +203,9 @@ FOUND = "found"
 NOT_FOUND = "not_found"
 INCONCLUSIVE = "inconclusive"
 
+# headroom on radius^2, as no unit need balance a generator's |sigma_i|^2 exactly
+PRINCIPAL_SLACK = Fraction(13, 10)
+
 
 class PrincipalityResult(NamedTuple):
     status: str
@@ -213,14 +215,20 @@ class PrincipalityResult(NamedTuple):
         return self.status == FOUND
 
 
-def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
-                 unit_search_depth: int = 3) -> PrincipalityResult:
-    """Certified generator search.
+def is_principal(I: FracIdeal) -> PrincipalityResult:
+    """Certified generator search: one polydisc enumeration of I.
 
     A returned generator g satisfies (g) = I exactly (HNF equality).
-    NOT_FOUND is certified only for imaginary quadratic fields, where the
-    enumeration of elements of the right norm is exhaustive; otherwise a
-    failed search is INCONCLUSIVE.
+    Generators are closed under units: x generates I exactly when x / w
+    does, for any unit w.  So one polydisc is searched, and no copy
+    stretched by a unit's |sigma_i(w)|^2, which would hold only the
+    associates of points of this one (enlarged by the stretch's rounding).
+
+    Imaginary quadratic fields search radius^2 N(I) with no limit: every
+    generator has |sigma(x)|^2 = N(I), so a miss is a certified NOT_FOUND.
+    Other CM fields search radius^2 PRINCIPAL_SLACK * ceil((N^2 |disc|)^(1/2f))
+    on every embedding pair, capped at 2 000 000 box cells; a search that
+    hits the cap or finds no generator is INCONCLUSIVE.
     """
     K = I.field
     cm = detect_cm(K)
@@ -230,110 +238,23 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     norm = scaled.norm()
     assert norm.denominator == 1
     N = int(norm)
-    # imaginary quadratic: |sigma(x)|^2 = N(x), so the polydisc of
-    # radius^2 = N is exhaustive and searched with no limit
     exhaustive = K.n == 2 and K.disc < 0
     if exhaustive:
-        searches = [[Fraction(N)]]
+        radii = [Fraction(N)]
     else:
-        rad2 = slack * iroot_ceil(N * N * abs(K.disc), 2 * cm.f)
-        searches = [[rad2 * s for s in stretch]
-                    for stretch in _unit_stretches(K, cm, unit_search_depth)]
-    seen = set()
-    for radii in searches:
-        try:
-            rows = lattice_points_in_polydisc(
-                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
-        except WindowTooLarge:
+        radii = [PRINCIPAL_SLACK * iroot_ceil(N * N * abs(K.disc), 2 * cm.f)] * cm.f
+    try:
+        rows = lattice_points_in_polydisc(
+            I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
+    except WindowTooLarge:
+        return PrincipalityResult(INCONCLUSIVE)
+    for x in sorted(rows):
+        if not any(x):
             continue
-        for x in sorted(rows):
-            if not any(x) or x in seen:
-                continue
-            seen.add(x)
-            m = K._mult_matrix(x)
-            if abs(mat_det(m)) == N and FracIdeal._normalize(K, m, 1) == scaled:
-                return PrincipalityResult(FOUND, FieldElement(K, x, I.den))
+        m = K._mult_matrix(x)
+        if abs(mat_det(m)) == N and FracIdeal._normalize(K, m, 1) == scaled:
+            return PrincipalityResult(FOUND, FieldElement(K, x, I.den))
     return PrincipalityResult(NOT_FOUND if exhaustive else INCONCLUSIVE)
-
-
-def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):
-    """Per-coordinate radius stretches from fundamental units of real
-    quadratic subfields, up to the given power depth.
-
-    Built once per depth and kept on the field."""
-    cache = K._unit_stretches
-    if depth not in cache:
-        stretches = [(Fraction(1),) * cm.f]
-        for u in fundamental_units(K, cm):
-            for j in range(1, depth + 1):
-                for sgn in (1, -1):
-                    w = u ** (sgn * j)
-                    row = []
-                    for idx in cm.pair_reps:
-                        m2 = w.embed(idx, 32).abs_sq()
-                        row.append(Fraction(int(m2.hi * 4096) + 1, 4096))
-                    stretches.append(tuple(row))
-        cache[depth] = tuple(stretches)
-    return cache[depth]
-
-
-def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
-    """Fundamental units of the real quadratic subfields (multiquadratic
-    fields only; other fields yield no stretches)."""
-    if K._mq_ds is None:
-        return []
-    ds = K._mq_ds
-    m = len(ds)
-    out = []
-    for mask in range(1, 1 << m):
-        prod = 1
-        for i in range(m):
-            if mask >> i & 1:
-                prod *= ds[i]
-        d = squarefree_kernel(prod)
-        if d <= 1:
-            continue
-        x, y, half = _pell_fundamental(d)
-        # unit (x + y sqrt(d)) / (2 if half else 1); sqrt(d) = prod(sqrt(d_i)) / s
-        s2 = prod // d
-        s = math.isqrt(s2)
-        sqrt_prod = _mq_subset_sqrt(K, mask)
-        unit = (K.from_rational(x) + sqrt_prod * Fraction(y, s)) / (2 if half else 1)
-        assert abs(unit.norm()) == 1
-        out.append(unit)
-    return out
-
-
-def _mq_subset_sqrt(K: NumberField, mask: int) -> FieldElement:
-    """The element prod_{i in mask} sqrt(d_i) of a multiquadratic field."""
-    N = 1 << len(K._mq_ds)
-    subset = [Fraction(0)] * N
-    subset[mask] = Fraction(1)
-    power = vec_mat(subset, K._mq_subset_to_power)
-    return K.from_power_coords(power)
-
-
-def _pell_fundamental(d: int) -> Tuple[int, int, bool]:
-    """Smallest unit > 1 of Q(sqrt(d)) as (x, y, half_integer_flag).
-
-    Expands omega = (P0 + sqrt(d)) / Q0, where O_K = Z[omega]: (1 + sqrt(d)) / 2
-    for d = 1 mod 4, else sqrt(d).  Its convergents p/q satisfy
-    (Q0 p - P0 q)^2 - d q^2 = +-Q0 Q_k, so the first complete quotient
-    (P_k + sqrt(d)) / Q_k with Q_k = Q0 gives the fundamental unit.
-    """
-    half = d % 4 == 1
-    P0, Q0 = (1, 2) if half else (0, 1)
-    P, Q = P0, Q0
-    s = math.isqrt(d)
-    p, p_prev, q, q_prev = 1, 0, 0, 1
-    while True:
-        a = (P + s) // Q
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        if Q == Q0:
-            return Q0 * p - P0 * q, q, half
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,7 @@ class NumberField:
         self._cm: Optional["CMStructure"] = None
         self._cm_checked = False
         self._mq_ds: Optional[Tuple[int, ...]] = None  # set by multiquadratic builder
-        self._mq_subset_to_power: Optional[Matrix] = None
         self._basis_images: Dict[Tuple[int, int], List[ComplexInterval]] = {}
-        self._unit_stretches: Dict[int, tuple] = {}   # see ideals._unit_stretches
 
     # -- construction helpers ------------------------------------------------
 
@@ -582,7 +580,6 @@ def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField
     lbl = label or ("Q(" + ",".join(f"sqrt({d})" for d in ds) + ")")
     fld = NumberField(min_poly, basis_power, label=lbl)
     fld._mq_ds = ds
-    fld._mq_subset_to_power = Pinv
     if any(d < 0 for d in ds):
         diag = []
         for sa in subsets:

@@ -6,7 +6,9 @@ pair (i, j) whose ratio is certified principal, then asks `is_principal`
 again for each member of the largest class against its smallest member to
 recover the generators.  Its `_check_prime_pairs` is copied with it (the
 current one takes the conjugate lattices as an argument); everything else
-is imported from the current modules.
+is imported from the current modules.  Its `slack` and `unit_search_depth`
+parameters, which it only passed on to `is_principal`, went when
+`is_principal` lost them.
 """
 
 from __future__ import annotations
@@ -44,9 +46,7 @@ def _check_prime_pairs(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]]
 
 
 def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
-                     include_torsion: bool = True,
-                     slack: Fraction = Fraction(13, 10),
-                     unit_search_depth: int = 3) -> UnitSet:
+                     include_torsion: bool = True) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
     Ratios inside the largest principality class give alpha with
@@ -93,8 +93,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         for j in range(i + 1, len(ideals)):
             if find(i) == find(j):
                 continue
-            res = is_principal(ideals[j] * ideals[i].inverse(),
-                               slack=slack, unit_search_depth=unit_search_depth)
+            res = is_principal(ideals[j] * ideals[i].inverse())
             if res.status == FOUND:
                 generators[(i, j)] = res.generator
                 parent[find(j)] = find(i)
@@ -117,8 +116,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         if i == base:
             alpha = one
         else:
-            res = is_principal(ideals[i] * ideals[base].inverse(),
-                               slack=slack, unit_search_depth=unit_search_depth)
+            res = is_principal(ideals[i] * ideals[base].inverse())
             if res.status != FOUND:
                 inconclusive = True
                 continue

@@ -1,0 +1,185 @@
+"""`ideals.is_principal` as it stood while it searched unit-stretched
+copies of its polydisc after the base one, kept verbatim as a
+differential-test oracle together with its four helpers (`_unit_stretches`,
+`fundamental_units`, `_mq_subset_sqrt`, `_pell_fundamental`).
+
+Two places differ: the field no longer keeps the stretch cache or the
+multiquadratic builder's subset-to-power matrix, so the stretches are
+cached here per field, and `_subset_to_power` rebuilds that matrix by the
+builder's own primitive-element search, checked against the field's
+minimal polynomial.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Dict, List, Tuple
+
+from udfield.enumeration import lattice_points_in_polydisc
+from udfield.errors import WindowTooLarge
+from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
+                            PrincipalityResult)
+from udfield.linalg import mat, mat_det, mat_inv, vec_mat
+from udfield.numberfield import CMStructure, FieldElement, NumberField, detect_cm
+from udfield.numthy import iroot_ceil, squarefree_kernel
+
+_STRETCHES: Dict[NumberField, Dict[int, tuple]] = {}
+
+
+def _subset_to_power(ds: Tuple[int, ...]):
+    """Row S: the power coordinates of prod_{i in S} sqrt(d_i) in
+    `compositum_multiquadratic(ds)`, whose primitive element theta is the
+    first sum c_i sqrt(d_i) (c_i >= 1, by total, in product order) whose
+    powers 1, theta, ... span the subset algebra."""
+    m = len(ds)
+    N = 1 << m
+
+    def alg_mul(u, v):
+        out = [Fraction(0)] * N
+        for sa in range(N):
+            for sb in range(N):
+                common = sa & sb
+                scalar = math.prod(ds[i] for i in range(m) if common >> i & 1)
+                out[sa ^ sb] += u[sa] * v[sb] * scalar
+        return out
+
+    for total in itertools.count(m):
+        for cs in itertools.product(range(1, total - m + 2), repeat=m):
+            if sum(cs) != total:
+                continue
+            theta = [Fraction(0)] * N
+            for i, c in enumerate(cs):
+                theta[1 << i] = Fraction(c)
+            rows, cur = [], [Fraction(int(s == 0)) for s in range(N)]
+            for _ in range(N):
+                rows.append(cur)
+                cur = alg_mul(cur, theta)
+            if mat_det(mat(rows)) != 0:
+                return mat_inv(mat(rows)), cur
+
+
+def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
+                 unit_search_depth: int = 3) -> PrincipalityResult:
+    """Certified generator search.
+
+    A returned generator g satisfies (g) = I exactly (HNF equality).
+    NOT_FOUND is certified only for imaginary quadratic fields, where the
+    enumeration of elements of the right norm is exhaustive; otherwise a
+    failed search is INCONCLUSIVE.
+    """
+    K = I.field
+    cm = detect_cm(K)
+    if cm is None:
+        raise ValueError("principality search implemented for CM fields only")
+    scaled = FracIdeal(K, I.hnf, 1)
+    norm = scaled.norm()
+    assert norm.denominator == 1
+    N = int(norm)
+    # imaginary quadratic: |sigma(x)|^2 = N(x), so the polydisc of
+    # radius^2 = N is exhaustive and searched with no limit
+    exhaustive = K.n == 2 and K.disc < 0
+    if exhaustive:
+        searches = [[Fraction(N)]]
+    else:
+        rad2 = slack * iroot_ceil(N * N * abs(K.disc), 2 * cm.f)
+        searches = [[rad2 * s for s in stretch]
+                    for stretch in _unit_stretches(K, cm, unit_search_depth)]
+    seen = set()
+    for radii in searches:
+        try:
+            rows = lattice_points_in_polydisc(
+                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
+        except WindowTooLarge:
+            continue
+        for x in sorted(rows):
+            if not any(x) or x in seen:
+                continue
+            seen.add(x)
+            m = K._mult_matrix(x)
+            if abs(mat_det(m)) == N and FracIdeal._normalize(K, m, 1) == scaled:
+                return PrincipalityResult(FOUND, FieldElement(K, x, I.den))
+    return PrincipalityResult(NOT_FOUND if exhaustive else INCONCLUSIVE)
+
+
+def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):
+    """Per-coordinate radius stretches from fundamental units of real
+    quadratic subfields, up to the given power depth.
+
+    Built once per depth and kept on the field."""
+    cache = _STRETCHES.setdefault(K, {})
+    if depth not in cache:
+        stretches = [(Fraction(1),) * cm.f]
+        for u in fundamental_units(K, cm):
+            for j in range(1, depth + 1):
+                for sgn in (1, -1):
+                    w = u ** (sgn * j)
+                    row = []
+                    for idx in cm.pair_reps:
+                        m2 = w.embed(idx, 32).abs_sq()
+                        row.append(Fraction(int(m2.hi * 4096) + 1, 4096))
+                    stretches.append(tuple(row))
+        cache[depth] = tuple(stretches)
+    return cache[depth]
+
+
+def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
+    """Fundamental units of the real quadratic subfields (multiquadratic
+    fields only; other fields yield no stretches)."""
+    if K._mq_ds is None:
+        return []
+    ds = K._mq_ds
+    m = len(ds)
+    out = []
+    for mask in range(1, 1 << m):
+        prod = 1
+        for i in range(m):
+            if mask >> i & 1:
+                prod *= ds[i]
+        d = squarefree_kernel(prod)
+        if d <= 1:
+            continue
+        x, y, half = _pell_fundamental(d)
+        # unit (x + y sqrt(d)) / (2 if half else 1); sqrt(d) = prod(sqrt(d_i)) / s
+        s2 = prod // d
+        s = math.isqrt(s2)
+        sqrt_prod = _mq_subset_sqrt(K, mask)
+        unit = (K.from_rational(x) + sqrt_prod * Fraction(y, s)) / (2 if half else 1)
+        assert abs(unit.norm()) == 1
+        out.append(unit)
+    return out
+
+
+def _mq_subset_sqrt(K: NumberField, mask: int) -> FieldElement:
+    """The element prod_{i in mask} sqrt(d_i) of a multiquadratic field."""
+    N = 1 << len(K._mq_ds)
+    subset = [Fraction(0)] * N
+    subset[mask] = Fraction(1)
+    Pinv, theta_N = _subset_to_power(K._mq_ds)
+    assert [-c for c in vec_mat(theta_N, Pinv)] + [1] == list(K.min_poly)
+    power = vec_mat(subset, Pinv)
+    return K.from_power_coords(power)
+
+
+def _pell_fundamental(d: int) -> Tuple[int, int, bool]:
+    """Smallest unit > 1 of Q(sqrt(d)) as (x, y, half_integer_flag).
+
+    Expands omega = (P0 + sqrt(d)) / Q0, where O_K = Z[omega]: (1 + sqrt(d)) / 2
+    for d = 1 mod 4, else sqrt(d).  Its convergents p/q satisfy
+    (Q0 p - P0 q)^2 - d q^2 = +-Q0 Q_k, so the first complete quotient
+    (P_k + sqrt(d)) / Q_k with Q_k = Q0 gives the fundamental unit.
+    """
+    half = d % 4 == 1
+    P0, Q0 = (1, 2) if half else (0, 1)
+    P, Q = P0, Q0
+    s = math.isqrt(d)
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if Q == Q0:
+            return Q0 * p - P0 * q, q, half

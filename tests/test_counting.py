@@ -197,8 +197,7 @@ def test_r2_box_too_small():
 
 def test_r2_nonnegative_alpha():
     F = compositum_multiquadratic([5])
-    from udfield.ideals import _mq_subset_sqrt
-
-    s5 = _mq_subset_sqrt(F, 1)
+    s5 = F.element([-5, 2])
+    assert s5 * s5 == F.from_rational(5)
     # alpha = sqrt(5) is negative in one embedding: no solutions
     assert r2_count(F, s5, Fraction(4)) == 0

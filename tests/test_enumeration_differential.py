@@ -18,7 +18,7 @@ import udfield.construct as construct
 from pointrows import elements_of, rows_of
 from udfield.enumeration import _lll_reduce_basis, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
-from udfield.ideals import _unit_stretches, split_prime
+from udfield.ideals import split_prime
 from udfield.numberfield import (FieldElement, abs_sq, compositum_multiquadratic,
                                  trace_form)
 
@@ -150,6 +150,18 @@ def _enumerate_or_too_large(fn, *args, **kwargs):
 
 non_dyadic = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([3, 5, 7, 9]))
 
+# radius stretches over Q(sqrt5, i): 1, and |sigma_i(w)|^2 rounded up at
+# 1/4096 for w = u^(+-j), j <= 3, u = (1 + sqrt5) / 2, per embedding pair
+STRETCHES_DEG4 = (
+    (Fraction(1), Fraction(1)),
+    (Fraction(1565, 4096), Fraction(2681, 1024)),
+    (Fraction(2681, 1024), Fraction(1565, 4096)),
+    (Fraction(299, 2048), Fraction(28075, 4096)),
+    (Fraction(28075, 4096), Fraction(299, 2048)),
+    (Fraction(229, 4096), Fraction(18375, 1024)),
+    (Fraction(18375, 1024), Fraction(229, 4096)),
+)
+
 
 @settings(max_examples=50, deadline=None)
 @given(rows=sublattice4(), data=st.data(),
@@ -161,7 +173,7 @@ def test_polydisc_matches_oracle_degree4_random(rows, data, center, on, base,
                                                 deg4, deg4_cm):
     K, cm = deg4, deg4_cm
     basis = [K.element(r) for r in rows]
-    stretch = data.draw(st.sampled_from(_unit_stretches(K, cm, 3)))
+    stretch = data.draw(st.sampled_from(STRETCHES_DEG4))
     if center is not None:
         center = K.element(center)
     if on is not None:
@@ -171,8 +183,8 @@ def test_polydisc_matches_oracle_degree4_random(rows, data, center, on, base,
         t = K.element([q0, q1, 0, 0])
         center = t - basis[k] * a
         base = abs(abs_sq(t, cm).coords[0] + off)
-    # one radius is the base, the other stretched as is_principal does, by
-    # the row's larger factor (>= 1), so that t stays inside it
+    # one radius is the base, the other stretched by the row's larger
+    # factor (>= 1), so that t stays inside it
     pin = stretch.index(min(stretch))
     radii = [base if i == pin else base * stretch[i] for i in range(cm.f)]
     limit = 10000

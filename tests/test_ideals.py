@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from udfield import ideals
-from udfield.errors import IndexDivisor, NotPrime
+from udfield.cli import build_field
+from udfield.errors import IndexDivisor, NotPrime, WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
                             class_number_imag_quadratic, is_principal,
                             split_prime)
-from udfield.numberfield import (NumberField, compositum_multiquadratic, detect_cm,
-                                 nf_new)
+from udfield.numberfield import compositum_multiquadratic, detect_cm, nf_new
 from udfield.polynomials import make_poly
 
 
@@ -161,39 +161,19 @@ def test_is_principal_degree4_nontrivial_class():
             assert FracIdeal.principal(res.generator) == pr.lattice
 
 
-def test_unit_stretches_cached_per_field(monkeypatch):
-    # the second search on a field embeds no unit; another field gets its own
-    inside, calls = [False], []
-    embed, stretches = NumberField.embed, ideals._unit_stretches
+def test_one_search_per_ideal(monkeypatch):
+    # a capped search is the whole search: no second enumeration follows it
+    calls = []
 
-    def counting_embed(self, *args):
-        if inside[0]:
-            calls.append(self)
-        return embed(self, *args)
+    def capped(*args, **kwargs):
+        calls.append(kwargs["limit"])
+        raise WindowTooLarge("box too large")
 
-    def flagged(*args):
-        inside[0] = True
-        try:
-            return stretches(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(NumberField, "embed", counting_embed)
-    monkeypatch.setattr(ideals, "_unit_stretches", flagged)
-    K, L = (compositum_multiquadratic([5, -1]) for _ in range(2))
-    I = FracIdeal.principal(K.element([2, 1, 0, 1]))
-    assert is_principal(I).status == FOUND
-    first = len(calls)
-    assert first > 0 and set(calls) == {K}
-    assert is_principal(I).status == FOUND
-    assert len(calls) == first
-    J = FracIdeal.principal(L.element([2, 1, 0, 1]))
-    assert is_principal(J).status == FOUND
-    assert len(calls) == 2 * first and set(calls[first:]) == {L}
-    cm = detect_cm(K)
-    assert ideals._unit_stretches(K, cm, 3) is ideals._unit_stretches(K, cm, 3)
-    assert ideals._unit_stretches(K, cm, 3) is not ideals._unit_stretches(L, detect_cm(L), 3)
-    assert ideals._unit_stretches(K, cm, 3) == ideals._unit_stretches(L, detect_cm(L), 3)
+    monkeypatch.setattr(ideals, "lattice_points_in_polydisc", capped)
+    K = build_field("adjoin-i:5")
+    I = split_prime(K, 29)[0].lattice
+    assert is_principal(I).status == INCONCLUSIVE
+    assert calls == [2_000_000]
 
 
 def test_class_numbers():
@@ -248,31 +228,3 @@ def test_principality_certificates(gaussian, qsqrt_m5):
             res = is_principal(I)
             if res.status == FOUND:
                 assert FracIdeal.principal(res.generator) == I
-
-
-def test_pell_matches_brute_force_oracle():
-    import oracle_pell
-
-    from udfield.ideals import _pell_fundamental
-    from udfield.numthy import squarefree_kernel
-
-    # the oracle's y < 10^7 search does not finish on these three
-    beyond_oracle = {151, 166, 199}
-    compared = 0
-    for d in range(2, 200):
-        if squarefree_kernel(d) != d:
-            continue
-        x, y, half = _pell_fundamental(d)
-        assert x * x - d * y * y in ((-4, 4) if half else (-1, 1))
-        if d in beyond_oracle:
-            assert y >= 10 ** 7
-            continue
-        assert (x, y, half) == oracle_pell._pell_fundamental(d), d
-        compared += 1
-    assert compared == 118
-
-
-def test_pell_beyond_brute_force_bound():
-    from udfield.ideals import _pell_fundamental
-
-    assert _pell_fundamental(151) == (1728148040, 140634693, False)

@@ -1,6 +1,8 @@
 """Differential tests: the integer-structure-constant ideal product
-against the field-element product of oracle_ideals, and the integer-HNF
-ideal inverse against the old Fraction-matrix lattice intersection."""
+against the field-element product of oracle_ideals, the integer-HNF
+ideal inverse against the old Fraction-matrix lattice intersection, and
+the one-search principality test against the unit-stretched searches of
+oracle_principality."""
 
 import itertools
 from functools import lru_cache
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_ideals
+import oracle_principality
+import udfield.construct as construct
 from udfield.cli import build_field
 from udfield.errors import IndexDivisor, ZeroIdeal
-from udfield.ideals import FracIdeal, split_prime
+from udfield.ideals import FOUND, FracIdeal, is_principal, split_prime
 from udfield.numberfield import detect_cm, nf_new
 from udfield.polynomials import make_poly
 
@@ -106,3 +110,30 @@ def test_inverse_fails_alike_off_the_maximal_order():
             inverse(bad)
     good = FracIdeal.from_elements(K, [K.from_rational(3), K.theta()])
     assert good.inverse() == oracle_ideals.inverse(good)
+
+
+@pytest.mark.parametrize("field, p", [("adjoin-i:2", 17), ("adjoin-i:3", 13),
+                                      ("adjoin-i:5", 29), ("adjoin-i:7", 29)])
+def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
+    # every ideal the pigeonhole asks about at k <= 3 gets the same status
+    # and the same generator from one search as from the stretched searches
+    K = build_field(field)
+    cm = detect_cm(K)
+    statuses = []
+
+    def both(I):
+        got = is_principal(I)
+        want = oracle_principality.is_principal(I)
+        assert (got.status, got.generator) == (want.status, want.generator)
+        statuses.append(got.status)
+        return got
+
+    monkeypatch.setattr(construct, "is_principal", both)
+    pairs, seen = [], set()
+    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
+        if pr.lattice not in seen:
+            seen.add(pr.lattice.conjugate(cm))
+            pairs.append(pr)
+    for k in (1, 2, 3):
+        construct.pigeonhole_units(K, [(pr, k) for pr in pairs])
+    assert FOUND in statuses

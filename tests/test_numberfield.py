@@ -124,9 +124,8 @@ def test_minkowski_embed_examples(deg4, deg4_cm):
         assert box.re.contains(1) and box.im.contains(0)
     # sqrt5 embeds with modulus 2.2360679... in both coordinates (the two
     # pair representatives see sqrt5 with opposite signs)
-    from udfield.ideals import _mq_subset_sqrt
-
-    sqrt5 = _mq_subset_sqrt(K, 1)
+    sqrt5 = K.element([-5, 0, 2, 0])
+    assert sqrt5 * sqrt5 == K.from_rational(5)
     lo = sqrt_lower(Fraction(5), 50)
     hi = sqrt_upper(Fraction(5), 50)
     for box in [sqrt5.embed(i, 60) for i in deg4_cm.pair_reps]:
