@@ -219,16 +219,19 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
     """Certified generator search: one polydisc enumeration of I.
 
     A returned generator g satisfies (g) = I exactly (HNF equality).
-    Generators are closed under units: x generates I exactly when x / w
-    does, for any unit w.  So one polydisc is searched, and no copy
-    stretched by a unit's |sigma_i(w)|^2, which would hold only the
-    associates of points of this one (enlarged by the stretch's rounding).
-
     Imaginary quadratic fields search radius^2 N(I) with no limit: every
     generator has |sigma(x)|^2 = N(I), so a miss is a certified NOT_FOUND.
     Other CM fields search radius^2 PRINCIPAL_SLACK * ceil((N^2 |disc|)^(1/2f))
-    on every embedding pair, capped at 2 000 000 box cells; a search that
-    hits the cap or finds no generator is INCONCLUSIVE.
+    on every embedding pair, capped at 2 000 000 box cells; a capped or
+    empty search is INCONCLUSIVE.
+
+    The generators of I are the unit multiples of one of them.  Over
+    Q(sqrt(d), i) the fundamental unit eps > 1 of Q(sqrt(d)) lies in the
+    order and scales the two |sigma_i|^2 (product N) by eps^2 and eps^-2,
+    so some generator has both at most eps sqrt(N): inside the polydisc
+    when eps <= 13/10 |disc|^(1/4), as for d = 2, 3, 5, 6, 10, 13, 15, 17,
+    21, but not d = 7, 11, 14, 19 (eps = 15.9, 19.9, 30.0, 340), where a
+    principal ideal with no generator inside it is INCONCLUSIVE.
     """
     K = I.field
     cm = detect_cm(K)

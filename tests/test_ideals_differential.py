@@ -5,6 +5,7 @@ the one-search principality test against the unit-stretched searches of
 oracle_principality."""
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -17,7 +18,7 @@ import oracle_principality
 import udfield.construct as construct
 from udfield.cli import build_field
 from udfield.errors import IndexDivisor, ZeroIdeal
-from udfield.ideals import FOUND, FracIdeal, is_principal, split_prime
+from udfield.ideals import FOUND, INCONCLUSIVE, FracIdeal, is_principal, split_prime
 from udfield.numberfield import detect_cm, nf_new
 from udfield.polynomials import make_poly
 
@@ -113,10 +114,13 @@ def test_inverse_fails_alike_off_the_maximal_order():
 
 
 @pytest.mark.parametrize("field, p", [("adjoin-i:2", 17), ("adjoin-i:3", 13),
-                                      ("adjoin-i:5", 29), ("adjoin-i:7", 29)])
+                                      ("adjoin-i:5", 29), ("adjoin-i:7", 29),
+                                      ("adjoin-i:11", 5), ("adjoin-i:19", 17)])
 def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
     # every ideal the pigeonhole asks about at k <= 3 gets the same status
-    # and the same generator from one search as from the stretched searches
+    # and the same generator from one search as from the stretched searches;
+    # d = 7, 11, 19 have units too large for the polydisc to hold a
+    # generator of every principal ideal (see is_principal)
     K = build_field(field)
     cm = detect_cm(K)
     statuses = []
@@ -137,3 +141,33 @@ def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
     for k in (1, 2, 3):
         construct.pigeonhole_units(K, [(pr, k) for pr in pairs])
     assert FOUND in statuses
+
+
+@pytest.mark.parametrize("d, a, b", [(3, 1, 1), (6, 2, 1), (7, 3, 1), (11, 3, 1),
+                                     (19, 13, 3)])
+def test_principality_half_a_unit_period_out(d, a, b):
+    # h = a + b sqrt(d) has h^2 = 2 eps, so the generators of (h y), y in
+    # {1, 1 + i, 3}, have |sigma_1|^2 / |sigma_2|^2 = eps^(2 + 4j): none is
+    # more balanced, and the largest |sigma_i|^2 is eps sqrt(N).  One search
+    # finds them exactly when eps <= 13/10 |disc|^(1/4); the oracle's
+    # stretched searches miss them as well.
+    K = build_field(f"adjoin-i:{d}")
+    cm = detect_cm(K)
+    sqrt_d = oracle_principality._mq_subset_sqrt(K, 1)
+    assert sqrt_d * sqrt_d == K.from_rational(d)
+    (eps,) = oracle_principality.fundamental_units(K, cm)
+    h = K.from_rational(a) + sqrt_d * b
+    assert h * h == eps * 2
+    eps_sq = [eps.embed(idx, 64).abs_sq() for idx in cm.pair_reps]
+    bound = Fraction(13, 10) ** 4 * abs(K.disc)
+    covered = max(e.hi for e in eps_sq) ** 2 <= bound
+    assert covered or max(e.lo for e in eps_sq) ** 2 > bound
+    assert covered == (d in (3, 6))
+    i = oracle_principality._mq_subset_sqrt(K, 2)
+    assert i * i == K.from_rational(-1)
+    for y in (K.one(), K.one() + i, K.from_rational(3)):
+        I = FracIdeal.principal(h * y)
+        got = is_principal(I)
+        want = oracle_principality.is_principal(I)
+        assert (got.status, got.generator) == (want.status, want.generator)
+        assert got.status == (FOUND if covered else INCONCLUSIVE)
