@@ -203,13 +203,14 @@ def _cell_pairs(rows, denom: int, xy, margin: float,
     xs, ys = zip(*xy)
     k = _cells_per_unit(len(xy), max(xs) - min(xs), max(ys) - min(ys))
     offsets = _cell_offsets(k, math.sqrt(1 - margin), math.sqrt(1 + margin))
+    same = offsets[:1] == [(0, 0)]
     cells = {}
     for i, (x, y) in enumerate(xy):
         cells.setdefault((math.floor(x * k), math.floor(y * k)), []).append(i)
     close = []
     for (cx, cy), here in cells.items():
-        blocks = [(here[:t], here[t]) for t in range(1, len(here))]
-        for dx, dy in offsets:
+        blocks = [(here[:t], here[t]) for t in range(1, len(here))] if same else []
+        for dx, dy in offsets[same:]:
             there = cells.get((cx + dx, cy + dy))
             if there:
                 blocks.extend((here, j) for j in there)
@@ -353,15 +354,16 @@ def _cross_indices(starts_a, sizes_a, starts_b, sizes_b):
 
 
 def _cell_offsets(k: int, lo: float, hi: float):
-    """The offsets (dx, dy) of one half plane (dx > 0, or dx = 0 < dy), in
+    """The offsets (dx, dy) of one half plane (dx > 0, or dx = 0 <= dy), in
     lexicographic order, between cells of side 1/k that hold two points at
-    a distance in [lo, hi].  The range is widened by 2^-20, which covers the
-    rounding of the cell indices floor(k x) for |k x| < 2^30 and of the
-    distances the counters test."""
+    a distance in [lo, hi]: (0, 0), the same cell, only when its diagonal
+    sqrt(2) / k reaches lo, so never for k >= 2.  The range is widened by
+    2^-20, which covers the rounding of the cell indices floor(k x) for
+    |k x| < 2^30 and of the distances the counters test."""
     lo, hi = (lo - 2.0 ** -20) * k, (hi + 2.0 ** -20) * k
     r = math.ceil(hi) + 1
     return [(dx, dy) for dx in range(r + 1) for dy in range(-r, r + 1)
-            if (dx > 0 or dy > 0)
+            if (dx > 0 or dy >= 0)
             and math.hypot(max(dx - 1, 0), max(abs(dy) - 1, 0)) <= hi
             and math.hypot(dx + 1, abs(dy) + 1) >= lo]
 
@@ -379,8 +381,8 @@ def _cell_blocks(pts, lo: float, hi: float):
     Cells have side 1/k (_cells_per_unit), so a dense set does not crowd
     into a few unit cells.  Returns (order, blocks): `order` sorts the
     points by cell, and `blocks` yields (left, right) positions into that
-    order: same-cell pairs (left < right) first, then one block per
-    _cell_offsets neighbour."""
+    order: same-cell pairs (left < right) first when _cell_offsets admits
+    (0, 0), then one block per other _cell_offsets neighbour."""
     import numpy as np
 
     n = len(pts)
@@ -388,6 +390,7 @@ def _cell_blocks(pts, lo: float, hi: float):
         return np.empty(0, np.int64), iter(())
     k = _cells_per_unit(n, *np.ptp(pts, axis=0))
     offsets = _cell_offsets(k, lo, hi)
+    same = offsets[:1] == [(0, 0)]
     cells = np.floor(pts * k).astype(np.int64)
     # pack cell coords into one int64 key (coordinates fit in 31 bits)
     shift = np.int64(1) << np.int64(31)
@@ -400,12 +403,13 @@ def _cell_blocks(pts, lo: float, hi: float):
     ukeys = skey[starts]
 
     def blocks():
-        multi = sizes > 1
-        left, right = _cross_indices(starts[multi], sizes[multi],
-                                     starts[multi], sizes[multi])
-        keep = left < right
-        yield left[keep], right[keep]
-        for dx_c, dy_c in offsets:
+        if same:
+            multi = sizes > 1
+            left, right = _cross_indices(starts[multi], sizes[multi],
+                                         starts[multi], sizes[multi])
+            keep = left < right
+            yield left[keep], right[keep]
+        for dx_c, dy_c in offsets[same:]:
             nkey = ukeys + np.int64(dx_c) * shift + np.int64(dy_c)
             pos = np.clip(np.searchsorted(ukeys, nkey), 0, len(ukeys) - 1)
             match = np.flatnonzero(ukeys[pos] == nkey)
@@ -547,9 +551,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     eye = [[1 if k == j else 0 for k in range(F.n)] for j in range(F.n)]
     # the box |sigma_i(x)| <= box is the polydisc sigma_i(x)^2 <= box^2 under
     # the identity conjugation, one coordinate per real root
-    real = CMStructure(field=F, conj_mat=identity(F.n),
-                       fixed_basis=tuple(F.element(r) for r in eye),
-                       f=F.n, pair_reps=tuple(range(F.n)))
+    real = CMStructure(field=F, conj_mat=identity(F.n), f=F.n, pair_reps=tuple(range(F.n)))
     pts = [FieldElement(F, row) for row in lattice_points_in_polydisc(
         eye, 1, real, [box * box] * F.n, limit=R2_SEARCH_LIMIT)]
     squares = {}

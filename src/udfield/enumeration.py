@@ -9,8 +9,12 @@ optional integer centre row, all over one common denominator D, and its
 points come back as integer coordinate rows over D (tuples of Python
 ints): the representation point sets use.  The basis is LLL-reduced on
 the integer T2 Gram matrix B G B^T (G the trace form of the integral
-basis, numberfield.trace_form), and a certified box |c_j| <= M_j from the
-inverse basis matrix bounds the integer coefficients.  The box is walked
+basis, numberfield.trace_form) by integral LLL, and a certified box
+|c_j| <= M_j bounds the integer coefficients.  M_j is computed on
+integers: the basis images as interval endpoints over one power of two,
+the fraction-free Gauss-Jordan inverse of their midpoint matrix, integer
+interval products for its residual eta, and one floor division; the
+precision doubles while eta >= 1.  The box is walked
 depth first, c_0 outermost and each coefficient ascending, so points come
 out in lexicographic order of their coefficients on the reduced basis.
 Only the margin band below builds field elements, each straight from its
@@ -46,9 +50,10 @@ from fractions import Fraction
 from operator import add
 from typing import List, Optional, Sequence
 
+from . import linalg
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import (ComplexInterval, RealInterval, float_columns, float_up,
-                        round_down, round_up, sqrt_upper)
+from .intervals import (ComplexInterval, RealInterval, fixed_point, float_columns,
+                        float_up, sqrt_upper, to_fixed)
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           trace_form)
 
@@ -81,19 +86,22 @@ def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
     The integer combination sum_k row_k sigma(b_k) is exact and its
     quotient by denom is rounded outward to 2^-g, so the width is at most
     (sum |row_k| / denom + 2) 2^-g for images of width 2^-g; g exceeds bits
-    by a multiple of 64 that covers the bit length of that factor."""
+    by a multiple of 64 that covers the bit length of that factor.  On the
+    images as integers over one 2^s, each endpoint is one floor division
+    of their combination by denom 2^s."""
     S = -(-sum(map(abs, row)) // denom) + 2    # ceil(sum |row_k| / denom) + 2
     g = bits + 64 * (1 + S.bit_length() // 64)
+    s, images = field.basis_image_ends(idx, g)
     parts = []
-    for axis in ("re", "im"):
-        lo = hi = Fraction(0)
-        for c, box in zip(row, field.basis_images(idx, g)):
-            iv = getattr(box, axis)
+    for axis in (0, 2):
+        lo = hi = 0
+        for c, box in zip(row, images):
             if c > 0:
-                lo, hi = lo + c * iv.lo, hi + c * iv.hi
+                lo, hi = lo + c * box[axis], hi + c * box[axis + 1]
             elif c < 0:
-                lo, hi = lo + c * iv.hi, hi + c * iv.lo
-        parts.append(RealInterval(round_down(lo / denom, g), round_up(hi / denom, g)))
+                lo, hi = lo + c * box[axis + 1], hi + c * box[axis]
+        parts.append(RealInterval(Fraction((lo << g) // (denom << s), 1 << g),
+                                  Fraction(-((-hi << g) // (denom << s)), 1 << g)))
     return ComplexInterval(*parts)
 
 
@@ -113,38 +121,46 @@ def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
     exact inverse V of its midpoint, and certifies eta = ||I - B V||_1 < 1;
     then c = y (I - E)^{-1} with y = (x - a) V gives
         |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
+    On integers: B's endpoints over one 2^s, V = 2^(s+1) X / d from the
+    fraction-free Gauss-Jordan of 2^(s+1) mid(B), each entry of V rounded
+    outward for eta as RealInterval.point rounds it, and M_j one floor
+    division of the exact y_j + slop.
     """
-    from . import linalg
-
     n = len(rows)
-    try:
-        V = linalg.mat_inv(linalg.mat([[iv.midpoint() for iv in row] for row in rows]))
-    except ZeroDivisionError:
+    s = max(q.denominator.bit_length() for row in rows for iv in row for q in (iv.lo, iv.hi)) - 1
+    B = [[(to_fixed(iv.lo, s), to_fixed(iv.hi, s)) for iv in row] for row in rows]
+    d, X = linalg.gauss_jordan([[lo + hi for lo, hi in row] + [int(i == j) for j in range(n)]
+                                for i, row in enumerate(B)])
+    if not d:
         return None
-    # E = I - B V in interval arithmetic (V exact rational)
-    col_sums = [Fraction(0)] * n
-    for r in range(n):
-        for c in range(n):
-            acc = RealInterval.point(-1 if r == c else 0)
-            for t in range(n):
-                acc = acc + rows[r][t] * RealInterval.point(V[t][c])
-            col_sums[c] += acc.magnitude()
-    eta = max(col_sums)
-    if eta >= 1:
+    pts = [[fixed_point(Fraction(x << (s + 1), d)) for x in row] for row in X]
+    e = max(t for row in pts for _, _, t in row)
+    V = [[(lo << (e - t), hi << (e - t)) for lo, hi, t in row] for row in pts]
+    # eta = the largest column sum of |B V - I|, over 2^-(s + e)
+    one, eta = 1 << (s + e), 0
+    for c in range(n):
+        total, col = 0, [v[c] for v in V]
+        for r, row in enumerate(B):
+            lo = hi = -one if r == c else 0
+            for (a, b), (p, q) in zip(row, col):
+                x = (a * p, a * q, b * p, b * q)
+                lo, hi = lo + min(x), hi + max(x)
+            total += max(-lo, hi)
+        eta = max(eta, total)
+    if eta >= one:
         return None
     # per-real-coordinate bound on |x_t - a_t|
     bnd = [Fraction(0)] * n
     for i, ts in enumerate(cols):
-        r = sqrt_upper(radii_sq[i], 16)
-        extra = Fraction(0)
-        if center_emb is not None:
-            extra = max(center_emb[i].re.magnitude(), center_emb[i].im.magnitude())
+        extra = 0 if center_emb is None else max(center_emb[i].re.magnitude(),
+                                                 center_emb[i].im.magnitude())
         for t in ts:
-            bnd[t] = r + extra
-    y = [sum(bnd[t] * abs(V[t][j]) for t in range(n)) for j in range(n)]
-    y_max = max(y)
-    slop = y_max * eta / (1 - eta)
-    return [int(yj + slop) + 1 for yj in y]
+            bnd[t] = sqrt_upper(radii_sq[i], 16) + extra
+    # y_j = 2^(s+1) Y_j / (2^w |d|) and slop = y_max eta / (one - eta)
+    w = max(q.denominator.bit_length() for q in bnd) - 1
+    Y = [sum(to_fixed(q, w) * abs(x) for q, x in zip(bnd, col)) for col in zip(*X)]
+    rest, y_max = one - eta, max(Y)
+    return [((y * rest + y_max * eta) << (s + 1)) // (abs(d) * rest << w) + 1 for y in Y]
 
 
 def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
@@ -371,8 +387,6 @@ def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[L
     Gram matrix B G B^T of the integer basis rows B (G = trace_form(cm));
     a common denominator of the rows scales the Gram matrix, which LLL
     ignores."""
-    from . import linalg
-
     G = trace_form(cm)
     BG = [[sum(b * g[l] for b, g in zip(row, G)) for l in range(len(G))]
           for row in basis]

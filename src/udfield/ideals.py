@@ -80,9 +80,17 @@ class FracIdeal:
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
         """Products of the two HNF bases through the integer structure
-        constants, over the denominator den_a * den_b."""
+        constants, over the denominator den_a * den_b.  A factor with HNF
+        c I is the rational ideal (c / den) O, and c H is the HNF of c L
+        when H is that of L, so a product with it takes no HNF."""
         if self.field is not other.field:
             raise ValueError("ideals from different fields")
+        for x, y in ((self, other), (other, self)):
+            c, n = x.hnf[0][0], len(x.hnf)
+            if x.hnf == tuple(tuple(c * (i == j) for j in range(n)) for i in range(n)):
+                g = math.gcd(x.den * y.den, *(c * v for r in y.hnf for v in r))
+                return FracIdeal(self.field, tuple(tuple(c * v // g for v in r) for r in y.hnf),
+                                 x.den * y.den // g)
         rows = []
         for a in self.hnf:
             ma = self.field._mult_matrix(a)

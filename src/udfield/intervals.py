@@ -6,6 +6,11 @@ transcendental constants round, and they round outward.  Soundness
 contract: for any operation, the exact result on any points chosen inside
 the input intervals lies inside the output interval.
 
+Hot paths (interval Horner, the enumerator's basis images and coefficient
+box) do the same exact ring operations on integer mantissas over one power
+of two: to_fixed, fixed_point and imul below.  Their endpoints equal the
+Fraction ones, so the boxes are the same.
+
 pi and ln come from fixed-point series on Python integers with explicit
 error bounds: Machin formulas, and square-root argument reduction (Brent
 1976) before a short atanh series.  Each is rounded down and up at bits + 8
@@ -48,6 +53,28 @@ def float_up(q: Rat) -> float:
     """The least float >= q."""
     x = float(q)
     return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def to_fixed(q: Fraction, s: int) -> int:
+    """q 2^s, for a dyadic q whose denominator divides 2^s."""
+    return q.numerator << (s - q.denominator.bit_length() + 1)
+
+
+def fixed_point(q: Rat, bits: int = None) -> Tuple[int, int, int]:
+    """(lo, hi, e) with [lo, hi] 2^-e = RealInterval.point(q, bits): exact
+    for a dyadic q, else rounded outward at 2^-bits, by default 64 bits
+    past the bit length of q's denominator."""
+    num, den = q.numerator, q.denominator
+    if den & (den - 1) == 0:
+        return num, num, den.bit_length() - 1
+    bits = den.bit_length() + 64 if bits is None else bits
+    return (num << bits) // den, -((-num << bits) // den), bits
+
+
+def imul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """The product of the intervals [a, b] and [c, d]."""
+    p = (a * c, a * d, b * c, b * d)
+    return min(p), max(p)
 
 
 def float_columns(ivs):
@@ -97,13 +124,9 @@ class RealInterval:
 
     @classmethod
     def point(cls, q: Rat, bits: int = None) -> "RealInterval":
-        q = Fraction(q)
-        if is_dyadic(q):
-            return cls(q, q)
         # non-dyadic rationals get an outward enclosure
-        if bits is None:
-            bits = q.denominator.bit_length() + 64
-        return cls(round_down(q, bits), round_up(q, bits))
+        lo, hi, e = fixed_point(q, bits)
+        return cls(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
 
     def __add__(self, other: "RealInterval") -> "RealInterval":
         return RealInterval(self.lo + other.lo, self.hi + other.hi)

@@ -1,15 +1,19 @@
-"""Exact linear algebra: Fraction matrices, integer Hermite normal form, and
-the integer coordinate rows over one denominator that point sets use.
+"""Exact linear algebra: Fraction matrices, integer Hermite normal form,
+integral LLL, and the integer coordinate rows over one denominator that
+point sets use.
 
 Matrices are tuples of row tuples.  Everything here is desk scale
 (dimension <= 32), so classical fraction-free or Gaussian algorithms are
-used; no effort is made to be clever about coefficient growth.
+used.  The set-up of the lattice enumerator and of element and ideal
+arithmetic runs on Python integers: fraction-free Gauss-Jordan gives an
+inverse as an integer matrix over one denominator, LLL keeps integer
+Gram-Schmidt data, and the HNF clears each column by extended-gcd steps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -31,10 +35,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def vec_mat(v: Sequence[Fraction], a: Matrix) -> Tuple[Fraction, ...]:
     return tuple(sum(map(mul, v, col)) for col in zip(*a))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_det(a) -> Fraction:
@@ -65,56 +65,37 @@ def mat_det(a) -> Fraction:
     return Fraction(sign * m[-1][-1] if n else 1, scale)
 
 
+def gauss_jordan(rows: Sequence[Sequence[int]]):
+    """(d, X) for the integer rows [A | B], A square: fraction-free
+    Gauss-Jordan elimination (Bareiss) takes A to d I with d = +-det A and
+    B to X = d A^-1 B; every division is exact, so X is an integer
+    matrix.  d is 0 (and X None) when A is singular."""
+    m = [list(r) for r in rows]
+    n, prev = len(m), 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0, None
+        m[k], m[pivot] = m[pivot], m[k]
+        p, row_k = m[k][k], m[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(a * p - f * b) // prev for a, b in zip(row, row_k)]
+        prev = p
+    return prev, [row[n:] for row in m]
+
+
 def mat_inv(a: Matrix) -> Matrix:
+    """The inverse X / d of gauss_jordan on [S a | S], S the diagonal
+    matrix that clears each row of a of its denominators."""
     n = len(a)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [c * inv for c in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def kernel(a: Matrix) -> List[Tuple[Fraction, ...]]:
-    """Basis of the right kernel {x : a x = 0} over Q."""
-    if not a:
-        return []
-    rows = [list(r) for r in a]
-    ncols = len(rows[0])
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -rows[pr][fc]
-        basis.append(tuple(vec))
-    return basis
+    scales = [lcm(1, *(Fraction(c).denominator for c in row)) for row in a]
+    d, X = gauss_jordan([[int(c * s) for c in row] + [s * (i == j) for j in range(n)]
+                         for i, (row, s) in enumerate(zip(a, scales))])
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(Fraction(x, d) for x in row) for row in X)
 
 
 # ---------------------------------------------------------------------------
@@ -126,43 +107,42 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
 
     Output rows are sorted by pivot column; pivots positive; entries above
     each pivot reduced to [0, pivot).  Zero rows are dropped, so equal
-    lattices give equal tuples.
-    """
+    lattices give equal tuples.  Column by column, the row with the
+    smallest nonzero entry leads, and every other row meets it once: one
+    subtraction when the lead entry divides the row's, else the
+    unimodular 2 x 2 step of their extended gcd, which clears the row's
+    entry."""
     remaining = [list(map(int, r)) for r in rows if any(r)]
-    if not remaining:
-        return ()
-    ncols = len(remaining[0])
     result: List[List[int]] = []
-    pivot_cols: List[int] = []
-    for col in range(ncols):
-        having = [r for r in remaining if r[col] != 0]
-        remaining = [r for r in remaining if r[col] == 0]
-        if not having:
-            continue
-        # Euclid on the col entries until a single row survives
-        while len(having) > 1:
-            having.sort(key=lambda r: abs(r[col]))
-            head = having[0]
-            new_having = [head]
-            for r in having[1:]:
-                q = r[col] // head[col]
-                rr = [a - q * b for a, b in zip(r, head)]
-                if rr[col] != 0:
-                    new_having.append(rr)
-                elif any(rr):
-                    remaining.append(rr)
-            having = new_having
-        piv = having[0]
-        if piv[col] < 0:
-            piv = [-c for c in piv]
-        result.append(piv)
-        pivot_cols.append(col)
+    for col in range(len(remaining[0]) if remaining else 0):
+        remaining.sort(key=lambda r: abs(r[col]) or inf)
+        piv, rest = None, []
+        for r in remaining:
+            b = r[col]
+            if b and piv is None:
+                piv = r
+                continue
+            if b and b % piv[col] == 0:
+                r = [x - b // piv[col] * y for x, y in zip(r, piv)]
+            elif b:
+                # g = u a + v b, as v b = 1 modulo a / g (which does not divide b / g)
+                g = gcd(piv[col], b)
+                a, b = piv[col] // g, b // g
+                v = pow(b, -1, a)
+                u = (1 - v * b) // a
+                piv, r = ([u * x + v * y for x, y in zip(piv, r)],
+                          [b * x - a * y for x, y in zip(piv, r)])
+            if any(r):
+                rest.append(r)
+        remaining = rest
+        if piv is not None:
+            result.append(piv if piv[col] > 0 else [-c for c in piv])
     # reduce entries above each pivot into [0, pivot); ascending pivot order
     # so a later subtraction cannot disturb an already-reduced column
+    pivot_cols = [_pivot_col(r) for r in result]
     for j in range(len(result)):
         for i in range(j + 1, len(result)):
-            pc = pivot_cols[i]
-            q = result[j][pc] // result[i][pc]
+            q = result[j][pivot_cols[i]] // result[i][pivot_cols[i]]
             if q:
                 result[j] = [a - q * b for a, b in zip(result[j], result[i])]
     return tuple(tuple(r) for r in result)
@@ -183,84 +163,68 @@ def hnf_det(hnf: Sequence[Sequence[int]]) -> int:
     return det
 
 
-def rational_hnf(rows: Sequence[Sequence[Fraction]]):
-    """HNF of a rational-row lattice: returns (integer_hnf, denominator)."""
-    den = lcm(1, *(Fraction(c).denominator for r in rows for c in r))
-    h = hnf_rows([[int(Fraction(c) * den) for c in r] for r in rows])
-    # normalize gcd between entries and denominator
-    g = gcd(den, *(c for r in h for c in r))
-    if g > 1:
-        h = tuple(tuple(c // g for c in r) for r in h)
-        den //= g
-    return h, den
-
-
 def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple[int, ...], ...]:
-    """LLL over an exact PSD Gram matrix; returns the unimodular row transform.
+    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7; de Weger 1987) on an exact
+    PSD Gram matrix cleared of its denominators; returns the unimodular row
+    transform U, the reduced basis being U @ (old basis).
 
-    The reduced basis is U @ (old basis).  Exact rational arithmetic
-    throughout.  The Gram-Schmidt data (mu, B_j = |b*_j|^2) is computed
-    once.  Size reduction of b_k by b_j leaves every b* alone and changes
-    row k of mu by -r * (row j of mu, with mu_jj = 1), so that row is
-    updated in place.  Row k is fully size-reduced before the Lovasz test.
-    A swap of b_{k-1} and b_k updates mu and B by the SWAP step of Cohen,
-    GTM 138, Alg. 2.6.3; when B_{k-1}, B_k or the new B_{k-1} is 0 (a
-    singular Gram matrix) those formulas would divide by zero, so the
-    data is recomputed from U G U^T instead, with mu_ij = 0 for B_j = 0.
-    """
+    With B_j = |b*_j|^2 it keeps the integers d_i, the product of the
+    nonzero B_j (j < i), and lambda_ij = d_(j+1) mu_ij, with mu_ij = 0 when
+    B_j = 0 (a singular Gram matrix).  Row k is size-reduced (mu rounded
+    half up) before the Lovasz test B_k >= (delta - mu^2) B_(k-1), an
+    integer inequality; a swap updates lambda and d by SWAPI, or when B_k
+    = 0 recomputes them from U G U^T.  Each decision is the one exact
+    rational mu and B would take, so U is too."""
     n = len(gram)
+    L = lcm(1, *(c.denominator for row in gram for c in row))
+    gram = [[int(c * L) for c in row] for row in gram]
+    a, b = delta.numerator, delta.denominator
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def gso():
         UG = [[sum(u * g[l] for u, g in zip(row, gram) if u) for l in range(n)]
               for row in U]
-        cur = [[sum(a * b for a, b in zip(UG[i], U[j])) for j in range(n)]
-               for i in range(n)]
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
+        lam, d, zero = [[0] * n for _ in range(n)], [1] * (n + 1), [False] * n
         for i in range(n):
-            bstar[i] = cur[i][i]
-            for j in range(i):
-                if bstar[j] == 0:
-                    continue
-                mu[i][j] = (cur[i][j] - sum(mu[i][t] * mu[j][t] * bstar[t]
-                                            for t in range(j))) / bstar[j]
-                bstar[i] -= mu[i][j] ** 2 * bstar[j]
-        return mu, bstar
+            for j in range(i + 1):
+                if j == i or not zero[j]:
+                    u = sum(x * y for x, y in zip(UG[i], U[j]))
+                    for t in range(j):
+                        if not zero[t]:
+                            u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+                    lam[i][j] = u
+            zero[i], d[i + 1] = lam[i][i] == 0, lam[i][i] or d[i]
+        return lam, d, zero
 
-    mu, bstar = gso()
-    k = 1
-    guard = 0
-    while k < n:
-        guard += 1
-        if guard > 10000:
-            break
+    lam, d, zero = gso()
+    k, steps = 1, 0
+    while k < n and steps < 10000:
+        steps += 1
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = (q.numerator * 2 + q.denominator) // (2 * q.denominator)  # round
+            dj = d[j + 1]
+            r = 0 if zero[j] else (2 * lam[k][j] + dj) // (2 * dj)  # round
             if r:
-                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
-                mu[k][j] -= r
+                U[k] = [x - r * y for x, y in zip(U[k], U[j])]
+                lam[k][j] -= r * dj
                 for t in range(j):
-                    mu[k][t] -= r * mu[j][t]
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                    lam[k][t] -= r * lam[j][t]
+        m = lam[k][k - 1]
+        # B_k d_k d_(k-1) is d_(k+1) d_(k-1), or 0 when B_k = 0
+        if zero[k - 1] or b * (0 if zero[k] else d[k + 1]) * d[k - 1] >= a * d[k] ** 2 - b * m * m:
             k += 1
+            continue
+        U[k], U[k - 1] = U[k - 1], U[k]
+        if zero[k]:
+            lam, d, zero = gso()
         else:
-            U[k], U[k - 1] = U[k - 1], U[k]
-            m = mu[k][k - 1]
-            B = bstar[k] + m * m * bstar[k - 1]
-            if bstar[k - 1] == 0 or bstar[k] == 0 or B == 0:
-                mu, bstar = gso()
-            else:
-                mu[k][k - 1] = m * bstar[k - 1] / B
-                bstar[k] = bstar[k - 1] * bstar[k] / B
-                bstar[k - 1] = B
-                mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
-                for i in range(k + 1, n):
-                    t = mu[i][k]
-                    mu[i][k] = mu[i][k - 1] - m * t
-                    mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-            k = max(k - 1, 1)
+            B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+            d[k] = B
+        k = max(k - 1, 1)
     return tuple(tuple(r) for r in U)
 
 

@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import (AlreadyImaginary, DependentGenerators, DivisionByZero,
                      NonMonic, NotAField, PrecisionExhausted)
-from .intervals import ComplexInterval
-from .linalg import Matrix, mat, mat_inv, mat_mul, rational_hnf, vec_mat
-from .numthy import check_squarefree_int, factorize, squarefree_kernel
+from .intervals import ComplexInterval, to_fixed
+from .linalg import Matrix, mat, mat_inv, mat_mul, vec_mat
+from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
                           eval_at, make_poly, poly_add, poly_divmod, poly_mul,
                           poly_neg)
@@ -64,6 +64,7 @@ class NumberField:
         self._cm_checked = False
         self._mq_ds: Optional[Tuple[int, ...]] = None  # set by multiquadratic builder
         self._basis_images: Dict[Tuple[int, int], List[ComplexInterval]] = {}
+        self._image_ends: Dict[Tuple[int, int], tuple] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -208,6 +209,16 @@ class NumberField:
                            root_index, bits) for j in range(n)]
         return self._basis_images[key]
 
+    def basis_image_ends(self, root_index: int, bits: int):
+        """(s, rows): the boxes of basis_images as integers over one 2^s,
+        rows[k] = 2^s (re.lo, re.hi, im.lo, im.hi) of sigma_i(b_k)."""
+        key = (root_index, bits)
+        if key not in self._image_ends:
+            ends = [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in self.basis_images(*key)]
+            s = max(q.denominator.bit_length() for b in ends for q in b) - 1
+            self._image_ends[key] = s, [[to_fixed(q, s) for q in b] for b in ends]
+        return self._image_ends[key]
+
     def __repr__(self):
         return f"NumberField({self.label}, deg={self.n}, disc={self.disc})"
 
@@ -272,13 +283,13 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        try:
-            inv = mat_inv(self.field._mult_matrix(self.num))
-        except ZeroDivisionError:
-            raise NotAField(
-                "zero divisor encountered: min_poly is reducible") from None
-        # (num / den)^-1 = den * num^-1, and x M(num) = 1 for x = num^-1
-        return self.field.element(c * self.den for c in vec_mat(self.field.one().num, inv))
+        # (num / den)^-1 = den * num^-1, and x M(num) = 1 for x = num^-1:
+        # M(num)^T x = coords of 1, solved fraction-free as X / d
+        M = self.field._mult_matrix(self.num)
+        d, X = linalg.gauss_jordan([[*col, e] for col, e in zip(zip(*M), self.field.one().num)])
+        if not d:
+            raise NotAField("zero divisor encountered: min_poly is reducible")
+        return FieldElement(self.field, [self.den * row[0] for row in X], d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -348,20 +359,23 @@ class FieldElement:
 
 class CMStructure:
     """Complex conjugation as an exact automorphism (conj_mat, acting on the
-    right of integral-basis rows), the real subfield and hermitian_form's cache."""
+    right of integral-basis rows, and the same as integer rows over one
+    denominator), the f conjugate pairs and hermitian_form's cache."""
 
-    __slots__ = ("field", "conj_mat", "fixed_basis", "f", "pair_reps", "hermitian")
+    __slots__ = ("field", "conj_mat", "f", "pair_reps", "hermitian", "_conj")
 
-    def __init__(self, field: NumberField, conj_mat: Matrix,
-                 fixed_basis: Tuple[FieldElement, ...], f: int,
+    def __init__(self, field: NumberField, conj_mat: Matrix, f: int,
                  pair_reps: Tuple[int, ...], hermitian: Optional[tuple] = None):
-        self.field, self.conj_mat, self.fixed_basis = field, conj_mat, fixed_basis
+        self.field, self.conj_mat = field, conj_mat
         self.f, self.pair_reps, self.hermitian = f, pair_reps, hermitian
+        L = math.lcm(1, *(Fraction(c).denominator for row in conj_mat for c in row))
+        self._conj = [[int(c * L) for c in row] for row in conj_mat], L
 
     def conj(self, z: FieldElement) -> FieldElement:
         if z.field is not self.field:
             raise ValueError("element from a different field")
-        return self.field.element(c / z.den for c in vec_mat(z.num, self.conj_mat))
+        C, L = self._conj
+        return FieldElement(self.field, vec_mat(z.num, C), z.den * L)
 
 
 def abs_sq(z: FieldElement, cm: CMStructure) -> FieldElement:
@@ -454,31 +468,11 @@ def _quadratic_integral_basis(p: IntPoly) -> Matrix:
 
 
 def _f2_independent(ds: Sequence[int]) -> bool:
-    """No nonempty subproduct of ds is a perfect square."""
-    basis: List[frozenset] = []
-    for d in ds:
-        vec = set()
-        if d < 0:
-            vec.add(-1)
-        for q, e in factorize(d):
-            if e % 2:
-                vec.add(q)
-        vec = frozenset(vec)
-        # reduce against current basis (F_2 elimination over prime support):
-        # repeatedly xor with any basis elt whose max lies in cur
-        cur = vec
-        changed = True
-        while changed and cur:
-            changed = False
-            for b in basis:
-                if b and max(b) in cur:
-                    cur = cur ^ b
-                    changed = True
-        if not cur:
-            return False
-        basis.append(cur)
-        basis.sort(key=lambda s: -max(s) if s else 0)
-    return True
+    """No nonempty subproduct of ds is a perfect square: 2^m - 1 products,
+    fewer than the 2^m basis elements of the compositum they would span."""
+    return not any(p > 0 and math.isqrt(p) ** 2 == p
+                   for r in range(1, len(ds) + 1)
+                   for p in map(math.prod, itertools.combinations(ds, r)))
 
 
 def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField:
@@ -674,50 +668,29 @@ def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
     # involution
     if mat_mul(conj_int, conj_int) != linalg.identity(n):
         return None
+    cm = CMStructure(field=fld, conj_mat=conj_int, f=n // 2, pair_reps=())
     # field automorphism: multiplicative on basis pairs
     basis_elems = [FieldElement(fld, [1 if k == i else 0 for k in range(n)])
                    for i in range(n)]
-
-    def apply(z):
-        return fld.element(c / z.den for c in vec_mat(z.num, conj_int))
-
-    images = [apply(b) for b in basis_elems]
+    images = [cm.conj(b) for b in basis_elems]
     for i in range(n):
         for j in range(i, n):
-            if apply(basis_elems[i] * basis_elems[j]) != images[i] * images[j]:
+            if cm.conj(basis_elems[i] * basis_elems[j]) != images[i] * images[j]:
                 return None
-    # acts as complex conjugation in every embedding
+    # acts as complex conjugation in every embedding, so that it fixes a
+    # subfield of degree n / 2, all of whose embeddings are real
     if not fld.is_totally_imaginary():
         return None
-    bits = 64
-    theta_conj = apply(fld.theta())
-    while True:
-        roots = fld.roots(bits)
-        ok = True
-        for k, rb in enumerate(roots):
-            val = eval_at(theta_conj.power_coords(), rb.box)
-            hits = [j for j, other in enumerate(roots)
-                    if val.intersects(other.box)]
-            if hits != [rb.conj_index]:
-                ok = False
-                break
-        if ok:
+    theta_conj = cm.conj(fld.theta()).power_coords()
+    for roots in (fld.roots(64 << i) for i in range(7)):      # up to 4096 bits
+        vals = [eval_at(theta_conj, rb.box) for rb in roots]
+        if all([j for j, other in enumerate(roots) if v.intersects(other.box)] == [rb.conj_index]
+               for rb, v in zip(roots, vals)):
             break
-        bits *= 2
-        if bits > 4096:
-            return None
-
-    fixed = linalg.kernel(linalg.transpose(
-        mat([[conj_int[i][j] - (1 if i == j else 0) for j in range(n)]
-             for i in range(n)])))
-    if len(fixed) != n // 2:
+    else:
         return None
-    h, den = rational_hnf(fixed)
-    fixed_elems = tuple(FieldElement(fld, row, den) for row in h)
-
-    reps = _conjugate_pair_reps(fld)
-    return CMStructure(field=fld, conj_mat=conj_int, fixed_basis=fixed_elems,
-                       f=n // 2, pair_reps=reps)
+    cm.pair_reps = _conjugate_pair_reps(fld)
+    return cm
 
 
 def _conjugate_pair_reps(fld: NumberField) -> Tuple[int, ...]:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import NonMonic, NonSquarefree, NotPrime
-from .intervals import ComplexInterval, RealInterval
+from .intervals import (ComplexInterval, RealInterval, fixed_point, imul,
+                        to_fixed)
 
 IntPoly = tuple  # tuple of ints, low degree first, no trailing zeros
 
@@ -119,16 +120,28 @@ def check_monic(p: Sequence):
 def eval_at(p: Sequence, x, bits: int = None):
     """Horner evaluation; x may be Fraction, RealInterval or ComplexInterval.
 
-    `bits` controls the outward rounding of non-dyadic coefficients.
+    `bits` controls the outward rounding of non-dyadic coefficients, as
+    RealInterval.point does.  A box is evaluated on its endpoints as
+    integers over one power of two (intervals.to_fixed); the ring
+    operations are exact, so it is the box that interval arithmetic on the
+    dyadic Fractions gives, and a real x is the box x + [0, 0] i.
     """
-    if isinstance(x, (RealInterval, ComplexInterval)):
-        real = isinstance(x, RealInterval)
-        acc = RealInterval.point(0) if real else ComplexInterval.point(0)
+    if isinstance(x, RealInterval):
+        return eval_at(p, ComplexInterval(x, RealInterval.point(0)), bits).re
+    if isinstance(x, ComplexInterval):
+        ends = (x.re.lo, x.re.hi, x.im.lo, x.im.hi)
+        s = max(q.denominator.bit_length() for q in ends) - 1
+        xrl, xrh, xil, xih = (to_fixed(q, s) for q in ends)
+        rl = rh = il = ih = e = 0      # the value so far, over 2^e
         for c in reversed(p):
-            term = (RealInterval.point(c, bits) if real
-                    else ComplexInterval.point(c, 0, bits))
-            acc = acc * x + term
-        return acc
+            (a, b), (c2, d2) = imul(rl, rh, xrl, xrh), imul(il, ih, xil, xih)
+            (f, g), (h, k) = imul(rl, rh, xil, xih), imul(il, ih, xrl, xrh)
+            lo, hi, t = fixed_point(c, bits)
+            sh, e = max(0, t - e - s), max(e + s, t)
+            rl, rh = ((a - d2) << sh) + (lo << (e - t)), ((b - c2) << sh) + (hi << (e - t))
+            il, ih = (f + h) << sh, (g + k) << sh
+        return ComplexInterval(*(RealInterval(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+                                 for lo, hi in ((rl, rh), (il, ih))))
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + Fraction(c)

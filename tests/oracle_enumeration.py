@@ -295,7 +295,5 @@ def _real_sign_at(z: FieldElement, root_index: int) -> int:
 def real_structure(F: NumberField) -> CMStructure:
     """A totally real field with the identity as its conjugation: the
     polydisc sigma_i(z)^2 <= r^2 is then the real box |sigma_i(z)| <= r."""
-    basis = tuple(F.element([1 if k == j else 0 for k in range(F.n)])
-                  for j in range(F.n))
-    return CMStructure(field=F, conj_mat=identity(F.n), fixed_basis=basis,
-                       f=F.n, pair_reps=tuple(range(F.n)))
+    return CMStructure(field=F, conj_mat=identity(F.n), f=F.n,
+                       pair_reps=tuple(range(F.n)))

@@ -8,6 +8,8 @@ clears the common denominator of all the products (the basis elements
 are built inline: FracIdeal.basis_elements has no other user and went).  `inverse` intersects
 the lattices M(h)^-1 of the HNF rows h, by duality in Fraction matrices;
 its multiplication matrix is the Fraction one of oracle_fieldelement.
+`rational_hnf` and `transpose` are copied from `udfield.linalg`, where they
+no longer exist.
 """
 
 from __future__ import annotations
@@ -19,8 +21,24 @@ from typing import Sequence
 from oracle_fieldelement import OracleField
 from udfield.errors import ZeroIdeal
 from udfield.ideals import FracIdeal
-from udfield.linalg import mat, mat_inv, rational_hnf, transpose
+from udfield.linalg import Matrix, hnf_rows, mat, mat_inv
 from udfield.numberfield import FieldElement
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def rational_hnf(rows: Sequence[Sequence[Fraction]]):
+    """HNF of a rational-row lattice: returns (integer_hnf, denominator)."""
+    den = math.lcm(1, *(Fraction(c).denominator for r in rows for c in r))
+    h = hnf_rows([[int(Fraction(c) * den) for c in r] for r in rows])
+    # normalize gcd between entries and denominator
+    g = math.gcd(den, *(c for r in h for c in r))
+    if g > 1:
+        h = tuple(tuple(c // g for c in r) for r in h)
+        den //= g
+    return h, den
 
 
 def mul(self: FracIdeal, other: FracIdeal) -> FracIdeal:

@@ -2,8 +2,10 @@
 coefficient for all its values at once in numpy, and returned an (m, n)
 int64 or object array, kept verbatim as a differential-test oracle (only
 the imports are made absolute; the helpers it shares with the current
-enumerator are imported from `udfield.enumeration`, and `int_rows` and
-`max_abs` are copied from `udfield.linalg`, where they no longer exist).
+enumerator are imported from `udfield.enumeration`, except the Fraction
+set-up `_image_box`, `_basis_embeddings` and `_coord_bounds`, which come
+from `oracle_setup`, and `int_rows` and `max_abs` are copied from
+`udfield.linalg`, where they no longer exist).
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from udfield.enumeration import (_PREFILTER_BITS, _SLACK, _basis_embeddings,
-                                 _columns, _coord_bounds, _embedding_columns,
-                                 _image_box, _lll_reduce_basis, _margins)
+from oracle_setup import _basis_embeddings, _coord_bounds, _image_box
+from udfield.enumeration import (_PREFILTER_BITS, _SLACK, _columns,
+                                 _embedding_columns, _lll_reduce_basis, _margins)
 from udfield.errors import PrecisionExhausted, WindowTooLarge
 from udfield.intervals import float_columns
 from udfield.numberfield import CMStructure, FieldElement, abs_sq

@@ -1,0 +1,253 @@
+"""The certified set-up as it stood in Fraction arithmetic, kept verbatim as
+differential-test oracles for its integer rewrites: `eval_at` (interval
+Horner), `_image_box`, `_basis_embeddings` and `_coord_bounds` (the
+enumerator's basis images and coefficient box), `lll_transform` (exact LLL
+on Fraction Gram-Schmidt data), `hnf_rows` (Euclid on whole columns, with
+no modulus), and `conj` and `inverse` (CMStructure.conj through the
+Fraction conjugation matrix, FieldElement.inverse through mat_inv), the
+last two as functions of the structure or element they were methods of.
+
+The only edits are the absolute imports: `_coord_bounds` imports linalg
+from udfield, and the two methods take `self` as their first argument.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
+
+from udfield.enumeration import _PREFILTER_BITS, _columns
+from udfield.errors import DivisionByZero, NotAField
+from udfield.intervals import (ComplexInterval, RealInterval, round_down,
+                               round_up, sqrt_upper)
+from udfield.linalg import Matrix, mat_inv, vec_mat
+from udfield.numberfield import FieldElement, NumberField
+
+
+def eval_at(p: Sequence, x, bits: int = None):
+    """Horner evaluation; x may be Fraction, RealInterval or ComplexInterval.
+
+    `bits` controls the outward rounding of non-dyadic coefficients.
+    """
+    if isinstance(x, (RealInterval, ComplexInterval)):
+        real = isinstance(x, RealInterval)
+        acc = RealInterval.point(0) if real else ComplexInterval.point(0)
+        for c in reversed(p):
+            term = (RealInterval.point(c, bits) if real
+                    else ComplexInterval.point(c, 0, bits))
+            acc = acc * x + term
+        return acc
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
+               bits: int) -> ComplexInterval:
+    """sigma_idx(z) for z = sum_k (row_k / denom) b_k, of width <= 2^-bits,
+    as the exact combination of the field's cached integral-basis images.
+
+    The integer combination sum_k row_k sigma(b_k) is exact and its
+    quotient by denom is rounded outward to 2^-g, so the width is at most
+    (sum |row_k| / denom + 2) 2^-g for images of width 2^-g; g exceeds bits
+    by a multiple of 64 that covers the bit length of that factor."""
+    S = -(-sum(map(abs, row)) // denom) + 2    # ceil(sum |row_k| / denom) + 2
+    g = bits + 64 * (1 + S.bit_length() // 64)
+    parts = []
+    for axis in ("re", "im"):
+        lo = hi = Fraction(0)
+        for c, box in zip(row, field.basis_images(idx, g)):
+            iv = getattr(box, axis)
+            if c > 0:
+                lo, hi = lo + c * iv.lo, hi + c * iv.hi
+            elif c < 0:
+                lo, hi = lo + c * iv.hi, hi + c * iv.lo
+        parts.append(RealInterval(round_down(lo / denom, g), round_up(hi / denom, g)))
+    return ComplexInterval(*parts)
+
+
+def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int],
+                      real: Sequence[bool], bits: int):
+    """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
+    keep = max(_PREFILTER_BITS, bits - 16)
+    return [_columns([_image_box(field, v, denom, idx, bits).round_outward(keep)
+                      for idx in reps], real) for v in basis]
+
+
+def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
+                  center_emb) -> Optional[List[int]]:
+    """Certified per-coordinate bounds M_j with |c_j| <= M_j for every solution.
+
+    Writes the real n x n basis matrix as an interval matrix B, takes the
+    exact inverse V of its midpoint, and certifies eta = ||I - B V||_1 < 1;
+    then c = y (I - E)^{-1} with y = (x - a) V gives
+        |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
+    """
+    from udfield import linalg
+
+    n = len(rows)
+    try:
+        V = linalg.mat_inv(linalg.mat([[iv.midpoint() for iv in row] for row in rows]))
+    except ZeroDivisionError:
+        return None
+    # E = I - B V in interval arithmetic (V exact rational)
+    col_sums = [Fraction(0)] * n
+    for r in range(n):
+        for c in range(n):
+            acc = RealInterval.point(-1 if r == c else 0)
+            for t in range(n):
+                acc = acc + rows[r][t] * RealInterval.point(V[t][c])
+            col_sums[c] += acc.magnitude()
+    eta = max(col_sums)
+    if eta >= 1:
+        return None
+    # per-real-coordinate bound on |x_t - a_t|
+    bnd = [Fraction(0)] * n
+    for i, ts in enumerate(cols):
+        r = sqrt_upper(radii_sq[i], 16)
+        extra = Fraction(0)
+        if center_emb is not None:
+            extra = max(center_emb[i].re.magnitude(), center_emb[i].im.magnitude())
+        for t in ts:
+            bnd[t] = r + extra
+    y = [sum(bnd[t] * abs(V[t][j]) for t in range(n)) for j in range(n)]
+    y_max = max(y)
+    slop = y_max * eta / (1 - eta)
+    return [int(yj + slop) + 1 for yj in y]
+
+
+def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple[int, ...], ...]:
+    """LLL over an exact PSD Gram matrix; returns the unimodular row transform.
+
+    The reduced basis is U @ (old basis).  Exact rational arithmetic
+    throughout.  The Gram-Schmidt data (mu, B_j = |b*_j|^2) is computed
+    once.  Size reduction of b_k by b_j leaves every b* alone and changes
+    row k of mu by -r * (row j of mu, with mu_jj = 1), so that row is
+    updated in place.  Row k is fully size-reduced before the Lovasz test.
+    A swap of b_{k-1} and b_k updates mu and B by the SWAP step of Cohen,
+    GTM 138, Alg. 2.6.3; when B_{k-1}, B_k or the new B_{k-1} is 0 (a
+    singular Gram matrix) those formulas would divide by zero, so the
+    data is recomputed from U G U^T instead, with mu_ij = 0 for B_j = 0.
+    """
+    n = len(gram)
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def gso():
+        UG = [[sum(u * g[l] for u, g in zip(row, gram) if u) for l in range(n)]
+              for row in U]
+        cur = [[sum(a * b for a, b in zip(UG[i], U[j])) for j in range(n)]
+               for i in range(n)]
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bstar = [Fraction(0)] * n
+        for i in range(n):
+            bstar[i] = cur[i][i]
+            for j in range(i):
+                if bstar[j] == 0:
+                    continue
+                mu[i][j] = (cur[i][j] - sum(mu[i][t] * mu[j][t] * bstar[t]
+                                            for t in range(j))) / bstar[j]
+                bstar[i] -= mu[i][j] ** 2 * bstar[j]
+        return mu, bstar
+
+    mu, bstar = gso()
+    k = 1
+    guard = 0
+    while k < n:
+        guard += 1
+        if guard > 10000:
+            break
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            r = (q.numerator * 2 + q.denominator) // (2 * q.denominator)  # round
+            if r:
+                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
+                mu[k][j] -= r
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            U[k], U[k - 1] = U[k - 1], U[k]
+            m = mu[k][k - 1]
+            B = bstar[k] + m * m * bstar[k - 1]
+            if bstar[k - 1] == 0 or bstar[k] == 0 or B == 0:
+                mu, bstar = gso()
+            else:
+                mu[k][k - 1] = m * bstar[k - 1] / B
+                bstar[k] = bstar[k - 1] * bstar[k] / B
+                bstar[k - 1] = B
+                mu[k - 1][:k - 1], mu[k][:k - 1] = mu[k][:k - 1], mu[k - 1][:k - 1]
+                for i in range(k + 1, n):
+                    t = mu[i][k]
+                    mu[i][k] = mu[i][k - 1] - m * t
+                    mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+    return tuple(tuple(r) for r in U)
+
+
+def hnf_rows(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Canonical row Hermite normal form of the lattice spanned by `rows`.
+
+    Output rows are sorted by pivot column; pivots positive; entries above
+    each pivot reduced to [0, pivot).  Zero rows are dropped, so equal
+    lattices give equal tuples.
+    """
+    remaining = [list(map(int, r)) for r in rows if any(r)]
+    if not remaining:
+        return ()
+    ncols = len(remaining[0])
+    result: List[List[int]] = []
+    pivot_cols: List[int] = []
+    for col in range(ncols):
+        having = [r for r in remaining if r[col] != 0]
+        remaining = [r for r in remaining if r[col] == 0]
+        if not having:
+            continue
+        # Euclid on the col entries until a single row survives
+        while len(having) > 1:
+            having.sort(key=lambda r: abs(r[col]))
+            head = having[0]
+            new_having = [head]
+            for r in having[1:]:
+                q = r[col] // head[col]
+                rr = [a - q * b for a, b in zip(r, head)]
+                if rr[col] != 0:
+                    new_having.append(rr)
+                elif any(rr):
+                    remaining.append(rr)
+            having = new_having
+        piv = having[0]
+        if piv[col] < 0:
+            piv = [-c for c in piv]
+        result.append(piv)
+        pivot_cols.append(col)
+    # reduce entries above each pivot into [0, pivot); ascending pivot order
+    # so a later subtraction cannot disturb an already-reduced column
+    for j in range(len(result)):
+        for i in range(j + 1, len(result)):
+            pc = pivot_cols[i]
+            q = result[j][pc] // result[i][pc]
+            if q:
+                result[j] = [a - q * b for a, b in zip(result[j], result[i])]
+    return tuple(tuple(r) for r in result)
+
+
+def conj(self, z: FieldElement) -> FieldElement:
+    if z.field is not self.field:
+        raise ValueError("element from a different field")
+    return self.field.element(c / z.den for c in vec_mat(z.num, self.conj_mat))
+
+
+
+def inverse(self) -> "FieldElement":
+    if self.is_zero():
+        raise DivisionByZero("inverse of zero")
+    try:
+        inv = mat_inv(self.field._mult_matrix(self.num))
+    except ZeroDivisionError:
+        raise NotAField(
+            "zero divisor encountered: min_poly is reducible") from None
+    # (num / den)^-1 = den * num^-1, and x M(num) = 1 for x = num^-1
+    return self.field.element(c * self.den for c in vec_mat(self.field.one().num, inv))
+

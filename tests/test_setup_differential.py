@@ -1,0 +1,259 @@
+"""The certified set-up on Python integers against its Fraction form, kept
+verbatim in `oracle_setup`: interval Horner (and through it the root
+boxes and the basis images), the enumerator's image boxes and coefficient
+box, the HNF of ideal products and principal ideals, conjugation and
+inversion.  Every comparison is equality, so each rewrite must give the
+very boxes, bounds and rows the Fraction code gave.  LLL has its own
+differential tests in test_linalg.py.  The last tests check that the cell
+hash skips the same-cell block exactly when no pair in it can be at unit
+distance."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_pairsearch
+import oracle_setup
+from udfield import enumeration, numberfield, roots
+from udfield.cli import build_field
+from udfield.construct import enumerate_window
+from udfield.counting import (PlanarFloatSet, _cell_offsets, _cells_per_unit,
+                              _pair_distances_ok, count_float, planar_image,
+                              unit_pair_indices)
+from udfield.errors import DivisionByZero, NotAField, ZeroIdeal
+from udfield.ideals import FracIdeal, split_prime
+from udfield.intervals import ComplexInterval, RealInterval
+from udfield.linalg import hnf_rows, mat_det
+from udfield.numberfield import FieldElement, compositum_multiquadratic, nf_new
+from udfield.polynomials import eval_at, make_poly
+
+# the defining polynomials of the fields the tests build, by name or by hand
+POLYS = [(0, 1), (1, 0, 1), (5, 0, 1), (-5, 0, 1), (3, 0, 1), (6, -1, 1),
+         (-1, -1, 1), (-2, 0, 0, 1), (2, 0, 0, 1), (1, -3, 0, 2), (-2, 0, 0, 0, 1),
+         (9, 0, -2, 0, 1), (64, 0, -36, 0, 1), (4, 0, 5, 0, 1), (36, 0, -8, 0, 1),
+         (3, 1, 4, 1, 5, 1)]
+NAMES = ["adjoin-i:5", "adjoin-i:2", "adjoin-i:3", "adjoin-i:7", "adjoin-i:11",
+         "adjoin-i:19", "adjoin-i:5,13"]
+
+
+def _boxes(p, bits):
+    return [(r.box.re, r.box.im, r.conj_index, r.is_real)
+            for r in roots.isolate_complex_roots(p, bits)]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_root_boxes_match_oracle(bits, monkeypatch):
+    polys = list(POLYS) + [build_field(name).min_poly for name in NAMES]
+    polys += [compositum_multiquadratic(ds).min_poly
+              for ds in ([5, 13], [2, 3, -1], [-1, -5], [-1, -3], [2, 5])]
+    got = [_boxes(p, bits) for p in polys]
+    monkeypatch.setattr(roots, "eval_at", oracle_setup.eval_at)
+    assert got == [_boxes(p, bits) for p in polys]
+
+
+dyadic = st.builds(lambda m, e: Fraction(m, 1 << e), st.integers(-2 ** 70, 2 ** 70),
+                   st.integers(0, 90))
+coefficient = st.one_of(st.integers(-10 ** 6, 10 ** 6), dyadic,
+                        st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9),
+                                  st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.lists(coefficient, max_size=9), ends=st.lists(dyadic, min_size=4, max_size=4),
+       real=st.booleans(), bits=st.sampled_from([None, 40, 96, 200]))
+def test_eval_at_matches_oracle(p, ends, real, bits):
+    (a, b), (c, d) = sorted(ends[:2]), sorted(ends[2:])
+    x = RealInterval(a, b) if real else ComplexInterval(RealInterval(a, b), RealInterval(c, d))
+    got, want = eval_at(p, x, bits), oracle_setup.eval_at(p, x, bits)
+    if real:
+        assert got == want
+    else:
+        assert (got.re, got.im) == (want.re, want.im)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:3"])
+def test_basis_images_match_oracle(name, monkeypatch):
+    # NumberField.embed through the integer Horner, on a fresh field each
+    # side so that no cached box is shared
+    K = build_field(name)
+    got = [K.basis_images(i, bits) for i in range(K.n) for bits in (64, 128, 192)]
+    monkeypatch.setattr(numberfield, "eval_at", oracle_setup.eval_at)
+    L = build_field(name)
+    want = [L.basis_images(i, bits) for i in range(L.n) for bits in (64, 128, 192)]
+    assert [[(b.re, b.im) for b in row] for row in got] == \
+        [[(b.re, b.im) for b in row] for row in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "adjoin-i:5"]),
+       denom=st.sampled_from([1, 3, 7, 25, 841, 2 ** 5 * 3, (1 << 64) + 13]),
+       bits=st.sampled_from([48, 64, 128, 256]))
+def test_image_box_matches_oracle(data, which, denom, bits, gaussian_cm, qsqrt_m5_cm,
+                                  deg4_cm):
+    cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "adjoin-i:5": deg4_cm}[which]
+    K = cm.field
+    row = data.draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                       st.integers(-10 ** 30, 10 ** 30)),
+                             min_size=K.n, max_size=K.n))
+    idx = data.draw(st.integers(0, K.n - 1))
+    got = enumeration._image_box(K, row, denom, idx, bits)
+    want = oracle_setup._image_box(K, row, denom, idx, bits)
+    assert (got.re, got.im) == (want.re, want.im)
+
+
+def _lattices(cm, rng, count):
+    n = cm.field.n
+    for _ in range(count):
+        basis = [[rng.randrange(-40, 41) for _ in range(n)] for _ in range(n)]
+        if mat_det(basis) != 0:
+            yield (enumeration._lll_reduce_basis(basis, cm),
+                   rng.choice([1, 3, 25, 841]), [rng.randrange(-60, 61) for _ in range(n)])
+
+
+@pytest.mark.parametrize("which", ["gaussian", "qsqrt-5", "deg4"])
+def test_coord_bounds_match_oracle(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    # the enumerator's embeddings of random lattices, as it calls
+    # _basis_embeddings and _coord_bounds, with and without a centre
+    cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "deg4": deg4_cm}[which]
+    K = cm.field
+    reps = cm.pair_reps
+    real = [K.roots()[i].is_real for i in reps]
+    cols = enumeration._embedding_columns(real)
+    rng = random.Random(17)
+    for basis, denom, center in _lattices(cm, rng, 25):
+        radii = [Fraction(rng.randrange(1, 10 ** 4), rng.randrange(1, 50)) for _ in reps]
+        centre = [enumeration._image_box(K, center, denom, i, 64).round_outward(48)
+                  for i in reps]
+        for bits in (64, 128):
+            emb = enumeration._basis_embeddings(K, basis, denom, reps, real, bits)
+            assert emb == oracle_setup._basis_embeddings(K, basis, denom, reps, real, bits)
+            for c in (None, centre):
+                assert (enumeration._coord_bounds(emb, cols, radii, c)
+                        == oracle_setup._coord_bounds(emb, cols, radii, c))
+
+
+@st.composite
+def integer_rows(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10 ** 12, 10 ** 12))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2 * n + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=integer_rows())
+def test_hnf_matches_oracle(rows):
+    # random rows, rank-deficient ones among them
+    assert hnf_rows(rows) == oracle_setup.hnf_rows(rows)
+
+
+def test_hnf_of_the_ideal_inverse_system_matches_oracle(deg4):
+    # the n + n^2 rows FracIdeal.inverse reduces: [M(h)_k | e_k] and N e_j
+    n = deg4.n
+    for p in (29, 41):
+        for P in split_prime(deg4, p):
+            I = P.lattice ** 3
+            N = int(I.norm())
+            mats = [deg4._mult_matrix(h) for h in I.hnf]
+            rows = [[c for m in mats for c in m[k]] + [int(j == k) for j in range(n)]
+                    for k in range(n)]
+            rows += [[N if i == j else 0 for i in range(n * n + n)] for j in range(n * n)]
+            assert hnf_rows(rows) == oracle_setup.hnf_rows(rows)
+
+
+def _oracle_ideal(K, rows, den):
+    # FracIdeal._normalize with the oracle's HNF
+    h = oracle_setup.hnf_rows(rows)
+    g = math.gcd(den, *(c for r in h for c in r))
+    return FracIdeal(K, tuple(tuple(c // g for c in r) for r in h), den // g)
+
+
+def test_ideal_products_and_principal_ideals_match_oracle(gaussian, qsqrt_m5, deg4):
+    rng = random.Random(5)
+    for K, p in ((gaussian, 5), (qsqrt_m5, 3), (deg4, 29), (deg4, 41)):
+        primes = [pr.lattice for pr in split_prime(K, p)]
+        # products of primes, and the rational ideals (p / 3) O and (6) O
+        ideals = primes + [a * b for a in primes for b in primes]
+        ideals += [FracIdeal.principal(K.from_rational(q)) for q in (Fraction(p, 3), 6)]
+        for a in ideals:
+            for b in rng.sample(ideals, 4):
+                rows = [[sum(x * y for x, y in zip(u, col)) for col in zip(*K._mult_matrix(v))]
+                        for v in a.hnf for u in b.hnf]
+                assert a * b == _oracle_ideal(K, rows, a.den * b.den)
+        for _ in range(40):
+            z = FieldElement(K, [rng.randrange(-50, 51) for _ in range(K.n)],
+                             rng.choice([1, 2, 29, 75]))
+            if z.is_zero():
+                continue
+            assert FracIdeal.principal(z) == _oracle_ideal(K, K._mult_matrix(z.num), z.den)
+    # the zero ideal, and a lattice of rank 2 in Z^4
+    with pytest.raises(ZeroIdeal):
+        FracIdeal.from_elements(deg4, [deg4.zero()])
+    rows = [[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 3, 1]]
+    assert hnf_rows(rows) == oracle_setup.hnf_rows(rows) == ((1, 2, 0, 0), (0, 0, 3, 1))
+    with pytest.raises(ZeroIdeal):
+        FracIdeal._normalize(deg4, rows, 1)
+
+
+@pytest.mark.parametrize("which", ["gaussian", "qsqrt-5", "deg4"])
+def test_conj_and_inverse_match_oracle(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "deg4": deg4_cm}[which]
+    K = cm.field
+    rng = random.Random(23)
+    for _ in range(200):
+        z = FieldElement(K, [rng.choice([0, rng.randrange(-10 ** 6, 10 ** 6)])
+                             for _ in range(K.n)], rng.choice([1, 2, 3, 7, 841]))
+        assert cm.conj(z) == oracle_setup.conj(cm, z)
+        if z.is_zero():
+            for invert in (FieldElement.inverse, oracle_setup.inverse):
+                with pytest.raises(DivisionByZero):
+                    invert(z)
+        else:
+            assert z.inverse() == oracle_setup.inverse(z)
+
+
+def test_inverse_of_a_zero_divisor_raises_not_a_field_as_before():
+    # x^2 - 1 is squarefree but reducible: x - 1 is a zero divisor
+    K = nf_new(make_poly([-1, 0, 1]), integral_basis=[[1, 0], [0, 1]])
+    z = K.theta() - K.one()
+    for invert in (FieldElement.inverse, oracle_setup.inverse):
+        with pytest.raises(NotAField):
+            invert(z)
+
+
+# ---------------------------------------------------------------------------
+# The same-cell block of the cell hash
+# ---------------------------------------------------------------------------
+
+def _oracle_count_hashed(pts, eps):
+    order, blocks = oracle_pairsearch._cell_blocks(pts, 1 - eps, 1 + eps)
+    x, y = pts[order, 0], pts[order, 1]
+    return sum(int(_pair_distances_ok(x[l], y[l], x[r], y[r], eps).sum())
+               for l, r in blocks)
+
+
+@pytest.mark.parametrize("scale, R, cells", [(Fraction(1, 25), Fraction(3, 2), 16),
+                                             (Fraction(1), Fraction(9), 1)])
+def test_cell_hash_skips_the_same_cell_only_when_no_pair_fits(scale, R, cells,
+                                                              gaussian, gaussian_cm):
+    import numpy as np
+
+    rows, denom = enumerate_window(gaussian, scale, R)
+    xy, err = planar_image(rows, denom, gaussian_cm)
+    xs, ys = zip(*xy)
+    k = _cells_per_unit(len(xy), max(xs) - min(xs), max(ys) - min(ys))
+    assert k == cells
+    # the diagonal of a cell, sqrt(2) / k, reaches 1 only for k = 1
+    assert ((0, 0) in _cell_offsets(k, 1 - 1e-9, 1 + 1e-9)) == (k == 1)
+    array = np.array(rows, dtype=np.int64)
+    oxy, oerr = oracle_pairsearch.planar_image(array, denom, gaussian_cm)
+    assert (unit_pair_indices(rows, denom, xy, err, gaussian_cm)
+            == oracle_pairsearch.unit_pair_indices(array, denom, oxy, oerr, gaussian_cm))
+    pts = np.array(xy, dtype=float)
+    for eps in (1e-9, 0.05):
+        got = count_float(PlanarFloatSet(points=pts, eps=eps), "hashed").unit_pairs
+        assert got == _oracle_count_hashed(pts, eps)
+        assert got == count_float(PlanarFloatSet(points=pts, eps=eps), "brute").unit_pairs
