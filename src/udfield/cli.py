@@ -287,8 +287,8 @@ def _count_exact_csv(args):
 def _window_differences(cm, provenance, rows, denom):
     """counting.unit_differences of the lattice scale*O_K of a window
     provenance, when the rows are distinct and lie in one coset of it,
-    checked exactly, and its radius-1 search box holds no more candidates
-    than the set has points; None, for the cell hash, otherwise."""
+    checked exactly, and its radius-1 search takes no more work than the
+    set has points; None, for the cell hash, otherwise."""
     from .counting import unit_differences
     from .errors import PrecisionExhausted
 
@@ -452,7 +452,8 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--mode", choices=["auto", "window", "closure"], default="auto")
     g.add_argument("--translate-candidates", type=int, default=0)
     g.add_argument("--projection-coordinate", type=int, default=0)
-    g.add_argument("--max-points", type=int, default=200_000)
+    g.add_argument("--max-points", type=int, default=200_000,
+                   help="cap on a window's search work: prefixes tried plus points found")
     g.add_argument("--allow-small-R", action="store_true")
     g.add_argument("--plot", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", default=".")

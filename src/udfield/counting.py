@@ -243,7 +243,7 @@ def unit_differences(cm: CMStructure, scale: Fraction, limit: Optional[int] = No
     |sigma(d)| = 1 at every embedding, so all of them lie in the closed
     radius-1 polydisc: one enumeration of it, with the exact identity of
     hermitian_form on each point.  Raises WindowTooLarge when the
-    enumeration's coefficient box has more than limit points."""
+    enumeration's work (prefixes tried plus points found) passes limit."""
     from .enumeration import lattice_points_in_polydisc
 
     scale = Fraction(scale)
@@ -492,7 +492,7 @@ def _predicted_grid_pairs(m: int, s: int) -> int:
 # Two-squares representation counting
 # ---------------------------------------------------------------------------
 
-R2_SEARCH_LIMIT = 2_000_000   # candidates of one representation search
+R2_SEARCH_LIMIT = 2_000_000   # candidates, or enumerator work, of one search
 
 
 def r2_count_rational(alpha: int) -> int:

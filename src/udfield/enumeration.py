@@ -9,14 +9,12 @@ optional integer centre row, all over one common denominator D, and its
 points come back as integer coordinate rows over D (tuples of Python
 ints): the representation point sets use.  The basis is LLL-reduced on
 the integer T2 Gram matrix B G B^T (G the trace form of the integral
-basis, numberfield.trace_form) by integral LLL, and a certified box
-|c_j| <= M_j bounds the integer coefficients.  M_j is computed on
-integers: the basis images as interval endpoints over one power of two,
-the fraction-free Gauss-Jordan inverse of their midpoint matrix, integer
-interval products for its residual eta, and one floor division; the
-precision doubles while eta >= 1.  The box is walked
-depth first, c_0 outermost and each coefficient ascending, so points come
-out in lexicographic order of their coefficients on the reduced basis.
+basis, numberfield.trace_form) by integral LLL.  The polydisc lies inside
+the T2 ellipsoid, so the integer ranges lo_j <= c_j <= hi_j of the
+coefficients on that ellipsoid (_coef_ranges) hold every point; let
+M_j = max(-lo_j, hi_j).  The ranges are walked depth first, c_0
+outermost and each coefficient ascending, so points come out in
+lexicographic order of their coefficients on the reduced basis.
 Only the margin band below builds field elements, each straight from its
 integer row.  Every real column t (re, and im for a complex root) of every
 basis vector is held as a float64 midpoint with a rigorous error, and each
@@ -41,19 +39,23 @@ two ends certifies every c between them, and the tests above run only
 outward from the ends, each side stopping at its first point outside.  A
 prefix with no accepted c runs the tests on every c of a rigorous outer
 chord, which covers the rounding of the partial sums.
+
+A search's work is the prefixes the walk tries (every c of every level
+but the last) plus the points it finds.  It is counted in bulk, per level
+loop and per run of the last coefficient, and a search raises
+WindowTooLarge as soon as its work passes its limit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
-from typing import List, Optional, Sequence
+from operator import add, mul
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import (ComplexInterval, RealInterval, fixed_point, float_columns,
-                        float_up, sqrt_upper, to_fixed)
+from .intervals import ComplexInterval, RealInterval, float_columns, float_up
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           trace_form)
 
@@ -106,61 +108,44 @@ def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
 
 
 def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int],
-                      real: Sequence[bool], bits: int):
+                      real: Sequence[bool]):
     """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
-    keep = max(_PREFILTER_BITS, bits - 16)
-    return [_columns([_image_box(field, v, denom, idx, bits).round_outward(keep)
+    return [_columns([_image_box(field, v, denom, idx, 64).round_outward(_PREFILTER_BITS)
                       for idx in reps], real) for v in basis]
 
 
-def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
-                  center_emb) -> Optional[List[int]]:
-    """Certified per-coordinate bounds M_j with |c_j| <= M_j for every solution.
+def _coef_ranges(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
+                 real: Sequence[bool], center) -> List[Tuple[int, int]]:
+    """Integer ranges lo_j <= c_j <= hi_j that hold every solution.
 
-    Writes the real n x n basis matrix as an interval matrix B, takes the
-    exact inverse V of its midpoint, and certifies eta = ||I - B V||_1 < 1;
-    then c = y (I - E)^{-1} with y = (x - a) V gives
-        |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
-    On integers: B's endpoints over one 2^s, V = 2^(s+1) X / d from the
-    fraction-free Gauss-Jordan of 2^(s+1) mid(B), each entry of V rounded
-    outward for eta as RealInterval.point rounds it, and M_j one floor
-    division of the exact y_j + slop.
-    """
-    n = len(rows)
-    s = max(q.denominator.bit_length() for row in rows for iv in row for q in (iv.lo, iv.hi)) - 1
-    B = [[(to_fixed(iv.lo, s), to_fixed(iv.hi, s)) for iv in row] for row in rows]
-    d, X = linalg.gauss_jordan([[lo + hi for lo, hi in row] + [int(i == j) for j in range(n)]
-                                for i, row in enumerate(B)])
-    if not d:
-        return None
-    pts = [[fixed_point(Fraction(x << (s + 1), d)) for x in row] for row in X]
-    e = max(t for row in pts for _, _, t in row)
-    V = [[(lo << (e - t), hi << (e - t)) for lo, hi, t in row] for row in pts]
-    # eta = the largest column sum of |B V - I|, over 2^-(s + e)
-    one, eta = 1 << (s + e), 0
-    for c in range(n):
-        total, col = 0, [v[c] for v in V]
-        for r, row in enumerate(B):
-            lo = hi = -one if r == c else 0
-            for (a, b), (p, q) in zip(row, col):
-                x = (a * p, a * q, b * p, b * q)
-                lo, hi = lo + min(x), hi + max(x)
-            total += max(-lo, hi)
-        eta = max(eta, total)
-    if eta >= one:
-        return None
-    # per-real-coordinate bound on |x_t - a_t|
-    bnd = [Fraction(0)] * n
-    for i, ts in enumerate(cols):
-        extra = 0 if center_emb is None else max(center_emb[i].re.magnitude(),
-                                                 center_emb[i].im.magnitude())
-        for t in ts:
-            bnd[t] = sqrt_upper(radii_sq[i], 16) + extra
-    # y_j = 2^(s+1) Y_j / (2^w |d|) and slop = y_max eta / (one - eta)
-    w = max(q.denominator.bit_length() for q in bnd) - 1
-    Y = [sum(to_fixed(q, w) * abs(x) for q, x in zip(bnd, col)) for col in zip(*X)]
-    rest, y_max = one - eta, max(Y)
-    return [((y * rest + y_max * eta) << (s + 1)) // (abs(d) * rest << w) + 1 for y in Y]
+    T2(z) = sum_i w_i |sigma_i(z)|^2 (w_i = 2 for a complex pair, 1 for a
+    real root) is at most R = sum_i w_i r_i^2 on the polydisc.  With
+    center = a V on the basis V, z D = (c + a) V, so every solution has
+    (c + a) Gram (c + a)^T <= R D^2 for the integer Gram matrix V G V^T,
+    and hence |c_j + a_j| <= sqrt(R D^2 (Gram^-1)_jj) (Fincke and Pohst,
+    Math. Comp. 44, 1985; Cohen, GTM 138, Alg. 2.7.5).  On integers: the
+    adjugates from fraction-free Gauss-Jordan give Gram^-1 = Y / g and
+    a = A / d, and with u_j = isqrt(floor(d^2 R D^2 Y_jj / g)), the floor
+    of d sqrt(...), the exact range is ceil((-u_j - A_j) / d) ..
+    floor((u_j - A_j) / d)."""
+    n = len(basis)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    R = sum((1 if r else 2) * q for r, q in zip(real, radii_sq))
+    g, Y = linalg.gauss_jordan([row + e for row, e in zip(_t2_gram(basis, cm), eye)])
+    if not g:
+        raise ValueError("singular lattice basis")
+    d, A = 1, [0] * n
+    if center is not None:
+        d, X = linalg.gauss_jordan([list(v) + e for v, e in zip(basis, eye)])
+        A = [sum(map(mul, center, col)) for col in zip(*X)]
+    if d < 0:
+        d, A = -d, [-a for a in A]
+    scale = d * d * denom * denom * R.numerator
+    out = []
+    for j, a in enumerate(A):
+        u = math.isqrt(scale * Y[j][j] // (g * R.denominator))
+        out.append((-((u + a) // d), (u - a) // d))
+    return out
 
 
 def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
@@ -177,8 +162,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     abs_sq(z, cm).  The polydisc is closed; boundary points are included;
     a negative radius gives no points.  Deterministic order (lexicographic
     in the integer coefficients c on the LLL-reduced basis).  Raises
-    WindowTooLarge when the certified coefficient box has more than limit
-    points.
+    WindowTooLarge as soon as the search's work, the prefixes the walk
+    tries plus the points it finds, passes limit.
     """
     field = cm.field
     n = field.n
@@ -189,27 +174,27 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     if any(r < 0 for r in radii_sq):
         return ()
     basis = _lll_reduce_basis(basis, cm)
-    emb = _basis_embeddings(field, basis, denom, reps, real, 64)
+    if center is not None and not any(center):
+        center = None
+    ranges = _coef_ranges(basis, denom, cm, radii_sq, real, center)
+    if any(lo > hi for lo, hi in ranges):
+        return ()
+    bounds = [max(-lo, hi) for lo, hi in ranges]
+    emb = _basis_embeddings(field, basis, denom, reps, real)
     center_emb = None
-    if center is not None and any(center):
+    if center is not None:
         center_emb = [_image_box(field, center, denom, idx, 64)
                       .round_outward(_PREFILTER_BITS) for idx in reps]
-    bounds = None
-    bits = 64
-    while bounds is None:
-        bounds = _coord_bounds(emb, cols, radii_sq, center_emb)
-        if bounds is None:
-            bits *= 2
-            if bits > 4096:
-                raise PrecisionExhausted(
-                    "basis embeddings too coarse to bound the search box")
-            emb = _basis_embeddings(field, basis, denom, reps, real, bits)
-    total = 1
-    for m in bounds:
-        total *= 2 * m + 1
-    if limit is not None and total > limit:
-        raise WindowTooLarge(
-            f"candidate box has {total} points (limit {limit})")
+    work = 0
+
+    def spend(count):
+        """Add count to the work (prefixes tried plus points found) and
+        raise once it passes the limit."""
+        nonlocal work
+        work += count
+        if limit is not None and work > limit:
+            raise WindowTooLarge(f"search work {work} (prefixes tried plus points "
+                                 f"found) past the limit {limit}")
 
     try:
         mids, errs = zip(*map(float_columns, emb))
@@ -238,8 +223,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         return False
 
     one = field.one()
-    # the last coordinate: float columns, margins, integer row and bound
-    x, last, v, M = mids[-1], margins[-1], basis[-1], bounds[-1]
+    # the last coordinate: float columns, margins, integer row, range and bound
+    x, last, v, (c_lo, c_hi), M = mids[-1], margins[-1], basis[-1], ranges[-1], bounds[-1]
 
     def exact_inside(row, undecided):
         z2 = abs_sq(FieldElement(field, row, denom), cm)
@@ -278,15 +263,15 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                           M * sum(abs(x[t]) for t in ts)))
 
     def chords(P):
-        """Two ranges (first, last) of integers c in [-M, M], from the
+        """Two ranges (first, last) of integers c in [c_lo, c_hi], from the
         line-disc chords of the float values.  The inner one, of discs
         shrunk by the margins, holds the c whose accept test is expected to
         pass.  The outer one, of discs grown by the margins and by the
         rounding of P + c x, holds every c inside the polydisc:
         |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and c0 and
         dist are good to far better than 2^-40 (|P| + M |x|)."""
-        in_lo = out_lo = -M
-        in_hi = out_hi = M
+        in_lo = out_lo = c_lo
+        in_hi = out_hi = c_hi
         for tx, xx, inv, r_in, r_out, mx in discs:
             px = dd = pad = 0.0
             for t, y in tx:
@@ -328,6 +313,7 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         |sigma_i|^2 is convex in c, so once two values a1 <= a2 pass the
         accept test every c between them is inside, and a scan outward from
         them ends at the first c that is not, or at the outer chord."""
+        found = len(points)
         (a1, a2), (o1, o2) = chords(P)
         while a1 <= a2 and not leaf(P, row, a1, False):
             a1 += 1
@@ -347,13 +333,15 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         else:
             points.extend(tuple(a + c * b for a, b in zip(row, v))
                           for c in range(o1, o2 + 1) if leaf(P, row, c))
+        spend(len(points) - found)
 
     def walk(k, row, P):
         if k + 1 == n:
             fibre(P, row)
             return
-        m, D, w = mids[k], margins[k], basis[k]
-        for c in range(-bounds[k], bounds[k] + 1):
+        m, D, w, (lo_k, hi_k) = mids[k], margins[k], basis[k], ranges[k]
+        spend(hi_k - lo_k + 1)
+        for c in range(lo_k, hi_k + 1):
             Q = [p + c * y for p, y in zip(P, m)]
             if not outside(Q, D):
                 walk(k + 1, [a + c * b for a, b in zip(row, w)], Q)
@@ -382,17 +370,21 @@ def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
     return [list(row) for row in zip(*out)]
 
 
-def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
-    """The rows U @ basis, U the integer transform of exact LLL on the T2
-    Gram matrix B G B^T of the integer basis rows B (G = trace_form(cm));
-    a common denominator of the rows scales the Gram matrix, which LLL
-    ignores."""
+def _t2_gram(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
+    """The integer T2 Gram matrix B G B^T of the integer basis rows B
+    (G = trace_form(cm))."""
     G = trace_form(cm)
     BG = [[sum(b * g[l] for b, g in zip(row, G)) for l in range(len(G))]
           for row in basis]
-    gram = [[sum(x * y for x, y in zip(r, b)) for b in basis] for r in BG]
-    U = linalg.lll_transform(linalg.mat(gram))
-    return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(G))]
+    return [[sum(x * y for x, y in zip(r, b)) for b in basis] for r in BG]
+
+
+def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
+    """The rows U @ basis, U the integer transform of exact LLL on the T2
+    Gram matrix of the basis rows; a common denominator of the rows scales
+    the Gram matrix, which LLL ignores."""
+    U = linalg.lll_transform(linalg.mat(_t2_gram(basis, cm)))
+    return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(basis))]
             for row in U]
 
 

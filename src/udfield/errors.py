@@ -121,7 +121,8 @@ class InjectivityFailure(UdfieldError):
 
 
 class WindowTooLarge(UdfieldError):
-    """Requested window enumeration exceeds the configured point cap."""
+    """A search or window passes its cap: an enumeration's work (prefixes
+    tried plus points found), or a count of candidates or points."""
 
     exit_code = 7
 

@@ -230,8 +230,9 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
     Imaginary quadratic fields search radius^2 N(I) with no limit: every
     generator has |sigma(x)|^2 = N(I), so a miss is a certified NOT_FOUND.
     Other CM fields search radius^2 PRINCIPAL_SLACK * ceil((N^2 |disc|)^(1/2f))
-    on every embedding pair, capped at 2 000 000 box cells; a capped or
-    empty search is INCONCLUSIVE.
+    on every embedding pair, capped at 2 000 000 units of the enumerator's
+    work (prefixes tried plus points found); a capped or empty search is
+    INCONCLUSIVE.
 
     The generators of I are the unit multiples of one of them.  Over
     Q(sqrt(d), i) the fundamental unit eps > 1 of Q(sqrt(d)) lies in the

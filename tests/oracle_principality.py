@@ -3,11 +3,14 @@ copies of its polydisc after the base one, kept verbatim as a
 differential-test oracle together with its four helpers (`_unit_stretches`,
 `fundamental_units`, `_mq_subset_sqrt`, `_pell_fundamental`).
 
-Two places differ: the field no longer keeps the stretch cache or the
+Three places differ: the field no longer keeps the stretch cache or the
 multiquadratic builder's subset-to-power matrix, so the stretches are
 cached here per field, and `_subset_to_power` rebuilds that matrix by the
 builder's own primitive-element search, checked against the field's
-minimal polynomial.
+minimal polynomial; and the searches run `oracle_polydisc`'s enumerator,
+whose cap counts the cells of its coefficient box as the enumerator's cap
+did then (the enumerator's cap now counts its work, which would walk the
+far-stretched polydiscs for 2 000 000 steps each before giving up).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from udfield.enumeration import lattice_points_in_polydisc
+from oracle_polydisc import lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
                             PrincipalityResult)
@@ -89,8 +92,8 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     seen = set()
     for radii in searches:
         try:
-            rows = lattice_points_in_polydisc(
-                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000)
+            rows = map(tuple, lattice_points_in_polydisc(
+                I.hnf, 1, cm, radii, limit=None if exhaustive else 2_000_000).tolist())
         except WindowTooLarge:
             continue
         for x in sorted(rows):

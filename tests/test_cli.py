@@ -236,6 +236,8 @@ def test_uncapped_searches_exit_7(tmp_path):
     for args in (("generate", "--field", "gaussian", "--k", "1000", "--out", "run"),
                  ("generate", "--field", "gaussian", "--R", "3", "--scale", "1",
                   "--translate-candidates", "1000000000", "--out", "run"),
+                 ("generate", "--field", "gaussian", "--scale", "1", "--R", "1000",
+                  "--out", "run"),
                  ("grid", "--n", "1000000"),
                  ("find-split-primes", "--T", "5", "--count", str(10 ** 400),
                   "--cap", str(10 ** 400))):
@@ -244,6 +246,17 @@ def test_uncapped_searches_exit_7(tmp_path):
         assert time.perf_counter() - t0 < 10, args
         assert proc.returncode == 7, (args, proc.stderr)
         assert "limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_window_past_box_cap_within_work_cap(tmp_path, capsys):
+    # the coefficient box of this window has 793 881 cells, past the
+    # default --max-points of 200 000, and the walk's work is 130 514
+    rc, data = run_cli(capsys, "generate", "--field", "adjoin-i:5", "--prime", "29",
+                       "--k", "0", "--scale", "1/5", "--R", "3", "--no-plot",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    assert data["measured_points"] == 99989
+    assert data["measured_unit_pairs"] == 622132
 
 
 def test_generate_auto_window_beyond_4000_points(tmp_path, capsys):

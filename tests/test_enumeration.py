@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from pointrows import elements_of, rows_of
-from udfield.enumeration import (_PREFILTER_BITS, _image_box,
-                                 lattice_points_in_polydisc, roots_of_unity)
+from udfield.enumeration import (_PREFILTER_BITS, _coef_ranges, _image_box,
+                                 _lll_reduce_basis, lattice_points_in_polydisc,
+                                 roots_of_unity)
+from udfield.errors import WindowTooLarge
 from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
@@ -181,3 +185,22 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
         assert box.width() <= Fraction(1, 1 << bits)
         assert box.intersects(v.embed(idx, bits))
         assert box.round_outward(keep).width() <= Fraction(2, 1 << keep)
+
+
+def test_limit_counts_work_not_box_cells(gaussian_cm, deg4_cm):
+    # the work is the prefixes the walk tries plus the points it finds: a
+    # polydisc whose coefficient box has more cells than the limit but
+    # whose work does not returns its points (Z[i]: 441 cells, 338 work;
+    # Q(sqrt5, i): 1225 cells, 470 work), and a limit below the point
+    # count raises
+    for cm, radius_sq in ((gaussian_cm, Fraction(100)), (deg4_cm, Fraction(9))):
+        K = cm.field
+        eye = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
+        radii = [radius_sq] * cm.f
+        real = [K.roots()[i].is_real for i in cm.pair_reps]
+        cells = math.prod(hi - lo + 1 for lo, hi in _coef_ranges(
+            _lll_reduce_basis(eye, cm), 1, cm, radii, real, None))
+        rows = lattice_points_in_polydisc(eye, 1, cm, radii)
+        assert lattice_points_in_polydisc(eye, 1, cm, radii, limit=cells - 1) == rows
+        with pytest.raises(WindowTooLarge):
+            lattice_points_in_polydisc(eye, 1, cm, radii, limit=len(rows) - 1)

@@ -187,12 +187,12 @@ def test_polydisc_matches_oracle_degree4_random(rows, data, center, on, base,
     # factor (>= 1), so that t stays inside it
     pin = stretch.index(min(stretch))
     radii = [base if i == pin else base * stretch[i] for i in range(cm.f)]
-    limit = 10000
-    got = _enumerate_or_too_large(_points, basis, cm, radii,
-                                  center=center, limit=limit)
+    # the oracle's cap on its box cells only bounds the test's time; the
+    # enumerator caps its work, a different count, so it runs uncapped
     want = _enumerate_or_too_large(oracle.lattice_points_in_polydisc, basis, cm,
-                                   radii, center=center, limit=limit)
-    assert got == want
+                                   radii, center=center, limit=10000)
+    if want != "too large":
+        assert _coords(_points(basis, cm, radii, center=center)) == want
 
 
 def test_boundary_band_uses_exact_sign(monkeypatch, deg4, deg4_cm):

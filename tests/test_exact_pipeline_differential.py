@@ -110,8 +110,8 @@ def test_window_pairs_join_cell_hash_and_oracle_agree(data, which, translate,
                       + [Fraction(data.draw(st.integers(-translate, translate)), translate)
                          for _ in range(K.n - 1)])
     rows, denom = enumerate_window(K, scale, R, a)
-    if translate == BIG_DEN and rows:
-        assert max(abs(c) for row in rows for c in row) >= 1 << 63
+    if translate == BIG_DEN and not a.is_integral():
+        assert denom >= 1 << 63
     index = data.draw(st.integers(0, cm.f - 1))
     xy, err = planar_image(rows, denom, cm, index)
     joined = unit_pair_indices(rows, denom, xy, err, cm, unit_differences(cm, scale))
@@ -175,9 +175,9 @@ def test_unit_differences_are_the_units_of_the_radius_one_window(
         unit_differences(cm, scale, limit=len(window) - 1)
 
 
-def _polydisc(enumerate_, basis, denom, cm, radii, center):
+def _polydisc(enumerate_, basis, denom, cm, radii, center, limit=None):
     try:
-        rows = enumerate_(basis, denom, cm, radii, center=center, limit=20000)
+        rows = enumerate_(basis, denom, cm, radii, center=center, limit=limit)
     except WindowTooLarge:
         return "WindowTooLarge"
     except OverflowError:
@@ -225,8 +225,11 @@ def test_polydisc_rows_match_numpy_oracle(data, which, denom, gaussian_cm,
     else:
         radius = data.draw(st.fractions(0, 12 if n == 2 else 3, max_denominator=7))
     radii = [radius * (1 + i) for i in range(cm.f)]
-    got = _polydisc(lattice_points_in_polydisc, basis, denom, cm, radii, center)
+    # the oracle's cap on its box cells only bounds the test's time; the
+    # enumerator caps its work, a different count, so it runs uncapped
     want = _polydisc(oracle_polydisc.lattice_points_in_polydisc, basis, denom, cm,
-                     radii, center)
+                     radii, center, limit=20000)
     assume(want != "OverflowError")
-    assert got == want
+    if want != "WindowTooLarge":
+        assert _polydisc(lattice_points_in_polydisc, basis, denom, cm, radii,
+                         center) == want

@@ -1,9 +1,9 @@
 """The certified set-up on Python integers against its Fraction form, kept
 verbatim in `oracle_setup`: interval Horner (and through it the root
-boxes and the basis images), the enumerator's image boxes and coefficient
-box, the HNF of ideal products and principal ideals, conjugation and
-inversion.  Every comparison is equality, so each rewrite must give the
-very boxes, bounds and rows the Fraction code gave.  LLL has its own
+boxes and the basis images), the enumerator's image boxes and basis
+embeddings, the HNF of ideal products and principal ideals, conjugation
+and inversion.  Every comparison is equality, so each rewrite must give
+the very boxes and rows the Fraction code gave.  LLL has its own
 differential tests in test_linalg.py.  The last tests check that the cell
 hash skips the same-cell block exactly when no pair in it can be at unit
 distance."""
@@ -110,30 +110,21 @@ def _lattices(cm, rng, count):
     for _ in range(count):
         basis = [[rng.randrange(-40, 41) for _ in range(n)] for _ in range(n)]
         if mat_det(basis) != 0:
-            yield (enumeration._lll_reduce_basis(basis, cm),
-                   rng.choice([1, 3, 25, 841]), [rng.randrange(-60, 61) for _ in range(n)])
+            yield enumeration._lll_reduce_basis(basis, cm), rng.choice([1, 3, 25, 841])
 
 
 @pytest.mark.parametrize("which", ["gaussian", "qsqrt-5", "deg4"])
 def test_coord_bounds_match_oracle(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
     # the enumerator's embeddings of random lattices, as it calls
-    # _basis_embeddings and _coord_bounds, with and without a centre
+    # _basis_embeddings (at 64 bits)
     cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "deg4": deg4_cm}[which]
     K = cm.field
     reps = cm.pair_reps
     real = [K.roots()[i].is_real for i in reps]
-    cols = enumeration._embedding_columns(real)
     rng = random.Random(17)
-    for basis, denom, center in _lattices(cm, rng, 25):
-        radii = [Fraction(rng.randrange(1, 10 ** 4), rng.randrange(1, 50)) for _ in reps]
-        centre = [enumeration._image_box(K, center, denom, i, 64).round_outward(48)
-                  for i in reps]
-        for bits in (64, 128):
-            emb = enumeration._basis_embeddings(K, basis, denom, reps, real, bits)
-            assert emb == oracle_setup._basis_embeddings(K, basis, denom, reps, real, bits)
-            for c in (None, centre):
-                assert (enumeration._coord_bounds(emb, cols, radii, c)
-                        == oracle_setup._coord_bounds(emb, cols, radii, c))
+    for basis, denom in _lattices(cm, rng, 25):
+        assert (enumeration._basis_embeddings(K, basis, denom, reps, real)
+                == oracle_setup._basis_embeddings(K, basis, denom, reps, real, 64))
 
 
 @st.composite
