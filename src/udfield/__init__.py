@@ -22,14 +22,13 @@ _EXPORTS = {
                   "select_translate", "exponent_ledger"),
     "counting": ("DistanceCensus", "PlanarFloatSet", "count_exact", "count_float",
                  "erdos_grid", "r2_count", "r2_count_rational"),
-    "gstower": ("GSReport", "TowerSpec", "class_number_bound", "find_split_primes",
-                "frattini_rank", "gs_check", "multiquadratic_generators",
-                "splits_completely"),
+    "gstower": ("GSReport", "TowerSpec", "find_split_primes", "frattini_rank",
+                "gs_check", "multiquadratic_generators", "splits_completely"),
     "ideals": ("FracIdeal", "PrimeIdeal", "PrincipalityResult",
                "class_number_imag_quadratic", "is_principal", "split_prime"),
     "intervals": ("ComplexInterval", "RealInterval", "exact_ceil", "ln_interval",
                   "pi_interval"),
-    "numberfield": ("CMStructure", "FieldElement", "NumberField", "abs_sq", "adjoin_i",
+    "numberfield": ("CMStructure", "FieldElement", "NumberField", "abs_sq",
                     "compositum_multiquadratic", "detect_cm", "is_unit_modulus",
                     "nf_new"),
     "numthy": ("is_prime", "legendre_symbol"),

@@ -200,7 +200,7 @@ def _auto_window(K, units, cfg):
         try:
             ps, rep = build_pointset(K, units, WindowConfig(
                 cfg.R, scale, cfg.translate_candidates, cfg.projection_coordinate,
-                "window", cfg.max_points))
+                cfg.mode, cfg.max_points))
             return ps, rep, warnings
         except WindowTooLarge:
             continue
@@ -238,7 +238,6 @@ def _count_exact_csv(args):
     from .numberfield import detect_cm
     from .serialize import open_file, parse_frac
 
-    provenance = None
     if args.field is not None:
         K = build_field(args.field)
     else:
@@ -251,7 +250,6 @@ def _count_exact_csv(args):
         if not isinstance(data, dict) or "field" not in data:
             raise ParseError(f"{sidecar}: no \"field\" entry")
         K = _field_from_dict(data["field"])
-        provenance = data.get("provenance")
     cm = detect_cm(K)
     if cm is None:
         raise PreconditionError("exact counting needs a CM field")
@@ -281,36 +279,7 @@ def _count_exact_csv(args):
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
     rows, denom = stack_rows([((q.numerator,), q.denominator) for q in entries], K.n)
-    return count_exact(rows, denom, cm, _window_differences(cm, provenance, rows, denom))
-
-
-def _window_differences(cm, provenance, rows, denom):
-    """counting.unit_differences of the lattice scale*O_K of a window
-    provenance, when the rows are distinct and lie in one coset of it,
-    checked exactly, and its radius-1 search takes no more work than the
-    set has points; None, for the cell hash, otherwise."""
-    from .counting import unit_differences
-    from .errors import PrecisionExhausted
-
-    if not isinstance(provenance, dict) or provenance.get("mode") != "window":
-        return None
-    try:
-        num, _, den = provenance.get("scale").partition("/")
-        scale = Fraction(int(num), int(den or 1))
-    except (AttributeError, ValueError, ZeroDivisionError):
-        return None
-    if scale <= 0:
-        return None
-    # (row - row') / denom in scale * O_K: every coordinate difference times
-    # the scale's denominator is a multiple of denom times its numerator
-    step = denom * scale.numerator
-    if len(set(rows)) < len(rows) or any(
-            len({c * scale.denominator % step for c in col}) > 1 for col in zip(*rows)):
-        return None
-    try:
-        return unit_differences(cm, scale, limit=len(rows))
-    except (PrecisionExhausted, WindowTooLarge):
-        return None
+    return count_exact(rows, denom, cm)
 
 
 def cmd_exponent(args) -> int:
@@ -453,7 +422,8 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--translate-candidates", type=int, default=0)
     g.add_argument("--projection-coordinate", type=int, default=0)
     g.add_argument("--max-points", type=int, default=200_000,
-                   help="cap on a window's search work: prefixes tried plus points found")
+                   help="cap on a window's search work (prefixes tried plus "
+                        "points found) and on a closure's points")
     g.add_argument("--allow-small-R", action="store_true")
     g.add_argument("--plot", action=argparse.BooleanOptionalAction, default=True)
     g.add_argument("--out", default=".")

@@ -374,7 +374,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     lower bound is reported, and asserted only for R >= 2 in window
     mode with the best translate.
     """
-    from .counting import planar_image, unit_differences, unit_pair_indices
+    from .counting import planar_image, unit_pair_indices
 
     cm = detect_cm(K)
     if cm is None:
@@ -417,27 +417,20 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         rows, denom = enumerate_window(K, cfg.scale, cfg.R, a, limit=cfg.max_points)
     else:
         rows, denom = _closure_rows(inner, inner_denom, usable, K.n)
+        if len(rows) > cfg.max_points:
+            raise WindowTooLarge(f"closure has {len(rows)} points "
+                                 f"(limit {cfg.max_points})")
         warnings.append(
             "closure mode: point set is the inner window plus its unit "
             "translates (a subset of the full B_R window)")
-    if len(rows) > cfg.max_points:
-        raise InjectivityFailure("window exceeded max_points")  # defensive
 
     # projection injectivity: exact points are pairwise distinct, and a
     # nonzero element cannot embed to zero, so projections are distinct
     if len(set(rows)) != len(rows):
         raise InjectivityFailure("window enumeration produced duplicates")
 
-    # a window lies in one coset of scale*O_K, so its pairs are a join over
-    # the unit differences when their radius-1 search is within budget
-    diffs = None
-    if cfg.mode == "window" and estimate_window_points(K, cfg.scale, 1) <= cfg.max_points:
-        try:
-            diffs = unit_differences(cm, cfg.scale, limit=cfg.max_points)
-        except WindowTooLarge:
-            pass
     planar, err = planar_image(rows, denom, cm, cfg.projection_coordinate)
-    pairs = tuple(unit_pair_indices(rows, denom, planar, err, cm, diffs))
+    pairs = tuple(unit_pair_indices(rows, denom, planar, err, cm))
     nu = len(pairs)
 
     translation_bound = len(usable) * len(inner)

@@ -7,15 +7,18 @@ runs on Python ints and floats alone; numpy serves only the float counting
 paths below.  It never makes a floating-point decision.  Unit distance is
 the exact identity |x - y|^2 = 1, that is
 sum_{j,l} d_j d_l T[j,l,:] = L D^2 coords(1) for the difference row d (see
-hermitian_form), and the pairs are found in one of two ways:
+hermitian_form), and the pairs are found in one of two ways, chosen from
+the rows alone:
 
-- a join, for points in one coset of a lattice L = scale * O_K (a window):
-  the unit differences U = {d in L : d conj(d) = 1} lie in the radius-1
-  polydisc, so one exact enumeration of it gives U, and the pairs are the
-  points whose translate by some d in U (one of each +-d) is a point;
-- a cell hash otherwise: float positions with a certified error bound
-  rule pairs out, and each surviving pair is decided by the identity,
-  memoised per difference row.
+- a join: every difference of the rows lies in the lattice diag(g) / D,
+  g_k the gcd of column k's differences, and its unit differences
+  U = {d : d conj(d) = 1} lie in the radius-1 polydisc, so one exact
+  enumeration of it gives U, and the pairs are the points whose translate
+  by some d in U (one of each +-d) is a point;
+- a cell hash, when that enumeration passes its work cap (a dense lattice,
+  as for a closure of unit translates) or float range, or the rows repeat:
+  float positions with a certified error bound rule pairs out, and each
+  surviving pair is decided by the identity, memoised per difference row.
 """
 
 from __future__ import annotations
@@ -121,23 +124,48 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     return tuple(zip(*xy)), err
 
 
-def unit_pair_indices(rows, denom: int, xy, err: float, cm: CMStructure,
-                      diffs=None) -> List[Tuple[int, int]]:
+# the join's radius-1 search may take this many times the point count in
+# work: a window's search takes about one unit of work per point (1977 for
+# the 1961 points of the Gaussian (1/25) O_K window at R = 1), so a cap of
+# len(rows) alone would send such windows to the cell hash, and twice that
+# still ends a closure's dense-lattice search within a few milliseconds
+JOIN_WORK = 2
+
+
+def unit_pair_indices(rows, denom: int, xy, err: float,
+                      cm: CMStructure) -> List[Tuple[int, int]]:
     """Sorted index pairs (i < j) with |x_i - x_j| = 1, decided exactly.
 
     `rows` / `denom` are the points' integral-basis coordinates and `xy`,
-    `err` their positions in any one embedding (planar_image).  With
-    `diffs`, the (rows, denom) of unit_differences for a lattice L such
-    that the points are distinct and lie in one coset of L, the pairs are
-    the join of the points with their translates by those differences.
-    Otherwise the cells of `count_float` find nearby positions, their
-    squared float distance prunes with a rigorous margin, and each survivor
-    is decided by the integer identity of hermitian_form, once per
-    difference row.  Either way, positions too coarse to prune raise
-    PrecisionExhausted.
+    `err` their positions in any one embedding (planar_image); positions
+    too coarse to prune raise PrecisionExhausted.  Every difference of the
+    rows lies in the lattice diag(g) / denom, g_k the gcd of column k's
+    differences from the first row (denom for a constant column), so the
+    pairs are the join of the rows with their translates by that lattice's
+    unit differences.  When that search takes more than JOIN_WORK work per
+    row, or the rows repeat, a cell hash runs instead: the cells of
+    `count_float` find nearby positions, their squared float distance
+    prunes with a rigorous margin, and each survivor is decided by the
+    integer identity of hermitian_form, once per difference row.
     """
     if len(rows) < 2:
         return []
+    margin = _margin(xy, err)
+    steps = [math.gcd(*[c - c0 for c in col]) or denom
+             for c0, col in zip(rows[0], zip(*rows))]
+    try:
+        pairs = _join(rows, unit_differences(cm, steps, denom,
+                                             limit=JOIN_WORK * len(rows)))
+    except (PrecisionExhausted, WindowTooLarge):
+        pairs = None
+    if pairs is None:
+        pairs = _cell_pairs(rows, denom, xy, margin, cm)
+    return pairs
+
+
+def _margin(xy, err: float) -> float:
+    """The margin of the float test |d^2 - 1| <= margin that no unit pair
+    fails; PrecisionExhausted when it passes 1/2."""
     # a float coordinate difference is off by at most e (the error of two
     # positions plus the rounding of the difference, e >= 2^-50), so for
     # |d| = 1 the float d^2 is within 4 e + 2 e^2 plus a few ulps of 1
@@ -149,33 +177,30 @@ def unit_pair_indices(rows, denom: int, xy, err: float, cm: CMStructure,
     if not margin <= 0.5:
         raise PrecisionExhausted(
             f"positions too coarse to prune unit pairs (error {err:.3g})")
-    if diffs is not None:
-        return _join(rows, denom, *diffs)
-    return _cell_pairs(rows, denom, xy, margin, cm)
+    return margin
 
 
-def _join(rows, denom: int, diffs, diff_denom: int) -> List[Tuple[int, int]]:
-    """The pairs (i < j) with row_j - row_i = +-d for a difference d, among
-    distinct rows.
+def _join(rows, diffs) -> Optional[List[Tuple[int, int]]]:
+    """The pairs (i < j) with row_j - row_i = +-d for a difference d, rows
+    and differences over one denominator; None when two rows are equal.
 
-    Rows and differences are brought over one denominator and each is keyed
-    by the integer sum_k c_k B^k.  B exceeds twice every |c_k| of a row plus
-    a difference, so the key is linear and one-to-one on those vectors, and
-    row + d is a row exactly when key(row) + key(d) is a key."""
-    L = math.lcm(denom, diff_denom)
-    a, b = L // denom, L // diff_denom
-    top = (max(map(abs, chain.from_iterable(rows))) * a
-           + max(map(abs, chain.from_iterable(diffs)), default=0) * b)
+    Each vector is keyed by the integer sum_k c_k B^k.  B exceeds twice
+    every |c_k| of a row plus a difference, so the key is linear and
+    one-to-one on those vectors, and row + d is a row exactly when
+    key(row) + key(d) is a key."""
+    top = (max(map(abs, chain.from_iterable(rows)))
+           + max(map(abs, chain.from_iterable(diffs)), default=0))
     radix = [(2 * top + 1) ** k for k in range(len(rows[0]))]
     keys = [0] * len(rows)
     for k, w in enumerate(radix):
-        w *= a
         keys = [x + c * w for x, c in zip(keys, map(itemgetter(k), rows))]
     index = list(range(len(keys)))
     where = dict(zip(keys, index))
+    if len(where) < len(keys):
+        return None
     pairs = []
     for d in diffs:
-        step = sum(map(mul, d, radix)) * b
+        step = sum(map(mul, d, radix))
         hits = map(where.get, [k + step for k in keys])
         pairs += [(i, j) if i < j else (j, i)
                   for i, j in zip(index, hits) if j is not None]
@@ -235,10 +260,10 @@ def _cell_pairs(rows, denom: int, xy, margin: float,
     return pairs
 
 
-def unit_differences(cm: CMStructure, scale: Fraction, limit: Optional[int] = None):
-    """(rows, denom): the d in scale*O_K with d conj(d) = 1, one of each
-    pair +-d (the one whose first nonzero coordinate is positive), as
-    integer rows over the denominator of scale.
+def unit_differences(cm: CMStructure, steps, denom: int, limit: Optional[int] = None):
+    """The d in the lattice diag(steps) / denom with d conj(d) = 1, one of
+    each pair +-d (the one whose first nonzero coordinate is positive), as
+    integer rows over denom.
 
     |sigma(d)| = 1 at every embedding, so all of them lie in the closed
     radius-1 polydisc: one enumeration of it, with the exact identity of
@@ -246,22 +271,20 @@ def unit_differences(cm: CMStructure, scale: Fraction, limit: Optional[int] = No
     enumeration's work (prefixes tried plus points found) passes limit."""
     from .enumeration import lattice_points_in_polydisc
 
-    scale = Fraction(scale)
-    n = cm.field.n
-    s, t = scale.numerator, scale.denominator
-    basis = [[s if k == j else 0 for k in range(n)] for j in range(n)]
-    unit = _unit_test(cm, t)
-    return tuple(d for d in lattice_points_in_polydisc(basis, t, cm, [Fraction(1)] * cm.f,
-                                                      limit=limit)
-                 if d > tuple(-c for c in d) and unit(d)), t
+    n = len(steps)
+    basis = [[s if k == j else 0 for k in range(n)] for j, s in enumerate(steps)]
+    unit = _unit_test(cm, denom)
+    return tuple(d for d in lattice_points_in_polydisc(basis, denom, cm,
+                                                      [Fraction(1)] * cm.f, limit=limit)
+                 if d > tuple(-c for c in d) and unit(d))
 
 
-def count_exact(rows, denom: int, cm: CMStructure, diffs=None) -> DistanceCensus:
+def count_exact(rows, denom: int, cm: CMStructure) -> DistanceCensus:
     """Unordered pairs with |x - y| = 1 among the points rows / denom (see
     unit_pair_indices)."""
     t0 = time.perf_counter()
     xy, err = planar_image(rows, denom, cm)
-    pairs = unit_pair_indices(rows, denom, xy, err, cm, diffs)
+    pairs = unit_pair_indices(rows, denom, xy, err, cm)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=len(pairs), method="exact",
                           n_points=len(rows), runtime_ms=ms)

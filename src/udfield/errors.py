@@ -52,14 +52,6 @@ class DependentGenerators(PreconditionError):
     pass
 
 
-class AlreadyImaginary(PreconditionError):
-    pass
-
-
-class DegreeTooSmall(PreconditionError):
-    pass
-
-
 class BoxTooSmall(PreconditionError):
     pass
 

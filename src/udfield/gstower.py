@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import (DegreeTooSmall, InvalidArgument, NotOddPrime, RamifiedPrime,
-                     SearchExhausted, SplitConditionFailed, WindowTooLarge)
+from .errors import (InvalidArgument, NotOddPrime, RamifiedPrime, SearchExhausted,
+                     SplitConditionFailed, WindowTooLarge)
 from .numthy import is_prime, legendre_symbol, primes_from
 
 MAX_T = 20  # subset enumeration is 2^|T|
@@ -104,14 +104,6 @@ def find_split_primes(T: Sequence[int], count: int,
                 return out
 
 
-def class_number_bound(disc: int, degree: int) -> int:
-    """The crude bound h <= |disc| (valid for degree >= 4)."""
-    if degree < 4:
-        raise DegreeTooSmall(
-            f"the class-number bound is only asserted for degree >= 4, got {degree}")
-    return abs(disc)
-
-
 class TowerSpec:
     """T (odd ramified primes) and the finite part of S (split places);
     infinity is always in S."""
@@ -130,12 +122,6 @@ class TowerSpec:
     @property
     def s_size(self) -> int:
         return len(self.S_finite) + 1  # + the infinite place
-
-    @property
-    def p_split(self) -> int:
-        if not self.S_finite:
-            raise ValueError("no finite split prime in S")
-        return self.S_finite[0]
 
 
 class GSReport(NamedTuple):

@@ -19,14 +19,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (AlreadyImaginary, DependentGenerators, DivisionByZero,
-                     NonMonic, NotAField, PrecisionExhausted)
+from .errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
+                     PrecisionExhausted)
 from .intervals import ComplexInterval, to_fixed
 from .linalg import Matrix, mat, mat_inv, mat_mul, vec_mat
 from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
-                          eval_at, make_poly, poly_add, poly_divmod, poly_mul,
-                          poly_neg)
+                          eval_at, make_poly, poly_add, poly_divmod, poly_mul)
 from .roots import RootBox, isolate_complex_roots, refine_roots
 
 EMBED_BITS_CAP = 1 << 16
@@ -586,70 +585,6 @@ def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField
                  for i in range(N)])
         conj_power = mat_mul(mat_mul(P, D), Pinv)
         _attach_cm(fld, conj_power)
-    return fld
-
-
-def adjoin_i(L: NumberField, label: str = "") -> NumberField:
-    """The CM field L(i) for a totally real L."""
-    if not L.is_totally_real():
-        raise AlreadyImaginary(f"{L.label} has a non-real embedding")
-    if L._mq_ds is not None:
-        return compositum_multiquadratic(L._mq_ds + (-1,),
-                                         label=label or f"{L.label}(i)")
-    if L.n == 1:
-        return compositum_multiquadratic((-1,), label=label or "Q(i)")
-
-    n = L.n
-    N = 2 * n
-
-    def alg_mul(u, v):
-        # elements of L[y]/(y^2+1) as (a, b) with a, b in power coords of L
-        a1, b1 = u[:n], u[n:]
-        a2, b2 = v[:n], v[n:]
-        pa = L._reduce_power_poly(poly_add(poly_mul(a1, a2), poly_neg(poly_mul(b1, b2))))
-        pb = L._reduce_power_poly(poly_add(poly_mul(a1, b2), poly_mul(b1, a2)))
-        return tuple(pa) + tuple(pb)
-
-    zero = (Fraction(0),) * n
-    theta_L = tuple(Fraction(1 if i == 1 else 0) for i in range(n))
-    for c in range(1, 9):
-        theta = theta_L + tuple(Fraction(c if i == 0 else 0) for i in range(n))
-        rows = []
-        cur = (Fraction(1),) + (Fraction(0),) * (N - 1)
-        for _ in range(N):
-            rows.append(cur)
-            cur = alg_mul(cur, theta)
-        M = mat(rows)
-        if linalg.mat_det(M) != 0:
-            break
-    else:
-        raise DependentGenerators("no primitive element for L(i)")
-    Minv = mat_inv(M)
-    tail = vec_mat(cur, Minv)
-    coeffs = [-x for x in tail] + [Fraction(1)]
-    if any(x.denominator != 1 for x in coeffs):
-        raise ValueError("theta_L + c*i is not an algebraic integer")
-    min_poly = make_poly([int(x) for x in coeffs])
-
-    basis_rows = []
-    for row in L.basis_mat:
-        basis_rows.append(tuple(row) + zero)
-    for row in L.basis_mat:
-        basis_rows.append(zero + tuple(row))
-    basis_power = mat_mul(mat(basis_rows), Minv)
-
-    warnings = []
-    index_conditional = False
-    if L.disc % 2 == 0:
-        index_conditional = True
-        warnings.append("disc(L) even: O_L[i] may be non-maximal; "
-                        "ideal results are index-conditional")
-    fld = NumberField(min_poly, basis_power, label=label or f"{L.label}(i)",
-                      index_conditional=index_conditional, warnings=warnings)
-    D = mat([[Fraction((1 if i < n else -1) if i == j else 0) for j in range(N)]
-             for i in range(N)])
-    conj_power = mat_mul(mat_mul(M, D), Minv)
-    _attach_cm(fld, conj_power)
     return fld
 
 

@@ -259,6 +259,59 @@ def test_window_past_box_cap_within_work_cap(tmp_path, capsys):
     assert data["measured_unit_pairs"] == 622132
 
 
+def test_generate_auto_scale_keeps_closure_mode(tmp_path, capsys):
+    # without --scale the scale is chosen automatically, and --mode closure
+    # still builds a closure, not a full window
+    rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",
+                       "--k", "1", "--mode", "closure", "--R", "3", "--no-plot",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    assert data["mode"] == "closure" and data["delta"] == "1/25"
+    assert data["measured_points"] == 17185
+    assert any(w.startswith("closure mode") for w in data["warnings"])
+
+
+def test_closure_past_max_points_exits_7(tmp_path, capsys):
+    # the inner window fits --max-points, its unit translates do not
+    assert main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2",
+                 "--mode", "closure", "--scale", "1", "--R", "25.9",
+                 "--max-points", "2000", "--no-plot", "--out", str(tmp_path)]) == 7
+    assert "closure has 2085 points (limit 2000)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["sidecar", "field", "closure provenance"])
+def test_exact_count_joins_a_window_from_its_rows(tmp_path, capsys, monkeypatch, source):
+    # the pair path is chosen from the rows: the window's census comes from
+    # the join whether the field comes from the sidecar or --field, and
+    # whatever the sidecar's provenance says
+    import udfield.counting
+
+    assert main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2",
+                 "--scale", "1/5", "--R", "5", "--no-plot", "--out", str(tmp_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    argv = ["count", "--csv", str(tmp_path / "pointset.csv"), "--method", "exact"]
+    rc, want = run_cli(capsys, *argv)
+    assert rc == 0 and want["n_points"] == report["measured_points"]
+    assert want["unit_pairs"] == report["measured_unit_pairs"] > 0
+
+    def cell_hash(*_):
+        raise AssertionError("a window's pairs went to the cell hash")
+
+    monkeypatch.setattr(udfield.counting, "_cell_pairs", cell_hash)
+    sidecar = tmp_path / "pointset.json"
+    if source == "field":
+        sidecar.unlink()
+        argv += ["--field", "gaussian"]
+    elif source == "closure provenance":
+        data = json.loads(sidecar.read_text())
+        data["provenance"].update(mode="closure", scale="1/7")
+        sidecar.write_text(json.dumps(data))
+    rc, got = run_cli(capsys, *argv)
+    assert rc == 0
+    del got["runtime_ms"], want["runtime_ms"]
+    assert got == want
+
+
 def test_generate_auto_window_beyond_4000_points(tmp_path, capsys):
     # about 5000 points in O_K: auto mode once refused windows past 4000
     rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",

@@ -2,11 +2,13 @@
 form it replaced, kept in `oracle_pairsearch` and `oracle_polydisc`.
 
 - `planar_image` gives the same floats, bit for bit, and the same err;
-- the pairs of a window from the join over `unit_differences`, from the
-  cell hash in Python and from the numpy cell hash are the same, over
-  Q(i), Q(sqrt -5) and Q(sqrt 5, i), with nonzero translates and with
-  translates whose denominators put the rows past 2^63;
-- `unit_differences` is every unit of the radius-1 window, one of each sign;
+- the pairs of a window from `unit_pair_indices`, from the join over the
+  `unit_differences` of its lattice scale * O_K, from the cell hash in
+  Python and from the numpy cell hash are the same, over Q(i), Q(sqrt -5)
+  and Q(sqrt 5, i), with nonzero translates and with translates whose
+  denominators put the rows past 2^63;
+- `unit_differences` of scale * O_K is every unit of the radius-1 window,
+  one of each sign;
 - `lattice_points_in_polydisc` gives the same rows in the same order as the
   numpy last-coordinate chunk.
 """
@@ -22,7 +24,8 @@ import oracle_pairsearch
 import oracle_polydisc
 from pointrows import rows_of
 from udfield.construct import enumerate_window
-from udfield.counting import planar_image, unit_differences, unit_pair_indices
+from udfield.counting import (_cell_pairs, _join, _margin, planar_image,
+                              unit_differences, unit_pair_indices)
 from udfield.enumeration import lattice_points_in_polydisc
 from udfield.errors import PrecisionExhausted, WindowTooLarge
 from udfield.numberfield import FieldElement, abs_sq
@@ -114,9 +117,12 @@ def test_window_pairs_join_cell_hash_and_oracle_agree(data, which, translate,
         assert denom >= 1 << 63
     index = data.draw(st.integers(0, cm.f - 1))
     xy, err = planar_image(rows, denom, cm, index)
-    joined = unit_pair_indices(rows, denom, xy, err, cm, unit_differences(cm, scale))
-    hashed = unit_pair_indices(rows, denom, xy, err, cm)
-    assert joined == hashed == _oracle_pairs(rows, denom, cm, index)
+    # scale * O_K over denom: each coordinate steps by scale * denom
+    steps = [scale.numerator * denom // scale.denominator] * K.n
+    joined = _join(rows, unit_differences(cm, steps, denom))
+    hashed = _cell_pairs(rows, denom, xy, _margin(xy, err), cm)
+    assert (unit_pair_indices(rows, denom, xy, err, cm) == joined == hashed
+            == _oracle_pairs(rows, denom, cm, index))
 
 
 @st.composite
@@ -166,13 +172,41 @@ def test_unit_differences_are_the_units_of_the_radius_one_window(
         basis, scale.denominator, cm, [Fraction(1)] * cm.f).tolist()
     units = {tuple(r) for r in window
              if abs_sq(FieldElement(K, r, scale.denominator), cm) == K.one()}
-    diffs, denom = unit_differences(cm, scale)
-    assert denom == scale.denominator
+    steps = [scale.numerator] * n
+    diffs = unit_differences(cm, steps, scale.denominator)
     assert len(diffs) == count
     assert units == set(diffs) | {tuple(-c for c in d) for d in diffs}
     assert len(units) == 2 * len(diffs)
     with pytest.raises(WindowTooLarge):
-        unit_differences(cm, scale, limit=len(window) - 1)
+        unit_differences(cm, steps, scale.denominator, limit=len(window) - 1)
+
+
+def test_degree4_closure_takes_the_cell_hash(deg4, deg4_cm, monkeypatch):
+    # the closure of the degree-4 demo spans a lattice of step 1/841 in
+    # every coordinate, whose radius-1 search passes its work cap, so its
+    # pairs come from the cell hash
+    import udfield.counting
+    from udfield.construct import WindowConfig, build_pointset, pigeonhole_units
+    from udfield.ideals import split_prime
+
+    pairs, seen = [], set()
+    for pr in sorted(split_prime(deg4, 29), key=lambda q: q.lattice.hnf):
+        if pr.lattice not in seen:
+            seen.add(pr.lattice.conjugate(deg4_cm))
+            pairs.append((pr, 1))
+    cell_pairs, hashed = udfield.counting._cell_pairs, []
+
+    def recorded(*args):
+        hashed.append(cell_pairs(*args))
+        return hashed[-1]
+
+    monkeypatch.setattr(udfield.counting, "_cell_pairs", recorded)
+    scale = Fraction(1, 841)
+    ps, rep = build_pointset(deg4, pigeonhole_units(deg4, pairs),
+                             WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure"))
+    assert (rep.measured_points, rep.measured_unit_pairs) == (1305, 1260)
+    assert len(hashed) == 1 and tuple(hashed[0]) == ps.unit_pairs
+    assert list(ps.unit_pairs) == _oracle_pairs(ps.rows, ps.denom, deg4_cm, 0)
 
 
 def _polydisc(enumerate_, basis, denom, cm, radii, center, limit=None):

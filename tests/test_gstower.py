@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from udfield.errors import (DegreeTooSmall, NotOddPrime, RamifiedPrime,
-                            SearchExhausted, SplitConditionFailed)
-from udfield.gstower import (TowerSpec, class_number_bound,
-                             find_split_primes, frattini_rank, gs_check,
+from udfield.errors import (NotOddPrime, RamifiedPrime, SearchExhausted,
+                            SplitConditionFailed)
+from udfield.gstower import (TowerSpec, find_split_primes, frattini_rank, gs_check,
                              multiquadratic_generators, splits_completely)
 
 FIRST_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -130,11 +129,3 @@ def test_tower_spec_validation():
         TowerSpec((4,), ())
     spec = TowerSpec((3, 5), (41, 13))
     assert spec.s_size == 3
-    assert spec.p_split == 13
-
-
-def test_class_number_bound():
-    assert class_number_bound(-400, 4) == 400
-    assert class_number_bound(-20, 4) == 20
-    with pytest.raises(DegreeTooSmall):
-        class_number_bound(-20, 2)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from udfield.errors import AlreadyImaginary, DependentGenerators, DivisionByZero
+from udfield.errors import DependentGenerators, DivisionByZero
 from udfield.intervals import RealInterval, sqrt_lower, sqrt_upper
-from udfield.numberfield import (abs_sq, adjoin_i, compositum_multiquadratic,
-                                 detect_cm, is_unit_modulus, nf_new)
+from udfield.numberfield import (abs_sq, compositum_multiquadratic, detect_cm,
+                                 is_unit_modulus, nf_new)
 from udfield.polynomials import make_poly, resultant
 
 
@@ -101,19 +101,6 @@ def test_compositum_min_poly_sympy_oracle():
     oracle = sympy.minimal_polynomial(sympy.sqrt(5) + sympy.sqrt(13), x)
     ours = sum(int(c) * x ** i for i, c in enumerate(L.min_poly))
     assert sympy.expand(oracle - ours) == 0
-
-
-def test_adjoin_i(gaussian, sqrt5_field):
-    K2 = adjoin_i(nf_new(make_poly([0, 1]), label="Q"))
-    assert K2.n == 2 and K2.disc == -4
-    K4 = adjoin_i(sqrt5_field)
-    assert K4.n == 4
-    cm = detect_cm(K4)
-    assert cm is not None and cm.f == 2
-    K8 = adjoin_i(compositum_multiquadratic([5, 13]))
-    assert K8.n == 8 and detect_cm(K8).f == 4
-    with pytest.raises(AlreadyImaginary):
-        adjoin_i(gaussian)
 
 
 def test_minkowski_embed_examples(deg4, deg4_cm):
