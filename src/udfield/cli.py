@@ -187,11 +187,11 @@ def _auto_window(K, units, cfg):
     warnings = []
     natural = Fraction(1, units.D)
     for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
-        est = estimate_window_points(K, scale, cfg.R)
+        est = estimate_window_points(K, scale, cfg.R, cfg.mode, units.units)
         if est > cfg.max_points:
             if scale == natural:
                 warnings.append(
-                    f"window over (1/{units.D})*O_K holds ~{est:.2g} points, "
+                    f"{cfg.mode} over (1/{units.D})*O_K holds ~{est:.2g} points, "
                     "beyond the desk budget; falling back to the unit "
                     "lattice O_K (only integral units enter the "
                     "translation bound)")

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .enumeration import lattice_points_in_polydisc, roots_of_unity
+from .enumeration import lattice_points_in_polydisc
 from .errors import (ConditionFailed, ConjugateCollision, InjectivityFailure,
                      InvalidArgument, NotOddPrime, NotPrime, PrecisionExhausted,
                      WindowTooLarge)
@@ -101,6 +101,8 @@ def pigeonhole_units(K: NumberField,
     ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
     WindowTooLarge past PIGEONHOLE_LIMIT exponent vectors prod (k_j + 1).
     """
+    from .counting import unit_differences
+
     cm = detect_cm(K)
     if cm is None:
         raise ValueError("pigeonhole_units requires a CM field")
@@ -152,21 +154,26 @@ def pigeonhole_units(K: NumberField,
     for j in best:
         alpha = alphas.get(j, one)
         u = alpha / cm.conj(alpha)
-        _certify_unit(u, cm, Q2, D)
+        _certify_unit(u, cm, D)
         iu = FracIdeal.principal(u)
+        # (u zeta) = (u), (conj u) = conj((u)) and Q = prod P^k conj(P)^k is
+        # conjugation-invariant, so this one test covers every unit below
+        if not (iu * Q2).is_integral():
+            raise AssertionError(f"emitted unit is not in Q^-2: {u}")
         if iu in witness_ideals:
             raise AssertionError("pigeonhole produced a repeated ideal (u)")
         witness_ideals.append(iu)
         witnesses.append(u)
 
     units: Dict[FieldElement, None] = {}
-    torsion = roots_of_unity(K, cm)
+    torsion = [FieldElement(K, d) for d in unit_differences(cm, [1] * K.n, 1)]
+    torsion += [-zeta for zeta in torsion]
     for w in witnesses:
         for var in (w, cm.conj(w)):
             for zeta in torsion:
                 u = var * zeta
                 if u not in units:
-                    _certify_unit(u, cm, Q2, D)
+                    _certify_unit(u, cm, D)
                     units[u] = None
 
     h = None
@@ -189,13 +196,11 @@ def _powers(I: FracIdeal, k: int) -> List[FracIdeal]:
     return out
 
 
-def _certify_unit(u: FieldElement, cm: CMStructure, Q2: FracIdeal, D: int):
+def _certify_unit(u: FieldElement, cm: CMStructure, D: int):
     if not is_unit_modulus(u, cm):
         raise AssertionError(f"emitted unit fails |u| = 1: {u}")
     if not (u * D).is_integral():
         raise AssertionError(f"emitted unit fails D-integrality: {u}")
-    if not (FracIdeal.principal(u) * Q2).is_integral():
-        raise AssertionError(f"emitted unit is not in Q^-2: {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +342,26 @@ class ConstructionReport(NamedTuple):
         return all(self.checks.values())
 
 
-def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction) -> float:
-    """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound)."""
-    cm = detect_cm(K)
-    f = cm.f
+def usable_units(emitted: Sequence[FieldElement], scale: Fraction) -> List[FieldElement]:
+    """The units u with u / scale integral: those that map scale*O_K to itself."""
+    return [u for u in emitted if (u / scale).is_integral()]
+
+
+def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction, mode: str = "window",
+                           units: Sequence[FieldElement] = ()) -> float:
+    """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound).
+
+    A closure, B_{R-1} plus one translate per usable unit, lies in B_R, so
+    it is sized as the smaller of the two estimates."""
+    if mode == "closure":
+        inner = estimate_window_points(K, scale, R - 1) * (len(usable_units(units, scale)) + 1)
+        return min(inner, estimate_window_points(K, scale, R))
+    f = detect_cm(K).f
     try:
-        covol_dim = float(scale) ** 2 * abs(K.disc) ** (1 / (2 * f)) / 2
-        per_dim = math.pi * float(R) ** 2 / covol_dim
-    except (OverflowError, ZeroDivisionError):
-        # R or scale beyond float range: the same estimate through R / scale
-        try:
-            per_dim = 2 * math.pi * float((R / scale) ** 2) / abs(K.disc) ** (1 / (2 * f))
-        except OverflowError:
-            return math.inf
+        # per disc: pi R^2 over the covolume per dimension, scale^2 |disc|^(1/2f) / 2
+        per_dim = 2 * math.pi * float((R / scale) ** 2) / abs(K.disc) ** (1 / (2 * f))
+    except OverflowError:
+        return math.inf
     return max(per_dim, 1.0) ** f
 
 
@@ -401,7 +413,7 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
         if not is_unit_modulus(u, cm):
             raise ValueError("units must all be unit-modulus")
 
-    usable = [u for u in emitted if (u / cfg.scale).is_integral()]
+    usable = usable_units(emitted, cfg.scale)
     if len(usable) < len(emitted):
         warnings.append(
             f"{len(emitted) - len(usable)} of {len(emitted)} units are not in "

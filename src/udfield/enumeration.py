@@ -33,12 +33,13 @@ nonzero, so refinement terminates).
 
 The last coefficient c is not tried value by value.  Each |sigma_i(z)|^2
 is a convex function of c, so the points of one prefix inside the
-polydisc are one run of consecutive c.  Line-disc chords of the float
-partial sums give the run's likely accepted core; the accept test at its
-two ends certifies every c between them, and the tests above run only
-outward from the ends, each side stopping at its first point outside.  A
-prefix with no accepted c runs the tests on every c of a rigorous outer
-chord, which covers the rounding of the partial sums.
+polydisc are one run of consecutive c.  One rigorous chord per prefix,
+the line-disc chords of the float partial sums with the discs grown by
+the margins and by the rounding of the sums, holds that run.  The tests
+above (float prune and accept, then the exact sign in the band) run
+inward from the chord's two ends, upward to the first c inside and
+downward to the last; every c between those two is inside by convexity.
+A prefix with no point inside tests every c of its chord.
 
 A search's work is the prefixes the walk tries (every c of every level
 but the last) plus the points it finds.  It is counted in bulk, per level
@@ -55,7 +56,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import ComplexInterval, RealInterval, float_columns, float_up
+from .intervals import RealInterval, float_columns, float_up
 from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
                           trace_form)
 
@@ -80,38 +81,12 @@ def _embedding_columns(real: Sequence[bool]) -> List[range]:
     return cols
 
 
-def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
-               bits: int) -> ComplexInterval:
-    """sigma_idx(z) for z = sum_k (row_k / denom) b_k, of width <= 2^-bits,
-    as the exact combination of the field's cached integral-basis images.
-
-    The integer combination sum_k row_k sigma(b_k) is exact and its
-    quotient by denom is rounded outward to 2^-g, so the width is at most
-    (sum |row_k| / denom + 2) 2^-g for images of width 2^-g; g exceeds bits
-    by a multiple of 64 that covers the bit length of that factor.  On the
-    images as integers over one 2^s, each endpoint is one floor division
-    of their combination by denom 2^s."""
-    S = -(-sum(map(abs, row)) // denom) + 2    # ceil(sum |row_k| / denom) + 2
-    g = bits + 64 * (1 + S.bit_length() // 64)
-    s, images = field.basis_image_ends(idx, g)
-    parts = []
-    for axis in (0, 2):
-        lo = hi = 0
-        for c, box in zip(row, images):
-            if c > 0:
-                lo, hi = lo + c * box[axis], hi + c * box[axis + 1]
-            elif c < 0:
-                lo, hi = lo + c * box[axis + 1], hi + c * box[axis]
-        parts.append(RealInterval(Fraction((lo << g) // (denom << s), 1 << g),
-                                  Fraction(-((-hi << g) // (denom << s)), 1 << g)))
-    return ComplexInterval(*parts)
-
-
 def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int],
                       real: Sequence[bool]):
     """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
-    return [_columns([_image_box(field, v, denom, idx, 64).round_outward(_PREFILTER_BITS)
-                      for idx in reps], real) for v in basis]
+    return [_columns([field.embed(FieldElement(field, v, denom), idx)
+                      .round_outward(_PREFILTER_BITS) for idx in reps], real)
+            for v in basis]
 
 
 def _coef_ranges(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
@@ -183,8 +158,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     emb = _basis_embeddings(field, basis, denom, reps, real)
     center_emb = None
     if center is not None:
-        center_emb = [_image_box(field, center, denom, idx, 64)
-                      .round_outward(_PREFILTER_BITS) for idx in reps]
+        z = FieldElement(field, center, denom)
+        center_emb = [field.embed(z, idx).round_outward(_PREFILTER_BITS) for idx in reps]
     work = 0
 
     def spend(count):
@@ -226,14 +201,10 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     # the last coordinate: float columns, margins, integer row, range and bound
     x, last, v, (c_lo, c_hi), M = mids[-1], margins[-1], basis[-1], ranges[-1], bounds[-1]
 
-    def exact_inside(row, undecided):
-        z2 = abs_sq(FieldElement(field, row, denom), cm)
-        return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
-
-    def leaf(P, row, c, exact=True):
+    def leaf(P, row, c):
         """Whether the last coefficient c puts the point inside: the outside
-        and accept tests at P + c x, then, if exact, sign_at on the
-        embeddings in the band; without exact, whether it is accepted."""
+        and accept tests at P + c x, then sign_at on the embeddings in the
+        band."""
         undecided = []
         for i, ts in enumerate(cols):
             s_out = s_in = 0.0
@@ -249,30 +220,27 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                 undecided.append(i)
         if not undecided:
             return True
-        return exact and exact_inside([a + c * b for a, b in zip(row, v)], undecided)
+        z2 = abs_sq(FieldElement(field, [a + c * b for a, b in zip(row, v)], denom), cm)
+        return all((z2 - radii_sq[i] * one).sign_at(reps[i]) <= 0 for i in undecided)
 
     # per disc: its columns with their last-coordinate floats, |x|^2,
-    # |x|^-1, the radii of the inner and outer chords below, and M |x|_1
+    # |x|^-1, the radius of the chord below, and M |x|_1
     discs = []
     for i, ts in enumerate(cols):
         xx = sum(x[t] * x[t] for t in ts)
         if xx > 0:
-            lsum = sum(last[t] for t in ts)
             discs.append(([(t, x[t]) for t in ts], xx, xx ** -0.5,
-                          lo[i] ** 0.5 - lsum, hi[i] ** 0.5 * (1 + 2.0 ** -40) + lsum,
+                          hi[i] ** 0.5 * (1 + 2.0 ** -40) + sum(last[t] for t in ts),
                           M * sum(abs(x[t]) for t in ts)))
 
-    def chords(P):
-        """Two ranges (first, last) of integers c in [c_lo, c_hi], from the
-        line-disc chords of the float values.  The inner one, of discs
-        shrunk by the margins, holds the c whose accept test is expected to
-        pass.  The outer one, of discs grown by the margins and by the
-        rounding of P + c x, holds every c inside the polydisc:
-        |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and c0 and
-        dist are good to far better than 2^-40 (|P| + M |x|)."""
-        in_lo = out_lo = c_lo
-        in_hi = out_hi = c_hi
-        for tx, xx, inv, r_in, r_out, mx in discs:
+    def chord(P):
+        """The integers c in [c_lo, c_hi] on the line-disc chords of the
+        float values, as (first, last), of discs grown by the margins and
+        by the rounding of P + c x.  They hold every c inside the
+        polydisc: |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and
+        c0 and dist are good to far better than 2^-40 (|P| + M |x|)."""
+        first, final = c_lo, c_hi
+        for tx, xx, inv, r, mx in discs:
             px = dd = pad = 0.0
             for t, y in tx:
                 px += P[t] * y
@@ -282,58 +250,40 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                 dd += e * e
                 pad += abs(P[t])
             slop = (pad + mx) * 2.0 ** -40
-            rho = r_out + slop
+            rho = r + slop
             near = dd ** 0.5 - slop
             if near > rho:
-                return (1, 0), (1, 0)
+                return 1, 0
             if near < 0:
                 near = 0.0
             half = (rho * rho - near * near) ** 0.5 * inv * (1 + 2.0 ** -30) + slop * inv
             half += (1 + abs(c0) + half) * 2.0 ** -30
-            if c0 - half > out_lo:
-                out_lo = c0 - half
-            if c0 + half < out_hi:
-                out_hi = c0 + half
-            if r_in * r_in > dd:
-                half = (r_in * r_in - dd) ** 0.5 * inv
-                if c0 - half > in_lo:
-                    in_lo = c0 - half
-                if c0 + half < in_hi:
-                    in_hi = c0 + half
-            else:
-                in_lo, in_hi = 1, 0
-        return ((math.ceil(in_lo), math.floor(in_hi)),
-                (math.ceil(out_lo), math.floor(out_hi)))
+            if c0 - half > first:
+                first = c0 - half
+            if c0 + half < final:
+                final = c0 + half
+        return math.ceil(first), math.floor(final)
 
     points = []
 
     def fibre(P, row):
         """Every last coefficient c of the prefix with its point inside, in
         ascending order.  The points inside form an interval of c, since
-        |sigma_i|^2 is convex in c, so once two values a1 <= a2 pass the
-        accept test every c between them is inside, and a scan outward from
-        them ends at the first c that is not, or at the outer chord."""
-        found = len(points)
-        (a1, a2), (o1, o2) = chords(P)
-        while a1 <= a2 and not leaf(P, row, a1, False):
-            a1 += 1
-        while a2 > a1 and not leaf(P, row, a2, False):
-            a2 -= 1
-        if a1 <= a2:
-            first = a1
-            while first > o1 and leaf(P, row, first - 1):
-                first -= 1
-            stop = a2 + 1
-            while stop <= o2 and leaf(P, row, stop):
-                stop += 1
+        |sigma_i|^2 is convex in c, and the chord holds it: a scan upward
+        from the chord's low end stops at the first c inside, a scan
+        downward from its high end at the last, and every c between them
+        is inside."""
+        first, final = chord(P)
+        while first <= final and not leaf(P, row, first):
+            first += 1
+        while final > first and not leaf(P, row, final):
+            final -= 1
+        if first <= final:
             cur = tuple(a + first * b for a, b in zip(row, v))
-            for _ in range(stop - first):
+            for _ in range(final - first + 1):
                 points.append(cur)
                 cur = tuple(map(add, cur, v))
-        else:
-            points.extend(tuple(a + c * b for a, b in zip(row, v))
-                          for c in range(o1, o2 + 1) if leaf(P, row, c))
-        spend(len(points) - found)
+            spend(final - first + 1)
 
     def walk(k, row, P):
         if k + 1 == n:
@@ -387,13 +337,3 @@ def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[L
     return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(basis))]
             for row in U]
 
-
-def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
-    """Torsion units: integral elements of modulus exactly 1 in all embeddings."""
-    from .numberfield import is_unit_modulus
-
-    n = field.n
-    eye = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    candidates = [FieldElement(field, row) for row in lattice_points_in_polydisc(
-        eye, 1, cm, [Fraction(1)] * cm.f)]
-    return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
                      PrecisionExhausted)
-from .intervals import ComplexInterval, to_fixed
+from .intervals import ComplexInterval, RealInterval, to_fixed
 from .linalg import Matrix, mat, mat_inv, mat_mul, vec_mat
 from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
@@ -184,28 +184,49 @@ class NumberField:
         return self.n_real_embeddings() == 0
 
     def embed(self, z: "FieldElement", root_index: int, bits: int = 64) -> ComplexInterval:
-        """sigma_i(z) as a certified box of width <= 2^-bits."""
-        target = Fraction(1, 1 << bits)
-        work = bits
-        while True:
-            box = self.roots(work)[root_index].box
-            val = eval_at(z.power_coords(), box, bits=work + 32)
-            if val.width() <= target:
-                return val
-            if work >= EMBED_BITS_CAP:
-                raise PrecisionExhausted(
-                    f"embedding of element did not reach 2^-{bits}")
-            work *= 2
+        """sigma_i(z) as a certified box of width <= 2^-bits.
+
+        The combination sum_k num_k sigma(b_k) of the basis images of width
+        2^-g, as integers over one 2^s, is exact; each endpoint of its
+        quotient by den is one floor division, outward to 2^-g.  The width
+        is at most (sum |num_k| / den + 2) 2^-g, and g exceeds bits by a
+        multiple of 64 that covers the bit length of that factor."""
+        row, den = z.num, z.den
+        S = -(-sum(map(abs, row)) // den) + 2    # ceil(sum |num_k| / den) + 2
+        g = bits + 64 * (1 + S.bit_length() // 64)
+        s, images = self.basis_image_ends(root_index, g)
+        parts = []
+        for axis in (0, 2):
+            lo = hi = 0
+            for c, box in zip(row, images):
+                if c > 0:
+                    lo, hi = lo + c * box[axis], hi + c * box[axis + 1]
+                elif c < 0:
+                    lo, hi = lo + c * box[axis + 1], hi + c * box[axis]
+            parts.append(RealInterval(Fraction((lo << g) // (den << s), 1 << g),
+                                      Fraction(-((-hi << g) // (den << s)), 1 << g)))
+        return ComplexInterval(*parts)
 
     def basis_images(self, root_index: int, bits: int) -> List[ComplexInterval]:
         """sigma_i(b_k) for the integral basis b_0..b_{n-1}, each box of
-        width <= 2^-bits, embedded once per (root_index, bits)."""
+        width <= 2^-bits by interval Horner at a refined root box, embedded
+        once per (root_index, bits)."""
         key = (root_index, bits)
         if key not in self._basis_images:
-            n = self.n
-            self._basis_images[key] = [
-                self.embed(self.element([1 if k == j else 0 for k in range(n)]),
-                           root_index, bits) for j in range(n)]
+            target = Fraction(1, 1 << bits)
+            images = []
+            for power in self.basis_mat:
+                work = bits
+                while True:
+                    val = eval_at(power, self.roots(work)[root_index].box, bits=work + 32)
+                    if val.width() <= target:
+                        break
+                    if work >= EMBED_BITS_CAP:
+                        raise PrecisionExhausted(
+                            f"embedding of a basis element did not reach 2^-{bits}")
+                    work *= 2
+                images.append(val)
+            self._basis_images[key] = images
         return self._basis_images[key]
 
     def basis_image_ends(self, root_index: int, bits: int):
@@ -512,33 +533,20 @@ def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField
                 out[sc] += u[sa] * v[sb] * scalar
         return tuple(out)
 
-    # primitive element theta = sum c_i sqrt(d_i), small c_i in a fixed order
-    for total in itertools.count(m):
-        found = None
-        for cs in itertools.product(range(1, total - m + 2), repeat=m):
-            if sum(cs) != total:
-                continue
-            theta = [Fraction(0)] * N
-            for i, c in enumerate(cs):
-                theta[1 << i] = Fraction(c)
-            theta = tuple(theta)
-            rows = []
-            cur = tuple(Fraction(1 if s == 0 else 0) for s in subsets)
-            for _ in range(N):
-                rows.append(cur)
-                cur = alg_mul(cur, theta)
-            P = mat(rows)
-            if linalg.mat_det(P) != 0:
-                found = (theta, P, cur)
-                break
-        if found:
-            break
-        if total > m + 8:
-            raise DependentGenerators(
-                f"no primitive element found for {ds} (degree < 2^{m})")
-    theta, P, theta_N = found
+    # primitive element theta = sum sqrt(d_i): its 2^m conjugates
+    # sum +-sqrt(d_i) are distinct, the sqrt(d_i) being linearly independent
+    # over Q (_f2_independent), so 1, theta, ..., theta^(N-1) are a basis
+    theta = [Fraction(0)] * N
+    for i in range(m):
+        theta[1 << i] = Fraction(1)
+    rows = []
+    cur = tuple(Fraction(1 if s == 0 else 0) for s in subsets)
+    for _ in range(N):
+        rows.append(cur)
+        cur = alg_mul(cur, theta)
+    P = mat(rows)
     Pinv = mat_inv(P)
-    min_poly_tail = vec_mat(theta_N, Pinv)
+    min_poly_tail = vec_mat(cur, Pinv)
     coeffs = [-c for c in min_poly_tail] + [Fraction(1)]
     if any(c.denominator != 1 for c in coeffs):
         raise ValueError("primitive element is not an algebraic integer")

@@ -5,10 +5,13 @@ It joins the exponent-vector ideals into classes by union-find over every
 pair (i, j) whose ratio is certified principal, then asks `is_principal`
 again for each member of the largest class against its smallest member to
 recover the generators.  Its `_check_prime_pairs` is copied with it (the
-current one takes the conjugate lattices as an argument); everything else
-is imported from the current modules.  Its `slack` and `unit_search_depth`
-parameters, which it only passed on to `is_principal`, went when
-`is_principal` lost them.
+current one takes the conjugate lattices as an argument), and so are
+`_certify_unit`, which tests Q^-2 on every emitted unit (the current one
+tests it once per witness ideal), and `enumeration.roots_of_unity`, its
+torsion search (the current one takes the radius-1 unit differences);
+everything else is imported from the current modules.  Its `slack` and
+`unit_search_depth` parameters, which it only passed on to
+`is_principal`, went when `is_principal` lost them.
 """
 
 from __future__ import annotations
@@ -18,14 +21,32 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from udfield.construct import (PIGEONHOLE_LIMIT, UnitSet, _certify_unit,
-                               denominator_bound)
-from udfield.enumeration import roots_of_unity
+from udfield.construct import PIGEONHOLE_LIMIT, UnitSet, denominator_bound
+from udfield.enumeration import lattice_points_in_polydisc
 from udfield.errors import ConjugateCollision, WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                             class_number_imag_quadratic, is_principal)
-from udfield.numberfield import CMStructure, FieldElement, NumberField, detect_cm
+from udfield.numberfield import (CMStructure, FieldElement, NumberField, detect_cm,
+                                 is_unit_modulus)
 from udfield.numthy import squarefree_kernel
+
+
+def roots_of_unity(field: NumberField, cm: CMStructure) -> List[FieldElement]:
+    """Torsion units: integral elements of modulus exactly 1 in all embeddings."""
+    n = field.n
+    eye = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
+    candidates = [FieldElement(field, row) for row in lattice_points_in_polydisc(
+        eye, 1, cm, [Fraction(1)] * cm.f)]
+    return [z for z in candidates if not z.is_zero() and is_unit_modulus(z, cm)]
+
+
+def _certify_unit(u: FieldElement, cm: CMStructure, Q2: FracIdeal, D: int):
+    if not is_unit_modulus(u, cm):
+        raise AssertionError(f"emitted unit fails |u| = 1: {u}")
+    if not (u * D).is_integral():
+        raise AssertionError(f"emitted unit fails D-integrality: {u}")
+    if not (FracIdeal.principal(u) * Q2).is_integral():
+        raise AssertionError(f"emitted unit is not in Q^-2: {u}")
 
 
 def _check_prime_pairs(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]]):

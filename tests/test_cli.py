@@ -271,6 +271,29 @@ def test_generate_auto_scale_keeps_closure_mode(tmp_path, capsys):
     assert any(w.startswith("closure mode") for w in data["warnings"])
 
 
+def test_generate_auto_scale_sizes_a_closure_by_its_points(tmp_path, capsys):
+    # the (1/625) closure at R = 627/625 is its inner window times the 20
+    # units plus one (~264 points by the estimate), not the ~1.2e6 points of
+    # the full window, so it is taken at the natural scale with every unit
+    rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",
+                       "--k", "2", "--mode", "closure", "--R", "627/625",
+                       "--allow-small-R", "--no-plot", "--out", str(tmp_path))
+    assert rc == 0
+    assert data["mode"] == "closure" and data["delta"] == "1/625"
+    assert data["units_usable"] == data["units_emitted"] == 20
+    assert (data["measured_points"], data["measured_unit_pairs"]) == (273, 260)
+    assert not any("falling back" in w for w in data["warnings"])
+    # a closure lies inside its B_R window, so it is never sized above the
+    # window's estimate: at O_K the inner window times the 4 usable units
+    # plus one (~5.7e3) exceeds the window's ~1.3e3, which fits 2000
+    rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",
+                       "--k", "2", "--mode", "closure", "--R", "20", "--max-points", "2000",
+                       "--no-plot", "--out", str(tmp_path))
+    assert rc == 0
+    assert data["mode"] == "closure" and data["delta"] == "1"
+    assert data["measured_points"] == 1237
+
+
 def test_closure_past_max_points_exits_7(tmp_path, capsys):
     # the inner window fits --max-points, its unit translates do not
     assert main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2",

@@ -7,7 +7,8 @@ from pointrows import elements_of
 
 from udfield.construct import (SymbolicPower, UnitSet, WindowConfig,
                                build_pointset, covolume_upper, denominator_bound,
-                               enumerate_window, exponent, halton_translates,
+                               enumerate_window, estimate_window_points,
+                               exponent, halton_translates,
                                pigeonhole_units, select_translate,
                                exponent_ledger)
 from udfield.errors import ConditionFailed, ConjugateCollision
@@ -132,6 +133,24 @@ def test_pigeonhole_forms_each_prime_power_once(deg4, deg4_cm, monkeypatch):
     assert calls == []
     assert us.Q == math.prod((pr.lattice * pr.lattice.conjugate(deg4_cm) for pr, _ in pairs),
                              start=FracIdeal.unit_ideal(deg4)) ** 2
+
+
+def test_pigeonhole_tests_q2_once_per_witness(deg4, deg4_cm, monkeypatch):
+    # (u zeta) = (u), (conj u) = conj((u)) and Q is conjugation-invariant, so
+    # Q^-2 is tested on each witness's ideal (u) alone, not on the torsion
+    # multiples and conjugates of the witness
+    pairs = prime_pairs(deg4, deg4_cm, 29, 1)
+    principal = FracIdeal.principal
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return principal(z)
+
+    monkeypatch.setattr(FracIdeal, "principal", counted)
+    us = pigeonhole_units(deg4, pairs)
+    assert calls == list(us.ideal_witnesses)
+    assert len(us.units) == 28 > len(calls) == 4
 
 
 def test_pigeonhole_empty(gaussian, gaussian_cm):
@@ -280,6 +299,19 @@ def test_build_pointset_closure_mode(gaussian, gaussian_cm):
     assert 2 * rep.measured_unit_pairs >= rep.translation_bound
     assert rep.all_asserted_hold()
     assert rep.measured_points <= 13 * 21
+
+
+def test_closure_estimate_is_capped_by_its_window(gaussian, gaussian_cm):
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    for scale, R, usable in [(Fraction(1, 625), Fraction(627, 625), 20),
+                             (Fraction(1), Fraction(20), 4),
+                             (Fraction(1, 25), Fraction(8), 4)]:
+        window = estimate_window_points(gaussian, scale, R)
+        inner = estimate_window_points(gaussian, scale, R - 1)
+        assert estimate_window_points(gaussian, scale, R, "window", us.units) == window
+        closure = estimate_window_points(gaussian, scale, R, "closure", us.units)
+        assert closure == min(window, inner * (usable + 1))
+        assert closure <= window
 
 
 def test_projection_distinctness(gaussian, gaussian_cm):

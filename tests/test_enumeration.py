@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_setup
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from pointrows import elements_of, rows_of
-from udfield.enumeration import (_PREFILTER_BITS, _coef_ranges, _image_box,
-                                 _lll_reduce_basis, lattice_points_in_polydisc,
-                                 roots_of_unity)
+from udfield.counting import unit_differences
+from udfield.enumeration import (_PREFILTER_BITS, _coef_ranges, _lll_reduce_basis,
+                                 lattice_points_in_polydisc)
 from udfield.errors import WindowTooLarge
 from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
@@ -130,14 +131,17 @@ def test_real_box_completeness():
     assert len(got) >= 9
 
 
-def test_roots_of_unity_fields(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm,
-                               deg4, deg4_cm):
-    assert len(roots_of_unity(gaussian, gaussian_cm)) == 4
-    assert len(roots_of_unity(qsqrt_m5, qsqrt_m5_cm)) == 2
-    assert len(roots_of_unity(deg4, deg4_cm)) == 4
+def test_roots_of_unity_fields(gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    # the torsion pigeonhole_units takes: the unit differences of O_K, one
+    # of each pair +-d, and their negatives
+    def roots_of_unity(cm):
+        return 2 * len(unit_differences(cm, [1] * cm.field.n, 1))
+
+    assert roots_of_unity(gaussian_cm) == 4
+    assert roots_of_unity(qsqrt_m5_cm) == 2
+    assert roots_of_unity(deg4_cm) == 4
     # Q(i, sqrt-3) contains the 12th roots of unity
-    K12 = compositum_multiquadratic([-1, -3])
-    assert len(roots_of_unity(K12, detect_cm(K12))) == 12
+    assert roots_of_unity(detect_cm(compositum_multiquadratic([-1, -3]))) == 12
 
 
 def test_split_shapes_vs_sympy_oracle(gaussian, qsqrt_m5, deg4):
@@ -171,19 +175,22 @@ def test_split_shapes_vs_sympy_oracle(gaussian, qsqrt_m5, deg4):
 @given(which=st.sampled_from(["deg4", "qsqrt_m5"]), bits=st.sampled_from([64, 128]),
        data=st.data())
 def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
-    # sigma(v) from the cached integral-basis images against the direct
-    # Horner embedding, with coordinates large enough to need extra guard bits
+    # sigma(v) from the cached integral-basis images against interval Horner
+    # on v's power coordinates at a refined root box, with coordinates large
+    # enough to need extra guard bits
     K = {"deg4": deg4, "qsqrt_m5": qsqrt_m5}[which]
     coords = data.draw(st.lists(
         st.builds(Fraction, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 20)),
         min_size=K.n, max_size=K.n))
     v = K.element(coords)
-    rows, denom = rows_of(K, [v])
     keep = max(_PREFILTER_BITS, bits - 16)
     for idx in range(K.n):
-        box = _image_box(K, rows[0], denom, idx, bits)
+        box = K.embed(v, idx, bits)
         assert box.width() <= Fraction(1, 1 << bits)
-        assert box.intersects(v.embed(idx, bits))
+        horner = oracle_setup.eval_at(v.power_coords(), K.roots(bits + 256)[idx].box,
+                                      bits + 288)
+        assert horner.width() <= Fraction(1, 1 << bits)
+        assert box.intersects(horner)
         assert box.round_outward(keep).width() <= Fraction(2, 1 << keep)
 
 

@@ -1,12 +1,12 @@
 """The certified set-up on Python integers against its Fraction form, kept
 verbatim in `oracle_setup`: interval Horner (and through it the root
-boxes and the basis images), the enumerator's image boxes and basis
-embeddings, the HNF of ideal products and principal ideals, conjugation
-and inversion.  Every comparison is equality, so each rewrite must give
-the very boxes and rows the Fraction code gave.  LLL has its own
-differential tests in test_linalg.py.  The last tests check that the cell
-hash skips the same-cell block exactly when no pair in it can be at unit
-distance."""
+boxes and the basis images), element embeddings (the enumerator's image
+boxes) and the enumerator's basis embeddings, the HNF of ideal products
+and principal ideals, conjugation and inversion.  Every comparison is
+equality, so each rewrite must give the very boxes and rows the Fraction
+code gave.  LLL has its own differential tests in test_linalg.py.  The
+last tests check that the cell hash skips the same-cell block exactly
+when no pair in it can be at unit distance."""
 
 import math
 import random
@@ -100,7 +100,8 @@ def test_image_box_matches_oracle(data, which, denom, bits, gaussian_cm, qsqrt_m
                                        st.integers(-10 ** 30, 10 ** 30)),
                              min_size=K.n, max_size=K.n))
     idx = data.draw(st.integers(0, K.n - 1))
-    got = enumeration._image_box(K, row, denom, idx, bits)
+    # FieldElement divides row and denom by their gcd, which leaves the box alone
+    got = K.embed(FieldElement(K, row, denom), idx, bits)
     want = oracle_setup._image_box(K, row, denom, idx, bits)
     assert (got.re, got.im) == (want.re, want.im)
 
