@@ -289,6 +289,8 @@ class WindowConfig:
         self.projection_coordinate, self.max_points = projection_coordinate, max_points
         if self.scale <= 0:
             raise InvalidArgument(f"scale must be positive, not {self.scale}")
+        if self.max_points <= 0:
+            raise InvalidArgument(f"max points must be positive, not {self.max_points}")
         if self.translate_candidates < 0:
             raise InvalidArgument("translate candidates must be >= 0, not "
                                   f"{self.translate_candidates}")

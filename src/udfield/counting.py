@@ -32,7 +32,8 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
                      PreconditionError, TooLargeEps, WindowTooLarge)
-from .numberfield import CMStructure, FieldElement, NumberField, hermitian_form
+from .numberfield import (CMStructure, FieldElement, NumberField, float_sum_error,
+                          hermitian_form)
 
 
 class PlanarFloatSet:
@@ -83,41 +84,32 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     for the points z = sum_k (row_k / denom) b_k of the integer rows.
 
     sigma(z) = sum_k c_k sigma(b_k) over the integral basis: the basis images
-    are embedded once, as float midpoints m_k with exact errors e_k, and
-    fl(c_k) m_k is summed in a fixed k order.  fl(c_k) = row_k / denom, the
-    correctly rounded quotient of two Python ints.  err bounds sum_k C_k
-    (e_k + 2 (n + 2) 2^-53 |m_k|) with C_k >= max |c_k|, as
-    enumeration._margins does, plus 2^-1074 (1 + |m_k|) for underflow.  A
-    column that is exactly 0 (conj(b_k) = -b_k for re, conj(b_k) = b_k for
-    im) stays exactly 0.
+    come from NumberField.float_image once, as float midpoints m_k with
+    float errors e_k, and fl(c_k) m_k is summed in a fixed k order.
+    fl(c_k) = row_k / denom, the correctly rounded quotient of two Python
+    ints.  err is float_sum_error's bound, with weights C_k >= max |c_k|,
+    the one enumeration._margins takes.  A column that is exactly 0
+    (conj(b_k) = -b_k for re, conj(b_k) = b_k for im) stays exactly 0.
     """
-    from .intervals import float_columns, float_up
-
     K = cm.field
     n = K.n
     rep = cm.pair_reps[coordinate]
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    boxes = K.basis_images(rep, 128)
     zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
             [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
-    C = [Fraction(max(map(abs, map(itemgetter(k), rows)), default=0), denom)
-         for k in range(n)]
     try:
-        err = 0.0
-        xy = []
-        for axis, part in enumerate(("re", "im")):
-            mids, errs = float_columns([getattr(box, part) for box in boxes])
-            bound = Fraction(0)
+        # the unit rows take the basis images at 128 bits
+        images = [K.float_image(FieldElement(K, u), rep) for u in unit]
+        C = [max(map(abs, map(itemgetter(k), rows)), default=0) / denom for k in range(n)]
+        err, xy = 0.0, []
+        for axis, skip in enumerate(zero):
+            mids, errs = zip(*((0.0, 0.0) if z else (m[axis], m[2])
+                               for z, m in zip(skip, images)))
             acc = [0.0] * len(rows)
-            for k in range(n):
-                if zero[axis][k]:
-                    continue
-                m = mids[k]
-                acc = [a + r / denom * m for a, r in zip(acc, map(itemgetter(k), rows))]
-                m = abs(Fraction(m))
-                bound += (C[k] * (errs[k] + Fraction(n + 2, 1 << 52) * m)
-                          + (1 + m) / (1 << 1074))
-            err = max(err, float_up(bound))
+            for k, m in enumerate(mids):
+                if not skip[k]:
+                    acc = [a + r / denom * m for a, r in zip(acc, map(itemgetter(k), rows))]
+            err = max(err, float_sum_error(C, mids, errs))
             xy.append(acc)
     except OverflowError:
         raise PrecisionExhausted("point coordinates beyond float range") from None

@@ -15,13 +15,15 @@ coefficients on that ellipsoid (_coef_ranges) hold every point; let
 M_j = max(-lo_j, hi_j).  The ranges are walked depth first, c_0
 outermost and each coefficient ascending, so points come out in
 lexicographic order of their coefficients on the reduced basis.
-Only the margin band below builds field elements, each straight from its
-integer row.  Every real column t (re, and im for a complex root) of every
-basis vector is held as a float64 midpoint with a rigorous error, and each
-level keeps float partial sums P_t with a margin D_t that bounds
-|x_t - P_t| over every completion: the unfixed coefficients' sum
-M_j |m_jt| plus the centre's error, the sum of M_j e_jt and the rounding
-of the sums.  Floats only prune or accept:
+Every real column t (re, and im for a complex root) of every basis vector
+and of the centre is a float64 midpoint m_jt with a float error e_jt, both
+from NumberField.float_image, and each level keeps float partial sums P_t
+with a margin D_t that bounds |x_t - P_t| over every completion: the
+unfixed coefficients' sum M_j |m_jt| plus the centre's error, the sum of
+M_j e_jt and the rounding of the sums, bounded in floats by
+numberfield.float_sum_error.  In the walk, only the margin band below
+builds field elements, each straight from its integer row.  Floats only
+prune or accept:
 
     prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
     accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
@@ -56,37 +58,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import PrecisionExhausted, WindowTooLarge
-from .intervals import RealInterval, float_columns, float_up
-from .numberfield import (CMStructure, FieldElement, NumberField, abs_sq,
+from .numberfield import (CMStructure, FieldElement, abs_sq, float_sum_error,
                           trace_form)
 
-_PREFILTER_BITS = 48
 _SLACK = 2.0 ** -40
 
 
-def _columns(boxes, real: Sequence[bool]) -> List[RealInterval]:
-    """Real columns of one box per embedding: re and im for a complex root,
-    re alone for a real root (its im is exactly 0 and would make the basis
-    matrix singular)."""
-    return [iv for box, r in zip(boxes, real)
-            for iv in ((box.re,) if r else (box.re, box.im))]
-
-
 def _embedding_columns(real: Sequence[bool]) -> List[range]:
-    """The column indices of each embedding in the rows of _columns."""
+    """The column indices of each embedding in the float rows: re and im
+    at a complex root, re alone at a real root (where im is exactly 0)."""
     cols, t = [], 0
     for r in real:
         cols.append(range(t, t + (1 if r else 2)))
         t += len(cols[-1])
     return cols
-
-
-def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int],
-                      real: Sequence[bool]):
-    """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
-    return [_columns([field.embed(FieldElement(field, v, denom), idx)
-                      .round_outward(_PREFILTER_BITS) for idx in reps], real)
-            for v in basis]
 
 
 def _coef_ranges(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
@@ -155,11 +140,6 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     if any(lo > hi for lo, hi in ranges):
         return ()
     bounds = [max(-lo, hi) for lo, hi in ranges]
-    emb = _basis_embeddings(field, basis, denom, reps, real)
-    center_emb = None
-    if center is not None:
-        z = FieldElement(field, center, denom)
-        center_emb = [field.embed(z, idx).round_outward(_PREFILTER_BITS) for idx in reps]
     work = 0
 
     def spend(count):
@@ -171,12 +151,22 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
             raise WindowTooLarge(f"search work {work} (prefixes tried plus points "
                                  f"found) past the limit {limit}")
 
+    def columns(row):
+        """The float columns of row / denom and their errors."""
+        z = FieldElement(field, row, denom)
+        mids, errs = [], []
+        for idx, ts in zip(reps, cols):
+            re, im, err = field.float_image(z, idx)
+            mids += (re, im)[:len(ts)]
+            errs += [err] * len(ts)
+        return mids, errs
+
     try:
-        mids, errs = zip(*map(float_columns, emb))
-        if center_emb is None:
-            base, base_err = [0.0] * n, [Fraction(0)] * n
+        mids, errs = zip(*map(columns, basis))
+        if center is None:
+            base, base_err = [0.0] * n, [0.0] * n
         else:
-            base, base_err = float_columns(_columns(center_emb, real))
+            base, base_err = columns(center)
         margins = _margins(bounds, mids, errs, base, base_err)
         # the slack absorbs the rounding of float(r^2) and of the bound sums,
         # so a float comparison can prune or accept but never decide the band
@@ -304,20 +294,14 @@ def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
     """margins[k][t] >= |x_t - P_t| over every completion of c_0..c_k.
 
     x_t is the exact column t of center + sum c_j v_j and P_t the float
-    partial sum base_t + c_0 m_0t + ... + c_k m_kt.  The bound is
-    tail + E: tail = sum_{j>k} M_j |m_jt| covers the coordinates not yet
-    fixed, and E covers the centre's error, sum_j M_j e_jt and the
-    rounding of the n products and n additions, which is below
-    2 (n + 2) 2^-53 (|base_t| + sum_j M_j |m_jt|).
+    partial sum base_t + c_0 m_0t + ... + c_k m_kt.  A coefficient not yet
+    fixed, |c_j| <= M_j for j > k, adds at most M_j (|m_jt| + e_jt), so
+    the bound is float_sum_error's with the error e_jt + |m_jt| for j > k.
     """
-    n = len(bounds)
-    out = []
-    for t in range(len(base)):
-        terms = [M * abs(Fraction(m[t])) for M, m in zip(bounds, mids)]
-        E = (base_err[t] + sum(M * e[t] for M, e in zip(bounds, errs))
-             + Fraction(n + 2, 1 << 52) * (abs(Fraction(base[t])) + sum(terms)))
-        out.append([float_up(E + sum(terms[k + 1:])) for k in range(n)])
-    return [list(row) for row in zip(*out)]
+    return [[float_sum_error(bounds, m, [e + abs(y) if j > k else e
+                                         for j, (y, e) in enumerate(zip(m, err))], b, be)
+             for m, err, b, be in zip(zip(*mids), zip(*errs), base, base_err)]
+            for k in range(len(bounds))]
 
 
 def _t2_gram(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:

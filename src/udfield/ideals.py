@@ -164,12 +164,15 @@ def field_index_squared(K: NumberField) -> Fraction:
     return discriminant(K.min_poly) / K.disc
 
 
+_NOT_DEDEKIND = "min_poly is reducible or p divides [O_K : Z[theta]]"
+
+
 def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
     """Factor (p) into primes via min_poly mod p.
 
     Requires p prime and coprime to the index [O_K : Z[theta]].  Verifies
     sum(e_i f_i) = n and that the product of the primes with multiplicity
-    is exactly (p).
+    is exactly (p), as Dedekind's criterion promises, else IndexDivisor.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -190,8 +193,8 @@ def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
         prime = PrimeIdeal(p=p, gen_poly=make_poly(g), e=e,
                            f_res=len(g) - 1, lattice=lat)
         if lat.norm() != prime.norm():
-            raise ValueError(f"norm of ({p}, g) is {lat.norm()}, "
-                             f"expected {prime.norm()}")
+            raise IndexDivisor(f"norm of ({p}, g) is {lat.norm()}, expected "
+                               f"{prime.norm()}: {_NOT_DEDEKIND}")
         out.append(prime)
     if sum(pr.e * pr.f_res for pr in out) != K.n:
         raise ValueError("sum of e*f over primes above p does not equal n")
@@ -199,7 +202,7 @@ def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
     for pr in out:
         prod = prod * pr.lattice ** pr.e
     if prod != FracIdeal.principal(p_elt):
-        raise ValueError(f"product of primes above {p} is not (p)")
+        raise IndexDivisor(f"product of primes above {p} is not (p): {_NOT_DEDEKIND}")
     return out
 
 

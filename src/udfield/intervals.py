@@ -6,10 +6,10 @@ transcendental constants round, and they round outward.  Soundness
 contract: for any operation, the exact result on any points chosen inside
 the input intervals lies inside the output interval.
 
-Hot paths (interval Horner, the enumerator's basis images and coefficient
-box) do the same exact ring operations on integer mantissas over one power
-of two: to_fixed, fixed_point and imul below.  Their endpoints equal the
-Fraction ones, so the boxes are the same.
+Hot paths (interval Horner, and through it the basis images that every
+embedding combines) do the same exact ring operations on integer
+mantissas over one power of two: to_fixed, fixed_point and imul below.
+Their endpoints equal the Fraction ones, so the boxes are the same.
 
 pi and ln come from fixed-point series on Python integers with explicit
 error bounds: Machin formulas, and square-root argument reduction (Brent
@@ -49,12 +49,6 @@ def round_up(q: Rat, bits: int) -> Fraction:
     return Fraction(-((-scaled) // q.denominator), 1 << bits)
 
 
-def float_up(q: Rat) -> float:
-    """The least float >= q."""
-    x = float(q)
-    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
-
-
 def to_fixed(q: Fraction, s: int) -> int:
     """q 2^s, for a dyadic q whose denominator divides 2^s."""
     return q.numerator << (s - q.denominator.bit_length() + 1)
@@ -75,14 +69,6 @@ def imul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     """The product of the intervals [a, b] and [c, d]."""
     p = (a * c, a * d, b * c, b * d)
     return min(p), max(p)
-
-
-def float_columns(ivs):
-    """Float midpoints of the intervals, with exact bounds on their error."""
-    exact = [iv.midpoint() for iv in ivs]
-    mids = [float(q) for q in exact]
-    errs = [iv.width() / 2 + abs(Fraction(x) - q) for x, q, iv in zip(mids, exact, ivs)]
-    return mids, errs
 
 
 def sqrt_lower(q: Rat, bits: int) -> Fraction:
@@ -182,9 +168,6 @@ class RealInterval:
         lo = max(self.lo, Fraction(0))
         return RealInterval(sqrt_lower(lo, bits), sqrt_upper(self.hi, bits))
 
-    def round_outward(self, bits: int) -> "RealInterval":
-        return RealInterval(round_down(self.lo, bits), round_up(self.hi, bits))
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -253,9 +236,6 @@ class ComplexInterval:
 
     def width(self) -> Fraction:
         return max(self.re.width(), self.im.width())
-
-    def round_outward(self, bits: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.round_outward(bits), self.im.round_outward(bits))
 
     def __complex__(self) -> complex:
         return complex(float(self.re.midpoint()), float(self.im.midpoint()))

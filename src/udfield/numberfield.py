@@ -7,7 +7,7 @@ and inverses go through the integer matrix of multiplication built from
 the structure constants.  Embedding values are certified complex
 intervals refined on demand.  Irreducibility of the defining polynomial
 is not verified (squarefreeness is); a reducible polynomial surfaces
-later as NotAField when a zero divisor is inverted.
+later as NotAField when a zero divisor is inverted or its sign is taken.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class NumberField:
         self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
         self._cm_checked = False
-        self._mq_ds: Optional[Tuple[int, ...]] = None  # set by multiquadratic builder
-        self._basis_images: Dict[Tuple[int, int], List[ComplexInterval]] = {}
         self._image_ends: Dict[Tuple[int, int], tuple] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -183,19 +181,17 @@ class NumberField:
     def is_totally_imaginary(self) -> bool:
         return self.n_real_embeddings() == 0
 
-    def embed(self, z: "FieldElement", root_index: int, bits: int = 64) -> ComplexInterval:
-        """sigma_i(z) as a certified box of width <= 2^-bits.
-
-        The combination sum_k num_k sigma(b_k) of the basis images of width
-        2^-g, as integers over one 2^s, is exact; each endpoint of its
-        quotient by den is one floor division, outward to 2^-g.  The width
-        is at most (sum |num_k| / den + 2) 2^-g, and g exceeds bits by a
-        multiple of 64 that covers the bit length of that factor."""
+    def _ends(self, z: "FieldElement", root_index: int, bits: int):
+        """(g, D, ends): sigma_i(z) as integer ends over D = den 2^s,
+        ends = D ((re.lo, re.hi), (im.lo, im.hi)), the exact sum of num_k
+        sigma(b_k) over basis images of width 2^-g, so of width at most
+        (sum |num_k| / den) 2^-g; g exceeds bits by a multiple of 64 that
+        covers the bit length of that factor plus 2 (embed's rounding)."""
         row, den = z.num, z.den
         S = -(-sum(map(abs, row)) // den) + 2    # ceil(sum |num_k| / den) + 2
         g = bits + 64 * (1 + S.bit_length() // 64)
         s, images = self.basis_image_ends(root_index, g)
-        parts = []
+        ends = []
         for axis in (0, 2):
             lo = hi = 0
             for c, box in zip(row, images):
@@ -203,38 +199,52 @@ class NumberField:
                     lo, hi = lo + c * box[axis], hi + c * box[axis + 1]
                 elif c < 0:
                     lo, hi = lo + c * box[axis + 1], hi + c * box[axis]
-            parts.append(RealInterval(Fraction((lo << g) // (den << s), 1 << g),
-                                      Fraction(-((-hi << g) // (den << s)), 1 << g)))
-        return ComplexInterval(*parts)
+            ends.append((lo, hi))
+        return g, den << s, ends
 
-    def basis_images(self, root_index: int, bits: int) -> List[ComplexInterval]:
-        """sigma_i(b_k) for the integral basis b_0..b_{n-1}, each box of
-        width <= 2^-bits by interval Horner at a refined root box, embedded
-        once per (root_index, bits)."""
+    def embed(self, z: "FieldElement", root_index: int, bits: int = 64) -> ComplexInterval:
+        """sigma_i(z) as a certified box of width <= 2^-bits: each end of
+        _ends rounded outward to 2^-g by one floor division."""
+        g, D, ends = self._ends(z, root_index, bits)
+        return ComplexInterval(*(RealInterval(Fraction((lo << g) // D, 1 << g),
+                                              Fraction(-((-hi << g) // D), 1 << g))
+                                 for lo, hi in ends))
+
+    def float_image(self, z: "FieldElement", root_index: int, bits: int = 64):
+        """(re, im, err): the correctly rounded midpoints of _ends' box
+        (width <= 2^-bits) and a float err, rounded up, at least
+        |midpoint - re| + half the width and the same for im, so that err
+        bounds the error of both.  Raises OverflowError past float range."""
+        _, D, ends = self._ends(z, root_index, bits)
+        D2, mids, err = 2 * D, [], 0.0
+        for lo, hi in ends:
+            m = (lo + hi) / D2
+            a, b = m.as_integer_ratio()
+            N = abs(a * D2 - (lo + hi) * b) + (hi - lo) * b
+            if N:
+                err = max(err, math.nextafter(N / (D2 * b), math.inf))
+            mids.append(m)
+        return mids[0], mids[1], err
+
+    def basis_image_ends(self, root_index: int, bits: int):
+        """(s, rows): sigma_i(b_k) for the integral basis b_0..b_{n-1} as
+        integers over one 2^s, rows[k] = 2^s (re.lo, re.hi, im.lo, im.hi),
+        each box of width <= 2^-bits by interval Horner at a refined root
+        box, embedded once per (root_index, bits)."""
         key = (root_index, bits)
-        if key not in self._basis_images:
-            target = Fraction(1, 1 << bits)
-            images = []
+        if key not in self._image_ends:
+            ends = []
             for power in self.basis_mat:
                 work = bits
                 while True:
                     val = eval_at(power, self.roots(work)[root_index].box, bits=work + 32)
-                    if val.width() <= target:
+                    if val.width() <= Fraction(1, 1 << bits):
                         break
                     if work >= EMBED_BITS_CAP:
                         raise PrecisionExhausted(
                             f"embedding of a basis element did not reach 2^-{bits}")
                     work *= 2
-                images.append(val)
-            self._basis_images[key] = images
-        return self._basis_images[key]
-
-    def basis_image_ends(self, root_index: int, bits: int):
-        """(s, rows): the boxes of basis_images as integers over one 2^s,
-        rows[k] = 2^s (re.lo, re.hi, im.lo, im.hi) of sigma_i(b_k)."""
-        key = (root_index, bits)
-        if key not in self._image_ends:
-            ends = [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in self.basis_images(*key)]
+                ends.append((val.re.lo, val.re.hi, val.im.lo, val.im.hi))
             s = max(q.denominator.bit_length() for b in ends for q in b) - 1
             self._image_ends[key] = s, [[to_fixed(q, s) for q in b] for b in ends]
         return self._image_ends[key]
@@ -248,6 +258,31 @@ class NumberField:
             "integral_basis": [[str(c) for c in row] for row in self.basis_mat],
             "label": self.label,
         }
+
+
+def float_sum_error(weights, mids, errs, base: float = 0.0, base_err: float = 0.0) -> float:
+    """A float bound on |x - P| for the float sum P = base + c_0 m_0 + ...
+    in that order, each c_k a float (an integer or a correctly rounded
+    quotient) with |c_k| <= weights[k], where x is the exact sum over the
+    values that base and m_k stand for, within base_err and errs[k]:
+
+        base_err + sum_k w_k e_k + (n + 2) 2^-52 (|base| + sum_k w_k |m_k|)
+
+    The last term covers the rounding of the c_k, the n products and the
+    n additions (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 3.1), and 2^-1072 (1 + |m_k|) per term what underflow can
+    lose.  All terms are nonnegative, so the growth by 1 + 2^-40 covers the
+    bound's own at most 8n + 4 roundings (of the weights and errors passed
+    in too) for n below 1000.  Raises OverflowError past float range."""
+    n = len(mids)
+    s, e = abs(base), base_err
+    for w, m, r in zip(weights, mids, errs):
+        s += w * abs(m)
+        e += w * r + (1 + abs(m)) * 2.0 ** -1072
+    bound = (e + (n + 2) * 2.0 ** -52 * s) * (1 + 2.0 ** -40)
+    if not bound < math.inf:
+        raise OverflowError("error bound beyond float range")
+    return bound
 
 
 class FieldElement:
@@ -359,18 +394,20 @@ class FieldElement:
     def sign_at(self, root_index: int) -> int:
         """Exact sign (-1, 0 or 1) of sigma_i(z), for z real at that root.
 
-        Doubles the precision until the box leaves zero; a nonzero element
-        embeds to a nonzero value, so this ends (or embed raises
-        PrecisionExhausted at its cap)."""
+        Doubles the precision until the real ends of _ends leave zero,
+        which a nonzero element of a field does; a z of norm 0 whose first
+        box holds 0 is a zero divisor and raises NotAField."""
         if self.is_zero():
             return 0
         bits = 64
         while True:
-            box = self.embed(root_index, bits)
-            if box.re.lo > 0:
+            lo, hi = self.field._ends(self, root_index, bits)[2][0]
+            if lo > 0:
                 return 1
-            if box.re.hi < 0:
+            if hi < 0:
                 return -1
+            if bits == 64 and self.norm() == 0:
+                raise NotAField("zero divisor encountered: min_poly is reducible")
             bits *= 2
 
     def __repr__(self):
@@ -580,7 +617,6 @@ def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField
 
     lbl = label or ("Q(" + ",".join(f"sqrt({d})" for d in ds) + ")")
     fld = NumberField(min_poly, basis_power, label=lbl)
-    fld._mq_ds = ds
     if any(d < 0 for d in ds):
         diag = []
         for sa in subsets:

@@ -218,11 +218,12 @@ def read_points_csv(path: str):
 
 def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str,
               size: int = 800):
-    """Static scatter plot with unit-distance edges; deterministic bytes."""
+    """Static scatter plot with unit-distance edges; deterministic bytes.
+    An empty point set draws the frame alone."""
     xs = [x for x, _ in ps.planar]
     ys = [y for _, y in ps.planar]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+    xmin, xmax = min(xs, default=0.0), max(xs, default=0.0)
+    ymin, ymax = min(ys, default=0.0), max(ys, default=0.0)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     pad = 0.05 * span
 

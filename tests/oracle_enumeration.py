@@ -1,6 +1,8 @@
 """The lattice enumerators as they stood before the real-box search was
 folded into `udfield.enumeration.lattice_points_in_polydisc`, kept verbatim
-as a differential-test oracle (only the imports are made absolute).
+as a differential-test oracle (only the imports are made absolute, and
+the interval method `round_outward`, which `udfield` dropped, is called
+as `oracle_setup`'s function).
 
 `lattice_points_in_polydisc` is the old polydisc enumerator;
 `real_lattice_points_in_box` is the old real-box search for totally real
@@ -15,6 +17,7 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from oracle_setup import round_outward
 from udfield import linalg
 from udfield.errors import WindowTooLarge
 from udfield.intervals import ComplexInterval, RealInterval, sqrt_upper
@@ -29,7 +32,7 @@ def _basis_embeddings(basis: Sequence[FieldElement], cm: CMStructure, bits: int)
     keep = max(_PREFILTER_BITS, bits - 16)
     rows = []
     for v in basis:
-        rows.append([v.embed(idx, bits).round_outward(keep)
+        rows.append([round_outward(v.embed(idx, bits), keep)
                      for idx in cm.pair_reps])
     return rows
 
@@ -118,7 +121,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     emb = _basis_embeddings(basis, cm, 64)
     center_emb = None
     if center is not None and not center.is_zero():
-        center_emb = [center.embed(idx, 64).round_outward(_PREFILTER_BITS)
+        center_emb = [round_outward(center.embed(idx, 64), _PREFILTER_BITS)
                       for idx in cm.pair_reps]
     bounds = None
     bits = 64
@@ -212,7 +215,7 @@ def real_lattice_points_in_box(basis: Sequence[FieldElement], bound: Fraction,
 
     bits = 64
     while True:
-        emb = [[v.embed(i, bits).re.round_outward(bits - 16) for i in range(n)]
+        emb = [[round_outward(v.embed(i, bits).re, bits - 16) for i in range(n)]
                for v in basis]
         mid = [[e.midpoint() for e in row] for row in emb]
         try:

@@ -3,7 +3,9 @@ image of integer rows, the cell-hash pair search with its integer decision
 of the survivors, and the neighbour search it shared with the float
 counter, kept verbatim as a differential-test oracle (only the imports are
 made absolute, and `max_abs` is copied from `udfield.linalg`, where it no
-longer exists).
+longer exists).  `planar_image` takes its Fraction basis images and its
+`float_columns` and `float_up` from `oracle_setup`, which keeps them since
+`udfield` dropped them.
 
 The rows may be any (m, n) integer array, int64 or object dtype.
 """
@@ -39,13 +41,13 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     """
     import numpy as np
 
-    from udfield.intervals import float_columns, float_up
+    from oracle_setup import basis_images, float_columns, float_up
 
     K = cm.field
     n = K.n
     rep = cm.pair_reps[coordinate]
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    boxes = K.basis_images(rep, 128)
+    boxes = basis_images(K, rep, 128)
     zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
             [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
     xy = np.zeros((len(rows), 2))

@@ -3,8 +3,9 @@ coefficient for all its values at once in numpy, and returned an (m, n)
 int64 or object array, kept verbatim as a differential-test oracle (only
 the imports are made absolute; the helpers it shares with the current
 enumerator are imported from `udfield.enumeration`, except the Fraction
-set-up `_image_box`, `_basis_embeddings` and `_coord_bounds`, which come
-from `oracle_setup`, and `int_rows` and `max_abs` are copied from
+set-up `_image_box`, `_basis_embeddings`, `_coord_bounds`, `_columns`,
+`_margins`, `float_columns`, `round_outward` and `_PREFILTER_BITS`, which
+come from `oracle_setup`, and `int_rows` and `max_abs` are copied from
 `udfield.linalg`, where they no longer exist).
 """
 
@@ -13,11 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from oracle_setup import _basis_embeddings, _coord_bounds, _image_box
-from udfield.enumeration import (_PREFILTER_BITS, _SLACK, _columns,
-                                 _embedding_columns, _lll_reduce_basis, _margins)
+from oracle_setup import (_PREFILTER_BITS, _basis_embeddings, _columns, _coord_bounds,
+                          _image_box, _margins, float_columns, round_outward)
+from udfield.enumeration import _SLACK, _embedding_columns, _lll_reduce_basis
 from udfield.errors import PrecisionExhausted, WindowTooLarge
-from udfield.intervals import float_columns
 from udfield.numberfield import CMStructure, FieldElement, abs_sq
 
 
@@ -65,8 +65,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     emb = _basis_embeddings(field, basis, denom, reps, real, 64)
     center_emb = None
     if center is not None and any(center):
-        center_emb = [_image_box(field, center, denom, idx, 64)
-                      .round_outward(_PREFILTER_BITS) for idx in reps]
+        center_emb = [round_outward(_image_box(field, center, denom, idx, 64),
+                                    _PREFILTER_BITS) for idx in reps]
     bounds = None
     bits = 64
     while bounds is None:

@@ -3,11 +3,12 @@ copies of its polydisc after the base one, kept verbatim as a
 differential-test oracle together with its four helpers (`_unit_stretches`,
 `fundamental_units`, `_mq_subset_sqrt`, `_pell_fundamental`).
 
-Three places differ: the field no longer keeps the stretch cache or the
-multiquadratic builder's subset-to-power matrix, so the stretches are
-cached here per field, and `_subset_to_power` rebuilds that matrix by the
-builder's own primitive-element search, checked against the field's
-minimal polynomial; and the searches run `oracle_polydisc`'s enumerator,
+Four places differ: the field no longer keeps the stretch cache, the
+multiquadratic builder's subset-to-power matrix or its generators, so the
+stretches are cached here per field, `_subset_to_power` rebuilds that
+matrix by the builder's own primitive-element search, checked against the
+field's minimal polynomial, and `_mq_ds` reads the generators off the
+field's label; and the searches run `oracle_polydisc`'s enumerator,
 whose cap counts the cells of its coefficient box as the enumerator's cap
 did then (the enumerator's cap now counts its work, which would walk the
 far-stretched polydiscs for 2 000 000 steps each before giving up).
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -61,6 +63,22 @@ def _subset_to_power(ds: Tuple[int, ...]):
                 cur = alg_mul(cur, theta)
             if mat_det(mat(rows)) != 0:
                 return mat_inv(mat(rows)), cur
+
+
+def _mq_ds(K: NumberField):
+    """The generators d_1, ..., d_m of a field that compositum_multiquadratic
+    built (m >= 2), read off its label ("Q(sqrt(5),i)" from build_field,
+    "Q(sqrt(5),sqrt(-1))" by default) and checked against its minimal
+    polynomial; None for any other field.  The builder used to keep them
+    on the field."""
+    ds = tuple(int(d) for d in re.findall(r"sqrt\((-?\d+)\)", K.label))
+    ds += (-1,) * K.label.endswith(",i)")
+    if len(ds) < 2 or 1 << len(ds) != K.n:
+        return None
+    Pinv, theta_N = _subset_to_power(ds)
+    if [-c for c in vec_mat(theta_N, Pinv)] + [1] != list(K.min_poly):
+        return None
+    return ds
 
 
 def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
@@ -130,9 +148,9 @@ def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):
 def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
     """Fundamental units of the real quadratic subfields (multiquadratic
     fields only; other fields yield no stretches)."""
-    if K._mq_ds is None:
+    ds = _mq_ds(K)
+    if ds is None:
         return []
-    ds = K._mq_ds
     m = len(ds)
     out = []
     for mask in range(1, 1 << m):
@@ -156,10 +174,11 @@ def fundamental_units(K: NumberField, cm: CMStructure) -> List[FieldElement]:
 
 def _mq_subset_sqrt(K: NumberField, mask: int) -> FieldElement:
     """The element prod_{i in mask} sqrt(d_i) of a multiquadratic field."""
-    N = 1 << len(K._mq_ds)
+    ds = _mq_ds(K)
+    N = 1 << len(ds)
     subset = [Fraction(0)] * N
     subset[mask] = Fraction(1)
-    Pinv, theta_N = _subset_to_power(K._mq_ds)
+    Pinv, theta_N = _subset_to_power(ds)
     assert [-c for c in vec_mat(theta_N, Pinv)] + [1] == list(K.min_poly)
     power = vec_mat(subset, Pinv)
     return K.from_power_coords(power)

@@ -6,22 +6,91 @@ on Fraction Gram-Schmidt data), `hnf_rows` (Euclid on whole columns, with
 no modulus), and `conj` and `inverse` (CMStructure.conj through the
 Fraction conjugation matrix, FieldElement.inverse through mat_inv), the
 last two as functions of the structure or element they were methods of.
+With them are the Fraction helpers that the enumerator and the planar
+image used to reach floats: `float_up`, `float_columns`, `_columns`,
+`_PREFILTER_BITS` and `_margins`, copied from `udfield.intervals` and
+`udfield.enumeration`, where they no longer exist, and the interval
+method `round_outward`, as a function.
 
 The only edits are the absolute imports: `_coord_bounds` imports linalg
-from udfield, and the two methods take `self` as their first argument.
+from udfield, the two methods take `self` as their first argument,
+`round_outward` is called as a function, and `basis_images` rebuilds the
+Fraction boxes of the field's basis images from the integer ends that the
+field now caches in their place.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from udfield.enumeration import _PREFILTER_BITS, _columns
 from udfield.errors import DivisionByZero, NotAField
 from udfield.intervals import (ComplexInterval, RealInterval, round_down,
                                round_up, sqrt_upper)
 from udfield.linalg import Matrix, mat_inv, vec_mat
 from udfield.numberfield import FieldElement, NumberField
+
+
+_PREFILTER_BITS = 48
+
+
+def float_up(q) -> float:
+    """The least float >= q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def float_columns(ivs):
+    """Float midpoints of the intervals, with exact bounds on their error."""
+    exact = [iv.midpoint() for iv in ivs]
+    mids = [float(q) for q in exact]
+    errs = [iv.width() / 2 + abs(Fraction(x) - q) for x, q, iv in zip(mids, exact, ivs)]
+    return mids, errs
+
+
+def _columns(boxes, real: Sequence[bool]) -> List[RealInterval]:
+    """Real columns of one box per embedding: re and im for a complex root,
+    re alone for a real root (its im is exactly 0 and would make the basis
+    matrix singular)."""
+    return [iv for box, r in zip(boxes, real)
+            for iv in ((box.re,) if r else (box.re, box.im))]
+
+
+def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
+    """margins[k][t] >= |x_t - P_t| over every completion of c_0..c_k.
+
+    x_t is the exact column t of center + sum c_j v_j and P_t the float
+    partial sum base_t + c_0 m_0t + ... + c_k m_kt.  The bound is
+    tail + E: tail = sum_{j>k} M_j |m_jt| covers the coordinates not yet
+    fixed, and E covers the centre's error, sum_j M_j e_jt and the
+    rounding of the n products and n additions, which is below
+    2 (n + 2) 2^-53 (|base_t| + sum_j M_j |m_jt|).
+    """
+    n = len(bounds)
+    out = []
+    for t in range(len(base)):
+        terms = [M * abs(Fraction(m[t])) for M, m in zip(bounds, mids)]
+        E = (base_err[t] + sum(M * e[t] for M, e in zip(bounds, errs))
+             + Fraction(n + 2, 1 << 52) * (abs(Fraction(base[t])) + sum(terms)))
+        out.append([float_up(E + sum(terms[k + 1:])) for k in range(n)])
+    return [list(row) for row in zip(*out)]
+
+
+def round_outward(box, bits: int):
+    """A RealInterval or ComplexInterval rounded outward to 2^-bits."""
+    if isinstance(box, ComplexInterval):
+        return ComplexInterval(round_outward(box.re, bits), round_outward(box.im, bits))
+    return RealInterval(round_down(box.lo, bits), round_up(box.hi, bits))
+
+
+def basis_images(field: NumberField, idx: int, bits: int) -> List[ComplexInterval]:
+    """sigma_idx(b_k) for the integral basis, as the Fraction boxes of the
+    integer ends in NumberField.basis_image_ends."""
+    s, rows = field.basis_image_ends(idx, bits)
+    return [ComplexInterval(RealInterval(Fraction(a, 1 << s), Fraction(b, 1 << s)),
+                            RealInterval(Fraction(c, 1 << s), Fraction(d, 1 << s)))
+            for a, b, c, d in rows]
 
 
 def eval_at(p: Sequence, x, bits: int = None):
@@ -57,7 +126,7 @@ def _image_box(field: NumberField, row: Sequence[int], denom: int, idx: int,
     parts = []
     for axis in ("re", "im"):
         lo = hi = Fraction(0)
-        for c, box in zip(row, field.basis_images(idx, g)):
+        for c, box in zip(row, basis_images(field, idx, g)):
             iv = getattr(box, axis)
             if c > 0:
                 lo, hi = lo + c * iv.lo, hi + c * iv.hi
@@ -71,7 +140,7 @@ def _basis_embeddings(field: NumberField, basis, denom: int, reps: Sequence[int]
                       real: Sequence[bool], bits: int):
     """Columns of sigma_i(v_j) as coarse intervals, one row per basis row."""
     keep = max(_PREFILTER_BITS, bits - 16)
-    return [_columns([_image_box(field, v, denom, idx, bits).round_outward(keep)
+    return [_columns([round_outward(_image_box(field, v, denom, idx, bits), keep)
                       for idx in reps], real) for v in basis]
 
 

@@ -173,7 +173,7 @@ def test_precision_env(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
 
 
-def _run_python(tmp_path, *args):
+def _run_python(tmp_path, *args, timeout=None):
     """Run python in a child that imports this udfield, so a traceback
     would reach stderr."""
     import subprocess
@@ -185,12 +185,12 @@ def _run_python(tmp_path, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def _run_module(tmp_path, *args):
+def _run_module(tmp_path, *args, timeout=None):
     """Run `python -m udfield` in a child."""
-    return _run_python(tmp_path, "-m", "udfield", *args)
+    return _run_python(tmp_path, "-m", "udfield", *args, timeout=timeout)
 
 
 def test_bad_field_json_exits_3(tmp_path):
@@ -385,6 +385,8 @@ BAD_WINDOW_ARGS = [(("--translate-candidates", "2000"), 7),
                    (("--translate-candidates", "-1"), 3),
                    (("--projection-coordinate", "2"), 3),
                    (("--scale", "0"), 3),
+                   (("--max-points", "-5"), 3),
+                   (("--max-points", "0"), 3),
                    (("--out", "taken"), 3)]
 
 
@@ -417,6 +419,31 @@ def test_generate_bad_window_args_exit_typed(tmp_path, args, code):
                        "--R", "3", "--out", "run", *args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["--mode", "closure", "--R", "1/2"], ["--R", "-3"]])
+def test_generate_empty_point_set_plots_the_frame(tmp_path, capsys, args):
+    # a closure at R = 1/2 and a window at R < 0 hold no point: the plot is
+    # the frame alone, byte for byte the same on a second run
+    plots = []
+    for out in ("a", "b"):
+        assert main(["generate", "--field", "gaussian", "--scale", "1", *args,
+                     "--allow-small-R", "--out", str(tmp_path / out)]) == 0
+        assert json.loads(capsys.readouterr().out)["measured_points"] == 0
+        plots.append((tmp_path / out / "scatter.svg").read_bytes())
+    assert plots[0] == plots[1]
+    assert b"<circle" not in plots[0] and plots[0].endswith(b"</svg>\n")
+
+
+def test_reducible_min_poly_exits_4(tmp_path):
+    # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1) is squarefree and passes CM
+    # detection; the first sign taken of a zero divisor raises NotAField
+    (tmp_path / "field.json").write_text(json.dumps({"min_poly": [1, 0, 1, 0, 1]}))
+    proc = _run_module(tmp_path, "generate", "--field", "field.json", "--prime", "7",
+                       "--k", "1", "--scale", "1", "--R", "3", "--no-plot", "--out", "run",
+                       timeout=30)
+    assert proc.returncode == 4, proc.stderr
+    assert "reducible" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_exact_count_beyond_float_precision_exits_5(tmp_path):

@@ -1,5 +1,6 @@
 """CLI fuzz test: argv drawn over all seven subcommands, with malformed
-numbers and paths and truncated, NaN or huge CSV/JSON inputs.
+numbers and paths, truncated, NaN or huge CSV/JSON inputs, and a field
+JSON whose minimal polynomial is reducible.
 
 Every invocation must end in exit code 0 or a typed family code (2 from
 argparse, 3..8 from UdfieldError), never in an uncaught exception.
@@ -35,6 +36,9 @@ BAD_JSON = [float("nan"), float("inf"), 1e300, 10 ** 400, -1, 0, 1.5, "x", "",
             None, [], {}, [[1, 0], [0, 1]], [1, 0, 1]]
 FIELDS = ["gaussian", "qsqrt-5", "qsqrt5", "qsqrt0", "qsqrtx", "adjoin-i:",
           "adjoin-i:x", "adjoin-i:4", "adjoin-i:-1", "nope"]
+# x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1): squarefree and CM-shaped, but
+# not a field
+REDUCIBLE = [1, 0, 1, 0, 1]
 PATHS = ["missing.csv", "", "dir", "a\x00b", "x" * 300, "dir/missing/f.csv"]
 
 
@@ -127,13 +131,14 @@ def _files(workdir, data):
     (d / "pointset.csv").write_bytes(csv_text.encode("utf-8", "surrogateescape"))
     (d / "pointset.json").write_text(_json_text(sidecar, data))
     (d / "field.json").write_text(_json_text(_mutate_json(sidecar["field"], data), data))
+    (d / "reducible.json").write_text(json.dumps({"min_poly": REDUCIBLE}))
     return d
 
 
 def _argv(data, d):
     path = st.sampled_from([str(d / "pointset.csv"), str(d / "pointset.json"),
                             str(d / "field.json")] + PATHS)
-    field = st.sampled_from(FIELDS + [str(d / "field.json")])
+    field = st.sampled_from(FIELDS + [str(d / "field.json"), str(d / "reducible.json")])
     command = data.draw(st.sampled_from(
         ["generate", "count", "exponent", "gs-check", "find-split-primes", "r2",
          "grid", "bogus"]))
@@ -172,7 +177,8 @@ def _argv(data, d):
     if command == "r2":
         return ["r2", "--alpha", data.draw(numbers(25, 5, "1,2", "1,2,3", "3,1"))] + data.draw(
             flags(**{"--field": st.sampled_from(["qsqrt5", "qsqrt2", "gaussian", "qsqrtx",
-                                                 str(d / "field.json")]),
+                                                 str(d / "field.json"),
+                                                 str(d / "reducible.json")]),
                      "--box": numbers(3, 10)}))
     if command == "grid":
         return (["grid", "--n", data.draw(st.one_of(numbers(4, 25, 5), past(GRID_LIMIT)))]

@@ -10,7 +10,7 @@ import oracle_setup
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from pointrows import elements_of, rows_of
 from udfield.counting import unit_differences
-from udfield.enumeration import (_PREFILTER_BITS, _coef_ranges, _lll_reduce_basis,
+from udfield.enumeration import (_coef_ranges, _lll_reduce_basis,
                                  lattice_points_in_polydisc)
 from udfield.errors import WindowTooLarge
 from udfield.intervals import ComplexInterval
@@ -183,7 +183,6 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
         st.builds(Fraction, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 20)),
         min_size=K.n, max_size=K.n))
     v = K.element(coords)
-    keep = max(_PREFILTER_BITS, bits - 16)
     for idx in range(K.n):
         box = K.embed(v, idx, bits)
         assert box.width() <= Fraction(1, 1 << bits)
@@ -191,7 +190,10 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
                                       bits + 288)
         assert horner.width() <= Fraction(1, 1 << bits)
         assert box.intersects(horner)
-        assert box.round_outward(keep).width() <= Fraction(2, 1 << keep)
+        # the float image from the same ends is within err of the value
+        re, im, err = K.float_image(v, idx, bits)
+        for m, iv in ((re, horner.re), (im, horner.im)):
+            assert iv.lo - Fraction(err) <= Fraction(m) <= iv.hi + Fraction(err)
 
 
 def test_limit_counts_work_not_box_cells(gaussian_cm, deg4_cm):

@@ -1,7 +1,8 @@
 """Differential tests: the exact pipeline on Python ints against the numpy
 form it replaced, kept in `oracle_pairsearch` and `oracle_polydisc`.
 
-- `planar_image` gives the same floats, bit for bit, and the same err;
+- `planar_image` gives the same floats, bit for bit, and an err at least
+  the oracle's and at most twice it;
 - the pairs of a window from `unit_pair_indices`, from the join over the
   `unit_differences` of its lattice scale * O_K, from the cell hash in
   Python and from the numpy cell hash are the same, over Q(i), Q(sqrt -5)
@@ -55,7 +56,7 @@ def _image_or_error(image, *args):
         xy, err = image(*args)
     except PrecisionExhausted:
         return "PrecisionExhausted"
-    return _bits(getattr(xy, "tolist", lambda: xy)()), float.hex(err)
+    return _bits(getattr(xy, "tolist", lambda: xy)()), err
 
 
 coordinate = st.one_of(
@@ -81,7 +82,14 @@ def test_planar_image_matches_oracle_bit_for_bit(data, which, gaussian_cm,
     got = _image_or_error(planar_image, rows, denom, cm, index)
     want = _image_or_error(oracle_pairsearch.planar_image, _array(rows, K.n), denom,
                            cm, index)
-    assert got == want
+    if "PrecisionExhausted" in (got, want):
+        assert got == want
+        return
+    (xy, err), (oxy, oerr) = got, want
+    assert xy == oxy
+    # the same rule in floats, grown by 2^-40 and with a coarser underflow
+    # term, bounds at least what the oracle's exact sum bounds
+    assert oerr <= err <= 2 * oerr + 2.0 ** -1000
 
 
 def _oracle_pairs(rows, denom, cm, index):

@@ -56,6 +56,14 @@ def test_index_divisor_rejected():
         split_prime(K, 6)
 
 
+def test_split_of_a_reducible_min_poly_raises_index_divisor():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 mod 2, but (2, x^2 + x + 1)^2 is not
+    # (2) in Q[x]/(x^4 + x^2 + 1), which is no field
+    K = nf_new(make_poly([1, 0, 1, 0, 1]))
+    with pytest.raises(IndexDivisor, match="reducible"):
+        split_prime(K, 2)
+
+
 def test_split_degree4(deg4):
     primes = split_prime(deg4, 29)
     assert len(primes) == 4

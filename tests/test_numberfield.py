@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from udfield.errors import DependentGenerators, DivisionByZero
+from udfield.errors import DependentGenerators, DivisionByZero, NotAField
 from udfield.intervals import RealInterval, sqrt_lower, sqrt_upper
 from udfield.numberfield import (abs_sq, compositum_multiquadratic, detect_cm,
                                  is_unit_modulus, nf_new)
@@ -244,6 +244,22 @@ def test_sign_at_real_embeddings(sqrt5_field):
     tiny = (z * z) ** 20
     assert [tiny.sign_at(i) for i in range(2)] == [1, 1]
     assert [(-tiny).sign_at(i) for i in range(2)] == [-1, -1]
+
+
+def test_sign_at_of_a_zero_divisor_raises_not_a_field():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1): z = theta^2 + theta + 1 is
+    # 0 at the roots of the first factor and 2 theta at the others
+    K = nf_new(make_poly([1, 0, 1, 0, 1]))
+    z = K.theta() * K.theta() + K.theta() + K.one()
+    vanishing = [i for i in range(4) if z.embed(i).re.contains_zero()
+                 and z.embed(i).im.contains_zero()]
+    assert len(vanishing) == 2
+    for i in range(4):
+        if i in vanishing:
+            with pytest.raises(NotAField):
+                z.sign_at(i)
+        else:
+            assert z.sign_at(i) == 1
 
 
 _EMBED_CODE = """\

@@ -1,12 +1,14 @@
 """The certified set-up on Python integers against its Fraction form, kept
 verbatim in `oracle_setup`: interval Horner (and through it the root
-boxes and the basis images), element embeddings (the enumerator's image
-boxes) and the enumerator's basis embeddings, the HNF of ideal products
-and principal ideals, conjugation and inversion.  Every comparison is
-equality, so each rewrite must give the very boxes and rows the Fraction
-code gave.  LLL has its own differential tests in test_linalg.py.  The
-last tests check that the cell hash skips the same-cell block exactly
-when no pair in it can be at unit distance."""
+boxes and the basis images), element embeddings, the HNF of ideal
+products and principal ideals, conjugation and inversion.  Every
+comparison is equality, so each rewrite must give the very boxes and rows
+the Fraction code gave.  The float images that the enumerator and the
+planar image take in place of the Fraction boxes are checked against the
+oracle's boxes and against 256-bit embeddings.  LLL has its own
+differential tests in test_linalg.py.  The last tests check that the cell
+hash skips the same-cell block exactly when no pair in it can be at unit
+distance."""
 
 import math
 import random
@@ -77,15 +79,15 @@ def test_eval_at_matches_oracle(p, ends, real, bits):
 
 @pytest.mark.parametrize("name", ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:3"])
 def test_basis_images_match_oracle(name, monkeypatch):
-    # NumberField.embed through the integer Horner, on a fresh field each
-    # side so that no cached box is shared
+    # the one cache of basis-image ends through the integer Horner against
+    # the Fraction Horner, on a fresh field each side so that no cached box
+    # is shared
     K = build_field(name)
-    got = [K.basis_images(i, bits) for i in range(K.n) for bits in (64, 128, 192)]
+    got = [K.basis_image_ends(i, bits) for i in range(K.n) for bits in (64, 128, 192)]
     monkeypatch.setattr(numberfield, "eval_at", oracle_setup.eval_at)
     L = build_field(name)
-    want = [L.basis_images(i, bits) for i in range(L.n) for bits in (64, 128, 192)]
-    assert [[(b.re, b.im) for b in row] for row in got] == \
-        [[(b.re, b.im) for b in row] for row in want]
+    want = [L.basis_image_ends(i, bits) for i in range(L.n) for bits in (64, 128, 192)]
+    assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,17 +117,49 @@ def _lattices(cm, rng, count):
 
 
 @pytest.mark.parametrize("which", ["gaussian", "qsqrt-5", "deg4"])
-def test_coord_bounds_match_oracle(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
-    # the enumerator's embeddings of random lattices, as it calls
-    # _basis_embeddings (at 64 bits)
+def test_lattice_float_images_match_oracle_boxes(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
+    # the float columns the enumerator takes of random reduced lattices
+    # (float_image at 64 bits) against the Fraction oracle's box of the same
+    # row, which holds the exact value: each float is within err plus the
+    # box's half width of its midpoint, and err is no larger than the
+    # float's rounding and the 64-bit width allow
     cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "deg4": deg4_cm}[which]
     K = cm.field
-    reps = cm.pair_reps
-    real = [K.roots()[i].is_real for i in reps]
     rng = random.Random(17)
     for basis, denom in _lattices(cm, rng, 25):
-        assert (enumeration._basis_embeddings(K, basis, denom, reps, real)
-                == oracle_setup._basis_embeddings(K, basis, denom, reps, real, 64))
+        for v in basis:
+            z = FieldElement(K, v, denom)
+            for idx in cm.pair_reps:
+                re, im, err = K.float_image(z, idx)
+                box = oracle_setup._image_box(K, v, denom, idx, 64)
+                for m, iv in ((re, box.re), (im, box.im)):
+                    assert abs(Fraction(m) - iv.midpoint()) <= err + iv.width() / 2
+                assert err <= max(abs(re), abs(im)) * 2.0 ** -52 + 2.0 ** -64
+
+
+@pytest.fixture(scope="module")
+def image_fields():
+    return {name: build_field(name)
+            for name in ("gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:5,13")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["gaussian", "qsqrt-5", "adjoin-i:5",
+                                              "adjoin-i:5,13"]),
+       denom=st.sampled_from([1, 3, 7, 25, 841, 2 ** 5 * 3, (1 << 64) + 13]))
+def test_float_image_within_err_of_embed(data, which, denom, image_fields):
+    # the exact value lies in the 256-bit box, so the float image, within
+    # err of it, must be within err of that box
+    K = image_fields[which]
+    row = data.draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                       st.integers(-10 ** 30, 10 ** 30)),
+                             min_size=K.n, max_size=K.n))
+    idx = data.draw(st.integers(0, K.n - 1))
+    z = FieldElement(K, row, denom)
+    re, im, err = K.float_image(z, idx)
+    box = K.embed(z, idx, 256)
+    for m, iv in ((re, box.re), (im, box.im)):
+        assert iv.lo - Fraction(err) <= Fraction(m) <= iv.hi + Fraction(err)
 
 
 @st.composite
