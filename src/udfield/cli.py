@@ -156,7 +156,7 @@ def cmd_generate(args) -> int:
     else:
         ps, rep, warnings = _auto_window(K, units, cfg)
 
-    rep.warnings.extend(warnings)
+    rep.warnings.extend(warnings + K.warnings)
     if units.distinct_ideal_count <= 1:
         rep.warnings.append("no nontrivial units: the unit-ideal class "
                             "pigeonhole produced only u = 1 (and torsion)")

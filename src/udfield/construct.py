@@ -29,7 +29,7 @@ from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
 from .linalg import stack_rows
 from .numberfield import (CMStructure, FieldElement, NumberField,
                           detect_cm, is_unit_modulus)
-from .numthy import iroot_ceil, is_prime, squarefree_kernel
+from .numthy import iroot_ceil, is_prime, primes_from, squarefree_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +232,7 @@ def enumerate_window(K: NumberField, scale: Fraction, R: Fraction,
 def halton_translates(K: NumberField, scale: Fraction, count: int) -> List[FieldElement]:
     """Deterministic low-discrepancy fractional offsets in the fundamental
     domain of scale*O_K (van der Corput in coprime bases per coordinate)."""
-    n = K.n
-    bases = []
-    p = 2
-    while len(bases) < n:
-        if is_prime(p):
-            bases.append(p)
-        p += 1
+    bases = list(itertools.islice(primes_from(), K.n))
     out = []
     for idx in range(1, count + 1):
         coords = []
@@ -378,9 +372,11 @@ def covolume_upper(K: NumberField, scale: Fraction) -> Fraction:
     return Fraction(root, 1 << bits) / 2
 
 
-def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]],
+def build_pointset(K: NumberField, units: UnitSet,
                    cfg: WindowConfig) -> Tuple[PointSet, ConstructionReport]:
-    """Window (or unit-translate closure) point set plus the bound ledger.
+    """Window (or unit-translate closure) point set plus the bound ledger,
+    for the certified units of a pigeonhole_units UnitSet (each is checked
+    again to be unit-modulus).
 
     Asserted checks: the translation bound 2 nu >= |U_usable| * |inner
     window| and the packing bound |P| <= (9R^2/delta^2)^f; both are
@@ -399,18 +395,11 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     warnings: List[str] = []
     checks: Dict[str, bool] = {}
 
-    if isinstance(units, UnitSet):
-        emitted = list(units.units)
-        guaranteed = units.guaranteed_min
-        distinct_ideals = units.distinct_ideal_count
-        if units.inconclusive:
-            warnings.append("some principality tests were inconclusive; "
-                            "the unit list may be incomplete (all emitted "
-                            "units are still individually certified)")
-    else:
-        emitted = list(units)
-        guaranteed = None
-        distinct_ideals = len(emitted)
+    emitted = list(units.units)
+    if units.inconclusive:
+        warnings.append("some principality tests were inconclusive; "
+                        "the unit list may be incomplete (all emitted "
+                        "units are still individually certified)")
     for u in emitted:
         if not is_unit_modulus(u, cm):
             raise ValueError("units must all be unit-modulus")
@@ -494,7 +483,8 @@ def build_pointset(K: NumberField, units: Union[UnitSet, Sequence[FieldElement]]
     report = ConstructionReport(
         f=f, delta=delta, R=cfg.R, v_upper=v_upper,
         units_emitted=len(emitted), units_usable=len(usable),
-        distinct_unit_ideals=distinct_ideals, guaranteed_min=guaranteed,
+        distinct_unit_ideals=units.distinct_ideal_count,
+        guaranteed_min=units.guaranteed_min,
         inner_count=len(inner), translation_bound=translation_bound,
         packing_bound=packing, volumetric_lower_2nu=volumetric_interval,
         measured_points=len(rows), measured_unit_pairs=nu,

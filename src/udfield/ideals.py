@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .enumeration import lattice_points_in_polydisc
-from .errors import IndexDivisor, NotPrime, WindowTooLarge, ZeroIdeal
+from .errors import (IndexDivisor, NotPrime, PreconditionError, WindowTooLarge,
+                     ZeroIdeal)
 from .linalg import hnf_det, hnf_rows, mat_det, stack_rows, vec_mat
 from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
 from .numthy import check_squarefree_int, iroot_ceil, is_prime
@@ -130,9 +131,15 @@ class FracIdeal:
         return result
 
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
-        conj = [cm.conj(FieldElement(self.field, row)) for row in self.hnf]
-        rows, extra = stack_rows([(z.num, z.den) for z in conj], self.field.n)
-        return self._normalize(self.field, rows, self.den * extra)
+        """The ideal conj(self), which exists only when conjugation maps the
+        order to itself, that is when its matrix on the basis is integral."""
+        C, L = cm._conj
+        if L != 1:
+            raise PreconditionError(
+                "complex conjugation does not map the order of this basis to "
+                "itself, so the conjugate of an ideal is not an ideal of it; "
+                "pass the field's integral_basis")
+        return self._normalize(self.field, [vec_mat(row, C) for row in self.hnf], self.den)
 
     def __repr__(self):
         return f"FracIdeal({self.field.label}, norm={self.norm()})"

@@ -4,10 +4,13 @@ structure, and the Minkowski embedding into C^f.
 An element is one integer row over one denominator: its coordinates on
 the field's integral basis, num / den in lowest terms.  Products, norms
 and inverses go through the integer matrix of multiplication built from
-the structure constants.  Embedding values are certified complex
-intervals refined on demand.  Irreducibility of the defining polynomial
-is not verified (squarefreeness is); a reducible polynomial surfaces
-later as NotAField when a zero divisor is inverted or its sign is taken.
+the structure constants, and power coordinates are reduced modulo the
+minimal polynomial by poly_divmod.  Embedding values are certified complex
+intervals refined on demand, and the conjugate pairs of a CM field are
+read off the root boxes, which lie off the real axis.  Irreducibility of
+the defining polynomial is not verified (squarefreeness is); a reducible
+polynomial surfaces later as NotAField when a zero divisor is inverted or
+its sign is taken.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class NumberField:
     """A degree-n field Q[x]/(min_poly) with a fixed integral basis."""
 
     def __init__(self, min_poly: IntPoly, basis_mat: Matrix, label: str = "",
-                 index_conditional: bool = False, warnings: Sequence[str] = ()):
+                 warnings: Sequence[str] = ()):
         check_monic(min_poly)
         check_squarefree(min_poly)
         self.min_poly = make_poly(min_poly)
@@ -45,9 +48,7 @@ class NumberField:
             raise ValueError("integral basis must be n x n")
         self.inv_basis_mat = mat_inv(self.basis_mat)
         self.label = label or f"deg{self.n}field"
-        self.index_conditional = index_conditional
         self.warnings = list(warnings)
-        self._theta_powers = self._power_table()
         self.mult_table = self._structure_constants()
         # Tr(b_k) is the trace of multiplication by b_k, whose row i holds
         # the coordinates of b_i b_k
@@ -65,30 +66,11 @@ class NumberField:
 
     # -- construction helpers ------------------------------------------------
 
-    def _power_table(self):
-        """theta^k reduced mod min_poly, for k = 0 .. 2n-2 (power coords)."""
-        n = self.n
-        powers = [tuple(Fraction(1 if i == j else 0) for i in range(n))
-                  for j in range(n)]
-        # theta^n = -(low coefficients) for monic min_poly
-        cur = tuple(Fraction(-c) for c in self.min_poly[:-1])
-        powers.append(cur)
-        for _ in range(n + 1, 2 * n - 1):
-            shifted = (Fraction(0),) + cur[:-1]
-            overflow = cur[-1]
-            cur = tuple(s + overflow * h for s, h in zip(shifted, powers[n]))
-            powers.append(cur)
-        return powers
-
-    def _reduce_power_poly(self, coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        n = self.n
-        out = [Fraction(0)] * n
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for i, p in enumerate(self._theta_powers[k]):
-                out[i] += c * p
-        return tuple(out)
+    def _reduce_power_poly(self, coeffs: Sequence) -> Tuple[Fraction, ...]:
+        """coeffs (power coordinates of any length) reduced mod min_poly to
+        exactly n power coordinates."""
+        rem = poly_divmod(coeffs, self.min_poly)[1]
+        return rem + (Fraction(0),) * (self.n - len(rem))
 
     def _structure_constants(self):
         n = self.n
@@ -139,23 +121,13 @@ class NumberField:
         return self._one
 
     def theta(self) -> "FieldElement":
-        coords = [0] * self.n
-        if self.n == 1:
-            # theta is the rational root of the degree-1 min_poly
-            return self.from_power_coords([-self.min_poly[0]])
-        coords[1] = 1
-        return self.from_power_coords(coords)
+        return self.from_power_coords([0, 1])
 
     def from_power_coords(self, power) -> "FieldElement":
-        power = tuple(Fraction(c) for c in power)
-        if len(power) < self.n:
-            power = power + (Fraction(0),) * (self.n - len(power))
-        if len(power) > self.n:
-            power = self._reduce_power_poly(power)
-        return self.element(vec_mat(power, self.inv_basis_mat))
+        return self.element(vec_mat(self._reduce_power_poly(power), self.inv_basis_mat))
 
     def from_rational(self, q) -> "FieldElement":
-        return self.from_power_coords([Fraction(q)] + [0] * (self.n - 1))
+        return self.from_power_coords([q])
 
     # -- embeddings -----------------------------------------------------------
 
@@ -483,15 +455,15 @@ def nf_new(min_poly, integral_basis=None, label: str = "") -> NumberField:
     """Field from a monic squarefree polynomial.
 
     Quadratic fields get the standard integral basis; other degrees fall
-    back to the power basis (with an index-conditional warning) unless a
-    basis is supplied.
+    back to the power basis Z[theta] unless a basis is supplied, with a
+    warning in K.warnings (which generate's report repeats) that
+    ideal-theoretic results are index-conditional.
     """
     p = make_poly(min_poly)
     check_monic(p)
     check_squarefree(p)
     n = degree(p)
     warnings: List[str] = []
-    index_conditional = False
     if integral_basis is not None:
         basis = mat(integral_basis)
     elif n == 1:
@@ -500,11 +472,9 @@ def nf_new(min_poly, integral_basis=None, label: str = "") -> NumberField:
         basis = _quadratic_integral_basis(p)
     else:
         basis = linalg.identity(n)
-        index_conditional = True
         warnings.append(
             "power basis assumed; ideal-theoretic results are index-conditional")
-    return NumberField(p, basis, label=label,
-                       index_conditional=index_conditional, warnings=warnings)
+    return NumberField(p, basis, label=label, warnings=warnings)
 
 
 def _quadratic_integral_basis(p: IntPoly) -> Matrix:
@@ -668,33 +638,10 @@ def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
             break
     else:
         return None
-    cm.pair_reps = _conjugate_pair_reps(fld)
+    # _pair_disks certifies a non-real root's box off the real axis, and
+    # roots() is in (re, im) midpoint order
+    cm.pair_reps = tuple(i for i, rb in enumerate(fld.roots()) if rb.im.lo > 0)
     return cm
-
-
-def _conjugate_pair_reps(fld: NumberField) -> Tuple[int, ...]:
-    """Indices of the upper-half-plane root of each conjugate pair, sorted."""
-    bits = 64
-    while True:
-        roots = fld.roots(bits)
-        reps = []
-        undecided = False
-        for i, rb in enumerate(roots):
-            if rb.is_real:
-                raise ValueError("field is not totally imaginary")
-            if rb.im.lo > 0:
-                reps.append(i)
-            elif rb.im.hi < 0:
-                continue
-            else:
-                undecided = True
-                break
-        if not undecided:
-            reps.sort(key=lambda i: (roots[i].re.midpoint(), roots[i].im.midpoint()))
-            return tuple(reps)
-        bits *= 2
-        if bits > 4096:
-            raise PrecisionExhausted("could not separate conjugate pairs")
 
 
 def detect_cm(K: NumberField) -> Optional[CMStructure]:
@@ -778,13 +725,10 @@ def _compose(f, g):
 
 
 def _power_action_matrix(K: NumberField, g) -> Matrix:
-    w = K._reduce_power_poly(tuple(Fraction(c) for c in g) + (Fraction(0),) * max(0, K.n - len(g)))
-    rows = []
-    cur = tuple(Fraction(1 if i == 0 else 0) for i in range(K.n))
-    for _ in range(K.n):
-        rows.append(cur)
-        prod = poly_mul(cur, w)
-        cur = K._reduce_power_poly(prod)
+    """Rows x^k g(x) mod min_poly in power coordinates, k = 0 .. n-1."""
+    rows = [K._reduce_power_poly([1])]
+    for _ in range(K.n - 1):
+        rows.append(K._reduce_power_poly(poly_mul(rows[-1], g)))
     return mat(rows)
 
 

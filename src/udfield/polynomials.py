@@ -117,35 +117,28 @@ def check_monic(p: Sequence):
         raise NonMonic(f"leading coefficient {p[-1] if p else 0} != 1")
 
 
-def eval_at(p: Sequence, x, bits: int = None):
-    """Horner evaluation; x may be Fraction, RealInterval or ComplexInterval.
+def eval_at(p: Sequence, x: ComplexInterval, bits: int = None) -> ComplexInterval:
+    """Horner evaluation of p over the box x.
 
     `bits` controls the outward rounding of non-dyadic coefficients, as
-    RealInterval.point does.  A box is evaluated on its endpoints as
+    RealInterval.point does.  The box is evaluated on its endpoints as
     integers over one power of two (intervals.to_fixed); the ring
     operations are exact, so it is the box that interval arithmetic on the
-    dyadic Fractions gives, and a real x is the box x + [0, 0] i.
+    dyadic Fractions gives.
     """
-    if isinstance(x, RealInterval):
-        return eval_at(p, ComplexInterval(x, RealInterval.point(0)), bits).re
-    if isinstance(x, ComplexInterval):
-        ends = (x.re.lo, x.re.hi, x.im.lo, x.im.hi)
-        s = max(q.denominator.bit_length() for q in ends) - 1
-        xrl, xrh, xil, xih = (to_fixed(q, s) for q in ends)
-        rl = rh = il = ih = e = 0      # the value so far, over 2^e
-        for c in reversed(p):
-            (a, b), (c2, d2) = imul(rl, rh, xrl, xrh), imul(il, ih, xil, xih)
-            (f, g), (h, k) = imul(rl, rh, xil, xih), imul(il, ih, xrl, xrh)
-            lo, hi, t = fixed_point(c, bits)
-            sh, e = max(0, t - e - s), max(e + s, t)
-            rl, rh = ((a - d2) << sh) + (lo << (e - t)), ((b - c2) << sh) + (hi << (e - t))
-            il, ih = (f + h) << sh, (g + k) << sh
-        return ComplexInterval(*(RealInterval(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
-                                 for lo, hi in ((rl, rh), (il, ih))))
-    acc = Fraction(0)
+    ends = (x.re.lo, x.re.hi, x.im.lo, x.im.hi)
+    s = max(q.denominator.bit_length() for q in ends) - 1
+    xrl, xrh, xil, xih = (to_fixed(q, s) for q in ends)
+    rl = rh = il = ih = e = 0      # the value so far, over 2^e
     for c in reversed(p):
-        acc = acc * x + Fraction(c)
-    return acc
+        (a, b), (c2, d2) = imul(rl, rh, xrl, xrh), imul(il, ih, xil, xih)
+        (f, g), (h, k) = imul(rl, rh, xil, xih), imul(il, ih, xrl, xrh)
+        lo, hi, t = fixed_point(c, bits)
+        sh, e = max(0, t - e - s), max(e + s, t)
+        rl, rh = ((a - d2) << sh) + (lo << (e - t)), ((b - c2) << sh) + (hi << (e - t))
+        il, ih = (f + h) << sh, (g + k) << sh
+    return ComplexInterval(*(RealInterval(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
+                             for lo, hi in ((rl, rh), (il, ih))))
 
 
 def resultant(p: Sequence, q: Sequence) -> Fraction:
@@ -180,17 +173,6 @@ def discriminant(p: Sequence) -> Fraction:
 
 def _pmod(p: Sequence, q: int):
     return make_poly([c % q for c in p])
-
-
-def _pmul(a, b, q):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return make_poly([c % q for c in out])
 
 
 def _pdivmod(a, b, q):
@@ -229,8 +211,8 @@ def _ppow(base, e: int, mod, q):
     base = _pdivmod(base, mod, q)[1]
     while e:
         if e & 1:
-            result = _pdivmod(_pmul(result, base, q), mod, q)[1]
-        base = _pdivmod(_pmul(base, base, q), mod, q)[1]
+            result = _pdivmod(poly_mul(result, base), mod, q)[1]
+        base = _pdivmod(poly_mul(base, base), mod, q)[1]
         e >>= 1
     return result
 
@@ -309,7 +291,7 @@ def _split_equal_degree(f, d: int, q: int, rng) -> list:
             t = a
             acc = a
             for _ in range(d - 1):
-                t = _pdivmod(_pmul(t, t, q), f, q)[1]
+                t = _pdivmod(poly_mul(t, t), f, q)[1]
                 acc = poly_add(acc, t)
                 acc = _pmod(acc, q)
             g = _pgcd(acc, f, q)

@@ -10,13 +10,18 @@ With them are the Fraction helpers that the enumerator and the planar
 image used to reach floats: `float_up`, `float_columns`, `_columns`,
 `_PREFILTER_BITS` and `_margins`, copied from `udfield.intervals` and
 `udfield.enumeration`, where they no longer exist, and the interval
-method `round_outward`, as a function.
+method `round_outward`, as a function.  The reduction modulo the minimal
+polynomial through the table of theta powers (`_power_table` and
+`_reduce_power_poly`) and the precision ladder of `_conjugate_pair_reps`
+are copied from `udfield.numberfield`, where `poly_divmod` and the 64-bit
+root boxes now do those jobs.
 
 The only edits are the absolute imports: `_coord_bounds` imports linalg
 from udfield, the two methods take `self` as their first argument,
 `round_outward` is called as a function, and `basis_images` rebuilds the
 Fraction boxes of the field's basis images from the integer ends that the
-field now caches in their place.
+field now caches in their place; `_power_table` and `_reduce_power_poly`
+take the field as their first argument and build the table per call.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from udfield.errors import DivisionByZero, NotAField
+from udfield.errors import DivisionByZero, NotAField, PrecisionExhausted
 from udfield.intervals import (ComplexInterval, RealInterval, round_down,
                                round_up, sqrt_upper)
 from udfield.linalg import Matrix, mat_inv, vec_mat
@@ -320,3 +325,56 @@ def inverse(self) -> "FieldElement":
     # (num / den)^-1 = den * num^-1, and x M(num) = 1 for x = num^-1
     return self.field.element(c * self.den for c in vec_mat(self.field.one().num, inv))
 
+
+
+def _power_table(self):
+    """theta^k reduced mod min_poly, for k = 0 .. 2n-2 (power coords)."""
+    n = self.n
+    powers = [tuple(Fraction(1 if i == j else 0) for i in range(n))
+              for j in range(n)]
+    # theta^n = -(low coefficients) for monic min_poly
+    cur = tuple(Fraction(-c) for c in self.min_poly[:-1])
+    powers.append(cur)
+    for _ in range(n + 1, 2 * n - 1):
+        shifted = (Fraction(0),) + cur[:-1]
+        overflow = cur[-1]
+        cur = tuple(s + overflow * h for s, h in zip(shifted, powers[n]))
+        powers.append(cur)
+    return powers
+
+
+def _reduce_power_poly(self, coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+    n = self.n
+    table = _power_table(self)
+    out = [Fraction(0)] * n
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for i, p in enumerate(table[k]):
+            out[i] += c * p
+    return tuple(out)
+
+
+def _conjugate_pair_reps(fld: NumberField) -> Tuple[int, ...]:
+    """Indices of the upper-half-plane root of each conjugate pair, sorted."""
+    bits = 64
+    while True:
+        roots = fld.roots(bits)
+        reps = []
+        undecided = False
+        for i, rb in enumerate(roots):
+            if rb.is_real:
+                raise ValueError("field is not totally imaginary")
+            if rb.im.lo > 0:
+                reps.append(i)
+            elif rb.im.hi < 0:
+                continue
+            else:
+                undecided = True
+                break
+        if not undecided:
+            reps.sort(key=lambda i: (roots[i].re.midpoint(), roots[i].im.midpoint()))
+            return tuple(reps)
+        bits *= 2
+        if bits > 4096:
+            raise PrecisionExhausted("could not separate conjugate pairs")

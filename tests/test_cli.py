@@ -123,6 +123,38 @@ def test_generate_inert_prime_collision(tmp_path):
     assert rc == 7
 
 
+def _quartic_json(tmp_path, **extra):
+    """sqrt(5) + i, the root of x^4 - 8x^2 + 36, as a field description."""
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"min_poly": [36, 0, -8, 0, 1], **extra}))
+    return str(path)
+
+
+def test_generate_power_basis_not_closed_under_conjugation_exits_4(tmp_path, capsys):
+    # conjugation maps theta = sqrt(5) + i to (8 theta - theta^3) / 6,
+    # outside Z[theta], so the conjugate of a prime is not an ideal of it
+    rc = main(["generate", "--field", _quartic_json(tmp_path), "--prime", "13",
+               "--k", "1", "--R", "3", "--scale", "1", "--no-plot",
+               "--out", str(tmp_path / "run")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "conjugation does not map the order" in err and "integral_basis" in err
+
+
+def test_generate_quartic_with_integral_basis_matches_adjoin_i(tmp_path, capsys):
+    from udfield.numberfield import compositum_multiquadratic
+
+    basis = compositum_multiquadratic((5, -1)).basis_mat
+    field = _quartic_json(tmp_path, integral_basis=[[str(c) for c in row] for row in basis])
+    outputs = []
+    for name, run in ((field, "json"), ("adjoin-i:5", "named")):
+        out = tmp_path / run
+        assert main(["generate", "--field", name, "--prime", "29", "--k", "1", "--R", "2",
+                     "--scale", "1", "--no-plot", "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, (out / "pointset.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_count_parse_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("re,im\n1,x\n")

@@ -1,6 +1,7 @@
 """CLI fuzz test: argv drawn over all seven subcommands, with malformed
-numbers and paths, truncated, NaN or huge CSV/JSON inputs, and a field
-JSON whose minimal polynomial is reducible.
+numbers and paths, truncated, NaN or huge CSV/JSON inputs, a field JSON
+whose minimal polynomial is reducible, and a CM quartic over its power
+basis, which complex conjugation does not map to itself.
 
 Every invocation must end in exit code 0 or a typed family code (2 from
 argparse, 3..8 from UdfieldError), never in an uncaught exception.
@@ -39,6 +40,8 @@ FIELDS = ["gaussian", "qsqrt-5", "qsqrt5", "qsqrt0", "qsqrtx", "adjoin-i:",
 # x^4 + x^2 + 1 = (x^2 + x + 1)(x^2 - x + 1): squarefree and CM-shaped, but
 # not a field
 REDUCIBLE = [1, 0, 1, 0, 1]
+# x^4 - 8x^2 + 36, the polynomial of sqrt(5) + i, with no integral_basis
+QUARTIC = [36, 0, -8, 0, 1]
 PATHS = ["missing.csv", "", "dir", "a\x00b", "x" * 300, "dir/missing/f.csv"]
 
 
@@ -132,13 +135,15 @@ def _files(workdir, data):
     (d / "pointset.json").write_text(_json_text(sidecar, data))
     (d / "field.json").write_text(_json_text(_mutate_json(sidecar["field"], data), data))
     (d / "reducible.json").write_text(json.dumps({"min_poly": REDUCIBLE}))
+    (d / "quartic.json").write_text(json.dumps({"min_poly": QUARTIC}))
     return d
 
 
 def _argv(data, d):
     path = st.sampled_from([str(d / "pointset.csv"), str(d / "pointset.json"),
                             str(d / "field.json")] + PATHS)
-    field = st.sampled_from(FIELDS + [str(d / "field.json"), str(d / "reducible.json")])
+    field = st.sampled_from(FIELDS + [str(d / "field.json"), str(d / "reducible.json"),
+                                      str(d / "quartic.json")])
     command = data.draw(st.sampled_from(
         ["generate", "count", "exponent", "gs-check", "find-split-primes", "r2",
          "grid", "bogus"]))

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from udfield.cli import main
 from udfield.errors import DependentGenerators, DivisionByZero, NotAField
 from udfield.intervals import RealInterval, sqrt_lower, sqrt_upper
 from udfield.numberfield import (abs_sq, compositum_multiquadratic, detect_cm,
@@ -228,10 +230,20 @@ def test_field_json_roundtrip(deg4, tmp_path):
     assert K2.basis_mat == deg4.basis_mat
 
 
-def test_power_basis_fallback_warning():
+def test_power_basis_fallback_warning(tmp_path, capsys):
     K = nf_new(make_poly([2, 0, 0, 1]))  # x^3 + 2, no basis supplied
-    assert K.index_conditional
     assert any("index-conditional" in w for w in K.warnings)
+    # a CM quartic described without integral_basis: generate carries the
+    # caveat into report.json and onto stdout
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"min_poly": [36, 0, -8, 0, 1]}))
+    out = tmp_path / "run"
+    assert main(["generate", "--field", str(path), "--prime", "13", "--k", "0",
+                 "--R", "3", "--scale", "1", "--no-plot", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)["warnings"]
+    report = json.loads((out / "report.json").read_text())["construction"]["warnings"]
+    assert printed == report
+    assert any("index-conditional" in w for w in report)
 
 
 def test_sign_at_real_embeddings(sqrt5_field):

@@ -65,12 +65,12 @@ def test_resultant_vs_sylvester_oracle():
 
 
 def test_eval_modes():
-    p = make_poly([1, -3, 0, 2])  # 2x^3 - 3x + 1
-    assert eval_at(p, Fraction(1, 2)) == Fraction(-1, 4)
-    from udfield.intervals import ComplexInterval, RealInterval
+    from udfield.intervals import ComplexInterval
 
-    iv = eval_at(p, RealInterval(Fraction(1, 2), Fraction(1, 2)))
-    assert iv.lo <= Fraction(-1, 4) <= iv.hi
+    p = make_poly([1, -3, 0, 2])  # 2x^3 - 3x + 1
+    # a real point is the box x + [0, 0] i
+    rv = eval_at(p, ComplexInterval.point(Fraction(1, 2)))
+    assert rv.re.lo == rv.re.hi == Fraction(-1, 4) and rv.im.lo == rv.im.hi == 0
     cv = eval_at(p, ComplexInterval.point(0, 1))   # 2i^3 - 3i + 1 = 1 - 5i
     assert cv.re.contains(1) and cv.im.contains(-5)
 

@@ -1,9 +1,10 @@
 """The certified set-up on Python integers against its Fraction form, kept
 verbatim in `oracle_setup`: interval Horner (and through it the root
 boxes and the basis images), element embeddings, the HNF of ideal
-products and principal ideals, conjugation and inversion.  Every
-comparison is equality, so each rewrite must give the very boxes and rows
-the Fraction code gave.  The float images that the enumerator and the
+products and principal ideals, conjugation and inversion, the reduction
+modulo the minimal polynomial and the conjugate-pair representatives.
+Every comparison is equality, so each rewrite must give the very boxes
+and rows the Fraction code gave.  The float images that the enumerator and the
 planar image take in place of the Fraction boxes are checked against the
 oracle's boxes and against 256-bit embeddings.  LLL has its own
 differential tests in test_linalg.py.  The last tests check that the cell
@@ -68,13 +69,45 @@ coefficient = st.one_of(st.integers(-10 ** 6, 10 ** 6), dyadic,
 @given(p=st.lists(coefficient, max_size=9), ends=st.lists(dyadic, min_size=4, max_size=4),
        real=st.booleans(), bits=st.sampled_from([None, 40, 96, 200]))
 def test_eval_at_matches_oracle(p, ends, real, bits):
+    # a real box is one with imaginary part [0, 0]
     (a, b), (c, d) = sorted(ends[:2]), sorted(ends[2:])
-    x = RealInterval(a, b) if real else ComplexInterval(RealInterval(a, b), RealInterval(c, d))
-    got, want = eval_at(p, x, bits), oracle_setup.eval_at(p, x, bits)
     if real:
-        assert got == want
-    else:
-        assert (got.re, got.im) == (want.re, want.im)
+        c = d = Fraction(0)
+    x = ComplexInterval(RealInterval(a, b), RealInterval(c, d))
+    got, want = eval_at(p, x, bits), oracle_setup.eval_at(p, x, bits)
+    assert (got.re, got.im) == (want.re, want.im)
+
+
+# x^4 - 8x^2 + 36, the polynomial of sqrt(5) + i, over its power basis Z[theta]
+QUARTIC = (36, 0, -8, 0, 1)
+SETUP_FIELDS = ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:5,13", "quartic"]
+
+
+def _setup_field(name):
+    return nf_new(make_poly(QUARTIC)) if name == "quartic" else build_field(name)
+
+
+@pytest.mark.parametrize("name", SETUP_FIELDS)
+def test_reduction_mod_min_poly_matches_oracle(name):
+    # poly_divmod's remainder against the table of theta powers, on every
+    # degree up to 2n - 2, the longest product of two power-basis rows
+    K = _setup_field(name)
+    rng = random.Random(11)
+    for _ in range(60):
+        coeffs = [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 97, 1 << 40]))
+                  if rng.random() < 0.8 else Fraction(0)
+                  for _ in range(rng.randrange(0, 2 * K.n))]
+        assert K._reduce_power_poly(coeffs) == oracle_setup._reduce_power_poly(K, coeffs)
+
+
+@pytest.mark.parametrize("name", SETUP_FIELDS + ["adjoin-i:3"])
+def test_pair_reps_match_oracle(name):
+    # the upper-half-plane roots read off the 64-bit boxes against the
+    # precision ladder with its sort
+    K = _setup_field(name)
+    reps = numberfield.detect_cm(K).pair_reps
+    assert len(reps) == K.n // 2
+    assert reps == oracle_setup._conjugate_pair_reps(K)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:3"])
