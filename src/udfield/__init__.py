@@ -26,8 +26,7 @@ _EXPORTS = {
                 "gs_check", "multiquadratic_generators", "splits_completely"),
     "ideals": ("FracIdeal", "PrimeIdeal", "PrincipalityResult",
                "class_number_imag_quadratic", "is_principal", "split_prime"),
-    "intervals": ("ComplexInterval", "RealInterval", "exact_ceil", "ln_interval",
-                  "pi_interval"),
+    "intervals": ("Box", "RealInterval", "exact_ceil", "ln_interval", "pi_interval"),
     "numberfield": ("CMStructure", "FieldElement", "NumberField", "abs_sq",
                     "compositum_multiquadratic", "detect_cm", "is_unit_modulus",
                     "nf_new"),

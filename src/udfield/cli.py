@@ -379,7 +379,7 @@ def _auto_box(F, alpha) -> Fraction:
     hi = Fraction(0)
     for i in range(F.n):
         box = alpha.embed(i, 32)
-        hi = max(hi, box.re.hi)
+        hi = max(hi, Fraction(box.re_hi, 1 << box.e))
     if hi <= 0:
         return Fraction(1)
     return sqrt_upper(hi, 12) + Fraction(1, 1 << 10)

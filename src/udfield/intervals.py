@@ -1,15 +1,15 @@
-"""Certified interval arithmetic with exact dyadic-rational endpoints.
+"""Certified arithmetic with exact dyadic-rational endpoints.
 
-Endpoints are Fractions whose denominators are powers of two, so ring
-operations (add/sub/mul) are exact; only division, square roots and
+Two forms serve two jobs.  `Box` is the one certified complex box: four
+integer ends over one power of two, 2^-e ([re_lo, re_hi] + i [im_lo,
+im_hi]).  Root isolation, interval Horner and the embeddings of field
+elements all work on it, so their ring operations are exact integer
+products and sums.  `RealInterval` has Fraction endpoints whose
+denominators are powers of two; it serves the exponent ledger and the
+intervals that report.json prints.  Only division, square roots and
 transcendental constants round, and they round outward.  Soundness
 contract: for any operation, the exact result on any points chosen inside
-the input intervals lies inside the output interval.
-
-Hot paths (interval Horner, and through it the basis images that every
-embedding combines) do the same exact ring operations on integer
-mantissas over one power of two: to_fixed, fixed_point and imul below.
-Their endpoints equal the Fraction ones, so the boxes are the same.
+the inputs lies inside the output.
 
 pi and ln come from fixed-point series on Python integers with explicit
 error bounds: Machin formulas, and square-root argument reduction (Brent
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 from .errors import DivisionByZero, PrecisionExhausted
 
@@ -49,11 +49,6 @@ def round_up(q: Rat, bits: int) -> Fraction:
     return Fraction(-((-scaled) // q.denominator), 1 << bits)
 
 
-def to_fixed(q: Fraction, s: int) -> int:
-    """q 2^s, for a dyadic q whose denominator divides 2^s."""
-    return q.numerator << (s - q.denominator.bit_length() + 1)
-
-
 def fixed_point(q: Rat, bits: int = None) -> Tuple[int, int, int]:
     """(lo, hi, e) with [lo, hi] 2^-e = RealInterval.point(q, bits): exact
     for a dyadic q, else rounded outward at 2^-bits, by default 64 bits
@@ -71,16 +66,6 @@ def imul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
     return min(p), max(p)
 
 
-def sqrt_lower(q: Rat, bits: int) -> Fraction:
-    """Dyadic lower bound for sqrt(q), q >= 0, within 2^-bits."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    # floor(sqrt(q * 4^bits)) / 2^bits
-    scaled = (q.numerator << (2 * bits)) // q.denominator
-    return Fraction(math.isqrt(scaled), 1 << bits)
-
-
 def sqrt_upper(q: Rat, bits: int) -> Fraction:
     q = Fraction(q)
     if q < 0:
@@ -90,6 +75,22 @@ def sqrt_upper(q: Rat, bits: int) -> Fraction:
     if r * r < scaled:
         r += 1
     return Fraction(r, 1 << bits)
+
+
+class Box(NamedTuple):
+    """The certified complex box 2^-e ([re_lo, re_hi] + i [im_lo, im_hi])."""
+
+    e: int
+    re_lo: int
+    re_hi: int
+    im_lo: int
+    im_hi: int
+
+    def intersects(self, other: "Box") -> bool:
+        e = max(self.e, other.e)
+        a = [c << (e - self.e) for c in self[1:]]
+        b = [c << (e - other.e) for c in other[1:]]
+        return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 class RealInterval:
@@ -120,9 +121,6 @@ class RealInterval:
     def __sub__(self, other: "RealInterval") -> "RealInterval":
         return RealInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "RealInterval":
-        return RealInterval(-self.hi, -self.lo)
-
     def __mul__(self, other: "RealInterval") -> "RealInterval":
         products = (
             self.lo * other.lo,
@@ -140,18 +138,8 @@ class RealInterval:
             return RealInterval(self.lo * q, self.hi * q)
         return RealInterval(self.hi * q, self.lo * q)
 
-    def square(self) -> "RealInterval":
-        if self.lo >= 0:
-            return RealInterval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return RealInterval(self.hi * self.hi, self.lo * self.lo)
-        return RealInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
-
-    def contains(self, q: Rat) -> bool:
-        return self.lo <= q <= self.hi
 
     def recip(self, bits: int) -> "RealInterval":
         if self.contains_zero():
@@ -162,86 +150,17 @@ class RealInterval:
     def div(self, other: "RealInterval", bits: int) -> "RealInterval":
         return self * other.recip(bits)
 
-    def sqrt(self, bits: int) -> "RealInterval":
-        if self.hi < 0:
-            raise ValueError("sqrt of negative interval")
-        lo = max(self.lo, Fraction(0))
-        return RealInterval(sqrt_lower(lo, bits), sqrt_upper(self.hi, bits))
-
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def magnitude(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
-
-    def intersects(self, other: "RealInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def __float__(self) -> float:
         return float(self.midpoint())
 
     def __repr__(self):
         return f"RealInterval({float(self.lo)!r}, {float(self.hi)!r})"
-
-
-class ComplexInterval:
-    """Axis-aligned rectangle in the complex plane."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: RealInterval, im: RealInterval):
-        self.re, self.im = re, im
-
-    @classmethod
-    def point(cls, re: Rat, im: Rat = 0, bits: int = None) -> "ComplexInterval":
-        return cls(RealInterval.point(re, bits), RealInterval.point(im, bits))
-
-    def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-
-    def scale(self, q: Rat) -> "ComplexInterval":
-        return ComplexInterval(self.re.scale(q), self.im.scale(q))
-
-    def conjugate(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, -self.im)
-
-    def abs_sq(self) -> RealInterval:
-        return self.re.square() + self.im.square()
-
-    def recip(self, bits: int) -> "ComplexInterval":
-        m = self.abs_sq()
-        if m.contains_zero():
-            raise DivisionByZero("complex interval reciprocal across zero")
-        inv = m.recip(bits)
-        return ComplexInterval(self.re * inv, (-self.im) * inv)
-
-    def div(self, other: "ComplexInterval", bits: int) -> "ComplexInterval":
-        return self * other.recip(bits)
-
-    def intersects(self, other: "ComplexInterval") -> bool:
-        return self.re.intersects(other.re) and self.im.intersects(other.im)
-
-    def width(self) -> Fraction:
-        return max(self.re.width(), self.im.width())
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re.midpoint()), float(self.im.midpoint()))
-
-    def __repr__(self):
-        return f"ComplexInterval({complex(self)!r} ± {float(self.width())/2:.3g})"
 
 
 def _round_sig(q: Fraction, prec: int, up: bool) -> Fraction:

@@ -5,12 +5,15 @@ An element is one integer row over one denominator: its coordinates on
 the field's integral basis, num / den in lowest terms.  Products, norms
 and inverses go through the integer matrix of multiplication built from
 the structure constants, and power coordinates are reduced modulo the
-minimal polynomial by poly_divmod.  Embedding values are certified complex
-intervals refined on demand, and the conjugate pairs of a CM field are
-read off the root boxes, which lie off the real axis.  Irreducibility of
-the defining polynomial is not verified (squarefreeness is); a reducible
-polynomial surfaces later as NotAField when a zero divisor is inverted or
-its sign is taken.
+minimal polynomial by poly_divmod.  An embedding value is an
+intervals.Box on integer ends, the exact combination of the basis images
+that interval Horner gives at the root boxes, refined on demand.  Complex
+conjugation, when the field was not built with it, is proposed by
+fixed-point interpolation at the roots and certified by exact checks; the
+conjugate pairs of a CM field are read off the root boxes, which lie off
+the real axis.  Irreducibility of the defining polynomial is not verified
+(squarefreeness is); a reducible polynomial surfaces later as NotAField
+when a zero divisor is inverted or its sign is taken.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
                      PrecisionExhausted)
-from .intervals import ComplexInterval, RealInterval, to_fixed
+from .intervals import Box
 from .linalg import Matrix, mat, mat_inv, mat_mul, vec_mat
 from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
@@ -174,13 +177,11 @@ class NumberField:
             ends.append((lo, hi))
         return g, den << s, ends
 
-    def embed(self, z: "FieldElement", root_index: int, bits: int = 64) -> ComplexInterval:
+    def embed(self, z: "FieldElement", root_index: int, bits: int = 64) -> Box:
         """sigma_i(z) as a certified box of width <= 2^-bits: each end of
         _ends rounded outward to 2^-g by one floor division."""
         g, D, ends = self._ends(z, root_index, bits)
-        return ComplexInterval(*(RealInterval(Fraction((lo << g) // D, 1 << g),
-                                              Fraction(-((-hi << g) // D), 1 << g))
-                                 for lo, hi in ends))
+        return Box(g, *(end for lo, hi in ends for end in ((lo << g) // D, -((-hi << g) // D))))
 
     def float_image(self, z: "FieldElement", root_index: int, bits: int = 64):
         """(re, im, err): the correctly rounded midpoints of _ends' box
@@ -205,20 +206,20 @@ class NumberField:
         box, embedded once per (root_index, bits)."""
         key = (root_index, bits)
         if key not in self._image_ends:
-            ends = []
+            boxes = []
             for power in self.basis_mat:
                 work = bits
                 while True:
                     val = eval_at(power, self.roots(work)[root_index].box, bits=work + 32)
-                    if val.width() <= Fraction(1, 1 << bits):
+                    if max(val.re_hi - val.re_lo, val.im_hi - val.im_lo) << bits <= 1 << val.e:
                         break
                     if work >= EMBED_BITS_CAP:
                         raise PrecisionExhausted(
                             f"embedding of a basis element did not reach 2^-{bits}")
                     work *= 2
-                ends.append((val.re.lo, val.re.hi, val.im.lo, val.im.hi))
-            s = max(q.denominator.bit_length() for b in ends for q in b) - 1
-            self._image_ends[key] = s, [[to_fixed(q, s) for q in b] for b in ends]
+                boxes.append(val)
+            s = max(b.e for b in boxes)
+            self._image_ends[key] = s, [[c << (s - b.e) for c in b[1:]] for b in boxes]
         return self._image_ends[key]
 
     def __repr__(self):
@@ -351,16 +352,13 @@ class FieldElement:
     def power_coords(self) -> Tuple[Fraction, ...]:
         return tuple(c / self.den for c in vec_mat(self.num, self.field.basis_mat))
 
-    def trace(self) -> Fraction:
-        return Fraction(self.field._trace_coords(self.num), self.den)
-
     def norm(self) -> Fraction:
         return linalg.mat_det(self.field._mult_matrix(self.num)) / self.den ** self.field.n
 
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def embed(self, root_index: int, bits: int = 64) -> ComplexInterval:
+    def embed(self, root_index: int, bits: int = 64) -> Box:
         return self.field.embed(self, root_index, bits)
 
     def sign_at(self, root_index: int) -> int:
@@ -640,7 +638,7 @@ def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
         return None
     # _pair_disks certifies a non-real root's box off the real axis, and
     # roots() is in (re, im) midpoint order
-    cm.pair_reps = tuple(i for i, rb in enumerate(fld.roots()) if rb.im.lo > 0)
+    cm.pair_reps = tuple(i for i, rb in enumerate(fld.roots()) if rb.box.im_lo > 0)
     return cm
 
 
@@ -648,9 +646,11 @@ def detect_cm(K: NumberField) -> Optional[CMStructure]:
     """CM structure of K, or None.
 
     Totally-real and mixed-signature fields are rejected exactly.  For
-    totally imaginary fields without a construction-time conjugation, the
-    conjugation is reconstructed from certified embeddings (Lagrange
-    interpolation through the root boxes) and then verified exactly.
+    totally imaginary fields without a construction-time conjugation,
+    _interpolate_conjugation proposes a polynomial g with g(r) = conj(r) at
+    every root r, and exact checks certify it: min_poly | f(g), and
+    _build_cm's involution, automorphism and root-permutation tests.  A
+    candidate that fails them is retried at twice the precision.
     """
     if K._cm_checked:
         return K._cm
@@ -675,46 +675,42 @@ def detect_cm(K: NumberField) -> Optional[CMStructure]:
 
 
 def _interpolate_conjugation(K: NumberField, bits: int):
-    """Candidate g in Q[x] with g(root_k) = conj(root_k) for all k."""
-    roots = K.roots(bits)
-    n = K.n
-    boxes = [r.box for r in roots]
-    # Lagrange interpolation of (r_k, conj(r_k)) in interval arithmetic
-    coeffs = [ComplexInterval.point(0)] * n
-    for k in range(n):
-        num = [ComplexInterval.point(1)]
-        for j in range(n):
+    """A candidate g in Q[x] with g(r_k) = conj(r_k) at every root r_k, or
+    None.  The Lagrange interpolation of (r_k, conj(r_k)) runs at the
+    midpoints of the root boxes in fixed-point Gaussian integers over 2^F,
+    and each real coefficient is read as the simplest rational within
+    2^-(bits/2) of it.  Nothing here is certified: the candidate is kept
+    only if min_poly divides f(g) exactly, and detect_cm's exact checks
+    then decide it."""
+    boxes = [rb.box for rb in K.roots(bits)]
+    F = max(b.e for b in boxes) + 1
+    z = [((b.re_lo + b.re_hi) << (F - 1 - b.e), (b.im_lo + b.im_hi) << (F - 1 - b.e))
+         for b in boxes]
+    coeffs = [0] * K.n
+    for k, (x, y) in enumerate(z):
+        num, dr, di = [(1 << F, 0)], 1 << F, 0
+        for j, (u, v) in enumerate(z):
             if j == k:
                 continue
-            # multiply num by (x - r_j)
-            new = [ComplexInterval.point(0)] * (len(num) + 1)
-            for t, c in enumerate(num):
-                new[t] = new[t] + c * (-boxes[j])
-                new[t + 1] = new[t + 1] + c
+            # num *= (X - z_j), and (dr, di) *= (z_k - z_j)
+            new = [(0, 0)] + num
+            for t, (a, b) in enumerate(num):
+                new[t] = (new[t][0] - ((a * u - b * v) >> F), new[t][1] - ((a * v + b * u) >> F))
             num = new
-        den = ComplexInterval.point(1)
-        for j in range(n):
-            if j != k:
-                den = den * (boxes[k] - boxes[j])
-        if den.abs_sq().contains_zero():
+            dr, di = (dr * (x - u) - di * (y - v)) >> F, (dr * (y - v) + di * (x - u)) >> F
+        q = dr * dr + di * di
+        if not q:
             return None
-        scale = boxes[k].conjugate().div(den, bits)
-        for t in range(len(num)):
-            term = num[t] * scale
-            coeffs[t] = coeffs[t] + term
-    out = []
-    for c in coeffs:
-        if not c.im.contains_zero():
-            return None
-        q = _simplest_rational(c.re.lo, c.re.hi)
-        out.append(q)
-    g = make_poly(out)
+        # conj(z_k) / prod_j (z_k - z_j)
+        sr, si = ((x * dr - y * di) << F) // q, ((-x * di - y * dr) << F) // q
+        for t, (a, b) in enumerate(num):
+            coeffs[t] += (a * sr - b * si) >> F
+    tol = 1 << (F - bits // 2)
+    g = make_poly([_simplest_rational(Fraction(c - tol, 1 << F), Fraction(c + tol, 1 << F))
+                   for c in coeffs])
     # exact verification that x -> g(x) permutes the roots: min_poly | f(g)
-    comp = _compose(K.min_poly, g)
-    _, rem = poly_divmod(comp, K.min_poly)
-    if rem:
-        return None
-    return g
+    _, rem = poly_divmod(_compose(K.min_poly, g), K.min_poly)
+    return None if rem else g
 
 
 def _compose(f, g):

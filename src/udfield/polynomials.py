@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import NonMonic, NonSquarefree, NotPrime
-from .intervals import (ComplexInterval, RealInterval, fixed_point, imul,
-                        to_fixed)
+from .intervals import Box, fixed_point, imul
 
 IntPoly = tuple  # tuple of ints, low degree first, no trailing zeros
 
@@ -117,18 +116,15 @@ def check_monic(p: Sequence):
         raise NonMonic(f"leading coefficient {p[-1] if p else 0} != 1")
 
 
-def eval_at(p: Sequence, x: ComplexInterval, bits: int = None) -> ComplexInterval:
-    """Horner evaluation of p over the box x.
+def eval_at(p: Sequence, x: Box, bits: int = None) -> Box:
+    """Horner evaluation of p over the box x, as a box.
 
     `bits` controls the outward rounding of non-dyadic coefficients, as
-    RealInterval.point does.  The box is evaluated on its endpoints as
-    integers over one power of two (intervals.to_fixed); the ring
-    operations are exact, so it is the box that interval arithmetic on the
-    dyadic Fractions gives.
+    RealInterval.point does.  The ring operations on the integer ends are
+    exact, so the result is the box that interval arithmetic on the dyadic
+    endpoints gives.
     """
-    ends = (x.re.lo, x.re.hi, x.im.lo, x.im.hi)
-    s = max(q.denominator.bit_length() for q in ends) - 1
-    xrl, xrh, xil, xih = (to_fixed(q, s) for q in ends)
+    s, xrl, xrh, xil, xih = x
     rl = rh = il = ih = e = 0      # the value so far, over 2^e
     for c in reversed(p):
         (a, b), (c2, d2) = imul(rl, rh, xrl, xrh), imul(il, ih, xil, xih)
@@ -137,8 +133,7 @@ def eval_at(p: Sequence, x: ComplexInterval, bits: int = None) -> ComplexInterva
         sh, e = max(0, t - e - s), max(e + s, t)
         rl, rh = ((a - d2) << sh) + (lo << (e - t)), ((b - c2) << sh) + (hi << (e - t))
         il, ih = (f + h) << sh, (g + k) << sh
-    return ComplexInterval(*(RealInterval(Fraction(lo, 1 << e), Fraction(hi, 1 << e))
-                             for lo, hi in ((rl, rh), (il, ih))))
+    return Box(e, rl, rh, il, ih)
 
 
 def resultant(p: Sequence, q: Sequence) -> Fraction:

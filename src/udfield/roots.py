@@ -4,42 +4,33 @@ Strategy: take Aberth-Ehrlich approximations as seeds (fixed-point
 Gaussian integers from deterministic starting points), then certify
 with the classical inclusion bound
     min_i |z0 - r_i|  <=  deg(p) * |p(z0) / p'(z0)|,
-evaluated in exact interval arithmetic.  With one disk per seed and all
-disks pairwise disjoint, each disk contains exactly one root.  Conjugate
-pairing and realness are decided from disk geometry, never from signs of
-floating-point noise; the seeds only steer the certificate.
+evaluated exactly on integers: p(z0) and p'(z0) by Horner at the seed,
+the square roots by math.isqrt, rounded outward.  With one disk per seed
+and all disks pairwise disjoint, each disk contains exactly one root.
+Conjugate pairing and realness are decided from disk geometry, never from
+signs of floating-point noise; the seeds only steer the certificate.  The
+boxes are intervals.Box, on integer ends over 2^-(bits + 32).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import PrecisionExhausted
-from .intervals import (ComplexInterval, RealInterval, round_up, sqrt_lower,
-                        sqrt_upper)
+from .intervals import Box
 from .polynomials import check_squarefree, degree, derivative, eval_at
 
 _MAX_BITS = 1 << 16
 
 
-class RootBox:
-    """One isolated root: a rectangle certified to contain exactly it."""
+class RootBox(NamedTuple):
+    """One isolated root: a box certified to contain exactly it, the index
+    of its complex conjugate in the full list, and whether it is real."""
 
-    __slots__ = ("box", "conj_index", "is_real")
-
-    def __init__(self, box: ComplexInterval, conj_index: int, is_real: bool):
-        # conj_index: the index of the complex-conjugate root in the full list
-        self.box, self.conj_index, self.is_real = box, conj_index, is_real
-
-    @property
-    def re(self) -> RealInterval:
-        return self.box.re
-
-    @property
-    def im(self) -> RealInterval:
-        return self.box.im
+    box: Box
+    conj_index: int
+    is_real: bool
 
 
 _STEPS = 200     # Aberth iteration cap
@@ -76,8 +67,8 @@ def _to_fixed(x: float, scale: int) -> int:
     return (num << scale) // den if scale >= 0 else num // (den << -scale)
 
 
-def _seed_roots(p: Sequence, bits: int) -> List[Tuple[Fraction, Fraction]]:
-    """Dyadic (re, im) approximations of all roots of p by Aberth-Ehrlich
+def _seed_roots(p: Sequence, bits: int) -> List[Tuple[int, int]]:
+    """(re, im) 2^(bits + 32) approximations of all roots of p by Aberth-Ehrlich
     iteration (Aberth 1973, Math. Comp. 27) in fixed-point Gaussian integers
     at scale 2^F until every correction is below 2^-(bits + 8).  F is
     bits + 32, plus bits // 2 + 64 so that the rounding noise of a
@@ -142,36 +133,38 @@ def _seed_roots(p: Sequence, bits: int) -> List[Tuple[Fraction, Fraction]]:
                 z[i] = (x, 0)
             elif y > 0:
                 z[j] = (x, -y)
-    den = 1 << (bits + _SEED_BITS)
-    return [(Fraction(x, den), Fraction(y, den)) for x, y in z]
+    return z
+
+
+def _isqrt(a: int, shift: int, up: bool) -> int:
+    """sqrt(a 2^shift) rounded up or down to an integer, for a >= 0."""
+    if shift >= 0:
+        a <<= shift
+    else:
+        a = -(-a >> -shift) if up else a >> -shift
+    r = math.isqrt(a)
+    return r + 1 if up and r * r < a else r
 
 
 def _certify(p: Sequence, seeds, bits: int):
-    """Return list of (center_re, center_im, radius) disks or None on failure."""
+    """(x, y, r) disks over 2^(bits + 32) around the seeds, the radius
+    n |p(z)| / |p'(z)| rounded up at 2^-(bits + 8), or None when a disk
+    cannot be certified or two disks meet."""
     n = degree(p)
     dp = derivative(p)
+    E, B = bits + _SEED_BITS, bits + 8
     disks = []
-    for cre, cim in seeds:
-        pt = ComplexInterval.point(cre, cim)
-        val = eval_at(p, pt)
-        dval = eval_at(dp, pt)
-        denom_lo = dval.abs_sq().lo
-        if denom_lo <= 0:
+    for x, y in seeds:
+        pt = Box(E, x, x, y, y)
+        val, dval = eval_at(p, pt), eval_at(dp, pt)   # exact: p is integral
+        den = _isqrt(dval.re_lo ** 2 + dval.im_lo ** 2, 2 * (B - dval.e), False)
+        if not den:
             return None
-        # radius = n * |p(z)| / |p'(z)|, rounded up
-        num_hi = sqrt_upper(val.abs_sq().hi, bits + 8)
-        den_lo_rt = sqrt_lower(denom_lo, bits + 8)
-        if den_lo_rt == 0:
-            return None
-        radius = round_up(Fraction(n) * num_hi / den_lo_rt, bits + 8)
-        disks.append((cre, cim, radius))
-    # pairwise disjoint?
-    for i in range(len(disks)):
-        for j in range(i + 1, len(disks)):
-            dx = disks[i][0] - disks[j][0]
-            dy = disks[i][1] - disks[j][1]
-            rsum = disks[i][2] + disks[j][2]
-            if dx * dx + dy * dy <= rsum * rsum:
+        num = _isqrt(val.re_lo ** 2 + val.im_lo ** 2, 2 * (B - val.e), True)
+        disks.append((x, y, -((-n * num << B) // den) << (E - B)))
+    for i, (x, y, r) in enumerate(disks):
+        for u, v, s in disks[i + 1:]:
+            if (x - u) ** 2 + (y - v) ** 2 <= (r + s) ** 2:
                 return None
     return disks
 
@@ -179,14 +172,10 @@ def _certify(p: Sequence, seeds, bits: int):
 def _pair_disks(disks):
     """Conjugate partner of each disk; None if ambiguous at this precision."""
     partners = []
-    for i, (cre, cim, r) in enumerate(disks):
-        hits = []
-        for j, (dre, dim, s) in enumerate(disks):
-            # does conj(disk i) intersect disk j?
-            dx = cre - dre
-            dy = -cim - dim
-            if dx * dx + dy * dy <= (r + s) * (r + s):
-                hits.append(j)
+    for x, y, r in disks:
+        # the disks that meet the conjugate of this one
+        hits = [j for j, (u, v, s) in enumerate(disks)
+                if (x - u) ** 2 + (y + v) ** 2 <= (r + s) ** 2]
         if len(hits) != 1:
             return None
         partners.append(hits[0])
@@ -205,12 +194,11 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
     n = degree(p)
     if n == 0:
         return []
-    target = Fraction(1, 1 << precision_bits)
     bits = max(64, precision_bits + 16)
     while True:
-        seeds = _seed_roots(p, bits)
-        disks = _certify(p, seeds, bits)
-        if disks is not None and all(2 * r <= target for _, _, r in disks):
+        disks = _certify(p, _seed_roots(p, bits), bits)
+        E = bits + _SEED_BITS
+        if disks is not None and all(r << (precision_bits + 1) <= 1 << E for _, _, r in disks):
             partners = _pair_disks(disks)
             if partners is not None:
                 break
@@ -218,27 +206,14 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
             raise PrecisionExhausted(f"root isolation stuck at {bits} bits")
         bits *= 2
 
-    entries = []
-    for i, (cre, cim, r) in enumerate(disks):
-        if partners[i] == i:
-            # the root is fixed by conjugation, hence real
-            box = ComplexInterval(RealInterval(cre - r, cre + r),
-                                  RealInterval(Fraction(0), Fraction(0)))
-            entries.append((box, i, True))
-        else:
-            box = ComplexInterval(RealInterval(cre - r, cre + r),
-                                  RealInterval(cim - r, cim + r))
-            entries.append((box, partners[i], False))
-
-    # canonical order: by (re midpoint, im midpoint); remap partners
-    order = sorted(range(len(entries)),
-                   key=lambda i: (entries[i][0].re.midpoint(), entries[i][0].im.midpoint()))
+    # a root fixed by conjugation is real; canonical order: by (re, im)
+    # midpoint, partners remapped
+    boxes = [Box(E, x - r, x + r, 0, 0) if partners[i] == i else Box(E, x - r, x + r, y - r, y + r)
+             for i, (x, y, r) in enumerate(disks)]
+    order = sorted(range(n), key=lambda i: (boxes[i].re_lo + boxes[i].re_hi,
+                                            boxes[i].im_lo + boxes[i].im_hi))
     rank = {old: new for new, old in enumerate(order)}
-    out = []
-    for old in order:
-        box, partner, is_real = entries[old]
-        out.append(RootBox(box=box, conj_index=rank[partner], is_real=is_real))
-    return out
+    return [RootBox(boxes[i], rank[partners[i]], partners[i] == i) for i in order]
 
 
 def refine_roots(p: Sequence, boxes: List[RootBox], precision_bits: int) -> List[RootBox]:

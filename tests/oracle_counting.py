@@ -1,6 +1,7 @@
 """The exact pair search as it stood before it shared the cell hash of the
 float counter, kept verbatim as a differential-test oracle (only the imports
-are made absolute).
+are made absolute, and each embedding, now an integer box, is read through
+`oracle_intervals.box_interval`).
 
 It embeds every point at 40 bits itself and prunes with dense n x n numpy
 blocks of 4096 x 4096, so it returns pairs in (i, j) order for n <= 4096.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from oracle_intervals import box_interval
 from udfield.numberfield import CMStructure, abs_sq
 
 
@@ -26,7 +28,7 @@ def unit_pair_indices(points, cm: CMStructure) -> List[Tuple[int, int]]:
     field = cm.field
     one = field.one()
     rep = cm.pair_reps[0]
-    boxes = [z.embed(rep, 40) for z in pts]
+    boxes = [box_interval(z.embed(rep, 40)) for z in pts]
     n = len(pts)
     if n < 2:
         return []

@@ -1,8 +1,9 @@
 """The lattice enumerators as they stood before the real-box search was
 folded into `udfield.enumeration.lattice_points_in_polydisc`, kept verbatim
-as a differential-test oracle (only the imports are made absolute, and
-the interval method `round_outward`, which `udfield` dropped, is called
-as `oracle_setup`'s function).
+as a differential-test oracle (only the imports are made absolute, the
+interval method `round_outward`, which `udfield` dropped, is called
+as `oracle_setup`'s function, and each embedding, now an integer box, is
+read through `oracle_intervals.box_interval`).
 
 `lattice_points_in_polydisc` is the old polydisc enumerator;
 `real_lattice_points_in_box` is the old real-box search for totally real
@@ -17,10 +18,11 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from oracle_intervals import ComplexInterval, RealInterval, box_interval
 from oracle_setup import round_outward
 from udfield import linalg
 from udfield.errors import WindowTooLarge
-from udfield.intervals import ComplexInterval, RealInterval, sqrt_upper
+from udfield.intervals import sqrt_upper
 from udfield.linalg import identity
 from udfield.numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
@@ -32,7 +34,7 @@ def _basis_embeddings(basis: Sequence[FieldElement], cm: CMStructure, bits: int)
     keep = max(_PREFILTER_BITS, bits - 16)
     rows = []
     for v in basis:
-        rows.append([round_outward(v.embed(idx, bits), keep)
+        rows.append([round_outward(box_interval(v.embed(idx, bits)), keep)
                      for idx in cm.pair_reps])
     return rows
 
@@ -94,7 +96,7 @@ def _modulus_cmp_exact(z: FieldElement, cm: CMStructure, coord: int,
         return 0
     bits = 64
     while True:
-        box = t.embed(cm.pair_reps[coord], bits)
+        box = box_interval(t.embed(cm.pair_reps[coord], bits))
         if box.re.lo > 0:
             return 1
         if box.re.hi < 0:
@@ -121,7 +123,7 @@ def lattice_points_in_polydisc(basis: Sequence[FieldElement], cm: CMStructure,
     emb = _basis_embeddings(basis, cm, 64)
     center_emb = None
     if center is not None and not center.is_zero():
-        center_emb = [round_outward(center.embed(idx, 64), _PREFILTER_BITS)
+        center_emb = [round_outward(box_interval(center.embed(idx, 64)), _PREFILTER_BITS)
                       for idx in cm.pair_reps]
     bounds = None
     bits = 64
@@ -215,7 +217,7 @@ def real_lattice_points_in_box(basis: Sequence[FieldElement], bound: Fraction,
 
     bits = 64
     while True:
-        emb = [[round_outward(v.embed(i, bits).re, bits - 16) for i in range(n)]
+        emb = [[round_outward(box_interval(v.embed(i, bits)).re, bits - 16) for i in range(n)]
                for v in basis]
         mid = [[e.midpoint() for e in row] for row in emb]
         try:
@@ -287,7 +289,7 @@ def _real_sign_at(z: FieldElement, root_index: int) -> int:
         return 0
     bits = 64
     while True:
-        box = z.embed(root_index, bits)
+        box = box_interval(z.embed(root_index, bits))
         if box.re.lo > 0:
             return 1
         if box.re.hi < 0:

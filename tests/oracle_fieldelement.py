@@ -6,9 +6,10 @@ multiplication matrix and a Gaussian-elimination determinant.
 `OracleField` carries the old coordinate arithmetic over a udfield
 NumberField (its structure constants, basis traces and integral basis);
 `conj` and `abs_sq` are the old CMStructure.conj and abs_sq.  The only
-edits are that `_norm_coords` calls this module's `mat_det` and that the
+edits are that `_norm_coords` calls this module's `mat_det`, that the
 field's one() is the first row of the inverse basis matrix (the
-coordinates of 1).
+coordinates of 1), and that `embed` reads the field's integer box through
+`oracle_intervals.box_interval`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from oracle_intervals import ComplexInterval, box_interval
 from udfield.errors import DivisionByZero, NotAField
-from udfield.intervals import ComplexInterval
 from udfield.linalg import Matrix, mat_inv
 
 
@@ -66,7 +67,7 @@ class OracleField:
         return FieldElement(self, tuple(Fraction(c) for c in coords))
 
     def embed(self, z, root_index: int, bits: int = 64) -> ComplexInterval:
-        return self.K.embed(z, root_index, bits)
+        return box_interval(self.K.embed(z, root_index, bits))
 
     def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]):
         n = self.n

@@ -12,6 +12,8 @@ field's label; and the searches run `oracle_polydisc`'s enumerator,
 whose cap counts the cells of its coefficient box as the enumerator's cap
 did then (the enumerator's cap now counts its work, which would walk the
 far-stretched polydiscs for 2 000 000 steps each before giving up).
+The stretches read each embedding, now an integer box, through
+`oracle_intervals.box_interval`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from oracle_intervals import box_interval
 from oracle_polydisc import lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
@@ -138,7 +141,7 @@ def _unit_stretches(K: NumberField, cm: CMStructure, depth: int):
                     w = u ** (sgn * j)
                     row = []
                     for idx in cm.pair_reps:
-                        m2 = w.embed(idx, 32).abs_sq()
+                        m2 = box_interval(w.embed(idx, 32)).abs_sq()
                         row.append(Fraction(int(m2.hi * 4096) + 1, 4096))
                     stretches.append(tuple(row))
         cache[depth] = tuple(stretches)

@@ -1,20 +1,48 @@
-"""Complex root isolation as it stood with mpmath seeds: `_seed_roots`,
-`_mpc_to_dyadic`, `_certify`, `_pair_disks` and `isolate_complex_roots`,
-verbatim, kept as the oracle for udfield.roots (whose seeds come from
-integer Aberth iterations).  mpmath is needed only here."""
+"""Complex root isolation as it stood with mpmath seeds and Fraction
+certificates: `_seed_roots`, `_mpc_to_dyadic`, `_certify`, `_pair_disks`,
+`isolate_complex_roots` and `RootBox`, kept as the oracle for
+udfield.roots, whose seeds come from integer Aberth iterations and whose
+certificates are computed on integers.  mpmath is needed only here.
+
+The edits: `_seed_roots` returns the dyadic (re, im) pairs that
+`_certify` used to convert, `isolate_complex_roots` takes the seeding as
+an argument, and `integer_seeds` gives udfield.roots' seeds in that form,
+so that the isolation with those seeds is the Fraction isolation of
+udfield.roots as it stood before its certificates moved to integers.
+Interval Horner is `oracle_setup.eval_at`, the interval classes those of
+`oracle_intervals`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from oracle_intervals import ComplexInterval, RealInterval, sqrt_lower
+from oracle_setup import eval_at
+from udfield import roots
 from udfield.errors import PrecisionExhausted
-from udfield.intervals import (ComplexInterval, RealInterval, round_up, sqrt_lower,
-                               sqrt_upper)
-from udfield.polynomials import check_squarefree, degree, derivative, eval_at
-from udfield.roots import RootBox
+from udfield.intervals import round_up, sqrt_upper
+from udfield.polynomials import check_squarefree, degree, derivative
 
 _MAX_BITS = 1 << 16
+
+
+class RootBox:
+    """One isolated root: a rectangle certified to contain exactly it."""
+
+    __slots__ = ("box", "conj_index", "is_real")
+
+    def __init__(self, box: ComplexInterval, conj_index: int, is_real: bool):
+        # conj_index: the index of the complex-conjugate root in the full list
+        self.box, self.conj_index, self.is_real = box, conj_index, is_real
+
+    @property
+    def re(self) -> RealInterval:
+        return self.box.re
+
+    @property
+    def im(self) -> RealInterval:
+        return self.box.im
 
 
 def _mpc_to_dyadic(z, bits: int) -> Tuple[Fraction, Fraction]:
@@ -35,7 +63,8 @@ def _seed_roots(p: Sequence, bits: int):
     try:
         mpmath.mp.prec = bits + 32
         coeffs = [int(c) for c in reversed(p)]
-        return mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits // 2 + 64)
+        return [_mpc_to_dyadic(z, bits)
+                for z in mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits // 2 + 64)]
     except mpmath.libmp.NoConvergence:
         raise PrecisionExhausted(
             f"root seeding did not converge at {bits} bits") from None
@@ -48,8 +77,7 @@ def _certify(p: Sequence, seeds, bits: int):
     n = degree(p)
     dp = derivative(p)
     disks = []
-    for z in seeds:
-        cre, cim = _mpc_to_dyadic(z, bits)
+    for cre, cim in seeds:
         pt = ComplexInterval.point(cre, cim)
         val = eval_at(p, pt)
         dval = eval_at(dp, pt)
@@ -93,7 +121,14 @@ def _pair_disks(disks):
     return partners
 
 
-def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
+def integer_seeds(p: Sequence, bits: int) -> List[Tuple[Fraction, Fraction]]:
+    """udfield.roots' integer Aberth seeds as dyadic (re, im) pairs."""
+    den = 1 << (bits + roots._SEED_BITS)
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in roots._seed_roots(p, bits)]
+
+
+def isolate_complex_roots(p: Sequence, precision_bits: int,
+                          seed_roots=_seed_roots) -> List[RootBox]:
     """Disjoint boxes around all roots of squarefree p, width <= 2^-precision_bits.
 
     Complex-conjugate roots are identified and paired; a root is flagged
@@ -106,7 +141,7 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
     target = Fraction(1, 1 << precision_bits)
     bits = max(64, precision_bits + 16)
     while True:
-        seeds = _seed_roots(p, bits)
+        seeds = seed_roots(p, bits)
         disks = _certify(p, seeds, bits)
         if disks is not None and all(2 * r <= target for _, _, r in disks):
             partners = _pair_disks(disks)

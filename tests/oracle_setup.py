@@ -14,14 +14,24 @@ method `round_outward`, as a function.  The reduction modulo the minimal
 polynomial through the table of theta powers (`_power_table` and
 `_reduce_power_poly`) and the precision ladder of `_conjugate_pair_reps`
 are copied from `udfield.numberfield`, where `poly_divmod` and the 64-bit
-root boxes now do those jobs.
+root boxes now do those jobs.  `basis_image_ends` (the Fraction Horner at
+the root boxes, aligned by `to_fixed`), `_interpolate_conjugation` (the
+Lagrange interpolation in interval arithmetic) and the loop of
+`detect_cm` that drives it are copied from `udfield.numberfield` too, now
+that the field's root boxes, basis images and conjugation candidates are
+computed on integers.
 
 The only edits are the absolute imports: `_coord_bounds` imports linalg
 from udfield, the two methods take `self` as their first argument,
 `round_outward` is called as a function, and `basis_images` rebuilds the
 Fraction boxes of the field's basis images from the integer ends that the
 field now caches in their place; `_power_table` and `_reduce_power_poly`
-take the field as their first argument and build the table per call.
+take the field as their first argument and build the table per call.  The
+interval classes are those of `oracle_intervals`, and a root box, now an
+integer `Box`, is read through `box_interval` wherever the old code read
+the Fraction box; `basis_image_ends`, `_interpolate_conjugation` and
+`detect_cm` take the field as their first argument, and `detect_cm` keeps
+no cache on it.
 """
 
 from __future__ import annotations
@@ -30,11 +40,13 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from oracle_intervals import ComplexInterval, RealInterval, box_interval, to_fixed
 from udfield.errors import DivisionByZero, NotAField, PrecisionExhausted
-from udfield.intervals import (ComplexInterval, RealInterval, round_down,
-                               round_up, sqrt_upper)
+from udfield.intervals import round_down, round_up, sqrt_upper
 from udfield.linalg import Matrix, mat_inv, vec_mat
-from udfield.numberfield import FieldElement, NumberField
+from udfield.numberfield import (EMBED_BITS_CAP, FieldElement, NumberField, _build_cm,
+                                 _compose, _power_action_matrix, _simplest_rational)
+from udfield.polynomials import make_poly, poly_divmod
 
 
 _PREFILTER_BITS = 48
@@ -365,16 +377,98 @@ def _conjugate_pair_reps(fld: NumberField) -> Tuple[int, ...]:
         for i, rb in enumerate(roots):
             if rb.is_real:
                 raise ValueError("field is not totally imaginary")
-            if rb.im.lo > 0:
+            im = box_interval(rb.box).im
+            if im.lo > 0:
                 reps.append(i)
-            elif rb.im.hi < 0:
+            elif im.hi < 0:
                 continue
             else:
                 undecided = True
                 break
         if not undecided:
-            reps.sort(key=lambda i: (roots[i].re.midpoint(), roots[i].im.midpoint()))
+            reps.sort(key=lambda i: (box_interval(roots[i].box).re.midpoint(),
+                                     box_interval(roots[i].box).im.midpoint()))
             return tuple(reps)
         bits *= 2
         if bits > 4096:
             raise PrecisionExhausted("could not separate conjugate pairs")
+
+
+def basis_image_ends(self, root_index: int, bits: int):
+    """(s, rows): sigma_i(b_k) for the integral basis b_0..b_{n-1} as
+    integers over one 2^s, rows[k] = 2^s (re.lo, re.hi, im.lo, im.hi),
+    each box of width <= 2^-bits by interval Horner at a refined root
+    box."""
+    ends = []
+    for power in self.basis_mat:
+        work = bits
+        while True:
+            val = eval_at(power, box_interval(self.roots(work)[root_index].box), bits=work + 32)
+            if val.width() <= Fraction(1, 1 << bits):
+                break
+            if work >= EMBED_BITS_CAP:
+                raise PrecisionExhausted(
+                    f"embedding of a basis element did not reach 2^-{bits}")
+            work *= 2
+        ends.append((val.re.lo, val.re.hi, val.im.lo, val.im.hi))
+    s = max(q.denominator.bit_length() for b in ends for q in b) - 1
+    return s, [[to_fixed(q, s) for q in b] for b in ends]
+
+
+def detect_cm(K: NumberField):
+    """The conjugation search of detect_cm for a totally imaginary K."""
+    if not K.is_totally_imaginary():
+        return None
+    bits = 128
+    while bits <= 4096:
+        g = _interpolate_conjugation(K, bits)
+        if g is not None:
+            conj_power = _power_action_matrix(K, g)
+            cm = _build_cm(K, conj_power)
+            if cm is not None:
+                return cm
+        bits *= 2
+    return None
+
+
+def _interpolate_conjugation(K: NumberField, bits: int):
+    """Candidate g in Q[x] with g(root_k) = conj(root_k) for all k."""
+    roots = K.roots(bits)
+    n = K.n
+    boxes = [box_interval(r.box) for r in roots]
+    # Lagrange interpolation of (r_k, conj(r_k)) in interval arithmetic
+    coeffs = [ComplexInterval.point(0)] * n
+    for k in range(n):
+        num = [ComplexInterval.point(1)]
+        for j in range(n):
+            if j == k:
+                continue
+            # multiply num by (x - r_j)
+            new = [ComplexInterval.point(0)] * (len(num) + 1)
+            for t, c in enumerate(num):
+                new[t] = new[t] + c * (-boxes[j])
+                new[t + 1] = new[t + 1] + c
+            num = new
+        den = ComplexInterval.point(1)
+        for j in range(n):
+            if j != k:
+                den = den * (boxes[k] - boxes[j])
+        if den.abs_sq().contains_zero():
+            return None
+        scale = boxes[k].conjugate().div(den, bits)
+        for t in range(len(num)):
+            term = num[t] * scale
+            coeffs[t] = coeffs[t] + term
+    out = []
+    for c in coeffs:
+        if not c.im.contains_zero():
+            return None
+        q = _simplest_rational(c.re.lo, c.re.hi)
+        out.append(q)
+    g = make_poly(out)
+    # exact verification that x -> g(x) permutes the roots: min_poly | f(g)
+    comp = _compose(K.min_poly, g)
+    _, rem = poly_divmod(comp, K.min_poly)
+    if rem:
+        return None
+    return g

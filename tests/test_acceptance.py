@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from oracle_intervals import box_interval
 from pointrows import elements_of, rows_of
 
 from udfield.cli import main
@@ -328,11 +329,13 @@ def test_criterion_10_property_suites():
                            for _ in range(K.n)])
             t = abs_sq(z, cm)
             for rep in cm.pair_reps:
-                assert t.embed(rep, 48).re.intersects(z.embed(rep, 48).abs_sq())
+                assert box_interval(t.embed(rep, 48)).re.intersects(
+                    box_interval(z.embed(rep, 48)).abs_sq())
     counts["cm_modulus"] = 200 * len(fields)
 
     # covolume = 2^-f sqrt|disc| for 200 quadratic fields plus the quartic
-    from udfield.intervals import sqrt_lower, sqrt_upper
+    from oracle_intervals import sqrt_lower
+    from udfield.intervals import sqrt_upper
     from udfield.numthy import is_squarefree_int
 
     done = 0
@@ -345,7 +348,7 @@ def test_criterion_10_property_suites():
             b0 = K.element([1, 0])
             b1 = K.element([0, 1])
             rep = cm.pair_reps[0]
-            x0, x1 = b0.embed(rep, 64), b1.embed(rep, 64)
+            x0, x1 = box_interval(b0.embed(rep, 64)), box_interval(b1.embed(rep, 64))
             det = x0.re * x1.im - x0.im * x1.re
             if det.hi < 0:
                 det = -det
@@ -367,7 +370,7 @@ def test_criterion_10_property_suites():
             continue
         norm = abs(z.norm())
         assert norm >= scale ** K.n              # certified via the norm
-        boxes = [z.embed(rep, 40) for rep in cm.pair_reps]
+        boxes = [box_interval(z.embed(rep, 40)) for rep in cm.pair_reps]
         assert max(b.abs_sq().hi for b in boxes) >= scale * scale
     counts["delta_separation"] = 500
 

@@ -51,6 +51,14 @@ def test_r2_cli(capsys):
     assert rc == 0 and data["count"] == 12
 
 
+@pytest.mark.parametrize("alpha, box, count", [("9,0", "3073/1024", 12),
+                                               ("7,2", "15459/4096", 0)])
+def test_r2_auto_box_over_a_real_quadratic_field(capsys, alpha, box, count):
+    # with no --box, the box is read off alpha's largest real embedding
+    rc, data = run_cli(capsys, "r2", "--alpha", alpha, "--field", "qsqrt5")
+    assert rc == 0 and (data["box"], data["count"]) == (box, count)
+
+
 def test_grid_cli(capsys):
     rc, data = run_cli(capsys, "grid", "--n", "25")
     assert rc == 0

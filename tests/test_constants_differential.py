@@ -85,9 +85,11 @@ def test_fixed_precisions_match_oracle(bits):
 def test_enclosures_contain_mpmath_value(bits, kind, data):
     with mpmath.workprec(3 * bits):
         pi = _frac(+mpmath.pi)
-    assert pi_interval(bits).contains(pi)
+    iv = pi_interval(bits)
+    assert iv.lo <= pi <= iv.hi
     _, q = data.draw(_quotient(kind))
-    assert ln_interval(q, bits).contains(_mp_ln(q, 3 * bits))
+    iv = ln_interval(q, bits)
+    assert iv.lo <= _mp_ln(q, 3 * bits) <= iv.hi
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracle_intervals import box_interval
 from pointrows import elements_of
 
 from udfield.construct import (SymbolicPower, UnitSet, WindowConfig,
@@ -405,7 +406,7 @@ def test_delta_separation_invariant(gaussian, gaussian_cm, deg4, deg4_cm):
                 continue
             norm = abs(z.norm())
             assert norm >= scale ** K.n
-            boxes = [z.embed(rep, 40) for rep in cm.pair_reps]
+            boxes = [box_interval(z.embed(rep, 40)) for rep in cm.pair_reps]
             assert max(b.abs_sq().hi for b in boxes) >= scale * scale
 
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import oracle_counting as oracle
 import oracle_pairsearch
+from oracle_intervals import box_interval
 from pointrows import elements_of, rows_of
 from udfield.construct import enumerate_window
 from udfield.counting import (PlanarFloatSet, _unit_test, count_exact, count_float,
@@ -189,7 +190,7 @@ def test_planar_image_within_err(data, which, gaussian, gaussian_cm,
     zero = ([(b + cm.conj(b)).is_zero() for b in basis],
             [b == cm.conj(b) for b in basis])
     for z, pos in zip(pts, xy):
-        box = z.embed(cm.pair_reps[coordinate], 256)
+        box = box_interval(z.embed(cm.pair_reps[coordinate], 256))
         for axis, iv in enumerate((box.re, box.im)):
             v = pos[axis]
             assert iv.lo - err <= Fraction(v) <= iv.hi + err, (z, axis, v, err)

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_setup
+from oracle_intervals import ComplexInterval, box_interval
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from pointrows import elements_of, rows_of
 from udfield.counting import unit_differences
 from udfield.enumeration import (_coef_ranges, _lll_reduce_basis,
                                  lattice_points_in_polydisc)
 from udfield.errors import WindowTooLarge
-from udfield.intervals import ComplexInterval
 from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
@@ -84,7 +84,7 @@ def test_polydisc_completeness_degree4(deg4, deg4_cm):
     # brute force over integral coordinates with the exact modulus test; the
     # boxes sum_k c_k sigma(b_k) of 40-bit basis boxes (exact integer scales)
     # only rule candidates out
-    emb = [[b.embed(rep, 40) for rep in cm.pair_reps] for b in basis]
+    emb = [[box_interval(b.embed(rep, 40)) for rep in cm.pair_reps] for b in basis]
 
     def add(acc, k, c):
         return [a + e.scale(c) for a, e in zip(acc, emb[k])]
@@ -184,9 +184,9 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
         min_size=K.n, max_size=K.n))
     v = K.element(coords)
     for idx in range(K.n):
-        box = K.embed(v, idx, bits)
+        box = box_interval(K.embed(v, idx, bits))
         assert box.width() <= Fraction(1, 1 << bits)
-        horner = oracle_setup.eval_at(v.power_coords(), K.roots(bits + 256)[idx].box,
+        horner = oracle_setup.eval_at(v.power_coords(), box_interval(K.roots(bits + 256)[idx].box),
                                       bits + 288)
         assert horner.width() <= Fraction(1, 1 << bits)
         assert box.intersects(horner)

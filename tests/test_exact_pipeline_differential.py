@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import oracle_pairsearch
 import oracle_polydisc
+from oracle_intervals import box_interval
 from pointrows import rows_of
 from udfield.construct import enumerate_window
 from udfield.counting import (_cell_pairs, _join, _margin, planar_image,
@@ -266,7 +267,7 @@ def test_polydisc_rows_match_numpy_oracle(data, which, denom, gaussian_cm,
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         z = FieldElement(K, [sum(c * b[k] for c, b in zip(coeffs, basis))
                              + (center[k] if center else 0) for k in range(n)], denom)
-        box = z.embed(cm.pair_reps[0], 64).abs_sq()
+        box = box_interval(z.embed(cm.pair_reps[0], 64)).abs_sq()
         radius = box.hi if which == "deg4" else abs_sq(z, cm).power_coords()[0]
         radius = abs(radius + data.draw(nudge))
     else:

@@ -13,6 +13,32 @@ from udfield.numberfield import compositum_multiquadratic, detect_cm, nf_new
 from udfield.polynomials import make_poly
 
 
+_NEGATIVE_POWERS = """\
+from udfield.cli import build_field
+from udfield.ideals import FracIdeal, split_prime
+K = build_field("adjoin-i:5")
+P = split_prime(K, 29)[0].lattice
+assert P ** -1 == P.inverse()
+assert P ** -2 * P ** 2 == FracIdeal.unit_ideal(K)
+"""
+
+
+def test_negative_powers_of_an_ideal_invert_it():
+    # without its negative branch __pow__ would never end on e < 0, so the
+    # check runs in a child process with a timeout
+    import os
+    import subprocess
+    import sys
+
+    import udfield
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(udfield.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _NEGATIVE_POWERS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_split_gaussian_5(gaussian):
     primes = split_prime(gaussian, 5)
     assert len(primes) == 2

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracle_ideals
 import oracle_principality
+from oracle_intervals import box_interval
 import udfield.construct as construct
 from udfield.cli import build_field
 from udfield.errors import IndexDivisor, ZeroIdeal
@@ -158,7 +159,7 @@ def test_principality_half_a_unit_period_out(d, a, b):
     (eps,) = oracle_principality.fundamental_units(K, cm)
     h = K.from_rational(a) + sqrt_d * b
     assert h * h == eps * 2
-    eps_sq = [eps.embed(idx, 64).abs_sq() for idx in cm.pair_reps]
+    eps_sq = [box_interval(eps.embed(idx, 64)).abs_sq() for idx in cm.pair_reps]
     bound = Fraction(13, 10) ** 4 * abs(K.disc)
     covered = max(e.hi for e in eps_sq) ** 2 <= bound
     assert covered or max(e.lo for e in eps_sq) ** 2 > bound

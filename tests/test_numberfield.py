@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_intervals import RealInterval, box_interval, sqrt_lower
 from udfield.cli import main
 from udfield.errors import DependentGenerators, DivisionByZero, NotAField
-from udfield.intervals import RealInterval, sqrt_lower, sqrt_upper
+from udfield.intervals import sqrt_upper
 from udfield.numberfield import (abs_sq, compositum_multiquadratic, detect_cm,
                                  is_unit_modulus, nf_new)
 from udfield.polynomials import make_poly, resultant
@@ -107,20 +108,20 @@ def test_compositum_min_poly_sympy_oracle():
 
 def test_minkowski_embed_examples(deg4, deg4_cm):
     K = deg4
-    ones = [K.one().embed(i, 40) for i in deg4_cm.pair_reps]
+    ones = [box_interval(K.one().embed(i, 40)) for i in deg4_cm.pair_reps]
     assert len(ones) == deg4_cm.f == 2
     for box in ones:
-        assert box.re.contains(1) and box.im.contains(0)
+        assert box.re.lo <= 1 <= box.re.hi and box.im.lo <= 0 <= box.im.hi
     # sqrt5 embeds with modulus 2.2360679... in both coordinates (the two
     # pair representatives see sqrt5 with opposite signs)
     sqrt5 = K.element([-5, 0, 2, 0])
     assert sqrt5 * sqrt5 == K.from_rational(5)
     lo = sqrt_lower(Fraction(5), 50)
     hi = sqrt_upper(Fraction(5), 50)
-    for box in [sqrt5.embed(i, 60) for i in deg4_cm.pair_reps]:
+    for box in [box_interval(sqrt5.embed(i, 60)) for i in deg4_cm.pair_reps]:
         m2 = box.abs_sq()
         assert m2.lo <= 5 <= m2.hi or (lo * lo <= m2.hi and m2.lo <= hi * hi)
-        assert box.im.contains(0)
+        assert box.im.lo <= 0 <= box.im.hi
 
 
 def test_norm_against_resultant_oracle(deg4):
@@ -136,7 +137,7 @@ def test_norm_against_resultant_oracle(deg4):
         # interval product of all embeddings contains the norm
         prod = None
         for idx in range(K.n):
-            box = z.embed(idx, 60)
+            box = box_interval(z.embed(idx, 60))
             prod = box if prod is None else prod * box
         assert prod.re.lo <= z.norm() <= prod.re.hi
         assert prod.im.contains_zero()
@@ -151,8 +152,8 @@ def test_cm_modulus_consistency(deg4, deg4_cm):
                        for _ in range(K.n)])
         t = abs_sq(z, cm)
         for i, rep in enumerate(cm.pair_reps):
-            m2 = z.embed(rep, 50).abs_sq()
-            tv = t.embed(rep, 50)
+            m2 = box_interval(z.embed(rep, 50)).abs_sq()
+            tv = box_interval(t.embed(rep, 50))
             assert tv.re.intersects(m2)
             assert tv.im.contains_zero()
 
@@ -160,7 +161,7 @@ def test_cm_modulus_consistency(deg4, deg4_cm):
 def test_unit_modulus_interval_property(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
     z = K.element([Fraction(3, 5), Fraction(4, 5)])
-    for box in [z.embed(i, 256) for i in cm.pair_reps]:
+    for box in [box_interval(z.embed(i, 256)) for i in cm.pair_reps]:
         m2 = box.abs_sq()
         assert m2.lo <= 1 <= m2.hi
         assert abs(m2.hi - 1) < Fraction(1, 1 << 200)
@@ -182,7 +183,7 @@ def _check_covolume(K, cm, bits=80):
         b = K.element([Fraction(1 if t == j else 0) for t in range(n)])
         row = []
         for rep in cm.pair_reps:
-            box = b.embed(rep, bits)
+            box = box_interval(b.embed(rep, bits))
             row.extend([box.re, box.im])
         rows.append(row)
     # interval determinant via Fraction endpoints: evaluate with exact
@@ -263,8 +264,8 @@ def test_sign_at_of_a_zero_divisor_raises_not_a_field():
     # 0 at the roots of the first factor and 2 theta at the others
     K = nf_new(make_poly([1, 0, 1, 0, 1]))
     z = K.theta() * K.theta() + K.theta() + K.one()
-    vanishing = [i for i in range(4) if z.embed(i).re.contains_zero()
-                 and z.embed(i).im.contains_zero()]
+    vanishing = [i for i in range(4) if box_interval(z.embed(i)).re.contains_zero()
+                 and box_interval(z.embed(i)).im.contains_zero()]
     assert len(vanishing) == 2
     for i in range(4):
         if i in vanishing:
@@ -276,6 +277,7 @@ def test_sign_at_of_a_zero_divisor_raises_not_a_field():
 
 _EMBED_CODE = """\
 import sys
+from fractions import Fraction
 from udfield.cli import build_field
 from udfield.numberfield import detect_cm
 K = build_field("adjoin-i:5")
@@ -286,7 +288,7 @@ for j in range(K.n):
     b = K.element([1 if k == j else 0 for k in range(K.n)])
     for rep in cm.pair_reps:
         box = b.embed(rep, 128)
-        print(box.re.lo, box.re.hi, box.im.lo, box.im.hi)
+        print(*(Fraction(end, 1 << box.e) for end in box[1:]))
 """
 
 

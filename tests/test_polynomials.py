@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -65,14 +66,15 @@ def test_resultant_vs_sylvester_oracle():
 
 
 def test_eval_modes():
-    from udfield.intervals import ComplexInterval
+    from oracle_intervals import box_interval
+    from udfield.intervals import Box
 
     p = make_poly([1, -3, 0, 2])  # 2x^3 - 3x + 1
     # a real point is the box x + [0, 0] i
-    rv = eval_at(p, ComplexInterval.point(Fraction(1, 2)))
+    rv = box_interval(eval_at(p, Box(1, 1, 1, 0, 0)))
     assert rv.re.lo == rv.re.hi == Fraction(-1, 4) and rv.im.lo == rv.im.hi == 0
-    cv = eval_at(p, ComplexInterval.point(0, 1))   # 2i^3 - 3i + 1 = 1 - 5i
-    assert cv.re.contains(1) and cv.im.contains(-5)
+    cv = box_interval(eval_at(p, Box(0, 0, 0, 1, 1)))   # 2i^3 - 3i + 1 = 1 - 5i
+    assert cv.re.lo <= 1 <= cv.re.hi and cv.im.lo <= -5 <= cv.im.hi
 
 
 @pytest.mark.parametrize("poly,p,expected", [
@@ -106,6 +108,43 @@ def test_factor_mod_p_vs_sympy():
         deg_ours = sorted((len(g) - 1) for g, e in ours for _ in range(e))
         deg_theirs = sorted(sympy.degree(f, x) for f, e in theirs for _ in range(e))
         assert deg_ours == deg_theirs
+
+
+def _irreducibles_mod_2(max_degree):
+    """Monic irreducibles over F_2 by degree: the monic polynomials that
+    are no product of two of lower degree."""
+    def mul2(a, b):
+        return make_poly([c % 2 for c in poly_mul(a, b)])
+
+    monic = {d: [make_poly(list(low) + [1]) for low in itertools.product((0, 1), repeat=d)]
+             for d in range(1, max_degree + 1)}
+    out = {}
+    for d in range(1, max_degree + 1):
+        products = {mul2(a, b) for k in range(1, d) for a in monic[k] for b in monic[d - k]}
+        out[d] = [f for f in monic[d] if f not in products]
+    return out
+
+
+def test_factor_mod_2_splits_equal_degree_factors():
+    # x^6 + ... + 1 = (x^3 + x + 1)(x^3 + x^2 + 1): two cubics of one
+    # degree, which only the characteristic-2 trace map separates
+    assert factor_mod_p((1, 1, 1, 1, 1, 1, 1), 2) == [((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)]
+    irreducibles = _irreducibles_mod_2(4)
+    rng = random.Random(2)
+    for _ in range(40):
+        d = rng.choice([3, 4])
+        chosen = rng.sample(irreducibles[d], rng.randrange(2, len(irreducibles[d]) + 1))
+        chosen += rng.sample(irreducibles[1] + irreducibles[2], rng.randrange(0, 4))
+        f = (1,)
+        for g in chosen:
+            f = make_poly([c % 2 for c in poly_mul(f, g)])
+        got = factor_mod_p(f, 2)
+        back = (1,)
+        for g, e in got:
+            for _ in range(e):
+                back = make_poly([c % 2 for c in poly_mul(back, g)])
+        assert back == f
+        assert sorted(got) == sorted((g, 1) for g in chosen)
 
 
 def test_factor_mod_p_requires_prime():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_intervals import ComplexInterval, box_interval
 from udfield.errors import NonSquarefree
 from udfield.polynomials import make_poly, poly_mul
 from udfield.roots import isolate_complex_roots, refine_roots
@@ -25,10 +26,11 @@ def test_roots_of_x2_plus_1():
     assert {b.conj_index for b in boxes} == {0, 1}
     assert boxes[0].conj_index == 1 and boxes[1].conj_index == 0
     assert not boxes[0].is_real
-    ims = sorted(float(b.im.midpoint()) for b in boxes)
+    ims = sorted(float(box_interval(b.box).im.midpoint()) for b in boxes)
     assert abs(ims[0] + 1) < 1e-9 and abs(ims[1] - 1) < 1e-9
     for b in boxes:
-        assert b.re.contains(0)
+        re = box_interval(b.box).re
+        assert re.lo <= 0 <= re.hi
 
 
 def test_roots_of_x2_minus_5_vs_bisection():
@@ -36,7 +38,7 @@ def test_roots_of_x2_minus_5_vs_bisection():
     assert all(b.is_real for b in boxes)
     ref = bisect_sqrt(5, 40)          # ref in [sqrt5 - 6/2^44, sqrt5]
     err = Fraction(6, 1 << 44)
-    pos = [b for b in boxes if b.re.midpoint() > 0][0]
+    pos = [box_interval(b.box) for b in boxes if b.box.re_lo + b.box.re_hi > 0][0]
     assert pos.re.lo <= ref + err and ref <= pos.re.hi
     assert pos.im.lo == pos.im.hi == 0
 
@@ -53,7 +55,7 @@ def test_quartic_vs_companion_eigenvalues():
     comp = np.array([[0, 0, 0, -9], [1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0]],
                     dtype=float)
     eigs = sorted(np.linalg.eigvals(comp), key=lambda z: (round(z.real, 6), z.imag))
-    got = sorted((complex(b.box) for b in boxes),
+    got = sorted((complex(box_interval(b.box)) for b in boxes),
                  key=lambda z: (round(z.real, 6), z.imag))
     for e, g in zip(eigs, got):
         assert abs(e - g) < 1e-6
@@ -66,7 +68,7 @@ def test_quartic_vs_companion_eigenvalues():
 def test_width_honors_precision():
     boxes = isolate_complex_roots(make_poly([-2, 0, 0, 1]), 80)  # x^3 - 2
     for b in boxes:
-        assert b.box.width() <= Fraction(1, 1 << 80)
+        assert box_interval(b.box).width() <= Fraction(1, 1 << 80)
     reals = [b for b in boxes if b.is_real]
     assert len(reals) == 1
 
@@ -84,13 +86,11 @@ def test_refinement_completeness():
     finer = refine_roots(p, boxes, 50)
     for old, new in zip(boxes, finer):
         assert new.box.intersects(old.box)
-        assert new.box.width() <= old.box.width()
-    from udfield.intervals import ComplexInterval
-
-    prod = (ComplexInterval.point(1),)
+        assert box_interval(new.box).width() <= box_interval(old.box).width()
     poly = [ComplexInterval.point(1)]
     for b in finer:
-        mid_re, mid_im = b.box.re.midpoint(), b.box.im.midpoint()
+        box = box_interval(b.box)
+        mid_re, mid_im = box.re.midpoint(), box.im.midpoint()
         # multiply poly by (x - midpoint)
         mid = ComplexInterval.point(mid_re, mid_im)
         new = [ComplexInterval.point(0) for _ in range(len(poly) + 1)]

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle_roots
+from oracle_intervals import box_interval
 from udfield.errors import PrecisionExhausted
 from udfield.polynomials import is_squarefree, make_poly, poly_divmod, poly_mul
 from udfield.roots import isolate_complex_roots
@@ -35,11 +36,12 @@ def _agree(p, bits, theirs, same_order=True):
     midpoints, so where two real parts lie within the boxes' widths of each
     other it may differ; with same_order it must agree everywhere."""
     ours = isolate_complex_roots(p, bits)
+    boxes = [box_interval(a.box) for a in ours]
     assert len(ours) == len(theirs) == len(p) - 1
     perm = []
-    for a in ours:
-        assert a.box.width() <= Fraction(1, 1 << bits)
-        hits = [j for j, b in enumerate(theirs) if a.box.intersects(b.box)]
+    for box in boxes:
+        assert box.width() <= Fraction(1, 1 << bits)
+        hits = [j for j, b in enumerate(theirs) if box.intersects(b.box)]
         assert len(hits) == 1
         perm.append(hits[0])
     assert sorted(perm) == list(range(len(ours)))
@@ -48,7 +50,7 @@ def _agree(p, bits, theirs, same_order=True):
         assert a.is_real == b.is_real
         assert perm[a.conj_index] == b.conj_index
         for j in range(i + 1, len(ours)):
-            if same_order or a.re.hi < ours[j].re.lo:
+            if same_order or boxes[i].re.hi < boxes[j].re.lo:
                 assert perm[i] < perm[j]
 
 

@@ -1,8 +1,9 @@
 """The certified set-up on Python integers against its Fraction form, kept
-verbatim in `oracle_setup`: interval Horner (and through it the root
-boxes and the basis images), element embeddings, the HNF of ideal
-products and principal ideals, conjugation and inversion, the reduction
-modulo the minimal polynomial and the conjugate-pair representatives.
+verbatim in `oracle_setup` and `oracle_roots`: interval Horner, the root
+boxes, the basis images, element embeddings, the conjugation that
+detect_cm finds by interpolation, the HNF of ideal products and principal
+ideals, conjugation and inversion, the reduction modulo the minimal
+polynomial and the conjugate-pair representatives.
 Every comparison is equality, so each rewrite must give the very boxes
 and rows the Fraction code gave.  The float images that the enumerator and the
 planar image take in place of the Fraction boxes are checked against the
@@ -20,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_pairsearch
+import oracle_roots
 import oracle_setup
+from oracle_intervals import ComplexInterval, RealInterval, box_interval
 from udfield import enumeration, numberfield, roots
 from udfield.cli import build_field
 from udfield.construct import enumerate_window
@@ -29,7 +32,7 @@ from udfield.counting import (PlanarFloatSet, _cell_offsets, _cells_per_unit,
                               unit_pair_indices)
 from udfield.errors import DivisionByZero, NotAField, ZeroIdeal
 from udfield.ideals import FracIdeal, split_prime
-from udfield.intervals import ComplexInterval, RealInterval
+from udfield.intervals import Box
 from udfield.linalg import hnf_rows, mat_det
 from udfield.numberfield import FieldElement, compositum_multiquadratic, nf_new
 from udfield.polynomials import eval_at, make_poly
@@ -43,19 +46,20 @@ NAMES = ["adjoin-i:5", "adjoin-i:2", "adjoin-i:3", "adjoin-i:7", "adjoin-i:11",
          "adjoin-i:19", "adjoin-i:5,13"]
 
 
-def _boxes(p, bits):
-    return [(r.box.re, r.box.im, r.conj_index, r.is_real)
-            for r in roots.isolate_complex_roots(p, bits)]
+def _boxes(rootboxes, interval=lambda box: box):
+    return [(interval(r.box).re, interval(r.box).im, r.conj_index, r.is_real)
+            for r in rootboxes]
 
 
 @pytest.mark.parametrize("bits", [64, 128])
-def test_root_boxes_match_oracle(bits, monkeypatch):
+def test_root_boxes_match_oracle(bits):
+    # the integer certificates against the Fraction ones, from the same seeds
     polys = list(POLYS) + [build_field(name).min_poly for name in NAMES]
     polys += [compositum_multiquadratic(ds).min_poly
               for ds in ([5, 13], [2, 3, -1], [-1, -5], [-1, -3], [2, 5])]
-    got = [_boxes(p, bits) for p in polys]
-    monkeypatch.setattr(roots, "eval_at", oracle_setup.eval_at)
-    assert got == [_boxes(p, bits) for p in polys]
+    got = [_boxes(roots.isolate_complex_roots(p, bits), box_interval) for p in polys]
+    assert got == [_boxes(oracle_roots.isolate_complex_roots(p, bits, oracle_roots.integer_seeds))
+                   for p in polys]
 
 
 dyadic = st.builds(lambda m, e: Fraction(m, 1 << e), st.integers(-2 ** 70, 2 ** 70),
@@ -73,8 +77,10 @@ def test_eval_at_matches_oracle(p, ends, real, bits):
     (a, b), (c, d) = sorted(ends[:2]), sorted(ends[2:])
     if real:
         c = d = Fraction(0)
-    x = ComplexInterval(RealInterval(a, b), RealInterval(c, d))
-    got, want = eval_at(p, x, bits), oracle_setup.eval_at(p, x, bits)
+    e = max(q.denominator.bit_length() for q in (a, b, c, d)) - 1
+    x = Box(e, *(q.numerator << (e - q.denominator.bit_length() + 1) for q in (a, b, c, d)))
+    got = box_interval(eval_at(p, x, bits))
+    want = oracle_setup.eval_at(p, ComplexInterval(RealInterval(a, b), RealInterval(c, d)), bits)
     assert (got.re, got.im) == (want.re, want.im)
 
 
@@ -110,17 +116,40 @@ def test_pair_reps_match_oracle(name):
     assert reps == oracle_setup._conjugate_pair_reps(K)
 
 
+def _rationals(ends):
+    s, rows = ends
+    return [[Fraction(c, 1 << s) for c in row] for row in rows]
+
+
 @pytest.mark.parametrize("name", ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:3"])
-def test_basis_images_match_oracle(name, monkeypatch):
-    # the one cache of basis-image ends through the integer Horner against
-    # the Fraction Horner, on a fresh field each side so that no cached box
-    # is shared
+def test_basis_images_match_oracle(name):
+    # the one cache of basis-image ends, aligned from integer Horner boxes,
+    # against the Fraction Horner aligned by to_fixed
     K = build_field(name)
-    got = [K.basis_image_ends(i, bits) for i in range(K.n) for bits in (64, 128, 192)]
-    monkeypatch.setattr(numberfield, "eval_at", oracle_setup.eval_at)
-    L = build_field(name)
-    want = [L.basis_image_ends(i, bits) for i in range(L.n) for bits in (64, 128, 192)]
-    assert got == want
+    for i in range(K.n):
+        for bits in (64, 128, 192):
+            assert (_rationals(K.basis_image_ends(i, bits))
+                    == _rationals(oracle_setup.basis_image_ends(K, i, bits)))
+
+
+def _dict_built(name):
+    # a field as a JSON sidecar gives it: no construction-time conjugation
+    if isinstance(name, tuple):
+        return nf_new(make_poly(name))
+    K = build_field(name)
+    return nf_new(K.min_poly, K.basis_mat)
+
+
+@pytest.mark.parametrize("name", [p for p in POLYS if len(p) in (3, 5)] + [
+    "gaussian", "qsqrt-5", "adjoin-i:2", "adjoin-i:3", "adjoin-i:5", "adjoin-i:7",
+    "adjoin-i:11", "adjoin-i:19", "adjoin-i:5,13"], ids=str)
+def test_detect_cm_matches_interval_interpolation(name):
+    # the fixed-point candidate against the interval Lagrange interpolation,
+    # each on a fresh field, both certified by the same exact checks
+    got, want = numberfield.detect_cm(_dict_built(name)), oracle_setup.detect_cm(_dict_built(name))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.conj_mat, got.pair_reps) == (want.conj_mat, want.pair_reps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,7 +165,7 @@ def test_image_box_matches_oracle(data, which, denom, bits, gaussian_cm, qsqrt_m
                              min_size=K.n, max_size=K.n))
     idx = data.draw(st.integers(0, K.n - 1))
     # FieldElement divides row and denom by their gcd, which leaves the box alone
-    got = K.embed(FieldElement(K, row, denom), idx, bits)
+    got = box_interval(K.embed(FieldElement(K, row, denom), idx, bits))
     want = oracle_setup._image_box(K, row, denom, idx, bits)
     assert (got.re, got.im) == (want.re, want.im)
 
@@ -190,7 +219,7 @@ def test_float_image_within_err_of_embed(data, which, denom, image_fields):
     idx = data.draw(st.integers(0, K.n - 1))
     z = FieldElement(K, row, denom)
     re, im, err = K.float_image(z, idx)
-    box = K.embed(z, idx, 256)
+    box = box_interval(K.embed(z, idx, 256))
     for m, iv in ((re, box.re), (im, box.im)):
         assert iv.lo - Fraction(err) <= Fraction(m) <= iv.hi + Fraction(err)
 
