@@ -95,8 +95,9 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     n = K.n
     rep = cm.pair_reps[coordinate]
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
-    zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
-            [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
+    C, L = cm.conj_mat, cm.conj_den
+    zero = ([list(C[j]) == [-L * c for c in unit[j]] for j in range(n)],
+            [list(C[j]) == [L * c for c in unit[j]] for j in range(n)])
     try:
         # the unit rows take the basis images at 128 bits
         images = [K.float_image(FieldElement(K, u), rep) for u in unit]
@@ -538,7 +539,6 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     undercount.
     """
     from .enumeration import lattice_points_in_polydisc
-    from .linalg import identity
 
     if not F.is_totally_real():
         raise PreconditionError(f"r2_count needs a totally real field, not {F.label}")
@@ -566,7 +566,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     eye = [[1 if k == j else 0 for k in range(F.n)] for j in range(F.n)]
     # the box |sigma_i(x)| <= box is the polydisc sigma_i(x)^2 <= box^2 under
     # the identity conjugation, one coordinate per real root
-    real = CMStructure(field=F, conj_mat=identity(F.n), f=F.n, pair_reps=tuple(range(F.n)))
+    real = CMStructure(F, eye, 1, F.n, tuple(range(F.n)))
     pts = [FieldElement(F, row) for row in lattice_points_in_polydisc(
         eye, 1, real, [box * box] * F.n, limit=R2_SEARCH_LIMIT)]
     squares = {}

@@ -317,7 +317,7 @@ def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[L
     """The rows U @ basis, U the integer transform of exact LLL on the T2
     Gram matrix of the basis rows; a common denominator of the rows scales
     the Gram matrix, which LLL ignores."""
-    U = linalg.lll_transform(linalg.mat(_t2_gram(basis, cm)))
+    U = linalg.lll_transform(_t2_gram(basis, cm))
     return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(basis))]
             for row in U]
 

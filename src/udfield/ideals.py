@@ -133,13 +133,13 @@ class FracIdeal:
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
         """The ideal conj(self), which exists only when conjugation maps the
         order to itself, that is when its matrix on the basis is integral."""
-        C, L = cm._conj
-        if L != 1:
+        if cm.conj_den != 1:
             raise PreconditionError(
                 "complex conjugation does not map the order of this basis to "
                 "itself, so the conjugate of an ideal is not an ideal of it; "
                 "pass the field's integral_basis")
-        return self._normalize(self.field, [vec_mat(row, C) for row in self.hnf], self.den)
+        return self._normalize(self.field, [vec_mat(row, cm.conj_mat) for row in self.hnf],
+                               self.den)
 
     def __repr__(self):
         return f"FracIdeal({self.field.label}, norm={self.norm()})"
@@ -195,7 +195,7 @@ def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
     out = []
     p_elt = K.from_rational(p)
     for g, e in factors:
-        g_theta = K.from_power_coords([Fraction(c) for c in g])
+        g_theta = K.from_power_coords(g)
         lat = FracIdeal.from_elements(K, [p_elt, g_theta])
         prime = PrimeIdeal(p=p, gen_poly=make_poly(g), e=e,
                            f_res=len(g) - 1, lattice=lat)

@@ -1,59 +1,36 @@
-"""Exact linear algebra: Fraction matrices, integer Hermite normal form,
-integral LLL, and the integer coordinate rows over one denominator that
-point sets use.
+"""Exact linear algebra on Python integers: fraction-free determinants and
+inverses, integer Hermite normal form, integral LLL, and the integer
+coordinate rows over one denominator that point sets use.
 
-Matrices are tuples of row tuples.  Everything here is desk scale
-(dimension <= 32), so classical fraction-free or Gaussian algorithms are
-used.  The set-up of the lattice enumerator and of element and ideal
-arithmetic runs on Python integers: fraction-free Gauss-Jordan gives an
-inverse as an integer matrix over one denominator, LLL keeps integer
-Gram-Schmidt data, and the HNF clears each column by extended-gcd steps.
+Matrices are sequences of integer rows.  Everything here is desk scale
+(dimension <= 32), so classical fraction-free algorithms are used:
+fraction-free Gauss-Jordan gives an inverse as an integer matrix over one
+denominator, LLL keeps integer Gram-Schmidt data, and the HNF clears each
+column by extended-gcd steps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
-Matrix = Tuple[Tuple[Fraction, ...], ...]
 
-
-def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(c) for c in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def vec_mat(v: Sequence[Fraction], a: Matrix) -> Tuple[Fraction, ...]:
+def vec_mat(v: Sequence[int], a) -> Tuple[int, ...]:
     return tuple(sum(map(mul, v, col)) for col in zip(*a))
 
 
-def mat_det(a) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination (Cohen, GTM 138,
-    Alg. 2.2.6) on the rows cleared of their denominators: every division
-    is exact, so integer entries never become fractions."""
+def mat_det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss
+    elimination (Cohen, GTM 138, Alg. 2.2.6): every division is exact."""
     n = len(a)
-    scale = 1
-    m = []
-    for row in a:
-        d = lcm(1, *(c.denominator for c in row))
-        scale *= d
-        m.append([c.numerator * (d // c.denominator) for c in row])
+    m = [list(row) for row in a]
     sign, prev = 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         p, row_k = m[k][k], m[k]
@@ -62,7 +39,7 @@ def mat_det(a) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (row[j] * p - f * row_k[j]) // prev
         prev = p
-    return Fraction(sign * m[-1][-1] if n else 1, scale)
+    return sign * m[-1][-1] if n else 1
 
 
 def gauss_jordan(rows: Sequence[Sequence[int]]):
@@ -84,18 +61,6 @@ def gauss_jordan(rows: Sequence[Sequence[int]]):
                 m[i] = [(a * p - f * b) // prev for a, b in zip(row, row_k)]
         prev = p
     return prev, [row[n:] for row in m]
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """The inverse X / d of gauss_jordan on [S a | S], S the diagonal
-    matrix that clears each row of a of its denominators."""
-    n = len(a)
-    scales = [lcm(1, *(Fraction(c).denominator for c in row)) for row in a]
-    d, X = gauss_jordan([[int(c * s) for c in row] + [s * (i == j) for j in range(n)]
-                         for i, (row, s) in enumerate(zip(a, scales))])
-    if not d:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(Fraction(x, d) for x in row) for row in X)
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +128,19 @@ def hnf_det(hnf: Sequence[Sequence[int]]) -> int:
     return det
 
 
-def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple[int, ...], ...]:
-    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7; de Weger 1987) on an exact
-    PSD Gram matrix cleared of its denominators; returns the unimodular row
+def lll_transform(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Integral LLL (Cohen, GTM 138, Alg. 2.6.7; de Weger 1987) with
+    delta = 3/4 on a PSD integer Gram matrix; returns the unimodular row
     transform U, the reduced basis being U @ (old basis).
 
     With B_j = |b*_j|^2 it keeps the integers d_i, the product of the
     nonzero B_j (j < i), and lambda_ij = d_(j+1) mu_ij, with mu_ij = 0 when
     B_j = 0 (a singular Gram matrix).  Row k is size-reduced (mu rounded
-    half up) before the Lovasz test B_k >= (delta - mu^2) B_(k-1), an
+    half up) before the Lovasz test B_k >= (3/4 - mu^2) B_(k-1), an
     integer inequality; a swap updates lambda and d by SWAPI, or when B_k
     = 0 recomputes them from U G U^T.  Each decision is the one exact
     rational mu and B would take, so U is too."""
     n = len(gram)
-    L = lcm(1, *(c.denominator for row in gram for c in row))
-    gram = [[int(c * L) for c in row] for row in gram]
-    a, b = delta.numerator, delta.denominator
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def gso():
@@ -210,7 +172,7 @@ def lll_transform(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> Tuple[Tuple
                     lam[k][t] -= r * lam[j][t]
         m = lam[k][k - 1]
         # B_k d_k d_(k-1) is d_(k+1) d_(k-1), or 0 when B_k = 0
-        if zero[k - 1] or b * (0 if zero[k] else d[k + 1]) * d[k - 1] >= a * d[k] ** 2 - b * m * m:
+        if zero[k - 1] or 4 * (0 if zero[k] else d[k + 1]) * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m:
             k += 1
             continue
         U[k], U[k - 1] = U[k - 1], U[k]

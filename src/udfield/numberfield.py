@@ -1,11 +1,17 @@
 """Number fields: exact element arithmetic over an integral basis, CM
 structure, and the Minkowski embedding into C^f.
 
+The field's own data are integers.  The integral basis is one integer
+matrix of power coordinates over one denominator, its inverse the integer
+matrix over one determinant that fraction-free Gauss-Jordan gives, and
+complex conjugation one integer matrix on the basis over one denominator.
 An element is one integer row over one denominator: its coordinates on
 the field's integral basis, num / den in lowest terms.  Products, norms
 and inverses go through the integer matrix of multiplication built from
 the structure constants, and power coordinates are reduced modulo the
-minimal polynomial by poly_divmod.  An embedding value is an
+monic minimal polynomial without division.  Fractions appear only where
+rationals come in or go out: element(), coords, power_coords and the
+basis rows that interval Horner and to_dict read.  An embedding value is an
 intervals.Box on integer ends, the exact combination of the basis images
 that interval Horner gives at the root boxes, refined on demand.  Complex
 conjugation, when the field was not built with it, is proposed by
@@ -28,39 +34,53 @@ from . import linalg
 from .errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
                      PrecisionExhausted)
 from .intervals import Box
-from .linalg import Matrix, mat, mat_inv, mat_mul, vec_mat
+from .linalg import stack_rows, vec_mat
 from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
-                          eval_at, make_poly, poly_add, poly_divmod, poly_mul)
+                          eval_at, make_poly, poly_mul)
 from .roots import RootBox, isolate_complex_roots, refine_roots
 
 EMBED_BITS_CAP = 1 << 16
 
 
 class NumberField:
-    """A degree-n field Q[x]/(min_poly) with a fixed integral basis."""
+    """A degree-n field Q[x]/(min_poly) with a fixed integral basis: b_k has
+    power coordinates basis_mat[k] / basis_den."""
 
-    def __init__(self, min_poly: IntPoly, basis_mat: Matrix, label: str = "",
-                 warnings: Sequence[str] = ()):
+    def __init__(self, min_poly: IntPoly, basis_mat: Sequence[Sequence[int]],
+                 basis_den: int = 1, label: str = "", warnings: Sequence[str] = ()):
         check_monic(min_poly)
         check_squarefree(min_poly)
         self.min_poly = make_poly(min_poly)
-        self.n = degree(self.min_poly)
-        self.basis_mat = mat(basis_mat)
-        if len(self.basis_mat) != self.n or len(self.basis_mat[0]) != self.n:
+        self.n = n = degree(self.min_poly)
+        if n < 1:
+            raise ValueError("min_poly must have degree at least 1")
+        if len(basis_mat) != n or any(len(row) != n for row in basis_mat):
             raise ValueError("integral basis must be n x n")
-        self.inv_basis_mat = mat_inv(self.basis_mat)
-        self.label = label or f"deg{self.n}field"
+        g = math.gcd(basis_den, *(c for row in basis_mat for c in row))
+        if basis_den < 0:
+            g = -g
+        self.basis_mat = tuple(tuple(c // g for c in row) for row in basis_mat)
+        self.basis_den = basis_den // g
+        # (basis_mat / basis_den)^-1 = inv_basis_mat / inv_basis_den
+        d, X = linalg.gauss_jordan([[*row, *(self.basis_den * (i == j) for j in range(n))]
+                                    for i, row in enumerate(self.basis_mat)])
+        if not d:
+            raise ValueError("singular matrix")
+        sign = -1 if d < 0 else 1
+        self.inv_basis_mat = tuple(tuple(sign * c for c in row) for row in X)
+        self.inv_basis_den = sign * d
+        self.label = label or f"deg{n}field"
         self.warnings = list(warnings)
         self.mult_table = self._structure_constants()
         # Tr(b_k) is the trace of multiplication by b_k, whose row i holds
         # the coordinates of b_i b_k
-        self.basis_traces = tuple(sum(self.mult_table[i][k][i] for i in range(self.n))
-                                  for k in range(self.n))
+        self.basis_traces = tuple(sum(self.mult_table[i][k][i] for i in range(n))
+                                  for k in range(n))
         # _mult_cols[i][k][j] = coordinate k of b_i b_j, for _mult_matrix
         self._mult_cols = tuple(tuple(zip(*ti)) for ti in self.mult_table)
-        self.disc = int(linalg.mat_det([[self._trace_coords(v) for v in row]
-                                        for row in self.mult_table]))
+        self.disc = linalg.mat_det([[self._trace_coords(v) for v in row]
+                                    for row in self.mult_table])
         self._one = self.from_power_coords([1])
         self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
@@ -69,29 +89,35 @@ class NumberField:
 
     # -- construction helpers ------------------------------------------------
 
-    def _reduce_power_poly(self, coeffs: Sequence) -> Tuple[Fraction, ...]:
-        """coeffs (power coordinates of any length) reduced mod min_poly to
-        exactly n power coordinates."""
-        rem = poly_divmod(coeffs, self.min_poly)[1]
-        return rem + (Fraction(0),) * (self.n - len(rem))
+    def _reduce_power_poly(self, row: Sequence[int]) -> List[int]:
+        """The integer power coordinates (of any length) reduced mod the
+        monic min_poly to exactly n: theta^k = -sum_i p_i theta^(k-n+i)."""
+        n, p = self.n, self.min_poly
+        r = list(row) + [0] * (n - len(row))
+        for k in range(len(r) - 1, n - 1, -1):
+            c = r.pop()
+            if c:
+                for i in range(n):
+                    r[k - n + i] -= c * p[i]
+        return r
 
     def _structure_constants(self):
-        n = self.n
-        rows_power = self.basis_mat
+        """table[i][j] = the integer coordinates of b_i b_j: its power
+        coordinates B_i B_j / D^2 reduced mod min_poly, times the inverse
+        basis matrix X / d, are R X / (D^2 d)."""
+        n, B, X = self.n, self.basis_mat, self.inv_basis_mat
+        scale = self.basis_den ** 2 * self.inv_basis_den
         table = []
         for i in range(n):
             row_i = []
             for j in range(n):
-                prod = poly_mul(rows_power[i], rows_power[j])
-                power = self._reduce_power_poly(prod)
-                coords = vec_mat(power, self.inv_basis_mat)
                 ints = []
-                for c in coords:
-                    if c.denominator != 1:
+                for c in vec_mat(self._reduce_power_poly(poly_mul(B[i], B[j])), X):
+                    if c % scale:
                         raise ValueError(
                             "integral basis is not closed under multiplication "
-                            f"(b{i}*b{j} has coordinate {c})")
-                    ints.append(int(c))
+                            f"(b{i}*b{j} has coordinate {Fraction(c, scale)})")
+                    ints.append(c // scale)
                 row_i.append(tuple(ints))
             table.append(tuple(row_i))
         return tuple(table)
@@ -127,7 +153,12 @@ class NumberField:
         return self.from_power_coords([0, 1])
 
     def from_power_coords(self, power) -> "FieldElement":
-        return self.element(vec_mat(self._reduce_power_poly(power), self.inv_basis_mat))
+        """The element sum_k power_k theta^k, for ints or Fractions power_k:
+        P / D over their common denominator, reduced and multiplied by the
+        inverse basis matrix."""
+        D = math.lcm(1, *(c.denominator for c in power))
+        row = self._reduce_power_poly([c.numerator * (D // c.denominator) for c in power])
+        return FieldElement(self, vec_mat(row, self.inv_basis_mat), D * self.inv_basis_den)
 
     def from_rational(self, q) -> "FieldElement":
         return self.from_power_coords([q])
@@ -207,7 +238,8 @@ class NumberField:
         key = (root_index, bits)
         if key not in self._image_ends:
             boxes = []
-            for power in self.basis_mat:
+            for row in self.basis_mat:
+                power = [Fraction(c, self.basis_den) for c in row]
                 work = bits
                 while True:
                     val = eval_at(power, self.roots(work)[root_index].box, bits=work + 32)
@@ -228,7 +260,8 @@ class NumberField:
     def to_dict(self) -> dict:
         return {
             "min_poly": [int(c) for c in self.min_poly],
-            "integral_basis": [[str(c) for c in row] for row in self.basis_mat],
+            "integral_basis": [[str(Fraction(c, self.basis_den)) for c in row]
+                               for row in self.basis_mat],
             "label": self.label,
         }
 
@@ -350,10 +383,13 @@ class FieldElement:
         return hash((id(self.field), self.num, self.den))
 
     def power_coords(self) -> Tuple[Fraction, ...]:
-        return tuple(c / self.den for c in vec_mat(self.num, self.field.basis_mat))
+        K = self.field
+        D = self.den * K.basis_den
+        return tuple(Fraction(c, D) for c in vec_mat(self.num, K.basis_mat))
 
     def norm(self) -> Fraction:
-        return linalg.mat_det(self.field._mult_matrix(self.num)) / self.den ** self.field.n
+        K = self.field
+        return Fraction(linalg.mat_det(K._mult_matrix(self.num)), self.den ** K.n)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -385,24 +421,23 @@ class FieldElement:
 
 
 class CMStructure:
-    """Complex conjugation as an exact automorphism (conj_mat, acting on the
-    right of integral-basis rows, and the same as integer rows over one
-    denominator), the f conjugate pairs and hermitian_form's cache."""
+    """Complex conjugation as an exact automorphism, conj_mat / conj_den in
+    lowest terms (integer rows acting on the right of integral-basis rows),
+    the f conjugate pairs and hermitian_form's cache."""
 
-    __slots__ = ("field", "conj_mat", "f", "pair_reps", "hermitian", "_conj")
+    __slots__ = ("field", "conj_mat", "conj_den", "f", "pair_reps", "hermitian")
 
-    def __init__(self, field: NumberField, conj_mat: Matrix, f: int,
-                 pair_reps: Tuple[int, ...], hermitian: Optional[tuple] = None):
-        self.field, self.conj_mat = field, conj_mat
-        self.f, self.pair_reps, self.hermitian = f, pair_reps, hermitian
-        L = math.lcm(1, *(Fraction(c).denominator for row in conj_mat for c in row))
-        self._conj = [[int(c * L) for c in row] for row in conj_mat], L
+    def __init__(self, field: NumberField, conj_mat: Sequence[Sequence[int]], conj_den: int,
+                 f: int, pair_reps: Tuple[int, ...]):
+        g = math.gcd(conj_den, *(c for row in conj_mat for c in row))
+        self.field, self.f, self.pair_reps, self.hermitian = field, f, pair_reps, None
+        self.conj_mat = tuple(tuple(c // g for c in row) for row in conj_mat)
+        self.conj_den = conj_den // g
 
     def conj(self, z: FieldElement) -> FieldElement:
         if z.field is not self.field:
             raise ValueError("element from a different field")
-        C, L = self._conj
-        return FieldElement(self.field, vec_mat(z.num, C), z.den * L)
+        return FieldElement(self.field, vec_mat(z.num, self.conj_mat), z.den * self.conj_den)
 
 
 def abs_sq(z: FieldElement, cm: CMStructure) -> FieldElement:
@@ -453,9 +488,10 @@ def nf_new(min_poly, integral_basis=None, label: str = "") -> NumberField:
     """Field from a monic squarefree polynomial.
 
     Quadratic fields get the standard integral basis; other degrees fall
-    back to the power basis Z[theta] unless a basis is supplied, with a
-    warning in K.warnings (which generate's report repeats) that
-    ideal-theoretic results are index-conditional.
+    back to the power basis Z[theta] unless a basis is supplied (rows of
+    rationals, anything Fraction reads), with a warning in K.warnings
+    (which generate's report repeats) that ideal-theoretic results are
+    index-conditional.
     """
     p = make_poly(min_poly)
     check_monic(p)
@@ -463,20 +499,22 @@ def nf_new(min_poly, integral_basis=None, label: str = "") -> NumberField:
     n = degree(p)
     warnings: List[str] = []
     if integral_basis is not None:
-        basis = mat(integral_basis)
-    elif n == 1:
-        basis = linalg.identity(1)
+        rows = [[Fraction(c) for c in row] for row in integral_basis]
+        den = math.lcm(1, *(q.denominator for row in rows for q in row))
+        basis = [[q.numerator * (den // q.denominator) for q in row] for row in rows]
     elif n == 2:
-        basis = _quadratic_integral_basis(p)
+        basis, den = _quadratic_integral_basis(p)
     else:
-        basis = linalg.identity(n)
-        warnings.append(
-            "power basis assumed; ideal-theoretic results are index-conditional")
-    return NumberField(p, basis, label=label, warnings=warnings)
+        basis, den = [[int(i == j) for j in range(n)] for i in range(n)], 1
+        if n > 2:
+            warnings.append(
+                "power basis assumed; ideal-theoretic results are index-conditional")
+    return NumberField(p, basis, den, label=label, warnings=warnings)
 
 
-def _quadratic_integral_basis(p: IntPoly) -> Matrix:
-    """Basis {1, (d+sqrt(d))/2} for d = 1 mod 4, else {1, sqrt(d)}."""
+def _quadratic_integral_basis(p: IntPoly):
+    """(rows, den): the basis {1, (d+sqrt(d))/2} for d = 1 mod 4, else
+    {1, sqrt(d)}, in power coordinates over den."""
     b, c = int(p[1]), int(p[0])
     disc_poly = b * b - 4 * c
     if disc_poly == 0:
@@ -486,10 +524,8 @@ def _quadratic_integral_basis(p: IntPoly) -> Matrix:
     s = math.isqrt(abs(s2))
     # sqrt(d) = (2*theta + b)/s
     if d % 4 == 1:
-        row2 = (Fraction(d * s + b, 2 * s), Fraction(1, s))  # (d + sqrt(d))/2
-    else:
-        row2 = (Fraction(b, s), Fraction(2, s))              # sqrt(d)
-    return mat([(1, 0), row2])
+        return [(2 * s, 0), (d * s + b, 2)], 2 * s   # (d + sqrt(d))/2
+    return [(s, 0), (b, 2)], s                       # sqrt(d)
 
 
 def _f2_independent(ds: Sequence[int]) -> bool:
@@ -501,7 +537,11 @@ def _f2_independent(ds: Sequence[int]) -> bool:
 
 
 def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField:
-    """Q(sqrt(d_1), ..., sqrt(d_m)) with a primitive-element representation."""
+    """Q(sqrt(d_1), ..., sqrt(d_m)) with a primitive-element representation,
+    on the integer subset algebra (row S holds the coefficient of
+    prod_{i in S} sqrt(d_i)).  The integral basis is the tensor product of
+    the quadratic ones, and when some d_i < 0 complex conjugation on it is
+    the Kronecker product of one 2 x 2 integer matrix per generator."""
     ds = tuple(int(d) for d in ds)
     for d in ds:
         if d in (0, 1):
@@ -513,109 +553,68 @@ def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField
     m = len(ds)
     N = 1 << m
     if m == 0:
-        fld = nf_new(make_poly([0, 1]), label=label or "Q")
-        return fld
-
-    subsets = list(range(N))
-
-    def mul_subset(sa: int, sb: int):
-        common = sa & sb
-        scalar = 1
-        for i in range(m):
-            if common >> i & 1:
-                scalar *= ds[i]
-        return scalar, sa ^ sb
+        return nf_new(make_poly([0, 1]), label=label or "Q")
 
     def alg_mul(u, v):
-        out = [Fraction(0)] * N
-        for sa in subsets:
-            if u[sa] == 0:
-                continue
-            for sb in subsets:
-                if v[sb] == 0:
-                    continue
-                scalar, sc = mul_subset(sa, sb)
-                out[sc] += u[sa] * v[sb] * scalar
-        return tuple(out)
+        out = [0] * N
+        for sa, a in enumerate(u):
+            for sb, b in enumerate(v):
+                if a and b:
+                    common = sa & sb
+                    out[sa ^ sb] += a * b * math.prod(ds[i] for i in range(m) if common >> i & 1)
+        return out
 
     # primitive element theta = sum sqrt(d_i): its 2^m conjugates
     # sum +-sqrt(d_i) are distinct, the sqrt(d_i) being linearly independent
-    # over Q (_f2_independent), so 1, theta, ..., theta^(N-1) are a basis
-    theta = [Fraction(0)] * N
+    # over Q (_f2_independent), so 1, theta, ..., theta^(N-1) are a basis,
+    # with inverse X / det, and theta^N has coordinates theta^N X / det on it
+    theta = [0] * N
     for i in range(m):
-        theta[1 << i] = Fraction(1)
-    rows = []
-    cur = tuple(Fraction(1 if s == 0 else 0) for s in subsets)
+        theta[1 << i] = 1
+    rows, cur = [], [1] + [0] * (N - 1)
     for _ in range(N):
         rows.append(cur)
         cur = alg_mul(cur, theta)
-    P = mat(rows)
-    Pinv = mat_inv(P)
-    min_poly_tail = vec_mat(cur, Pinv)
-    coeffs = [-c for c in min_poly_tail] + [Fraction(1)]
-    if any(c.denominator != 1 for c in coeffs):
+    det, X = linalg.gauss_jordan([row + [int(i == j) for j in range(N)]
+                                  for i, row in enumerate(rows)])
+    tail = vec_mat(cur, X)
+    if any(c % det for c in tail):
         raise ValueError("primitive element is not an algebraic integer")
-    min_poly = make_poly([int(c) for c in coeffs])
+    min_poly = make_poly([-c // det for c in tail] + [1])
 
-    # per-factor integral bases, tensored into the subset algebra
-    factor_rows = []
-    for i, d in enumerate(ds):
-        if d % 4 == 1:
-            factor_rows.append(((Fraction(1), Fraction(0)),
-                                (Fraction(d, 2), Fraction(1, 2))))  # (d+sqrt d)/2
-        else:
-            factor_rows.append(((Fraction(1), Fraction(0)),
-                                (Fraction(0), Fraction(1))))
-    tensor_rows = []
-    for choice in itertools.product((0, 1), repeat=m):
-        vec = [Fraction(0)] * N
-        for sa in subsets:
-            prod = Fraction(1)
-            ok = True
-            for i in range(m):
-                a, b = factor_rows[i][choice[i]]
-                prod *= b if (sa >> i & 1) else a
-                if prod == 0:
-                    ok = False
-                    break
-            if ok:
-                vec[sa] = prod
-        tensor_rows.append(tuple(vec))
-    basis_power = mat_mul(mat(tensor_rows), Pinv)
-
+    # per-factor integral bases {1, sqrt d} or {1, (d + sqrt d)/2}, over 2,
+    # tensored into the subset algebra (generator 0 leads the row order)
+    factors = [((2, 0), (d, 1)) if d % 4 == 1 else ((2, 0), (0, 2)) for d in ds]
+    tensor = [[math.prod(factors[i][choice[i]][sa >> i & 1] for i in range(m))
+               for sa in range(N)]
+              for choice in itertools.product((0, 1), repeat=m)]
     lbl = label or ("Q(" + ",".join(f"sqrt({d})" for d in ds) + ")")
-    fld = NumberField(min_poly, basis_power, label=lbl)
+    fld = NumberField(min_poly, [vec_mat(row, X) for row in tensor], det << m, label=lbl)
     if any(d < 0 for d in ds):
-        diag = []
-        for sa in subsets:
-            sign = 1
-            for i in range(m):
-                if (sa >> i & 1) and ds[i] < 0:
-                    sign = -sign
-            diag.append(sign)
-        D = mat([[Fraction(diag[i] if i == j else 0) for j in range(N)]
-                 for i in range(N)])
-        conj_power = mat_mul(mat_mul(P, D), Pinv)
-        _attach_cm(fld, conj_power)
+        # conj fixes sqrt d for d > 0 and negates it for d < 0, where it
+        # takes (d + sqrt d)/2 to d - (d + sqrt d)/2
+        C = [[1]]
+        for d in ds:
+            A = ((1, 0), (0, 1)) if d > 0 else ((1, 0), (d if d % 4 == 1 else 0, -1))
+            C = [[x * a for x in row for a in arow] for row in C for arow in A]
+        cm = _build_cm(fld, C, 1)
+        if cm is None:
+            raise ValueError("constructed conjugation failed validation")
+        fld._cm, fld._cm_checked = cm, True
     return fld
 
 
-def _attach_cm(fld: NumberField, conj_power: Matrix):
-    """Validate a conjugation candidate (power-coords action) and cache it."""
-    cm = _build_cm(fld, conj_power)
-    if cm is None:
-        raise ValueError("constructed conjugation failed validation")
-    fld._cm = cm
-    fld._cm_checked = True
-
-
-def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
+def _build_cm(fld: NumberField, conj_mat, conj_den: int) -> Optional[CMStructure]:
+    """The CM structure whose conjugation is conj_mat / conj_den on the
+    integral basis, or None unless that is an involution, a field
+    automorphism and complex conjugation at every root."""
     n = fld.n
-    conj_int = mat_mul(mat_mul(fld.basis_mat, conj_power), fld.inv_basis_mat)
+    cm = CMStructure(fld, conj_mat, conj_den, n // 2, ())
+    C, L = cm.conj_mat, cm.conj_den
     # involution
-    if mat_mul(conj_int, conj_int) != linalg.identity(n):
+    if [vec_mat(row, C) for row in C] != [tuple(L * L * (i == j) for j in range(n))
+                                          for i in range(n)]:
         return None
-    cm = CMStructure(field=fld, conj_mat=conj_int, f=n // 2, pair_reps=())
     # field automorphism: multiplicative on basis pairs
     basis_elems = [FieldElement(fld, [1 if k == i else 0 for k in range(n)])
                    for i in range(n)]
@@ -648,9 +647,11 @@ def detect_cm(K: NumberField) -> Optional[CMStructure]:
     Totally-real and mixed-signature fields are rejected exactly.  For
     totally imaginary fields without a construction-time conjugation,
     _interpolate_conjugation proposes a polynomial g with g(r) = conj(r) at
-    every root r, and exact checks certify it: min_poly | f(g), and
-    _build_cm's involution, automorphism and root-permutation tests.  A
-    candidate that fails them is retried at twice the precision.
+    every root r.  It is turned once into t = g(theta) on the integral
+    basis, and the automorphism theta -> t, sum_j c_j theta^j ->
+    sum_j c_j t^j, into its integer matrix there; _build_cm's exact checks
+    then certify it (multiplicativity on the basis implies min_poly(t) = 0).
+    A candidate that fails them is retried at twice the precision.
     """
     if K._cm_checked:
         return K._cm
@@ -662,8 +663,12 @@ def detect_cm(K: NumberField) -> Optional[CMStructure]:
     while bits <= 4096:
         g = _interpolate_conjugation(K, bits)
         if g is not None:
-            conj_power = _power_action_matrix(K, g)
-            cm = _build_cm(K, conj_power)
+            t = K.from_power_coords(g)
+            powers = [K.one()]
+            for _ in range(K.n - 1):
+                powers.append(powers[-1] * t)
+            T, den = stack_rows([(z.num, z.den) for z in powers], K.n)
+            cm = _build_cm(K, [vec_mat(row, T) for row in K.basis_mat], den * K.basis_den)
             if cm is not None:
                 K._cm = cm
                 K._cm_checked = True
@@ -679,9 +684,8 @@ def _interpolate_conjugation(K: NumberField, bits: int):
     None.  The Lagrange interpolation of (r_k, conj(r_k)) runs at the
     midpoints of the root boxes in fixed-point Gaussian integers over 2^F,
     and each real coefficient is read as the simplest rational within
-    2^-(bits/2) of it.  Nothing here is certified: the candidate is kept
-    only if min_poly divides f(g) exactly, and detect_cm's exact checks
-    then decide it."""
+    2^-(bits/2) of it.  Nothing here is certified: detect_cm's exact checks
+    decide the candidate."""
     boxes = [rb.box for rb in K.roots(bits)]
     F = max(b.e for b in boxes) + 1
     z = [((b.re_lo + b.re_hi) << (F - 1 - b.e), (b.im_lo + b.im_hi) << (F - 1 - b.e))
@@ -706,26 +710,8 @@ def _interpolate_conjugation(K: NumberField, bits: int):
         for t, (a, b) in enumerate(num):
             coeffs[t] += (a * sr - b * si) >> F
     tol = 1 << (F - bits // 2)
-    g = make_poly([_simplest_rational(Fraction(c - tol, 1 << F), Fraction(c + tol, 1 << F))
-                   for c in coeffs])
-    # exact verification that x -> g(x) permutes the roots: min_poly | f(g)
-    _, rem = poly_divmod(_compose(K.min_poly, g), K.min_poly)
-    return None if rem else g
-
-
-def _compose(f, g):
-    acc = ()
-    for c in reversed(f):
-        acc = poly_add(poly_mul(acc, g), make_poly([Fraction(c)]))
-    return acc
-
-
-def _power_action_matrix(K: NumberField, g) -> Matrix:
-    """Rows x^k g(x) mod min_poly in power coordinates, k = 0 .. n-1."""
-    rows = [K._reduce_power_poly([1])]
-    for _ in range(K.n - 1):
-        rows.append(K._reduce_power_poly(poly_mul(rows[-1], g)))
-    return mat(rows)
+    return [_simplest_rational(Fraction(c - tol, 1 << F), Fraction(c + tol, 1 << F))
+            for c in coeffs]
 
 
 def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:

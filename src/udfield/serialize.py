@@ -17,6 +17,9 @@ if TYPE_CHECKING:
     from .construct import ConstructionReport, PointSet, UnitSet
 
 
+SVG_SIZE = 800      # write_svg's width and height in pixels
+
+
 def frac_str(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -216,33 +219,27 @@ def read_points_csv(path: str):
     return np.array(pts, dtype=float)
 
 
-def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str,
-              size: int = 800):
-    """Static scatter plot with unit-distance edges; deterministic bytes.
-    An empty point set draws the frame alone."""
+def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str):
+    """Static scatter plot with unit-distance edges, SVG_SIZE pixels
+    square; deterministic bytes.  An empty point set draws the frame alone."""
+    size = SVG_SIZE
     xs = [x for x, _ in ps.planar]
     ys = [y for _, y in ps.planar]
     xmin, xmax = min(xs, default=0.0), max(xs, default=0.0)
     ymin, ymax = min(ys, default=0.0), max(ys, default=0.0)
     span = max(xmax - xmin, ymax - ymin, 1e-9)
     pad = 0.05 * span
-
-    def sx(x):
-        return (x - xmin + pad) / (span + 2 * pad) * size
-
-    def sy(y):
-        return size - (y - ymin + pad) / (span + 2 * pad) * size
-
+    # each point's two coordinates, formatted once
+    at = [(f"{(x - xmin + pad) / (span + 2 * pad) * size:.2f}",
+           f"{size - (y - ymin + pad) / (span + 2 * pad) * size:.2f}") for x, y in zip(xs, ys)]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
     for i, j in pairs:
-        parts.append(f'<line x1="{sx(xs[i]):.2f}" y1="{sy(ys[i]):.2f}" '
-                     f'x2="{sx(xs[j]):.2f}" y2="{sy(ys[j]):.2f}" '
+        parts.append(f'<line x1="{at[i][0]}" y1="{at[i][1]}" x2="{at[j][0]}" y2="{at[j][1]}" '
                      'stroke="#4070c0" stroke-width="0.8"/>')
-    for x, y in zip(xs, ys):
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
-                     'fill="#202020"/>')
+    for cx, cy in at:
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="#202020"/>')
     parts.append("</svg>")
     with open_file(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -2,8 +2,9 @@
 folded into `udfield.enumeration.lattice_points_in_polydisc`, kept verbatim
 as a differential-test oracle (only the imports are made absolute, the
 interval method `round_outward`, which `udfield` dropped, is called
-as `oracle_setup`'s function, and each embedding, now an integer box, is
-read through `oracle_intervals.box_interval`).
+as `oracle_setup`'s function, each embedding, now an integer box, is
+read through `oracle_intervals.box_interval`, and the Fraction matrix
+helpers and the rational Gram matrix's LLL come from `oracle_linalg`).
 
 `lattice_points_in_polydisc` is the old polydisc enumerator;
 `real_lattice_points_in_box` is the old real-box search for totally real
@@ -19,11 +20,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from oracle_intervals import ComplexInterval, RealInterval, box_interval
+from oracle_linalg import lll_transform_rational, mat, mat_inv
 from oracle_setup import round_outward
-from udfield import linalg
 from udfield.errors import WindowTooLarge
 from udfield.intervals import sqrt_upper
-from udfield.linalg import identity
 from udfield.numberfield import CMStructure, FieldElement, NumberField, abs_sq
 
 _PREFILTER_BITS = 48
@@ -60,7 +60,7 @@ def _coord_bounds(basis_emb, radii_sq: Sequence[Fraction], center_emb) -> Option
         mid_rows.append(mid)
         iv_rows.append(ivs)
     try:
-        V = linalg.mat_inv(linalg.mat(mid_rows))
+        V = mat_inv(mat(mid_rows))
     except ZeroDivisionError:
         return None
     # E = I - B V in interval arithmetic (V exact rational)
@@ -181,7 +181,7 @@ def _lll_reduce_basis(basis: Sequence[FieldElement], cm: CMStructure):
         for j in range(n):
             row.append(field._trace_coords((basis[i] * cm.conj(basis[j])).coords))
         gram.append(tuple(row))
-    U = linalg.lll_transform(linalg.mat(gram))
+    U = lll_transform_rational(mat(gram))
     out = []
     for row in U:
         z = field.zero()
@@ -205,7 +205,7 @@ def real_lattice_points_in_box(basis: Sequence[FieldElement], bound: Fraction,
     # exact LLL on the trace form Tr(x y)
     gram = [[field._trace_coords((basis[i] * basis[j]).coords)
              for j in range(len(basis))] for i in range(len(basis))]
-    U = linalg.lll_transform(linalg.mat(gram))
+    U = lll_transform_rational(mat(gram))
     red = []
     for row in U:
         z = field.zero()
@@ -221,7 +221,7 @@ def real_lattice_points_in_box(basis: Sequence[FieldElement], bound: Fraction,
                for v in basis]
         mid = [[e.midpoint() for e in row] for row in emb]
         try:
-            V = linalg.mat_inv(linalg.mat(mid))
+            V = mat_inv(mat(mid))
         except ZeroDivisionError:
             V = None
         if V is not None:
@@ -300,5 +300,5 @@ def _real_sign_at(z: FieldElement, root_index: int) -> int:
 def real_structure(F: NumberField) -> CMStructure:
     """A totally real field with the identity as its conjugation: the
     polydisc sigma_i(z)^2 <= r^2 is then the real box |sigma_i(z)| <= r."""
-    return CMStructure(field=F, conj_mat=identity(F.n), f=F.n,
-                       pair_reps=tuple(range(F.n)))
+    return CMStructure(F, [[int(i == j) for j in range(F.n)] for i in range(F.n)], 1, F.n,
+                       tuple(range(F.n)))

@@ -8,8 +8,11 @@ NumberField (its structure constants, basis traces and integral basis);
 `conj` and `abs_sq` are the old CMStructure.conj and abs_sq.  The only
 edits are that `_norm_coords` calls this module's `mat_det`, that the
 field's one() is the first row of the inverse basis matrix (the
-coordinates of 1), and that `embed` reads the field's integer box through
-`oracle_intervals.box_interval`.
+coordinates of 1), that `embed` reads the field's integer box through
+`oracle_intervals.box_interval`, and that the field's integral basis,
+its inverse and the conjugation matrix, now integer matrices over one
+denominator, are read as the Fractions they stand for.  The Fraction
+matrix helpers come from `oracle_linalg`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from oracle_intervals import ComplexInterval, box_interval
+from oracle_linalg import Matrix, mat_inv
 from udfield.errors import DivisionByZero, NotAField
-from udfield.linalg import Matrix, mat_inv
 
 
 def vec_mat(v: Sequence[Fraction], a: Matrix) -> Tuple[Fraction, ...]:
@@ -58,10 +61,12 @@ class OracleField:
         self.label = K.label
         self.mult_table = K.mult_table
         self.basis_traces = K.basis_traces
-        self.basis_mat = K.basis_mat
+        self.basis_mat = tuple(tuple(Fraction(c, K.basis_den) for c in row)
+                               for row in K.basis_mat)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, tuple(self.K.inv_basis_mat[0]))
+        return FieldElement(self, tuple(Fraction(c, self.K.inv_basis_den)
+                                        for c in self.K.inv_basis_mat[0]))
 
     def element(self, coords) -> "FieldElement":
         return FieldElement(self, tuple(Fraction(c) for c in coords))
@@ -216,7 +221,7 @@ class FieldElement:
 
 def conj(z: FieldElement, cm) -> FieldElement:
     """CMStructure.conj: the conjugation matrix acting on the coordinates."""
-    return FieldElement(z.field, vec_mat(z.coords, cm.conj_mat))
+    return FieldElement(z.field, tuple(c / cm.conj_den for c in vec_mat(z.coords, cm.conj_mat)))
 
 
 def abs_sq(z: FieldElement, cm) -> FieldElement:

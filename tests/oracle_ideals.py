@@ -9,7 +9,7 @@ are built inline: FracIdeal.basis_elements has no other user and went).  `invers
 the lattices M(h)^-1 of the HNF rows h, by duality in Fraction matrices;
 its multiplication matrix is the Fraction one of oracle_fieldelement.
 `rational_hnf` and `transpose` are copied from `udfield.linalg`, where they
-no longer exist.
+no longer exist, and the Fraction matrix helpers come from `oracle_linalg`.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from oracle_fieldelement import OracleField
+from oracle_linalg import Matrix, mat, mat_inv
 from udfield.errors import ZeroIdeal
 from udfield.ideals import FracIdeal
-from udfield.linalg import Matrix, hnf_rows, mat, mat_inv
+from udfield.linalg import hnf_rows
 from udfield.numberfield import FieldElement
 
 

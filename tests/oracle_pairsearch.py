@@ -2,10 +2,12 @@
 image of integer rows, the cell-hash pair search with its integer decision
 of the survivors, and the neighbour search it shared with the float
 counter, kept verbatim as a differential-test oracle (only the imports are
-made absolute, and `max_abs` is copied from `udfield.linalg`, where it no
-longer exists).  `planar_image` takes its Fraction basis images and its
-`float_columns` and `float_up` from `oracle_setup`, which keeps them since
-`udfield` dropped them.
+made absolute, `max_abs` is copied from `udfield.linalg`, where it no
+longer exists, and the exact-zero column test reads the conjugation
+matrix as the integer rows over one denominator it now is).
+`planar_image` takes its Fraction basis images and its `float_columns`
+and `float_up` from `oracle_setup`, which keeps them since `udfield`
+dropped them.
 
 The rows may be any (m, n) integer array, int64 or object dtype.
 """
@@ -48,8 +50,9 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     rep = cm.pair_reps[coordinate]
     unit = [[1 if k == j else 0 for k in range(n)] for j in range(n)]
     boxes = basis_images(K, rep, 128)
-    zero = ([list(cm.conj_mat[j]) == [-c for c in unit[j]] for j in range(n)],
-            [list(cm.conj_mat[j]) == unit[j] for j in range(n)])
+    C, L = cm.conj_mat, cm.conj_den
+    zero = ([list(C[j]) == [-L * c for c in unit[j]] for j in range(n)],
+            [list(C[j]) == [L * c for c in unit[j]] for j in range(n)])
     xy = np.zeros((len(rows), 2))
     C = [Fraction(max_abs(rows[:, k]), denom) for k in range(n)]
     try:

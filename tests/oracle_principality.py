@@ -13,7 +13,8 @@ whose cap counts the cells of its coefficient box as the enumerator's cap
 did then (the enumerator's cap now counts its work, which would walk the
 far-stretched polydiscs for 2 000 000 steps each before giving up).
 The stretches read each embedding, now an integer box, through
-`oracle_intervals.box_interval`.
+`oracle_intervals.box_interval`, and the Fraction matrix helpers come
+from `oracle_linalg`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from oracle_intervals import box_interval
+from oracle_linalg import mat, mat_det, mat_inv
 from oracle_polydisc import lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
                             PrincipalityResult)
-from udfield.linalg import mat, mat_det, mat_inv, vec_mat
+from udfield.linalg import vec_mat
 from udfield.numberfield import CMStructure, FieldElement, NumberField, detect_cm
 from udfield.numthy import iroot_ceil, squarefree_kernel
 

@@ -21,32 +21,55 @@ Lagrange interpolation in interval arithmetic) and the loop of
 that the field's root boxes, basis images and conjugation candidates are
 computed on integers.
 
-The only edits are the absolute imports: `_coord_bounds` imports linalg
-from udfield, the two methods take `self` as their first argument,
-`round_outward` is called as a function, and `basis_images` rebuilds the
-Fraction boxes of the field's basis images from the integer ends that the
-field now caches in their place; `_power_table` and `_reduce_power_poly`
-take the field as their first argument and build the table per call.  The
-interval classes are those of `oracle_intervals`, and a root box, now an
-integer `Box`, is read through `box_interval` wherever the old code read
-the Fraction box; `basis_image_ends`, `_interpolate_conjugation` and
-`detect_cm` take the field as their first argument, and `detect_cm` keeps
-no cache on it.
+At the end is the field construction as it stood on Fraction matrices,
+before the field's own data became integer rows over one denominator:
+`NumberField.__init__`, `_reduce_power_poly` (by `poly_divmod`),
+`_structure_constants`, `from_power_coords` and `to_dict`, as the methods
+of a subclass of udfield's NumberField, with `FieldElement.power_coords`
+as the function `power_coords`; `CMStructure` with its Fraction
+`conj_mat`; and `nf_new`, `_quadratic_integral_basis`,
+`compositum_multiquadratic`, `_attach_cm`, `_build_cm`, `_compose` and
+`_power_action_matrix`.
+
+The only edits are the absolute imports: `_coord_bounds` and the field
+construction take the Fraction matrix helpers from `oracle_linalg` (as
+`linalg` where the old code named the module), the two methods take
+`self` as their first argument, `round_outward` is called as a function,
+and `basis_images` rebuilds the Fraction boxes of the field's basis
+images from the integer ends that the field now caches in their place;
+`_power_table` and `_reduce_power_poly` take the field as their first
+argument and build the table per call.  The interval classes are those of
+`oracle_intervals`, and a root box, now an integer `Box`, is read
+through `box_interval` wherever the old code read the Fraction box;
+`basis_image_ends`, `_interpolate_conjugation` and `detect_cm` take the
+field as their first argument, and `detect_cm` keeps no cache on it.
+`_build_cm` calls `power_coords` as a function and the integer-box
+Horner as `polynomials.eval_at`, this module's `eval_at` being the
+interval one.  `basis_image_ends`, `detect_cm` and `_build_cm` run on
+fields built here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import oracle_linalg as linalg
 from oracle_intervals import ComplexInterval, RealInterval, box_interval, to_fixed
-from udfield.errors import DivisionByZero, NotAField, PrecisionExhausted
+from oracle_linalg import Matrix, mat, mat_inv, mat_mul
+from udfield import numberfield, polynomials
+from udfield.errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
+                            PrecisionExhausted)
 from udfield.intervals import round_down, round_up, sqrt_upper
-from udfield.linalg import Matrix, mat_inv, vec_mat
-from udfield.numberfield import (EMBED_BITS_CAP, FieldElement, NumberField, _build_cm,
-                                 _compose, _power_action_matrix, _simplest_rational)
-from udfield.polynomials import make_poly, poly_divmod
+from udfield.linalg import vec_mat
+from udfield.numberfield import (EMBED_BITS_CAP, FieldElement, _f2_independent,
+                                 _simplest_rational)
+from udfield.numthy import check_squarefree_int, squarefree_kernel
+from udfield.polynomials import (IntPoly, check_monic, check_squarefree, degree, make_poly,
+                                 poly_add, poly_divmod, poly_mul)
+from udfield.roots import RootBox
 
 
 _PREFILTER_BITS = 48
@@ -170,11 +193,9 @@ def _coord_bounds(rows, cols, radii_sq: Sequence[Fraction],
     then c = y (I - E)^{-1} with y = (x - a) V gives
         |c_j| <= |y_j| + ||y||_inf * eta / (1 - eta).
     """
-    from udfield import linalg
-
     n = len(rows)
     try:
-        V = linalg.mat_inv(linalg.mat([[iv.midpoint() for iv in row] for row in rows]))
+        V = mat_inv(mat([[iv.midpoint() for iv in row] for row in rows]))
     except ZeroDivisionError:
         return None
     # E = I - B V in interval arithmetic (V exact rational)
@@ -472,3 +493,306 @@ def _interpolate_conjugation(K: NumberField, bits: int):
     if rem:
         return None
     return g
+
+
+# ---------------------------------------------------------------------------
+# Field construction on Fraction matrices
+# ---------------------------------------------------------------------------
+
+class NumberField(numberfield.NumberField):
+    """udfield's NumberField with the Fraction set-up it had: the integral
+    basis and its inverse as Fraction matrices, and the structure
+    constants, from_power_coords and to_dict computed from them."""
+
+    def __init__(self, min_poly: IntPoly, basis_mat: Matrix, label: str = "",
+                 warnings: Sequence[str] = ()):
+        check_monic(min_poly)
+        check_squarefree(min_poly)
+        self.min_poly = make_poly(min_poly)
+        self.n = degree(self.min_poly)
+        self.basis_mat = mat(basis_mat)
+        if len(self.basis_mat) != self.n or len(self.basis_mat[0]) != self.n:
+            raise ValueError("integral basis must be n x n")
+        self.inv_basis_mat = mat_inv(self.basis_mat)
+        self.label = label or f"deg{self.n}field"
+        self.warnings = list(warnings)
+        self.mult_table = self._structure_constants()
+        # Tr(b_k) is the trace of multiplication by b_k, whose row i holds
+        # the coordinates of b_i b_k
+        self.basis_traces = tuple(sum(self.mult_table[i][k][i] for i in range(self.n))
+                                  for k in range(self.n))
+        # _mult_cols[i][k][j] = coordinate k of b_i b_j, for _mult_matrix
+        self._mult_cols = tuple(tuple(zip(*ti)) for ti in self.mult_table)
+        self.disc = int(linalg.mat_det([[self._trace_coords(v) for v in row]
+                                        for row in self.mult_table]))
+        self._one = self.from_power_coords([1])
+        self._roots_cache: Dict[int, List[RootBox]] = {}
+        self._cm: Optional["CMStructure"] = None
+        self._cm_checked = False
+        self._image_ends: Dict[Tuple[int, int], tuple] = {}
+
+    # -- construction helpers ------------------------------------------------
+
+    def _reduce_power_poly(self, coeffs: Sequence) -> Tuple[Fraction, ...]:
+        """coeffs (power coordinates of any length) reduced mod min_poly to
+        exactly n power coordinates."""
+        rem = poly_divmod(coeffs, self.min_poly)[1]
+        return rem + (Fraction(0),) * (self.n - len(rem))
+
+    def _structure_constants(self):
+        n = self.n
+        rows_power = self.basis_mat
+        table = []
+        for i in range(n):
+            row_i = []
+            for j in range(n):
+                prod = poly_mul(rows_power[i], rows_power[j])
+                power = self._reduce_power_poly(prod)
+                coords = vec_mat(power, self.inv_basis_mat)
+                ints = []
+                for c in coords:
+                    if c.denominator != 1:
+                        raise ValueError(
+                            "integral basis is not closed under multiplication "
+                            f"(b{i}*b{j} has coordinate {c})")
+                    ints.append(int(c))
+                row_i.append(tuple(ints))
+            table.append(tuple(row_i))
+        return tuple(table)
+
+    def from_power_coords(self, power) -> "FieldElement":
+        return self.element(vec_mat(self._reduce_power_poly(power), self.inv_basis_mat))
+
+    def to_dict(self) -> dict:
+        return {
+            "min_poly": [int(c) for c in self.min_poly],
+            "integral_basis": [[str(c) for c in row] for row in self.basis_mat],
+            "label": self.label,
+        }
+
+
+def power_coords(self) -> Tuple[Fraction, ...]:
+    return tuple(c / self.den for c in vec_mat(self.num, self.field.basis_mat))
+
+
+class CMStructure:
+    """Complex conjugation as an exact automorphism (conj_mat, acting on the
+    right of integral-basis rows, and the same as integer rows over one
+    denominator), the f conjugate pairs and hermitian_form's cache."""
+
+    __slots__ = ("field", "conj_mat", "f", "pair_reps", "hermitian", "_conj")
+
+    def __init__(self, field: NumberField, conj_mat: Matrix, f: int,
+                 pair_reps: Tuple[int, ...], hermitian: Optional[tuple] = None):
+        self.field, self.conj_mat = field, conj_mat
+        self.f, self.pair_reps, self.hermitian = f, pair_reps, hermitian
+        L = math.lcm(1, *(Fraction(c).denominator for row in conj_mat for c in row))
+        self._conj = [[int(c * L) for c in row] for row in conj_mat], L
+
+    def conj(self, z: FieldElement) -> FieldElement:
+        if z.field is not self.field:
+            raise ValueError("element from a different field")
+        C, L = self._conj
+        return FieldElement(self.field, vec_mat(z.num, C), z.den * L)
+
+
+def nf_new(min_poly, integral_basis=None, label: str = "") -> NumberField:
+    """Field from a monic squarefree polynomial.
+
+    Quadratic fields get the standard integral basis; other degrees fall
+    back to the power basis Z[theta] unless a basis is supplied, with a
+    warning in K.warnings (which generate's report repeats) that
+    ideal-theoretic results are index-conditional.
+    """
+    p = make_poly(min_poly)
+    check_monic(p)
+    check_squarefree(p)
+    n = degree(p)
+    warnings: List[str] = []
+    if integral_basis is not None:
+        basis = mat(integral_basis)
+    elif n == 1:
+        basis = linalg.identity(1)
+    elif n == 2:
+        basis = _quadratic_integral_basis(p)
+    else:
+        basis = linalg.identity(n)
+        warnings.append(
+            "power basis assumed; ideal-theoretic results are index-conditional")
+    return NumberField(p, basis, label=label, warnings=warnings)
+
+
+def _quadratic_integral_basis(p: IntPoly) -> Matrix:
+    """Basis {1, (d+sqrt(d))/2} for d = 1 mod 4, else {1, sqrt(d)}."""
+    b, c = int(p[1]), int(p[0])
+    disc_poly = b * b - 4 * c
+    if disc_poly == 0:
+        raise NonMonic("not a quadratic field (square discriminant)")
+    d = squarefree_kernel(disc_poly)
+    s2 = disc_poly // d
+    s = math.isqrt(abs(s2))
+    # sqrt(d) = (2*theta + b)/s
+    if d % 4 == 1:
+        row2 = (Fraction(d * s + b, 2 * s), Fraction(1, s))  # (d + sqrt(d))/2
+    else:
+        row2 = (Fraction(b, s), Fraction(2, s))              # sqrt(d)
+    return mat([(1, 0), row2])
+
+
+def compositum_multiquadratic(ds: Sequence[int], label: str = "") -> NumberField:
+    """Q(sqrt(d_1), ..., sqrt(d_m)) with a primitive-element representation."""
+    ds = tuple(int(d) for d in ds)
+    for d in ds:
+        if d in (0, 1):
+            raise DependentGenerators(f"generator {d} is trivial")
+        check_squarefree_int(d)
+    if not _f2_independent(ds):
+        raise DependentGenerators(
+            f"generators {ds} are multiplicatively dependent modulo squares")
+    m = len(ds)
+    N = 1 << m
+    if m == 0:
+        fld = nf_new(make_poly([0, 1]), label=label or "Q")
+        return fld
+
+    subsets = list(range(N))
+
+    def mul_subset(sa: int, sb: int):
+        common = sa & sb
+        scalar = 1
+        for i in range(m):
+            if common >> i & 1:
+                scalar *= ds[i]
+        return scalar, sa ^ sb
+
+    def alg_mul(u, v):
+        out = [Fraction(0)] * N
+        for sa in subsets:
+            if u[sa] == 0:
+                continue
+            for sb in subsets:
+                if v[sb] == 0:
+                    continue
+                scalar, sc = mul_subset(sa, sb)
+                out[sc] += u[sa] * v[sb] * scalar
+        return tuple(out)
+
+    # primitive element theta = sum sqrt(d_i): its 2^m conjugates
+    # sum +-sqrt(d_i) are distinct, the sqrt(d_i) being linearly independent
+    # over Q (_f2_independent), so 1, theta, ..., theta^(N-1) are a basis
+    theta = [Fraction(0)] * N
+    for i in range(m):
+        theta[1 << i] = Fraction(1)
+    rows = []
+    cur = tuple(Fraction(1 if s == 0 else 0) for s in subsets)
+    for _ in range(N):
+        rows.append(cur)
+        cur = alg_mul(cur, theta)
+    P = mat(rows)
+    Pinv = mat_inv(P)
+    min_poly_tail = vec_mat(cur, Pinv)
+    coeffs = [-c for c in min_poly_tail] + [Fraction(1)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("primitive element is not an algebraic integer")
+    min_poly = make_poly([int(c) for c in coeffs])
+
+    # per-factor integral bases, tensored into the subset algebra
+    factor_rows = []
+    for i, d in enumerate(ds):
+        if d % 4 == 1:
+            factor_rows.append(((Fraction(1), Fraction(0)),
+                                (Fraction(d, 2), Fraction(1, 2))))  # (d+sqrt d)/2
+        else:
+            factor_rows.append(((Fraction(1), Fraction(0)),
+                                (Fraction(0), Fraction(1))))
+    tensor_rows = []
+    for choice in itertools.product((0, 1), repeat=m):
+        vec = [Fraction(0)] * N
+        for sa in subsets:
+            prod = Fraction(1)
+            ok = True
+            for i in range(m):
+                a, b = factor_rows[i][choice[i]]
+                prod *= b if (sa >> i & 1) else a
+                if prod == 0:
+                    ok = False
+                    break
+            if ok:
+                vec[sa] = prod
+        tensor_rows.append(tuple(vec))
+    basis_power = mat_mul(mat(tensor_rows), Pinv)
+
+    lbl = label or ("Q(" + ",".join(f"sqrt({d})" for d in ds) + ")")
+    fld = NumberField(min_poly, basis_power, label=lbl)
+    if any(d < 0 for d in ds):
+        diag = []
+        for sa in subsets:
+            sign = 1
+            for i in range(m):
+                if (sa >> i & 1) and ds[i] < 0:
+                    sign = -sign
+            diag.append(sign)
+        D = mat([[Fraction(diag[i] if i == j else 0) for j in range(N)]
+                 for i in range(N)])
+        conj_power = mat_mul(mat_mul(P, D), Pinv)
+        _attach_cm(fld, conj_power)
+    return fld
+
+
+def _attach_cm(fld: NumberField, conj_power: Matrix):
+    """Validate a conjugation candidate (power-coords action) and cache it."""
+    cm = _build_cm(fld, conj_power)
+    if cm is None:
+        raise ValueError("constructed conjugation failed validation")
+    fld._cm = cm
+    fld._cm_checked = True
+
+
+def _build_cm(fld: NumberField, conj_power: Matrix) -> Optional[CMStructure]:
+    n = fld.n
+    conj_int = mat_mul(mat_mul(fld.basis_mat, conj_power), fld.inv_basis_mat)
+    # involution
+    if mat_mul(conj_int, conj_int) != linalg.identity(n):
+        return None
+    cm = CMStructure(field=fld, conj_mat=conj_int, f=n // 2, pair_reps=())
+    # field automorphism: multiplicative on basis pairs
+    basis_elems = [FieldElement(fld, [1 if k == i else 0 for k in range(n)])
+                   for i in range(n)]
+    images = [cm.conj(b) for b in basis_elems]
+    for i in range(n):
+        for j in range(i, n):
+            if cm.conj(basis_elems[i] * basis_elems[j]) != images[i] * images[j]:
+                return None
+    # acts as complex conjugation in every embedding, so that it fixes a
+    # subfield of degree n / 2, all of whose embeddings are real
+    if not fld.is_totally_imaginary():
+        return None
+    theta_conj = power_coords(cm.conj(fld.theta()))
+    for roots in (fld.roots(64 << i) for i in range(7)):      # up to 4096 bits
+        vals = [polynomials.eval_at(theta_conj, rb.box) for rb in roots]
+        if all([j for j, other in enumerate(roots) if v.intersects(other.box)] == [rb.conj_index]
+               for rb, v in zip(roots, vals)):
+            break
+    else:
+        return None
+    # _pair_disks certifies a non-real root's box off the real axis, and
+    # roots() is in (re, im) midpoint order
+    cm.pair_reps = tuple(i for i, rb in enumerate(fld.roots()) if rb.box.im_lo > 0)
+    return cm
+
+
+def _compose(f, g):
+    acc = ()
+    for c in reversed(f):
+        acc = poly_add(poly_mul(acc, g), make_poly([Fraction(c)]))
+    return acc
+
+
+def _power_action_matrix(K: NumberField, g) -> Matrix:
+    """Rows x^k g(x) mod min_poly in power coordinates, k = 0 .. n-1."""
+    rows = [K._reduce_power_poly([1])]
+    for _ in range(K.n - 1):
+        rows.append(K._reduce_power_poly(poly_mul(rows[-1], g)))
+    return mat(rows)
+
+

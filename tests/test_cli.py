@@ -152,8 +152,8 @@ def test_generate_power_basis_not_closed_under_conjugation_exits_4(tmp_path, cap
 def test_generate_quartic_with_integral_basis_matches_adjoin_i(tmp_path, capsys):
     from udfield.numberfield import compositum_multiquadratic
 
-    basis = compositum_multiquadratic((5, -1)).basis_mat
-    field = _quartic_json(tmp_path, integral_basis=[[str(c) for c in row] for row in basis])
+    basis = compositum_multiquadratic((5, -1)).to_dict()["integral_basis"]
+    field = _quartic_json(tmp_path, integral_basis=basis)
     outputs = []
     for name, run in ((field, "json"), ("adjoin-i:5", "named")):
         out = tmp_path / run
@@ -398,6 +398,22 @@ def test_non_square_integral_basis_exits_3(tmp_path):
     proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("basis, message", [
+    ([["1", "0"], ["0", "1/2"]],
+     "integral basis is not closed under multiplication (b1*b1 has coordinate -1/4)"),
+    ([["1", "0"], ["2", "0"]], "singular matrix"),
+    (None, "min_poly must have degree at least 1")])
+def test_bad_integral_basis_exits_3_with_its_message(tmp_path, basis, message):
+    # theta^2 / 4 = -1/4 leaves Z-span of {1, theta / 2}; rows 1 and 2 are
+    # dependent; a constant min_poly describes no field
+    bad = tmp_path / "field.json"
+    bad.write_text(json.dumps({"min_poly": [1] if basis is None else [1, 0, 1],
+                               "integral_basis": basis}))
+    proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: field description: {message}\n"
 
 
 def test_bad_r2_box_exits_3(tmp_path):

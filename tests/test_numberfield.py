@@ -175,8 +175,6 @@ def test_covolume_formula(gaussian, gaussian_cm, deg4, deg4_cm):
 
 def _check_covolume(K, cm, bits=80):
     """covol of the Minkowski image of O_K equals 2^-f sqrt|disc|."""
-    from udfield.linalg import mat, mat_det
-
     n = K.n
     rows = []
     for j in range(n):
@@ -228,7 +226,7 @@ def test_field_json_roundtrip(deg4, tmp_path):
     K2 = load_field_json(str(path))
     assert K2.min_poly == deg4.min_poly
     assert K2.disc == deg4.disc
-    assert K2.basis_mat == deg4.basis_mat
+    assert (K2.basis_mat, K2.basis_den) == (deg4.basis_mat, deg4.basis_den)
 
 
 def test_power_basis_fallback_warning(tmp_path, capsys):
@@ -308,3 +306,24 @@ def test_embed_box_independent_of_history(tmp_path):
                           env=env, capture_output=True, text=True, check=True).stdout
            for mode in ("fresh", "warm")]
     assert out[0] == out[1] and len(out[0].splitlines()) == 8
+
+
+@pytest.mark.parametrize("name, most", [("adjoin-i:5", 136), ("adjoin-i:5,13", 396)])
+def test_field_set_up_makes_few_fractions(monkeypatch, name, most):
+    # the field's own data are integer rows: building the field and its
+    # conjugation makes Fractions only in the squarefreeness check over Q
+    # and the power coordinates the root check evaluates (2 724 and 32 583
+    # while the integral basis and conjugation were Fraction matrices)
+    from udfield.cli import build_field
+
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    detect_cm(build_field(name))
+    monkeypatch.undo()
+    assert len(made) <= most

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from udfield.errors import ParseError
 from udfield.serialize import (certified_digits, dump_json, frac_str,
-                               parse_frac, read_points_csv)
+                               parse_frac, read_points_csv, write_svg)
 
 
 def test_frac_roundtrip():
@@ -57,3 +59,44 @@ def test_read_points_csv_extra_columns(tmp_path):
     p.write_text("index,re,im,c0,c1\n0,1.0,2.0,1,2\n1,3.0,4.0,3,4\n")
     pts = read_points_csv(str(p))
     assert pts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def _svg_per_use(planar, pairs, size=800):
+    """write_svg's text as it was when each coordinate was scaled and
+    formatted at every use: four times per edge, twice per point."""
+    xs = [x for x, _ in planar]
+    ys = [y for _, y in planar]
+    xmin, xmax = min(xs, default=0.0), max(xs, default=0.0)
+    ymin, ymax = min(ys, default=0.0), max(ys, default=0.0)
+    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    pad = 0.05 * span
+
+    def sx(x):
+        return (x - xmin + pad) / (span + 2 * pad) * size
+
+    def sy(y):
+        return size - (y - ymin + pad) / (span + 2 * pad) * size
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+             f'height="{size}" viewBox="0 0 {size} {size}">',
+             f'<rect width="{size}" height="{size}" fill="white"/>']
+    for i, j in pairs:
+        parts.append(f'<line x1="{sx(xs[i]):.2f}" y1="{sy(ys[i]):.2f}" '
+                     f'x2="{sx(xs[j]):.2f}" y2="{sy(ys[j]):.2f}" '
+                     'stroke="#4070c0" stroke-width="0.8"/>')
+    for x, y in zip(xs, ys):
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
+                     'fill="#202020"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 80])
+def test_write_svg_matches_per_use_formatting(tmp_path, count):
+    # each point's strings are formatted once, by the same expressions
+    rng = random.Random(count)
+    planar = [(rng.uniform(-3, 3), rng.uniform(-2, 5)) for _ in range(count)]
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count) if rng.random() < 0.05]
+    path = tmp_path / "scatter.svg"
+    write_svg(SimpleNamespace(planar=planar), pairs, str(path))
+    assert path.read_text() == _svg_per_use(planar, pairs)

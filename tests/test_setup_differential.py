@@ -1,5 +1,7 @@
 """The certified set-up on Python integers against its Fraction form, kept
-verbatim in `oracle_setup` and `oracle_roots`: interval Horner, the root
+verbatim in `oracle_setup` and `oracle_roots`: the field construction
+(structure constants, discriminant, integral basis, complex conjugation
+and the maps to and from power coordinates), interval Horner, the root
 boxes, the basis images, element embeddings, the conjugation that
 detect_cm finds by interpolation, the HNF of ideal products and principal
 ideals, conjugation and inversion, the reduction modulo the minimal
@@ -85,28 +87,85 @@ def test_eval_at_matches_oracle(p, ends, real, bits):
 
 
 # x^4 - 8x^2 + 36, the polynomial of sqrt(5) + i, over its power basis Z[theta]
+# ("quartic") or over the integral basis of Q(sqrt(5), i) ("quartic-basis")
 QUARTIC = (36, 0, -8, 0, 1)
-SETUP_FIELDS = ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:5,13", "quartic"]
+# x^2 - x + 6, whose x coefficient the reduction must not skip
+SETUP_FIELDS = ["gaussian", "qsqrt-5", "adjoin-i:5", "adjoin-i:5,13", "quartic", (6, -1, 1)]
+
+
+def _quartic_basis():
+    return compositum_multiquadratic((5, -1)).to_dict()["integral_basis"]
 
 
 def _setup_field(name):
-    return nf_new(make_poly(QUARTIC)) if name == "quartic" else build_field(name)
+    if isinstance(name, tuple):
+        return nf_new(make_poly(name))
+    if name.startswith("quartic"):
+        return nf_new(make_poly(QUARTIC), _quartic_basis() if name == "quartic-basis" else None)
+    return build_field(name)
 
 
-@pytest.mark.parametrize("name", SETUP_FIELDS)
+def _oracle_field(name):
+    # the same field by the Fraction construction
+    K = _setup_field(name)
+    if isinstance(name, str) and name.startswith("adjoin-i:"):
+        return oracle_setup.compositum_multiquadratic(
+            [int(d) for d in name[9:].split(",")] + [-1], label=K.label)
+    basis = _quartic_basis() if name == "quartic-basis" else None
+    return oracle_setup.nf_new(K.min_poly, basis, label=K.label)
+
+
+def _conj_fractions(cm):
+    return [[Fraction(c, cm.conj_den) for c in row] for row in cm.conj_mat]
+
+
+@pytest.mark.parametrize("name", ["gaussian", "qsqrt-5", "adjoin-i:3", "adjoin-i:5",
+                                  "adjoin-i:7", "adjoin-i:5,13", "adjoin-i:-3,5", "quartic",
+                                  "quartic-basis", (6, -1, 1), (3, 1, 4, 1, 5, 1)], ids=str)
+def test_field_construction_matches_oracle(name):
+    # the integer rows of the integral basis, its inverse and conjugation
+    # against the Fraction matrices, from the same description; -3 brings
+    # the basis element (d + sqrt d)/2 with d < 0 into the conjugation, and
+    # the two polynomials bring odd-degree coefficients and a field with no CM
+    K, O = _setup_field(name), _oracle_field(name)
+    assert (K.mult_table, K.disc, K.basis_traces, K.to_dict(), K.warnings) == (
+        O.mult_table, O.disc, O.basis_traces, O.to_dict(), O.warnings)
+    # the conjugation the builder attaches, or the one detect_cm finds
+    cm = numberfield.detect_cm(K)
+    want = O._cm if O._cm_checked else oracle_setup.detect_cm(O)
+    assert (cm is None) == (want is None)
+    if cm is not None:
+        assert (_conj_fractions(cm), cm.pair_reps) == ([list(r) for r in want.conj_mat],
+                                                        want.pair_reps)
+    assert K.theta().coords == O.theta().coords
+    rng = random.Random(31)
+    for _ in range(40):
+        power = [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 97, 1 << 40]))
+                 for _ in range(rng.randrange(0, 2 * K.n))]
+        assert K.from_power_coords(power).coords == O.from_power_coords(power).coords
+        row = [rng.choice([0, rng.randrange(-10 ** 6, 10 ** 6)]) for _ in range(K.n)]
+        den = rng.choice([1, 2, 7, 841])
+        assert (FieldElement(K, row, den).power_coords()
+                == oracle_setup.power_coords(FieldElement(O, row, den)))
+
+
+@pytest.mark.parametrize("name", SETUP_FIELDS, ids=str)
 def test_reduction_mod_min_poly_matches_oracle(name):
-    # poly_divmod's remainder against the table of theta powers, on every
-    # degree up to 2n - 2, the longest product of two power-basis rows
+    # the division-free integer reduction by the monic min_poly against the
+    # table of theta powers, on every degree up to 2n - 2, the longest
+    # product of two power-basis rows
     K = _setup_field(name)
     rng = random.Random(11)
     for _ in range(60):
         coeffs = [Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.choice([1, 2, 3, 97, 1 << 40]))
                   if rng.random() < 0.8 else Fraction(0)
                   for _ in range(rng.randrange(0, 2 * K.n))]
-        assert K._reduce_power_poly(coeffs) == oracle_setup._reduce_power_poly(K, coeffs)
+        D = math.lcm(1, *(c.denominator for c in coeffs))
+        got = K._reduce_power_poly([c.numerator * (D // c.denominator) for c in coeffs])
+        assert tuple(Fraction(c, D) for c in got) == oracle_setup._reduce_power_poly(K, coeffs)
 
 
-@pytest.mark.parametrize("name", SETUP_FIELDS + ["adjoin-i:3"])
+@pytest.mark.parametrize("name", SETUP_FIELDS + ["adjoin-i:3"], ids=str)
 def test_pair_reps_match_oracle(name):
     # the upper-half-plane roots read off the 64-bit boxes against the
     # precision ladder with its sort
@@ -125,31 +184,34 @@ def _rationals(ends):
 def test_basis_images_match_oracle(name):
     # the one cache of basis-image ends, aligned from integer Horner boxes,
     # against the Fraction Horner aligned by to_fixed
-    K = build_field(name)
+    K, O = build_field(name), _oracle_field(name)
     for i in range(K.n):
         for bits in (64, 128, 192):
             assert (_rationals(K.basis_image_ends(i, bits))
-                    == _rationals(oracle_setup.basis_image_ends(K, i, bits)))
+                    == _rationals(oracle_setup.basis_image_ends(O, i, bits)))
 
 
-def _dict_built(name):
+def _dict_built(name, new=nf_new):
     # a field as a JSON sidecar gives it: no construction-time conjugation
     if isinstance(name, tuple):
-        return nf_new(make_poly(name))
+        return new(make_poly(name))
     K = build_field(name)
-    return nf_new(K.min_poly, K.basis_mat)
+    return new(K.min_poly, K.to_dict()["integral_basis"])
 
 
 @pytest.mark.parametrize("name", [p for p in POLYS if len(p) in (3, 5)] + [
     "gaussian", "qsqrt-5", "adjoin-i:2", "adjoin-i:3", "adjoin-i:5", "adjoin-i:7",
     "adjoin-i:11", "adjoin-i:19", "adjoin-i:5,13"], ids=str)
 def test_detect_cm_matches_interval_interpolation(name):
-    # the fixed-point candidate against the interval Lagrange interpolation,
-    # each on a fresh field, both certified by the same exact checks
-    got, want = numberfield.detect_cm(_dict_built(name)), oracle_setup.detect_cm(_dict_built(name))
+    # the fixed-point candidate, checked on integer rows, against the
+    # interval Lagrange interpolation, checked on Fraction matrices, each on
+    # a fresh field
+    got = numberfield.detect_cm(_dict_built(name))
+    want = oracle_setup.detect_cm(_dict_built(name, oracle_setup.nf_new))
     assert (got is None) == (want is None)
     if got is not None:
-        assert (got.conj_mat, got.pair_reps) == (want.conj_mat, want.pair_reps)
+        assert (_conj_fractions(got), got.pair_reps) == ([list(r) for r in want.conj_mat],
+                                                         want.pair_reps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,11 +352,12 @@ def test_ideal_products_and_principal_ideals_match_oracle(gaussian, qsqrt_m5, de
 def test_conj_and_inverse_match_oracle(which, gaussian_cm, qsqrt_m5_cm, deg4_cm):
     cm = {"gaussian": gaussian_cm, "qsqrt-5": qsqrt_m5_cm, "deg4": deg4_cm}[which]
     K = cm.field
+    fraction_cm = oracle_setup.CMStructure(K, _conj_fractions(cm), cm.f, cm.pair_reps)
     rng = random.Random(23)
     for _ in range(200):
         z = FieldElement(K, [rng.choice([0, rng.randrange(-10 ** 6, 10 ** 6)])
                              for _ in range(K.n)], rng.choice([1, 2, 3, 7, 841]))
-        assert cm.conj(z) == oracle_setup.conj(cm, z)
+        assert cm.conj(z) == oracle_setup.conj(fraction_cm, z)
         if z.is_zero():
             for invert in (FieldElement.inverse, oracle_setup.inverse):
                 with pytest.raises(DivisionByZero):
