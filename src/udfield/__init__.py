@@ -16,14 +16,14 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "construct": ("ConstructionReport", "PointSet", "SymbolicPower", "UnitSet",
-                  "WindowConfig", "build_pointset", "denominator_bound",
-                  "enumerate_window", "exponent", "pigeonhole_units",
-                  "select_translate", "exponent_ledger"),
+    "construct": ("ConstructionReport", "PointSet", "UnitSet", "WindowConfig",
+                  "build_pointset", "denominator_bound", "enumerate_window",
+                  "pigeonhole_units", "select_translate"),
     "counting": ("DistanceCensus", "PlanarFloatSet", "count_exact", "count_float",
                  "erdos_grid", "r2_count", "r2_count_rational"),
-    "gstower": ("GSReport", "TowerSpec", "find_split_primes", "frattini_rank",
-                "gs_check", "multiquadratic_generators", "splits_completely"),
+    "gstower": ("GSReport", "SymbolicPower", "TowerSpec", "exponent", "exponent_ledger",
+                "find_split_primes", "frattini_rank", "gs_check",
+                "multiquadratic_generators", "splits_completely"),
     "ideals": ("FracIdeal", "PrimeIdeal", "PrincipalityResult",
                "class_number_imag_quadratic", "is_principal", "split_prime"),
     "intervals": ("Box", "RealInterval", "exact_ceil", "ln_interval", "pi_interval"),

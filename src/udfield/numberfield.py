@@ -31,14 +31,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import (DependentGenerators, DivisionByZero, NonMonic, NotAField,
+from .errors import (DependentGenerators, DivisionByZero, NonSquarefree, NotAField,
                      PrecisionExhausted)
 from .intervals import Box
 from .linalg import stack_rows, vec_mat
 from .numthy import check_squarefree_int, squarefree_kernel
 from .polynomials import (IntPoly, check_monic, check_squarefree, degree,
                           eval_at, make_poly, poly_mul)
-from .roots import RootBox, isolate_complex_roots, refine_roots
+from .roots import RootBox, _isolate, refine_roots
 
 EMBED_BITS_CAP = 1 << 16
 
@@ -50,7 +50,6 @@ class NumberField:
     def __init__(self, min_poly: IntPoly, basis_mat: Sequence[Sequence[int]],
                  basis_den: int = 1, label: str = "", warnings: Sequence[str] = ()):
         check_monic(min_poly)
-        check_squarefree(min_poly)
         self.min_poly = make_poly(min_poly)
         self.n = n = degree(self.min_poly)
         if n < 1:
@@ -81,6 +80,9 @@ class NumberField:
         self._mult_cols = tuple(tuple(zip(*ti)) for ti in self.mult_table)
         self.disc = linalg.mat_det([[self._trace_coords(v) for v in row]
                                     for row in self.mult_table])
+        if not self.disc:
+            # the trace form degenerates exactly when min_poly has a repeated root
+            raise NonSquarefree(f"min_poly {self.min_poly} has a repeated root")
         self._one = self.from_power_coords([1])
         self._roots_cache: Dict[int, List[RootBox]] = {}
         self._cm: Optional["CMStructure"] = None
@@ -173,7 +175,7 @@ class NumberField:
         bits = max(bits, 64)
         cache = self._roots_cache
         if 64 not in cache:
-            cache[64] = isolate_complex_roots(self.min_poly, 64)
+            cache[64] = _isolate(self.min_poly, 64)
         if bits not in cache:
             cache[bits] = refine_roots(self.min_poly, cache[64], bits)
         return cache[bits]
@@ -516,9 +518,7 @@ def _quadratic_integral_basis(p: IntPoly):
     """(rows, den): the basis {1, (d+sqrt(d))/2} for d = 1 mod 4, else
     {1, sqrt(d)}, in power coordinates over den."""
     b, c = int(p[1]), int(p[0])
-    disc_poly = b * b - 4 * c
-    if disc_poly == 0:
-        raise NonMonic("not a quadratic field (square discriminant)")
+    disc_poly = b * b - 4 * c         # nonzero: p is squarefree
     d = squarefree_kernel(disc_poly)
     s2 = disc_poly // d
     s = math.isqrt(abs(s2))

@@ -2,17 +2,21 @@
 
 Coefficients are stored low degree first; the canonical form has no
 trailing (high-degree) zeros.  Degrees here stay small (<= 32), so the
-classical algorithms are used throughout.
+classical algorithms are used throughout.  The resultant, and with it the
+squarefree test and the discriminant, is the fraction-free determinant of
+the integer Sylvester matrix: no Euclid step over Q.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Union
 
 from .errors import NonMonic, NonSquarefree, NotPrime
 from .intervals import Box, fixed_point, imul
+from .linalg import mat_det
 
 IntPoly = tuple  # tuple of ints, low degree first, no trailing zeros
 
@@ -60,50 +64,13 @@ def poly_mul(p: Sequence, q: Sequence):
     return make_poly(out)
 
 
-def poly_divmod(p: Sequence, q: Sequence):
-    """Division with remainder over Q (exact Fractions)."""
-    q = make_poly(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    dq = degree(q)
-    lead = Fraction(q[-1])
-    quot = [Fraction(0)] * max(len(p) - dq, 1)
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * Fraction(c)
-        rem.pop()
-    return make_poly(quot), make_poly(rem)
-
-
 def derivative(p: Sequence):
     return make_poly([i * c for i, c in enumerate(p)][1:])
 
 
-def poly_gcd_q(p: Sequence, q: Sequence):
-    """Monic gcd over Q via the Euclidean algorithm."""
-    a = tuple(Fraction(c) for c in p)
-    b = tuple(Fraction(c) for c in q)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
 def is_squarefree(p: Sequence) -> bool:
-    if degree(p) <= 0:
-        return True
-    return degree(poly_gcd_q(p, derivative(p))) == 0
+    """In characteristic 0, p is squarefree exactly when res(p, p') != 0."""
+    return degree(p) <= 0 or resultant(p, derivative(p)) != 0
 
 
 def check_squarefree(p: Sequence):
@@ -137,22 +104,21 @@ def eval_at(p: Sequence, x: Box, bits: int = None) -> Box:
 
 
 def resultant(p: Sequence, q: Sequence) -> Fraction:
-    """Resultant over Q by the Euclidean pseudo-remainder recursion."""
-    a = make_poly([Fraction(c) for c in p])
-    b = make_poly([Fraction(c) for c in q])
-    if not a or not b:
+    """res(p, q) as the determinant of the Sylvester matrix, taken
+    fraction-free (linalg.mat_det).  Rational coefficients are cleared
+    first: res(P/a, Q/b) = res(P, Q) / (a^deg Q b^deg P)."""
+    p, q = make_poly(p), make_poly(q)
+    if not p or not q:
         return Fraction(0)
-    res = Fraction(1)
-    while degree(b) > 0:
-        _, r = poly_divmod(a, b)
-        if not r:
-            return Fraction(0)
-        res *= Fraction(b[-1]) ** (degree(a) - degree(r))
-        if (degree(a) * degree(b)) % 2 == 1:
-            res = -res
-        a, b = b, r
-    res *= Fraction(b[0]) ** degree(a)
-    return res
+    m, n = degree(p), degree(q)
+    a = lcm(1, *(c.denominator for c in p))
+    b = lcm(1, *(c.denominator for c in q))
+    hp = [c.numerator * (a // c.denominator) for c in reversed(p)]
+    hq = [c.numerator * (b // c.denominator) for c in reversed(q)]
+    # n shifted rows of p's coefficients and m of q's, high degree first
+    rows = ([[0] * i + hp + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + hq + [0] * (m - 1 - i) for i in range(m)])
+    return Fraction(mat_det(rows), a ** n * b ** m)
 
 
 def discriminant(p: Sequence) -> Fraction:

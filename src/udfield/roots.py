@@ -188,9 +188,15 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
     """Disjoint boxes around all roots of squarefree p, width <= 2^-precision_bits.
 
     Complex-conjugate roots are identified and paired; a root is flagged
-    real exactly when it equals its own conjugate.
+    real exactly when it equals its own conjugate.  p is tested for
+    squarefreeness first (NonSquarefree).
     """
     check_squarefree(p)
+    return _isolate(p, precision_bits)
+
+
+def _isolate(p: Sequence, precision_bits: int) -> List[RootBox]:
+    """isolate_complex_roots for a p already known to be squarefree."""
     n = degree(p)
     if n == 0:
         return []
@@ -218,7 +224,7 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
 
 def refine_roots(p: Sequence, boxes: List[RootBox], precision_bits: int) -> List[RootBox]:
     """Re-isolate at higher precision, preserving the identity of each root."""
-    fresh = isolate_complex_roots(p, precision_bits)
+    fresh = _isolate(p, precision_bits)
     matched: List[RootBox] = []
     for old in boxes:
         hits = [nb for nb in fresh if nb.box.intersects(old.box)]

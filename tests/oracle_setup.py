@@ -13,8 +13,8 @@ image used to reach floats: `float_up`, `float_columns`, `_columns`,
 method `round_outward`, as a function.  The reduction modulo the minimal
 polynomial through the table of theta powers (`_power_table` and
 `_reduce_power_poly`) and the precision ladder of `_conjugate_pair_reps`
-are copied from `udfield.numberfield`, where `poly_divmod` and the 64-bit
-root boxes now do those jobs.  `basis_image_ends` (the Fraction Horner at
+are copied from `udfield.numberfield`, where integer reduction and the
+64-bit root boxes now do those jobs.  `basis_image_ends` (the Fraction Horner at
 the root boxes, aligned by `to_fixed`), `_interpolate_conjugation` (the
 Lagrange interpolation in interval arithmetic) and the loop of
 `detect_cm` that drives it are copied from `udfield.numberfield` too, now
@@ -39,8 +39,9 @@ and `basis_images` rebuilds the Fraction boxes of the field's basis
 images from the integer ends that the field now caches in their place;
 `_power_table` and `_reduce_power_poly` take the field as their first
 argument and build the table per call.  The interval classes are those of
-`oracle_intervals`, and a root box, now an integer `Box`, is read
-through `box_interval` wherever the old code read the Fraction box;
+`oracle_intervals` and `poly_divmod` is that of `oracle_polynomials`; a
+root box, now an integer `Box`, is read through `box_interval` wherever
+the old code read the Fraction box;
 `basis_image_ends`, `_interpolate_conjugation` and `detect_cm` take the
 field as their first argument, and `detect_cm` keeps no cache on it.
 `_build_cm` calls `power_coords` as a function and the integer-box
@@ -67,8 +68,9 @@ from udfield.linalg import vec_mat
 from udfield.numberfield import (EMBED_BITS_CAP, FieldElement, _f2_independent,
                                  _simplest_rational)
 from udfield.numthy import check_squarefree_int, squarefree_kernel
+from oracle_polynomials import poly_divmod
 from udfield.polynomials import (IntPoly, check_monic, check_squarefree, degree, make_poly,
-                                 poly_add, poly_divmod, poly_mul)
+                                 poly_add, poly_mul)
 from udfield.roots import RootBox
 
 

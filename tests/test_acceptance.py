@@ -14,11 +14,10 @@ from oracle_intervals import box_interval
 from pointrows import elements_of, rows_of
 
 from udfield.cli import main
-from udfield.construct import (WindowConfig, build_pointset,
-                               pigeonhole_units, exponent_ledger)
+from udfield.construct import WindowConfig, build_pointset, pigeonhole_units
 from udfield.counting import (PlanarFloatSet, count_exact, count_float,
                               r2_count_rational)
-from udfield.gstower import splits_completely
+from udfield.gstower import exponent_ledger, splits_completely
 from udfield.ideals import (FOUND, NOT_FOUND, FracIdeal,
                             class_number_imag_quadratic, is_principal,
                             split_prime)

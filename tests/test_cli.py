@@ -59,6 +59,19 @@ def test_r2_auto_box_over_a_real_quadratic_field(capsys, alpha, box, count):
     assert rc == 0 and (data["box"], data["count"]) == (box, count)
 
 
+def test_r2_over_a_degree_1_field_matches_q(tmp_path, capsys):
+    # x is the minimal polynomial of Q, so r2_count takes its degree-1 branch
+    (tmp_path / "q.json").write_text(json.dumps({"min_poly": [0, 1]}))
+    rc, data = run_cli(capsys, "r2", "--field", str(tmp_path / "q.json"), "--alpha", "25")
+    rc_q, data_q = run_cli(capsys, "r2", "--alpha", "25")
+    assert rc == rc_q == 0 and data["count"] == data_q["count"] == 12
+
+
+def test_r2_over_a_field_not_totally_real_exits_4(capsys):
+    assert main(["r2", "--field", "gaussian", "--alpha", "5"]) == 4
+    assert capsys.readouterr().err == "error: r2_count needs a totally real field, not Q(i)\n"
+
+
 def test_grid_cli(capsys):
     rc, data = run_cli(capsys, "grid", "--n", "25")
     assert rc == 0
@@ -375,6 +388,24 @@ def test_exact_count_joins_a_window_from_its_rows(tmp_path, capsys, monkeypatch,
     assert got == want
 
 
+@pytest.mark.parametrize("max_points, builds", [("50", 0), ("1281", 1)])
+def test_auto_window_with_no_feasible_window_exits_7(tmp_path, capsys, monkeypatch,
+                                                     max_points, builds):
+    # at 50 the estimate for O_K already passes the cap; at 1281 it does
+    # not, but the build of O_K passes it and no scale is left to retry
+    from udfield import construct
+
+    calls = []
+    build = construct.build_pointset
+    monkeypatch.setattr(construct, "build_pointset",
+                        lambda *args: calls.append(args[2].scale) or build(*args))
+    rc = main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2", "--R", "20",
+               "--max-points", max_points, "--no-plot", "--out", str(tmp_path)])
+    assert rc == 7
+    assert "no desk-feasible window" in capsys.readouterr().err
+    assert calls == [1] * builds
+
+
 def test_generate_auto_window_beyond_4000_points(tmp_path, capsys):
     # about 5000 points in O_K: auto mode once refused windows past 4000
     rc, data = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5",
@@ -414,6 +445,15 @@ def test_bad_integral_basis_exits_3_with_its_message(tmp_path, basis, message):
     proc = _run_module(tmp_path, "generate", "--field", str(bad), "--out", "run")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"error: field description: {message}\n"
+
+
+@pytest.mark.parametrize("poly", [[1, 2, 1], [1, 0, 2, 0, 1]])
+def test_non_squarefree_min_poly_exits_4_with_its_message(tmp_path, poly):
+    # (x + 1)^2 and (x^2 + 1)^2
+    (tmp_path / "field.json").write_text(json.dumps({"min_poly": poly}))
+    proc = _run_module(tmp_path, "generate", "--field", "field.json", "--out", "run")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == f"error: gcd(p, p') is nonconstant for {tuple(poly)}\n"
 
 
 def test_bad_r2_box_exits_3(tmp_path):

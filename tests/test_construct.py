@@ -6,13 +6,12 @@ import pytest
 from oracle_intervals import box_interval
 from pointrows import elements_of
 
-from udfield.construct import (SymbolicPower, UnitSet, WindowConfig,
-                               build_pointset, covolume_upper, denominator_bound,
-                               enumerate_window, estimate_window_points,
-                               exponent, halton_translates,
-                               pigeonhole_units, select_translate,
-                               exponent_ledger)
+from udfield.construct import (UnitSet, WindowConfig, build_pointset, covolume_upper,
+                               denominator_bound, enumerate_window,
+                               estimate_window_points, halton_translates,
+                               pigeonhole_units, select_translate)
 from udfield.errors import ConditionFailed, ConjugateCollision
+from udfield.gstower import SymbolicPower, exponent, exponent_ledger
 from udfield.ideals import FracIdeal, split_prime
 from udfield.numberfield import abs_sq, is_unit_modulus
 
@@ -366,8 +365,8 @@ def test_exponent_ledger_paper():
     assert led["u"] == Fraction(led["k"] + 1, 510510 ** 2)
     assert led["delta"] == SymbolicPower(101, -2 * led["k"])
     assert led["D"] == SymbolicPower(101, 2 * led["k"])
-    assert led["feasible"]
     iv = led["exponent"]
+    assert iv.lo > 1
     excess_lo, excess_hi = iv.lo - 1, iv.hi - 1
     assert iv.width() < Fraction(1, 10 ** 40)
     # the excess rounds to 6.24e-38 at three significant digits
@@ -380,7 +379,6 @@ def test_exponent_ledger_small_cases():
     assert led["k"] == 1237               # ceil(18*216/pi) - 1
     assert led["u"] == Fraction(1238, 36)
     assert led["v"] == 3
-    assert led["feasible"]
     assert led["exponent"].lo > 1
 
     # T empty: r = 2, k = ceil(144/pi) - 1 = 45, u = 46/4, v = 1;
@@ -389,7 +387,7 @@ def test_exponent_ledger_small_cases():
     assert led2["k"] == 45
     assert led2["u"] == Fraction(46, 4)
     assert led2["v"] == 1
-    assert led2["feasible"]
+    assert led2["exponent"].lo > 1
     assert 1 < float(led2["exponent"].midpoint()) < 1.0001
 
 

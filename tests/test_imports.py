@@ -106,9 +106,31 @@ def test_field_setup_loads_neither_mpmath_nor_numpy(tmp_path, field):
 
 
 def test_exponent_does_not_load_mpmath(tmp_path):
+    # the ledger is arithmetic on T and p, beside the GS ledger in gstower:
+    # no udfield.construct and none of the field stack
     got = _probe(tmp_path, "exponent", "--T", "3,5,7,11,13,17", "--p", "101")
-    assert "udfield.construct" in got["udfield"]
+    assert got["udfield"] == ["udfield", "udfield.cli", "udfield.errors", "udfield.gstower",
+                              "udfield.intervals", "udfield.numthy", "udfield.serialize"]
     assert not got["mpmath"]
+
+
+EXACT_STACK = {"udfield.numberfield", "udfield.roots", "udfield.polynomials",
+               "udfield.linalg", "udfield.enumeration"}
+
+
+@pytest.mark.parametrize("args", [
+    ["grid", "--n", "100"],
+    ["count", "--csv", "in/pointset.csv", "--method", "hashed"],
+    ["r2", "--alpha", "25"]])
+def test_float_paths_skip_the_field_stack(tmp_path, args):
+    from udfield.cli import main
+
+    if args[0] == "count":
+        assert main(["generate", "--field", "gaussian", "--scale", "1", "--R", "4",
+                     "--no-plot", "--out", str(tmp_path / "in")]) == 0
+    got = _probe(tmp_path, *args)
+    assert "udfield.counting" in got["udfield"]
+    assert not EXACT_STACK & set(got["udfield"])
 
 
 def test_exports_resolve_to_their_modules():

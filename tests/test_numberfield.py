@@ -6,10 +6,10 @@ import pytest
 
 from oracle_intervals import RealInterval, box_interval, sqrt_lower
 from udfield.cli import main
-from udfield.errors import DependentGenerators, DivisionByZero, NotAField
+from udfield.errors import DependentGenerators, DivisionByZero, NonSquarefree, NotAField
 from udfield.intervals import sqrt_upper
-from udfield.numberfield import (abs_sq, compositum_multiquadratic, detect_cm,
-                                 is_unit_modulus, nf_new)
+from udfield.numberfield import (NumberField, abs_sq, compositum_multiquadratic,
+                                 detect_cm, is_unit_modulus, nf_new)
 from udfield.polynomials import make_poly, resultant
 
 
@@ -25,6 +25,15 @@ def test_quadratic_fields_disc():
     for d in (-1, -5, -23, 5, 13, 17, -163, 6, -6):
         K = nf_new(make_poly([-d, 0, 1]))
         assert K.disc == quadratic_disc_oracle(d), d
+
+
+@pytest.mark.parametrize("poly", [[1, 2, 1], [0, 0, 0, 1]])
+def test_number_field_rejects_a_repeated_root(poly):
+    # NumberField runs no squarefree test of its own: the trace form of
+    # (x + 1)^2 or x^3 is singular
+    n = len(poly) - 1
+    with pytest.raises(NonSquarefree):
+        NumberField(make_poly(poly), [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def test_element_arithmetic(gaussian):
@@ -308,12 +317,17 @@ def test_embed_box_independent_of_history(tmp_path):
     assert out[0] == out[1] and len(out[0].splitlines()) == 8
 
 
-@pytest.mark.parametrize("name, most", [("adjoin-i:5", 136), ("adjoin-i:5,13", 396)])
+# the ids keep the bounds these tests had while the squarefreeness check
+# ran Euclid over Q
+@pytest.mark.parametrize("name, most", [pytest.param("adjoin-i:5", 4, id="adjoin-i:5-136"),
+                                        pytest.param("adjoin-i:5,13", 8, id="adjoin-i:5,13-396")])
 def test_field_set_up_makes_few_fractions(monkeypatch, name, most):
-    # the field's own data are integer rows: building the field and its
-    # conjugation makes Fractions only in the squarefreeness check over Q
-    # and the power coordinates the root check evaluates (2 724 and 32 583
-    # while the integral basis and conjugation were Fraction matrices)
+    # the field's own data are integer rows and its min_poly is certified
+    # squarefree by the nonzero discriminant of its trace form: building the
+    # field and its conjugation makes Fractions only in the power coordinates
+    # the root check evaluates (136 and 396 while the squarefreeness check
+    # ran Euclid over Q; 2 724 and 32 583 while the integral basis and
+    # conjugation were Fraction matrices)
     from udfield.cli import build_field
 
     made = []

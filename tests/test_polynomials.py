@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_polynomials
+from oracle_polynomials import poly_divmod, poly_gcd_q
 from udfield.errors import NotPrime
-from udfield.polynomials import (discriminant, eval_at, factor_mod_p,
-                                 is_squarefree, make_poly, poly_divmod,
+from udfield.polynomials import (degree, derivative, discriminant, eval_at,
+                                 factor_mod_p, is_squarefree, make_poly,
                                  poly_mul, resultant)
 
 
@@ -63,6 +67,34 @@ def test_resultant_vs_sylvester_oracle():
         if len(pp) < 2 or len(qq) < 2:
             continue
         assert resultant(pp, qq) == sylvester_det(pp, qq), (pp, qq)
+
+
+def _int_poly(max_degree):
+    return st.lists(st.integers(-6, 6), min_size=1, max_size=max_degree + 1).map(make_poly)
+
+
+# degree 0 to 8: any integer polynomial, or f g^2 with g nonconstant
+SQUAREFREE_CASES = st.one_of(
+    _int_poly(8),
+    st.tuples(_int_poly(4).filter(bool),
+              _int_poly(2).filter(lambda g: degree(g) >= 1)).map(
+        lambda fg: poly_mul(fg[0], poly_mul(fg[1], fg[1]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SQUAREFREE_CASES)
+def test_squarefree_matches_euclid_gcd(p):
+    assert is_squarefree(p) == (degree(p) <= 0 or degree(poly_gcd_q(p, derivative(p))) == 0)
+
+
+RATIONAL_POLY = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                         max_size=6).map(make_poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONAL_POLY, RATIONAL_POLY)
+def test_resultant_matches_euclid_on_rationals(p, q):
+    assert resultant(p, q) == oracle_polynomials.resultant(p, q)
 
 
 def test_eval_modes():

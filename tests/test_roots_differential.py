@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 import oracle_roots
 from oracle_intervals import box_interval
+from oracle_polynomials import poly_divmod
 from udfield.errors import PrecisionExhausted
-from udfield.polynomials import is_squarefree, make_poly, poly_divmod, poly_mul
+from udfield.polynomials import is_squarefree, make_poly, poly_mul
 from udfield.roots import isolate_complex_roots
 
 BITS = (64, 128, 256)
