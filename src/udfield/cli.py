@@ -10,7 +10,6 @@ held.  The exponent ledger's working precision comes from
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -55,18 +54,10 @@ def build_field(name: str):
     raise ParseError(f"unknown field name {name!r}")
 
 
-def _read_json(path: str):
-    from .serialize import open_file
-
-    with open_file(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
-
-
 def load_field_json(path: str):
-    return _field_from_dict(_read_json(path))
+    from .serialize import read_json
+
+    return _field_from_dict(read_json(path))
 
 
 def _field_from_dict(data):
@@ -214,7 +205,15 @@ def cmd_count(args) -> int:
     from .serialize import dump_json, read_points_csv
 
     if args.method == "exact":
-        census = _count_exact_csv(args)
+        from .numberfield import detect_cm
+        from .serialize import read_exact_csv, read_sidecar_field
+
+        K = (build_field(args.field) if args.field is not None
+             else _field_from_dict(read_sidecar_field(args.csv)))
+        cm = detect_cm(K)
+        if cm is None:
+            raise PreconditionError("exact counting needs a CM field")
+        census = count_exact(*read_exact_csv(args.csv, K.n), cm)
     else:
         pts = read_points_csv(args.csv)
         ps = PlanarFloatSet(points=pts, eps=args.eps)
@@ -226,60 +225,6 @@ def cmd_count(args) -> int:
                     f"hashed count {census.unit_pairs} != brute {brute.unit_pairs}")
     sys.stdout.write(dump_json(census.to_dict()))
     return 0
-
-
-def _count_exact_csv(args):
-    """Exact counting from the exact coordinate columns of a CSV.
-
-    The field comes from --field or from the pointset.json sidecar written
-    next to the CSV by `generate`."""
-    from .counting import count_exact
-    from .linalg import stack_rows
-    from .numberfield import detect_cm
-    from .serialize import open_file, parse_frac
-
-    if args.field is not None:
-        K = build_field(args.field)
-    else:
-        sidecar = os.path.join(os.path.dirname(os.path.abspath(args.csv)),
-                               "pointset.json")
-        if not os.path.exists(sidecar):
-            raise ParseError("--method exact needs --field or a pointset.json "
-                             "sidecar next to the CSV")
-        data = _read_json(sidecar)
-        if not isinstance(data, dict) or "field" not in data:
-            raise ParseError(f"{sidecar}: no \"field\" entry")
-        K = _field_from_dict(data["field"])
-    cm = detect_cm(K)
-    if cm is None:
-        raise PreconditionError("exact counting needs a CM field")
-
-    def entry(text):
-        # int() reads a subset of what Fraction() reads, with the same value
-        try:
-            return int(text)
-        except ValueError:
-            return parse_frac(text)
-
-    entries = []
-    with open_file(args.csv) as fh:
-        cols = [c.strip() for c in fh.readline().split(",")]
-        if any(f"c{i}" not in cols for i in range(K.n)):
-            raise ParseError(f"{args.csv}: needs exact coordinate columns c0..c{K.n - 1}")
-        idxs = [cols.index(f"c{i}") for i in range(K.n)]
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                if not line.strip():
-                    continue
-                raise ParseError(f"line {lineno}: {len(parts)} fields, "
-                                 f"header has {len(cols)}")
-            try:
-                entries.extend([entry(parts[t]) for t in idxs])
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-    rows, denom = stack_rows([((q.numerator,), q.denominator) for q in entries], K.n)
-    return count_exact(rows, denom, cm)
 
 
 def cmd_exponent(args) -> int:

@@ -710,26 +710,27 @@ def _interpolate_conjugation(K: NumberField, bits: int):
         for t, (a, b) in enumerate(num):
             coeffs[t] += (a * sr - b * si) >> F
     tol = 1 << (F - bits // 2)
-    return [_simplest_rational(Fraction(c - tol, 1 << F), Fraction(c + tol, 1 << F))
+    return [Fraction(*_simplest_rational((c - tol, 1 << F), (c + tol, 1 << F)))
             for c in coeffs]
 
 
-def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator in [lo, hi] (Stern-Brocot)."""
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -_simplest_rational(-hi, -lo)
-
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        # 0 < a <= b; simplest rational in [a, b]
-        w = a.numerator // a.denominator
-        if a.denominator == 1:
-            return a
-        if w + 1 <= b:
-            return Fraction(w + 1)
-        return w + Fraction(1) / rec(Fraction(1) / (b - w), Fraction(1) / (a - w))
-
-    return rec(lo, hi)
+def _simplest_rational(lo: Tuple[int, int], hi: Tuple[int, int]) -> Tuple[int, int]:
+    """(p, q) in lowest terms, q > 0: the rational with smallest denominator
+    between lo and hi, each a pair (num, den > 0).  The Stern-Brocot descent
+    on integer pairs, carrying the convergents of the quotients it strips."""
+    (a, b), (c, d) = lo, hi
+    if a * d > c * b:
+        a, b, c, d = c, d, a, b
+    if a <= 0 <= c:
+        return 0, 1
+    if c < 0:
+        p, q = _simplest_rational((-c, d), (-a, b))
+        return -p, q
+    h, h1, k, k1 = 1, 0, 0, 1
+    while True:
+        # 0 < a/b <= c/d
+        w, r = divmod(a, b)
+        if not r or (w + 1) * d <= c:
+            w += bool(r)   # a/b itself, or the integer just above it
+            return w * h + h1, w * k + k1
+        h, h1, k, k1, a, b, c, d = w * h + h1, h, w * k + k1, k, d, c - w * d, b, r

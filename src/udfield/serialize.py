@@ -1,11 +1,14 @@
 """JSON and CSV encoding: exact rationals as "p/q" strings, symbolic
 powers as {"base", "exp"}, intervals as endpoint pairs, floats at 17
-significant digits."""
+significant digits.  This module owns `pointset.csv` and its
+`pointset.json` sidecar in both directions: it writes them for
+`generate` and reads them back for `count`."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -35,21 +38,16 @@ def float17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def interval_dict(iv: RealInterval) -> dict:
-    return {"lo": frac_str(iv.lo), "hi": frac_str(iv.hi),
-            "approx": float17(float(iv.midpoint()))}
-
-
-def _pow10(e: int) -> Fraction:
-    return Fraction(10) ** e
+def interval_dict(lo: Fraction, hi: Fraction) -> dict:
+    return {"lo": frac_str(lo), "hi": frac_str(hi), "approx": float17(float((lo + hi) / 2))}
 
 
 def _exponent10(q: Fraction) -> int:
     """floor(log10(q)) for q > 0, exact."""
     e = int((q.numerator.bit_length() - q.denominator.bit_length()) * 0.30103)
-    while _pow10(e) > q:
+    while Fraction(10) ** e > q:
         e -= 1
-    while _pow10(e + 1) <= q:
+    while Fraction(10) ** (e + 1) <= q:
         e += 1
     return e
 
@@ -60,7 +58,7 @@ def certified_digits(lo: Fraction, hi: Fraction, digits: int = 3) -> Optional[st
     if lo <= 0 or hi <= 0 or lo > hi:
         return None
     e10 = _exponent10(lo)
-    scale = _pow10(digits - 1 - e10)
+    scale = Fraction(10) ** (digits - 1 - e10)
 
     def rounded(q: Fraction) -> int:
         v = q * scale
@@ -83,7 +81,7 @@ def jsonify(obj):
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, RealInterval):
-        return interval_dict(obj)
+        return interval_dict(obj.lo, obj.hi)
     if isinstance(obj, dict):
         return {k: jsonify(v) for k, v in obj.items()}
     if hasattr(obj, "to_dict"):   # before tuples: SymbolicPower is a named tuple
@@ -151,14 +149,9 @@ def report_dict(rep: ConstructionReport) -> dict:
         "checks": dict(rep.checks),
         "warnings": list(rep.warnings),
     }
-    if rep.volumetric_lower_2nu is not None:
-        lo, hi = rep.volumetric_lower_2nu
-        out["volumetric_lower_2nu"] = {"lo": frac_str(lo), "hi": frac_str(hi),
-                                  "approx": float17(float((lo + hi) / 2))}
-    if rep.exponent_bound is not None:
-        lo, hi = rep.exponent_bound
-        out["exponent_bound"] = {"lo": frac_str(lo), "hi": frac_str(hi),
-                                 "approx": float17(float((lo + hi) / 2))}
+    for key in ("volumetric_lower_2nu", "exponent_bound"):
+        if getattr(rep, key) is not None:
+            out[key] = interval_dict(*getattr(rep, key))
     if rep.inner_count_zero_translate is not None:
         out["inner_window_count_zero_translate"] = rep.inner_count_zero_translate
     return out
@@ -173,13 +166,13 @@ def _reduced_str(num: int, den: int) -> str:
 def write_pointset_csv(ps: PointSet, path: str):
     """Columns: index, re/im float positions (within the certified bound of
     counting.planar_image; exact zeros print as 0), exact coordinates, each
-    in lowest terms."""
-    n = ps.field.n
-    header = "index,re,im," + ",".join(f"c{i}" for i in range(n))
-    lines = [header]
-    for idx, (row, (x, y)) in enumerate(zip(ps.rows, ps.planar)):
-        coords = ",".join(_reduced_str(c, ps.denom) for c in row)
-        lines.append(f"{idx},{float17(x)},{float17(y)},{coords}")
+    in lowest terms.  Each distinct entry is reduced once, and each line is
+    one %-format (%.17g is float17)."""
+    text = {c: _reduced_str(c, ps.denom) for c in set().union(*ps.rows)}
+    line = "%d,%.17g,%.17g," + ",".join(["%s"] * ps.field.n)
+    lines = ["index,re,im," + ",".join(f"c{i}" for i in range(ps.field.n))]
+    lines += [line % (idx, x, y, *[text[c] for c in row])
+              for idx, (row, (x, y)) in enumerate(zip(ps.rows, ps.planar))]
     with open_file(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -217,6 +210,65 @@ def read_points_csv(path: str):
     if not pts:
         raise ParseError("no points in CSV")
     return np.array(pts, dtype=float)
+
+
+def read_json(path: str):
+    with open_file(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_sidecar_field(csv_path: str) -> dict:
+    """The "field" entry of the pointset.json next to a pointset.csv."""
+    sidecar = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "pointset.json")
+    if not os.path.exists(sidecar):
+        raise ParseError("--method exact needs --field or a pointset.json "
+                         "sidecar next to the CSV")
+    data = read_json(sidecar)
+    if not isinstance(data, dict) or "field" not in data:
+        raise ParseError(f"{sidecar}: no \"field\" entry")
+    return data["field"]
+
+
+def read_exact_csv(path: str, n: int):
+    """(rows, denom): the columns c0..c{n-1} of a point CSV as integer
+    n-tuples over their least common denominator.  Each distinct entry
+    text is parsed once; blank lines are skipped."""
+    parsed, index, flat = [], {}, []   # distinct (num, den); text -> its slot
+    with open_file(path) as fh:
+        cols = [c.strip() for c in fh.readline().split(",")]
+        if any(f"c{i}" not in cols for i in range(n)):
+            raise ParseError(f"{path}: needs exact coordinate columns c0..c{n - 1}")
+        idxs = [cols.index(f"c{i}") for i in range(n)]
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split(",")
+            if len(parts) != len(cols):
+                if not line.strip():
+                    continue
+                raise ParseError(f"line {lineno}: {len(parts)} fields, "
+                                 f"header has {len(cols)}")
+            try:
+                for t in idxs:
+                    slot = index.setdefault(parts[t], len(index))
+                    if slot == len(parsed):
+                        parsed.append(_exact_entry(parts[t]))
+                    flat.append(slot)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+    denom = math.lcm(1, *{d for _, d in parsed})
+    scaled = [c * (denom // d) for c, d in parsed]
+    return tuple(zip(*[iter([scaled[s] for s in flat])] * n)), denom
+
+
+def _exact_entry(text: str) -> Tuple[int, int]:
+    # int() reads a subset of what parse_frac reads, with the same value
+    try:
+        return int(text), 1
+    except ValueError:
+        q = parse_frac(text)
+        return q.numerator, q.denominator
 
 
 def write_svg(ps: PointSet, pairs: Sequence[Tuple[int, int]], path: str):

@@ -16,10 +16,11 @@ polynomial through the table of theta powers (`_power_table` and
 are copied from `udfield.numberfield`, where integer reduction and the
 64-bit root boxes now do those jobs.  `basis_image_ends` (the Fraction Horner at
 the root boxes, aligned by `to_fixed`), `_interpolate_conjugation` (the
-Lagrange interpolation in interval arithmetic) and the loop of
-`detect_cm` that drives it are copied from `udfield.numberfield` too, now
-that the field's root boxes, basis images and conjugation candidates are
-computed on integers.
+Lagrange interpolation in interval arithmetic), the loop of
+`detect_cm` that drives it and `_simplest_rational` (the Stern-Brocot
+recursion on Fractions that reads its coefficients) are copied from
+`udfield.numberfield` too, now that the field's root boxes, basis images
+and conjugation candidates are computed on integers.
 
 At the end is the field construction as it stood on Fraction matrices,
 before the field's own data became integer rows over one denominator:
@@ -65,8 +66,7 @@ from udfield.errors import (DependentGenerators, DivisionByZero, NonMonic, NotAF
                             PrecisionExhausted)
 from udfield.intervals import round_down, round_up, sqrt_upper
 from udfield.linalg import vec_mat
-from udfield.numberfield import (EMBED_BITS_CAP, FieldElement, _f2_independent,
-                                 _simplest_rational)
+from udfield.numberfield import EMBED_BITS_CAP, FieldElement, _f2_independent
 from udfield.numthy import check_squarefree_int, squarefree_kernel
 from oracle_polynomials import poly_divmod
 from udfield.polynomials import (IntPoly, check_monic, check_squarefree, degree, make_poly,
@@ -495,6 +495,27 @@ def _interpolate_conjugation(K: NumberField, bits: int):
     if rem:
         return None
     return g
+
+
+def _simplest_rational(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational with smallest denominator in [lo, hi] (Stern-Brocot)."""
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -_simplest_rational(-hi, -lo)
+
+    def rec(a: Fraction, b: Fraction) -> Fraction:
+        # 0 < a <= b; simplest rational in [a, b]
+        w = a.numerator // a.denominator
+        if a.denominator == 1:
+            return a
+        if w + 1 <= b:
+            return Fraction(w + 1)
+        return w + Fraction(1) / rec(Fraction(1) / (b - w), Fraction(1) / (a - w))
+
+    return rec(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def test_generate_rejects_non_cm(tmp_path):
     assert rc == 4
 
 
+def test_generate_over_an_s4_quartic_exits_4(tmp_path):
+    # x^4 + x + 1: totally imaginary with Galois group S4, so detect_cm
+    # runs its whole precision loop and finds no complex conjugation
+    (tmp_path / "s4.json").write_text('{"min_poly": [1, 1, 0, 0, 1]}')
+    proc = _run_module(tmp_path, "generate", "--field", "s4.json", "--k", "0",
+                       "--R", "2", "--out", "run")
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: deg4field is not a CM field\n"
+
+
 def test_generate_inert_prime_collision(tmp_path):
     rc = main(["generate", "--field", "gaussian", "--prime", "3", "--k", "1",
                "--out", str(tmp_path)])
@@ -181,6 +191,29 @@ def test_count_parse_error(tmp_path):
     bad.write_text("re,im\n1,x\n")
     rc = main(["count", "--csv", str(bad)])
     assert rc == 3
+
+
+def test_hashed_count_skips_blank_lines(tmp_path, capsys):
+    rows = ["0,0", "1,0", "0,1", "1,1", "0.6,0.8"]
+    (tmp_path / "plain.csv").write_text("re,im\n" + "\n".join(rows) + "\n")
+    (tmp_path / "blank.csv").write_text("re,im\n" + "\n".join(rows[:2] + [""] + rows[2:])
+                                        + "\n\n")
+    counts = []
+    for name in ("plain.csv", "blank.csv"):
+        rc, census = run_cli(capsys, "count", "--csv", str(tmp_path / name), "--oracle")
+        assert rc == 0
+        counts.append((census["n_points"], census["unit_pairs"]))
+    assert counts[0] == counts[1] == (5, 5)
+
+
+def test_header_only_csv(tmp_path, capsys):
+    # the float counters need a point; the exact counter counts none
+    (tmp_path / "empty.csv").write_text("index,re,im,c0,c1\n")
+    assert main(["count", "--csv", str(tmp_path / "empty.csv")]) == 3
+    assert capsys.readouterr().err == "error: no points in CSV\n"
+    rc, census = run_cli(capsys, "count", "--csv", str(tmp_path / "empty.csv"),
+                         "--method", "exact", "--field", "gaussian")
+    assert rc == 0 and (census["n_points"], census["unit_pairs"]) == (0, 0)
 
 
 def test_cli_determinism(tmp_path, capsys):

@@ -63,6 +63,10 @@ def test_detect_cm_cases(gaussian, sqrt5_field):
     assert detect_cm(sqrt5_field) is None          # totally real
     quartic = nf_new(make_poly([-2, 0, 0, 0, 1]))  # x^4 - 2: two real roots
     assert detect_cm(quartic) is None
+    # x^4 + x + 1 is totally imaginary, but its Galois group is S4
+    # (discriminant 229, irreducible resolvent cubic), so no automorphism
+    # is complex conjugation: the precision loop runs out and gives up
+    assert detect_cm(nf_new(make_poly([1, 1, 0, 0, 1]))) is None
 
 
 def test_detect_cm_reconstruction_without_hint():
@@ -318,17 +322,27 @@ def test_embed_box_independent_of_history(tmp_path):
 
 
 # the ids keep the bounds these tests had while the squarefreeness check
-# ran Euclid over Q
-@pytest.mark.parametrize("name, most", [pytest.param("adjoin-i:5", 4, id="adjoin-i:5-136"),
-                                        pytest.param("adjoin-i:5,13", 8, id="adjoin-i:5,13-396")])
-def test_field_set_up_makes_few_fractions(monkeypatch, name, most):
+# ran Euclid over Q, and, from the sidecar, while detect_cm read its
+# interpolated coefficients by a Stern-Brocot recursion on Fractions
+@pytest.mark.parametrize("name, sidecar, most", [
+    pytest.param("adjoin-i:5", False, 4, id="adjoin-i:5-136"),
+    pytest.param("adjoin-i:5,13", False, 8, id="adjoin-i:5,13-396"),
+    pytest.param("adjoin-i:5", True, 41, id="adjoin-i:5-sidecar-70"),
+    pytest.param("adjoin-i:5,13", True, 145, id="adjoin-i:5,13-sidecar-473")])
+def test_field_set_up_makes_few_fractions(monkeypatch, name, sidecar, most):
     # the field's own data are integer rows and its min_poly is certified
     # squarefree by the nonzero discriminant of its trace form: building the
     # field and its conjugation makes Fractions only in the power coordinates
     # the root check evaluates (136 and 396 while the squarefreeness check
     # ran Euclid over Q; 2 724 and 32 583 while the integral basis and
-    # conjugation were Fraction matrices)
-    from udfield.cli import build_field
+    # conjugation were Fraction matrices).  `count --method exact` builds
+    # the field from the sidecar's dict with no construction-time
+    # conjugation, so detect_cm interpolates one and reads each coefficient
+    # as a simplest rational on integer pairs, one Fraction apiece; the rest
+    # read the integral basis, twice (by parse_frac and in nf_new)
+    from udfield.cli import _field_from_dict, build_field
+
+    data = build_field(name).to_dict() if sidecar else None
 
     made = []
     new = Fraction.__new__
@@ -338,6 +352,7 @@ def test_field_set_up_makes_few_fractions(monkeypatch, name, most):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
-    detect_cm(build_field(name))
+    assert detect_cm(_field_from_dict(data) if sidecar else build_field(name)) is not None
     monkeypatch.undo()
     assert len(made) <= most
+

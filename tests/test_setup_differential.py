@@ -3,7 +3,8 @@ verbatim in `oracle_setup` and `oracle_roots`: the field construction
 (structure constants, discriminant, integral basis, complex conjugation
 and the maps to and from power coordinates), interval Horner, the root
 boxes, the basis images, element embeddings, the conjugation that
-detect_cm finds by interpolation, the HNF of ideal products and principal
+detect_cm finds by interpolation and the simplest rationals it reads the
+interpolant's coefficients as, the HNF of ideal products and principal
 ideals, conjugation and inversion, the reduction modulo the minimal
 polynomial and the conjugate-pair representatives.
 Every comparison is equality, so each rewrite must give the very boxes
@@ -212,6 +213,29 @@ def test_detect_cm_matches_interval_interpolation(name):
     if got is not None:
         assert (_conj_fractions(got), got.pair_reps) == ([list(r) for r in want.conj_mat],
                                                          want.pair_reps)
+
+
+_ENDS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(-(1 << 300), 1 << 300))
+_DENS = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 1 << 300).map(lambda d: d | 1),
+                  st.integers(0, 300).map(lambda e: 1 << e))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lo=st.tuples(_ENDS, _DENS), hi=st.tuples(_ENDS, _DENS),
+       shape=st.sampled_from(["any", "integer ends", "contains 0", "negative"]))
+def test_simplest_rational_matches_oracle(lo, hi, shape):
+    # the Stern-Brocot descent on integer pairs against the Fraction
+    # recursion, with the ends in either order and not reduced
+    if shape == "integer ends":
+        lo, hi = (lo[0], 1), (hi[0], 1)
+    elif shape == "contains 0":
+        lo, hi = (-abs(lo[0]), lo[1]), (abs(hi[0]), hi[1])
+    elif shape == "negative":
+        lo, hi = (-abs(lo[0]) - 1, lo[1]), (-abs(hi[0]) - 1, hi[1])
+    p, q = numberfield._simplest_rational(lo, hi)
+    assert q > 0 and math.gcd(p, q) == 1
+    assert Fraction(p, q) == oracle_setup._simplest_rational(Fraction(*lo), Fraction(*hi))
 
 
 @settings(max_examples=200, deadline=None)
