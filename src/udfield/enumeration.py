@@ -10,20 +10,18 @@ points come back as integer coordinate rows over D (tuples of Python
 ints): the representation point sets use.  The basis is LLL-reduced on
 the integer T2 Gram matrix B G B^T (G the trace form of the integral
 basis, numberfield.trace_form) by integral LLL.  The polydisc lies inside
-the T2 ellipsoid, so the integer ranges lo_j <= c_j <= hi_j of the
-coefficients on that ellipsoid (_coef_ranges) hold every point; let
-M_j = max(-lo_j, hi_j).  The ranges are walked depth first, c_0
-outermost and each coefficient ascending, so points come out in
-lexicographic order of their coefficients on the reduced basis.
-Every real column t (re, and im for a complex root) of every basis vector
-and of the centre is a float64 midpoint m_jt with a float error e_jt, both
-from NumberField.float_image, and each level keeps float partial sums P_t
-with a margin D_t that bounds |x_t - P_t| over every completion: the
-unfixed coefficients' sum M_j |m_jt| plus the centre's error, the sum of
-M_j e_jt and the rounding of the sums, bounded in floats by
-numberfield.float_sum_error.  In the walk, only the margin band below
-builds field elements, each straight from its integer row.  Floats only
-prune or accept:
+the T2 ellipsoid, and _levels bounds each coefficient on it exactly,
+given the coefficients before it: one integer range per level, so the
+inner levels of the walk do integer arithmetic only.  The ranges are
+walked depth first, c_0 outermost and each coefficient ascending, so
+points come out in lexicographic order of their coefficients on the
+reduced basis.
+
+Floats enter at the last level only.  The walk keeps float partial sums
+P_t of each real column t (re, and im for a complex root) from the
+float64 midpoints and errors of NumberField.float_image, and _margins
+bounds |x_t - P_t| by D_t.  Only the margin band below builds field
+elements, each straight from its integer row.  Floats only prune or accept:
 
     prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
     accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
@@ -37,16 +35,17 @@ The last coefficient c is not tried value by value.  Each |sigma_i(z)|^2
 is a convex function of c, so the points of one prefix inside the
 polydisc are one run of consecutive c.  One rigorous chord per prefix,
 the line-disc chords of the float partial sums with the discs grown by
-the margins and by the rounding of the sums, holds that run.  The tests
-above (float prune and accept, then the exact sign in the band) run
-inward from the chord's two ends, upward to the first c inside and
-downward to the last; every c between those two is inside by convexity.
-A prefix with no point inside tests every c of its chord.
+the margins and by the rounding of the sums, cut to the last level's
+range, holds that run.  The tests above (float prune and accept, then the
+exact sign in the band) run inward from the chord's two ends, upward to
+the first c inside and downward to the last; every c between those two
+is inside by convexity.  A prefix with no point inside tests every c of
+its chord.
 
-A search's work is the prefixes the walk tries (every c of every level
-but the last) plus the points it finds.  It is counted in bulk, per level
-loop and per run of the last coefficient, and a search raises
-WindowTooLarge as soon as its work passes its limit.
+A search's work is the prefixes the walk tries (every c in the range of
+every level but the last) plus the points it finds.  It is counted in
+bulk, per level loop and per run of the last coefficient, and a search
+raises WindowTooLarge as soon as its work passes its limit.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import linalg
 from .errors import PrecisionExhausted, WindowTooLarge
@@ -74,38 +73,55 @@ def _embedding_columns(real: Sequence[bool]) -> List[range]:
     return cols
 
 
-def _coef_ranges(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
-                 real: Sequence[bool], center) -> List[Tuple[int, int]]:
-    """Integer ranges lo_j <= c_j <= hi_j that hold every solution.
+def _levels(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
+            real: Sequence[bool], center):
+    """The walk's data (bounds, weights, steps, cols, start, top), or None
+    when some coefficient has no value.
 
     T2(z) = sum_i w_i |sigma_i(z)|^2 (w_i = 2 for a complex pair, 1 for a
     real root) is at most R = sum_i w_i r_i^2 on the polydisc.  With
-    center = a V on the basis V, z D = (c + a) V, so every solution has
-    (c + a) Gram (c + a)^T <= R D^2 for the integer Gram matrix V G V^T,
-    and hence |c_j + a_j| <= sqrt(R D^2 (Gram^-1)_jj) (Fincke and Pohst,
-    Math. Comp. 44, 1985; Cohen, GTM 138, Alg. 2.7.5).  On integers: the
-    adjugates from fraction-free Gauss-Jordan give Gram^-1 = Y / g and
-    a = A / d, and with u_j = isqrt(floor(d^2 R D^2 Y_jj / g)), the floor
-    of d sqrt(...), the exact range is ceil((-u_j - A_j) / d) ..
-    floor((u_j - A_j) / d)."""
+    center = a V on the basis V, z D = x V with x = c + a, so every
+    solution has x Gram x^T <= R D^2 for the integer Gram matrix V G V^T
+    (Fincke and Pohst, Math. Comp. 44, 1985; Cohen, GTM 138, Alg. 2.7.5).
+    Fraction-free Gauss-Jordan gives Gram^-1 = H / g and a = A / q, and
+    with u_j = isqrt(floor(q^2 R D^2 H_jj / g)) every solution has
+    -((u_j + A_j) // q) <= c_j <= (u_j - A_j) // q, so |c_j| <= bounds_j.
+    The integral Gram-Schmidt data (lam, d) of the reversed Gram write
+    Gram = U Delta U^T, U unit upper triangular, so x Gram x^T = sum_k
+    Delta_k y_k^2 with y = x U, and sum_(i<=k) Delta_i y_i^2 is the least
+    value over the completions of x_0..x_k.  With l_kj = lam[n-1-j][n-1-k],
+    Delta_k y_k^2 = Y_k^2 / (d_(n-k) d_(n-1-k)) for the integer Y_k =
+    sum_(j<=k) l_kj (q c_j + A_j) = steps_k c_k + start_k + sum_(j<k)
+    cols[j][k] c_j, so over the lcm T of those denominators c_0..c_k has a
+    completion exactly when sum_(i<=k) weights_i Y_i^2 <= floor(T R D^2 q^2) = top."""
     n = len(basis)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     R = sum((1 if r else 2) * q for r, q in zip(real, radii_sq))
-    g, Y = linalg.gauss_jordan([row + e for row, e in zip(_t2_gram(basis, cm), eye)])
+    gram = linalg.congruent(basis, trace_form(cm))
+    g, H = linalg.gauss_jordan([row + e for row, e in zip(gram, eye)])
     if not g:
         raise ValueError("singular lattice basis")
-    d, A = 1, [0] * n
+    q, A = 1, [0] * n
     if center is not None:
-        d, X = linalg.gauss_jordan([list(v) + e for v, e in zip(basis, eye)])
+        q, X = linalg.gauss_jordan([list(v) + e for v, e in zip(basis, eye)])
         A = [sum(map(mul, center, col)) for col in zip(*X)]
-    if d < 0:
-        d, A = -d, [-a for a in A]
-    scale = d * d * denom * denom * R.numerator
-    out = []
+    if q < 0:
+        q, A = -q, [-a for a in A]
+    scale = q * q * denom * denom * R.numerator
+    bounds = []
     for j, a in enumerate(A):
-        u = math.isqrt(scale * Y[j][j] // (g * R.denominator))
-        out.append((-((u + a) // d), (u - a) // d))
-    return out
+        u = math.isqrt(scale * H[j][j] // (g * R.denominator))
+        lo, hi = -((u + a) // q), (u - a) // q
+        if lo > hi:
+            return None
+        bounds.append(max(-lo, hi))
+    lam, d, _ = linalg.integral_gso([row[::-1] for row in gram[::-1]])
+    ell = [[lam[n - 1 - j][n - 1 - k] for j in range(n)] for k in range(n)]
+    dens = [d[n - k] * d[n - 1 - k] for k in range(n)]
+    T = math.lcm(*dens)
+    return (bounds, [T // e for e in dens], [q * ell[k][k] for k in range(n)],
+            [[q * ell[i][j] if i > j else 0 for i in range(n)] for j in range(n)],
+            [sum(map(mul, row, A)) for row in ell], scale * T // R.denominator)
 
 
 def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
@@ -136,10 +152,10 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     basis = _lll_reduce_basis(basis, cm)
     if center is not None and not any(center):
         center = None
-    ranges = _coef_ranges(basis, denom, cm, radii_sq, real, center)
-    if any(lo > hi for lo, hi in ranges):
+    levels = _levels(basis, denom, cm, radii_sq, real, center)
+    if levels is None:
         return ()
-    bounds = [max(-lo, hi) for lo, hi in ranges]
+    bounds, weights, steps, level_cols, start, top = levels
     work = 0
 
     def spend(count):
@@ -163,11 +179,8 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
 
     try:
         mids, errs = zip(*map(columns, basis))
-        if center is None:
-            base, base_err = [0.0] * n, [0.0] * n
-        else:
-            base, base_err = columns(center)
-        margins = _margins(bounds, mids, errs, base, base_err)
+        base, base_err = ([0.0] * n, [0.0] * n) if center is None else columns(center)
+        last = _margins(bounds, mids, errs, base, base_err)
         # the slack absorbs the rounding of float(r^2) and of the bound sums,
         # so a float comparison can prune or accept but never decide the band
         hi = [float(r) * (1 + _SLACK) for r in radii_sq]
@@ -175,21 +188,9 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     except OverflowError:
         raise PrecisionExhausted("basis, centre or radii beyond float range") from None
 
-    def outside(P, D):
-        """Some |sigma_i|^2 exceeds r_i^2 for every x within D of P."""
-        for i, ts in enumerate(cols):
-            s = 0.0
-            for t in ts:
-                d = abs(P[t]) - D[t]
-                if d > 0:
-                    s += d * d
-            if s > hi[i]:
-                return True
-        return False
-
     one = field.one()
-    # the last coordinate: float columns, margins, integer row, range and bound
-    x, last, v, (c_lo, c_hi), M = mids[-1], margins[-1], basis[-1], ranges[-1], bounds[-1]
+    # the last coordinate: float columns, integer row and bound
+    x, v, M = mids[-1], basis[-1], bounds[-1]
 
     def leaf(P, row, c):
         """Whether the last coefficient c puts the point inside: the outside
@@ -223,13 +224,12 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                           hi[i] ** 0.5 * (1 + 2.0 ** -40) + sum(last[t] for t in ts),
                           M * sum(abs(x[t]) for t in ts)))
 
-    def chord(P):
-        """The integers c in [c_lo, c_hi] on the line-disc chords of the
+    def chord(P, first, final):
+        """The integers c in [first, final] on the line-disc chords of the
         float values, as (first, last), of discs grown by the margins and
         by the rounding of P + c x.  They hold every c inside the
         polydisc: |P_t(c) - P_t - c x_t| <= 2^-52 (|P_t| + 2 M |x_t|), and
         c0 and dist are good to far better than 2^-40 (|P| + M |x|)."""
-        first, final = c_lo, c_hi
         for tx, xx, inv, r, mx in discs:
             px = dd = pad = 0.0
             for t, y in tx:
@@ -256,14 +256,14 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
 
     points = []
 
-    def fibre(P, row):
-        """Every last coefficient c of the prefix with its point inside, in
-        ascending order.  The points inside form an interval of c, since
+    def fibre(P, row, first, final):
+        """Every last coefficient c in [first, final] with its point inside,
+        in ascending order.  The points inside form an interval of c, since
         |sigma_i|^2 is convex in c, and the chord holds it: a scan upward
         from the chord's low end stops at the first c inside, a scan
         downward from its high end at the last, and every c between them
         is inside."""
-        first, final = chord(P)
+        first, final = chord(P, first, final)
         while first <= final and not leaf(P, row, first):
             first += 1
         while final > first and not leaf(P, row, final):
@@ -275,49 +275,36 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
                 cur = tuple(map(add, cur, v))
             spend(final - first + 1)
 
-    def walk(k, row, P):
+    def walk(k, row, P, S, rem):
+        """The points of the prefix: its row, float sums, partial Y of _levels, top left."""
+        e, s, K = steps[k], S[k], weights[k]
+        u = math.isqrt(rem // K)
+        lo, hi = -((u + s) // e), (u - s) // e
         if k + 1 == n:
-            fibre(P, row)
+            fibre(P, row, lo, hi)
             return
-        m, D, w, (lo_k, hi_k) = mids[k], margins[k], basis[k], ranges[k]
-        spend(hi_k - lo_k + 1)
-        for c in range(lo_k, hi_k + 1):
-            Q = [p + c * y for p, y in zip(P, m)]
-            if not outside(Q, D):
-                walk(k + 1, [a + c * b for a, b in zip(row, w)], Q)
+        m, w, t = mids[k], basis[k], level_cols[k]
+        spend(hi - lo + 1)
+        for c in range(lo, hi + 1):
+            walk(k + 1, [a + c * b for a, b in zip(row, w)], [p + c * y for p, y in zip(P, m)],
+                 [a + c * b for a, b in zip(S, t)], rem - K * (e * c + s) ** 2)
 
-    walk(0, [0] * n if center is None else list(center), base)
+    walk(0, [0] * n if center is None else list(center), base, start, top)
     return tuple(points)
 
 
-def _margins(bounds, mids, errs, base, base_err) -> List[List[float]]:
-    """margins[k][t] >= |x_t - P_t| over every completion of c_0..c_k.
-
-    x_t is the exact column t of center + sum c_j v_j and P_t the float
-    partial sum base_t + c_0 m_0t + ... + c_k m_kt.  A coefficient not yet
-    fixed, |c_j| <= M_j for j > k, adds at most M_j (|m_jt| + e_jt), so
-    the bound is float_sum_error's with the error e_jt + |m_jt| for j > k.
-    """
-    return [[float_sum_error(bounds, m, [e + abs(y) if j > k else e
-                                         for j, (y, e) in enumerate(zip(m, err))], b, be)
-             for m, err, b, be in zip(zip(*mids), zip(*errs), base, base_err)]
-            for k in range(len(bounds))]
-
-
-def _t2_gram(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
-    """The integer T2 Gram matrix B G B^T of the integer basis rows B
-    (G = trace_form(cm))."""
-    G = trace_form(cm)
-    BG = [[sum(b * g[l] for b, g in zip(row, G)) for l in range(len(G))]
-          for row in basis]
-    return [[sum(x * y for x, y in zip(r, b)) for b in basis] for r in BG]
+def _margins(bounds, mids, errs, base, base_err) -> List[float]:
+    """float_sum_error's bound on |x_t - P_t| for every point, x_t the exact
+    column t of center + sum c_j v_j and P_t its float sum, |c_j| <= M_j."""
+    return [float_sum_error(bounds, m, err, b, be)
+            for m, err, b, be in zip(zip(*mids), zip(*errs), base, base_err)]
 
 
 def _lll_reduce_basis(basis: Sequence[Sequence[int]], cm: CMStructure) -> List[List[int]]:
     """The rows U @ basis, U the integer transform of exact LLL on the T2
     Gram matrix of the basis rows; a common denominator of the rows scales
     the Gram matrix, which LLL ignores."""
-    U = linalg.lll_transform(_t2_gram(basis, cm))
+    U = linalg.lll_transform(linalg.congruent(basis, trace_form(cm)))
     return [[sum(u * v[k] for u, v in zip(row, basis)) for k in range(len(basis))]
             for row in U]
 

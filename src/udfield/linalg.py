@@ -128,37 +128,45 @@ def hnf_det(hnf: Sequence[Sequence[int]]) -> int:
     return det
 
 
+def congruent(B: Sequence[Sequence[int]], G: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The integer matrix B G B^T."""
+    BG = [[sum(map(mul, row, col)) for col in zip(*G)] for row in B]
+    return [[sum(map(mul, r, b)) for b in B] for r in BG]
+
+
+def integral_gso(gram: Sequence[Sequence[int]]):
+    """(lam, d, zero): the integral Gram-Schmidt data of a PSD integer Gram
+    matrix (Cohen, GTM 138, Alg. 2.6.7).  With B_j = |b*_j|^2, zero[j]
+    says whether B_j = 0, d[i] is the product of the nonzero B_j (j < i),
+    lam[i][j] = d[j+1] mu_ij for j < i (0 when B_j = 0) and lam[i][i] =
+    d[i+1] (0 when B_i = 0); every division is exact."""
+    n = len(gram)
+    lam, d, zero = [[0] * n for _ in range(n)], [1] * (n + 1), [False] * n
+    for i in range(n):
+        for j in range(i + 1):
+            if j == i or not zero[j]:
+                u = gram[i][j]
+                for t in range(j):
+                    if not zero[t]:
+                        u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+                lam[i][j] = u
+        zero[i], d[i + 1] = lam[i][i] == 0, lam[i][i] or d[i]
+    return lam, d, zero
+
+
 def lll_transform(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     """Integral LLL (Cohen, GTM 138, Alg. 2.6.7; de Weger 1987) with
     delta = 3/4 on a PSD integer Gram matrix; returns the unimodular row
     transform U, the reduced basis being U @ (old basis).
 
-    With B_j = |b*_j|^2 it keeps the integers d_i, the product of the
-    nonzero B_j (j < i), and lambda_ij = d_(j+1) mu_ij, with mu_ij = 0 when
-    B_j = 0 (a singular Gram matrix).  Row k is size-reduced (mu rounded
-    half up) before the Lovasz test B_k >= (3/4 - mu^2) B_(k-1), an
-    integer inequality; a swap updates lambda and d by SWAPI, or when B_k
-    = 0 recomputes them from U G U^T.  Each decision is the one exact
-    rational mu and B would take, so U is too."""
+    It keeps integral_gso's data (lam, d, zero) of U G U^T.  Row k is
+    size-reduced (mu rounded half up) before the Lovasz test B_k >= (3/4 -
+    mu^2) B_(k-1), an integer inequality; a swap updates lam and d by
+    SWAPI, or when B_k = 0 recomputes them.  Each decision is the one
+    exact rational mu and B would take, so U is too."""
     n = len(gram)
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def gso():
-        UG = [[sum(u * g[l] for u, g in zip(row, gram) if u) for l in range(n)]
-              for row in U]
-        lam, d, zero = [[0] * n for _ in range(n)], [1] * (n + 1), [False] * n
-        for i in range(n):
-            for j in range(i + 1):
-                if j == i or not zero[j]:
-                    u = sum(x * y for x, y in zip(UG[i], U[j]))
-                    for t in range(j):
-                        if not zero[t]:
-                            u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
-                    lam[i][j] = u
-            zero[i], d[i + 1] = lam[i][i] == 0, lam[i][i] or d[i]
-        return lam, d, zero
-
-    lam, d, zero = gso()
+    lam, d, zero = integral_gso(gram)
     k, steps = 1, 0
     while k < n and steps < 10000:
         steps += 1
@@ -177,7 +185,7 @@ def lll_transform(gram: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
             continue
         U[k], U[k - 1] = U[k - 1], U[k]
         if zero[k]:
-            lam, d, zero = gso()
+            lam, d, zero = integral_gso(congruent(U, gram))
         else:
             B = (d[k - 1] * d[k + 1] + m * m) // d[k]
             lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, WindowTooLarge
 from .intervals import RealInterval
 
 if TYPE_CHECKING:
@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 
 
 SVG_SIZE = 800      # write_svg's width and height in pixels
+CSV_DENOM_BITS = 4096   # read_exact_csv's limit on the bits of the common denominator
 
 
 def frac_str(q: Fraction) -> str:
@@ -235,8 +236,9 @@ def read_sidecar_field(csv_path: str) -> dict:
 def read_exact_csv(path: str, n: int):
     """(rows, denom): the columns c0..c{n-1} of a point CSV as integer
     n-tuples over their least common denominator.  Each distinct entry
-    text is parsed once; blank lines are skipped."""
-    parsed, index, flat = [], {}, []   # distinct (num, den); text -> its slot
+    text is parsed once; blank lines are skipped.  Raises WindowTooLarge
+    once the lcm of the denominators has more than CSV_DENOM_BITS bits."""
+    parsed, index, flat, denom = [], {}, [], 1   # distinct (num, den); text -> its slot
     with open_file(path) as fh:
         cols = [c.strip() for c in fh.readline().split(",")]
         if any(f"c{i}" not in cols for i in range(n)):
@@ -254,10 +256,13 @@ def read_exact_csv(path: str, n: int):
                     slot = index.setdefault(parts[t], len(index))
                     if slot == len(parsed):
                         parsed.append(_exact_entry(parts[t]))
+                        denom = math.lcm(denom, parsed[-1][1])
                     flat.append(slot)
             except ParseError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-    denom = math.lcm(1, *{d for _, d in parsed})
+            if denom.bit_length() > CSV_DENOM_BITS:
+                raise WindowTooLarge(f"line {lineno}: common denominator past the limit "
+                                     f"of {CSV_DENOM_BITS} bits")
     scaled = [c * (denom // d) for c, d in parsed]
     return tuple(zip(*[iter([scaled[s] for s in flat])] * n)), denom
 

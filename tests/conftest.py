@@ -37,3 +37,8 @@ def deg4():
 @pytest.fixture(scope="session")
 def deg4_cm(deg4):
     return detect_cm(deg4)
+
+
+@pytest.fixture(scope="session")
+def deg8_cm():
+    return detect_cm(compositum_multiquadratic([5, 13, -1], label="Q(sqrt5,sqrt13,i)"))

@@ -309,6 +309,22 @@ def test_bad_sidecar_exits_3(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_exact_count_caps_the_common_denominator(tmp_path):
+    # 300 rows of entries 1/p over 600 distinct primes: the lcm of their
+    # denominators passes 4096 bits within the rows, and the reader stops
+    # there with exit 7, before it scales any entry
+    primes = [p for p in range(2, 5000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+    lines = [f"{i},0,0,1/{p},-1/{q}" for i, (p, q) in enumerate(zip(primes[:600:2],
+                                                                    primes[1:600:2]))]
+    (tmp_path / "wide.csv").write_text("index,re,im,c0,c1\n" + "\n".join(lines) + "\n")
+    t0 = time.perf_counter()
+    proc = _run_module(tmp_path, "count", "--csv", "wide.csv", "--method", "exact",
+                       "--field", "gaussian")
+    assert time.perf_counter() - t0 < 2
+    assert proc.returncode == 7, proc.stderr
+    assert "limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_exact_count_without_coordinate_columns_exits_3(tmp_path):
     (tmp_path / "plain.csv").write_text("re,im\n0,0\n1,0\n")
     proc = _run_module(tmp_path, "count", "--csv", "plain.csv",
@@ -336,7 +352,7 @@ def test_uncapped_searches_exit_7(tmp_path):
 
 def test_window_past_box_cap_within_work_cap(tmp_path, capsys):
     # the coefficient box of this window has 793 881 cells, past the
-    # default --max-points of 200 000, and the walk's work is 130 514
+    # default --max-points of 200 000, and the walk's work is 114 842
     rc, data = run_cli(capsys, "generate", "--field", "adjoin-i:5", "--prime", "29",
                        "--k", "0", "--scale", "1/5", "--R", "3", "--no-plot",
                        "--out", str(tmp_path))

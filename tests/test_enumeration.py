@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_polydisc
 import oracle_setup
 from oracle_intervals import ComplexInterval, box_interval
 from oracle_enumeration import _modulus_cmp_exact, _real_sign_at, real_structure
 from pointrows import elements_of, rows_of
 from udfield.counting import unit_differences
-from udfield.enumeration import (_coef_ranges, _lll_reduce_basis,
-                                 lattice_points_in_polydisc)
+from udfield.enumeration import _levels, _lll_reduce_basis, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
+from udfield.ideals import PRINCIPAL_SLACK, split_prime
 from udfield.numberfield import compositum_multiquadratic, detect_cm
+from udfield.numthy import iroot_ceil
 
 
 def _points(basis, cm, radii, center=None, limit=None):
@@ -198,18 +200,49 @@ def test_image_box_matches_embed(which, bits, data, deg4, qsqrt_m5):
 
 def test_limit_counts_work_not_box_cells(gaussian_cm, deg4_cm):
     # the work is the prefixes the walk tries plus the points it finds: a
-    # polydisc whose coefficient box has more cells than the limit but
-    # whose work does not returns its points (Z[i]: 441 cells, 338 work;
-    # Q(sqrt5, i): 1225 cells, 470 work), and a limit below the point
-    # count raises
+    # polydisc whose coefficient box (the set-up's bounds |c_j| <= M_j)
+    # has more cells than the limit but whose work does not returns its
+    # points (Z[i]: 441 cells, 338 work; Q(sqrt5, i): 1225 cells, 332
+    # work), and a limit below the point count raises
     for cm, radius_sq in ((gaussian_cm, Fraction(100)), (deg4_cm, Fraction(9))):
         K = cm.field
         eye = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
         radii = [radius_sq] * cm.f
         real = [K.roots()[i].is_real for i in cm.pair_reps]
-        cells = math.prod(hi - lo + 1 for lo, hi in _coef_ranges(
-            _lll_reduce_basis(eye, cm), 1, cm, radii, real, None))
+        bounds = _levels(_lll_reduce_basis(eye, cm), 1, cm, radii, real, None)[0]
+        cells = math.prod(2 * m + 1 for m in bounds)
         rows = lattice_points_in_polydisc(eye, 1, cm, radii)
         assert lattice_points_in_polydisc(eye, 1, cm, radii, limit=cells - 1) == rows
         with pytest.raises(WindowTooLarge):
             lattice_points_in_polydisc(eye, 1, cm, radii, limit=len(rows) - 1)
+
+
+def test_degree8_principality_search_within_work(deg8_cm):
+    # the first principality search above 29 over Q(sqrt5, sqrt13, i), at
+    # is_principal's radii: the exact per-level ranges meet its 4729 points
+    # in about 41 000 units of work, where a walk that pruned its prefixes
+    # by a static box and float margins spent 500 574
+    cm = deg8_cm
+    K = cm.field
+    N = 29
+    radii = [PRINCIPAL_SLACK * iroot_ceil(N * N * abs(K.disc), 2 * cm.f)] * cm.f
+    P = split_prime(K, N)[0]
+    assert P.lattice.norm() == N
+    rows = lattice_points_in_polydisc(P.lattice.hnf, 1, cm, radii, limit=60_000)
+    assert len(rows) == 4729 and len(set(rows)) == 4729
+
+
+def test_polydisc_matches_oracle_degree8(deg8_cm):
+    # O_K at r^2 = 4, and (2 O_K + 1 + b_1) / 3 at r^2 = 1: equal rows, in
+    # the same order, to the enumerator that pruned by float prefix tests
+    cm = deg8_cm
+    n = cm.field.n
+    for k, denom, center, radius_sq, count in ((1, 1, None, 4, 45),
+                                               (2, 3, [1, 1] + [0] * (n - 2), 1, 12)):
+        basis = [[k * int(i == j) for j in range(n)] for i in range(n)]
+        radii = [Fraction(radius_sq)] * cm.f
+        got = lattice_points_in_polydisc(basis, denom, cm, radii, center=center)
+        want = oracle_polydisc.lattice_points_in_polydisc(basis, denom, cm, radii,
+                                                          center=center)
+        assert len(got) == count
+        assert got == tuple(map(tuple, want.tolist()))
