@@ -236,7 +236,10 @@ class PrincipalityResult(NamedTuple):
 def is_principal(I: FracIdeal) -> PrincipalityResult:
     """Certified generator search: one polydisc enumeration of I.
 
-    A returned generator g satisfies (g) = I exactly (HNF equality).
+    A returned generator g satisfies (g) = I exactly: the search runs over
+    I's integral lattice J = den I, so a point x lies in J and (x) is inside
+    J, and [O : (x)] = |N(x)| = |det M(x)| equal to [O : J] = N(J) makes
+    them one ideal.  The first such point in sorted order is returned.
     Imaginary quadratic fields search radius^2 N(I) with no limit: every
     generator has |sigma(x)|^2 = N(I), so a miss is a certified NOT_FOUND.
     Other CM fields search radius^2 PRINCIPAL_SLACK * ceil((N^2 |disc|)^(1/2f))
@@ -256,10 +259,7 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
     cm = detect_cm(K)
     if cm is None:
         raise ValueError("principality search implemented for CM fields only")
-    scaled = FracIdeal(K, I.hnf, 1)
-    norm = scaled.norm()
-    assert norm.denominator == 1
-    N = int(norm)
+    N = hnf_det(I.hnf)
     exhaustive = K.n == 2 and K.disc < 0
     if exhaustive:
         radii = [Fraction(N)]
@@ -271,10 +271,7 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
     except WindowTooLarge:
         return PrincipalityResult(INCONCLUSIVE)
     for x in sorted(rows):
-        if not any(x):
-            continue
-        m = K._mult_matrix(x)
-        if abs(mat_det(m)) == N and FracIdeal._normalize(K, m, 1) == scaled:
+        if any(x) and abs(mat_det(K._mult_matrix(x))) == N:
             return PrincipalityResult(FOUND, FieldElement(K, x, I.den))
     return PrincipalityResult(NOT_FOUND if exhaustive else INCONCLUSIVE)
 

@@ -15,8 +15,10 @@ basis rows that interval Horner and to_dict read.  An embedding value is an
 intervals.Box on integer ends, the exact combination of the basis images
 that interval Horner gives at the root boxes, refined on demand.  Complex
 conjugation, when the field was not built with it, is proposed by
-fixed-point interpolation at the roots and certified by exact checks; the
-conjugate pairs of a CM field are read off the root boxes, which lie off
+fixed-point interpolation at the roots, each coefficient rounded to the
+nearest multiple of 1 / (basis_den |disc|), a denominator every
+conjugate of theta admits, and certified by exact checks; the conjugate
+pairs of a CM field are read off the root boxes, which lie off
 the real axis.  Irreducibility of the defining polynomial is not verified
 (squarefreeness is); a reducible polynomial surfaces later as NotAField
 when a zero divisor is inverted or its sign is taken.
@@ -647,11 +649,12 @@ def detect_cm(K: NumberField) -> Optional[CMStructure]:
     Totally-real and mixed-signature fields are rejected exactly.  For
     totally imaginary fields without a construction-time conjugation,
     _interpolate_conjugation proposes a polynomial g with g(r) = conj(r) at
-    every root r.  It is turned once into t = g(theta) on the integral
-    basis, and the automorphism theta -> t, sum_j c_j theta^j ->
-    sum_j c_j t^j, into its integer matrix there; _build_cm's exact checks
-    then certify it (multiplicativity on the basis implies min_poly(t) = 0).
-    A candidate that fails them is retried at twice the precision.
+    every root r, its coefficients rounded at a proven denominator.  It is
+    turned once into t = g(theta) on the integral basis, and the
+    automorphism theta -> t, sum_j c_j theta^j -> sum_j c_j t^j, into its
+    integer matrix there; _build_cm's exact checks then certify it
+    (multiplicativity on the basis implies min_poly(t) = 0).  A candidate
+    that fails them is retried at twice the precision.
     """
     if K._cm_checked:
         return K._cm
@@ -683,9 +686,9 @@ def _interpolate_conjugation(K: NumberField, bits: int):
     """A candidate g in Q[x] with g(r_k) = conj(r_k) at every root r_k, or
     None.  The Lagrange interpolation of (r_k, conj(r_k)) runs at the
     midpoints of the root boxes in fixed-point Gaussian integers over 2^F,
-    and each real coefficient is read as the simplest rational within
-    2^-(bits/2) of it.  Nothing here is certified: detect_cm's exact checks
-    decide the candidate."""
+    and each real coefficient is rounded to the nearest multiple of 1/M,
+    M = basis_den |disc|.  Nothing here is certified: detect_cm's exact
+    checks decide the candidate."""
     boxes = [rb.box for rb in K.roots(bits)]
     F = max(b.e for b in boxes) + 1
     z = [((b.re_lo + b.re_hi) << (F - 1 - b.e), (b.im_lo + b.im_hi) << (F - 1 - b.e))
@@ -709,28 +712,10 @@ def _interpolate_conjugation(K: NumberField, bits: int):
         sr, si = ((x * dr - y * di) << F) // q, ((-x * di - y * dr) << F) // q
         for t, (a, b) in enumerate(num):
             coeffs[t] += (a * sr - b * si) >> F
-    tol = 1 << (F - bits // 2)
-    return [Fraction(*_simplest_rational((c - tol, 1 << F), (c + tol, 1 << F)))
-            for c in coeffs]
-
-
-def _simplest_rational(lo: Tuple[int, int], hi: Tuple[int, int]) -> Tuple[int, int]:
-    """(p, q) in lowest terms, q > 0: the rational with smallest denominator
-    between lo and hi, each a pair (num, den > 0).  The Stern-Brocot descent
-    on integer pairs, carrying the convergents of the quotients it strips."""
-    (a, b), (c, d) = lo, hi
-    if a * d > c * b:
-        a, b, c, d = c, d, a, b
-    if a <= 0 <= c:
-        return 0, 1
-    if c < 0:
-        p, q = _simplest_rational((-c, d), (-a, b))
-        return -p, q
-    h, h1, k, k1 = 1, 0, 0, 1
-    while True:
-        # 0 < a/b <= c/d
-        w, r = divmod(a, b)
-        if not r or (w + 1) * d <= c:
-            w += bool(r)   # a/b itself, or the integer just above it
-            return w * h + h1, w * k + k1
-        h, h1, k, k1, a, b, c, d = w * h + h1, h, w * k + k1, k, d, c - w * d, b, r
+    # The conjugate t = g(theta) of theta is an algebraic integer, so t lies
+    # in O_K.  For the order O of the basis, [O_K : O] O_K lies in O, and
+    # disc(O) = [O_K : O]^2 disc(O_K), so [O_K : O] divides disc(O) = disc;
+    # the elements of O have power coordinates over basis_den.  So every
+    # coefficient of g is a multiple of 1/M.
+    M = K.basis_den * abs(K.disc)
+    return [Fraction((c * M + (1 << (F - 1))) >> F, M) for c in coeffs]

@@ -106,6 +106,20 @@ def test_generate_and_count_cli(tmp_path, capsys):
     assert exact["unit_pairs"] == 16 and exact["method"] == "exact"
 
 
+def test_generate_reports_the_zero_translate_count(tmp_path, capsys):
+    # the best of eight Halton translates of Z[i] holds 126 points of the
+    # inner window at R - 1 = 63/10, against 121 at a = 0
+    out = str(tmp_path / "translate")
+    rc, _ = run_cli(capsys, "generate", "--field", "gaussian", "--prime", "5", "--k", "2",
+                    "--R", "73/10", "--scale", "1", "--translate-candidates", "8",
+                    "--out", out)
+    assert rc == 0
+    report = json.loads(open(os.path.join(out, "report.json")).read())["construction"]
+    assert report["translate_is_zero"] is False
+    assert report["inner_window_count"] == 126
+    assert report["inner_window_count_zero_translate"] == 121
+
+
 def test_generate_qsqrt_m5(tmp_path, capsys):
     out = str(tmp_path / "m5")
     rc, data = run_cli(capsys, "generate", "--field", "qsqrt-5",

@@ -242,6 +242,12 @@ def test_build_pointset_toy(gaussian, gaussian_cm):
     assert 2 * rep.measured_unit_pairs >= rep.translation_bound
     assert rep.all_asserted_hold()
     assert len(ps.planar) == 13
+    # an inconclusive principality test adds one warning and changes nothing else
+    ps2, rep2 = build_pointset(gaussian, us._replace(inconclusive=True), cfg)
+    assert ps2.rows == ps.rows and rep2.all_asserted_hold()
+    assert [w for w in rep2.warnings if w not in rep.warnings] == [
+        "some principality tests were inconclusive; the unit list may be incomplete "
+        "(all emitted units are still individually certified)"]
 
 
 def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):

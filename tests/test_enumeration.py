@@ -15,7 +15,7 @@ from udfield.counting import unit_differences
 from udfield.enumeration import _levels, _lll_reduce_basis, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
 from udfield.ideals import PRINCIPAL_SLACK, split_prime
-from udfield.numberfield import compositum_multiquadratic, detect_cm
+from udfield.numberfield import FieldElement, abs_sq, compositum_multiquadratic, detect_cm
 from udfield.numthy import iroot_ceil
 
 
@@ -246,3 +246,30 @@ def test_polydisc_matches_oracle_degree8(deg8_cm):
                                                           center=center)
         assert len(got) == count
         assert got == tuple(map(tuple, want.tolist()))
+
+
+def test_fibre_scans_down_from_a_band_point_outside(deg4_cm):
+    # z = 3 v, v the last reduced basis row, tops the fibre of prefix 0
+    # and -z bottoms it.  r_0^2 lies 2^-60 below a lower end of |sigma_0(z)|^2,
+    # so the floats cannot exclude z and the chord keeps c = 3 and c = -3;
+    # r_1^2 leaves sigma_1 slack, so the T2 range is wider than the
+    # polydisc.  The exact band test rejects both ends, and the scans from
+    # them must step inward before the run of points inside.
+    cm = deg4_cm
+    K = cm.field
+    one = K.one()
+    eye = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
+    v = _lll_reduce_basis(eye, cm)[-1]
+    z = FieldElement(K, [3 * c for c in v])
+    z2 = abs_sq(z, cm)
+    box = z2.embed(cm.pair_reps[0], 200)
+    r0 = Fraction(box.re_lo, 1 << box.e) - Fraction(1, 1 << 60)
+    box = z2.embed(cm.pair_reps[1], 200)
+    r1 = 4 * Fraction(box.re_hi, 1 << box.e) + 4
+    rows = lattice_points_in_polydisc(eye, 1, cm, [r0, r1])
+    assert tuple(z.num) not in rows and tuple((-z).num) not in rows
+    outer = lattice_points_in_polydisc(eye, 1, cm, [r0 + 1, r1])
+    assert tuple(z.num) in outer and tuple((-z).num) in outer
+    want = tuple(row for row in outer
+                 if (abs_sq(FieldElement(K, row), cm) - r0 * one).sign_at(cm.pair_reps[0]) <= 0)
+    assert rows == want

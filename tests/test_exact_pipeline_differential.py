@@ -139,6 +139,14 @@ def test_window_pairs_join_cell_hash_and_oracle_agree(data, which, translate,
     assert unit_pair_indices(rows, denom, xy, err, cm) == joined == hashed == want
 
 
+def test_join_keys_are_one_to_one_on_negative_rows():
+    # (-6, 1) + (1, 0) is (-5, 1), not (0, 0).  The radix must bound the
+    # largest |c| (6), not the largest c (1): from that it would be 5, and
+    # the key -6 + 5 of (-6, 1) plus the key 1 of (1, 0) is the key 0 of (0, 0)
+    assert _join([(-6, 1), (0, 0)], [(1, 0)]) == []
+    assert _join([(-6, 1), (-5, 1)], [(1, 0)]) == [(0, 1)]
+
+
 @st.composite
 def salted_rows(draw, cm):
     """Points that lie in no one lattice coset: small rationals, each

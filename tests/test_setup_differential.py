@@ -3,10 +3,11 @@ verbatim in `oracle_setup` and `oracle_roots`: the field construction
 (structure constants, discriminant, integral basis, complex conjugation
 and the maps to and from power coordinates), interval Horner, the root
 boxes, the basis images, element embeddings, the conjugation that
-detect_cm finds by interpolation and the simplest rationals it reads the
-interpolant's coefficients as, the HNF of ideal products and principal
-ideals, conjugation and inversion, the reduction modulo the minimal
-polynomial and the conjugate-pair representatives.
+detect_cm finds by interpolation and the coefficients it rounds at a
+proven denominator (against the oracle's simplest rationals), the HNF
+of ideal products and principal ideals, conjugation and inversion, the
+reduction modulo the minimal polynomial and the conjugate-pair
+representatives.
 Every comparison is equality, so each rewrite must give the very boxes
 and rows the Fraction code gave.  The float images that the enumerator and the
 planar image take in place of the Fraction boxes are checked against the
@@ -28,7 +29,7 @@ import oracle_roots
 import oracle_setup
 from oracle_intervals import ComplexInterval, RealInterval, box_interval
 from udfield import enumeration, numberfield, roots
-from udfield.cli import build_field
+from udfield.cli import _field_from_dict, build_field
 from udfield.construct import enumerate_window
 from udfield.counting import (PlanarFloatSet, _cell_offsets, _cells_per_unit,
                               _pair_distances_ok, count_float, planar_image,
@@ -215,27 +216,40 @@ def test_detect_cm_matches_interval_interpolation(name):
                                                          want.pair_reps)
 
 
-_ENDS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
-                  st.integers(-(1 << 300), 1 << 300))
-_DENS = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 1 << 300).map(lambda d: d | 1),
-                  st.integers(0, 300).map(lambda e: 1 << e))
+CONJUGATION_FORMS = (["gaussian", "qsqrt-3", "qsqrt-5", "qsqrt-7"]
+                     + [(name, form) for name in ("adjoin-i:5", "adjoin-i:7", "adjoin-i:13",
+                                                  "adjoin-i:2,3", "adjoin-i:5,13")
+                        for form in ("built", "sidecar", "power basis")]
+                     + [(1, 0, 0, 0, 1), (2, -1, 1)])
 
 
-@settings(max_examples=400, deadline=None)
-@given(lo=st.tuples(_ENDS, _DENS), hi=st.tuples(_ENDS, _DENS),
-       shape=st.sampled_from(["any", "integer ends", "contains 0", "negative"]))
-def test_simplest_rational_matches_oracle(lo, hi, shape):
-    # the Stern-Brocot descent on integer pairs against the Fraction
-    # recursion, with the ends in either order and not reduced
-    if shape == "integer ends":
-        lo, hi = (lo[0], 1), (hi[0], 1)
-    elif shape == "contains 0":
-        lo, hi = (-abs(lo[0]), lo[1]), (abs(hi[0]), hi[1])
-    elif shape == "negative":
-        lo, hi = (-abs(lo[0]) - 1, lo[1]), (-abs(hi[0]) - 1, hi[1])
-    p, q = numberfield._simplest_rational(lo, hi)
-    assert q > 0 and math.gcd(p, q) == 1
-    assert Fraction(p, q) == oracle_setup._simplest_rational(Fraction(*lo), Fraction(*hi))
+def _conjugation_form(form):
+    # a field as it is built, as its JSON sidecar gives it back (with no
+    # construction-time conjugation) or on the power basis of its polynomial
+    if isinstance(form, str):
+        return build_field(form)
+    if isinstance(form[0], int):
+        return nf_new(make_poly(form))
+    name, how = form
+    K = build_field(name)
+    if how == "sidecar":
+        return _field_from_dict(K.to_dict())
+    return K if how == "built" else nf_new(K.min_poly)
+
+
+@pytest.mark.parametrize("form", CONJUGATION_FORMS, ids=str)
+def test_conjugation_rounding_matches_oracle(form):
+    # the coefficients rounded to multiples of 1 / (basis_den |disc|)
+    # against the Stern-Brocot reading of the interval interpolation, both
+    # at 128 bits, and the certified structure against the oracle's
+    K = _conjugation_form(form)
+    oracle_K = oracle_setup.nf_new(K.min_poly, K.to_dict()["integral_basis"])
+    g = numberfield._interpolate_conjugation(K, 128)
+    assert all(K.basis_den * K.disc % c.denominator == 0 for c in g)
+    assert make_poly(g) == oracle_setup._interpolate_conjugation(oracle_K, 128)
+    got, want = numberfield.detect_cm(K), oracle_setup.detect_cm(oracle_K)
+    assert (_conj_fractions(got), got.pair_reps) == ([list(r) for r in want.conj_mat],
+                                                     want.pair_reps)
 
 
 @settings(max_examples=200, deadline=None)
