@@ -3,8 +3,11 @@ find-split-primes, r2, grid.
 
 All machine output is JSON (exact rationals as strings); exit codes group
 error families, and a generate run exits 0 only if every asserted bound
-held.  The exponent ledger's working precision comes from
-`exponent --precision` or UDF_PRECISION_BITS (default 256 bits).
+held.  generate parses and checks its arguments and writes its outputs;
+which primes pair up, and which lattice a window takes when --scale is
+absent, construct decides.  The exponent ledger's working precision
+comes from `exponent --precision` or UDF_PRECISION_BITS (default 256
+bits).
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (BoundViolation, ConjugateCollision, InputError,
-                     InvalidArgument, ParseError, PreconditionError,
-                     UdfieldError, WindowTooLarge)
+from .errors import (BoundViolation, InputError, InvalidArgument, ParseError,
+                     PreconditionError, UdfieldError)
 
 PRECISION_MIN, PRECISION_MAX = 32, 4096
 
@@ -94,8 +96,8 @@ def _field_from_dict(data):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    from .construct import WindowConfig, build_pointset, pigeonhole_units
-    from .ideals import split_prime
+    from .construct import (WindowConfig, build_pointset, pigeonhole_units,
+                            prime_pairs)
     from .numberfield import detect_cm
     from .serialize import (dump_json, parse_frac, pointset_sidecar,
                             report_dict, unitset_dict, write_pointset_csv,
@@ -112,11 +114,9 @@ def cmd_generate(args) -> int:
 
     if args.k < 0:
         raise InvalidArgument(f"--k must be >= 0, not {args.k}")
-    # every window argument and --out are checked before the exact work; in
-    # auto mode the scale is chosen later, so 1 stands in for it here
-    cfg = WindowConfig(R=R, scale=1 if args.scale is None else parse_frac(args.scale),
-                       mode=args.mode if args.mode != "auto" else "window",
-                       translate_candidates=args.translate_candidates,
+    # every window argument and --out are checked before the exact work
+    cfg = WindowConfig(R=R, scale=None if args.scale is None else parse_frac(args.scale),
+                       mode=args.mode, translate_candidates=args.translate_candidates,
                        projection_coordinate=args.projection_coordinate,
                        max_points=args.max_points)
     cfg.check_projection(cm.f)
@@ -125,29 +125,9 @@ def cmd_generate(args) -> int:
     except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise InputError(f"--out {args.out!r}: {exc}") from None
 
-    prime_pairs = []
-    if args.k > 0:
-        primes = split_prime(K, args.prime)
-        seen = set()
-        for pr in sorted(primes, key=lambda p: p.lattice.hnf):
-            if pr.lattice in seen:
-                continue
-            conj = pr.lattice.conjugate(cm)
-            if conj == pr.lattice:
-                raise ConjugateCollision(
-                    f"prime above {args.prime} is self-conjugate; "
-                    "choose a completely split prime")
-            seen.add(conj)
-            prime_pairs.append((pr, args.k))
-    units = pigeonhole_units(K, prime_pairs)
-
-    warnings = []
-    if args.scale is not None:
-        ps, rep = build_pointset(K, units, cfg)
-    else:
-        ps, rep, warnings = _auto_window(K, units, cfg)
-
-    rep.warnings.extend(warnings + K.warnings)
+    units = pigeonhole_units(K, prime_pairs(K, args.prime, args.k))
+    ps, rep = build_pointset(K, units, cfg)
+    rep.warnings.extend(K.warnings)
     if units.distinct_ideal_count <= 1:
         rep.warnings.append("no nontrivial units: the unit-ideal class "
                             "pigeonhole produced only u = 1 (and torsion)")
@@ -169,35 +149,6 @@ def cmd_generate(args) -> int:
     if not rep.all_asserted_hold():
         raise BoundViolation("an asserted bound failed; see report checks")
     return 0
-
-
-def _auto_window(K, units, cfg):
-    """Try the natural 1/D lattice; fall back to O_K with usable units."""
-    from .construct import WindowConfig, build_pointset, estimate_window_points
-
-    warnings = []
-    natural = Fraction(1, units.D)
-    for scale in ([natural, Fraction(1)] if natural != 1 else [Fraction(1)]):
-        est = estimate_window_points(K, scale, cfg.R, cfg.mode, units.units)
-        if est > cfg.max_points:
-            if scale == natural:
-                warnings.append(
-                    f"{cfg.mode} over (1/{units.D})*O_K holds ~{est:.2g} points, "
-                    "beyond the desk budget; falling back to the unit "
-                    "lattice O_K (only integral units enter the "
-                    "translation bound)")
-                continue
-            break
-        try:
-            ps, rep = build_pointset(K, units, WindowConfig(
-                cfg.R, scale, cfg.translate_candidates, cfg.projection_coordinate,
-                cfg.mode, cfg.max_points))
-            return ps, rep, warnings
-        except WindowTooLarge:
-            continue
-    raise WindowTooLarge(
-        "no desk-feasible window at these parameters; lower --R, raise "
-        "--max-points, or use --mode closure with an explicit small R")
 
 
 def cmd_count(args) -> int:
@@ -358,8 +309,9 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, default=1)
     g.add_argument("--R", default="2")
     g.add_argument("--scale", default=None,
-                   help="window lattice is scale*O_K (default: auto)")
-    g.add_argument("--mode", choices=["auto", "window", "closure"], default="auto")
+                   help="window lattice is scale*O_K (default: (1/D)*O_K, "
+                        "else O_K, the first that fits --max-points)")
+    g.add_argument("--mode", choices=["window", "closure"], default="window")
     g.add_argument("--translate-candidates", type=int, default=0)
     g.add_argument("--projection-coordinate", type=int, default=0)
     g.add_argument("--max-points", type=int, default=200_000,

@@ -1,12 +1,14 @@
 """Pigeonhole unit generation and window point-set construction.
 
-The pigeonhole routine groups products of split-prime powers, in one pass,
-by certified principality of their ratio to each class's first member,
+prime_pairs takes one prime from each conjugate pair above p.  The
+pigeonhole routine groups products of their powers, in one pass, by
+certified principality of their ratio to each class's first member,
 turns same-class ratios into unit-modulus elements u = alpha / conj(alpha),
 and certifies every emitted unit symbolically.  The window builder
 enumerates a polydisc slice of a scaled copy of O_K (or a unit-translate
-closure of an inner window when a full window is not desk-feasible) and
-reports exact translation and packing bounds next to the measured counts.
+closure of an inner window when a full window is not desk-feasible),
+choosing the scale when none is given, and reports exact translation and
+packing bounds next to the measured counts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .enumeration import lattice_points_in_polydisc
 from .errors import (ConjugateCollision, InjectivityFailure, InvalidArgument,
                      WindowTooLarge)
 from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
-                     class_number_imag_quadratic, is_principal)
+                     class_number_imag_quadratic, is_principal, split_prime)
 from .intervals import RealInterval, ln_interval, pi_interval
 from .linalg import stack_rows
 from .numberfield import (CMStructure, FieldElement, NumberField,
@@ -68,6 +70,26 @@ def denominator_bound(primes: Sequence[Tuple[PrimeIdeal, int]]) -> int:
     return D
 
 
+def prime_pairs(K: NumberField, p: int, k: int) -> List[Tuple[PrimeIdeal, int]]:
+    """(P, k) for one prime P from each conjugate pair above p, in HNF
+    order, K a CM field; [] for k = 0, without factoring p.  A
+    self-conjugate prime above p is a ConjugateCollision."""
+    if k == 0:
+        return []
+    cm = detect_cm(K)
+    pairs, seen = [], set()
+    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
+        if pr.lattice in seen:
+            continue
+        conj = pr.lattice.conjugate(cm)
+        if conj == pr.lattice:
+            raise ConjugateCollision(f"prime above {p} is self-conjugate; "
+                                     "choose a completely split prime")
+        seen.add(conj)
+        pairs.append((pr, k))
+    return pairs
+
+
 def _check_prime_pairs(primes: Sequence[Tuple[PrimeIdeal, int]],
                        conjugates: Sequence[FracIdeal]):
     for i, ((pr, k), conj_i) in enumerate(zip(primes, conjugates)):
@@ -80,20 +102,20 @@ def _check_prime_pairs(primes: Sequence[Tuple[PrimeIdeal, int]],
                 raise ConjugateCollision(
                     f"P_{i} is the conjugate of P_{j}; the pigeonhole needs "
                     "P_i != conj(P_j) for all i, j")
-        if conj_i == pr.lattice:
-            raise ConjugateCollision(f"P_{i} is self-conjugate (ramified or inert)")
 
 
 def pigeonhole_units(K: NumberField,
                      primes: Sequence[Tuple[PrimeIdeal, int]]) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
-    One pass in lexicographic order of the exponent vectors tests each ideal
-    I against the base B (first member) of each class so far, in class
-    order, and puts it in the first class with I B^-1 = (alpha) certified;
-    otherwise I opens a class (an INCONCLUSIVE test sets `inconclusive`).
-    In the largest class (ties toward the smallest base) each member gives
-    u = alpha / conj(alpha), alpha = 1 for the base; each u is verified to be
+    The P_j and their conjugates must be pairwise distinct, as prime_pairs
+    gives them (ConjugateCollision otherwise).  One pass in lexicographic
+    order of the exponent vectors tests each ideal I against the base B
+    (first member) of each class so far, in class order, and puts it in
+    the first class with I B^-1 = (alpha) certified; otherwise I opens a
+    class (an INCONCLUSIVE test sets `inconclusive`).  In the largest class
+    (ties toward the smallest base) each member gives u = alpha /
+    conj(alpha), alpha = 1 for the base; each u is verified to be
     unit-modulus, to lie in Q^{-2}, and to have D u integral.  The emitted
     list is closed under conjugation and torsion multiples;
     ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
@@ -270,16 +292,19 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
 # ---------------------------------------------------------------------------
 
 class WindowConfig:
+    """The window arguments of build_pointset, checked on construction.  A
+    scale of None leaves the lattice scale*O_K to build_pointset."""
+
     __slots__ = ("R", "scale", "translate_candidates", "projection_coordinate",
                  "mode", "max_points")
 
-    def __init__(self, R: Fraction, scale: Fraction, translate_candidates: int = 0,
+    def __init__(self, R: Fraction, scale: Optional[Fraction], translate_candidates: int = 0,
                  projection_coordinate: int = 0, mode: str = "window",
                  max_points: int = 200_000):
-        self.R, self.scale = Fraction(R), Fraction(scale)
+        self.R, self.scale = Fraction(R), None if scale is None else Fraction(scale)
         self.translate_candidates, self.mode = translate_candidates, mode
         self.projection_coordinate, self.max_points = projection_coordinate, max_points
-        if self.scale <= 0:
+        if self.scale is not None and self.scale <= 0:
             raise InvalidArgument(f"scale must be positive, not {self.scale}")
         if self.max_points <= 0:
             raise InvalidArgument(f"max points must be positive, not {self.max_points}")
@@ -381,7 +406,38 @@ def build_pointset(K: NumberField, units: UnitSet,
     theorems for any translate, so a failure is a bug.  The volumetric
     lower bound is reported, and asserted only for R >= 2 in window
     mode with the best translate.
+
+    A cfg.scale of None takes the first of the natural lattice (1/D)*O_K of
+    the units and O_K whose estimate is within cfg.max_points and whose
+    build does not pass it (WindowTooLarge when neither is), and warns
+    after the build's own warnings when it falls back past the estimate.
     """
+    if cfg.scale is not None:
+        return _build(K, units, cfg, cfg.scale)
+    warnings = []
+    for scale in dict.fromkeys((Fraction(1, units.D), Fraction(1))):
+        est = estimate_window_points(K, scale, cfg.R, cfg.mode, units.units)
+        if est > cfg.max_points:
+            warnings.append(
+                f"{cfg.mode} over ({scale})*O_K holds ~{est:.2g} points, "
+                "beyond the desk budget; falling back to the unit "
+                "lattice O_K (only integral units enter the "
+                "translation bound)")
+            continue
+        try:
+            ps, rep = _build(K, units, cfg, scale)
+        except WindowTooLarge:
+            continue
+        rep.warnings.extend(warnings)
+        return ps, rep
+    raise WindowTooLarge(
+        "no desk-feasible window at these parameters; lower --R, raise "
+        "--max-points, or use --mode closure with an explicit small R")
+
+
+def _build(K: NumberField, units: UnitSet, cfg: WindowConfig,
+           scale: Fraction) -> Tuple[PointSet, ConstructionReport]:
+    """build_pointset over the lattice scale*O_K."""
     from .counting import planar_image, unit_pair_indices
 
     cm = detect_cm(K)
@@ -389,7 +445,7 @@ def build_pointset(K: NumberField, units: UnitSet,
         raise ValueError("build_pointset requires a CM field")
     f = cm.f
     cfg.check_projection(f)
-    delta = cfg.scale
+    delta = scale
     warnings: List[str] = []
     checks: Dict[str, bool] = {}
 
@@ -402,20 +458,20 @@ def build_pointset(K: NumberField, units: UnitSet,
         if not is_unit_modulus(u, cm):
             raise ValueError("units must all be unit-modulus")
 
-    usable = usable_units(emitted, cfg.scale)
+    usable = usable_units(emitted, scale)
     if len(usable) < len(emitted):
         warnings.append(
             f"{len(emitted) - len(usable)} of {len(emitted)} units are not in "
-            f"the lattice scale*O_K (scale={cfg.scale}) and were not used "
+            f"the lattice scale*O_K (scale={scale}) and were not used "
             "for the translation bound")
 
     if cfg.R < 2:
         warnings.append("R < 2: volumetric bounds are not asserted")
 
     a, (inner, inner_denom), zero_count = select_translate(
-        K, cfg.scale, cfg.R - 1, cfg.translate_candidates, limit=cfg.max_points)
+        K, scale, cfg.R - 1, cfg.translate_candidates, limit=cfg.max_points)
     if cfg.mode == "window":
-        rows, denom = enumerate_window(K, cfg.scale, cfg.R, a, limit=cfg.max_points)
+        rows, denom = enumerate_window(K, scale, cfg.R, a, limit=cfg.max_points)
     else:
         rows, denom = _closure_rows(inner, inner_denom, usable, K.n)
         if len(rows) > cfg.max_points:
@@ -443,7 +499,7 @@ def build_pointset(K: NumberField, units: UnitSet,
     else:
         warnings.append("delta > R: packing bound not asserted")
 
-    v_upper = covolume_upper(K, cfg.scale)
+    v_upper = covolume_upper(K, scale)
     volumetric_interval = None
     exponent_bound = None
     if cfg.R >= 2 and usable:
@@ -470,7 +526,7 @@ def build_pointset(K: NumberField, units: UnitSet,
 
     provenance = {
         "mode": cfg.mode,
-        "scale": str(cfg.scale),
+        "scale": str(scale),
         "R": str(cfg.R),
         "translate_zero": a.is_zero(),
         "projection_coordinate": cfg.projection_coordinate,

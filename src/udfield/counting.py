@@ -552,15 +552,6 @@ def r2_count(F: NumberField, alpha: FieldElement, box: Fraction) -> int:
     if not F.is_totally_real():
         raise PreconditionError(f"r2_count needs a totally real field, not {F.label}")
     box = Fraction(box)
-    if F.n == 1:
-        a = (alpha.power_coords()[0] if isinstance(alpha, FieldElement)
-             else Fraction(alpha))
-        if a.denominator != 1:
-            return 0
-        if a > box * box:
-            raise BoxTooSmall(f"box^2 = {box * box} < alpha = {a}")
-        return r2_count_rational(int(a))
-
     # completeness precondition: sigma(alpha) <= box^2 in every embedding
     gap = box * box * F.one() - alpha
     for i in range(F.n):

@@ -21,26 +21,26 @@ Floats enter at the last level only.  The walk keeps float partial sums
 P_t of each real column t (re, and im for a complex root) from the
 float64 midpoints and errors of NumberField.float_image, and _margins
 bounds |x_t - P_t| by D_t.  Only the margin band below builds field
-elements, each straight from its integer row.  Floats only prune or accept:
+elements, each straight from its integer row.  Floats only prune or
+accept: the chord below prunes, and leaf accepts
 
-    prune   if  sum_t max(0, |P_t| - D_t)^2 > r_i^2 (1 + 2^-40)  for some i
-    accept  if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)        for every i
+    if  sum_t (|P_t| + D_t)^2 < r_i^2 (1 - 2^-40)  for every i.
 
-The slack 2^-40 covers the rounding of these bounds and of r_i^2 itself.
-A point in neither case is decided exactly, by the sign of
-abs_sq(z) - r_i^2 at the embedding (the embedding of a nonzero element is
-nonzero, so refinement terminates).
+The slack 2^-40 covers the rounding of this bound and of r_i^2 itself.
+Any other point is decided exactly, by the sign of abs_sq(z) - r_i^2 at
+the embedding (the embedding of a nonzero element is nonzero, so
+refinement terminates).
 
 The last coefficient c is not tried value by value.  Each |sigma_i(z)|^2
 is a convex function of c, so the points of one prefix inside the
 polydisc are one run of consecutive c.  One rigorous chord per prefix,
 the line-disc chords of the float partial sums with the discs grown by
 the margins and by the rounding of the sums, cut to the last level's
-range, holds that run.  The tests above (float prune and accept, then the
-exact sign in the band) run inward from the chord's two ends, upward to
-the first c inside and downward to the last; every c between those two
-is inside by convexity.  A prefix with no point inside tests every c of
-its chord.
+range, holds that run, and no c outside it is tried.  The leaf test
+(float accept, then the exact sign in the band) runs inward from the
+chord's two ends, upward to the first c inside and downward to the last;
+every c between those two is inside by convexity.  A prefix with no point
+inside tests every c of its chord.
 
 A search's work is the prefixes the walk tries (every c in the range of
 every level but the last) plus the points it finds.  It is counted in
@@ -63,23 +63,13 @@ from .numberfield import (CMStructure, FieldElement, abs_sq, float_sum_error,
 _SLACK = 2.0 ** -40
 
 
-def _embedding_columns(real: Sequence[bool]) -> List[range]:
-    """The column indices of each embedding in the float rows: re and im
-    at a complex root, re alone at a real root (where im is exactly 0)."""
-    cols, t = [], 0
-    for r in real:
-        cols.append(range(t, t + (1 if r else 2)))
-        t += len(cols[-1])
-    return cols
-
-
-def _levels(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
-            real: Sequence[bool], center):
+def _levels(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction], center):
     """The walk's data (bounds, weights, steps, cols, start, top), or None
     when some coefficient has no value.
 
-    T2(z) = sum_i w_i |sigma_i(z)|^2 (w_i = 2 for a complex pair, 1 for a
-    real root) is at most R = sum_i w_i r_i^2 on the polydisc.  With
+    T2(z) = w sum_i |sigma_i(z)|^2 (w = n / f: 2 for the complex pairs of
+    a CM field, 1 for the real roots of a totally real one) is at most
+    R = w sum_i r_i^2 on the polydisc.  With
     center = a V on the basis V, z D = x V with x = c + a, so every
     solution has x Gram x^T <= R D^2 for the integer Gram matrix V G V^T
     (Fincke and Pohst, Math. Comp. 44, 1985; Cohen, GTM 138, Alg. 2.7.5).
@@ -96,7 +86,7 @@ def _levels(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction],
     completion exactly when sum_(i<=k) weights_i Y_i^2 <= floor(T R D^2 q^2) = top."""
     n = len(basis)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    R = sum((1 if r else 2) * q for r, q in zip(real, radii_sq))
+    R = n // cm.f * sum(radii_sq)
     gram = linalg.congruent(basis, trace_form(cm))
     g, H = linalg.gauss_jordan([row + e for row, e in zip(gram, eye)])
     if not g:
@@ -144,15 +134,17 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     field = cm.field
     n = field.n
     reps = cm.pair_reps
-    real = [field.roots()[idx].is_real for idx in reps]
-    cols = _embedding_columns(real)
+    # the float columns of each embedding: re and im at a complex pair,
+    # re alone at a real root (where im is exactly 0)
+    width = n // cm.f
+    cols = [range(i * width, i * width + width) for i in range(cm.f)]
     radii_sq = [Fraction(r) for r in radii_sq]
     if any(r < 0 for r in radii_sq):
         return ()
     basis = _lll_reduce_basis(basis, cm)
     if center is not None and not any(center):
         center = None
-    levels = _levels(basis, denom, cm, radii_sq, real, center)
+    levels = _levels(basis, denom, cm, radii_sq, center)
     if levels is None:
         return ()
     bounds, weights, steps, level_cols, start, top = levels
@@ -171,10 +163,10 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
         """The float columns of row / denom and their errors."""
         z = FieldElement(field, row, denom)
         mids, errs = [], []
-        for idx, ts in zip(reps, cols):
+        for idx in reps:
             re, im, err = field.float_image(z, idx)
-            mids += (re, im)[:len(ts)]
-            errs += [err] * len(ts)
+            mids += (re, im)[:width]
+            errs += [err] * width
         return mids, errs
 
     try:
@@ -193,20 +185,14 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     x, v, M = mids[-1], basis[-1], bounds[-1]
 
     def leaf(P, row, c):
-        """Whether the last coefficient c puts the point inside: the outside
-        and accept tests at P + c x, then sign_at on the embeddings in the
-        band."""
+        """Whether the last coefficient c puts the point inside: the accept
+        test at P + c x, then sign_at on the embeddings in the band."""
         undecided = []
         for i, ts in enumerate(cols):
-            s_out = s_in = 0.0
+            s_in = 0.0
             for t in ts:
-                a = abs(P[t] + c * x[t])
-                d = max(a - last[t], 0.0)
-                s_out = s_out + d * d
-                d = a + last[t]
+                d = abs(P[t] + c * x[t]) + last[t]
                 s_in = s_in + d * d
-            if s_out > hi[i]:
-                return False
             if s_in >= lo[i]:
                 undecided.append(i)
         if not undecided:

@@ -85,8 +85,6 @@ def jsonify(obj):
         return interval_dict(obj.lo, obj.hi)
     if isinstance(obj, dict):
         return {k: jsonify(v) for k, v in obj.items()}
-    if hasattr(obj, "to_dict"):   # before tuples: SymbolicPower is a named tuple
-        return jsonify(obj.to_dict())
     return [jsonify(v) for v in obj] if isinstance(obj, (list, tuple)) else obj
 
 

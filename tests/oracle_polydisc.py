@@ -5,8 +5,9 @@ the imports are made absolute; the helpers it shares with the current
 enumerator are imported from `udfield.enumeration`, except the Fraction
 set-up `_image_box`, `_basis_embeddings`, `_coord_bounds`, `_columns`,
 `_margins`, `float_columns`, `round_outward` and `_PREFILTER_BITS`, which
-come from `oracle_setup`, and `int_rows` and `max_abs` are copied from
-`udfield.linalg`, where they no longer exist).
+come from `oracle_setup`, `int_rows` and `max_abs` are copied from
+`udfield.linalg` and `_embedding_columns` from `udfield.enumeration`,
+where they no longer exist).
 """
 
 from __future__ import annotations
@@ -16,9 +17,19 @@ from typing import Optional, Sequence
 
 from oracle_setup import (_PREFILTER_BITS, _basis_embeddings, _columns, _coord_bounds,
                           _image_box, _margins, float_columns, round_outward)
-from udfield.enumeration import _SLACK, _embedding_columns, _lll_reduce_basis
+from udfield.enumeration import _SLACK, _lll_reduce_basis
 from udfield.errors import PrecisionExhausted, WindowTooLarge
 from udfield.numberfield import CMStructure, FieldElement, abs_sq
+
+
+def _embedding_columns(real: Sequence[bool]):
+    """The column indices of each embedding in the float rows: re and im
+    at a complex root, re alone at a real root (where im is exactly 0)."""
+    cols, t = [], 0
+    for r in real:
+        cols.append(range(t, t + (1 if r else 2)))
+        t += len(cols[-1])
+    return cols
 
 
 def max_abs(rows) -> int:

@@ -14,7 +14,8 @@ from oracle_intervals import box_interval
 from pointrows import elements_of, rows_of
 
 from udfield.cli import main
-from udfield.construct import WindowConfig, build_pointset, pigeonhole_units
+from udfield.construct import (WindowConfig, build_pointset, pigeonhole_units,
+                               prime_pairs)
 from udfield.counting import (PlanarFloatSet, count_exact, count_float,
                               r2_count_rational)
 from udfield.gstower import exponent_ledger, splits_completely
@@ -26,17 +27,6 @@ from udfield.numberfield import (abs_sq, compositum_multiquadratic,
                                  detect_cm, nf_new)
 from udfield.numthy import legendre_symbol
 from udfield.polynomials import make_poly
-
-
-def _pairs(K, cm, p, k):
-    primes = split_prime(K, p)
-    out, seen = [], set()
-    for pr in sorted(primes, key=lambda q: q.lattice.hnf):
-        if pr.lattice in seen:
-            continue
-        seen.add(pr.lattice.conjugate(cm))
-        out.append((pr, k))
-    return out
 
 
 def test_criterion_1_exponent_reproduction(capsys):
@@ -97,7 +87,7 @@ def test_criterion_4_pigeonhole_gaussian():
     K = nf_new(make_poly([1, 0, 1]), label="Q(i)")
     cm = detect_cm(K)
     t0 = time.perf_counter()
-    us = pigeonhole_units(K, _pairs(K, cm, 5, 2))
+    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
     elapsed = time.perf_counter() - t0
     assert us.distinct_ideal_count >= 3
     target = K.element([Fraction(-7, 25), Fraction(24, 25)])
@@ -115,8 +105,7 @@ def test_criterion_4_pigeonhole_gaussian():
 
 def test_criterion_5_pigeonhole_nontrivial_class():
     K = nf_new(make_poly([5, 0, 1]), label="Q(sqrt(-5))")
-    cm = detect_cm(K)
-    us = pigeonhole_units(K, _pairs(K, cm, 3, 2))
+    us = pigeonhole_units(K, prime_pairs(K, 3, 2))
     assert us.guaranteed_min == Fraction(3, 2)
     assert us.distinct_ideal_count >= 2          # >= ceil(3/2)
     target = K.element([Fraction(-1, 9), Fraction(4, 9)])
@@ -177,7 +166,7 @@ def test_criterion_7_degree4_end_to_end():
     assert find_split_primes([5], 1, require_1_mod_4=True) == [29]
     K = compositum_multiquadratic([5, -1], label="Q(sqrt5,i)")
     cm = detect_cm(K)
-    us = pigeonhole_units(K, _pairs(K, cm, 29, 1))
+    us = pigeonhole_units(K, prime_pairs(K, 29, 1))
     # inconclusive principality is surfaced on the UnitSet, and every
     # emitted unit is individually certified regardless
     assert isinstance(us.inconclusive, bool)

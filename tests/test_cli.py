@@ -60,7 +60,8 @@ def test_r2_auto_box_over_a_real_quadratic_field(capsys, alpha, box, count):
 
 
 def test_r2_over_a_degree_1_field_matches_q(tmp_path, capsys):
-    # x is the minimal polynomial of Q, so r2_count takes its degree-1 branch
+    # x is the minimal polynomial of Q, so O_F = Z and the lattice search
+    # over it counts what the integer search counts
     (tmp_path / "q.json").write_text(json.dumps({"min_poly": [0, 1]}))
     rc, data = run_cli(capsys, "r2", "--field", str(tmp_path / "q.json"), "--alpha", "25")
     rc_q, data_q = run_cli(capsys, "r2", "--alpha", "25")
@@ -293,6 +294,45 @@ def _run_module(tmp_path, *args, timeout=None):
     return _run_python(tmp_path, "-m", "udfield", *args, timeout=timeout)
 
 
+@pytest.mark.parametrize("argv, rc, text", [
+    (["generate", "--field", "gaussian", "--k", "0", "--scale", "1", "--R", "1e400",
+      "--out", "run"], 5, "error: basis, centre or radii beyond float range"),
+    (["generate", "--field", "qsqrtx", "--out", "run"], 3, "error: bad field name 'qsqrtx'"),
+    (["generate", "--field", "x", "--out", "run"], 3, "error: unknown field name 'x'"),
+    (["count", "--csv", "nan.csv"], 3, "error: points contain NaN or infinity"),
+    (["count", "--csv", "missing.csv"], 3, "error: cannot open 'missing.csv'"),
+    (["count", "--csv", "repeat.csv", "--eps", "-1"], 3,
+     "error: eps must be a nonnegative number, not -1.0"),
+    (["r2", "--field", "qsqrt5", "--alpha", "-1"], 0, '"box": "1",\n  "count": 0,'),
+    (["count", "--csv", "repeat.csv"], 0,
+     '"duplicate_pairs": 1,\n  "eps": 1e-09,\n  "method": "hashed",\n  "n_points": 3,'),
+    (["count", "--csv", "repeat.csv"], 0, '"1 coincident point pairs (distance 0, never unit)"'),
+    (["count", "--csv", "exact/pointset.csv", "--method", "exact"], 3,
+     "error: --method exact needs --field or a pointset.json sidecar next to the CSV"),
+    (["count", "--csv", "exact/pointset.csv", "--method", "exact", "--field", "qsqrt5"], 4,
+     "error: exact counting needs a CM field"),
+    (["gs-check", "--T", "3", "--S", "4"], 4, "error: 4 in S is not prime"),
+    (["exponent", "--T", "4", "--p", "5"], 4, "error: 4 in T is not an odd prime"),
+    (["exponent", "--T", "3", "--p", "3"], 3, "error: p = 3 must not lie in T"),
+    (["find-split-primes", "--T", "5", "--count", "0"], 3,
+     "error: count must be >= 1, not 0"),
+])
+def test_edge_runs_exit_typed(tmp_path, argv, rc, text):
+    # branches that test_cli_fuzz's random argvs reach only in some runs:
+    # a radius past float range, a bad or unknown field name, a NaN row, a
+    # missing CSV, a negative eps, a negative alpha, a repeated row, an
+    # exact count with no CM field, a composite in S or T, p in T and a
+    # zero count
+    (tmp_path / "nan.csv").write_text("re,im\n0,0\n1,0\nnan,0\n")
+    (tmp_path / "repeat.csv").write_text("re,im\n0,0\n1,0\n1,0\n")
+    (tmp_path / "exact").mkdir()
+    (tmp_path / "exact" / "pointset.csv").write_text("c0,c1\n0,0\n1,0\n")
+    proc = _run_module(tmp_path, *argv)
+    assert proc.returncode == rc, proc.stderr
+    assert text in (proc.stdout if rc == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_field_json_exits_3(tmp_path):
     bad = tmp_path / "field.json"
     bad.write_text('{"min_poly": [1, 0,')
@@ -459,14 +499,23 @@ def test_auto_window_with_no_feasible_window_exits_7(tmp_path, capsys, monkeypat
     from udfield import construct
 
     calls = []
-    build = construct.build_pointset
-    monkeypatch.setattr(construct, "build_pointset",
-                        lambda *args: calls.append(args[2].scale) or build(*args))
+    build = construct._build
+    monkeypatch.setattr(construct, "_build",
+                        lambda *args: calls.append(args[3]) or build(*args))
     rc = main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2", "--R", "20",
                "--max-points", max_points, "--no-plot", "--out", str(tmp_path)])
     assert rc == 7
     assert "no desk-feasible window" in capsys.readouterr().err
     assert calls == [1] * builds
+
+
+def test_generate_mode_offers_window_and_closure(tmp_path, capsys):
+    # window is the default; without --scale, build_pointset chooses the
+    # scale in either mode, so no mode of its own selects that
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--field", "gaussian", "--mode", "auto", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 def test_generate_auto_window_beyond_4000_points(tmp_path, capsys):

@@ -153,6 +153,7 @@ def _argv(data, d):
                     "--prime": numbers(2, 3, 5, 13),
                     "--k": st.one_of(numbers(0, 1, 2), past(PIGEONHOLE_LIMIT)),
                     "--R": numbers(2, 3, "5/2", "1/2"), "--scale": numbers(1, "1/2"),
+                    # auto was once an alias of window; it is invalid now
                     "--mode": st.sampled_from(["auto", "window", "closure", "x"]),
                     "--projection-coordinate": numbers(0, 1),
                     "--translate-candidates": st.one_of(numbers(0, 2),
@@ -224,7 +225,7 @@ def test_cli_fuzz_exits_typed(workdir, data):
 def test_cli_past_caps_exit_7(workdir, data):
     field, prime = data.draw(st.sampled_from(
         [("gaussian", "5"), ("gaussian", "13"), ("qsqrt-5", "3"), ("adjoin-i:5", "29")]))
-    scale = data.draw(st.sampled_from([["--scale", "1"], []]))   # [] is auto mode
+    scale = data.draw(st.sampled_from([["--scale", "1"], []]))   # []: construct picks it
     generate = ["generate", "--field", field, "--prime", prime, "--R", "3",
                 *scale, "--out", "out"]
     argv = data.draw(st.one_of(

@@ -9,38 +9,26 @@ from pointrows import elements_of
 from udfield.construct import (UnitSet, WindowConfig, build_pointset, covolume_upper,
                                denominator_bound, enumerate_window,
                                estimate_window_points, halton_translates,
-                               pigeonhole_units, select_translate)
+                               pigeonhole_units, prime_pairs, select_translate)
 from udfield.errors import ConditionFailed, ConjugateCollision
 from udfield.gstower import SymbolicPower, exponent, exponent_ledger
 from udfield.ideals import FracIdeal, split_prime
 from udfield.numberfield import abs_sq, is_unit_modulus
 
 
-def prime_pairs(K, cm, p, k):
-    primes = split_prime(K, p)
-    out, seen = [], set()
-    for pr in sorted(primes, key=lambda q: q.lattice.hnf):
-        if pr.lattice in seen:
-            continue
-        seen.add(pr.lattice.conjugate(cm))
-        out.append((pr, k))
-    return out
-
-
-def test_denominator_bound_examples(gaussian, gaussian_cm, qsqrt_m5, qsqrt_m5_cm):
-    pairs = prime_pairs(gaussian, gaussian_cm, 5, 2)
+def test_denominator_bound_examples(gaussian, qsqrt_m5):
+    pairs = prime_pairs(gaussian, 5, 2)
     assert denominator_bound(pairs) == 625
-    pairs3 = prime_pairs(qsqrt_m5, qsqrt_m5_cm, 3, 2)
+    pairs3 = prime_pairs(qsqrt_m5, 3, 2)
     assert denominator_bound(pairs3) == 81
     # two primes above 5 and 13 with k = 1 each
-    two = prime_pairs(gaussian, gaussian_cm, 5, 1) + \
-        prime_pairs(gaussian, gaussian_cm, 13, 1)
+    two = prime_pairs(gaussian, 5, 1) + prime_pairs(gaussian, 13, 1)
     assert denominator_bound(two) == 25 * 169
 
 
 def test_pigeonhole_gaussian(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
-    us = pigeonhole_units(K, prime_pairs(K, cm, 5, 2))
+    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
     assert us.guaranteed_min == 3 and us.h == 1
     assert us.distinct_ideal_count >= 3
     assert us.D == 625
@@ -59,7 +47,7 @@ def test_pigeonhole_gaussian(gaussian, gaussian_cm):
 
 def test_pigeonhole_qsqrt_m5(qsqrt_m5, qsqrt_m5_cm):
     K, cm = qsqrt_m5, qsqrt_m5_cm
-    us = pigeonhole_units(K, prime_pairs(K, cm, 3, 2))
+    us = pigeonhole_units(K, prime_pairs(K, 3, 2))
     assert us.h == 2
     assert us.guaranteed_min == Fraction(3, 2)
     assert us.distinct_ideal_count >= 2
@@ -84,10 +72,9 @@ def test_pigeonhole_matches_oracle(name, ps, k):
     import oracle_pigeonhole
 
     from udfield.cli import build_field
-    from udfield.numberfield import detect_cm
 
     K = build_field(name)
-    pairs = [pair for p in ps for pair in prime_pairs(K, detect_cm(K), p, k)]
+    pairs = [pair for p in ps for pair in prime_pairs(K, p, k)]
     ours = pigeonhole_units(K, pairs)
     theirs = oracle_pigeonhole.pigeonhole_units(K, pairs)
     for name in UnitSet._fields:
@@ -111,7 +98,7 @@ def test_pigeonhole_asks_each_principality_once(deg4, deg4_cm, monkeypatch):
     monkeypatch.setattr(construct, "is_principal",
                         counted("is_principal", construct.is_principal))
     monkeypatch.setattr(FracIdeal, "inverse", counted("inverse", FracIdeal.inverse))
-    us = pigeonhole_units(deg4, prime_pairs(deg4, deg4_cm, 29, 1))
+    us = pigeonhole_units(deg4, prime_pairs(deg4, 29, 1))
     assert us.distinct_ideal_count == 4
     assert calls == {"is_principal": 3, "inverse": 1}
 
@@ -125,7 +112,7 @@ def test_pigeonhole_forms_each_prime_power_once(deg4, deg4_cm, monkeypatch):
         calls.append(e)
         return power(self, e)
 
-    pairs = prime_pairs(deg4, deg4_cm, 29, 2)
+    pairs = prime_pairs(deg4, 29, 2)
     assert len(pairs) == 2
     power = FracIdeal.__pow__
     monkeypatch.setattr(FracIdeal, "__pow__", counted)
@@ -139,7 +126,7 @@ def test_pigeonhole_tests_q2_once_per_witness(deg4, deg4_cm, monkeypatch):
     # (u zeta) = (u), (conj u) = conj((u)) and Q is conjugation-invariant, so
     # Q^-2 is tested on each witness's ideal (u) alone, not on the torsion
     # multiples and conjugates of the witness
-    pairs = prime_pairs(deg4, deg4_cm, 29, 1)
+    pairs = prime_pairs(deg4, 29, 1)
     principal = FracIdeal.principal
     calls = []
 
@@ -206,7 +193,7 @@ def test_build_pointset_reuses_translate_windows(gaussian, gaussian_cm, monkeypa
     import udfield.construct as construct
 
     K, R = gaussian, Fraction(73, 10)
-    us = pigeonhole_units(K, prime_pairs(K, gaussian_cm, 5, 2))
+    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
     calls = []
     direct = construct.enumerate_window
     monkeypatch.setattr(construct, "enumerate_window",
@@ -231,7 +218,7 @@ def test_halton_translates_deterministic(gaussian):
 
 
 def test_build_pointset_toy(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
     ps, rep = build_pointset(gaussian, us, cfg)
     assert rep.measured_points == 13
@@ -256,7 +243,7 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
     from udfield.counting import planar_image, unit_pair_indices
     from udfield.serialize import pointset_sidecar
 
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
     ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
     xy, err = planar_image(ps.rows, ps.denom, gaussian_cm)
     assert xy == ps.planar
@@ -294,7 +281,7 @@ def test_build_pointset_small_R_warns(gaussian, gaussian_cm):
 
 
 def test_build_pointset_closure_mode(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
     scale = Fraction(1, 625)
     cfg = WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure",
                        max_points=500_000)
@@ -308,7 +295,7 @@ def test_build_pointset_closure_mode(gaussian, gaussian_cm):
 
 
 def test_closure_estimate_is_capped_by_its_window(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, gaussian_cm, 5, 2))
+    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
     for scale, R, usable in [(Fraction(1, 625), Fraction(627, 625), 20),
                              (Fraction(1), Fraction(20), 4),
                              (Fraction(1, 25), Fraction(8), 4)]:

@@ -189,6 +189,20 @@ def test_r2_real_quadratic():
     assert count == brute
 
 
+def test_r2_over_a_degree_one_field_matches_the_rational_count():
+    # F = Q(x), x a root of x: the lattice search over O_F = Z gives the
+    # integer two-squares count
+    from udfield.numberfield import nf_new
+    from udfield.polynomials import make_poly
+
+    F = nf_new(make_poly([0, 1]))
+    for a in (0, 1, 2, 3, 5, 25, 50, 65, 325):
+        box = math.isqrt(a) + 1
+        assert r2_count(F, F.from_rational(a), Fraction(box)) == r2_count_rational(a), a
+    with pytest.raises(BoxTooSmall):
+        r2_count(F, F.from_rational(25), Fraction(4))
+
+
 def test_r2_box_too_small():
     F = compositum_multiquadratic([5])
     with pytest.raises(BoxTooSmall):

@@ -208,8 +208,7 @@ def test_limit_counts_work_not_box_cells(gaussian_cm, deg4_cm):
         K = cm.field
         eye = [[int(i == j) for j in range(K.n)] for i in range(K.n)]
         radii = [radius_sq] * cm.f
-        real = [K.roots()[i].is_real for i in cm.pair_reps]
-        bounds = _levels(_lll_reduce_basis(eye, cm), 1, cm, radii, real, None)[0]
+        bounds = _levels(_lll_reduce_basis(eye, cm), 1, cm, radii, None)[0]
         cells = math.prod(2 * m + 1 for m in bounds)
         rows = lattice_points_in_polydisc(eye, 1, cm, radii)
         assert lattice_points_in_polydisc(eye, 1, cm, radii, limit=cells - 1) == rows

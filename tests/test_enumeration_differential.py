@@ -18,7 +18,6 @@ import udfield.construct as construct
 from pointrows import elements_of, rows_of
 from udfield.enumeration import _lll_reduce_basis, lattice_points_in_polydisc
 from udfield.errors import WindowTooLarge
-from udfield.ideals import split_prime
 from udfield.numberfield import (FieldElement, abs_sq, compositum_multiquadratic,
                                  trace_form)
 
@@ -225,12 +224,7 @@ def _pigeonhole_lattices(monkeypatch, cm, p, k):
         return is_principal(I)
 
     monkeypatch.setattr(construct, "is_principal", spy)
-    pairs, seen = [], set()
-    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
-        if pr.lattice not in seen:
-            seen.add(pr.lattice.conjugate(cm))
-            pairs.append((pr, k))
-    construct.pigeonhole_units(K, pairs)
+    construct.pigeonhole_units(K, construct.prime_pairs(K, p, k))
     return asked
 
 

@@ -208,14 +208,9 @@ def test_degree4_closure_takes_the_cell_hash(deg4, deg4_cm, monkeypatch):
     # every coordinate, whose radius-1 search passes its work cap, so its
     # pairs come from the cell hash
     import udfield.counting
-    from udfield.construct import WindowConfig, build_pointset, pigeonhole_units
-    from udfield.ideals import split_prime
+    from udfield.construct import (WindowConfig, build_pointset, pigeonhole_units,
+                                   prime_pairs)
 
-    pairs, seen = [], set()
-    for pr in sorted(split_prime(deg4, 29), key=lambda q: q.lattice.hnf):
-        if pr.lattice not in seen:
-            seen.add(pr.lattice.conjugate(deg4_cm))
-            pairs.append((pr, 1))
     cell_pairs, hashed = udfield.counting._cell_pairs, []
 
     def recorded(*args):
@@ -224,7 +219,7 @@ def test_degree4_closure_takes_the_cell_hash(deg4, deg4_cm, monkeypatch):
 
     monkeypatch.setattr(udfield.counting, "_cell_pairs", recorded)
     scale = Fraction(1, 841)
-    ps, rep = build_pointset(deg4, pigeonhole_units(deg4, pairs),
+    ps, rep = build_pointset(deg4, pigeonhole_units(deg4, prime_pairs(deg4, 29, 1)),
                              WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure"))
     assert (rep.measured_points, rep.measured_unit_pairs) == (1305, 1260)
     assert len(hashed) == 1 and tuple(hashed[0]) == ps.unit_pairs

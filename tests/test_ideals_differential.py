@@ -123,7 +123,6 @@ def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
     # d = 7, 11, 19 have units too large for the polydisc to hold a
     # generator of every principal ideal (see is_principal)
     K = build_field(field)
-    cm = detect_cm(K)
     statuses = []
 
     def both(I):
@@ -134,13 +133,8 @@ def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
         return got
 
     monkeypatch.setattr(construct, "is_principal", both)
-    pairs, seen = [], set()
-    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
-        if pr.lattice not in seen:
-            seen.add(pr.lattice.conjugate(cm))
-            pairs.append(pr)
     for k in (1, 2, 3):
-        construct.pigeonhole_units(K, [(pr, k) for pr in pairs])
+        construct.pigeonhole_units(K, construct.prime_pairs(K, p, k))
     assert FOUND in statuses
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 import oracle_fieldelement
 import oracle_linalg
 from udfield import linalg
-from udfield.construct import pigeonhole_units
-from udfield.ideals import split_prime
+from udfield.construct import pigeonhole_units, prime_pairs
 from oracle_linalg import mat
 from udfield.linalg import gauss_jordan, hnf_det, hnf_rows, lll_transform, mat_det
-from udfield.numberfield import compositum_multiquadratic, detect_cm
+from udfield.numberfield import compositum_multiquadratic
 
 
 def test_hnf_canonical_under_unimodular_changes():
@@ -139,12 +138,7 @@ def test_lll_matches_oracle_pigeonhole_grams(monkeypatch, p):
     # the T2 Gram matrices that _lll_reduce_basis meets in the principality
     # searches of the degree-4 closure demo
     K = compositum_multiquadratic([5, -1])
-    cm = detect_cm(K)
-    pairs, seen = [], set()
-    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
-        if pr.lattice not in seen:
-            seen.add(pr.lattice.conjugate(cm))
-            pairs.append((pr, 1))
+    pairs = prime_pairs(K, p, 1)
     grams = []
 
     def recording(gram):
