@@ -2,6 +2,7 @@
 
     python3 checks/linetrace.py                      # Tier-1 (pytest -q)
     python3 checks/linetrace.py python3 -m udfield gs-check --T 3,5 --S 101
+    python3 checks/linetrace.py --check              # Tier-1 against the list
 
 The command runs from the repository root with a generated `sitecustomize`
 first on PYTHONPATH and src/ after it.  Python imports that module at
@@ -10,6 +11,11 @@ the tests included, records the lines it runs in src/udfield and writes
 them out at exit.  The executable lines of a module are the line numbers
 that `co_lines` gives for its code objects.  The lines no process ran are
 printed per file, then the totals; the exit code is the command's.
+
+With --check, every unexecuted line must be listed in checks/unexecuted.txt
+(one `src/udfield/<file>.py:<line> <reason>` per line, # for comments)
+and every listed line must still be unexecuted; each exception is printed,
+and the exit code is 1 when the command passed but the list does not.
 """
 
 import atexit
@@ -24,6 +30,7 @@ import types
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src", "udfield")
+LISTED = os.path.join(HERE, "unexecuted.txt")
 SITE = """import sys
 sys.path.insert(0, {here!r})
 import linetrace
@@ -106,21 +113,54 @@ def trace(command, src: str = SRC):
     return code, len(names), ran
 
 
+def read_listed(path: str) -> dict:
+    """{"file:line": reason} from a list of unexecuted lines."""
+    listed = {}
+    with open(path) as f:
+        for text in f:
+            text = text.strip()
+            if text and not text.startswith("#"):
+                key, _, reason = text.partition(" ")
+                listed[key] = reason.strip()
+    return listed
+
+
+def problems(missed, listed: dict) -> list:
+    """Each line of missed (a set of "file:line") that listed lacks or
+    gives no reason, and each line of listed that is not in missed."""
+    out = [f"{key}: unexecuted but not listed" for key in sorted(missed - listed.keys())]
+    out += [f"{key}: listed without a reason" for key in sorted(missed & listed.keys())
+            if not listed[key]]
+    out += [f"{key}: listed but ran (or is no executable line)"
+            for key in sorted(listed.keys() - missed)]
+    return out
+
+
 def main(argv) -> int:
-    command = argv or [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    check = argv[:1] == ["--check"]
+    command = argv[check:] or [sys.executable, "-m", "pytest", "-q",
+                               "--continue-on-collection-errors"]
     code, processes, ran = trace(command)
-    total = missed = 0
+    total, missed = 0, set()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(SRC, name)
         lines = executable_lines(path)
         left = sorted(lines - ran.get(os.path.realpath(path), set()))
-        total, missed = total + len(lines), missed + len(left)
+        total += len(lines)
+        rel = os.path.relpath(path, ROOT)
+        missed.update(f"{rel}:{n}" for n in left)
         if left:
-            print(f"{os.path.relpath(path, ROOT)}: {len(left)} of {len(lines)}: {_spans(left)}")
-    print(f"unexecuted: {missed} of {total} lines, {processes} processes traced")
-    return code
+            print(f"{rel}: {len(left)} of {len(lines)}: {_spans(left)}")
+    print(f"unexecuted: {len(missed)} of {total} lines, {processes} processes traced")
+    if not check:
+        return code
+    found = problems(missed, read_listed(LISTED))
+    for text in found:
+        print(text)
+    print(f"check: {len(found)} lines disagree with {os.path.relpath(LISTED, ROOT)}")
+    return code or int(bool(found))
 
 
 if __name__ == "__main__":

@@ -59,3 +59,28 @@ def test_cli_children_are_traced():
     counting = os.path.realpath(os.path.join(linetrace.SRC, "counting.py"))
     assert _first_statement(cli, "main") in ran[cli]
     assert _first_statement(counting, "erdos_grid") not in ran.get(counting, set())
+
+
+def test_check_compares_unexecuted_lines_with_the_list(tmp_path):
+    listed = tmp_path / "unexecuted.txt"
+    listed.write_text("# toy.py of test_toy_module_lines\n\n"
+                      "toy.py:4 the second return of used\n"
+                      "toy.py:8 unused is never called\n"
+                      "toy.py:9\n"
+                      "toy.py:2 the test of used\n")
+    missed = {"toy.py:4", "toy.py:8", "toy.py:9", "toy.py:12"}
+    assert linetrace.problems(missed, linetrace.read_listed(str(listed))) == [
+        "toy.py:12: unexecuted but not listed",
+        "toy.py:9: listed without a reason",
+        "toy.py:2: listed but ran (or is no executable line)"]
+    assert linetrace.problems({"toy.py:4"}, {"toy.py:4": "a reason"}) == []
+
+
+def test_listed_lines_are_executable_and_have_reasons():
+    # a line number that drifted off its statement fails here without a trace
+    listed = linetrace.read_listed(linetrace.LISTED)
+    assert listed
+    for key, reason in listed.items():
+        path, _, line = key.rpartition(":")
+        assert reason, key
+        assert int(line) in linetrace.executable_lines(os.path.join(linetrace.ROOT, path)), key

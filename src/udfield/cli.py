@@ -125,8 +125,8 @@ def cmd_generate(args) -> int:
     except (OSError, ValueError) as exc:   # ValueError: a NUL in the path
         raise InputError(f"--out {args.out!r}: {exc}") from None
 
-    units = pigeonhole_units(K, prime_pairs(K, args.prime, args.k))
-    ps, rep = build_pointset(K, units, cfg)
+    units = pigeonhole_units(cm, prime_pairs(cm, args.prime, args.k))
+    ps, rep = build_pointset(units, cfg)
     rep.warnings.extend(K.warnings)
     if units.distinct_ideal_count <= 1:
         rep.warnings.append("no nontrivial units: the unit-ideal class "

@@ -27,8 +27,7 @@ from .ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                      class_number_imag_quadratic, is_principal, split_prime)
 from .intervals import RealInterval, ln_interval, pi_interval
 from .linalg import stack_rows
-from .numberfield import (CMStructure, FieldElement, NumberField,
-                          detect_cm, is_unit_modulus)
+from .numberfield import CMStructure, FieldElement, NumberField, is_unit_modulus
 from .numthy import iroot_ceil, primes_from, squarefree_kernel
 
 
@@ -37,13 +36,12 @@ from .numthy import iroot_ceil, primes_from, squarefree_kernel
 # ---------------------------------------------------------------------------
 
 PIGEONHOLE_LIMIT = 64        # exponent vectors of one pigeonhole
-TRANSLATE_LIMIT = 1000       # translate candidates of one select_translate
+TRANSLATE_LIMIT = 1000       # translate candidates of one WindowConfig
 
 
 class UnitSet(NamedTuple):
     """Certified unit-modulus elements of Q^{-2}, with the pigeonhole bookkeeping."""
 
-    field: NumberField
     cm: CMStructure
     units: Tuple[FieldElement, ...]          # all certified, pairwise distinct
     ideal_witnesses: Tuple[FieldElement, ...]  # one per distinct ideal (u)
@@ -70,15 +68,14 @@ def denominator_bound(primes: Sequence[Tuple[PrimeIdeal, int]]) -> int:
     return D
 
 
-def prime_pairs(K: NumberField, p: int, k: int) -> List[Tuple[PrimeIdeal, int]]:
+def prime_pairs(cm: CMStructure, p: int, k: int) -> List[Tuple[PrimeIdeal, int]]:
     """(P, k) for one prime P from each conjugate pair above p, in HNF
-    order, K a CM field; [] for k = 0, without factoring p.  A
-    self-conjugate prime above p is a ConjugateCollision."""
+    order, over the CM field cm.field; [] for k = 0, without factoring p.
+    A self-conjugate prime above p is a ConjugateCollision."""
     if k == 0:
         return []
-    cm = detect_cm(K)
     pairs, seen = [], set()
-    for pr in sorted(split_prime(K, p), key=lambda q: q.lattice.hnf):
+    for pr in sorted(split_prime(cm.field, p), key=lambda q: q.lattice.hnf):
         if pr.lattice in seen:
             continue
         conj = pr.lattice.conjugate(cm)
@@ -92,26 +89,23 @@ def prime_pairs(K: NumberField, p: int, k: int) -> List[Tuple[PrimeIdeal, int]]:
 
 def _check_prime_pairs(primes: Sequence[Tuple[PrimeIdeal, int]],
                        conjugates: Sequence[FracIdeal]):
-    for i, ((pr, k), conj_i) in enumerate(zip(primes, conjugates)):
-        if k < 1:
-            raise ValueError("all exponents k_j must be >= 1")
+    for i, conj_i in enumerate(conjugates):
         for j, (qr, _) in enumerate(primes):
-            if i != j and pr.lattice == qr.lattice:
-                raise ConjugateCollision("prime ideals must be pairwise distinct")
             if conj_i == qr.lattice:
                 raise ConjugateCollision(
                     f"P_{i} is the conjugate of P_{j}; the pigeonhole needs "
                     "P_i != conj(P_j) for all i, j")
 
 
-def pigeonhole_units(K: NumberField,
+def pigeonhole_units(cm: CMStructure,
                      primes: Sequence[Tuple[PrimeIdeal, int]]) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
-    The P_j and their conjugates must be pairwise distinct, as prime_pairs
-    gives them (ConjugateCollision otherwise).  One pass in lexicographic
-    order of the exponent vectors tests each ideal I against the base B
-    (first member) of each class so far, in class order, and puts it in
+    The P_j and their conjugates must be pairwise distinct, with every
+    k_j >= 1, as prime_pairs gives them (a P_i that is the conjugate of
+    some P_j is a ConjugateCollision).  One pass in lexicographic order of
+    the exponent vectors tests each ideal I against the base B (first
+    member) of each class so far, in class order, and puts it in
     the first class with I B^-1 = (alpha) certified; otherwise I opens a
     class (an INCONCLUSIVE test sets `inconclusive`).  In the largest class
     (ties toward the smallest base) each member gives u = alpha /
@@ -123,9 +117,7 @@ def pigeonhole_units(K: NumberField,
     """
     from .counting import unit_differences
 
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("pigeonhole_units requires a CM field")
+    K = cm.field
     primes = list(primes)
     conjugates = [pr.lattice.conjugate(cm) for pr, _ in primes]
     _check_prime_pairs(primes, conjugates)
@@ -154,7 +146,7 @@ def pigeonhole_units(K: NumberField,
             b = members[0]
             if b not in inverses:
                 inverses[b] = ideals[b].inverse()
-            res = is_principal(I * inverses[b])
+            res = is_principal(I * inverses[b], cm)
             if res.status == FOUND:
                 members.append(j)
                 alphas[j] = res.generator
@@ -203,7 +195,7 @@ def pigeonhole_units(K: NumberField,
         guaranteed = Fraction(math.prod(k + 1 for _, k in primes), h)
 
     ordered = tuple(sorted(units, key=lambda z: z.coords))
-    return UnitSet(field=K, cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
+    return UnitSet(cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
                    Q=Q, D=D, guaranteed_min=guaranteed, h=h,
                    inconclusive=inconclusive)
 
@@ -227,17 +219,14 @@ def _certify_unit(u: FieldElement, cm: CMStructure, D: int):
 # Windows
 # ---------------------------------------------------------------------------
 
-def enumerate_window(K: NumberField, scale: Fraction, R: Fraction,
+def enumerate_window(cm: CMStructure, scale: Fraction, R: Fraction,
                      a: Optional[FieldElement] = None,
                      limit: Optional[int] = None):
     """(rows, denom): all z in scale*O_K + a with every Minkowski coordinate
     modulus <= R, as integer coordinate rows over one denominator."""
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("window enumeration requires a CM field")
     scale = Fraction(scale)
     R = Fraction(R)
-    n = K.n
+    n = cm.field.n
     denom, center = scale.denominator, None
     if a is not None:
         denom = math.lcm(denom, a.den)
@@ -268,20 +257,17 @@ def halton_translates(K: NumberField, scale: Fraction, count: int) -> List[Field
     return out
 
 
-def select_translate(K: NumberField, scale: Fraction, R: Fraction,
+def select_translate(cm: CMStructure, scale: Fraction, R: Fraction,
                      candidates: int, limit: Optional[int] = None):
     """(a, (rows, denom), zero_count): the a maximizing |(a + scale O_K) cap
     B_R| over a = 0 and a deterministic low-discrepancy sequence of
     fractional offsets (ties keep the earliest), its window, and the count
-    at a = 0 (WindowTooLarge past TRANSLATE_LIMIT candidates)."""
-    if candidates > TRANSLATE_LIMIT:
-        raise WindowTooLarge(
-            f"{candidates} translate candidates (limit {TRANSLATE_LIMIT})")
-    best_a = K.zero()
-    best = enumerate_window(K, scale, R, None, limit)
+    at a = 0.  WindowConfig caps candidates at TRANSLATE_LIMIT."""
+    best_a = cm.field.zero()
+    best = enumerate_window(cm, scale, R, None, limit)
     zero_count = len(best[0])
-    for a in halton_translates(K, scale, candidates):
-        window = enumerate_window(K, scale, R, a, limit)
+    for a in halton_translates(cm.field, scale, candidates):
+        window = enumerate_window(cm, scale, R, a, limit)
         if len(window[0]) > len(best[0]):
             best_a, best = a, window
     return best_a, best, zero_count
@@ -292,8 +278,9 @@ def select_translate(K: NumberField, scale: Fraction, R: Fraction,
 # ---------------------------------------------------------------------------
 
 class WindowConfig:
-    """The window arguments of build_pointset, checked on construction.  A
-    scale of None leaves the lattice scale*O_K to build_pointset."""
+    """The window arguments of build_pointset, checked on construction; a
+    mode other than "window" builds a closure.  A scale of None leaves the
+    lattice scale*O_K to build_pointset."""
 
     __slots__ = ("R", "scale", "translate_candidates", "projection_coordinate",
                  "mode", "max_points")
@@ -314,8 +301,6 @@ class WindowConfig:
         if self.translate_candidates > TRANSLATE_LIMIT:
             raise WindowTooLarge(f"{self.translate_candidates} translate "
                                  f"candidates (limit {TRANSLATE_LIMIT})")
-        if self.mode not in ("window", "closure"):
-            raise ValueError(f"unknown window mode {self.mode!r}")
 
     def check_projection(self, f: int):
         """The projection coordinate is one of the f embeddings."""
@@ -366,40 +351,38 @@ def usable_units(emitted: Sequence[FieldElement], scale: Fraction) -> List[Field
     return [u for u in emitted if (u / scale).is_integral()]
 
 
-def estimate_window_points(K: NumberField, scale: Fraction, R: Fraction, mode: str = "window",
+def estimate_window_points(cm: CMStructure, scale: Fraction, R: Fraction, mode: str = "window",
                            units: Sequence[FieldElement] = ()) -> float:
     """Volume heuristic for |scale O_K cap B_R| (planning only, not a bound).
 
     A closure, B_{R-1} plus one translate per usable unit, lies in B_R, so
     it is sized as the smaller of the two estimates."""
     if mode == "closure":
-        inner = estimate_window_points(K, scale, R - 1) * (len(usable_units(units, scale)) + 1)
-        return min(inner, estimate_window_points(K, scale, R))
-    f = detect_cm(K).f
+        inner = estimate_window_points(cm, scale, R - 1) * (len(usable_units(units, scale)) + 1)
+        return min(inner, estimate_window_points(cm, scale, R))
+    f = cm.f
     try:
         # per disc: pi R^2 over the covolume per dimension, scale^2 |disc|^(1/2f) / 2
-        per_dim = 2 * math.pi * float((R / scale) ** 2) / abs(K.disc) ** (1 / (2 * f))
+        per_dim = 2 * math.pi * float((R / scale) ** 2) / abs(cm.field.disc) ** (1 / (2 * f))
     except OverflowError:
         return math.inf
     return max(per_dim, 1.0) ** f
 
 
-def covolume_upper(K: NumberField, scale: Fraction) -> Fraction:
+def covolume_upper(cm: CMStructure, scale: Fraction) -> Fraction:
     """Dyadic upper bound for covol(scale O_K)^(1/f) / scale^2
     = (2^-f sqrt|disc|)^(1/f), the lattice-skewness quantity."""
-    cm = detect_cm(K)
     f = cm.f
     # (2^-f sqrt(|disc|))^(1/f) = |disc|^(1/2f) / 2, rounded up to 2^-24
     bits = 24
-    root = iroot_ceil(abs(K.disc) << (2 * f * bits), 2 * f)
+    root = iroot_ceil(abs(cm.field.disc) << (2 * f * bits), 2 * f)
     return Fraction(root, 1 << bits) / 2
 
 
-def build_pointset(K: NumberField, units: UnitSet,
-                   cfg: WindowConfig) -> Tuple[PointSet, ConstructionReport]:
+def build_pointset(units: UnitSet, cfg: WindowConfig) -> Tuple[PointSet, ConstructionReport]:
     """Window (or unit-translate closure) point set plus the bound ledger,
-    for the certified units of a pigeonhole_units UnitSet (each is checked
-    again to be unit-modulus).
+    over the field of the certified units of a pigeonhole_units UnitSet
+    (each is checked again to be unit-modulus).
 
     Asserted checks: the translation bound 2 nu >= |U_usable| * |inner
     window| and the packing bound |P| <= (9R^2/delta^2)^f; both are
@@ -413,10 +396,10 @@ def build_pointset(K: NumberField, units: UnitSet,
     after the build's own warnings when it falls back past the estimate.
     """
     if cfg.scale is not None:
-        return _build(K, units, cfg, cfg.scale)
+        return _build(units, cfg, cfg.scale)
     warnings = []
     for scale in dict.fromkeys((Fraction(1, units.D), Fraction(1))):
-        est = estimate_window_points(K, scale, cfg.R, cfg.mode, units.units)
+        est = estimate_window_points(units.cm, scale, cfg.R, cfg.mode, units.units)
         if est > cfg.max_points:
             warnings.append(
                 f"{cfg.mode} over ({scale})*O_K holds ~{est:.2g} points, "
@@ -425,7 +408,7 @@ def build_pointset(K: NumberField, units: UnitSet,
                 "translation bound)")
             continue
         try:
-            ps, rep = _build(K, units, cfg, scale)
+            ps, rep = _build(units, cfg, scale)
         except WindowTooLarge:
             continue
         rep.warnings.extend(warnings)
@@ -435,15 +418,13 @@ def build_pointset(K: NumberField, units: UnitSet,
         "--max-points, or use --mode closure with an explicit small R")
 
 
-def _build(K: NumberField, units: UnitSet, cfg: WindowConfig,
+def _build(units: UnitSet, cfg: WindowConfig,
            scale: Fraction) -> Tuple[PointSet, ConstructionReport]:
     """build_pointset over the lattice scale*O_K."""
     from .counting import planar_image, unit_pair_indices
 
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("build_pointset requires a CM field")
-    f = cm.f
+    cm = units.cm
+    K, f = cm.field, cm.f
     cfg.check_projection(f)
     delta = scale
     warnings: List[str] = []
@@ -469,9 +450,9 @@ def _build(K: NumberField, units: UnitSet, cfg: WindowConfig,
         warnings.append("R < 2: volumetric bounds are not asserted")
 
     a, (inner, inner_denom), zero_count = select_translate(
-        K, scale, cfg.R - 1, cfg.translate_candidates, limit=cfg.max_points)
+        cm, scale, cfg.R - 1, cfg.translate_candidates, limit=cfg.max_points)
     if cfg.mode == "window":
-        rows, denom = enumerate_window(K, scale, cfg.R, a, limit=cfg.max_points)
+        rows, denom = enumerate_window(cm, scale, cfg.R, a, limit=cfg.max_points)
     else:
         rows, denom = _closure_rows(inner, inner_denom, usable, K.n)
         if len(rows) > cfg.max_points:
@@ -499,7 +480,7 @@ def _build(K: NumberField, units: UnitSet, cfg: WindowConfig,
     else:
         warnings.append("delta > R: packing bound not asserted")
 
-    v_upper = covolume_upper(K, scale)
+    v_upper = covolume_upper(cm, scale)
     volumetric_interval = None
     exponent_bound = None
     if cfg.R >= 2 and usable:

@@ -49,8 +49,6 @@ class PlanarFloatSet:
         import numpy as np
 
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ParseError("points must be an (n, 2) array")
         if not np.isfinite(pts).all():
             raise ParseError("points contain NaN or infinity")
         if not eps >= 0:
@@ -306,10 +304,10 @@ def count_float(ps: PlanarFloatSet, method: str = "hashed") -> DistanceCensus:
     "hashed" buckets points into cells (of side 1, finer for dense sets)
     so each point only meets the cells its annulus can intersect
     (_cell_blocks, whose cells and offsets the exact cell hash shares);
-    "brute" is
-    the blockwise O(n^2) reference behind `count --method brute` and
-    `--oracle`.  Both evaluate the identical float expression,
-    _pair_distances_ok, so they agree exactly.
+    "brute" is the blockwise O(n^2) reference behind `count --method
+    brute` and `--oracle`, and any other method counts as "hashed".  Both
+    evaluate the identical float expression, _pair_distances_ok, so they
+    agree exactly.
     """
     if ps.eps >= 0.1:
         raise TooLargeEps(f"eps = {ps.eps} >= 0.1")
@@ -320,12 +318,7 @@ def count_float(ps: PlanarFloatSet, method: str = "hashed") -> DistanceCensus:
     dup = _duplicate_pairs(pts)
     if dup:
         warnings.append(f"{dup} coincident point pairs (distance 0, never unit)")
-    if method == "brute":
-        count = _count_brute(pts, ps.eps)
-    elif method == "hashed":
-        count = _count_hashed(pts, ps.eps)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    count = (_count_brute if method == "brute" else _count_hashed)(pts, ps.eps)
     ms = (time.perf_counter() - t0) * 1000
     return DistanceCensus(unit_pairs=int(count), method=method, n_points=n,
                           eps=ps.eps, runtime_ms=ms, duplicate_pairs=dup,

@@ -89,8 +89,6 @@ def _levels(basis, denom: int, cm: CMStructure, radii_sq: Sequence[Fraction], ce
     R = n // cm.f * sum(radii_sq)
     gram = linalg.congruent(basis, trace_form(cm))
     g, H = linalg.gauss_jordan([row + e for row, e in zip(gram, eye)])
-    if not g:
-        raise ValueError("singular lattice basis")
     q, A = 1, [0] * n
     if center is not None:
         q, X = linalg.gauss_jordan([list(v) + e for v, e in zip(basis, eye)])
@@ -122,10 +120,10 @@ def lattice_points_in_polydisc(basis: Sequence[Sequence[int]], denom: int,
     |sigma_i(z)|^2 <= radii_sq[i] for all i, as a tuple of their coordinate
     rows over the integral basis (n-tuples of ints), all over denom.
 
-    basis is n rows of n Python ints, the lattice's basis over the integral
-    basis times denom, and center (optional) one such row.  sigma_i is the
-    embedding at root cm.pair_reps[i] and |.|^2 is decided through
-    abs_sq(z, cm).  The polydisc is closed; boundary points are included;
+    basis is n independent rows of n Python ints, the lattice's basis over
+    the integral basis times denom, and center (optional) one such row.
+    sigma_i is the embedding at root cm.pair_reps[i] and |.|^2 is decided
+    through abs_sq(z, cm).  The polydisc is closed; boundary points are included;
     a negative radius gives no points.  Deterministic order (lexicographic
     in the integer coefficients c on the LLL-reduced basis).  Raises
     WindowTooLarge as soon as the search's work, the prefixes the walk

@@ -185,9 +185,6 @@ class SymbolicPower(NamedTuple):
     def to_dict(self) -> dict:
         return {"base": self.base, "exp": self.exp}
 
-    def __str__(self):
-        return f"{self.base}^{self.exp}"
-
 
 Delta = Union[Fraction, SymbolicPower]
 
@@ -203,15 +200,12 @@ def exponent(u: Fraction, v: Fraction, delta: Delta,
              precision_bits: int = 256) -> RealInterval:
     """Certified enclosure of 1 + log(u pi / 36 v) / log(36 / delta^2).
 
-    Requires u pi > 36 v (the condition that makes the exponent exceed 1), certified by
-    interval refinement; raises ConditionFailed otherwise.
+    Requires u, v > 0, delta <= 1 and u pi > 36 v (the condition that makes
+    the exponent exceed 1); the last is certified by interval refinement,
+    and ConditionFailed raised when it fails.
     """
     u = Fraction(u)
     v = Fraction(v)
-    if u <= 0 or v <= 0:
-        raise ConditionFailed("u and v must be positive")
-    if isinstance(delta, Fraction) and delta > 1:
-        raise ConditionFailed("delta must be <= 1")
     bits = precision_bits
     ratio = u / (36 * v)
     while True:

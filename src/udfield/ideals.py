@@ -19,7 +19,7 @@ from .enumeration import lattice_points_in_polydisc
 from .errors import (IndexDivisor, NotPrime, PreconditionError, WindowTooLarge,
                      ZeroIdeal)
 from .linalg import hnf_det, hnf_rows, mat_det, stack_rows, vec_mat
-from .numberfield import (CMStructure, FieldElement, NumberField, detect_cm)
+from .numberfield import CMStructure, FieldElement, NumberField
 from .numthy import check_squarefree_int, iroot_ceil, is_prime
 from .polynomials import IntPoly, discriminant, factor_mod_p, make_poly
 
@@ -65,8 +65,7 @@ class FracIdeal:
 
     @classmethod
     def principal(cls, z: FieldElement) -> "FracIdeal":
-        if z.is_zero():
-            raise ZeroIdeal("principal ideal of zero")
+        """(z); ZeroIdeal for z = 0, whose lattice has no full rank."""
         return cls.from_elements(z.field, [z])
 
     # -- basic data -----------------------------------------------------------
@@ -84,8 +83,6 @@ class FracIdeal:
         constants, over the denominator den_a * den_b.  A factor with HNF
         c I is the rational ideal (c / den) O, and c H is the HNF of c L
         when H is that of L, so a product with it takes no HNF."""
-        if self.field is not other.field:
-            raise ValueError("ideals from different fields")
         for x, y in ((self, other), (other, self)):
             c, n = x.hnf[0][0], len(x.hnf)
             if x.hnf == tuple(tuple(c * (i == j) for j in range(n)) for i in range(n)):
@@ -119,6 +116,7 @@ class FracIdeal:
         return inv
 
     def __pow__(self, e: int) -> "FracIdeal":
+        """Square-and-multiply, with no square past the top bit of e."""
         if e < 0:
             return self.inverse() ** (-e)
         result = FracIdeal.unit_ideal(self.field)
@@ -126,8 +124,9 @@ class FracIdeal:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self, cm: CMStructure) -> "FracIdeal":
@@ -154,10 +153,6 @@ class PrimeIdeal(NamedTuple):
     f_res: int
     lattice: FracIdeal
 
-    @property
-    def field(self) -> NumberField:
-        return self.lattice.field
-
     def norm(self) -> int:
         return self.p ** self.f_res
 
@@ -177,15 +172,18 @@ _NOT_DEDEKIND = "min_poly is reducible or p divides [O_K : Z[theta]]"
 def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
     """Factor (p) into primes via min_poly mod p.
 
-    Requires p prime and coprime to the index [O_K : Z[theta]].  Verifies
-    sum(e_i f_i) = n and that the product of the primes with multiplicity
-    is exactly (p), as Dedekind's criterion promises, else IndexDivisor.
+    Requires p prime, Z[theta] inside the order of the integral basis and
+    p coprime to the index [O_K : Z[theta]].  Verifies that the product of
+    the primes with multiplicity is exactly (p), so sum(e_i f_i) = n, as
+    Dedekind's criterion promises, else IndexDivisor.
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     idx2 = field_index_squared(K)
     if idx2.denominator != 1:
-        raise ValueError("disc(min_poly) not divisible by disc(K)")
+        raise IndexDivisor("disc(min_poly) is not a multiple of disc(K): the "
+                           "order of the integral basis does not hold Z[theta], "
+                           "and mod-p splitting needs it")
     idx2 = int(idx2)
     if idx2 % (p * p) == 0:
         raise IndexDivisor(
@@ -203,8 +201,6 @@ def split_prime(K: NumberField, p: int) -> List[PrimeIdeal]:
             raise IndexDivisor(f"norm of ({p}, g) is {lat.norm()}, expected "
                                f"{prime.norm()}: {_NOT_DEDEKIND}")
         out.append(prime)
-    if sum(pr.e * pr.f_res for pr in out) != K.n:
-        raise ValueError("sum of e*f over primes above p does not equal n")
     prod = FracIdeal.unit_ideal(K)
     for pr in out:
         prod = prod * pr.lattice ** pr.e
@@ -229,12 +225,10 @@ class PrincipalityResult(NamedTuple):
     status: str
     generator: Optional[FieldElement] = None
 
-    def __bool__(self):
-        return self.status == FOUND
 
-
-def is_principal(I: FracIdeal) -> PrincipalityResult:
-    """Certified generator search: one polydisc enumeration of I.
+def is_principal(I: FracIdeal, cm: CMStructure) -> PrincipalityResult:
+    """Certified generator search: one polydisc enumeration of I, an ideal
+    of the CM field cm.field.
 
     A returned generator g satisfies (g) = I exactly: the search runs over
     I's integral lattice J = den I, so a point x lies in J and (x) is inside
@@ -256,9 +250,6 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
     principal ideal with no generator inside it is INCONCLUSIVE.
     """
     K = I.field
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("principality search implemented for CM fields only")
     N = hnf_det(I.hnf)
     exhaustive = K.n == 2 and K.disc < 0
     if exhaustive:
@@ -281,9 +272,8 @@ def is_principal(I: FracIdeal) -> PrincipalityResult:
 # ---------------------------------------------------------------------------
 
 def class_number_imag_quadratic(d: int) -> int:
-    """h(Q(sqrt(d))) for squarefree d < 0, by counting reduced forms."""
-    if d >= 0:
-        raise ValueError("d must be negative")
+    """h(Q(sqrt(d))) for squarefree d < 0, by counting reduced forms.  The
+    discriminant D is fundamental, so every form of it is primitive."""
     check_squarefree_int(d)
     D = d if d % 4 == 1 else 4 * d
     # reduced primitive forms: -a < b <= a <= c, b >= 0 when a == c
@@ -298,8 +288,6 @@ def class_number_imag_quadratic(d: int) -> int:
             if c < a:
                 continue
             if a == c and b < 0:
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
                 continue
             count += 1
         a += 1

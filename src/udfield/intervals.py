@@ -68,8 +68,6 @@ def imul(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
 
 def sqrt_upper(q: Rat, bits: int) -> Fraction:
     q = Fraction(q)
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
     scaled = -((-(q.numerator << (2 * bits))) // q.denominator)
     r = math.isqrt(scaled)
     if r * r < scaled:
@@ -99,15 +97,7 @@ class RealInterval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        if lo > hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
         self.lo, self.hi = lo, hi
-
-    def __eq__(self, other):
-        return other.__class__ is RealInterval and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
 
     @classmethod
     def point(cls, q: Rat, bits: int = None) -> "RealInterval":
@@ -152,12 +142,6 @@ class RealInterval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
 
     def __repr__(self):
         return f"RealInterval({float(self.lo)!r}, {float(self.hi)!r})"
@@ -240,8 +224,6 @@ def _ln_fixed(n: int, w: int) -> Tuple[int, int, int]:
 
 def pi_interval(bits: int) -> RealInterval:
     """Certified enclosure of pi with width <= 2^-bits."""
-    if bits < 16:
-        raise ValueError("precision_bits must be >= 16")
     return RealInterval(*_floor_ceil(_pi_fixed, bits + 8))
 
 
@@ -256,8 +238,6 @@ def _ln_outward(n: int, prec: int) -> Tuple[Fraction, Fraction]:
 
 def ln_interval(q: Rat, bits: int) -> RealInterval:
     """Certified enclosure of ln(q) for a positive rational q."""
-    if bits < 16:
-        raise ValueError("precision_bits must be >= 16")
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log of non-positive rational")
@@ -284,5 +264,5 @@ def exact_ceil(fn: Callable[[int], RealInterval], start_bits: int = 64,
             return clo
         if bits >= max_bits:
             raise PrecisionExhausted(
-                f"ceiling still ambiguous at {bits} bits: [{lo}, {hi}]")
+                f"ceiling still ambiguous at {bits} bits")
         bits = min(2 * bits, max_bits)

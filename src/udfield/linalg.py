@@ -114,10 +114,7 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _pivot_col(row) -> int:
-    for i, c in enumerate(row):
-        if c != 0:
-            return i
-    return len(row)
+    return next(i for i, c in enumerate(row) if c)
 
 
 def hnf_det(hnf: Sequence[Sequence[int]]) -> int:

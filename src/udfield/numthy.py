@@ -90,9 +90,7 @@ def factorize(n: int) -> List[Tuple[int, int]]:
 
 def _rho_split(n: int, budget: List[int]) -> List[int]:
     """The prime factors of n, with multiplicity; budget[0] is the number
-    of rho steps left, shared by every split of one factorization."""
-    if n == 1:
-        return []
+    of rho steps left, shared by every split of one factorization; n > 1."""
     if is_prime(n):
         return [n]
     r = math.isqrt(n)
@@ -148,9 +146,7 @@ def check_squarefree_int(n: int):
 
 
 def squarefree_kernel(n: int) -> int:
-    """The squarefree integer with the same square class as n (sign kept)."""
-    if n == 0:
-        return 0
+    """The squarefree integer with the same square class as n != 0 (sign kept)."""
     k = 1
     for p, e in factorize(n):
         if e % 2 == 1:

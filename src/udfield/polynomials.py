@@ -137,8 +137,6 @@ def _pmod(p: Sequence, q: int):
 
 
 def _pdivmod(a, b, q):
-    if not b:
-        raise ZeroDivisionError
     rem = [c % q for c in a]
     dq = len(b) - 1
     inv_lead = pow(b[-1], -1, q)
@@ -161,8 +159,6 @@ def _pgcd(a, b, q):
     a, b = _pmod(a, q), _pmod(b, q)
     while b:
         a, b = b, _pdivmod(a, b, q)[1]
-    if not a:
-        return ()
     inv = pow(a[-1], -1, q)
     return make_poly([c * inv % q for c in a])
 
@@ -191,8 +187,6 @@ def factor_mod_p(poly: Sequence, q: int) -> list:
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     f = _pmod(poly, q)
-    if degree(f) < 1:
-        return []
     inv = pow(f[-1], -1, q)
     f = make_poly([c * inv % q for c in f])
     factors: dict = {}

@@ -137,11 +137,9 @@ def _seed_roots(p: Sequence, bits: int) -> List[Tuple[int, int]]:
 
 
 def _isqrt(a: int, shift: int, up: bool) -> int:
-    """sqrt(a 2^shift) rounded up or down to an integer, for a >= 0."""
-    if shift >= 0:
-        a <<= shift
-    else:
-        a = -(-a >> -shift) if up else a >> -shift
+    """sqrt(a 2^-shift) rounded up or down to an integer, for a, shift >= 0
+    (an evaluation's exponent, a multiple of E, exceeds B)."""
+    a = -(-a >> shift) if up else a >> shift
     r = math.isqrt(a)
     return r + 1 if up and r * r < a else r
 
@@ -157,10 +155,10 @@ def _certify(p: Sequence, seeds, bits: int):
     for x, y in seeds:
         pt = Box(E, x, x, y, y)
         val, dval = eval_at(p, pt), eval_at(dp, pt)   # exact: p is integral
-        den = _isqrt(dval.re_lo ** 2 + dval.im_lo ** 2, 2 * (B - dval.e), False)
+        den = _isqrt(dval.re_lo ** 2 + dval.im_lo ** 2, 2 * (dval.e - B), False)
         if not den:
             return None
-        num = _isqrt(val.re_lo ** 2 + val.im_lo ** 2, 2 * (B - val.e), True)
+        num = _isqrt(val.re_lo ** 2 + val.im_lo ** 2, 2 * (val.e - B), True)
         disks.append((x, y, -((-n * num << B) // den) << (E - B)))
     for i, (x, y, r) in enumerate(disks):
         for u, v, s in disks[i + 1:]:
@@ -185,7 +183,8 @@ def _pair_disks(disks):
 
 
 def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
-    """Disjoint boxes around all roots of squarefree p, width <= 2^-precision_bits.
+    """Disjoint boxes of width <= 2^-precision_bits around all roots of a
+    nonconstant squarefree p.
 
     Complex-conjugate roots are identified and paired; a root is flagged
     real exactly when it equals its own conjugate.  p is tested for
@@ -198,8 +197,6 @@ def isolate_complex_roots(p: Sequence, precision_bits: int) -> List[RootBox]:
 def _isolate(p: Sequence, precision_bits: int) -> List[RootBox]:
     """isolate_complex_roots for a p already known to be squarefree."""
     n = degree(p)
-    if n == 0:
-        return []
     bits = max(64, precision_bits + 16)
     while True:
         disks = _certify(p, _seed_roots(p, bits), bits)

@@ -11,7 +11,8 @@ tests it once per witness ideal), and `enumeration.roots_of_unity`, its
 torsion search (the current one takes the radius-1 unit differences);
 everything else is imported from the current modules.  Its `slack` and
 `unit_search_depth` parameters, which it only passed on to
-`is_principal`, went when `is_principal` lost them.
+`is_principal`, went when `is_principal` lost them, and it takes the CM
+structure in place of the field, as the current one does.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from udfield.enumeration import lattice_points_in_polydisc
 from udfield.errors import ConjugateCollision, WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, FracIdeal, PrimeIdeal,
                             class_number_imag_quadratic, is_principal)
-from udfield.numberfield import (CMStructure, FieldElement, NumberField, detect_cm,
-                                 is_unit_modulus)
+from udfield.numberfield import CMStructure, FieldElement, NumberField, is_unit_modulus
 from udfield.numthy import squarefree_kernel
 
 
@@ -66,7 +66,7 @@ def _check_prime_pairs(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]]
             raise ConjugateCollision(f"P_{i} is self-conjugate (ramified or inert)")
 
 
-def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
+def pigeonhole_units(cm: CMStructure, primes: Sequence[Tuple[PrimeIdeal, int]],
                      include_torsion: bool = True) -> UnitSet:
     """Units from ideals prod P_j^(a_j) conj(P_j)^(k_j - a_j) in one class.
 
@@ -77,9 +77,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
     ideal_witnesses counts the pairwise-distinct ideals (u).  Raises
     WindowTooLarge past PIGEONHOLE_LIMIT exponent vectors prod (k_j + 1).
     """
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("pigeonhole_units requires a CM field")
+    K = cm.field
     primes = list(primes)
     _check_prime_pairs(cm, primes)
     count = math.prod(k + 1 for _, k in primes)
@@ -114,7 +112,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         for j in range(i + 1, len(ideals)):
             if find(i) == find(j):
                 continue
-            res = is_principal(ideals[j] * ideals[i].inverse())
+            res = is_principal(ideals[j] * ideals[i].inverse(), cm)
             if res.status == FOUND:
                 generators[(i, j)] = res.generator
                 parent[find(j)] = find(i)
@@ -137,7 +135,7 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         if i == base:
             alpha = one
         else:
-            res = is_principal(ideals[i] * ideals[base].inverse())
+            res = is_principal(ideals[i] * ideals[base].inverse(), cm)
             if res.status != FOUND:
                 inconclusive = True
                 continue
@@ -167,6 +165,6 @@ def pigeonhole_units(K: NumberField, primes: Sequence[Tuple[PrimeIdeal, int]],
         guaranteed = Fraction(math.prod(k + 1 for _, k in primes), h)
 
     ordered = tuple(sorted(units.values(), key=lambda z: tuple(z.coords)))
-    return UnitSet(field=K, cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
+    return UnitSet(cm=cm, units=ordered, ideal_witnesses=tuple(witnesses),
                    Q=Q, D=D, guaranteed_min=guaranteed, h=h,
                    inconclusive=inconclusive)

@@ -14,7 +14,8 @@ did then (the enumerator's cap now counts its work, which would walk the
 far-stretched polydiscs for 2 000 000 steps each before giving up).
 The stretches read each embedding, now an integer box, through
 `oracle_intervals.box_interval`, and the Fraction matrix helpers come
-from `oracle_linalg`.
+from `oracle_linalg`.  Like the current one, it takes the field's CM
+structure rather than detecting it again.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from udfield.errors import WindowTooLarge
 from udfield.ideals import (FOUND, INCONCLUSIVE, NOT_FOUND, FracIdeal,
                             PrincipalityResult)
 from udfield.linalg import vec_mat
-from udfield.numberfield import CMStructure, FieldElement, NumberField, detect_cm
+from udfield.numberfield import CMStructure, FieldElement, NumberField
 from udfield.numthy import iroot_ceil, squarefree_kernel
 
 _STRETCHES: Dict[NumberField, Dict[int, tuple]] = {}
@@ -86,7 +87,7 @@ def _mq_ds(K: NumberField):
     return ds
 
 
-def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
+def is_principal(I: FracIdeal, cm: CMStructure, slack: Fraction = Fraction(13, 10),
                  unit_search_depth: int = 3) -> PrincipalityResult:
     """Certified generator search.
 
@@ -96,9 +97,6 @@ def is_principal(I: FracIdeal, slack: Fraction = Fraction(13, 10),
     failed search is INCONCLUSIVE.
     """
     K = I.field
-    cm = detect_cm(K)
-    if cm is None:
-        raise ValueError("principality search implemented for CM fields only")
     scaled = FracIdeal(K, I.hnf, 1)
     norm = scaled.norm()
     assert norm.denominator == 1

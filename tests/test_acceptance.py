@@ -87,7 +87,7 @@ def test_criterion_4_pigeonhole_gaussian():
     K = nf_new(make_poly([1, 0, 1]), label="Q(i)")
     cm = detect_cm(K)
     t0 = time.perf_counter()
-    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
+    us = pigeonhole_units(cm, prime_pairs(cm, 5, 2))
     elapsed = time.perf_counter() - t0
     assert us.distinct_ideal_count >= 3
     target = K.element([Fraction(-7, 25), Fraction(24, 25)])
@@ -105,7 +105,8 @@ def test_criterion_4_pigeonhole_gaussian():
 
 def test_criterion_5_pigeonhole_nontrivial_class():
     K = nf_new(make_poly([5, 0, 1]), label="Q(sqrt(-5))")
-    us = pigeonhole_units(K, prime_pairs(K, 3, 2))
+    cm = detect_cm(K)
+    us = pigeonhole_units(cm, prime_pairs(cm, 3, 2))
     assert us.guaranteed_min == Fraction(3, 2)
     assert us.distinct_ideal_count >= 2          # >= ceil(3/2)
     target = K.element([Fraction(-1, 9), Fraction(4, 9)])
@@ -128,7 +129,7 @@ def test_criterion_5_pigeonhole_nontrivial_class():
     for i in range(len(pool)):
         for j in range(i + 1, len(pool)):
             if find(i) != find(j):
-                res = is_principal(pool[j] * pool[i].inverse())
+                res = is_principal(pool[j] * pool[i].inverse(), cm)
                 assert res.status in (FOUND, NOT_FOUND)
                 if res.status == FOUND:
                     parent[find(j)] = find(i)
@@ -141,10 +142,10 @@ def test_criterion_5_pigeonhole_nontrivial_class():
 def test_criterion_6_window_bounds_gaussian():
     K = nf_new(make_poly([1, 0, 1]), label="Q(i)")
     cm = detect_cm(K)
-    us = pigeonhole_units(K, [])                 # torsion units only: +-1, +-i
+    us = pigeonhole_units(cm, [])                 # torsion units only: +-1, +-i
     assert len(us.units) == 4
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
-    ps, rep = build_pointset(K, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     assert rep.measured_points == 13 <= 36
     assert rep.packing_bound == 36
     assert rep.translation_bound == 4 * 5 == 20
@@ -166,7 +167,7 @@ def test_criterion_7_degree4_end_to_end():
     assert find_split_primes([5], 1, require_1_mod_4=True) == [29]
     K = compositum_multiquadratic([5, -1], label="Q(sqrt5,i)")
     cm = detect_cm(K)
-    us = pigeonhole_units(K, prime_pairs(K, 29, 1))
+    us = pigeonhole_units(cm, prime_pairs(cm, 29, 1))
     # inconclusive principality is surfaced on the UnitSet, and every
     # emitted unit is individually certified regardless
     assert isinstance(us.inconclusive, bool)
@@ -177,7 +178,7 @@ def test_criterion_7_degree4_end_to_end():
     scale = Fraction(1, 841)
     cfg = WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure",
                        max_points=500_000)
-    ps, rep = build_pointset(K, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     elapsed = time.perf_counter() - t0
     assert rep.units_usable == len(us.units)     # all emitted units usable
     assert rep.translation_bound == len(us.units) * rep.inner_count

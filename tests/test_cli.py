@@ -294,6 +294,11 @@ def _run_module(tmp_path, *args, timeout=None):
     return _run_python(tmp_path, "-m", "udfield", *args, timeout=timeout)
 
 
+# the first 21 odd primes
+ODD_PRIMES_21 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79)
+
+
 @pytest.mark.parametrize("argv, rc, text", [
     (["generate", "--field", "gaussian", "--k", "0", "--scale", "1", "--R", "1e400",
       "--out", "run"], 5, "error: basis, centre or radii beyond float range"),
@@ -316,15 +321,44 @@ def _run_module(tmp_path, *args, timeout=None):
     (["exponent", "--T", "3", "--p", "3"], 3, "error: p = 3 must not lie in T"),
     (["find-split-primes", "--T", "5", "--count", "0"], 3,
      "error: count must be >= 1, not 0"),
+    (["count", "--csv", "binary.csv"], 3, "error: binary.csv: not text (invalid start byte)"),
+    (["gs-check", "--T", ",".join(map(str, ODD_PRIMES_21)), "--S", "101"], 3,
+     "error: |T| > 20 not supported"),
+    (["r2", "--field", "qsqrt5", "--alpha", "1,2,3"], 3,
+     "error: --alpha has 3 coordinates; Q(sqrt(5)) needs 2"),
+    (["r2", "--alpha", "-1"], 0, '"count": 0,\n  "field": "Q"'),
+    (["r2", "--alpha", str(10 ** 13)], 7, "error: 6324555 candidates for x (limit 2000000)"),
+    (["exponent", "--T", "5,17,29,43", "--p", "101", "--precision", "32"], 0,
+     '"certified_3_digits": null,'),
+    (["exponent", "--T", "3", "--p", "4"], 4, "error: 4 is not prime"),
+    (["exponent", "--T", f"{2 ** 127 - 1},{2 ** 1279 - 1}", "--p", "3"], 5,
+     "error: ceiling still ambiguous at 4096 bits"),
+    (["generate", "--field", "adjoin-i:1", "--out", "run"], 4, "error: generator 1 is trivial"),
+    (["generate", "--field", "nonmonic.json", "--out", "run"], 4,
+     "error: leading coefficient 2 != 1"),
+    (["generate", "--field", "sub-order.json", "--prime", "5", "--out", "run"], 7,
+     "error: disc(min_poly) is not a multiple of disc(K)"),
+    (["generate", "--field", "gaussian", "--k", "0", "--R", "1e400", "--out", "run"], 7,
+     "error: no desk-feasible window at these parameters"),
 ])
 def test_edge_runs_exit_typed(tmp_path, argv, rc, text):
-    # branches that test_cli_fuzz's random argvs reach only in some runs:
-    # a radius past float range, a bad or unknown field name, a NaN row, a
-    # missing CSV, a negative eps, a negative alpha, a repeated row, an
-    # exact count with no CM field, a composite in S or T, p in T and a
-    # zero count
+    # branches that test_cli_fuzz's random argvs reach only in some runs,
+    # or never: a radius past float range, a bad or unknown field name, a
+    # NaN row, a missing CSV, a negative eps, a negative alpha, a repeated
+    # row, an exact count with no CM field, a composite in S or T, p in T, a
+    # zero count, a CSV that is not UTF-8, 21 primes in T, an alpha of the
+    # wrong length, a rational alpha below zero or past the search cap, an
+    # exponent at 32 bits (doubled to separate u pi from 36 v, and its
+    # excess still from 0), a composite p, a T whose k needs more than 4096
+    # bits, a trivial generator, a non-monic min_poly, an integral basis
+    # whose order misses theta, and an auto-scale estimate past float range
     (tmp_path / "nan.csv").write_text("re,im\n0,0\n1,0\nnan,0\n")
     (tmp_path / "repeat.csv").write_text("re,im\n0,0\n1,0\n1,0\n")
+    (tmp_path / "binary.csv").write_bytes(b"re,im\n0,0\n\xff\xfe,1\n")
+    (tmp_path / "nonmonic.json").write_text('{"min_poly": [1, 0, 2]}')
+    # Z[2i]: closed under products, but without i
+    (tmp_path / "sub-order.json").write_text(
+        '{"min_poly": [1, 0, 1], "integral_basis": [[1, 0], [0, 2]]}')
     (tmp_path / "exact").mkdir()
     (tmp_path / "exact" / "pointset.csv").write_text("c0,c1\n0,0\n1,0\n")
     proc = _run_module(tmp_path, *argv)
@@ -501,7 +535,7 @@ def test_auto_window_with_no_feasible_window_exits_7(tmp_path, capsys, monkeypat
     calls = []
     build = construct._build
     monkeypatch.setattr(construct, "_build",
-                        lambda *args: calls.append(args[3]) or build(*args))
+                        lambda *args: calls.append(args[2]) or build(*args))
     rc = main(["generate", "--field", "gaussian", "--prime", "5", "--k", "2", "--R", "20",
                "--max-points", max_points, "--no-plot", "--out", str(tmp_path)])
     assert rc == 7

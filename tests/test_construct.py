@@ -13,22 +13,22 @@ from udfield.construct import (UnitSet, WindowConfig, build_pointset, covolume_u
 from udfield.errors import ConditionFailed, ConjugateCollision
 from udfield.gstower import SymbolicPower, exponent, exponent_ledger
 from udfield.ideals import FracIdeal, split_prime
-from udfield.numberfield import abs_sq, is_unit_modulus
+from udfield.numberfield import detect_cm, is_unit_modulus
 
 
-def test_denominator_bound_examples(gaussian, qsqrt_m5):
-    pairs = prime_pairs(gaussian, 5, 2)
+def test_denominator_bound_examples(gaussian_cm, qsqrt_m5_cm):
+    pairs = prime_pairs(gaussian_cm, 5, 2)
     assert denominator_bound(pairs) == 625
-    pairs3 = prime_pairs(qsqrt_m5, 3, 2)
+    pairs3 = prime_pairs(qsqrt_m5_cm, 3, 2)
     assert denominator_bound(pairs3) == 81
     # two primes above 5 and 13 with k = 1 each
-    two = prime_pairs(gaussian, 5, 1) + prime_pairs(gaussian, 13, 1)
+    two = prime_pairs(gaussian_cm, 5, 1) + prime_pairs(gaussian_cm, 13, 1)
     assert denominator_bound(two) == 25 * 169
 
 
 def test_pigeonhole_gaussian(gaussian, gaussian_cm):
     K, cm = gaussian, gaussian_cm
-    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
+    us = pigeonhole_units(cm, prime_pairs(cm, 5, 2))
     assert us.guaranteed_min == 3 and us.h == 1
     assert us.distinct_ideal_count >= 3
     assert us.D == 625
@@ -47,7 +47,7 @@ def test_pigeonhole_gaussian(gaussian, gaussian_cm):
 
 def test_pigeonhole_qsqrt_m5(qsqrt_m5, qsqrt_m5_cm):
     K, cm = qsqrt_m5, qsqrt_m5_cm
-    us = pigeonhole_units(K, prime_pairs(K, 3, 2))
+    us = pigeonhole_units(cm, prime_pairs(cm, 3, 2))
     assert us.h == 2
     assert us.guaranteed_min == Fraction(3, 2)
     assert us.distinct_ideal_count >= 2
@@ -74,9 +74,10 @@ def test_pigeonhole_matches_oracle(name, ps, k):
     from udfield.cli import build_field
 
     K = build_field(name)
-    pairs = [pair for p in ps for pair in prime_pairs(K, p, k)]
-    ours = pigeonhole_units(K, pairs)
-    theirs = oracle_pigeonhole.pigeonhole_units(K, pairs)
+    cm = detect_cm(K)
+    pairs = [pair for p in ps for pair in prime_pairs(cm, p, k)]
+    ours = pigeonhole_units(cm, pairs)
+    theirs = oracle_pigeonhole.pigeonhole_units(cm, pairs)
     for name in UnitSet._fields:
         assert getattr(ours, name) == getattr(theirs, name), name
     if name == "qsqrt-23":        # the size of the best class
@@ -98,7 +99,7 @@ def test_pigeonhole_asks_each_principality_once(deg4, deg4_cm, monkeypatch):
     monkeypatch.setattr(construct, "is_principal",
                         counted("is_principal", construct.is_principal))
     monkeypatch.setattr(FracIdeal, "inverse", counted("inverse", FracIdeal.inverse))
-    us = pigeonhole_units(deg4, prime_pairs(deg4, 29, 1))
+    us = pigeonhole_units(deg4_cm, prime_pairs(deg4_cm, 29, 1))
     assert us.distinct_ideal_count == 4
     assert calls == {"is_principal": 3, "inverse": 1}
 
@@ -112,11 +113,11 @@ def test_pigeonhole_forms_each_prime_power_once(deg4, deg4_cm, monkeypatch):
         calls.append(e)
         return power(self, e)
 
-    pairs = prime_pairs(deg4, 29, 2)
+    pairs = prime_pairs(deg4_cm, 29, 2)
     assert len(pairs) == 2
     power = FracIdeal.__pow__
     monkeypatch.setattr(FracIdeal, "__pow__", counted)
-    us = pigeonhole_units(deg4, pairs)
+    us = pigeonhole_units(deg4_cm, pairs)
     assert calls == []
     assert us.Q == math.prod((pr.lattice * pr.lattice.conjugate(deg4_cm) for pr, _ in pairs),
                              start=FracIdeal.unit_ideal(deg4)) ** 2
@@ -126,7 +127,7 @@ def test_pigeonhole_tests_q2_once_per_witness(deg4, deg4_cm, monkeypatch):
     # (u zeta) = (u), (conj u) = conj((u)) and Q is conjugation-invariant, so
     # Q^-2 is tested on each witness's ideal (u) alone, not on the torsion
     # multiples and conjugates of the witness
-    pairs = prime_pairs(deg4, 29, 1)
+    pairs = prime_pairs(deg4_cm, 29, 1)
     principal = FracIdeal.principal
     calls = []
 
@@ -135,13 +136,13 @@ def test_pigeonhole_tests_q2_once_per_witness(deg4, deg4_cm, monkeypatch):
         return principal(z)
 
     monkeypatch.setattr(FracIdeal, "principal", counted)
-    us = pigeonhole_units(deg4, pairs)
+    us = pigeonhole_units(deg4_cm, pairs)
     assert calls == list(us.ideal_witnesses)
     assert len(us.units) == 28 > len(calls) == 4
 
 
 def test_pigeonhole_empty(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, [])
+    us = pigeonhole_units(gaussian_cm, [])
     assert us.distinct_ideal_count == 1
     assert us.guaranteed_min == 1      # 1/h with h = 1
     assert us.D == 1
@@ -151,19 +152,19 @@ def test_pigeonhole_empty(gaussian, gaussian_cm):
 def test_pigeonhole_conjugate_collision(gaussian, gaussian_cm):
     primes = split_prime(gaussian, 5)
     with pytest.raises(ConjugateCollision):
-        pigeonhole_units(gaussian, [(primes[0], 1), (primes[1], 1)])
+        pigeonhole_units(gaussian_cm, [(primes[0], 1), (primes[1], 1)])
     inert = split_prime(gaussian, 3)
     with pytest.raises(ConjugateCollision):
-        pigeonhole_units(gaussian, [(inert[0], 1)])
+        pigeonhole_units(gaussian_cm, [(inert[0], 1)])
 
 
-def test_enumerate_window_examples(gaussian):
-    w2, denom = enumerate_window(gaussian, Fraction(1), Fraction(2))
+def test_enumerate_window_examples(gaussian, gaussian_cm):
+    w2, denom = enumerate_window(gaussian_cm, Fraction(1), Fraction(2))
     assert len(w2) == 13 and denom == 1
-    w1, _ = enumerate_window(gaussian, Fraction(1), Fraction(1))
+    w1, _ = enumerate_window(gaussian_cm, Fraction(1), Fraction(1))
     assert len(w1) == 5
     # a negative R holds no point (R^2 = 1 would give w1's five)
-    assert len(enumerate_window(gaussian, Fraction(1), Fraction(-1))[0]) == 0
+    assert len(enumerate_window(gaussian_cm, Fraction(1), Fraction(-1))[0]) == 0
     # brute-force oracle over the integer square
     brute = 0
     for a in range(-3, 4):
@@ -171,43 +172,43 @@ def test_enumerate_window_examples(gaussian):
             if a * a + b * b <= 4:
                 brute += 1
     assert brute == 13
-    huge = elements_of(gaussian, *enumerate_window(gaussian, Fraction(10 ** 6),
+    huge = elements_of(gaussian, *enumerate_window(gaussian_cm, Fraction(10 ** 6),
                                                    Fraction(2)))
     assert len(huge) == 1 and huge[0].is_zero()
 
 
-def test_window_includes_boundary(gaussian):
+def test_window_includes_boundary(gaussian, gaussian_cm):
     # |2| = 2 lies on the closed boundary of B_2 and must be included
-    w = elements_of(gaussian, *enumerate_window(gaussian, Fraction(1), Fraction(2)))
+    w = elements_of(gaussian, *enumerate_window(gaussian_cm, Fraction(1), Fraction(2)))
     assert gaussian.from_rational(2) in w
 
 
-def test_select_translate(gaussian):
-    a, (rows, denom), zero_count = select_translate(gaussian, Fraction(1), Fraction(1), 0)
+def test_select_translate(gaussian_cm):
+    a, (rows, denom), zero_count = select_translate(gaussian_cm, Fraction(1), Fraction(1), 0)
     assert a.is_zero() and len(rows) == 5 and denom == 1 and zero_count == 5
-    a16, (rows16, _), zero16 = select_translate(gaussian, Fraction(1), Fraction(1), 16)
+    a16, (rows16, _), zero16 = select_translate(gaussian_cm, Fraction(1), Fraction(1), 16)
     assert len(rows16) >= 5 and zero16 == 5
 
 
 def test_build_pointset_reuses_translate_windows(gaussian, gaussian_cm, monkeypatch):
     import udfield.construct as construct
 
-    K, R = gaussian, Fraction(73, 10)
-    us = pigeonhole_units(K, prime_pairs(K, 5, 2))
+    K, cm, R = gaussian, gaussian_cm, Fraction(73, 10)
+    us = pigeonhole_units(cm, prime_pairs(cm, 5, 2))
     calls = []
     direct = construct.enumerate_window
     monkeypatch.setattr(construct, "enumerate_window",
                         lambda *args, **kwargs: calls.append(args) or direct(*args, **kwargs))
     cfg = WindowConfig(R=R, scale=Fraction(1), translate_candidates=8)
-    ps, rep = build_pointset(K, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     assert len(calls) == 10     # a = 0, 8 candidates, the outer window
     candidates = halton_translates(K, Fraction(1), 8)
-    counts = [len(direct(K, Fraction(1), R - 1, a)[0]) for a in candidates]
+    counts = [len(direct(cm, Fraction(1), R - 1, a)[0]) for a in candidates]
     best = candidates[counts.index(max(counts))]
     assert not rep.translate_is_zero
     assert rep.inner_count == max(counts) == 126
-    assert rep.inner_count_zero_translate == len(direct(K, Fraction(1), R - 1)[0]) == 121
-    rows, denom = direct(K, Fraction(1), R, best)
+    assert rep.inner_count_zero_translate == len(direct(cm, Fraction(1), R - 1)[0]) == 121
+    rows, denom = direct(cm, Fraction(1), R, best)
     assert ps.denom == denom and ps.rows == rows
 
 
@@ -218,9 +219,9 @@ def test_halton_translates_deterministic(gaussian):
 
 
 def test_build_pointset_toy(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
+    us = pigeonhole_units(gaussian_cm, prime_pairs(gaussian_cm, 5, 2))
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
-    ps, rep = build_pointset(gaussian, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     assert rep.measured_points == 13
     assert rep.measured_unit_pairs == 16
     assert rep.units_usable == 4               # torsion +-1, +-i
@@ -230,7 +231,7 @@ def test_build_pointset_toy(gaussian, gaussian_cm):
     assert rep.all_asserted_hold()
     assert len(ps.planar) == 13
     # an inconclusive principality test adds one warning and changes nothing else
-    ps2, rep2 = build_pointset(gaussian, us._replace(inconclusive=True), cfg)
+    ps2, rep2 = build_pointset(us._replace(inconclusive=True), cfg)
     assert ps2.rows == ps.rows and rep2.all_asserted_hold()
     assert [w for w in rep2.warnings if w not in rep.warnings] == [
         "some principality tests were inconclusive; the unit list may be incomplete "
@@ -243,8 +244,8 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
     from udfield.counting import planar_image, unit_pair_indices
     from udfield.serialize import pointset_sidecar
 
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
-    ps, rep = build_pointset(gaussian, us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
+    us = pigeonhole_units(gaussian_cm, prime_pairs(gaussian_cm, 5, 2))
+    ps, rep = build_pointset(us, WindowConfig(R=Fraction(3), scale=Fraction(1)))
     xy, err = planar_image(ps.rows, ps.denom, gaussian_cm)
     assert xy == ps.planar
     assert ps.unit_pairs == tuple(unit_pair_indices(ps.rows, ps.denom, xy, err,
@@ -258,22 +259,22 @@ def test_build_pointset_keeps_unit_pairs(gaussian, gaussian_cm):
         assert is_unit_modulus(pts[i] - pts[j], gaussian_cm)
 
 
-def test_covolume_upper_values(gaussian, qsqrt_m5, deg4):
+def test_covolume_upper_values(gaussian_cm, qsqrt_m5_cm, deg4_cm):
     # dyadic upper bounds for |disc|^(1/2f) / 2 at 2^-24, as the float-seeded
     # root computed them
     from udfield.numberfield import compositum_multiquadratic
 
-    assert covolume_upper(gaussian, Fraction(1)) == 1
-    assert covolume_upper(qsqrt_m5, Fraction(1)) == Fraction(75029991, 33554432)
-    assert covolume_upper(deg4, Fraction(1)) == Fraction(75029991, 33554432)
-    K8 = compositum_multiquadratic([2, 3, -1])
-    assert covolume_upper(K8, Fraction(1)) == Fraction(328764949, 33554432)
+    assert covolume_upper(gaussian_cm, Fraction(1)) == 1
+    assert covolume_upper(qsqrt_m5_cm, Fraction(1)) == Fraction(75029991, 33554432)
+    assert covolume_upper(deg4_cm, Fraction(1)) == Fraction(75029991, 33554432)
+    cm8 = detect_cm(compositum_multiquadratic([2, 3, -1]))
+    assert covolume_upper(cm8, Fraction(1)) == Fraction(328764949, 33554432)
 
 
 def test_build_pointset_small_R_warns(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, [])
+    us = pigeonhole_units(gaussian_cm, [])
     cfg = WindowConfig(R=Fraction(1), scale=Fraction(1))
-    ps, rep = build_pointset(gaussian, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     assert rep.measured_points == 5
     assert rep.measured_unit_pairs == 4
     assert any("R < 2" in w for w in rep.warnings)
@@ -281,11 +282,11 @@ def test_build_pointset_small_R_warns(gaussian, gaussian_cm):
 
 
 def test_build_pointset_closure_mode(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
+    us = pigeonhole_units(gaussian_cm, prime_pairs(gaussian_cm, 5, 2))
     scale = Fraction(1, 625)
     cfg = WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure",
                        max_points=500_000)
-    ps, rep = build_pointset(gaussian, us, cfg)
+    ps, rep = build_pointset(us, cfg)
     assert rep.units_usable == len(us.units) == 20
     assert rep.inner_count == 13               # scaled copy of the B_2 window
     assert rep.translation_bound == 20 * 13
@@ -295,22 +296,22 @@ def test_build_pointset_closure_mode(gaussian, gaussian_cm):
 
 
 def test_closure_estimate_is_capped_by_its_window(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, prime_pairs(gaussian, 5, 2))
+    us = pigeonhole_units(gaussian_cm, prime_pairs(gaussian_cm, 5, 2))
     for scale, R, usable in [(Fraction(1, 625), Fraction(627, 625), 20),
                              (Fraction(1), Fraction(20), 4),
                              (Fraction(1, 25), Fraction(8), 4)]:
-        window = estimate_window_points(gaussian, scale, R)
-        inner = estimate_window_points(gaussian, scale, R - 1)
-        assert estimate_window_points(gaussian, scale, R, "window", us.units) == window
-        closure = estimate_window_points(gaussian, scale, R, "closure", us.units)
+        window = estimate_window_points(gaussian_cm, scale, R)
+        inner = estimate_window_points(gaussian_cm, scale, R - 1)
+        assert estimate_window_points(gaussian_cm, scale, R, "window", us.units) == window
+        closure = estimate_window_points(gaussian_cm, scale, R, "closure", us.units)
         assert closure == min(window, inner * (usable + 1))
         assert closure <= window
 
 
 def test_projection_distinctness(gaussian, gaussian_cm):
-    us = pigeonhole_units(gaussian, [])
+    us = pigeonhole_units(gaussian_cm, [])
     cfg = WindowConfig(R=Fraction(2), scale=Fraction(1))
-    ps, _ = build_pointset(gaussian, us, cfg)
+    ps, _ = build_pointset(us, cfg)
     assert len(set(ps.planar)) == len(ps.planar)
 
 
@@ -381,7 +382,7 @@ def test_exponent_ledger_small_cases():
     assert led2["u"] == Fraction(46, 4)
     assert led2["v"] == 1
     assert led2["exponent"].lo > 1
-    assert 1 < float(led2["exponent"].midpoint()) < 1.0001
+    assert 1 < float((led2["exponent"].lo + led2["exponent"].hi) / 2) < 1.0001
 
 
 def test_delta_separation_invariant(gaussian, gaussian_cm, deg4, deg4_cm):
@@ -404,7 +405,7 @@ def test_delta_separation_invariant(gaussian, gaussian_cm, deg4, deg4_cm):
 def test_window_scale_delta_witness(gaussian, gaussian_cm):
     # enumerate a scaled window and verify the norm certificate on members
     scale = Fraction(1, 3)
-    pts = elements_of(gaussian, *enumerate_window(gaussian, scale, Fraction(1)))
+    pts = elements_of(gaussian, *enumerate_window(gaussian_cm, scale, Fraction(1)))
     assert len(pts) > 1
     for z in pts:
         if not z.is_zero():

@@ -26,11 +26,11 @@ def brute_exact(points, cm):
 
 
 def test_count_exact_gaussian_discs(gaussian, gaussian_cm):
-    w13 = enumerate_window(gaussian, Fraction(1), Fraction(2))
+    w13 = enumerate_window(gaussian_cm, Fraction(1), Fraction(2))
     c = count_exact(*w13, gaussian_cm)
     assert c.unit_pairs == 16
     assert c.unit_pairs == brute_exact(elements_of(gaussian, *w13), gaussian_cm)
-    w5 = enumerate_window(gaussian, Fraction(1), Fraction(1))
+    w5 = enumerate_window(gaussian_cm, Fraction(1), Fraction(1))
     assert count_exact(*w5, gaussian_cm).unit_pairs == 4
     assert count_exact(*rows_of(gaussian, [gaussian.one()]),
                        gaussian_cm).unit_pairs == 0
@@ -50,7 +50,7 @@ def test_count_exact_matches_brute_on_random_sets(gaussian, gaussian_cm):
 
 
 def test_count_exact_degree4(deg4, deg4_cm):
-    rows, denom = enumerate_window(deg4, Fraction(1), Fraction(2))
+    rows, denom = enumerate_window(deg4_cm, Fraction(1), Fraction(2))
     c = count_exact(rows, denom, deg4_cm)
     assert c.unit_pairs == brute_exact(elements_of(deg4, rows, denom), deg4_cm)
     assert c.unit_pairs > 0
@@ -60,7 +60,7 @@ def test_scaling_covariance(gaussian, gaussian_cm):
     # multiplying by a unit-modulus element is an isometry in every embedding
     K, cm = gaussian, gaussian_cm
     rng = random.Random(5)
-    pts = elements_of(K, *enumerate_window(K, Fraction(1), Fraction(2)))
+    pts = elements_of(K, *enumerate_window(cm, Fraction(1), Fraction(2)))
     base = count_exact(*rows_of(K, pts), cm).unit_pairs
     # 20 unit-modulus multipliers (Pythagorean ratios and torsion)
     mults = []

@@ -219,7 +219,7 @@ def test_unit_pairs_dense_windows_match_oracle(gaussian, gaussian_cm, qsqrt_m5,
     for K, cm, scale, R in ((gaussian, gaussian_cm, Fraction(1, 5), 2),
                             (qsqrt_m5, qsqrt_m5_cm, Fraction(1, 9), 2),
                             (deg4, deg4_cm, Fraction(1, 3), 1)):
-        rows, denom = enumerate_window(K, scale, R)
+        rows, denom = enumerate_window(cm, scale, R)
         xy, err = planar_image(rows, denom, cm)
         w, h = (max(v) - min(v) for v in zip(*xy))
         assert len(rows) >= 4 * (w + 1) * (h + 1)
@@ -230,7 +230,7 @@ def test_unit_pairs_dense_windows_match_oracle(gaussian, gaussian_cm, qsqrt_m5,
 
 def test_count_exact_memory_stays_linear(gaussian, gaussian_cm):
     # one dense 2000 x 2000 float64 block alone would be 32 MB
-    rows, denom = enumerate_window(gaussian, Fraction(1), Fraction(252, 10))
+    rows, denom = enumerate_window(gaussian_cm, Fraction(1), Fraction(252, 10))
     assert 1900 <= len(rows) <= 2100
     tracemalloc.start()
     try:

@@ -219,12 +219,12 @@ def _pigeonhole_lattices(monkeypatch, cm, p, k):
     asked = []
     is_principal = construct.is_principal
 
-    def spy(I):
+    def spy(I, cm):
         asked.append(I.hnf)
-        return is_principal(I)
+        return is_principal(I, cm)
 
     monkeypatch.setattr(construct, "is_principal", spy)
-    construct.pigeonhole_units(K, construct.prime_pairs(K, p, k))
+    construct.pigeonhole_units(cm, construct.prime_pairs(cm, p, k))
     return asked
 
 

@@ -121,7 +121,7 @@ def test_window_pairs_join_cell_hash_and_oracle_agree(data, which, translate,
         a = K.element([Fraction(data.draw(st.integers(1, translate)), translate)]
                       + [Fraction(data.draw(st.integers(-translate, translate)), translate)
                          for _ in range(K.n - 1)])
-    rows, denom = enumerate_window(K, scale, R, a)
+    rows, denom = enumerate_window(cm, scale, R, a)
     if translate == BIG_DEN and not a.is_integral():
         assert denom >= 1 << 63
     index = data.draw(st.integers(0, cm.f - 1))
@@ -219,7 +219,7 @@ def test_degree4_closure_takes_the_cell_hash(deg4, deg4_cm, monkeypatch):
 
     monkeypatch.setattr(udfield.counting, "_cell_pairs", recorded)
     scale = Fraction(1, 841)
-    ps, rep = build_pointset(deg4, pigeonhole_units(deg4, prime_pairs(deg4, 29, 1)),
+    ps, rep = build_pointset(pigeonhole_units(deg4_cm, prime_pairs(deg4_cm, 29, 1)),
                              WindowConfig(R=1 + 2 * scale, scale=scale, mode="closure"))
     assert (rep.measured_points, rep.measured_unit_pairs) == (1305, 1260)
     assert len(hashed) == 1 and tuple(hashed[0]) == ps.unit_pairs

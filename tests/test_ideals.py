@@ -39,6 +39,28 @@ def test_negative_powers_of_an_ideal_invert_it():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_power_squares_only_below_the_top_bit(deg4, monkeypatch):
+    # I ** e takes bit_length(e) - 1 squares and popcount(e) - 1 products
+    # into the result (the first is by the unit ideal, which takes no HNF),
+    # so P ** 1, as split_prime asks for it, normalizes nothing
+    P = split_prime(deg4, 29)[0].lattice
+    products = [P]
+    for _ in range(4):
+        products.append(products[-1] * P)
+    normalize = FracIdeal._normalize
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(FracIdeal, "_normalize", staticmethod(counted))
+    for e, want in enumerate(products, start=1):
+        calls.clear()
+        assert P ** e == want
+        assert len(calls) == e.bit_length() + bin(e).count("1") - 2, e
+
+
 def test_split_gaussian_5(gaussian):
     primes = split_prime(gaussian, 5)
     assert len(primes) == 2
@@ -155,28 +177,28 @@ def test_norm_multiplicativity(gaussian, qsqrt_m5, deg4):
             assert (I * J).norm() == I.norm() * J.norm()
 
 
-def test_is_principal_gaussian(gaussian):
+def test_is_principal_gaussian(gaussian, gaussian_cm):
     five = FracIdeal.principal(gaussian.from_rational(5))
-    res = is_principal(five)
+    res = is_principal(five, gaussian_cm)
     assert res.status == FOUND
     # the generator is 5 up to a unit
     assert abs(res.generator.norm()) == 25
     assert FracIdeal.principal(res.generator) == five
 
 
-def test_is_principal_certified_absence(qsqrt_m5):
+def test_is_principal_certified_absence(qsqrt_m5, qsqrt_m5_cm):
     P = split_prime(qsqrt_m5, 3)[0].lattice
-    res = is_principal(P)
+    res = is_principal(P, qsqrt_m5_cm)
     assert res.status == NOT_FOUND          # exhaustive: a^2+5b^2=3 insoluble
-    res2 = is_principal(P ** 2)
+    res2 = is_principal(P ** 2, qsqrt_m5_cm)
     assert res2.status == FOUND
     assert FracIdeal.principal(res2.generator) == P ** 2
     assert abs(res2.generator.norm()) == 9
 
 
-def test_is_principal_degree4(deg4):
+def test_is_principal_degree4(deg4, deg4_cm):
     for pr in split_prime(deg4, 29):
-        res = is_principal(pr.lattice)
+        res = is_principal(pr.lattice, deg4_cm)
         assert res.status == FOUND
         assert FracIdeal.principal(res.generator) == pr.lattice
         assert abs(res.generator.norm()) == 29
@@ -189,7 +211,7 @@ def test_is_principal_degree4_nontrivial_class():
     K = compositum_multiquadratic([-1, -5], label="Q(i,sqrt-5)")
     primes = split_prime(K, 3)
     for pr in primes:
-        res = is_principal(pr.lattice)
+        res = is_principal(pr.lattice, detect_cm(K))
         assert res.status in (FOUND, INCONCLUSIVE)
         if res.status == FOUND:
             assert FracIdeal.principal(res.generator) == pr.lattice
@@ -206,7 +228,7 @@ def test_one_search_per_ideal(monkeypatch):
     monkeypatch.setattr(ideals, "lattice_points_in_polydisc", capped)
     K = build_field("adjoin-i:5")
     I = split_prime(K, 29)[0].lattice
-    assert is_principal(I).status == INCONCLUSIVE
+    assert is_principal(I, detect_cm(K)).status == INCONCLUSIVE
     assert calls == [2_000_000]
 
 
@@ -218,6 +240,10 @@ def test_class_numbers():
     assert class_number_imag_quadratic(-163) == 1
     assert class_number_imag_quadratic(-14) == 4
     assert class_number_imag_quadratic(-47) == 5
+    # the two skips of the reduced-form count: (2, -1, 2) of D = -15 is
+    # (2, 1, 2) again, and (6, +-2, 5) of D = -116 has c < a
+    assert class_number_imag_quadratic(-15) == 2
+    assert class_number_imag_quadratic(-29) == 6
 
 
 def test_class_grouping_partitions(gaussian, qsqrt_m5):
@@ -245,7 +271,7 @@ def _count_classes(K, split_ps):
         for j in range(i + 1, len(pool)):
             if find(i) == find(j):
                 continue
-            res = is_principal(pool[j] * pool[i].inverse())
+            res = is_principal(pool[j] * pool[i].inverse(), detect_cm(K))
             assert res.status in (FOUND, NOT_FOUND)
             if res.status == FOUND:
                 parent[find(j)] = find(i)
@@ -259,6 +285,6 @@ def test_principality_certificates(gaussian, qsqrt_m5):
         pool = [pr.lattice for p in (3, 5, 7) for pr in split_prime(K, p)]
         for _ in range(30):
             I = rng.choice(pool) * rng.choice(pool)
-            res = is_principal(I)
+            res = is_principal(I, detect_cm(K))
             if res.status == FOUND:
                 assert FracIdeal.principal(res.generator) == I

@@ -122,19 +122,19 @@ def test_principality_matches_oracle_in_pigeonhole(monkeypatch, field, p):
     # and the same generator from one search as from the stretched searches;
     # d = 7, 11, 19 have units too large for the polydisc to hold a
     # generator of every principal ideal (see is_principal)
-    K = build_field(field)
+    cm = detect_cm(build_field(field))
     statuses = []
 
-    def both(I):
-        got = is_principal(I)
-        want = oracle_principality.is_principal(I)
+    def both(I, cm):
+        got = is_principal(I, cm)
+        want = oracle_principality.is_principal(I, cm)
         assert (got.status, got.generator) == (want.status, want.generator)
         statuses.append(got.status)
         return got
 
     monkeypatch.setattr(construct, "is_principal", both)
     for k in (1, 2, 3):
-        construct.pigeonhole_units(K, construct.prime_pairs(K, p, k))
+        construct.pigeonhole_units(cm, construct.prime_pairs(cm, p, k))
     assert FOUND in statuses
 
 
@@ -162,7 +162,7 @@ def test_principality_half_a_unit_period_out(d, a, b):
     assert i * i == K.from_rational(-1)
     for y in (K.one(), K.one() + i, K.from_rational(3)):
         I = FracIdeal.principal(h * y)
-        got = is_principal(I)
-        want = oracle_principality.is_principal(I)
+        got = is_principal(I, cm)
+        want = oracle_principality.is_principal(I, cm)
         assert (got.status, got.generator) == (want.status, want.generator)
         assert got.status == (FOUND if covered else INCONCLUSIVE)

@@ -12,7 +12,7 @@ from udfield import linalg
 from udfield.construct import pigeonhole_units, prime_pairs
 from oracle_linalg import mat
 from udfield.linalg import gauss_jordan, hnf_det, hnf_rows, lll_transform, mat_det
-from udfield.numberfield import compositum_multiquadratic
+from udfield.numberfield import compositum_multiquadratic, detect_cm
 
 
 def test_hnf_canonical_under_unimodular_changes():
@@ -137,8 +137,8 @@ def test_lll_matches_oracle_degenerate():
 def test_lll_matches_oracle_pigeonhole_grams(monkeypatch, p):
     # the T2 Gram matrices that _lll_reduce_basis meets in the principality
     # searches of the degree-4 closure demo
-    K = compositum_multiquadratic([5, -1])
-    pairs = prime_pairs(K, p, 1)
+    cm = detect_cm(compositum_multiquadratic([5, -1]))
+    pairs = prime_pairs(cm, p, 1)
     grams = []
 
     def recording(gram):
@@ -146,7 +146,7 @@ def test_lll_matches_oracle_pigeonhole_grams(monkeypatch, p):
         return lll_transform(gram)
 
     monkeypatch.setattr(linalg, "lll_transform", recording)
-    pigeonhole_units(K, pairs)
+    pigeonhole_units(cm, pairs)
     assert len(grams) >= 4      # one per principality search, none repeated
     for g in grams:
         assert lll_transform(g) == oracle_linalg.lll_transform(mat(g))

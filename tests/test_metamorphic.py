@@ -131,14 +131,14 @@ UNIT_CASES = [("gaussian_cm", 5, 2, Fraction(1), 5, Fraction(1, 25)),
 def unit_case(request):
     name, p, k, scale, R, usable_scale = request.param
     cm = request.getfixturevalue(name)
-    units = pigeonhole_units(cm.field, [(split_prime(cm.field, p)[0], k)])
+    units = pigeonhole_units(cm, [(split_prime(cm.field, p)[0], k)])
     return cm, units.units, scale, Fraction(R), usable_scale
 
 
 def test_isometries_keep_the_count(unit_case):
     cm, units, scale, R, _ = unit_case
     K = cm.field
-    rows, denom = enumerate_window(K, scale, R)
+    rows, denom = enumerate_window(cm, scale, R)
     want = count_exact(rows, denom, cm).unit_pairs
     assert want > 0
     rng = random.Random(4)

@@ -264,8 +264,9 @@ def test_sign_at_real_embeddings(sqrt5_field):
     z = theta - F.from_rational(2)         # sqrt5 - 2 and -sqrt5 - 2
     assert sorted(z.sign_at(i) for i in range(2)) == [-1, 1]
     assert [(theta * theta - F.from_rational(5)).sign_at(i) for i in range(2)] == [0, 0]
-    # (sqrt5 - 2)^40 ~ 1e-25 at one root: below a 64-bit box, so precision doubles
-    tiny = (z * z) ** 20
+    # (sqrt5 - 2)^1000 ~ 2^-2083 at one root, with coordinates near 2^2083:
+    # far below the first box's width, so the precision doubles to 2048 bits
+    tiny = z ** 1000
     assert [tiny.sign_at(i) for i in range(2)] == [1, 1]
     assert [(-tiny).sign_at(i) for i in range(2)] == [-1, -1]
 

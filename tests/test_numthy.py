@@ -59,6 +59,11 @@ def test_factorize():
     assert factorize(1) == []
     big = 1000003 * 1000033
     assert factorize(big) == [(1000003, 1), (1000033, 1)]
+    # past trial division: a square, and a product whose two rho cycles
+    # (x^2 + 1 from 2) close at the same step 720, so that the first
+    # constant finds n itself and the second splits it
+    assert factorize(1000003 ** 2) == [(1000003, 2)]
+    assert factorize(1000037 * 1001687) == [(1000037, 1), (1001687, 1)]
 
 
 def test_squarefree():

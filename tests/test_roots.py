@@ -111,3 +111,34 @@ def test_degree_16_isolation():
     boxes = isolate_complex_roots(make_poly(p), 40)
     assert len(boxes) == 16
     assert all(not b.is_real for b in boxes)
+
+
+def test_meeting_disks_double_the_precision(monkeypatch):
+    # x^3 - 2 (2^24 x - 1)^2 (Mignotte) has two real roots near 2^-24 about
+    # 2^-58 apart: their inclusion disks at the first 64 bits meet, so
+    # _isolate certifies again at 128 bits
+    import udfield.roots as roots
+
+    certify, tries = roots._certify, []
+
+    def recorded(p, seeds, bits):
+        disks = certify(p, seeds, bits)
+        tries.append((bits, disks is None))
+        return disks
+
+    monkeypatch.setattr(roots, "_certify", recorded)
+    a = 1 << 24
+    p = make_poly([-2, 4 * a, -2 * a * a, 1])
+    boxes = isolate_complex_roots(p, 16)
+    assert tries == [(64, True), (128, False)]
+    # each real box brackets a sign change of p, and the boxes are disjoint
+    assert len(boxes) == 3 and all(b.is_real for b in boxes)
+
+    def value(x):
+        return sum(c * x ** k for k, c in enumerate(p))
+
+    ends = [(Fraction(b.box.re_lo, 1 << b.box.e), Fraction(b.box.re_hi, 1 << b.box.e))
+            for b in boxes]
+    assert all(value(lo) * value(hi) < 0 for lo, hi in ends)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+    assert ends[1][0] - ends[0][1] < Fraction(1, 1 << 57)

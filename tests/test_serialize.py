@@ -33,6 +33,8 @@ def test_certified_digits():
     assert certified_digits(Fraction(6235, 10 ** 4), Fraction(6245, 10 ** 4), 3) is None
     # mantissa promotion across a decade
     assert certified_digits(Fraction(99951, 10 ** 5), Fraction(99959, 10 ** 5), 3) == "1.00e+00"
+    # an exact power of ten, where the bit-length estimate of log10 is one short
+    assert certified_digits(Fraction(1000), Fraction(1000), 3) == "1.00e+03"
 
 
 def test_dump_json_deterministic(tmp_path):

@@ -430,7 +430,7 @@ def test_cell_hash_skips_the_same_cell_only_when_no_pair_fits(scale, R, cells,
                                                               gaussian, gaussian_cm):
     import numpy as np
 
-    rows, denom = enumerate_window(gaussian, scale, R)
+    rows, denom = enumerate_window(gaussian_cm, scale, R)
     xy, err = planar_image(rows, denom, gaussian_cm)
     xs, ys = zip(*xy)
     k = _cells_per_unit(len(xy), max(xs) - min(xs), max(ys) - min(ys))
